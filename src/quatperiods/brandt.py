@@ -404,6 +404,7 @@ def _coords_in_span(vec, basis_vectors):
     return coords
 
 
+@lru_cache(maxsize=None)
 def eigenforms(class_set, nu=0, primes=None):
     """Simultaneous eigenbasis of the Brandt operators at weight nu.
 
@@ -411,6 +412,9 @@ def eigenforms(class_set, nu=0, primes=None):
     rational or quadratic eigen-data, primitive integral normalization with
     positive leading coordinate.  Positive weight is supported on maximal
     orders (where the whole space is essential apart from nothing).
+    Memoised per (class set, nu, primes) like brandt_matrix: callers share
+    the returned list and forms and must not mutate them; primes must be a
+    tuple.
     """
     n = class_set.order.reduced_discriminant()
     if primes is None:

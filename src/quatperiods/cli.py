@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -52,7 +51,6 @@ class JobConfig:
     bits: int = 100
     pmax: int = 0
     newforms: str = ""
-    cache: str = ""
     out: str = ""
     seed: int = 0
     weighting: str = "unweighted"
@@ -61,46 +59,29 @@ class JobConfig:
     extras: dict = field(default_factory=dict)
 
     def validate(self):
-        if self.level is not None and not _is_squarefree(self.level):
-            raise ValidationError(f"level {self.level} is not squarefree")
+        if self.level is not None and (
+                self.level < 1 or not _is_squarefree(self.level)):
+            raise ValidationError(
+                f"level {self.level} is not a positive squarefree integer")
         if self.prec < 0 or self.bits <= 0:
             raise ValidationError("precisions must be positive")
         if self.weighting not in ("unweighted", "mass"):
             raise ValidationError(f"unknown weighting {self.weighting}")
+        if self.command == "theta" and self.prec < 1:
+            raise ValidationError("theta needs --prec >= 1")
+        if self.command == "brandt":
+            if not _is_prime(self.p):
+                raise ValidationError(f"--p {self.p} is not prime")
+            level = self.level or self.disc
+            if level and level % self.p == 0:
+                raise ValidationError(
+                    f"--p {self.p} divides the level; Brandt operators need "
+                    "a good prime")
 
 
 def _records(config):
     path = config.newforms or newformdata.default_data_path()
     return ingest(path)
-
-
-def _cache_dir(config):
-    return config.cache or os.environ.get("QUATPERIODS_CACHE", "")
-
-
-def cached_class_set(n1, n2, cache_dir=""):
-    """Class set with optional persistent JSON cache.
-
-    The file name carries the convention version, so stale conventions are
-    recomputed rather than silently reused.
-    """
-    if not cache_dir:
-        return class_set_for(n1, n2)
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir,
-                        f"classset_{n1}_{n2}_{CONVENTION_VERSION}.json")
-    cs = class_set_for(n1, n2)
-    payload = cs.to_json()
-    payload["convention"] = CONVENTION_VERSION
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            stored = json.load(fh)
-        if stored != payload:
-            raise RuntimeError(f"cache mismatch at {path}; delete to refresh")
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
-    return cs
 
 
 def match_eigenform(class_set, record, bound=50):
@@ -155,7 +136,7 @@ def run_pipeline(config):
         result["selected_disc"] = None
         return result
     result["selected_disc"] = n1
-    cs = cached_class_set(n1, level // n1, _cache_dir(config))
+    cs = class_set_for(n1, level // n1)
     phi1 = match_eigenform(cs, h1)
     phi2 = match_eigenform(cs, h2)
     psi1 = match_eigenform(cs, f1)
@@ -385,7 +366,6 @@ def build_parser():
         p.add_argument("--bits", type=int, default=100)
         p.add_argument("--pmax", type=int, default=0)
         p.add_argument("--newforms", default="")
-        p.add_argument("--cache", default="")
         p.add_argument("--out", default="")
         p.add_argument("--seed", type=int, default=0)
 
@@ -436,7 +416,7 @@ def _config_from_args(args):
         command=args.command, level=args.level, disc=args.disc,
         nu1=args.nu1, nu2=args.nu2, alpha1=args.alpha1, alpha2=args.alpha2,
         gamma=args.gamma, prec=args.prec, bits=args.bits, pmax=args.pmax,
-        newforms=args.newforms, cache=args.cache, out=args.out,
+        newforms=args.newforms, out=args.out,
         seed=args.seed, labels=labels,
         weighting=getattr(args, "weighting", "unweighted"),
         p=getattr(args, "p", 0))
@@ -461,10 +441,14 @@ def _select_class_set(config):
     if config.disc is None:
         raise ValidationError("--disc is required")
     n1 = config.disc
+    if n1 < 2 or not _is_squarefree(n1) or len(_prime_factors(n1)) % 2 == 0:
+        raise ValidationError(
+            f"--disc {n1} is not a product of an odd number of distinct "
+            "primes, so no definite quaternion algebra has it")
     level = config.level or n1
     if level % n1:
         raise ValidationError("--level must be a multiple of --disc")
-    return cached_class_set(n1, level // n1, _cache_dir(config))
+    return class_set_for(n1, level // n1)
 
 
 def _pick_form(config, cs):

@@ -5,6 +5,11 @@ Ideals and orders are stored as row-basis matrices in the coordinates
 traversal seeded at the order itself, with the Eichler mass formula as the
 termination certificate (the mass formula is imported as a standard fact;
 it is not proved in this package).
+
+At p | N both the two-sided ideal of norm p and the index-p superorders come
+from one 4 x 4 kernel mod p: the trace Gram of the order reduced mod p has
+kernel P/pO with P = O & pO^#, the dual O^# taken under the reduced-trace
+form.
 """
 
 from __future__ import annotations
@@ -50,15 +55,6 @@ def _modp_rref(rows, p):
         if r == nrows:
             break
     return m[:r], piv
-
-
-def _modp_in_span(vec, rref_rows, piv, p):
-    v = [x % p for x in vec]
-    for row, c in zip(rref_rows, piv):
-        if v[c]:
-            f = v[c]
-            v = [(v[j] - f * row[j]) % p for j in range(len(v))]
-    return not any(v)
 
 
 def _modp_kernel(mat, p):
@@ -325,17 +321,6 @@ def eichler_order(maximal, n2):
     return order
 
 
-def _all_tuples(p, n):
-    total = p ** n
-    for idx in range(total):
-        t = []
-        v = idx
-        for _ in range(n):
-            t.append(v % p)
-            v //= p
-        yield tuple(t)
-
-
 # ---------------------------------------------------------------------------
 # ideals
 # ---------------------------------------------------------------------------
@@ -559,73 +544,41 @@ def class_set_for(n1, n2=1):
 # two-sided ideals (Atkin-Lehner support)
 # ---------------------------------------------------------------------------
 
-def _rref_subspaces_dim2(p, n=4):
-    """All 2-dim subspaces of F_p^n as rref 2 x n matrices."""
-    for j1 in range(n):
-        for j2 in range(j1 + 1, n):
-            free1 = [c for c in range(j1 + 1, n) if c != j2]
-            free2 = [c for c in range(j2 + 1, n)]
-            for vals1 in _all_tuples(p, len(free1)):
-                for vals2 in _all_tuples(p, len(free2)):
-                    r1 = [0] * n
-                    r2 = [0] * n
-                    r1[j1] = 1
-                    r2[j2] = 1
-                    for c, v in zip(free1, vals1):
-                        r1[c] = v
-                    for c, v in zip(free2, vals2):
-                        r2[c] = v
-                    yield [r1, r2], (j1, j2)
+def _dual_kernel_mod_p(order, p):
+    """O-coordinates mod p of (O & pO^#)/pO: the kernel of the trace Gram mod p.
+
+    x = c * basis lies in pO^# iff tr(x conj(y)) is divisible by p for every
+    y in O, i.e. iff c * G = 0 mod p for the Gram G of the order's basis.
+    """
+    gram = order.norm_lattice().basis_gram()
+    return _modp_kernel([[int(x) for x in row] for row in gram], p)
 
 
 @lru_cache(maxsize=None)
 def two_sided_prime_ideal(order, p):
-    """The unique two-sided ideal P of reduced norm p (p | level), P^2 = pR."""
-    alg = order.algebra
+    """The unique two-sided ideal P of reduced norm p (p | level), P^2 = pR.
+
+    P = O & pO^#, where O^# is the dual of O under the reduced-trace form.
+    O^# is the inverse of the different, and at p | N the different is the
+    unique two-sided ideal of norm p (the ramified prime for p | N1, the
+    Atkin-Lehner ideal O(0 1; p 0) for p | N2), whose square is pO; so
+    pO^# = P locally at p (Voight, Quaternion Algebras, GTM 288: the
+    discriminant and different, and Eichler orders).  P/pO is the kernel of
+    the trace Gram mod p; both certificates below are checked anyway.
+    """
     if order.reduced_discriminant() % p != 0:
         raise OrderError(f"{p} does not divide the level")
-    gens = order.basis_quaternions()
-    hits = []
-    for rows, piv in _rref_subspaces_dim2(p):
-        vs = [order.element_from_coords(r) for r in rows]
-        # the two-sided norm-p ideal is conj-stable: trace and norm vanish mod p
-        if any(int(v.trace()) % p or int(v.norm()) % p for v in vs):
-            continue
-        red, pivc = _modp_rref(rows, p)
-        ok = True
-        for v in vs:
-            for g in gens:
-                for prod in (g * v, v * g):
-                    cc = [int(x) % p for x in order.coords_of(prod)]
-                    if not _modp_in_span(cc, red, pivc, p):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        # lift and check P * P <= p * R
-        basis = hnf_rational([v.coords() for v in vs] +
-                             [[p * x for x in row] for row in order.basis])
-        good = True
-        bq = _basis_quaternions(alg, basis)
-        for x in bq:
-            for y in bq:
-                cc = order.coords_of(x * y)
-                if not all((c / p).denominator == 1 for c in cc):
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
-            hits.append(basis)
-    uniq = {tuple(tuple(x for x in row) for row in h) for h in hits}
-    if len(uniq) != 1:
-        raise OrderError(
-            f"expected exactly one two-sided ideal of norm {p}, found {len(uniq)}")
-    return hits[0]
+    rows = [order.element_from_coords(k).coords()
+            for k in _dual_kernel_mod_p(order, p)]
+    basis = hnf_rational(rows + [[p * x for x in row] for row in order.basis])
+    if lattice_index(order.basis, basis) != p * p:
+        raise OrderError(f"two-sided ideal at {p} does not have index {p}^2")
+    bq = _basis_quaternions(order.algebra, basis)
+    for x in bq:
+        for y in bq:
+            if any((c / p).denominator != 1 for c in order.coords_of(x * y)):
+                raise OrderError(f"two-sided ideal at {p}: P*P is not in pR")
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -633,19 +586,30 @@ def two_sided_prime_ideal(order, p):
 # ---------------------------------------------------------------------------
 
 def superorders_at(order, p):
-    """All superorders of index p (level N/p) containing the order."""
+    """All superorders of index p (level N/p) containing the order, p | N.
+
+    A superorder O' of index p satisfies pO' <= O and O' <= O'^# <= O^#, so
+    O' <= (1/p)O & O^# = (1/p)P with P = O & pO^# (see two_sided_prime_ideal),
+    and O'/O is a line in (1/p)P/O, the p-part of O^#/O.  That space is P/pO
+    scaled by 1/p and is 2-dimensional over F_p, so its p+1 lines, lifted as
+    v = lift(line)/p, hold every candidate (Voight, Quaternion Algebras,
+    GTM 288: the discriminant and different, and Eichler orders).  For
+    p | N1 the order is maximal at p and the list is empty.
+    """
     alg = order.algebra
-    qs = order.basis_quaternions()
+    kernel = _dual_kernel_mod_p(order, p)
+    if len(kernel) != 2:
+        raise OrderError(f"p-part of O^#/O at {p} is not 2-dimensional")
+    k1, k2 = kernel
+    lines = [[(a + t * b) % p for a, b in zip(k1, k2)] for t in range(p)]
+    lines.append(k2)
     found = {}
-    for c in _nonzero_tuples(p, 4):
-        v = sum((qi * Fraction(ci) for qi, ci in zip(qs, c)),
-                Quaternion(alg, 0, 0, 0, 0)) * Fraction(1, p)
+    for c in lines:
+        v = order.element_from_coords(c) * Fraction(1, p)
         if v.trace().denominator != 1 or v.norm().denominator != 1:
             continue
-        if order.contains(v):
-            continue
         cand = hnf_rational(order.basis + [v.coords()])
-        if len(cand) == 4 and _is_order(alg, cand):
+        if _is_order(alg, cand):
             key = tuple(tuple(x for x in row) for row in cand)
             found[key] = cand
     return [EichlerOrder(alg, found[k]) for k in sorted(found)]
@@ -663,11 +627,13 @@ def class_map_to_superorder(class_set, super_cs):
     return out
 
 
+@lru_cache(maxsize=None)
 def essential_complement(class_set):
     """Projector (as an exact matrix) onto the essential part at weight 0.
 
     Pullbacks come from all index-p superorders (p | N2); for a maximal order
-    the non-essential space is spanned by the constant function.
+    the non-essential space is spanned by the constant function.  Memoised per
+    class set: callers share the returned matrix and must not mutate it.
     """
     r = class_set.size
     n1 = class_set.order.algebra.discriminant

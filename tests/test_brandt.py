@@ -9,7 +9,7 @@ from quatperiods.brandt import (BrandtError, QuadExt, atkin_lehner,
                                 brandt_matrix, constant_form, eichler_theta,
                                 eigenforms, form_from_scalars, inner_product)
 from quatperiods.harmonics import random_harmonic, trace_zero_space
-from quatperiods.orders import class_set_for
+from quatperiods.orders import class_set_for, eichler_mass
 
 
 def eta_product_11a(prec):
@@ -204,6 +204,19 @@ def test_eigenforms_level_26_match_both_algebras():
         eps_from_13 = {2: sys_a[key][2], 13: -sys_a[key][13]}
         eps_from_2 = {2: -sys_b[key][2], 13: sys_b[key][13]}
         assert eps_from_13 == eps_from_2
+
+
+def test_level_37_ground_truth():
+    cs = class_set_for(37)
+    assert cs.size == 3
+    assert cs.mass() == eichler_mass(37, 1) == Fraction(3, 2)
+    w = atkin_lehner(cs, 37).matrix
+    t3 = brandt_matrix(cs, 3).matrix
+    assert mat_mul(w, w) == [[int(i == j) for j in range(3)] for i in range(3)]
+    assert mat_mul(w, t3) == mat_mul(t3, w)
+    # a_3 of 37a (y^2 + y = x^3 - x) and of 37b, counted over F_3
+    cusps = [f for f in eigenforms(cs) if f.label == "cuspidal-essential"]
+    assert sorted(f.eigenvalues[3] for f in cusps) == [-3, 1]
 
 
 def test_quadext_arithmetic():

@@ -1,14 +1,17 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from quatperiods._linalg import identity, lattice_index, mat_mul
-from quatperiods.orders import (OrderError, class_set_for, eichler_mass,
-                                eichler_order, essential_complement,
-                                ideals_equivalent, maximal_order,
+from quatperiods._linalg import hnf_rational, identity, lattice_index, mat_mul
+from quatperiods.brandt import atkin_lehner
+from quatperiods.orders import (OrderError, _is_order, _modp_rref,
+                                class_set_for, eichler_mass, eichler_order,
+                                essential_complement, ideals_equivalent,
+                                maximal_order, product_basis,
                                 right_ideal_classes, superorders_at,
                                 two_sided_prime_ideal)
-from quatperiods.quatalg import algebra_for_discriminant
+from quatperiods.quatalg import Quaternion, algebra_for_discriminant
 
 
 def test_hurwitz_maximal_order():
@@ -153,3 +156,94 @@ def test_essential_projector_level26_rank_two():
     proj = essential_complement(cs)
     trace = sum(proj[i][i] for i in range(cs.size))
     assert trace == 2  # the two weight-2 newforms at level 26
+
+
+# -- brute-force references for the mod-p kernel constructions ---------------
+
+def _planes_mod_p(p, n=4):
+    """Every 2-dim subspace of F_p^n once, as a reduced row echelon pair."""
+    for j1, j2 in itertools.combinations(range(n), 2):
+        free1 = [c for c in range(j1 + 1, n) if c != j2]
+        free2 = list(range(j2 + 1, n))
+        for vals1 in itertools.product(range(p), repeat=len(free1)):
+            for vals2 in itertools.product(range(p), repeat=len(free2)):
+                r1, r2 = [0] * n, [0] * n
+                r1[j1] = r2[j2] = 1
+                for c, v in zip(free1, vals1):
+                    r1[c] = v
+                for c, v in zip(free2, vals2):
+                    r2[c] = v
+                yield [r1, r2]
+
+
+def reference_two_sided_ideal(order, p):
+    """The norm-p two-sided ideal by walking all ~p^4 planes of O/pO."""
+    gens = order.basis_quaternions()
+    hits = set()
+    for rows in _planes_mod_p(p):
+        vs = [order.element_from_coords(r) for r in rows]
+        if any(int(v.trace()) % p or int(v.norm()) % p for v in vs):
+            continue
+        # two-sided mod p: every g*v and v*g stays in the plane
+        if any(len(_modp_rref(rows + [[int(x) % p for x in
+                                       order.coords_of(prod)]], p)[0]) != 2
+               for v in vs for g in gens for prod in (g * v, v * g)):
+            continue
+        basis = hnf_rational([v.coords() for v in vs] +
+                             [[p * x for x in row] for row in order.basis])
+        bq = [Quaternion(order.algebra, *row) for row in basis]
+        if all((c / p).denominator == 1 for x in bq for y in bq
+               for c in order.coords_of(x * y)):
+            hits.add(tuple(map(tuple, basis)))
+    assert len(hits) == 1
+    return [list(row) for row in hits.pop()]
+
+
+def reference_superorders(order, p):
+    """Index-p superorders by testing v = c/p for all ~p^4 tuples c."""
+    alg = order.algebra
+    qs = order.basis_quaternions()
+    found = {}
+    for c in itertools.product(range(p), repeat=4):
+        v = sum((q * Fraction(ci) for q, ci in zip(qs, c)),
+                Quaternion(alg, 0, 0, 0, 0)) * Fraction(1, p)
+        if v.trace().denominator != 1 or v.norm().denominator != 1 or \
+                order.contains(v):
+            continue
+        cand = hnf_rational(order.basis + [v.coords()])
+        if _is_order(alg, cand):
+            found[tuple(map(tuple, cand))] = cand
+    return [found[k] for k in sorted(found)]
+
+
+@pytest.mark.parametrize("n1, n2, p", [(7, 2, 2), (7, 2, 7), (3, 5, 3),
+                                       (3, 5, 5), (13, 2, 2)])
+def test_mod_p_kernel_matches_brute_force(n1, n2, p):
+    order = class_set_for(n1, n2).order
+    assert two_sided_prime_ideal(order, p) == \
+        reference_two_sided_ideal(order, p)
+    assert [s.basis for s in superorders_at(order, p)] == \
+        reference_superorders(order, p)
+
+
+def test_two_sided_ideal_rejects_good_prime():
+    with pytest.raises(OrderError):
+        two_sided_prime_ideal(class_set_for(11).order, 3)
+    with pytest.raises(OrderError):
+        superorders_at(class_set_for(11).order, 3)
+
+
+def test_level_38_disc_2_ground_truth():
+    cs = class_set_for(2, 19)
+    assert cs.mass() == eichler_mass(2, 19) == Fraction(5, 6)
+    order = cs.order
+    eye = [[int(i == j) for j in range(cs.size)] for i in range(cs.size)]
+    for p in (2, 19):
+        basis = two_sided_prime_ideal(order, p)
+        sq = product_basis(order.algebra, basis, basis)
+        assert [[x / p for x in row] for row in sq] == order.basis
+        w = atkin_lehner(cs, p).matrix
+        assert mat_mul(w, w) == eye
+    sups = superorders_at(order, 19)
+    assert len(sups) == 2
+    assert all(s.level == 2 for s in sups)
