@@ -1,8 +1,10 @@
-"""Exact linear algebra over Q and Z: elimination, HNF, lattices, char polys.
+"""Exact linear algebra over fields and Z: elimination, HNF, lattices, char polys.
 
-Matrices are plain lists of lists of Fraction (or int where stated); rows are
-vectors.  Everything here is deterministic and allocation-light so the rest of
-the package can lean on it in inner loops.
+Matrices are plain lists of lists; rows are vectors.  Entries are Fraction
+(or int where stated), ints mod p for the F_p forms of rref and nullspace,
+or elements of another exact field type such as brandt.QuadExt.  Everything
+here is deterministic and allocation-light so the rest of the package can
+lean on it in inner loops.
 """
 
 from __future__ import annotations
@@ -38,9 +40,18 @@ def transpose(a):
     return [list(row) for row in zip(*a)]
 
 
-def rref(mat):
-    """Reduced row echelon form; returns (new_matrix, pivot_columns)."""
-    m = [list(map(Fraction, row)) for row in mat]
+def rref(mat, p=None):
+    """Reduced row echelon form; returns (new_matrix, pivot_columns).
+
+    Over Q by default: int entries become Fraction, and other exact field
+    elements (such as brandt.QuadExt) are used as they are.  Over F_p when p
+    is given: entries are ints reduced to 0..p-1.
+    """
+    if p is None:
+        m = [[Fraction(x) if isinstance(x, int) else x for x in row]
+             for row in mat]
+    else:
+        m = [[x % p for x in row] for row in mat]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots = []
@@ -51,11 +62,17 @@ def rref(mat):
             continue
         m[r], m[pr] = m[pr], m[r]
         pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
+        if p is None:
+            m[r] = [x / pv for x in m[r]]
+        else:
+            inv = pow(pv, -1, p)
+            m[r] = [x * inv % p for x in m[r]]
         for i in range(rows):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
                 m[i] = [m[i][j] - f * m[r][j] for j in range(cols)]
+                if p is not None:
+                    m[i] = [x % p for x in m[i]]
         pivots.append(c)
         r += 1
         if r == rows:
@@ -98,11 +115,6 @@ def inverse(mat):
     return [row[n:] for row in red]
 
 
-def solve(mat, rhs):
-    """Solve x * mat = rhs for a row vector x (mat square invertible)."""
-    return vec_mat(rhs, inverse(mat))
-
-
 def solve_right(mat, rhs):
     """Solve mat * x = rhs for a column vector x given as a list."""
     n = len(mat)
@@ -113,18 +125,22 @@ def solve_right(mat, rhs):
     return [red[i][n] for i in range(n)]
 
 
-def nullspace(mat):
-    """Basis of {x : mat * x = 0}, canonical rref-based form."""
+def nullspace(mat, p=None):
+    """Basis of {x : mat * x = 0}, canonical rref-based form.
+
+    Over Q by default, over F_p when p is given (see rref).
+    """
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
-    red, piv = rref(mat)
+    red, piv = rref(mat, p)
     free = [c for c in range(cols) if c not in piv]
     basis = []
+    zero, one = (Fraction(0), Fraction(1)) if p is None else (0, 1)
     for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
+        v = [zero] * cols
+        v[fc] = one
         for r, pc in enumerate(piv):
-            v[pc] = -red[r][fc]
+            v[pc] = -red[r][fc] if p is None else -red[r][fc] % p
         basis.append(v)
     return basis
 
@@ -194,52 +210,16 @@ def hnf(mat):
     return [row for row in m[:r] if any(row)]
 
 
-def hnf_with_transform(mat):
-    """HNF plus transform: returns (H, U) with U * mat == H_full (all rows).
-
-    U is unimodular over Z; rows of H beyond the rank are zero.
-    """
-    m = [list(map(int, row)) for row in mat]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    r = 0
-    for c in range(cols):
-        pr = None
-        for i in range(r, rows):
-            if m[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        u[r], u[pr] = u[pr], u[r]
-        for i in range(r + 1, rows):
-            while m[i][c] != 0:
-                q = m[r][c] // m[i][c]
-                m[r] = [m[r][j] - q * m[i][j] for j in range(cols)]
-                u[r] = [u[r][j] - q * u[i][j] for j in range(rows)]
-                m[r], m[i] = m[i], m[r]
-                u[r], u[i] = u[i], u[r]
-        if m[r][c] < 0:
-            m[r] = [-x for x in m[r]]
-            u[r] = [-x for x in u[r]]
-        for i in range(r):
-            q = m[i][c] // m[r][c]
-            if q:
-                m[i] = [m[i][j] - q * m[r][j] for j in range(cols)]
-                u[i] = [u[i][j] - q * u[r][j] for j in range(rows)]
-        r += 1
-        if r == rows:
-            break
-    return m, u
-
-
 def int_kernel(mat):
-    """Z-basis of {x integer row vector : x * mat = 0}."""
-    h, u = hnf_with_transform(mat)
-    ker = [u[i] for i in range(len(h)) if not any(h[i])]
-    return hnf(ker) if ker else []
+    """Z-basis of {x integer row vector : x * mat = 0}.
+
+    The rows of hnf([mat | I]) that vanish on the mat block span the kernel
+    in their I block.  The HNF is canonical, and so is this basis.
+    """
+    cols = len(mat[0]) if mat else 0
+    aug = [list(row) + [int(i == j) for j in range(len(mat))]
+           for i, row in enumerate(mat)]
+    return [row[cols:] for row in hnf(aug) if not any(row[:cols])]
 
 
 def _denominator_lcm(rows):
@@ -258,10 +238,6 @@ def hnf_rational(rows):
     return [[Fraction(x, d) for x in row] for row in h]
 
 
-def lattice_sum(basis_a, basis_b):
-    return hnf_rational(list(basis_a) + list(basis_b))
-
-
 def lattice_intersection(basis_a, basis_b):
     """Basis of the intersection of two full lattices given by rational rows."""
     d = lcm(_denominator_lcm(basis_a), _denominator_lcm(basis_b))
@@ -275,15 +251,6 @@ def lattice_intersection(basis_a, basis_b):
         vec = [sum(k[i] * a[i][j] for i in range(na)) for j in range(len(a[0]))]
         out.append([Fraction(x, d) for x in vec])
     return hnf_rational(out)
-
-
-def in_lattice(vec, basis):
-    """Is the rational vector in the lattice spanned by the basis rows?"""
-    try:
-        coords = solve(basis, list(map(Fraction, vec)))
-    except ValueError:
-        return False
-    return all(c.denominator == 1 for c in coords)
 
 
 def lattice_index(big, small):

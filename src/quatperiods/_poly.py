@@ -210,14 +210,6 @@ class Poly:
         p.terms = {m: c for m, c in out.items() if c}
         return p
 
-    def map_coeffs(self, fn):
-        p = Poly(self.nvars)
-        for m, c in self.terms.items():
-            v = fn(c)
-            if v:
-                p.terms[m] = v
-        return p
-
     def __repr__(self):
         if not self.terms:
             return "0"

@@ -13,14 +13,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import sympy
-
-from ._linalg import charpoly, frac_mat, mat_mul, nullspace, rref
+from ._linalg import charpoly, mat_mul, mat_vec, nullspace, rref
 from ._poly import Poly
 from .harmonics import SplitIso, tau_action, trace_zero_space
 from .lattice import short_vectors, theta_coeffs
-from .orders import ideals_equivalent, product_basis, two_sided_prime_ideal
-from .quatalg import Quaternion, _is_prime
+from .orders import (_square_part, norm_one_element, product_basis,
+                     two_sided_prime_ideal)
+from .quatalg import Quaternion, _is_prime, _prime_factors
 
 
 class BrandtError(ValueError):
@@ -98,44 +97,6 @@ class QuadExt:
         return f"({self.a}+{self.b}*sqrt({self.d}))"
 
 
-def _is_zero_el(x):
-    return x.is_zero() if hasattr(x, "is_zero") else x == 0
-
-
-def _field_kernel(mat, zero, one):
-    """Kernel basis over an arbitrary exact field (generic elimination)."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    m = [list(r) for r in mat]
-    piv = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if not _is_zero_el(m[i][c])),
-                  None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = one / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and not _is_zero_el(m[i][c]):
-                f = m[i][c]
-                m[i] = [m[i][j] - f * m[r][j] for j in range(cols)]
-        piv.append(c)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in piv]
-    basis = []
-    for fc in free:
-        v = [zero] * cols
-        v[fc] = one
-        for rr, pc in enumerate(piv):
-            v[pc] = zero - m[rr][fc]
-        basis.append(v)
-    return basis
-
-
 # ---------------------------------------------------------------------------
 # forms and operators
 # ---------------------------------------------------------------------------
@@ -209,8 +170,7 @@ class BrandtOperator:
         if form.class_set is not self.class_set or form.weight != self.nu:
             raise BrandtError("operator/form mismatch")
         vec = _form_to_vector(form, self.block_dim)
-        out = [sum(self.matrix[i][j] * vec[j] for j in range(len(vec)))
-               for i in range(len(vec))]
+        out = mat_vec(self.matrix, vec)
         return _vector_to_form(self.class_set, self.nu, out, self.block_dim)
 
 
@@ -303,11 +263,14 @@ def atkin_lehner(class_set, p, nu=0):
     twists = []
     for i in range(r):
         moved = product_basis(alg, class_set.reps[i], pbasis)
-        target = next(j for j in range(r)
-                      if ideals_equivalent(alg, moved, class_set.reps[j]))
-        perm.append(target)
-        if nu:
-            twists.append(_transporter(alg, moved, class_set.reps[target]))
+        for j in range(r):
+            twist = norm_one_element(alg, moved, class_set.reps[j])
+            if twist is not None:
+                break
+        else:
+            raise BrandtError(f"P * I_{i} at {p} is in no class of the set")
+        perm.append(j)
+        twists.append(twist)
     sp = trace_zero_space(alg)
     basis = sp.harmonic_basis(nu)
     dim = len(basis)
@@ -323,20 +286,6 @@ def atkin_lehner(class_set, p, nu=0):
                 for b in range(dim):
                     mat[i * dim + a][j * dim + b] = tm[a][b]
     return BrandtOperator(class_set, nu, f"w{p}", mat, dim)
-
-
-def _transporter(alg, moved_basis, rep_basis):
-    """Element q with moved = q * rep, up to units; first short vector."""
-    from .lattice import IntLattice
-    from .orders import conj_basis
-    prod = product_basis(alg, moved_basis, conj_basis(alg, rep_basis))
-    lat = IntLattice(prod, alg.norm_gram())
-    c = lat.content()
-    scaled = lat.rescaled(Fraction(1, c))
-    for v, q in short_vectors(scaled, 1):
-        if q == 1:
-            return Quaternion(alg, *scaled.ambient(v))
-    raise BrandtError("ideals not equivalent; no transporter")
 
 
 def inner_product(phi, psi):
@@ -370,13 +319,21 @@ def _good_primes(n, count=8):
 
 
 def _char_factors(mat):
-    """Irreducible factors over Q of the characteristic polynomial."""
+    """Irreducible factors over Q of the characteristic polynomial.
+
+    Returns (Fraction coefficients high to low, multiplicity) pairs in
+    sympy's factor order, which the eigenform sort relies on.  This is the
+    only user of sympy, imported here so that jobs that never factor a
+    polynomial do not load it.
+    """
+    import sympy
     coeffs = charpoly(mat)
     x = sympy.symbols("x")
     poly = sum(sympy.Rational(c.numerator, c.denominator) * x ** (len(coeffs) - 1 - i)
                for i, c in enumerate(coeffs))
     _, factors = sympy.factor_list(sympy.Poly(poly, x))
-    return factors
+    return [([Fraction(int(sympy.numer(c)), int(sympy.denom(c)))
+              for c in fac.all_coeffs()], mult) for fac, mult in factors]
 
 
 def _restrict(mat, basis_vectors):
@@ -385,8 +342,7 @@ def _restrict(mat, basis_vectors):
     Returns M with image_k = sum_l M[l][k] basis_l, i.e. the restricted
     operator in the coordinates of the given basis (columns = images).
     """
-    img = [[sum(mat[i][j] * v[j] for j in range(len(v)))
-            for i in range(len(mat))] for v in basis_vectors]
+    img = [mat_vec(mat, v) for v in basis_vectors]
     out = [_coords_in_span(row, basis_vectors) for row in img]
     return [list(col) for col in zip(*out)] if out else []
 
@@ -422,7 +378,6 @@ def eigenforms(class_set, nu=0, primes=None):
     ops = [brandt_matrix(class_set, p, nu) for p in primes]
     dim_total = class_set.size * ops[0].block_dim
 
-    from .quatalg import _prime_factors
     split_ops = ops + [atkin_lehner(class_set, p, nu)
                        for p in _prime_factors(n)]
     spaces = [[_unit_vector(dim_total, i) for i in range(dim_total)]]
@@ -437,7 +392,7 @@ def eigenforms(class_set, nu=0, primes=None):
             sub = _restrict(op.matrix, basis)
             factors = _char_factors(sub)
             if len(factors) == 1 and factors[0][1] == len(basis) and \
-                    factors[0][0].degree() == 1:
+                    len(factors[0][0]) == 2:
                 new_spaces.append(basis)
                 continue
             for fac, mult in factors:
@@ -455,7 +410,7 @@ def eigenforms(class_set, nu=0, primes=None):
         else:
             sub = _restrict(ops[0].matrix, basis)
             factors = _char_factors(sub)
-            if all(f[0].degree() == 2 for f in factors) and len(basis) == 2:
+            if all(len(f) == 3 for f, _ in factors) and len(basis) == 2:
                 forms.extend(_quadratic_eigenforms(class_set, nu, basis, sub,
                                                    factors[0][0], primes, ops))
             else:
@@ -472,19 +427,14 @@ def _unit_vector(n, i):
     return v
 
 
-def _apply_poly(mat, sym_factor):
+def _apply_poly(mat, coeffs):
+    """f(mat) for f given by its coefficients high to low (Horner)."""
     n = len(mat)
-    x = sympy.symbols("x")
-    coeffs = sympy.Poly(sym_factor, x).all_coeffs()
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        out[i][i] = Fraction(1)
     result = [[Fraction(0)] * n for _ in range(n)]
     for c in coeffs:
-        cf = Fraction(int(sympy.numer(c)), int(sympy.denom(c)))
         result = mat_mul(result, mat)
         for i in range(n):
-            result[i][i] += cf
+            result[i][i] += c
     return result
 
 
@@ -516,19 +466,16 @@ def _make_eigenform(class_set, nu, vec, primes, ops):
     form = _vector_to_form(class_set, nu, vec, ops[0].block_dim)
     eigs = {}
     for p, op in zip(primes, ops):
-        img = [sum(op.matrix[i][j] * vec[j] for j in range(len(vec)))
-               for i in range(len(vec))]
+        img = mat_vec(op.matrix, vec)
         k = next(i for i, x in enumerate(vec) if x)
         eigs[p] = img[k] / vec[k]
         assert all(img[i] == eigs[p] * vec[i] for i in range(len(vec)))
     form.eigenvalues = eigs
     form.al_signs = {}
     n = class_set.order.reduced_discriminant()
-    from .quatalg import _prime_factors
     for p in _prime_factors(n):
         w = atkin_lehner(class_set, p, nu)
-        img = [sum(w.matrix[i][j] * vec[j] for j in range(len(vec)))
-               for i in range(len(vec))]
+        img = mat_vec(w.matrix, vec)
         k = next(i for i, x in enumerate(vec) if x)
         sign = img[k] / vec[k]
         if all(img[i] == sign * vec[i] for i in range(len(vec))) and \
@@ -540,8 +487,7 @@ def _make_eigenform(class_set, nu, vec, primes, ops):
         from .orders import essential_complement
         proj = essential_complement(class_set)
         sval = form.scalar_values()
-        image = [sum(proj[i][j] * sval[j] for j in range(class_set.size))
-                 for i in range(class_set.size)]
+        image = mat_vec(proj, sval)
         form.essential = (image == sval)
         const = all(v == sval[0] for v in sval)
         form.label = "eisenstein" if const else (
@@ -552,25 +498,17 @@ def _make_eigenform(class_set, nu, vec, primes, ops):
 
 
 def _quadratic_eigenforms(class_set, nu, basis, sub, factor, primes, ops):
-    """Conjugate pair of eigenforms for an irreducible quadratic factor."""
-    x = sympy.symbols("x")
-    poly = sympy.Poly(factor, x)
-    c1, c0 = [Fraction(int(sympy.numer(c)), int(sympy.denom(c)))
-              for c in poly.all_coeffs()[1:]]
+    """Conjugate pair of eigenforms for an irreducible quadratic factor.
+
+    factor: coefficients [1, c1, c0] high to low, as from _char_factors.
+    """
+    c1, c0 = factor[1:]
     disc = c1 * c1 - 4 * c0
     # theta = (-c1 + sqrt(disc)) / 2; work in Q(sqrt(d)) with disc = s^2 d
-    num = disc.numerator * disc.denominator
-    d = 1
-    s = Fraction(1, disc.denominator)
-    for p in _prime_iter(abs(num)):
-        v = 0
-        m = abs(num)
-        while m % p == 0:
-            m //= p
-            v += 1
-        s *= Fraction(p ** (v // 2))
-        if v % 2:
-            d *= p
+    num = abs(disc.numerator * disc.denominator)
+    sq = _square_part(num)
+    d = num // (sq * sq)
+    s = Fraction(sq, disc.denominator)
     theta = QuadExt(-c1 / 2, s / 2, d)
     out = []
     for root in (theta, theta.conjugate()):
@@ -578,8 +516,7 @@ def _quadratic_eigenforms(class_set, nu, basis, sub, factor, primes, ops):
                for i in range(len(sub))]
         for i in range(len(sub)):
             mat[i][i] = mat[i][i] - root
-        ker = _field_kernel(mat, QuadExt(0, 0, d), QuadExt(1, 0, d))
-        coords = ker[0]
+        coords = nullspace(mat)[0]
         vec = [sum((coords[k] * QuadExt.of(basis[k][i], d)
                     for k in range(len(basis))), QuadExt(0, 0, d))
                for i in range(len(basis[0]))]
@@ -588,27 +525,11 @@ def _quadratic_eigenforms(class_set, nu, basis, sub, factor, primes, ops):
         form.field_disc = d
         eigs = {}
         for p, op in zip(primes, ops):
-            img = [sum((QuadExt.of(op.matrix[i][j], d) * vec[j]
-                        for j in range(len(vec))), QuadExt(0, 0, d))
-                   for i in range(len(vec))]
+            img = mat_vec(op.matrix, vec)
             k = next(i for i, v in enumerate(vec) if not v.is_zero())
             eigs[p] = img[k] / vec[k]
         form.eigenvalues = eigs
         out.append(form)
-    return out
-
-
-def _prime_iter(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
     return out
 
 

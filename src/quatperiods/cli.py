@@ -10,27 +10,32 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import newformdata
-from .brandt import (atkin_lehner, brandt_matrix, constant_form,
-                     eichler_theta, eigenforms, inner_product,
+from .brandt import (brandt_matrix, eichler_theta, eigenforms, inner_product,
                      unit_average_form)
 from .lseries import (central_value, ingest, petersson_norm_proxy,
-                      resolve_label, sym2_factor, sym2_gamma_shifts,
-                      sym2_conductor, triple_conductor, triple_factor,
-                      triple_factor_steinberg, triple_gamma_shifts,
-                      good_factor, LSeriesError)
+                      resolve_label, sym2_factor, triple_conductor,
+                      triple_factor, triple_factor_steinberg,
+                      triple_gamma_shifts, LSeriesError)
 from .orders import class_set_for, eichler_mass
 from .periods import (PeriodError, SignData, period_sums, select_algebra,
                       sign_gate)
-from .quatalg import _is_prime, _is_squarefree, _prime_factors
+from .quatalg import _is_prime, _is_squarefree, _prime_factors, primes_up_to
 from .yoshida import HalfIntMatrix, diagonal_restriction, yoshida_lift
 from .diffop import apply_to_table, projection_poly
 
 CONVENTION_VERSION = "qp-v1"
+
+# Newform labels each command needs (lvalue and euler need none with --sym2).
+REQUIRED_LABELS = {"gate": ("h1", "h2", "f1", "f2"),
+                   "period": ("h1", "h2", "f1", "f2"),
+                   "lvalue": ("h1", "f1", "f2"),
+                   "euler": ("h1", "f1", "f2")}
 
 
 class ValidationError(ValueError):
@@ -69,6 +74,16 @@ class JobConfig:
             raise ValidationError(f"unknown weighting {self.weighting}")
         if self.command == "theta" and self.prec < 1:
             raise ValidationError("theta needs --prec >= 1")
+        if self.command == "eigen" and self.nu1:
+            raise ValidationError("eigen computes weight-0 forms only; "
+                                  "--nu1 must be 0")
+        if not self.extras.get("sym2"):
+            missing = [key for key in REQUIRED_LABELS.get(self.command, ())
+                       if key not in self.labels]
+            if missing:
+                raise ValidationError(
+                    f"{self.command} needs "
+                    + ", ".join(f"--{key}" for key in missing))
         if self.command == "brandt":
             if not _is_prime(self.p):
                 raise ValidationError(f"--p {self.p} is not prime")
@@ -86,8 +101,11 @@ def _records(config):
 
 def match_eigenform(class_set, record, bound=50):
     """The weight-0 eigenform matching a newform's a_p for good p <= bound."""
-    primes = [p for p in range(2, bound + 1)
-              if _is_prime(p) and record.level % p]
+    level = class_set.order.level
+    if record.level != level:
+        raise ValidationError(f"{record.label} has level {record.level}, "
+                              f"but the class set has level {level}")
+    primes = [p for p in primes_up_to(bound) if level % p]
     forms = eigenforms(class_set, 0, primes=tuple(primes))
     hits = []
     for f in forms:
@@ -156,18 +174,13 @@ def _triple_lambda(h, f1, f2, bits=100, terms=None):
     level = h.level
     cond = triple_conductor(level)
     if terms is None:
-        import math as _m
-        terms = int(3 * _m.sqrt(cond)) + 50
-    pmax = max(terms, 100)
+        terms = int(3 * math.sqrt(cond)) + 50
     factors = {}
-    p = 2
-    while p <= pmax:
-        if _is_prime(p):
-            if level % p == 0:
-                factors[p] = triple_factor_steinberg(h, f1, f2, p)
-            else:
-                factors[p] = triple_factor(h, f1, f2, p)
-        p += 1
+    for p in primes_up_to(max(terms, 100)):
+        if level % p == 0:
+            factors[p] = triple_factor_steinberg(h, f1, f2, p)
+        else:
+            factors[p] = triple_factor(h, f1, f2, p)
     sign = 1
     for p in _prime_factors(level):
         sign *= -h.a(p) * -f1.a(p) * -f2.a(p)
@@ -316,11 +329,7 @@ def verify(config):
 
     def diffops():
         for (k, a, b, r) in ((2, 0, 0, 2), (3, 1, 0, 1), (4, 2, 1, 2)):
-            op = projection_poly(k, a, b, r)
-            fact = 1
-            for t in range(1, r + 1):
-                fact *= t
-            if op.z12_test() != fact:
+            if projection_poly(k, a, b, r).z12_test() != math.factorial(r):
                 return False
         return True
     ok &= check("differential operators", diffops)

@@ -15,11 +15,11 @@ system, which also certifies that the solution space is one dimensional.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
 
-from ._linalg import nullspace, rank
+from ._linalg import nullspace
 from ._poly import Poly
 
 # variable layout
@@ -160,16 +160,6 @@ def delta_on_expansion(k_plus_l, expansion):
     return expansion.map_terms(step)
 
 
-def delta_iterate_on_expansion(k_plus_l, r, expansion, closed=True):
-    fn = delta_iterate_closed if closed else delta_iterate_composed
-
-    def step(key, p):
-        n1, m, n2 = key
-        img = fn(k_plus_l, r, p)
-        return img.eval_partial({T1: n1, T12: m, T2: n2})
-    return expansion.map_terms(step)
-
-
 def restrict_z12(p):
     """Evaluation at z12 = 0: the off-diagonal r symbol vanishes."""
     return p.eval_partial({R12: 0})
@@ -236,11 +226,7 @@ class DiffOperator:
 
         Only u12^r survives; the exact value is r! * p_{0,r,0}.
         """
-        coef = self.poly.get((0, self.r, 0), Fraction(0))
-        fact = 1
-        for t in range(1, self.r + 1):
-            fact *= t
-        return coef * fact
+        return self.poly.get((0, self.r, 0), Fraction(0)) * factorial(self.r)
 
     def q_poly(self, t):
         """Q(T) in (X1, X2): substitute u1 -> n1 X1^2, u12 -> m2 X1 X2,
@@ -289,9 +275,7 @@ def projection_poly(k, a, b, r):
         coeffs[(i, j, kk)] = picked.terms.get(tuple(target), Fraction(0))
     op = DiffOperator(k, a, b, r, coeffs)
     test = op.z12_test()
-    fact = 1
-    for t in range(1, r + 1):
-        fact *= t
+    fact = factorial(r)
     if test == 0:
         raise DiffOpError("degenerate operator (zero z12 test)")
     if test != fact:
@@ -299,10 +283,6 @@ def projection_poly(k, a, b, r):
         scale = Fraction(fact) / test
         op.poly = {key: val * scale for key, val in op.poly.items()}
     return op
-
-
-def q_poly(op, t):
-    return op.q_poly(t)
 
 
 def apply_to_table(op, table, alpha1, alpha2):
@@ -318,15 +298,11 @@ def apply_to_table(op, table, alpha1, alpha2):
     out = {}
     for t, poly in table.coeffs.items():
         q = op.q_poly(t)
-        prod = _mul2(q, poly)
+        prod = q * poly
         val = prod.terms.get((alpha1 + op.r, alpha2 + op.r), Fraction(0))
         key = (t.n1, t.n2)
         out[key] = out.get(key, Fraction(0)) + val
     return {k: v for k, v in sorted(out.items()) if True}
-
-
-def _mul2(p, q):
-    return p * q
 
 
 # ---------------------------------------------------------------------------

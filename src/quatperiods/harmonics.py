@@ -20,9 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from ._linalg import frac_mat, identity, inverse, mat_mul, rref, vec_mat
+from ._linalg import frac_mat, identity, inverse, vec_mat
 from ._poly import Poly, apply_diff_operator, fischer_pairing
-from .quatalg import Quaternion
 
 
 class HarmonicsError(ValueError):
@@ -74,17 +73,6 @@ class HarmonicSpace:
                     p = p + Poly.monomial(mono, self.gram[i][j])
         return p
 
-    def q_value(self, v):
-        v = [Fraction(x) for x in v]
-        return sum(v[i] * self.gram[i][j] * v[j]
-                   for i in range(self.dim) for j in range(self.dim))
-
-    def pairing_value(self, v, w):
-        v = [Fraction(x) for x in v]
-        w = [Fraction(x) for x in w]
-        return sum(v[i] * self.gram[i][j] * w[j]
-                   for i in range(self.dim) for j in range(self.dim))
-
     def laplacian(self, p):
         return p.laplacian(self.gram_inv)
 
@@ -120,9 +108,6 @@ class HarmonicSpace:
                     basis.append(p)
             self._bases[degree] = basis
         return self._bases[degree]
-
-    def harmonic_dim(self, degree):
-        return len(self.harmonic_basis(degree))
 
     def coords_in_basis(self, p, degree):
         """Coordinates of a harmonic polynomial in the canonical basis."""
@@ -288,21 +273,6 @@ def trace_zero_space(alg):
 def full_space(alg):
     g = alg.norm_gram()
     return HarmonicSpace([[x / 2 for x in row] for row in g])
-
-
-@dataclass
-class HarmonicPoly:
-    """A harmonic polynomial with its domain bookkeeping."""
-    domain: str          # "trace_zero" or "full"
-    degree: int
-    poly: Poly
-    space: HarmonicSpace
-
-    def __post_init__(self):
-        if not self.space.is_harmonic(self.poly):
-            raise HarmonicsError("polynomial is not harmonic for this form")
-        if not self.poly.is_zero() and self.poly.total_degree() != self.degree:
-            raise HarmonicsError("degree mismatch")
 
 
 # ---------------------------------------------------------------------------
@@ -486,17 +456,11 @@ def invariant_coupling(nu, beta1p, beta2p, space=None):
     balanced triples with odd degree sum (epsilon contraction); those arise
     for coefficient polynomials when nu1 - nu2 is odd.
     """
-    if beta1p % 2 or beta2p % 2 or beta1p < 0 or beta2p < 0:
-        raise HarmonicsError("beta degrees must be even and nonnegative")
-    if space is None:
-        space = standard_space(3)
-    a, b, c = nu, beta1p // 2, beta2p // 2
-    if not balanced(a, b, c):
-        return TrilinearForm(space, (a, b, c), True, reason="unbalanced")
-    if (a + b + c) % 2:
-        return TrilinearForm(space, (a, b, c), False,
+    form = trilinear_form(nu, beta1p, beta2p, space)
+    if form.reason == "parity":
+        return TrilinearForm(form.space, form.degrees, False,
                              normalization="epsilon-contraction/v1")
-    return TrilinearForm(space, (a, b, c), False)
+    return form
 
 
 # ---------------------------------------------------------------------------
@@ -605,27 +569,24 @@ class SplitIso:
                         out = out + bt * (c * self.phi_matrix[idx][t])
         return out
 
-    def split_coords(self, coords4):
-        """Pair coordinates (r, s) of a 4-space harmonic given in basis4."""
-        return vec_mat(coords4, self.phi_inv)
-
 
 def _pair_block(big, small, offset, gram_inv):
-    """Fischer-pair small (3 vars) against the block at offset in big."""
+    """Fischer-pair small against the block of small.nvars vars at offset."""
     n = big.nvars
+    k = small.nvars
     coeff = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(3):
-        for j in range(3):
+    for i in range(k):
+        for j in range(k):
             coeff[offset + i][offset + j] = gram_inv[i][j]
     op = Poly.zero(n)
     for mono, c in small.terms.items():
         mm = [0] * n
-        mm[offset], mm[offset + 1], mm[offset + 2] = mono
+        mm[offset:offset + k] = mono
         op = op + Poly.monomial(mm, c)
     applied = apply_diff_operator(op, big, coeff)
     out = Poly.zero(n)
     for mono, c in applied.terms.items():
-        if all(mono[offset + k] == 0 for k in range(3)):
+        if not any(mono[offset:offset + k]):
             out = out + Poly.monomial(mono, c)
     return out
 
@@ -723,7 +684,7 @@ def _kernel_split_components(space4, split, alpha):
     ginv = inverse(gram)
     rhs = []
     for b in b4:
-        paired = _pair_block4(bip, b, 4, space4.gram_inv)
+        paired = _pair_block(bip, b, 4, space4.gram_inv)
         px = Poly.zero(8)
         for mono, c in paired.terms.items():
             mm = [0] * 8
@@ -750,27 +711,6 @@ def _kernel_split_components(space4, split, alpha):
     return out
 
 
-def _pair_block4(big, small, offset, gram_inv):
-    """Fischer-pair small (4 vars) against the 4-var block at offset."""
-    n = big.nvars
-    coeff = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(4):
-        for j in range(4):
-            coeff[offset + i][offset + j] = gram_inv[i][j]
-    op = Poly.zero(n)
-    for mono, c in small.terms.items():
-        mm = [0] * n
-        for k in range(4):
-            mm[offset + k] = mono[k]
-        op = op + Poly.monomial(tuple(mm), c)
-    applied = apply_diff_operator(op, big, coeff)
-    out = Poly.zero(n)
-    for mono, c in applied.terms.items():
-        if all(mono[offset + k] == 0 for k in range(4)):
-            out = out + Poly.monomial(mono, c)
-    return out
-
-
 def _bipoly_coords(q_bipoly, space3, nu1, nu2):
     """Coordinates of a (nu1, nu2)-bipoly on basis x basis of the 3-space."""
     b1 = space3.harmonic_basis(nu1)
@@ -779,9 +719,9 @@ def _bipoly_coords(q_bipoly, space3, nu1, nu2):
     g2 = inverse(space3._basis_fischer_gram(nu2))
     raw = {}
     for ia, pa in enumerate(b1):
-        paired = _pair_block(_embed6(q_bipoly), _as3(pa), 0, space3.gram_inv)
+        paired = _pair_block(q_bipoly, pa, 0, space3.gram_inv)
         for ib, pb in enumerate(b2):
-            val = _pair_block(paired, _as3(pb), 3, space3.gram_inv)
+            val = _pair_block(paired, pb, 3, space3.gram_inv)
             raw[(ia, ib)] = val.terms.get(tuple([0] * 6), Fraction(0))
     out = {}
     for ia in range(len(b1)):
@@ -793,16 +733,6 @@ def _bipoly_coords(q_bipoly, space3, nu1, nu2):
             if acc:
                 out[(ia, ib)] = acc
     return out
-
-
-def _embed6(p):
-    if p.nvars == 6:
-        return p
-    raise HarmonicsError("expected a 6-variable bipolynomial")
-
-
-def _as3(p):
-    return p
 
 
 def random_harmonic(space, degree, rng, span=5):

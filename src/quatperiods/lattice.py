@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ._linalg import (content, det, frac_mat, hnf_rational, identity,
-                      mat_mul, transpose)
+from ._linalg import content, det, frac_mat, hnf_rational, mat_mul, transpose
 
 
 class LatticeError(ValueError):
@@ -66,15 +65,6 @@ class IntLattice:
         return [sum(Fraction(v[i]) * self.basis[i][j]
                     for i in range(len(v)))
                 for j in range(len(self.basis[0]))]
-
-    def is_positive_definite(self):
-        g = self.basis_gram()
-        n = len(g)
-        for k in range(1, n + 1):
-            minor = [row[:k] for row in g[:k]]
-            if det(minor) <= 0:
-                return False
-        return True
 
     def rescaled(self, factor):
         factor = Fraction(factor)

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .quatalg import _is_prime, _prime_factors
+from .quatalg import _is_prime, primes_up_to
 
 
 class LSeriesError(ValueError):
@@ -213,16 +213,6 @@ class EulerFactor:
             inv.append(acc)
         return inv
 
-    def evaluate(self, s, bits=80):
-        """Value of 1/f(p^{-s-shift}) at real s (analytic normalization)."""
-        with mpmath.workprec(bits):
-            x = mpmath.power(self.prime, -(mpmath.mpf(1) * s
-                                           + mpmath.mpf(self.shift.numerator)
-                                           / self.shift.denominator))
-            val = sum(mpmath.mpf(c.numerator) / c.denominator * x ** k
-                      for k, c in enumerate(self.coeffs))
-            return 1 / val
-
 
 # ---------------------------------------------------------------------------
 # the paper's factor combinations
@@ -231,13 +221,6 @@ class EulerFactor:
 def good_factor(record, p):
     """Degree-2 arithmetic factor of a newform at a good prime."""
     return SatakeParams.of(record, p).factor()
-
-
-def bad_factor(record, p):
-    """Degree-1 factor 1 - a_p X at p || N."""
-    if record.level % p:
-        raise LSeriesError(f"{p} is a good prime for {record.label}")
-    return EulerFactor(p, [Fraction(1), -Fraction(record.a(p))])
 
 
 def triple_factor(h, f1, f2, p):
@@ -546,7 +529,7 @@ def petersson_norm_proxy(record, factors=None, bits=100, terms=None):
     pmax = record.pmax()
     if factors is None:
         factors = {}
-        for p in _primes_up_to(pmax):
+        for p in primes_up_to(pmax):
             if record.level % p == 0:
                 factors[p] = sym2_factor(record, p)
             elif p in record.ap:
@@ -556,11 +539,3 @@ def petersson_norm_proxy(record, factors=None, bits=100, terms=None):
                        bits=bits, terms=terms)
     return cv
 
-
-def _primes_up_to(n):
-    sieve = bytearray([1]) * 0 + bytearray([1]) * (n + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, int(n ** 0.5) + 1):
-        if sieve[i]:
-            sieve[i * i::i] = b"\x00" * len(sieve[i * i::i])
-    return [i for i in range(2, n + 1) if sieve[i]]

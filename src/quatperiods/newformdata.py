@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import os
 
+from .quatalg import primes_up_to
+
 CURVES = {
     # label: (level, [a1, a2, a3, a4, a6])
     "11a": (11, [0, -1, 1, -10, -20]),
@@ -57,15 +59,6 @@ def eta_product_coefficients(scales, n):
                     new[i + j] += c * series[j]
         series = new
     return {m + 1: series[m] for m in range(n)}
-
-
-def primes_up_to(n):
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, int(n ** 0.5) + 1):
-        if sieve[i]:
-            sieve[i * i::i] = b"\x00" * len(sieve[i * i::i])
-    return [i for i in range(2, n + 1) if sieve[i]]
 
 
 def curve_ap(coeffs, p):

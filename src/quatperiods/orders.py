@@ -9,7 +9,7 @@ it is not proved in this package).
 At p | N both the two-sided ideal of norm p and the index-p superorders come
 from one 4 x 4 kernel mod p: the trace Gram of the order reduced mod p has
 kernel P/pO with P = O & pO^#, the dual O^# taken under the reduced-trace
-form.
+form.  Every kernel mod p here is _linalg.nullspace over F_p.
 """
 
 from __future__ import annotations
@@ -19,59 +19,15 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._linalg import (det, frac_mat, hnf_rational, identity, inverse,
-                      lattice_index, mat_mul, vec_mat)
+                      lattice_index, lattice_intersection, mat_mul, nullspace,
+                      transpose, vec_mat)
 from .lattice import IntLattice, short_vectors
-from .quatalg import (QuatAlgError, Quaternion, _is_prime, _is_squarefree,
-                      _prime_factors, algebra_for_discriminant)
+from .quatalg import (Quaternion, _is_prime, _is_squarefree, _prime_factors,
+                      algebra_for_discriminant)
 
 
 class OrderError(ValueError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# small mod-p linear algebra helpers
-# ---------------------------------------------------------------------------
-
-def _modp_rref(rows, p):
-    m = [[x % p for x in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    piv = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c] % p), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [(m[i][j] - f * m[r][j]) % p for j in range(ncols)]
-        piv.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m[:r], piv
-
-
-def _modp_kernel(mat, p):
-    """Kernel of x -> x*mat over F_p (x row vectors)."""
-    nrows = len(mat)
-    red, piv = _modp_rref([list(r) for r in zip(*mat)], p)  # columns as rows
-    # kernel of mat^T acting on the right = standard nullspace computation
-    ncols = nrows
-    free = [c for c in range(ncols) if c not in piv]
-    basis = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for r, pc in enumerate(piv):
-            v[pc] = (-red[r][fc]) % p
-        basis.append(v)
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +264,7 @@ def eichler_order(maximal, n2):
         for bq in order.basis_quaternions():
             w = order.coords_of(f * bq * e)
             rows_map.append([int(v) % p for v in w])
-        kernel = _modp_kernel(rows_map, p)
+        kernel = nullspace(transpose(rows_map), p)
         if len(kernel) != 3:
             raise OrderError(f"unexpected kernel dimension at p={p}")
         sub = [order.element_from_coords(k).coords() for k in kernel]
@@ -353,7 +309,7 @@ def left_order_basis(alg, basis):
         mb = right_mul_matrix_of(alg, row)
         cond = mat_mul(mb, binv)
         latt = inverse(cond)  # rows span {x : x * cond in Z^4}
-        inter = latt if inter is None else _lattice_intersection(inter, latt)
+        inter = latt if inter is None else lattice_intersection(inter, latt)
     return hnf_rational(inter)
 
 
@@ -364,11 +320,6 @@ def right_mul_matrix_of(alg, row):
     for e in (alg.one(),) + alg.gens():
         rows.append((e * b).coords())
     return frac_mat(rows)
-
-
-def _lattice_intersection(b1, b2):
-    from ._linalg import lattice_intersection
-    return lattice_intersection(b1, b2)
 
 
 # ---------------------------------------------------------------------------
@@ -473,18 +424,24 @@ def _neighbors(alg, ideal_basis, left_ord, p):
     return [found[k] for k in sorted(found)]
 
 
-def ideals_equivalent(alg, basis_a, basis_b):
-    """Right ideal equivalence I ~ J, tested on the lattice I * conj(J).
+def norm_one_element(alg, basis_a, basis_b):
+    """First element of norm 1 in I * conj(J) rescaled by its content, or None.
 
-    The content of the product lattice is n(I)n(J); equivalence holds iff the
-    primitively rescaled norm form represents 1.
+    The content of the product lattice is n(I)n(J); such an element q exists
+    iff I ~ J, and then I = q * J up to units.
     """
     prod = product_basis(alg, basis_a, conj_basis(alg, basis_b))
     lat = IntLattice(prod, alg.norm_gram())
-    c = lat.content()
-    scaled = lat.rescaled(Fraction(1, c))
-    vecs = short_vectors(scaled, 1)
-    return any(q == 1 for _, q in vecs)
+    scaled = lat.rescaled(Fraction(1, lat.content()))
+    for v, q in short_vectors(scaled, 1):
+        if q == 1:
+            return Quaternion(alg, *scaled.ambient(v))
+    return None
+
+
+def ideals_equivalent(alg, basis_a, basis_b):
+    """Right ideal equivalence I ~ J: the rescaled I * conj(J) represents 1."""
+    return norm_one_element(alg, basis_a, basis_b) is not None
 
 
 def right_ideal_classes(order):
@@ -551,7 +508,7 @@ def _dual_kernel_mod_p(order, p):
     y in O, i.e. iff c * G = 0 mod p for the Gram G of the order's basis.
     """
     gram = order.norm_lattice().basis_gram()
-    return _modp_kernel([[int(x) for x in row] for row in gram], p)
+    return nullspace(transpose([[int(x) for x in row] for row in gram]), p)
 
 
 @lru_cache(maxsize=None)

@@ -54,6 +54,16 @@ def _is_prime(p):
     return True
 
 
+def primes_up_to(n):
+    """The primes p <= n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0:2] = b"\x00\x00"
+    for i in range(2, int(n ** 0.5) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = b"\x00" * len(sieve[i * i::i])
+    return [i for i in range(2, n + 1) if sieve[i]]
+
+
 def _legendre(a, p):
     a %= p
     if a == 0:
@@ -130,10 +140,6 @@ class QuaternionAlgebra:
         if len(self.ramified_finite) % 2 != 1:
             raise QuatAlgError("product formula violated (bad structure constants)")
 
-    @property
-    def definite(self):
-        return True
-
     def _ramified_set(self):
         candidates = {2}
         for x in (self.a, self.b):
@@ -151,9 +157,6 @@ class QuaternionAlgebra:
 
     def one(self):
         return Quaternion(self, 1, 0, 0, 0)
-
-    def element(self, coords):
-        return Quaternion(self, *coords)
 
     def gens(self):
         return (Quaternion(self, 0, 1, 0, 0),
@@ -270,20 +273,6 @@ def similitude_action(x1, x2, y):
     if x1.is_zero():
         raise QuatAlgError("x1 must be invertible")
     return x1 * y * x2.inverse()
-
-
-def left_mul_matrix(q):
-    """Matrix M with row_j = coords(q * e_j), so coords(q*y) = y_coords * M."""
-    alg = q.alg
-    return [list(map(Fraction, (q * e).coords()))
-            for e in (alg.one(),) + alg.gens()]
-
-
-def right_mul_matrix(q):
-    """Matrix of y -> y*q on basis 1, i, j, k (rows are images)."""
-    alg = q.alg
-    return [list(map(Fraction, (e * q).coords()))
-            for e in (alg.one(),) + alg.gens()]
 
 
 @lru_cache(maxsize=None)

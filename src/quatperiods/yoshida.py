@@ -17,7 +17,6 @@ from fractions import Fraction
 from ._poly import Poly
 from .harmonics import c_coeff
 from .lattice import short_vectors
-from .quatalg import Quaternion
 
 
 class YoshidaError(ValueError):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from quatperiods._linalg import mat_mul
+from quatperiods._linalg import mat_mul, mat_vec
 from quatperiods._poly import Poly
 from quatperiods.brandt import (BrandtError, QuadExt, atkin_lehner,
                                 brandt_matrix, constant_form, eichler_theta,
@@ -225,3 +225,21 @@ def test_quadext_arithmetic():
     assert (x * y) == QuadExt(3 - 10, 6 - 1, 5)
     assert (x / x) == QuadExt(1, 0, 5)
     assert x.conjugate() == QuadExt(1, -2, 5)
+
+
+@pytest.mark.parametrize("disc, field_disc, a2", [
+    (23, 5, (Fraction(-1, 2), Fraction(1, 2))),   # a_2(23a) = (-1 +- sqrt 5)/2
+    (29, 2, (Fraction(-1), Fraction(1))),         # a_2(29a) = -1 +- sqrt 2
+])
+def test_quadratic_eigenforms_ground_truth(disc, field_disc, a2):
+    cs = class_set_for(disc)
+    forms = [f for f in eigenforms(cs) if f.label == "quadratic-eigenform"]
+    assert len(forms) == 2
+    assert {f.field_disc for f in forms} == {field_disc}
+    a, b = a2
+    assert sorted((f.eigenvalues[2].a, f.eigenvalues[2].b) for f in forms) \
+        == [(a, -b), (a, b)]
+    t2 = brandt_matrix(cs, 2).matrix
+    for f in forms:
+        lam = f.eigenvalues[2]
+        assert mat_vec(t2, f.vector) == [lam * x for x in f.vector]

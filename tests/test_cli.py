@@ -1,13 +1,16 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import quatperiods
 from quatperiods import cli
+from quatperiods.newformdata import eta_product_coefficients
 
 SRC = str(Path(quatperiods.__file__).resolve().parents[1])
 
@@ -50,3 +53,61 @@ def test_unsupported_input_exits_2(args):
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("args, message", [
+    (("theta", "--disc", "11", "--match", "14a"), "level 14"),
+    (("gate", "--h1", "11a"), "--h2, --f1, --f2"),
+    (("lvalue", "--h1", "11a"), "--f1, --f2"),
+    (("euler", "--p", "3", "--h1", "11a"), "--f1, --f2"),
+    (("eigen", "--disc", "11", "--nu1", "2"), "--nu1"),
+])
+def test_missing_label_or_mismatched_input_exits_2(args, message):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def run_json(capsys, *args):
+    assert cli.main(list(args)) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_classset_level_11(capsys):
+    out = run_json(capsys, "classset", "--disc", "11")
+    assert out["class_number"] == 2
+    assert out["unit_counts"] == [4, 6]
+
+
+def test_brandt_row_sums(capsys):
+    out = run_json(capsys, "brandt", "--disc", "11", "--p", "2")
+    assert [sum(int(x) for x in row) for row in out["matrix"]] == [3, 3]
+
+
+def test_theta_is_proportional_to_11a(capsys):
+    out = run_json(capsys, "theta", "--disc", "11", "--prec", "10")
+    coeffs = {int(n): Fraction(c) for n, c in out["coefficients"].items()}
+    a = eta_product_coefficients([1, 1, 11, 11], 10)
+    assert coeffs[0] == 0
+    assert all(coeffs[n] == coeffs[1] * a[n] for n in range(1, 11))
+
+
+def test_diffop_z12_test(capsys):
+    out = run_json(capsys, "diffop", "--k", "4", "--a", "2", "--b", "1",
+                   "--r", "2")
+    assert Fraction(out["p"]["0,2,0"]) * math.factorial(2) == 2
+
+
+def test_gate_sends_11a_to_disc_11(capsys):
+    out = run_json(capsys, "gate", "--h1", "11a", "--h2", "11a",
+                   "--f1", "11a", "--f2", "11a")
+    assert out["selected_disc"] == 11
+
+
+def test_euler_triple_factor_degree(capsys):
+    out = run_json(capsys, "euler", "--p", "3", "--h1", "11a", "--f1", "11a",
+                   "--f2", "11a")
+    assert out["type"] == "triple"
+    assert len(out["coeffs"]) == 9

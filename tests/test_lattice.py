@@ -3,10 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatperiods._linalg import (det, hnf, hnf_rational, identity,
-                                 lattice_intersection, mat_mul, nullspace,
-                                 charpoly)
+                                 int_kernel, lattice_intersection, mat_mul,
+                                 nullspace, charpoly, rref)
 from quatperiods.lattice import (IntLattice, LatticeError, canonical_basis,
                                  short_vectors, theta_coeffs)
 from quatperiods._poly import Poly
@@ -62,6 +64,73 @@ def test_lattice_intersection():
     b = [[1, 0], [0, 3]]
     inter = lattice_intersection(a, b)
     assert inter == [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(3)]]
+
+
+def small_int_matrices(max_rows, max_cols):
+    return st.integers(1, max_cols).flatmap(lambda cols: st.lists(
+        st.lists(st.integers(-9, 9), min_size=cols, max_size=cols),
+        min_size=1, max_size=max_rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_int_matrices(4, 4), st.sampled_from([2, 3, 5, 7]))
+def test_nullspace_mod_p_is_the_whole_kernel(mat, p):
+    cols = len(mat[0])
+    ker = nullspace(mat, p)
+    for v in ker:
+        assert all(sum(a * x for a, x in zip(row, v)) % p == 0
+                   for row in mat)
+    assert len(ker) == cols - len(rref(mat, p)[1])
+    # brute force over F_p^cols: the kernel has exactly p^len(ker) vectors
+    count = sum(all(sum(a * x for a, x in zip(row, v)) % p == 0
+                    for row in mat)
+                for v in itertools.product(range(p), repeat=cols))
+    assert count == p ** len(ker)
+
+
+def reference_int_kernel(mat):
+    """Kernel of x -> x * mat from an HNF that carries its transform U."""
+    m = [list(map(int, row)) for row in mat]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    r = 0
+    for c in range(cols):
+        pr = None
+        for i in range(r, rows):
+            if m[i][c] != 0:
+                pr = i
+                break
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        u[r], u[pr] = u[pr], u[r]
+        for i in range(r + 1, rows):
+            while m[i][c] != 0:
+                q = m[r][c] // m[i][c]
+                m[r] = [m[r][j] - q * m[i][j] for j in range(cols)]
+                u[r] = [u[r][j] - q * u[i][j] for j in range(rows)]
+                m[r], m[i] = m[i], m[r]
+                u[r], u[i] = u[i], u[r]
+        if m[r][c] < 0:
+            m[r] = [-x for x in m[r]]
+            u[r] = [-x for x in u[r]]
+        for i in range(r):
+            q = m[i][c] // m[r][c]
+            if q:
+                m[i] = [m[i][j] - q * m[r][j] for j in range(cols)]
+                u[i] = [u[i][j] - q * u[r][j] for j in range(rows)]
+        r += 1
+        if r == rows:
+            break
+    ker = [u[i] for i in range(len(m)) if not any(m[i])]
+    return hnf(ker) if ker else []
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_int_matrices(6, 4))
+def test_int_kernel_matches_transform_oracle(mat):
+    assert int_kernel(mat) == reference_int_kernel(mat)
 
 
 # -- canonical basis ---------------------------------------------------------

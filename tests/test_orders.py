@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from quatperiods._linalg import hnf_rational, identity, lattice_index, mat_mul
+from quatperiods._linalg import (hnf_rational, identity, lattice_index,
+                                 mat_mul, rref)
 from quatperiods.brandt import atkin_lehner
-from quatperiods.orders import (OrderError, _is_order, _modp_rref,
-                                class_set_for, eichler_mass, eichler_order,
+from quatperiods.orders import (OrderError, _is_order, class_set_for,
+                                eichler_mass, eichler_order,
                                 essential_complement, ideals_equivalent,
                                 maximal_order, product_basis,
                                 right_ideal_classes, superorders_at,
@@ -185,8 +186,8 @@ def reference_two_sided_ideal(order, p):
         if any(int(v.trace()) % p or int(v.norm()) % p for v in vs):
             continue
         # two-sided mod p: every g*v and v*g stays in the plane
-        if any(len(_modp_rref(rows + [[int(x) % p for x in
-                                       order.coords_of(prod)]], p)[0]) != 2
+        if any(len(rref(rows + [[int(x) % p for x in
+                                 order.coords_of(prod)]], p)[1]) != 2
                for v in vs for g in gens for prod in (g * v, v * g)):
             continue
         basis = hnf_rational([v.coords() for v in vs] +

@@ -1,0 +1,53 @@
+"""Package-wide guards: what start-up imports, and no code that nothing uses."""
+import ast
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
+import quatperiods
+
+PACKAGE = Path(quatperiods.__file__).resolve().parent
+ROOT = PACKAGE.parents[1]
+
+
+def test_cli_import_does_not_load_sympy():
+    # sympy costs about 0.6 s to import; only brandt._char_factors uses it
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import quatperiods.cli, sys; print('sympy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def _names(node):
+    """Every name read, attribute taken or name imported under node."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name
+
+
+def test_every_function_and_class_is_used():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for folder in ("src", "tests", "bench")
+             for path in sorted((ROOT / folder).rglob("*.py"))}
+    uses = Counter(name for tree in trees.values() for name in _names(tree))
+    unused = []
+    for path, tree in trees.items():
+        if PACKAGE not in path.parents:
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or \
+                    node.name.startswith("__"):
+                continue
+            own = sum(1 for name in _names(node) if name == node.name)
+            if uses[node.name] == own:
+                unused.append(f"{path.name}:{node.lineno} {node.name}")
+    assert unused == []
