@@ -1,9 +1,10 @@
 """Command line interface and end-to-end pipeline.
 
 Subcommands: classset, brandt, eigen, theta, yoshida, restrict, diffop, gate,
-period, euler, lvalue, verify.  Outputs are deterministic JSON (sorted keys,
-no timestamps).  Exit codes: 0 success, 2 validation error, 3 math-invariant
-failure.
+period, euler, lvalue, verify.  Each takes only the flags its handler reads;
+the parsed arguments are the whole configuration.  Outputs are deterministic
+JSON (sorted keys, no timestamps).  Exit codes: 0 success, 2 invalid input
+(one `error: ...` line on stderr), 3 math-invariant failure.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import newformdata
@@ -31,72 +31,15 @@ from .diffop import apply_to_table, projection_poly
 
 CONVENTION_VERSION = "qp-v1"
 
-# Newform labels each command needs (lvalue and euler need none with --sym2).
-REQUIRED_LABELS = {"gate": ("h1", "h2", "f1", "f2"),
-                   "period": ("h1", "h2", "f1", "f2"),
-                   "lvalue": ("h1", "f1", "f2"),
-                   "euler": ("h1", "f1", "f2")}
+QUADRUPLE = ("h1", "h2", "f1", "f2")
 
 
 class ValidationError(ValueError):
     pass
 
 
-@dataclass
-class JobConfig:
-    command: str
-    level: int = None
-    disc: int = None
-    nu1: int = 0
-    nu2: int = 0
-    alpha1: int = 0
-    alpha2: int = 0
-    gamma: int = 0
-    prec: int = 6
-    bits: int = 100
-    pmax: int = 0
-    newforms: str = ""
-    out: str = ""
-    seed: int = 0
-    weighting: str = "unweighted"
-    labels: dict = field(default_factory=dict)
-    p: int = 0
-    extras: dict = field(default_factory=dict)
-
-    def validate(self):
-        if self.level is not None and (
-                self.level < 1 or not _is_squarefree(self.level)):
-            raise ValidationError(
-                f"level {self.level} is not a positive squarefree integer")
-        if self.prec < 0 or self.bits <= 0:
-            raise ValidationError("precisions must be positive")
-        if self.weighting not in ("unweighted", "mass"):
-            raise ValidationError(f"unknown weighting {self.weighting}")
-        if self.command == "theta" and self.prec < 1:
-            raise ValidationError("theta needs --prec >= 1")
-        if self.command == "eigen" and self.nu1:
-            raise ValidationError("eigen computes weight-0 forms only; "
-                                  "--nu1 must be 0")
-        if not self.extras.get("sym2"):
-            missing = [key for key in REQUIRED_LABELS.get(self.command, ())
-                       if key not in self.labels]
-            if missing:
-                raise ValidationError(
-                    f"{self.command} needs "
-                    + ", ".join(f"--{key}" for key in missing))
-        if self.command == "brandt":
-            if not _is_prime(self.p):
-                raise ValidationError(f"--p {self.p} is not prime")
-            level = self.level or self.disc
-            if level and level % self.p == 0:
-                raise ValidationError(
-                    f"--p {self.p} divides the level; Brandt operators need "
-                    "a good prime")
-
-
-def _records(config):
-    path = config.newforms or newformdata.default_data_path()
-    return ingest(path)
+def _records(args):
+    return ingest(args.newforms or newformdata.default_data_path())
 
 
 def match_eigenform(class_set, record, bound=50):
@@ -127,46 +70,56 @@ def match_eigenform(class_set, record, bound=50):
 # pipeline
 # ---------------------------------------------------------------------------
 
-def run_pipeline(config):
+def _signs(h1, h2, f1, f2):
+    """Sign data of a quadruple, its table by prime, the selected
+    discriminant (None if the period vanishes) and the rejection reason."""
+    signs = SignData.from_records(h1, h2, f1, f2)
+    n1, reason = select_algebra(signs)
+    table = {str(p): signs.product_at(p) for p in _prime_factors(signs.level)}
+    return signs, table, n1, reason
+
+
+def run_pipeline(args):
     """Newform labels -> sign table -> algebra -> period report (+ L-values)."""
-    records = _records(config)
-    lab = config.labels
-    h1 = resolve_label(records, lab["h1"])
-    h2 = resolve_label(records, lab["h2"])
-    f1 = resolve_label(records, lab["f1"])
-    f2 = resolve_label(records, lab["f2"])
-    level = config.level or h1.level
+    records = _records(args)
+    h1, h2, f1, f2 = (resolve_label(records, getattr(args, key))
+                      for key in QUADRUPLE)
+    level = args.level or h1.level
     for r in (h1, h2, f1, f2):
         if r.level != level:
             raise ValidationError(f"{r.label} has level {r.level}, not {level}")
-    signs = SignData.from_records(h1, h2, f1, f2)
-    n1, reason = select_algebra(signs)
+    signs, table, n1, reason = _signs(h1, h2, f1, f2)
     result = {
-        "labels": dict(lab),
+        "labels": {key: getattr(args, key) for key in QUADRUPLE},
         "level": level,
-        "sign_table": {str(p): signs.product_at(p)
-                       for p in _prime_factors(level)},
+        "sign_table": table,
         "convention": CONVENTION_VERSION,
-        "weighting": config.weighting,
+        "weighting": args.weighting,
+        "selected_disc": n1,
     }
     if n1 is None:
         result["vanishing_certificate"] = reason
-        result["selected_disc"] = None
         return result
-    result["selected_disc"] = n1
     cs = class_set_for(n1, level // n1)
     phi1 = match_eigenform(cs, h1)
     phi2 = match_eigenform(cs, h2)
     psi1 = match_eigenform(cs, f1)
     psi2 = match_eigenform(cs, f2)
     report = period_sums(phi1, phi2, psi1, psi2, 0, 0,
-                         weighting=config.weighting, signs=signs)
+                         weighting=args.weighting, signs=signs)
     result["period"] = report.to_json()
-    if config.extras.get("lvalue"):
+    if args.lvalue:
         result["lvalue_cross_check"] = ratio_quantity(
-            records, h1, h2, f1, f2, cs, phi1, phi2, psi1, psi2,
-            bits=config.bits, terms=config.pmax or None)
+            h1, h2, f1, f2, phi1, phi2, psi1, psi2,
+            bits=args.bits, terms=args.pmax or None)
     return result
+
+
+def _triple_factor_at(h, f1, f2, p):
+    """Euler factor of L(h, f1, f2; s) at p: Steinberg at p | N, else good."""
+    if h.level % p == 0:
+        return triple_factor_steinberg(h, f1, f2, p)
+    return triple_factor(h, f1, f2, p)
 
 
 def _triple_lambda(h, f1, f2, bits=100, terms=None):
@@ -175,12 +128,8 @@ def _triple_lambda(h, f1, f2, bits=100, terms=None):
     cond = triple_conductor(level)
     if terms is None:
         terms = int(3 * math.sqrt(cond)) + 50
-    factors = {}
-    for p in primes_up_to(max(terms, 100)):
-        if level % p == 0:
-            factors[p] = triple_factor_steinberg(h, f1, f2, p)
-        else:
-            factors[p] = triple_factor(h, f1, f2, p)
+    factors = {p: _triple_factor_at(h, f1, f2, p)
+               for p in primes_up_to(max(terms, 100))}
     sign = 1
     for p in _prime_factors(level):
         sign *= -h.a(p) * -f1.a(p) * -f2.a(p)
@@ -189,7 +138,7 @@ def _triple_lambda(h, f1, f2, bits=100, terms=None):
                          bits=bits, terms=terms)
 
 
-def ratio_quantity(records, h1, h2, f1, f2, cs, phi1, phi2, psi1, psi2,
+def ratio_quantity(h1, h2, f1, f2, phi1, phi2, psi1, psi2,
                    bits=100, terms=None):
     """Ratio diagnostic for the central-value proportionality.
 
@@ -233,8 +182,9 @@ def ratio_quantity(records, h1, h2, f1, f2, cs, phi1, phi2, psi1, psi2,
 # verify battery
 # ---------------------------------------------------------------------------
 
-def verify(config):
-    """Cross-module invariant battery; returns (rows, ok)."""
+def run_verify(args):
+    """Cross-module invariant battery; prints one row per check and exits 3
+    if any check fails."""
     rows = []
 
     def check(name, fn):
@@ -264,7 +214,7 @@ def verify(config):
     ok &= check("level 11 ground truth", level11)
 
     def theta_match():
-        records = _records(config)
+        records = _records(args)
         h = resolve_label(records, "11a")
         cs = class_set_for(11)
         cusp = next(f for f in eigenforms(cs)
@@ -338,7 +288,7 @@ def verify(config):
         from .lseries import NewformRecord, spin_split_check, \
             sym2_identity_check
         import random
-        rng = random.Random(config.seed or 11)
+        rng = random.Random(args.seed or 11)
         for _ in range(25):
             p = rng.choice([3, 5, 7])
             r1 = NewformRecord("r1", 1, 2, {p: rng.randint(-3, 3)}, {})
@@ -349,277 +299,302 @@ def verify(config):
         return True
     ok &= check("euler factor identities", euler)
 
-    return rows, ok
+    for name, status in rows:
+        print(f"{status:>6}  {name}")
+    if args.out:
+        _emit(args.out, {"checks": {name: status for name, status in rows},
+                         "ok": ok})
+    if not ok:
+        sys.exit(3)
 
 
 # ---------------------------------------------------------------------------
-# argument parsing and dispatch
+# subcommands
 # ---------------------------------------------------------------------------
+
+def _class_set(args):
+    level = args.level or args.disc
+    if level % args.disc:
+        raise ValidationError("--level must be a multiple of --disc")
+    return class_set_for(args.disc, level // args.disc)
+
+
+def _cusp_form(cs):
+    forms = [f for f in eigenforms(cs) if f.label == "cuspidal-essential"]
+    if len(forms) != 1:
+        raise ValidationError(
+            f"{len(forms)} essential cusp forms on this class set; theta "
+            "selects one with --match LABEL")
+    return forms[0]
+
+
+def run_classset(args):
+    return _class_set(args).to_json()
+
+
+def run_brandt(args):
+    cs = _class_set(args)
+    if cs.order.level % args.p == 0:
+        raise ValidationError(
+            f"--p {args.p} divides the level; Brandt operators need "
+            "a good prime")
+    op = brandt_matrix(cs, args.p, args.nu1)
+    return {"label": op.label, "nu": op.nu,
+            "convention": "integral, row sums p+1 at nu=0",
+            "matrix": [[str(x) for x in row] for row in op.matrix]}
+
+
+def run_eigen(args):
+    cs = _class_set(args)
+    out = []
+    for f in eigenforms(cs):
+        out.append({
+            "label": f.label,
+            "values": [str(v) for v in f.scalar_values()]
+            if f.weight == 0 and f.values is not None else "non-scalar",
+            "eigenvalues": {str(p): str(v)
+                            for p, v in sorted(f.eigenvalues.items())},
+            "al_signs": {str(p): v
+                         for p, v in sorted((f.al_signs or {}).items())},
+            "essential": f.essential,
+        })
+    return {"class_number": cs.size, "forms": out}
+
+
+def run_theta(args):
+    cs = _class_set(args)
+    if args.eisenstein:
+        form = next(f for f in eigenforms(cs) if f.label == "eisenstein")
+    elif args.match:
+        form = match_eigenform(cs, resolve_label(_records(args), args.match))
+    else:
+        form = _cusp_form(cs)
+    th = eichler_theta(form, args.prec)
+    return {"coefficients": {str(n): str(v) for n, v in th.items()}}
+
+
+def run_yoshida(args):
+    if args.nu1 < args.nu2 or (args.nu1 - args.nu2) % 2:
+        raise ValidationError("yoshida needs --nu1 >= --nu2 with an even "
+                              "difference")
+    cs = _class_set(args)
+    if args.nu1 or args.nu2:
+        import random
+        rng = random.Random(args.seed or 1)
+        phi1 = unit_average_form(cs, args.nu1, rng)
+        phi2 = unit_average_form(cs, args.nu2, rng)
+    else:
+        phi1 = phi2 = _cusp_form(cs)
+    return yoshida_lift(phi1, phi2, args.prec).to_json()
+
+
+def run_restrict(args):
+    """Restriction of the weight-0 lift; alpha1 + alpha2 = 2 nu2 = 0."""
+    form = _cusp_form(_class_set(args))
+    table = yoshida_lift(form, form, args.prec)
+    if args.gamma:
+        data = apply_to_table(projection_poly(2, 0, 0, args.gamma), table,
+                              0, 0)
+    else:
+        data = diagonal_restriction(table, 0, 0)
+    return {"coefficients": {f"{k[0]},{k[1]}": str(v)
+                             for k, v in sorted(data.items())}}
+
+
+def run_diffop(args):
+    op = projection_poly(args.k, args.a, args.b, args.r)
+    payload = {"k": args.k, "a": args.a, "b": args.b, "r": args.r,
+               "normalization": op.normalization,
+               "p": {f"{i},{j},{kk}": str(c)
+                     for (i, j, kk), c in sorted(op.poly.items())}}
+    if args.T is not None:
+        payload["Q"] = op.q_poly(args.T).serialize()
+    return payload
+
+
+def run_gate(args):
+    records = _records(args)
+    signs, table, n1, reason = _signs(
+        *(resolve_label(records, getattr(args, key)) for key in QUADRUPLE))
+    return {"level": signs.level, "sign_table": table,
+            "selected_disc": n1, "rejection": reason}
+
+
+def _triple(args):
+    """The newforms named by --h1, --f1 and --f2."""
+    missing = [f"--{key}" for key in ("h1", "f1", "f2")
+               if not getattr(args, key)]
+    if missing:
+        raise ValidationError(f"{args.command} needs " + ", ".join(missing))
+    records = _records(args)
+    return [resolve_label(records, getattr(args, key))
+            for key in ("h1", "f1", "f2")]
+
+
+def run_euler(args):
+    if args.sym2:
+        fac = sym2_factor(resolve_label(_records(args), args.sym2), args.p)
+    else:
+        fac = _triple_factor_at(*_triple(args), args.p)
+    return {"type": "sym2" if args.sym2 else "triple", "p": args.p,
+            "coeffs": [str(c) for c in fac.coeffs], "shift": str(fac.shift)}
+
+
+def run_lvalue(args):
+    terms = args.pmax or None
+    if args.sym2:
+        cv = petersson_norm_proxy(resolve_label(_records(args), args.sym2),
+                                  bits=args.bits, terms=terms)
+    else:
+        cv = _triple_lambda(*_triple(args), bits=args.bits, terms=terms)
+    return {"type": "sym2-edge" if args.sym2 else "triple-central",
+            "value": cv.value, "lambda": cv.lam, "error": cv.error,
+            "terms": cv.terms}
+
+
+# ---------------------------------------------------------------------------
+# argument parsing
+# ---------------------------------------------------------------------------
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one `error: ...` line and exit 2, the
+    same form as the checks that need more than one flag."""
+
+    def error(self, message):
+        print(f"error: {message}", file=sys.stderr)
+        sys.exit(2)
+
+
+def _int_type(test, what):
+    """argparse type: an integer n with test(n), described as `what`."""
+    def parse(text):
+        try:
+            n = int(text)
+        except ValueError:
+            n = None
+        if n is None or not test(n):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return n
+    return parse
+
+
+NONNEG = _int_type(lambda n: n >= 0, "a nonnegative integer")
+POSITIVE = _int_type(lambda n: n >= 1, "a positive integer")
+PRIME = _int_type(_is_prime, "a prime")
+LEVEL = _int_type(lambda n: n >= 1 and _is_squarefree(n),
+                  "a positive squarefree integer")
+DISC = _int_type(
+    lambda n: n >= 2 and _is_squarefree(n) and len(_prime_factors(n)) % 2,
+    "a product of an odd number of distinct primes, so no definite "
+    "quaternion algebra has it as discriminant")
+
+
+def _index(text):
+    """argparse type: the index n1,m2,n2 of a half-integral matrix."""
+    try:
+        n1, m2, n2 = (int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not an index n1,m2,n2 of three integers") from None
+    return HalfIntMatrix(n1, m2, n2)
+
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quatperiods",
         description="Brandt matrices, Yoshida lifts and period sums on "
                     "definite quaternion algebras")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--level", type=int)
-        p.add_argument("--disc", type=int)
-        p.add_argument("--nu1", type=int, default=0)
-        p.add_argument("--nu2", type=int, default=0)
-        p.add_argument("--alpha1", type=int, default=0)
-        p.add_argument("--alpha2", type=int, default=0)
-        p.add_argument("--gamma", type=int, default=0)
-        p.add_argument("--prec", type=int, default=6)
-        p.add_argument("--bits", type=int, default=100)
-        p.add_argument("--pmax", type=int, default=0)
-        p.add_argument("--newforms", default="")
-        p.add_argument("--out", default="")
-        p.add_argument("--seed", type=int, default=0)
-
-    for name in ("classset", "brandt", "eigen", "theta", "yoshida",
-                 "restrict", "diffop", "gate", "period", "euler", "lvalue",
-                 "verify"):
+    def add(name, run, *groups):
         p = sub.add_parser(name)
-        common(p)
-        if name == "brandt":
-            p.add_argument("--p", type=int, required=True)
-        if name in ("theta",):
-            p.add_argument("--match", default="",
-                           help="newform label to select the eigenform")
-            p.add_argument("--eisenstein", action="store_true")
-        if name in ("gate", "period", "lvalue"):
-            p.add_argument("--h1", default="")
-            p.add_argument("--h2", default="")
-            p.add_argument("--f1", default="")
-            p.add_argument("--f2", default="")
-        if name == "period":
-            p.add_argument("--weighting", default="unweighted",
-                           choices=("unweighted", "mass"))
-            p.add_argument("--lvalue", action="store_true")
-        if name == "euler":
-            p.add_argument("--p", type=int, required=True)
-            p.add_argument("--h1", default="")
-            p.add_argument("--f1", default="")
-            p.add_argument("--f2", default="")
-            p.add_argument("--sym2", default="")
-        if name == "lvalue":
-            p.add_argument("--sym2", default="")
-        if name == "diffop":
-            p.add_argument("--k", type=int, default=2)
-            p.add_argument("--a", type=int, default=0)
-            p.add_argument("--b", type=int, default=0)
-            p.add_argument("--r", type=int, default=0)
-            p.add_argument("--T", default="",
-                           help="index n1,m2,n2 for Q(T)")
+        p.set_defaults(run=run)
+        p.add_argument("--out", default="",
+                       help="write the JSON to this file, not to stdout")
+        for group in groups:
+            group(p)
+        return p
+
+    def class_set(p):
+        p.add_argument("--disc", type=DISC, required=True)
+        p.add_argument("--level", type=LEVEL,
+                       help="a multiple of --disc (default: --disc)")
+
+    def newforms(p):
+        p.add_argument("--newforms", default="",
+                       help="newform data file (default: the shipped one)")
+
+    def quadruple(p):
+        for key in QUADRUPLE:
+            p.add_argument(f"--{key}", required=True)
+
+    def triple(p):
+        for key in ("h1", "f1", "f2"):
+            p.add_argument(f"--{key}", default="")
+        p.add_argument("--sym2", default="",
+                       help="use the symmetric square of this newform")
+
+    def afe(p):
+        p.add_argument("--bits", type=POSITIVE, default=100)
+        p.add_argument("--pmax", type=NONNEG, default=0,
+                       help="series length (default 0: from the conductor)")
+
+    add("classset", run_classset, class_set)
+    p = add("brandt", run_brandt, class_set)
+    p.add_argument("--p", type=PRIME, required=True)
+    p.add_argument("--nu1", type=NONNEG, default=0)
+    add("eigen", run_eigen, class_set)
+    p = add("theta", run_theta, class_set, newforms)
+    p.add_argument("--prec", type=POSITIVE, default=6)
+    p.add_argument("--match", default="",
+                   help="newform label to select the eigenform")
+    p.add_argument("--eisenstein", action="store_true")
+    p = add("yoshida", run_yoshida, class_set)
+    p.add_argument("--nu1", type=NONNEG, default=0)
+    p.add_argument("--nu2", type=NONNEG, default=0)
+    p.add_argument("--prec", type=NONNEG, default=6)
+    p.add_argument("--seed", type=int, default=0)
+    p = add("restrict", run_restrict, class_set)
+    p.add_argument("--prec", type=NONNEG, default=6)
+    p.add_argument("--gamma", type=NONNEG, default=0)
+    p = add("diffop", run_diffop)
+    p.add_argument("--k", type=_int_type(lambda n: n >= 2, "an integer >= 2"),
+                   default=2)
+    for key in ("a", "b", "r"):
+        p.add_argument(f"--{key}", type=NONNEG, default=0)
+    p.add_argument("--T", type=_index, help="index n1,m2,n2 for Q(T)")
+    add("gate", run_gate, quadruple, newforms)
+    p = add("period", run_pipeline, quadruple, newforms, afe)
+    p.add_argument("--level", type=LEVEL)
+    p.add_argument("--weighting", default="unweighted",
+                   choices=("unweighted", "mass"))
+    p.add_argument("--lvalue", action="store_true")
+    p = add("euler", run_euler, triple, newforms)
+    p.add_argument("--p", type=PRIME, required=True)
+    add("lvalue", run_lvalue, triple, newforms, afe)
+    p = add("verify", run_verify, newforms)
+    p.add_argument("--seed", type=int, default=0)
     return parser
 
 
-def _config_from_args(args):
-    labels = {}
-    for key in ("h1", "h2", "f1", "f2"):
-        if getattr(args, key, ""):
-            labels[key] = getattr(args, key)
-    cfg = JobConfig(
-        command=args.command, level=args.level, disc=args.disc,
-        nu1=args.nu1, nu2=args.nu2, alpha1=args.alpha1, alpha2=args.alpha2,
-        gamma=args.gamma, prec=args.prec, bits=args.bits, pmax=args.pmax,
-        newforms=args.newforms, out=args.out,
-        seed=args.seed, labels=labels,
-        weighting=getattr(args, "weighting", "unweighted"),
-        p=getattr(args, "p", 0))
-    for key in ("match", "eisenstein", "sym2", "k", "a", "b", "r", "T",
-                "lvalue"):
-        if hasattr(args, key):
-            cfg.extras[key] = getattr(args, key)
-    cfg.validate()
-    return cfg
-
-
-def _emit(config, payload):
+def _emit(out, payload):
     text = json.dumps(payload, sort_keys=True, indent=1)
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
 
 
-def _select_class_set(config):
-    if config.disc is None:
-        raise ValidationError("--disc is required")
-    n1 = config.disc
-    if n1 < 2 or not _is_squarefree(n1) or len(_prime_factors(n1)) % 2 == 0:
-        raise ValidationError(
-            f"--disc {n1} is not a product of an odd number of distinct "
-            "primes, so no definite quaternion algebra has it")
-    level = config.level or n1
-    if level % n1:
-        raise ValidationError("--level must be a multiple of --disc")
-    return class_set_for(n1, level // n1)
-
-
-def _pick_form(config, cs):
-    if config.extras.get("eisenstein"):
-        return next(f for f in eigenforms(cs) if f.label == "eisenstein")
-    label = config.extras.get("match")
-    if label:
-        records = _records(config)
-        return match_eigenform(cs, resolve_label(records, label))
-    forms = [f for f in eigenforms(cs) if f.label == "cuspidal-essential"]
-    if len(forms) != 1:
-        raise ValidationError(
-            "ambiguous eigenform; use --match LABEL or --eisenstein")
-    return forms[0]
-
-
-def dispatch(config):
-    if config.command == "classset":
-        cs = _select_class_set(config)
-        return cs.to_json()
-    if config.command == "brandt":
-        cs = _select_class_set(config)
-        op = brandt_matrix(cs, config.p, config.nu1)
-        return {"label": op.label, "nu": op.nu,
-                "convention": "integral, row sums p+1 at nu=0",
-                "matrix": [[str(x) for x in row] for row in op.matrix]}
-    if config.command == "eigen":
-        cs = _select_class_set(config)
-        out = []
-        for f in eigenforms(cs):
-            out.append({
-                "label": f.label,
-                "values": [str(v) for v in f.scalar_values()]
-                if f.weight == 0 and f.values is not None else "non-scalar",
-                "eigenvalues": {str(p): str(v)
-                                for p, v in sorted(f.eigenvalues.items())},
-                "al_signs": {str(p): v
-                             for p, v in sorted((f.al_signs or {}).items())},
-                "essential": f.essential,
-            })
-        return {"class_number": cs.size, "forms": out}
-    if config.command == "theta":
-        cs = _select_class_set(config)
-        form = _pick_form(config, cs)
-        th = eichler_theta(form, config.prec)
-        return {"coefficients": {str(n): str(v) for n, v in th.items()}}
-    if config.command == "yoshida":
-        cs = _select_class_set(config)
-        if config.nu1 or config.nu2:
-            import random
-            rng = random.Random(config.seed or 1)
-            phi1 = unit_average_form(cs, config.nu1, rng)
-            phi2 = unit_average_form(cs, config.nu2, rng)
-        else:
-            form = _pick_form(config, cs)
-            phi1 = phi2 = form
-        table = yoshida_lift(phi1, phi2, config.prec)
-        return table.to_json()
-    if config.command == "restrict":
-        cs = _select_class_set(config)
-        form = _pick_form(config, cs)
-        table = yoshida_lift(form, form, config.prec)
-        if config.gamma:
-            op = projection_poly(2, config.alpha1, config.alpha2,
-                                 config.gamma)
-            data = apply_to_table(op, table, config.alpha1, config.alpha2)
-        else:
-            data = diagonal_restriction(table, config.alpha1, config.alpha2)
-        return {"coefficients": {f"{k[0]},{k[1]}": str(v)
-                                 for k, v in sorted(data.items())}}
-    if config.command == "diffop":
-        k = config.extras.get("k", 2)
-        a = config.extras.get("a", 0)
-        b = config.extras.get("b", 0)
-        r = config.extras.get("r", 0)
-        op = projection_poly(k, a, b, r)
-        payload = {"k": k, "a": a, "b": b, "r": r,
-                   "normalization": op.normalization,
-                   "p": {f"{i},{j},{kk}": str(c)
-                         for (i, j, kk), c in sorted(op.poly.items())}}
-        t_arg = config.extras.get("T")
-        if t_arg:
-            n1, m2, n2 = (int(x) for x in t_arg.split(","))
-            q = op.q_poly(HalfIntMatrix(n1, m2, n2))
-            payload["Q"] = q.serialize()
-        return payload
-    if config.command == "gate":
-        records = _records(config)
-        lab = config.labels
-        signs = SignData.from_records(
-            resolve_label(records, lab["h1"]),
-            resolve_label(records, lab["h2"]),
-            resolve_label(records, lab["f1"]),
-            resolve_label(records, lab["f2"]))
-        n1, reason = select_algebra(signs)
-        return {"level": signs.level,
-                "sign_table": {str(p): signs.product_at(p)
-                               for p in _prime_factors(signs.level)},
-                "selected_disc": n1,
-                "rejection": reason}
-    if config.command == "period":
-        return run_pipeline(config)
-    if config.command == "euler":
-        records = _records(config)
-        if config.extras.get("sym2"):
-            rec = resolve_label(records, config.extras["sym2"])
-            f = sym2_factor(rec, config.p)
-            return {"type": "sym2", "p": config.p,
-                    "coeffs": [str(c) for c in f.coeffs],
-                    "shift": str(f.shift)}
-        lab = config.labels
-        h = resolve_label(records, lab["h1"])
-        f1 = resolve_label(records, lab["f1"])
-        f2 = resolve_label(records, lab["f2"])
-        if h.level % config.p == 0:
-            fac = triple_factor_steinberg(h, f1, f2, config.p)
-        else:
-            fac = triple_factor(h, f1, f2, config.p)
-        return {"type": "triple", "p": config.p,
-                "coeffs": [str(c) for c in fac.coeffs],
-                "shift": str(fac.shift)}
-    if config.command == "lvalue":
-        records = _records(config)
-        if config.extras.get("sym2"):
-            rec = resolve_label(records, config.extras["sym2"])
-            cv = petersson_norm_proxy(rec, bits=config.bits,
-                                      terms=config.pmax or None)
-            return {"type": "sym2-edge", "value": cv.value,
-                    "lambda": cv.lam, "error": cv.error, "terms": cv.terms}
-        lab = config.labels
-        h = resolve_label(records, lab["h1"])
-        f1 = resolve_label(records, lab["f1"])
-        f2 = resolve_label(records, lab["f2"])
-        cv = _triple_lambda(h, f1, f2, bits=config.bits,
-                            terms=config.pmax or None)
-        return {"type": "triple-central", "value": cv.value,
-                "lambda": cv.lam, "error": cv.error, "terms": cv.terms}
-    if config.command == "verify":
-        rows, ok = verify(config)
-        for name, status in rows:
-            print(f"{status:>6}  {name}")
-        payload = {"checks": {name: status for name, status in rows},
-                   "ok": ok}
-        if config.out:
-            _emit(config, payload)
-        if not ok:
-            sys.exit(3)
-        return None
-    raise ValidationError(f"unknown command {config.command}")
-
-
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        payload = dispatch(config)
+        payload = args.run(args)
     except (ValidationError, PeriodError, LSeriesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)
     if payload is not None:
-        _emit(config, payload)
+        _emit(args.out, payload)
     return 0
 
 

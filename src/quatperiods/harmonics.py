@@ -22,6 +22,7 @@ from math import comb, factorial
 
 from ._linalg import frac_mat, identity, inverse, vec_mat
 from ._poly import Poly, apply_diff_operator, fischer_pairing
+from .quatalg import quaternion_product
 
 
 class HarmonicsError(ValueError):
@@ -467,19 +468,6 @@ def invariant_coupling(nu, beta1p, beta2p, space=None):
 # tensor split U_{2m}(4-space) = U_m x U_m (3-space pairs)
 # ---------------------------------------------------------------------------
 
-def _poly_quaternion_product(alg, coords1, coords2, nvars):
-    """Multiply two quaternions whose coordinates are Polys."""
-    a, b = alg.a, alg.b
-    w1, x1, y1, z1 = coords1
-    w2, x2, y2, z2 = coords2
-    return (
-        w1 * w2 + x1 * x2 * a + y1 * y2 * b - z1 * z2 * (a * b),
-        w1 * x2 + x1 * w2 - y1 * z2 * b + z1 * y2 * b,
-        w1 * y2 + y1 * w2 + x1 * z2 * a - z1 * x2 * a,
-        w1 * z2 + z1 * w2 + x1 * y2 - y1 * x2,
-    )
-
-
 class SplitIso:
     """The equivariant isomorphism U_m x U_m -> U_{2m}(full space).
 
@@ -511,9 +499,10 @@ class SplitIso:
         vq = (zero, Poly.variable(nv, 7), Poly.variable(nv, 8),
               Poly.variable(nv, 9))
         xbar = (xq[0], -xq[1], -xq[2], -xq[3])
-        prod = _poly_quaternion_product(self.alg, uq, xq, nv)
-        prod = _poly_quaternion_product(self.alg, prod, vq, nv)
-        prod = _poly_quaternion_product(self.alg, prod, xbar, nv)
+        a, b = alg.a, alg.b
+        prod = quaternion_product(a, b, uq, xq)
+        prod = quaternion_product(a, b, prod, vq)
+        prod = quaternion_product(a, b, prod, xbar)
         w = prod[0] * 2  # reduced trace
         wm = w ** m
         self.kernel = self._harmproj_x(wm)

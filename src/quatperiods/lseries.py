@@ -281,10 +281,11 @@ def sym2_conductor(record):
 
 
 def sym2_gamma_shifts(weight=2):
-    """Gamma_R shifts for Sym^2 of a weight-2 form: Gamma_C(s+1) Gamma_R(s)."""
+    """Gamma_R shifts for Sym^2 of a weight-2 form: Gamma_R(s+1) Gamma_C(s+1),
+    and Gamma_C(s+1) = Gamma_R(s+1) Gamma_R(s+2)."""
     if weight != 2:
         raise LSeriesError("documented defaults cover weight 2 only")
-    return [Fraction(0), Fraction(1), Fraction(2)]
+    return [Fraction(1), Fraction(1), Fraction(2)]
 
 
 def spin_split_check(h1, h2, p):
@@ -355,12 +356,17 @@ def asai_combination(asai_factor, satake):
 def dirichlet_coefficients(factors, count, bits=80):
     """Analytic-normalization coefficients b_1..b_count as mpf.
 
-    factors: dict prime -> EulerFactor (each with its shift).  Primes missing
-    from the dict contribute trivial local factors.
+    factors: dict prime -> EulerFactor (each with its shift); every prime
+    up to count needs one.
     """
+    primes = primes_up_to(count)
+    for p in primes:
+        if p not in factors:
+            raise LSeriesError(
+                f"no Euler factor supplied for a prime dividing {p}")
     with mpmath.workprec(bits):
         b = [None] + [mpmath.mpf(1)] * count
-        for p in sorted(factors):
+        for p in primes:
             f = factors[p]
             mmax = int(math.log(count, p)) + 1
             local = f.local_coefficients(mmax)
@@ -368,33 +374,13 @@ def dirichlet_coefficients(factors, count, bits=80):
             scale = [mpmath.power(p, -m * shift) for m in range(mmax + 1)]
             loc = [mpmath.mpf(c.numerator) / c.denominator * scale[m]
                    for m, c in enumerate(local)]
-            for n in range(2, count + 1):
+            for n in range(p, count + 1, p):
                 v = 0
                 nn = n
                 while nn % p == 0:
                     nn //= p
                     v += 1
-                if v:
-                    b[n] *= loc[v]
-        # zero out coefficients touched by primes with no factor supplied
-        known = set(factors)
-        for n in range(2, count + 1):
-            nn = n
-            ok = True
-            d = 2
-            while d * d <= nn:
-                if nn % d == 0:
-                    if d not in known:
-                        ok = False
-                        break
-                    while nn % d == 0:
-                        nn //= d
-                d += 1
-            if ok and nn > 1 and nn not in known:
-                ok = False
-            if not ok:
-                raise LSeriesError(
-                    f"no Euler factor supplied for a prime dividing {n}")
+                b[n] *= loc[v]
         return b
 
 

@@ -192,6 +192,19 @@ class QuaternionAlgebra:
         return f"QuaternionAlgebra({self.a}, {self.b}; disc {self.discriminant})"
 
 
+def quaternion_product(a, b, left, right):
+    """Product of two quaternions given as coordinate 4-tuples (w, x, y, z)
+    over any commutative ring, in the algebra with i^2 = a, j^2 = b, k = ij."""
+    w1, x1, y1, z1 = left
+    w2, x2, y2, z2 = right
+    return (
+        w1 * w2 + a * x1 * x2 + b * y1 * y2 - a * b * z1 * z2,
+        w1 * x2 + x1 * w2 - b * y1 * z2 + b * z1 * y2,
+        w1 * y2 + y1 * w2 + a * x1 * z2 - a * z1 * x2,
+        w1 * z2 + z1 * w2 + x1 * y2 - y1 * x2,
+    )
+
+
 class Quaternion:
     __slots__ = ("alg", "w", "x", "y", "z")
 
@@ -221,16 +234,8 @@ class Quaternion:
             c = Fraction(other)
             return Quaternion(self.alg, self.w * c, self.x * c,
                               self.y * c, self.z * c)
-        a, b = self.alg.a, self.alg.b
-        w1, x1, y1, z1 = self.w, self.x, self.y, self.z
-        w2, x2, y2, z2 = other.w, other.x, other.y, other.z
-        return Quaternion(
-            self.alg,
-            w1 * w2 + a * x1 * x2 + b * y1 * y2 - a * b * z1 * z2,
-            w1 * x2 + x1 * w2 - b * y1 * z2 + b * z1 * y2,
-            w1 * y2 + y1 * w2 + a * x1 * z2 - a * z1 * x2,
-            w1 * z2 + z1 * w2 + x1 * y2 - y1 * x2,
-        )
+        return Quaternion(self.alg, *quaternion_product(
+            self.alg.a, self.alg.b, self.coords(), other.coords()))
 
     def __rmul__(self, other):
         return self * other  # scalars commute

@@ -46,6 +46,20 @@ def test_eigen_output_is_byte_identical_across_processes():
     ("classset", "--disc", "4"),
     ("classset", "--disc", "6"),
     ("theta", "--disc", "11", "--prec", "0"),
+    ("restrict", "--disc", "11", "--alpha1", "1", "--alpha2", "1"),
+    ("restrict", "--disc", "11", "--gamma", "-1"),
+    ("diffop", "--k", "1"),
+    ("diffop", "--r", "-1"),
+    ("diffop", "--a", "-1"),
+    ("diffop", "--T", "1,2"),
+    ("diffop", "--T", "a,b,c"),
+    ("yoshida", "--disc", "11", "--nu1", "1", "--nu2", "2"),
+    ("lvalue", "--sym2", "11a", "--pmax", "-3"),
+    ("yoshida", "--disc", "3", "--nu1", "-2", "--nu2", "-2"),
+    ("brandt", "--disc", "11", "--p", "3", "--nu1", "-1"),
+    ("period", "--h1", "11a", "--h2", "11a", "--f1", "11a", "--f2", "11a",
+     "--alpha1", "2"),
+    ("classset", "--disc", "11", "--bits", "5"),
 ])
 def test_unsupported_input_exits_2(args):
     proc = run_cli(*args)
@@ -111,3 +125,38 @@ def test_euler_triple_factor_degree(capsys):
                    "--f2", "11a")
     assert out["type"] == "triple"
     assert len(out["coeffs"]) == 9
+
+
+def test_yoshida_weight_0_lift_level_11(capsys):
+    out = run_json(capsys, "yoshida", "--disc", "11", "--prec", "4")
+    polys = {tuple(c["T"]): c["poly"] for c in out["coeffs"]}
+    assert polys[(0, 0, 1)] == {"0,0": "5/2"}
+
+
+def test_restrict_level_11(capsys):
+    out = run_json(capsys, "restrict", "--disc", "11", "--prec", "4")
+    assert out["coefficients"]["1,1"] == "13"
+    assert out["coefficients"]["2,2"] == "-68"
+
+
+def test_lvalue_triple_11a(capsys):
+    out = run_json(capsys, "lvalue", "--h1", "11a", "--f1", "11a",
+                   "--f2", "11a")
+    assert abs(out["value"] - 0.0734715565) < 1e-6
+    assert out["error"] < 1e-6
+
+
+def test_lvalue_sym2_11a(capsys):
+    out = run_json(capsys, "lvalue", "--sym2", "11a")
+    assert math.isfinite(out["value"]) and out["value"] > 0
+
+
+def test_verify_passes_and_exits_3_on_a_failed_check(capsys, monkeypatch):
+    assert cli.main(["verify"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 9 and all(r.split()[0] == "pass" for r in rows)
+    monkeypatch.setattr(cli, "eichler_mass", lambda n1, m: Fraction(0))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify"])
+    assert exc.value.code == 3
+    assert "FAIL  mass formulas" in capsys.readouterr().out

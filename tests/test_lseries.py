@@ -9,10 +9,12 @@ from quatperiods.lseries import (EulerFactor, LSeriesError, NewformRecord,
                                  SatakeParams, asai_combination, central_value,
                                  dirichlet_coefficients, good_factor, ingest,
                                  petersson_norm_proxy, resolve_label,
-                                 spin_split_check, sym2_factor,
+                                 spin_split_check, sym2_conductor,
+                                 sym2_factor, sym2_gamma_shifts,
                                  sym2_identity_check, triple_factor,
                                  triple_factor_steinberg)
-from quatperiods.newformdata import default_data_path
+from quatperiods.newformdata import default_data_path, write_newform_file
+from quatperiods.quatalg import primes_up_to
 
 
 def records():
@@ -30,6 +32,21 @@ def test_ingest_shipped_file():
     assert r26a.al_signs == {2: 1, 13: -1}
     r26b = resolve_label(recs, "26b")
     assert r26b.al_signs == {2: -1, 13: 1}
+
+
+def test_newform_file_regenerates(tmp_path):
+    """The generator at pmax 200 writes the shipped file cut to p <= 200."""
+    path = write_newform_file(tmp_path / "newforms.txt", pmax=200)
+    with open(path, encoding="utf-8") as fh:
+        regenerated = fh.read().splitlines()
+    with open(default_data_path(), encoding="utf-8") as fh:
+        shipped = fh.read().splitlines()
+    cut = []
+    for line in shipped:
+        *head, ap = line.split("|")
+        ap = ",".join(c for c in ap.split(",") if int(c.split(":")[0]) <= 200)
+        cut.append("|".join([*head, ap]))
+    assert regenerated == cut
 
 
 def test_ingest_rejects_ramanujan_violation(tmp_path):
@@ -255,21 +272,28 @@ def test_central_value_level_11_matches_direct_sum():
 
 
 def test_central_value_kernel_independent():
-    factors = {p: EulerFactor(p, [1, -1]) for p in
-               (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
-                59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113)}
-    cv1 = central_value(factors, [Fraction(0)], 1, +1, s0=Fraction(2),
-                        bits=80, terms=100, kernel_width=6,
-                        poles=((1, 1), (0, -1)))
-    cv2 = central_value(factors, [Fraction(0)], 1, +1, s0=Fraction(2),
-                        bits=80, terms=100, kernel_width=10,
-                        poles=((1, 1), (0, -1)))
-    assert abs(cv1.value - cv2.value) < cv1.error + cv2.error + 1e-10
+    zeta = {p: EulerFactor(p, [1, -1]) for p in
+            (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
+             59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113)}
+    h = resolve_label(records(), "11a")
+    sym2 = {p: sym2_factor(h, p) for p in primes_up_to(200)}
+    # (factors, gamma shifts, conductor, s0, terms, poles, kernel widths);
+    # the second is the Sym^2 proxy of 11a, which a wrong gamma factor
+    # makes depend on the kernel width
+    cases = [(zeta, [Fraction(0)], 1, Fraction(2), 100,
+              ((1, 1), (0, -1)), (6, 10)),
+             (sym2, sym2_gamma_shifts(), sym2_conductor(h), Fraction(1),
+              None, (), (4, 8))]
+    for factors, shifts, cond, s0, terms, poles, widths in cases:
+        cv1, cv2 = (central_value(factors, shifts, cond, +1, s0=s0, bits=80,
+                                  terms=terms, kernel_width=w, poles=poles)
+                    for w in widths)
+        assert abs(cv1.value - cv2.value) < cv1.error + cv2.error + 1e-10
 
 
 def test_insufficient_coefficients_error():
     factors = {2: EulerFactor(2, [1, -1])}
-    with pytest.raises(LSeriesError):
+    with pytest.raises(LSeriesError, match="dividing 3"):
         dirichlet_coefficients(factors, 10, bits=60)
 
 
