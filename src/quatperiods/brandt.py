@@ -5,10 +5,17 @@ primitively scaled connecting lattices.  This matrix is integral at weight 0,
 has row sums p + 1 there, and is self-adjoint for the natural inner product
 <phi, psi> = sum_i <<phi_i, psi_i>> / e_i.  Eigenvalues are exact: rational,
 or in a real quadratic field stored with its minimal polynomial.
+
+All T(p) for a tuple of primes are built in one pass (Pizer, J. Algebra 64,
+1980): each connecting lattice is enumerated once up to the largest p and
+its vectors are bucketed by norm.  At weight 0 only the pairs i <= j are
+enumerated, by the conjugation symmetry: x -> conj(x) maps I_i conj(I_j)
+onto I_j conj(I_i) and keeps norms, so e_j T_ij = e_i T_ji.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -209,45 +216,58 @@ def _tau_matrix_on_basis(space, basis, x, nu):
 @lru_cache(maxsize=None)
 def brandt_matrix(class_set, p, nu=0):
     """The weight-nu Brandt operator T(p) for good p (p not dividing N)."""
+    return brandt_matrices(class_set, (p,), nu)[0]
+
+
+@lru_cache(maxsize=None)
+def brandt_matrices(class_set, primes, nu=0):
+    """The weight-nu operators T(p), one per good prime in the tuple primes.
+
+    The one-pass construction of the module docstring: at weight 0 one
+    count c of the norm-p vectors of I_i conj(I_j), i <= j, gives both
+    T_ij = c / e_j and T_ji = c / e_i; positive weight enumerates every
+    ordered pair.  Memoised: callers share the returned operators and must
+    not mutate them.
+    """
     n = class_set.order.reduced_discriminant()
-    if n % p == 0:
-        raise BrandtError(f"{p} divides the level {n}; not a good prime")
-    if not _is_prime(p):
-        raise BrandtError(f"{p} is not prime")
+    for p in primes:
+        if n % p == 0:
+            raise BrandtError(f"{p} divides the level {n}; not a good prime")
+        if not _is_prime(p):
+            raise BrandtError(f"{p} is not prime")
     r = class_set.size
+    e = class_set.unit_counts
     alg = class_set.order.algebra
     sp = trace_zero_space(alg)
     basis = sp.harmonic_basis(nu)
     dim = len(basis)
     size = r * dim
-    mat = [[Fraction(0)] * size for _ in range(size)]
+    mats = {p: [[Fraction(0)] * size for _ in range(size)] for p in primes}
     for i in range(r):
-        for j in range(r):
+        for j in range(i if nu == 0 else 0, r):
             conn = class_set.connecting(i, j)
-            count_block = [[Fraction(0)] * dim for _ in range(dim)]
-            found = 0
-            for v, q in short_vectors(conn, p):
-                if q != p:
-                    continue
-                found += 1
-                if nu == 0:
-                    count_block[0][0] += 1
-                else:
+            vecs = short_vectors(conn, max(primes))
+            if nu == 0:
+                for p, c in Counter(q for _, q in vecs if q in mats).items():
+                    mats[p][i][j] = Fraction(c, e[j])
+                    mats[p][j][i] = Fraction(c, e[i])
+                continue
+            for v, q in vecs:
+                if q in mats:
                     x = Quaternion(alg, *conn.ambient(v))
                     tm = _tau_matrix_on_basis(sp, basis, x, nu)
+                    block = mats[q]
                     for a in range(dim):
                         for b in range(dim):
-                            count_block[a][b] += tm[a][b]
-            e_j = Fraction(class_set.unit_counts[j])
-            for a in range(dim):
-                for b in range(dim):
-                    mat[i * dim + a][j * dim + b] = count_block[a][b] / e_j
+                            block[i * dim + a][j * dim + b] += tm[a][b] / e[j]
     if nu == 0:
-        for row in mat:
-            for x in row:
-                if x.denominator != 1:
-                    raise BrandtError("weight-0 Brandt matrix not integral")
-    return BrandtOperator(class_set, nu, f"T{p}", mat, dim)
+        for mat in mats.values():
+            for row in mat:
+                for x in row:
+                    if x.denominator != 1:
+                        raise BrandtError("weight-0 Brandt matrix not integral")
+    return tuple(BrandtOperator(class_set, nu, f"T{p}", mats[p], dim)
+                 for p in primes)
 
 
 @lru_cache(maxsize=None)
@@ -374,8 +394,8 @@ def eigenforms(class_set, nu=0, primes=None):
     """
     n = class_set.order.reduced_discriminant()
     if primes is None:
-        primes = _good_primes(n)
-    ops = [brandt_matrix(class_set, p, nu) for p in primes]
+        primes = tuple(_good_primes(n))
+    ops = list(brandt_matrices(class_set, primes, nu))
     dim_total = class_set.size * ops[0].block_dim
 
     split_ops = ops + [atkin_lehner(class_set, p, nu)

@@ -1,16 +1,24 @@
 """Integer lattices with positive definite quadratic forms.
 
 Convention: a lattice stores the Gram matrix of the *bilinear* form
-B(x, y) = q(x+y) - q(x) - q(y), so q(x) = B(x, x)/2.  All enumeration is
-exact: the Fincke-Pohst recursion runs on a rational LDL decomposition and
-integer bounds are certified by exact comparisons, so boundary vectors with
-q(x) == bound are never missed.
+B(x, y) = q(x+y) - q(x) - q(y), so q(x) = B(x, x)/2.
+
+Enumeration is Fincke-Pohst on integers.  Each lattice caches its basis
+Gram and, once, the rational LDL decomposition
+q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2 scaled to integers: with L_i
+the common denominator of row i of u and W that of every d_i / L_i^2,
+W q(x) = sum_i A_i t_i^2 with t_i = L_i x_i + sum_{j>i} (L_i u_ij) x_j and
+integers A_i.  Since W q(x) is an integer, q(x) <= bound holds exactly when
+W q(x) <= floor(W bound); and an integer t satisfies A t^2 <= R exactly when
+|t| <= isqrt(R // A).  So every coordinate range is computed without floats
+or slack, and no boundary vector with q(x) == bound is missed.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 
 from ._linalg import content, det, frac_mat, hnf_rational, mat_mul, transpose
 
@@ -43,16 +51,36 @@ class IntLattice:
             raise LatticeError("basis must be square (full rank lattice)")
         if det(self.basis) == 0:
             raise LatticeError("basis is rank deficient")
-        self._fp = None
+
+    @cached_property
+    def _basis_gram(self):
+        return mat_mul(mat_mul(self.basis, self.gram), transpose(self.basis))
+
+    @cached_property
+    def integer_ldl(self):
+        """(W, [(A_i, L_i, [(j, L_i u_ij) for j > i, u_ij != 0])]).
+
+        The integer form of the LDL decomposition described in the module
+        docstring, for short_vectors.  Raises LatticeError when the form is
+        not positive definite.
+        """
+        g = self._basis_gram
+        d, u = _ldl([[x / 2 for x in row] for row in g])
+        dens = [math.lcm(*(x.denominator for x in row)) for row in u]
+        w = math.lcm(*((di / (den * den)).denominator
+                       for di, den in zip(d, dens)))
+        return w, [(int(di * w / (den * den)), den,
+                    [(j, int(x * den)) for j, x in enumerate(row) if x])
+                   for di, den, row in zip(d, dens, u)]
 
     # -- form values --------------------------------------------------------
     def basis_gram(self):
         """Gram of B on the lattice basis."""
-        return mat_mul(mat_mul(self.basis, self.gram), transpose(self.basis))
+        return [row[:] for row in self._basis_gram]
 
     def bilinear(self, v, w):
         """B(v, w) for vectors in lattice coordinates."""
-        g = self.basis_gram()
+        g = self._basis_gram
         return sum(v[i] * sum(g[i][j] * w[j] for j in range(len(w)))
                    for i in range(len(v)))
 
@@ -73,7 +101,7 @@ class IntLattice:
 
     def content(self):
         """gcd of the q-values on the lattice (from the basis Gram)."""
-        g = self.basis_gram()
+        g = self._basis_gram
         vals = [g[i][i] / 2 for i in range(len(g))]
         vals += [g[i][j] for i in range(len(g)) for j in range(i)]
         return content(vals)
@@ -118,42 +146,6 @@ def _ldl(a):
     return d, u
 
 
-def _floor_sqrt_bound(center, radius2):
-    """floor(center + sqrt(radius2)), certified by exact comparisons."""
-    if radius2 < 0:
-        return None
-    s = math.sqrt(float(radius2)) if radius2 > 0 else 0.0
-    m = math.floor(float(center) + s)
-
-    def ok(t):
-        d = Fraction(t) - center
-        return d <= 0 or d * d <= radius2
-
-    while ok(m + 1):
-        m += 1
-    while not ok(m):
-        m -= 1
-    return m
-
-
-def _ceil_sqrt_bound(center, radius2):
-    """ceil(center - sqrt(radius2)), certified by exact comparisons."""
-    if radius2 < 0:
-        return None
-    s = math.sqrt(float(radius2)) if radius2 > 0 else 0.0
-    m = math.ceil(float(center) - s)
-
-    def ok(t):
-        d = center - Fraction(t)
-        return d <= 0 or d * d <= radius2
-
-    while ok(m - 1):
-        m -= 1
-    while not ok(m):
-        m += 1
-    return m
-
-
 def short_vectors(lattice, bound, include_zero=False):
     """All lattice vectors with 0 < q(x) <= bound (exact, both signs).
 
@@ -163,42 +155,32 @@ def short_vectors(lattice, bound, include_zero=False):
     bound = Fraction(bound)
     if bound < 0:
         raise LatticeError("bound must be nonnegative")
-    if lattice._fp is None:
-        g = lattice.basis_gram()
-        n = len(g)
-        a = [[g[i][j] / 2 for j in range(n)] for i in range(n)]
-        lattice._fp = _ldl(a)
-    d, u = lattice._fp
-    n = len(d)
-    out = []
+    w, levels = lattice.integer_ldl
+    n = len(levels)
+    top = bound.numerator * w // bound.denominator    # floor(W * bound)
+    found = []
     coords = [0] * n
 
-    def descend(i, remaining):
-        # q = sum_k d[k] (x_k + sum_{j>k} u[k][j] x_j)^2, process i = n-1 .. 0
-        offset = sum(u[i][j] * coords[j] for j in range(i + 1, n))
-        radius2 = remaining / d[i]
-        lo = _ceil_sqrt_bound(-offset, radius2)
-        hi = _floor_sqrt_bound(-offset, radius2)
-        if lo is None or hi is None:
-            return
-        for x in range(lo, hi + 1):
+    def descend(i, rem):
+        # rem = floor(W * bound) - sum_{k>i} A_k t_k^2 >= 0
+        a, den, row = levels[i]
+        c = sum(cij * coords[j] for j, cij in row)
+        s = math.isqrt(rem // a)                # |t| <= s  <=>  A t^2 <= rem
+        for x in range(-((s + c) // den), (s - c) // den + 1):
             coords[i] = x
-            used = d[i] * (x + offset) ** 2
-            if i == 0:
-                vec = tuple(coords)
-                if any(vec):
-                    q = bound - (remaining - used)
-                    out.append((vec, q))
+            t = den * x + c
+            if i:
+                descend(i - 1, rem - a * t * t)
             else:
-                descend(i - 1, remaining - used)
+                found.append((tuple(coords), top - rem + a * t * t))
         coords[i] = 0
 
     if n:
-        descend(n - 1, bound)
-    # exact norms: recompute q from accumulated pieces is already exact, but
-    # the subtraction chain above tracks it; sort deterministically.
-    out.sort(key=lambda t: t[0])
-    result = [(list(v), q) for v, q in out]
+        descend(n - 1, top)
+        found.remove(((0,) * n, 0))
+    found.sort()
+    norms = {m: Fraction(m, w) for m in {m for _, m in found}}
+    result = [(list(v), norms[m]) for v, m in found]
     if include_zero:
         result.insert(0, ([0] * n, Fraction(0)))
     return result

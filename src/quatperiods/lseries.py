@@ -409,7 +409,6 @@ def central_value(factors, gamma_shifts, conductor, sign, s0=Fraction(1, 2),
         mus = [mpmath.mpf(m.numerator) / m.denominator
                if isinstance(m, Fraction) else mpmath.mpf(m)
                for m in gamma_shifts]
-        degree = len(mus)
         s0 = mpmath.mpf(s0.numerator) / s0.denominator \
             if isinstance(s0, Fraction) else mpmath.mpf(s0)
         # both expansion lines s0 + c and 1 - s0 + c must clear the
@@ -429,7 +428,7 @@ def central_value(factors, gamma_shifts, conductor, sign, s0=Fraction(1, 2),
         # choose the truncation from the size of V(n): the integrand decays
         # like n^{-(sigma+c)}; require bound * tail_zeta < tol
         if terms is None:
-            terms = _afe_terms(q, degree, float(c))
+            terms = _afe_terms(conductor)
         maxn = terms
 
         # Dirichlet coefficients (converted to machine floats for the
@@ -499,9 +498,9 @@ def central_value(factors, gamma_shifts, conductor, sign, s0=Fraction(1, 2),
                                    "tail": float(series_err)})
 
 
-def _afe_terms(q, degree, c):
+def _afe_terms(conductor):
     """Series length needed for the smoothed sums (heuristic + margin)."""
-    sq = float(q) ** 0.5
+    sq = float(conductor) ** 0.5
     base = int(sq * 3) + 50
     return min(base, 200000)
 
@@ -510,18 +509,18 @@ def petersson_norm_proxy(record, factors=None, bits=100, terms=None):
     """Value of the completed symmetric square at the analytic edge s = 1.
 
     Proportional to the Petersson norm up to a level-weight constant, which
-    cancels in the ratio diagnostics this proxy feeds.
+    cancels in the ratio diagnostics this proxy feeds.  Euler factors are
+    built only up to the series length that central_value reads.
     """
-    pmax = record.pmax()
+    conductor = sym2_conductor(record)
     if factors is None:
+        count = _afe_terms(conductor) if terms is None else terms
         factors = {}
-        for p in primes_up_to(pmax):
-            if record.level % p == 0:
-                factors[p] = sym2_factor(record, p)
-            elif p in record.ap:
+        for p in primes_up_to(min(record.pmax(), count)):
+            if record.level % p == 0 or p in record.ap:
                 factors[p] = sym2_factor(record, p)
     cv = central_value(factors, sym2_gamma_shifts(record.weight),
-                       sym2_conductor(record), +1, s0=Fraction(1),
+                       conductor, +1, s0=Fraction(1),
                        bits=bits, terms=terms)
     return cv
 

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -5,11 +7,17 @@ import pytest
 
 from quatperiods._linalg import mat_mul, mat_vec
 from quatperiods._poly import Poly
-from quatperiods.brandt import (BrandtError, QuadExt, atkin_lehner,
-                                brandt_matrix, constant_form, eichler_theta,
-                                eigenforms, form_from_scalars, inner_product)
+from quatperiods import brandt
+from quatperiods.brandt import (BrandtError, QuadExt, _tau_matrix_on_basis,
+                                atkin_lehner, brandt_matrices, brandt_matrix,
+                                constant_form, eichler_theta, eigenforms,
+                                form_from_scalars, inner_product)
 from quatperiods.harmonics import random_harmonic, trace_zero_space
+from quatperiods.lattice import short_vectors
 from quatperiods.orders import class_set_for, eichler_mass
+from quatperiods.quatalg import (Quaternion, _is_squarefree, _prime_factors,
+                                 primes_up_to)
+from test_lattice import fraction_short_vectors
 
 
 def eta_product_11a(prec):
@@ -243,3 +251,114 @@ def test_quadratic_eigenforms_ground_truth(disc, field_disc, a2):
     for f in forms:
         lam = f.eigenvalues[2]
         assert mat_vec(t2, f.vector) == [lam * x for x in f.vector]
+
+
+def reference_brandt_matrices(cs, primes, nu=0):
+    """Oracle: {p: T(p)} from a Fraction enumeration of every ordered pair.
+
+    No conjugation symmetry; each entry is (1/e_j) times the sum of tau(x)
+    (1 at weight 0) over the x of norm p in I_i conj(I_j).
+    """
+    alg = cs.order.algebra
+    sp = trace_zero_space(alg)
+    basis = sp.harmonic_basis(nu)
+    dim = len(basis)
+    size = cs.size * dim
+    mats = {p: [[Fraction(0)] * size for _ in range(size)] for p in primes}
+    for i in range(cs.size):
+        for j in range(cs.size):
+            conn = cs.connecting(i, j)
+            for v, q in fraction_short_vectors(conn, max(primes)):
+                if q not in mats:
+                    continue
+                tm = _tau_matrix_on_basis(
+                    sp, basis, Quaternion(alg, *conn.ambient(v)), nu) \
+                    if nu else [[1]]
+                for a in range(dim):
+                    for b in range(dim):
+                        mats[q][i * dim + a][j * dim + b] += \
+                            Fraction(tm[a][b]) / cs.unit_counts[j]
+    return mats
+
+
+def good_primes(level, bound):
+    return tuple(p for p in primes_up_to(bound) if level % p)
+
+
+@pytest.mark.parametrize("n1, n2", [(11, 1), (7, 2), (13, 2), (2, 13)])
+def test_brandt_matrices_match_ordered_pair_oracle(n1, n2):
+    cs = class_set_for(n1, n2)
+    primes = good_primes(n1 * n2, 50)
+    ops = brandt_matrices(cs, primes)
+    assert [op.label for op in ops] == [f"T{p}" for p in primes]
+    reference = reference_brandt_matrices(cs, primes)
+    for p, op in zip(primes, ops):
+        assert op.matrix == reference[p]
+
+
+@pytest.mark.parametrize("disc", [2, 3, 5])
+def test_brandt_matrices_weight_2_match_ordered_pair_oracle(disc):
+    cs = class_set_for(disc)
+    primes = good_primes(disc, 7)
+    reference = reference_brandt_matrices(cs, primes, 2)
+    for p, op in zip(primes, brandt_matrices(cs, primes, 2)):
+        assert op.matrix == reference[p]
+
+
+def squarefree_levels(bound):
+    """(disc, level) for squarefree level <= bound and every disc | level
+    with an odd number of prime factors."""
+    out = []
+    for level in range(2, bound + 1):
+        if not _is_squarefree(level):
+            continue
+        ps = _prime_factors(level)
+        for k in range(1, len(ps) + 1, 2):
+            for subset in itertools.combinations(ps, k):
+                out.append((math.prod(subset), level))
+    return out
+
+
+GROUND_TRUTH = squarefree_levels(60)
+
+
+def test_ground_truth_covers_every_squarefree_level_up_to_60():
+    assert len(GROUND_TRUTH) == 59
+    assert (2 * 3 * 5, 30) in GROUND_TRUTH and (2, 30) in GROUND_TRUTH
+
+
+@pytest.mark.parametrize("disc, level", GROUND_TRUTH,
+                         ids=[f"{d}-{n}" for d, n in GROUND_TRUTH])
+def test_hecke_and_atkin_lehner_identities(disc, level):
+    cs = class_set_for(disc, level // disc)
+    assert cs.mass() == eichler_mass(disc, level // disc)
+    e = cs.unit_counts
+    primes = good_primes(level, 20)[:2]
+    t = [op.matrix for op in brandt_matrices(cs, primes)]
+    identity = [[int(i == j) for j in range(cs.size)] for i in range(cs.size)]
+    for p, m in zip(primes, t):
+        assert all(sum(row) == p + 1 for row in m)
+        assert all(e[j] * m[i][j] == e[i] * m[j][i]
+                   for i in range(cs.size) for j in range(cs.size))
+    assert mat_mul(t[0], t[1]) == mat_mul(t[1], t[0])
+    for ell in _prime_factors(level):
+        w = atkin_lehner(cs, ell).matrix
+        assert mat_mul(w, w) == identity
+        assert all(mat_mul(w, m) == mat_mul(m, w) for m in t)
+
+
+def test_eigenforms_enumerate_each_class_pair_once(monkeypatch):
+    enumerated = []
+
+    def counting(lattice, bound, include_zero=False):
+        enumerated.append(lattice)
+        return short_vectors(lattice, bound, include_zero)
+
+    monkeypatch.setattr(brandt, "short_vectors", counting)
+    for cached in (eigenforms, brandt_matrices, brandt_matrix):
+        cached.cache_clear()
+    cs = class_set_for(13, 2)
+    primes = good_primes(26, 50)
+    assert len(primes) == 13 and cs.size == 3
+    eigenforms(cs, 0, primes=primes)
+    assert len(enumerated) == len(set(map(id, enumerated))) == 3 * 4 // 2

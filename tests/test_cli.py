@@ -41,6 +41,17 @@ def test_eigen_output_is_byte_identical_across_processes():
 
 
 @pytest.mark.parametrize("args", [
+    ("classset", "--disc", "13", "--level", "26"),
+    ("brandt", "--disc", "13", "--level", "26", "--p", "47"),
+])
+def test_output_is_byte_identical_across_processes(args):
+    runs = [run_cli(*args) for _ in range(2)]
+    assert all(r.returncode == 0 for r in runs)
+    assert runs[0].stdout == runs[1].stdout
+    assert json.loads(runs[0].stdout)
+
+
+@pytest.mark.parametrize("args", [
     ("brandt", "--disc", "11", "--p", "11"),
     ("brandt", "--disc", "11", "--p", "4"),
     ("classset", "--disc", "4"),

@@ -1,16 +1,17 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quatperiods._linalg import (det, hnf, hnf_rational, identity,
                                  int_kernel, lattice_intersection, mat_mul,
                                  nullspace, charpoly, rref)
-from quatperiods.lattice import (IntLattice, LatticeError, canonical_basis,
-                                 short_vectors, theta_coeffs)
+from quatperiods.lattice import (IntLattice, LatticeError, _ldl,
+                                 canonical_basis, short_vectors, theta_coeffs)
 from quatperiods._poly import Poly
 
 
@@ -240,6 +241,115 @@ def test_short_vectors_unimodular_norm_multiset():
     norms0 = sorted(q for _, q in short_vectors(lat, 8))
     norms1 = sorted(q for _, q in short_vectors(other, 8))
     assert norms0 == norms1
+
+
+def _floor_sqrt_bound(center, radius2):
+    """floor(center + sqrt(radius2)), certified by exact comparisons."""
+    if radius2 < 0:
+        return None
+    s = math.sqrt(float(radius2)) if radius2 > 0 else 0.0
+    m = math.floor(float(center) + s)
+
+    def ok(t):
+        d = Fraction(t) - center
+        return d <= 0 or d * d <= radius2
+
+    while ok(m + 1):
+        m += 1
+    while not ok(m):
+        m -= 1
+    return m
+
+
+def _ceil_sqrt_bound(center, radius2):
+    """ceil(center - sqrt(radius2)), certified by exact comparisons."""
+    if radius2 < 0:
+        return None
+    s = math.sqrt(float(radius2)) if radius2 > 0 else 0.0
+    m = math.ceil(float(center) - s)
+
+    def ok(t):
+        d = center - Fraction(t)
+        return d <= 0 or d * d <= radius2
+
+    while ok(m - 1):
+        m -= 1
+    while not ok(m):
+        m += 1
+    return m
+
+
+def fraction_short_vectors(lattice, bound, include_zero=False):
+    """Oracle for short_vectors: Fincke-Pohst with every step in Fractions."""
+    bound = Fraction(bound)
+    g = lattice.basis_gram()
+    n = len(g)
+    d, u = _ldl([[g[i][j] / 2 for j in range(n)] for i in range(n)])
+    out = []
+    coords = [0] * n
+
+    def descend(i, remaining):
+        offset = sum(u[i][j] * coords[j] for j in range(i + 1, n))
+        radius2 = remaining / d[i]
+        lo = _ceil_sqrt_bound(-offset, radius2)
+        hi = _floor_sqrt_bound(-offset, radius2)
+        if lo is None or hi is None:
+            return
+        for x in range(lo, hi + 1):
+            coords[i] = x
+            used = d[i] * (x + offset) ** 2
+            if i == 0:
+                vec = tuple(coords)
+                if any(vec):
+                    out.append((vec, bound - (remaining - used)))
+            else:
+                descend(i - 1, remaining - used)
+        coords[i] = 0
+
+    if n:
+        descend(n - 1, bound)
+    out.sort(key=lambda t: t[0])
+    result = [(list(v), q) for v, q in out]
+    if include_zero:
+        result.insert(0, ([0] * n, Fraction(0)))
+    return result
+
+
+def small_fractions(lo, hi):
+    return st.builds(Fraction, st.integers(lo, hi), st.integers(1, 4))
+
+
+@st.composite
+def lattices_and_bounds(draw):
+    """A positive definite rational form q(x) = |L^T x|^2 on Z^4 and a bound.
+
+    L is lower triangular with a positive diagonal.  Half of the bounds are
+    q(v) of a small nonzero vector v, so some vector meets them exactly.
+    """
+    low = [[draw(small_fractions(2, 8)) if i == j
+            else draw(small_fractions(-4, 4)) if j < i else Fraction(0)
+            for j in range(4)] for i in range(4)]
+    gram = [[2 * sum(low[i][k] * low[j][k] for k in range(4))
+             for j in range(4)] for i in range(4)]
+    lat = IntLattice(identity(4), gram)
+    if draw(st.booleans()):
+        v = draw(st.lists(st.integers(-1, 1), min_size=4, max_size=4)
+                 .filter(any))
+        assume(lat.q(v) <= 5)
+        return lat, lat.q(v), v
+    return lat, draw(st.fractions(0, 5, max_denominator=6)), None
+
+
+@settings(max_examples=80, deadline=None)
+@given(lattices_and_bounds())
+def test_short_vectors_match_fraction_oracle(case):
+    lat, bound, v = case
+    vecs = short_vectors(lat, bound)
+    assert vecs == fraction_short_vectors(lat, bound)
+    assert short_vectors(lat, bound, include_zero=True) == \
+        fraction_short_vectors(lat, bound, include_zero=True)
+    if v is not None:
+        assert (v, bound) in vecs
 
 
 def test_non_positive_definite_rejected():
