@@ -22,7 +22,8 @@ from functools import lru_cache
 
 from ._linalg import charpoly, mat_mul, mat_vec, nullspace, rref
 from ._poly import Poly
-from .harmonics import SplitIso, tau_action, trace_zero_space
+from .harmonics import (SplitIso, tau_action, tau_substitution,
+                        trace_zero_space)
 from .lattice import short_vectors, theta_coeffs
 from .orders import (_square_part, norm_one_element, product_basis,
                      two_sided_prime_ideal)
@@ -208,7 +209,8 @@ def _vector_to_form(class_set, nu, vec, block_dim):
 
 def _tau_matrix_on_basis(space, basis, x, nu):
     """Matrix of tau(x) on the harmonic basis (columns = images)."""
-    cols = [space.coords_in_basis(tau_action(x, b), nu) for b in basis]
+    sub = tau_substitution(x)
+    cols = [space.coords_in_basis(b.subs_linear(sub), nu) for b in basis]
     dim = len(basis)
     return [[cols[j][i] for j in range(dim)] for i in range(dim)]
 
@@ -582,8 +584,11 @@ def eichler_theta(form, prec):
     coeffs = {n: Fraction(0) for n in range(prec + 1)}
     split = SplitIso(alg, nu) if nu else None
     for i in range(cs.size):
-        for j in range(cs.size):
-            w = Fraction(1, cs.unit_counts[i] * cs.unit_counts[j])
+        # at weight 0 the terms (i, j) and (j, i) are equal: conj maps
+        # I_i conj(I_j) onto I_j conj(I_i) and keeps norms
+        for j in range(i if nu == 0 else 0, cs.size):
+            w = Fraction(1 if i == j or nu else 2,
+                         cs.unit_counts[i] * cs.unit_counts[j])
             conn = cs.connecting(i, j)
             if nu == 0:
                 fi = form.values[i].terms.get((0, 0, 0), Fraction(0))

@@ -13,14 +13,15 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from . import newformdata
 from .brandt import (brandt_matrix, eichler_theta, eigenforms, inner_product,
                      unit_average_form)
-from .lseries import (central_value, ingest, petersson_norm_proxy,
-                      resolve_label, sym2_factor, triple_conductor,
-                      triple_factor, triple_factor_steinberg,
+from .lseries import (_afe_terms, central_value, ingest,
+                      petersson_norm_proxy, resolve_label, sym2_factor,
+                      triple_conductor, triple_factor_at, triple_factors,
                       triple_gamma_shifts, LSeriesError)
 from .orders import class_set_for, eichler_mass
 from .periods import (PeriodError, SignData, period_sums, select_algebra,
@@ -115,21 +116,13 @@ def run_pipeline(args):
     return result
 
 
-def _triple_factor_at(h, f1, f2, p):
-    """Euler factor of L(h, f1, f2; s) at p: Steinberg at p | N, else good."""
-    if h.level % p == 0:
-        return triple_factor_steinberg(h, f1, f2, p)
-    return triple_factor(h, f1, f2, p)
-
-
 def _triple_lambda(h, f1, f2, bits=100, terms=None):
     """Completed central value of L(h, f1, f2; s) with documented bad data."""
     level = h.level
     cond = triple_conductor(level)
     if terms is None:
-        terms = int(3 * math.sqrt(cond)) + 50
-    factors = {p: _triple_factor_at(h, f1, f2, p)
-               for p in primes_up_to(max(terms, 100))}
+        terms = _afe_terms(cond)
+    factors = triple_factors(h, f1, f2, terms)
     sign = 1
     for p in _prime_factors(level):
         sign *= -h.a(p) * -f1.a(p) * -f2.a(p)
@@ -156,18 +149,25 @@ def ratio_quantity(h1, h2, f1, f2, phi1, phi2, psi1, psi2,
     s_sq = (rep.s1 * rep.s2) ** 2
     normalized = s_sq / (norms[0] * norms[1] * norms[2] ** 2 * norms[3] ** 2)
     lam1 = _triple_lambda(h1, f1, f2, bits=bits, terms=terms)
-    lam2 = _triple_lambda(h2, f1, f2, bits=bits, terms=terms)
-    pets = {r.label: petersson_norm_proxy(r, bits=bits)
-            for r in {h1.label: h1, h2.label: h2,
-                      f1.label: f1, f2.label: f2}.values()}
+    lam2 = lam1 if h2.label == h1.label \
+        else _triple_lambda(h2, f1, f2, bits=bits, terms=terms)
+    # each Sym^2 proxy's power in the ratio, equal labels adding up
+    records, powers = {}, Counter()
+    for r, power in ((h1, 1), (h2, 1), (f1, 2), (f2, 2)):
+        records[r.label] = r
+        powers[r.label] += power
+    pets = {label: petersson_norm_proxy(r, bits=bits)
+            for label, r in records.items()}
     value = None
+    rel_err = float("inf")
     if lam1.lam and lam2.lam:
-        value = float(normalized) \
-            * pets[h1.label].lam * pets[h2.label].lam \
-            * pets[f1.label].lam ** 2 * pets[f2.label].lam ** 2 \
-            / (lam1.lam * lam2.lam)
-    rel_err = abs(lam1.error / lam1.lam) + abs(lam2.error / lam2.lam) \
-        if lam1.lam and lam2.lam else float("inf")
+        value = float(normalized) / (lam1.lam * lam2.lam) \
+            * math.prod(pets[label].lam ** power
+                        for label, power in powers.items())
+        # each factor's relative error times its power in the ratio
+        rel_err = sum(abs(cv.error / cv.value) for cv in (lam1, lam2)) \
+            + sum(power * abs(pets[label].error / pets[label].value)
+                  for label, power in powers.items())
     return {
         "normalized_period_sq": str(normalized),
         "lambda_h1": {"value": lam1.lam, "error": lam1.error},
@@ -427,15 +427,20 @@ def _triple(args):
     if missing:
         raise ValidationError(f"{args.command} needs " + ", ".join(missing))
     records = _records(args)
-    return [resolve_label(records, getattr(args, key))
-            for key in ("h1", "f1", "f2")]
+    triple = [resolve_label(records, getattr(args, key))
+              for key in ("h1", "f1", "f2")]
+    if len({r.level for r in triple}) > 1:
+        raise ValidationError(
+            "the triple mixes levels "
+            + ", ".join(f"{r.label} (level {r.level})" for r in triple))
+    return triple
 
 
 def run_euler(args):
     if args.sym2:
         fac = sym2_factor(resolve_label(_records(args), args.sym2), args.p)
     else:
-        fac = _triple_factor_at(*_triple(args), args.p)
+        fac = triple_factor_at(*_triple(args), args.p)
     return {"type": "sym2" if args.sym2 else "triple", "p": args.p,
             "coeffs": [str(c) for c in fac.coeffs], "shift": str(fac.shift)}
 

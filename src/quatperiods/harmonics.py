@@ -342,9 +342,13 @@ def tau_action(y, p):
     Group action: tau(y1 y2) = tau(y1) o tau(y2); harmonicity and degree are
     preserved because conjugation is an isometry of the norm form.
     """
+    return p.subs_linear(tau_substitution(y))
+
+
+def tau_substitution(y):
+    """The linear substitution of tau_action(y, .): tau_matrix(y) transposed."""
     m = tau_matrix(y)
-    mt = [[m[j][i] for j in range(3)] for i in range(3)]
-    return p.subs_linear(mt)
+    return [[m[j][i] for j in range(3)] for i in range(3)]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,15 @@ tensor products and symmetric squares one-liners); floating point enters only
 in the smoothed approximate-functional-equation evaluator, which works at a
 configurable mpmath precision and reports an error estimate.
 
+The evaluator (Dokchitser, Exp. Math. 13, 2004) does only the work that four
+exact facts leave over: the integrand is conjugate-symmetric on its line, so
+the grid is one-sided; at s = 1/2 the sums at s and 1 - s coincide, so one
+is computed; equal Gamma_R shifts are grouped, one Gamma_R call per distinct
+argument, shared by both sums; and the series reads the factor at p only up to X^floor(log_p
+terms), so for p^2 > terms the triple factor is its linear term alone.  The
+Dirichlet coefficients are identical with or without the last fact, and the
+others change only rounding.
+
 Normalization bookkeeping: polynomials are stored in the arithmetic
 normalization (coefficients in Z[a_p]); each factor records the shift that
 moves the functional-equation center to s = 1/2.
@@ -13,6 +22,7 @@ moves the functional-equation center to s = 1/2.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -232,9 +242,12 @@ def triple_factor(h, f1, f2, p):
     for r in (h, f1, f2):
         if r.level % p == 0:
             raise LSeriesError(f"{p} divides a level; use the bad-prime table")
-    shift = Fraction(h.weight + f1.weight + f2.weight - 3, 2)
     t = good_factor(h, p).tensor(good_factor(f1, p)).tensor(good_factor(f2, p))
-    return EulerFactor(p, t.coeffs, shift)
+    return EulerFactor(p, t.coeffs, _triple_shift(h, f1, f2))
+
+
+def _triple_shift(h, f1, f2):
+    return Fraction(h.weight + f1.weight + f2.weight - 3, 2)
 
 
 def triple_factor_steinberg(h, f1, f2, p):
@@ -252,6 +265,33 @@ def triple_factor_steinberg(h, f1, f2, p):
     one = EulerFactor(p, [1, -c], shift=Fraction(3, 2))
     two = EulerFactor(p, [1, -c * p], shift=Fraction(3, 2))
     return one.multiply(two).multiply(two)
+
+
+def triple_factor_at(h, f1, f2, p):
+    """Euler factor of L(h, f1, f2; s) at p: Steinberg at p | N, else good."""
+    if h.level % p == 0:
+        return triple_factor_steinberg(h, f1, f2, p)
+    return triple_factor(h, f1, f2, p)
+
+
+def triple_factors(h, f1, f2, count):
+    """Euler factors at every p <= count, as deep as the series reads them.
+
+    dirichlet_coefficients(factors, count) reads the factor at p only up to
+    X^floor(log_p count).  For a good p with p^2 > count that is the linear
+    term -b_p, b_p = a_p(h) a_p(f1) a_p(f2), so the degree-8 factor is built
+    only for p <= sqrt(count), and the series is the same term for term.
+    """
+    deep = math.isqrt(count)
+    shift = _triple_shift(h, f1, f2)
+    factors = {}
+    for p in primes_up_to(count):
+        if p <= deep or any(r.level % p == 0 for r in (h, f1, f2)):
+            factors[p] = triple_factor_at(h, f1, f2, p)
+        else:
+            factors[p] = EulerFactor(p, [1, -h.a(p) * f1.a(p) * f2.a(p)],
+                                     shift)
+    return factors
 
 
 def triple_conductor(n):
@@ -357,7 +397,7 @@ def dirichlet_coefficients(factors, count, bits=80):
     """Analytic-normalization coefficients b_1..b_count as mpf.
 
     factors: dict prime -> EulerFactor (each with its shift); every prime
-    up to count needs one.
+    up to count needs one, and is read only up to X^floor(log_p count).
     """
     primes = primes_up_to(count)
     for p in primes:
@@ -402,27 +442,49 @@ def central_value(factors, gamma_shifts, conductor, sign, s0=Fraction(1, 2),
     Lambda.  Returns the finite part L(s0) with an error estimate combining
     quadrature refinement and a Ramanujan-type tail bound.
 
+    The evaluator rests on four exact facts; the first three change only
+    rounding, the last changes nothing:
+    - one-sided grid: for real s the integrand g on the line Re w = c has
+      g(-t) = conj g(t), so only the nodes t_k = k h, k >= 0, are computed
+      and each sum uses Re g_0 + 2 Re sum_{k >= 1} g_k n^{-i t_k};
+    - one sum at s0 = 1/2: there the sums at s0 and 1 - s0 are the same, so
+      it is computed once;
+    - grouped Gamma_R factors: one Gamma_R evaluation per distinct argument
+      s + mu_j, raised to its multiplicity, shared by the sums at s0 and
+      1 - s0, and Gamma_R(x + 2) = Gamma_R(x) x / (2 pi) for arguments two
+      apart;
+    - Euler factors only as deep as read: dirichlet_coefficients reads the
+      factor at p only up to X^floor(log_p terms), so callers may pass
+      truncated factors (see triple_factors).
+
     Raises when the supplied factors do not reach the needed cutoff.
     """
     with mpmath.workprec(bits):
         q = mpmath.mpf(conductor)
-        mus = [mpmath.mpf(m.numerator) / m.denominator
-               if isinstance(m, Fraction) else mpmath.mpf(m)
-               for m in gamma_shifts]
-        s0 = mpmath.mpf(s0.numerator) / s0.denominator \
-            if isinstance(s0, Fraction) else mpmath.mpf(s0)
+        shifts = Counter(Fraction(m) for m in gamma_shifts)
+        s0 = Fraction(s0)
+        lines = sorted({s0, 1 - s0})
+        s0f = _mpf(s0)
         # both expansion lines s0 + c and 1 - s0 + c must clear the
         # absolute-convergence abscissa
-        c = max(mpmath.mpf("1.75"), abs(s0 - mpmath.mpf("0.5")) + mpmath.mpf("1.3"))
+        c = max(mpmath.mpf("1.75"), abs(s0f - mpmath.mpf("0.5")) + mpmath.mpf("1.3"))
         aa = mpmath.mpf(kernel_width)
 
-        def gamma_r(s):
-            return mpmath.power(mpmath.pi, -s / 2) * mpmath.gamma(s / 2)
-
-        def lam_gamma(s):
-            out = mpmath.power(q, s / 2)
-            for mu in mus:
-                out *= gamma_r(s + mu)
+        def lam_gamma(w, ss):
+            """{s: Q^{(s+w)/2} prod_j Gamma_R(s + w + mu_j)} for s in ss."""
+            gamma_r = {}
+            for o in sorted({s + mu for s in ss for mu in shifts}):
+                x = w + _mpf(o)
+                if o - 2 in gamma_r:
+                    gamma_r[o] = gamma_r[o - 2] * (x - 2) / (2 * mpmath.pi)
+                else:
+                    gamma_r[o] = mpmath.power(mpmath.pi, -x / 2) \
+                        * mpmath.gamma(x / 2)
+            out = {}
+            for s in ss:
+                out[s] = mpmath.power(q, (_mpf(s) + w) / 2)
+                for mu, mult in shifts.items():
+                    out[s] *= gamma_r[s + mu] ** mult
             return out
 
         # choose the truncation from the size of V(n): the integrand decays
@@ -437,21 +499,24 @@ def central_value(factors, gamma_shifts, conductor, sign, s0=Fraction(1, 2),
         b = [0.0 if x is None else float(x) for x in b_mp]
 
         tol = mpmath.mpf(2) ** (-max(40, bits // 2))
+        tmax = mpmath.sqrt(aa * (mpmath.log(1 / tol) + c * c / aa + 10))
 
-        def grid(s, nodes, cline):
-            tmax = mpmath.sqrt(aa * (mpmath.log(1 / tol)
-                                     + cline * cline / aa + 10))
+        def grid(nodes):
+            """Step h and {s: [g_s(t_k)] for k = 0..nodes} on every line."""
             h = tmax / nodes
-            gs = []
-            for k in range(-nodes, nodes + 1):
-                w = mpmath.mpc(cline, k * h)
-                gs.append(lam_gamma(s + w) * mpmath.exp(w * w / aa) / w)
-            return float(h), [complex(g) for g in gs]
+            gs = {s: [] for s in lines}
+            for k in range(nodes + 1):
+                w = mpmath.mpc(c, k * h)
+                kernel = mpmath.exp(w * w / aa) / w
+                for s, lg in lam_gamma(w, lines).items():
+                    gs[s].append(complex(lg * kernel))
+            return float(h), gs
 
-        def smoothed_sum(s, nodes):
-            h, gs = grid(s, nodes, c)
-            sf = float(s)
-            cf = float(c)
+        def smoothed_sum(s, h, gs):
+            """The sum at s and its final 35% block."""
+            g0 = gs[0].real
+            upper = gs[:0:-1]          # g_K .. g_1, for Horner's rule
+            exponent = -float(s) - float(c)
             total = 0.0
             checkpoint = max(1, int(maxn * 0.65))
             at_checkpoint = 0.0
@@ -460,23 +525,25 @@ def central_value(factors, gamma_shifts, conductor, sign, s0=Fraction(1, 2),
                     at_checkpoint = total
                 if b[n] == 0.0:
                     continue
-                rot = complex(math.cos(h * math.log(n)),
-                              -math.sin(h * math.log(n)))
-                # e^{-i t_k ln n} with t_k = k h, k = -nodes..nodes
-                z = rot ** (-nodes)
-                acc = 0.0 + 0.0j
-                for g in gs:
-                    acc += g * z
-                    z *= rot
-                total += b[n] * n ** (-sf - cf) * acc.real
+                # sum_{k >= 1} g_k z^k with z = n^{-i h}
+                z = complex(math.cos(h * math.log(n)),
+                            -math.sin(h * math.log(n)))
+                acc = 0j
+                for g in upper:
+                    acc = (acc + g) * z
+                total += b[n] * n ** exponent * (g0 + 2 * acc.real)
             total *= h / (2 * math.pi)
             at_checkpoint *= h / (2 * math.pi)
             return mpmath.mpf(total), abs(total - at_checkpoint)
 
-        val1, blk1 = smoothed_sum(s0, nodes=180)
-        val2, blk2 = smoothed_sum(1 - s0, nodes=180)
-        val1b, _ = smoothed_sum(s0, nodes=260)
-        val2b, _ = smoothed_sum(1 - s0, nodes=260)
+        coarse, fine = grid(180), grid(260)
+        sums = {}
+        for s in lines:
+            val, blk = smoothed_sum(s, coarse[0], coarse[1][s])
+            val_b, _ = smoothed_sum(s, fine[0], fine[1][s])
+            sums[s] = val, val_b, blk
+        val1, val1b, blk1 = sums[s0]
+        val2, val2b, blk2 = sums[1 - s0]
         quad_err = abs(val1 - val1b) + abs(val2 - val2b)
         # the tail beyond maxn is estimated by the final 35% block (terms
         # decay superpolynomially in this range, so the block dominates)
@@ -486,16 +553,21 @@ def central_value(factors, gamma_shifts, conductor, sign, s0=Fraction(1, 2),
         for (loc, res) in poles:
             loc = mpmath.mpf(loc)
             res = mpmath.mpf(res)
-            w = loc - s0
+            w = loc - s0f
             if abs(mpmath.re(w)) < c:
                 lam -= res * mpmath.exp(w * w / aa) / w
 
-        gam = lam_gamma(s0)
+        gam = lam_gamma(mpmath.mpf(0), [s0])[s0]
         value = lam / gam
         err = (quad_err + series_err) / abs(gam)
         return CentralValue(float(value), float(err), float(lam),
                             maxn, {"quad_err": float(quad_err),
                                    "tail": float(series_err)})
+
+
+def _mpf(x):
+    """The Fraction x as an mpf at the working precision."""
+    return mpmath.mpf(x.numerator) / x.denominator
 
 
 def _afe_terms(conductor):

@@ -12,8 +12,9 @@ from quatperiods.brandt import (BrandtError, QuadExt, _tau_matrix_on_basis,
                                 atkin_lehner, brandt_matrices, brandt_matrix,
                                 constant_form, eichler_theta, eigenforms,
                                 form_from_scalars, inner_product)
-from quatperiods.harmonics import random_harmonic, trace_zero_space
-from quatperiods.lattice import short_vectors
+from quatperiods.harmonics import (random_harmonic, tau_action,
+                                   trace_zero_space)
+from quatperiods.lattice import short_vectors, theta_coeffs
 from quatperiods.orders import class_set_for, eichler_mass
 from quatperiods.quatalg import (Quaternion, _is_squarefree, _prime_factors,
                                  primes_up_to)
@@ -166,6 +167,39 @@ def test_eichler_theta_matches_newform():
     assert ratio != 0
     for n in range(1, 31):
         assert th[n] == ratio * eta[n]
+
+
+def test_eichler_theta_enumerates_each_class_pair_once(monkeypatch):
+    calls = []
+
+    def counting(lattice, prec):
+        calls.append(lattice)
+        return theta_coeffs(lattice, prec)
+
+    cusp = cuspidal_11()
+    monkeypatch.setattr(brandt, "theta_coeffs", counting)
+    th = eichler_theta(cusp, 30)
+    # class number 2: the pairs (0, 0), (0, 1), (1, 1)
+    assert len(calls) == 3
+    eta = eta_product_11a(30)
+    assert all(th[n] == th[1] * eta[n] for n in range(1, 31))
+
+
+def test_tau_matrix_on_basis_matches_tau_action():
+    cs = class_set_for(2)
+    alg = cs.order.algebra
+    sp = trace_zero_space(alg)
+    rng = random.Random(5)
+    for nu in (1, 2):
+        basis = sp.harmonic_basis(nu)
+        for _ in range(4):
+            x = Quaternion(alg, *(rng.randint(-3, 3) for _ in range(3)),
+                           rng.randint(1, 3))
+            tm = _tau_matrix_on_basis(sp, basis, x, nu)
+            for j, b in enumerate(basis):
+                image = sum((c * tm[i][j] for i, c in enumerate(basis)),
+                            Poly.zero(3))
+                assert image == tau_action(x, b)
 
 
 def test_eichler_theta_hecke_property():

@@ -71,6 +71,7 @@ def test_output_is_byte_identical_across_processes(args):
     ("period", "--h1", "11a", "--h2", "11a", "--f1", "11a", "--f2", "11a",
      "--alpha1", "2"),
     ("classset", "--disc", "11", "--bits", "5"),
+    ("lvalue", "--h1", "11a", "--f1", "14a", "--f2", "14a"),
 ])
 def test_unsupported_input_exits_2(args):
     proc = run_cli(*args)
@@ -85,6 +86,8 @@ def test_unsupported_input_exits_2(args):
     (("gate", "--h1", "11a"), "--h2, --f1, --f2"),
     (("lvalue", "--h1", "11a"), "--f1, --f2"),
     (("euler", "--p", "3", "--h1", "11a"), "--f1, --f2"),
+    (("euler", "--p", "3", "--h1", "11a", "--f1", "14a", "--f2", "14a"),
+     "mixes levels"),
     (("eigen", "--disc", "11", "--nu1", "2"), "--nu1"),
 ])
 def test_missing_label_or_mismatched_input_exits_2(args, message):
@@ -155,6 +158,31 @@ def test_lvalue_triple_11a(capsys):
                    "--f2", "11a")
     assert abs(out["value"] - 0.0734715565) < 1e-6
     assert out["error"] < 1e-6
+
+
+def test_level_26_ratios_agree_within_propagated_error(capsys, monkeypatch):
+    """(26a,26a;26b,26b) goes to disc 13 and (26b,26b;26a,26a) to disc 2;
+    the ratio must not depend on the quadruple beyond the propagated error,
+    which counts both triple Lambdas and every Sym^2 proxy with its power."""
+    lambdas = []
+    triple_lambda = cli._triple_lambda
+
+    def counting(*args, **kwargs):
+        lambdas.append([r.label for r in args[:3]])
+        return triple_lambda(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_triple_lambda", counting)
+    checks = []
+    for (h, f), disc in ((("26a", "26b"), 13), (("26b", "26a"), 2)):
+        out = run_json(capsys, "period", "--h1", h, "--h2", h, "--f1", f,
+                       "--f2", f, "--lvalue", "--weighting", "mass")
+        assert out["selected_disc"] == disc
+        checks.append(out["lvalue_cross_check"])
+    # h1 = h2, so one triple Lambda per quadruple
+    assert lambdas == [["26a", "26b", "26b"], ["26b", "26a", "26a"]]
+    first, second = checks
+    assert abs(first["ratio"] / second["ratio"] - 1) <= \
+        first["relative_error"] + second["relative_error"]
 
 
 def test_lvalue_sym2_11a(capsys):

@@ -6,13 +6,15 @@ import mpmath
 import pytest
 
 from quatperiods.lseries import (EulerFactor, LSeriesError, NewformRecord,
-                                 SatakeParams, asai_combination, central_value,
-                                 dirichlet_coefficients, good_factor, ingest,
-                                 petersson_norm_proxy, resolve_label,
-                                 spin_split_check, sym2_conductor,
-                                 sym2_factor, sym2_gamma_shifts,
-                                 sym2_identity_check, triple_factor,
-                                 triple_factor_steinberg)
+                                 SatakeParams, _afe_terms, asai_combination,
+                                 central_value, dirichlet_coefficients,
+                                 good_factor, ingest, petersson_norm_proxy,
+                                 resolve_label, spin_split_check,
+                                 sym2_conductor, sym2_factor,
+                                 sym2_gamma_shifts, sym2_identity_check,
+                                 triple_conductor, triple_factor,
+                                 triple_factor_at, triple_factor_steinberg,
+                                 triple_factors, triple_gamma_shifts)
 from quatperiods.newformdata import default_data_path, write_newform_file
 from quatperiods.quatalg import primes_up_to
 
@@ -303,3 +305,116 @@ def test_petersson_proxy_positive():
     cv = petersson_norm_proxy(h, bits=70, terms=400)
     assert cv.value > 0
     assert cv.error < abs(cv.value) * 0.01
+
+
+def two_sided_central_value(factors, gamma_shifts, conductor, sign, s0,
+                            bits, terms, kernel_width=4, poles=()):
+    """Oracle for central_value: the grid over every node t_k, k = -K..K,
+    one Gamma_R call per shift, and both sums computed even at s0 = 1/2."""
+    with mpmath.workprec(bits):
+        q = mpmath.mpf(conductor)
+        mus = [mpmath.mpf(m.numerator) / m.denominator for m in gamma_shifts]
+        s0 = mpmath.mpf(s0.numerator) / s0.denominator
+        c = max(mpmath.mpf("1.75"),
+                abs(s0 - mpmath.mpf("0.5")) + mpmath.mpf("1.3"))
+        aa = mpmath.mpf(kernel_width)
+
+        def lam_gamma(s):
+            out = mpmath.power(q, s / 2)
+            for mu in mus:
+                x = s + mu
+                out *= mpmath.power(mpmath.pi, -x / 2) * mpmath.gamma(x / 2)
+            return out
+
+        b = [0.0 if x is None else float(x)
+             for x in dirichlet_coefficients(factors, terms, bits=bits)]
+        tol = mpmath.mpf(2) ** (-max(40, bits // 2))
+
+        def smoothed_sum(s, nodes):
+            tmax = mpmath.sqrt(aa * (mpmath.log(1 / tol) + c * c / aa + 10))
+            h = tmax / nodes
+            gs = []
+            for k in range(-nodes, nodes + 1):
+                w = mpmath.mpc(c, k * h)
+                gs.append(complex(lam_gamma(s + w) * mpmath.exp(w * w / aa)
+                                  / w))
+            h = float(h)
+            total = 0.0
+            checkpoint = max(1, int(terms * 0.65))
+            at_checkpoint = 0.0
+            for n in range(1, terms + 1):
+                if n == checkpoint:
+                    at_checkpoint = total
+                if b[n] == 0.0:
+                    continue
+                rot = complex(math.cos(h * math.log(n)),
+                              -math.sin(h * math.log(n)))
+                z = rot ** (-nodes)
+                acc = 0j
+                for g in gs:
+                    acc += g * z
+                    z *= rot
+                total += b[n] * n ** (-float(s) - float(c)) * acc.real
+            total *= h / (2 * math.pi)
+            at_checkpoint *= h / (2 * math.pi)
+            return mpmath.mpf(total), abs(total - at_checkpoint)
+
+        val1, blk1 = smoothed_sum(s0, 180)
+        val2, blk2 = smoothed_sum(1 - s0, 180)
+        val1b, _ = smoothed_sum(s0, 260)
+        val2b, _ = smoothed_sum(1 - s0, 260)
+        err = abs(val1 - val1b) + abs(val2 - val2b) + 2 * (blk1 + blk2)
+        lam = val1b + sign * val2b
+        for loc, res in poles:
+            w = mpmath.mpf(loc) - s0
+            if abs(w) < c:
+                lam -= mpmath.mpf(res) * mpmath.exp(w * w / aa) / w
+        gam = lam_gamma(s0)
+        return float(lam / gam), float(err / abs(gam)), float(lam)
+
+
+def afe_oracle_cases():
+    """(factors, shifts, conductor, sign, s0, terms, poles) of the triple
+    11a x 11a x 11a, the 11a Sym^2 proxy (s0 = 1, so the sums at s0 and
+    1 - s0 differ) and zeta at s0 = 2 with its poles."""
+    h = resolve_label(records(), "11a")
+    return {
+        "triple": (triple_factors(h, h, h, 150), triple_gamma_shifts(),
+                   triple_conductor(11), +1, Fraction(1, 2), 150, ()),
+        "sym2": ({p: sym2_factor(h, p) for p in primes_up_to(83)},
+                 sym2_gamma_shifts(), sym2_conductor(h), +1, Fraction(1),
+                 83, ()),
+        "zeta": ({p: EulerFactor(p, [1, -1]) for p in primes_up_to(100)},
+                 [Fraction(0)], 1, +1, Fraction(2), 100, ((1, 1), (0, -1))),
+    }
+
+
+@pytest.mark.parametrize("case", ["triple", "sym2", "zeta"])
+def test_central_value_matches_two_sided_oracle(case):
+    factors, shifts, cond, sign, s0, terms, poles = afe_oracle_cases()[case]
+    cv = central_value(factors, shifts, cond, sign, s0=s0, bits=80,
+                       terms=terms, poles=poles)
+    value, error, lam = two_sided_central_value(
+        factors, shifts, cond, sign, s0, 80, terms, poles=poles)
+    assert cv.value == pytest.approx(value, rel=1e-12)
+    assert cv.lam == pytest.approx(lam, rel=1e-12)
+    assert cv.error == pytest.approx(error, rel=1e-6)
+
+
+def test_truncated_triple_factors_give_the_same_series():
+    recs = records()
+    h, f = resolve_label(recs, "26a"), resolve_label(recs, "26b")
+    count = 2000
+    truncated = triple_factors(h, f, f, count)
+    full = {p: triple_factor_at(h, f, f, p) for p in primes_up_to(count)}
+    assert truncated.keys() == full.keys()
+    assert sum(fac.degree == 8 for fac in truncated.values()) == \
+        len(primes_up_to(math.isqrt(count))) - 2
+    assert dirichlet_coefficients(truncated, count, bits=100) == \
+        dirichlet_coefficients(full, count, bits=100)
+
+
+@pytest.mark.parametrize("level", [11, 14, 15, 26, 37, 38])
+def test_triple_series_length_is_the_afe_default(level):
+    cond = triple_conductor(level)
+    assert _afe_terms(cond) == int(3 * math.sqrt(cond)) + 50
