@@ -86,9 +86,9 @@ def test_unsupported_input_exits_2(args):
     (("gate", "--h1", "11a"), "--h2, --f1, --f2"),
     (("lvalue", "--h1", "11a"), "--f1, --f2"),
     (("euler", "--p", "3", "--h1", "11a"), "--f1, --f2"),
+    (("eigen", "--disc", "11", "--nu1", "2"), "--nu1"),
     (("euler", "--p", "3", "--h1", "11a", "--f1", "14a", "--f2", "14a"),
      "mixes levels"),
-    (("eigen", "--disc", "11", "--nu1", "2"), "--nu1"),
 ])
 def test_missing_label_or_mismatched_input_exits_2(args, message):
     proc = run_cli(*args)
