@@ -80,10 +80,6 @@ def rref(mat, p=None):
     return m, pivots
 
 
-def rank(mat):
-    return len(rref(mat)[1])
-
-
 def det(mat):
     """Determinant by fraction-free-ish Gaussian elimination."""
     n = len(mat)

@@ -188,10 +188,6 @@ class Poly:
     def total_degree(self):
         return max((sum(m) for m in self.terms), default=0)
 
-    def degree_in(self, var_indices):
-        return max((sum(m[i] for i in var_indices) for m in self.terms),
-                   default=0)
-
     def homogeneous_component(self, d):
         p = Poly(self.nvars)
         p.terms = {m: c for m, c in self.terms.items() if sum(m) == d}

@@ -138,10 +138,6 @@ def constant_form(class_set, value=1):
                     label="constant")
 
 
-def form_from_scalars(class_set, scalars):
-    return QuatForm(class_set, 0, [Poly.const(3, s) for s in scalars])
-
-
 def unit_average_form(class_set, nu, rng, span=5):
     """A valid weight-nu form: random values averaged over the unit groups.
 

@@ -17,15 +17,15 @@ from collections import Counter
 from fractions import Fraction
 
 from . import newformdata
-from .brandt import (brandt_matrix, eichler_theta, eigenforms, inner_product,
-                     unit_average_form)
+from .brandt import (brandt_matrix, constant_form, eichler_theta, eigenforms,
+                     inner_product, unit_average_form)
 from .lseries import (_afe_terms, central_value, ingest,
                       petersson_norm_proxy, resolve_label, sym2_factor,
                       triple_conductor, triple_factor_at, triple_factors,
                       triple_gamma_shifts, LSeriesError)
 from .orders import class_set_for, eichler_mass
-from .periods import (PeriodError, SignData, period_sums, select_algebra,
-                      sign_gate)
+from .periods import (PeriodError, SignData, degenerate_eisenstein,
+                      period_sums, select_algebra, sign_gate)
 from .quatalg import _is_prime, _is_squarefree, _prime_factors, primes_up_to
 from .yoshida import HalfIntMatrix, diagonal_restriction, yoshida_lift
 from .diffop import apply_to_table, projection_poly
@@ -170,12 +170,19 @@ def ratio_quantity(h1, h2, f1, f2, phi1, phi2, psi1, psi2,
                   for label, power in powers.items())
     return {
         "normalized_period_sq": str(normalized),
-        "lambda_h1": {"value": lam1.lam, "error": lam1.error},
-        "lambda_h2": {"value": lam2.lam, "error": lam2.error},
+        "lambda_h1": _lambda_with_error(lam1),
+        "lambda_h2": _lambda_with_error(lam2),
         "petersson": {k: v.lam for k, v in pets.items()},
         "ratio": value,
         "relative_error": rel_err,
     }
+
+
+def _lambda_with_error(cv):
+    """Lambda(1/2) with its own error, quadrature plus tail; cv.error is that
+    sum divided by the gamma factor, so it belongs to L(1/2)."""
+    return {"value": cv.lam,
+            "error": cv.details["quad_err"] + cv.details["tail"]}
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +290,17 @@ def run_verify(args):
                 return False
         return True
     ok &= check("differential operators", diffops)
+
+    def corollaries():
+        # (a) phi2 constant: vanishes for distinct psi, S2 = 6 for psi = e;
+        # (b) phi1 = phi2 = e: S1 = S2, so the product is a square
+        cs = class_set_for(11)
+        e = _cusp_form(cs)
+        klingen = period_sums(e, e, e, e, 0, 0)
+        return degenerate_eisenstein(e, e, constant_form(cs)).vanishing and \
+            degenerate_eisenstein(e, e, e).s2 == 6 and \
+            klingen.s1 == klingen.s2 and klingen.product == 361
+    ok &= check("paper corollaries (a), (b)", corollaries)
 
     def euler():
         from .lseries import NewformRecord, spin_split_check, \

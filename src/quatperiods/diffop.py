@@ -9,17 +9,18 @@ coefficients, restriction to z12 = 0 sets r12 = 0, and holomorphic projection
 replaces r11^j by the exact rational Gamma-quotient times t1^j.
 
 The operator polynomial p(u1, u12, u2) is constructed by the raise-restrict-
-project route and then cross-checked against the pluriharmonicity linear
-system, which also certifies that the solution space is one dimensional.
+project route.  The tests keep the pluriharmonicity linear system as an
+independent oracle, which also certifies that the solution space is one
+dimensional.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
-from ._linalg import nullspace
 from ._poly import Poly
 
 # variable layout
@@ -93,11 +94,6 @@ def _d_operator(p):
     return out
 
 
-def maass_delta(k_plus_l, p):
-    """delta_w = w N + D on a symbol polynomial; depends only on w = k+l."""
-    return _rho_bracket() * p * k_plus_l + _d_operator(p)
-
-
 def delta_iterate_closed(k_plus_l, r, p):
     """Closed formula sum_i Gamma(w+r)/Gamma(w+r-i) C(r,i) N^i D^{r-i}."""
     out = Poly.zero(NV)
@@ -115,49 +111,6 @@ def delta_iterate_closed(k_plus_l, r, p):
         term = term * (nf ** i)
         out = out + term * (coef * binom)
     return out
-
-
-def delta_iterate_composed(k_plus_l, r, p):
-    """delta_{w+2r-2} o ... o delta_{w+2} o delta_w."""
-    out = p
-    for step in range(r):
-        out = maass_delta(k_plus_l + 2 * step, out)
-    return out
-
-
-@dataclass
-class FormalExpansion:
-    """Truncated Fourier series: (n1, m, n2) -> symbol polynomial.
-
-    Coefficients live in Q[r11, r12, r22, X1, X2] (inside the 8-var ring);
-    the t-symbols are substituted by the concrete frequencies termwise.
-    m is the z12-frequency (twice the off-diagonal entry of T).
-    """
-    prec: int
-    terms: dict = field(default_factory=dict)
-
-    def nearly_degree(self):
-        d = 0
-        for p in self.terms.values():
-            d = max(d, p.degree_in((R11, R12, R22)))
-        return d
-
-    def map_terms(self, fn):
-        out = {}
-        for key, p in self.terms.items():
-            q = fn(key, p)
-            if not q.is_zero():
-                out[key] = q
-        return FormalExpansion(self.prec, out)
-
-
-def delta_on_expansion(k_plus_l, expansion):
-    """Apply the raising operator termwise to a truncated expansion."""
-    def step(key, p):
-        n1, m, n2 = key
-        img = maass_delta(k_plus_l, p)
-        return img.eval_partial({T1: n1, T12: m, T2: n2})
-    return expansion.map_terms(step)
 
 
 def restrict_z12(p):
@@ -240,9 +193,6 @@ class DiffOperator:
         return out
 
 
-from functools import lru_cache
-
-
 @lru_cache(maxsize=None)
 def _iterate_restricted(w, r, alpha, beta):
     start = Poly.monomial(_xmono(alpha, beta), 1)
@@ -302,118 +252,4 @@ def apply_to_table(op, table, alpha1, alpha2):
         val = prod.terms.get((alpha1 + op.r, alpha2 + op.r), Fraction(0))
         key = (t.n1, t.n2)
         out[key] = out.get(key, Fraction(0)) + val
-    return {k: v for k, v in sorted(out.items()) if True}
-
-
-# ---------------------------------------------------------------------------
-# pluriharmonicity linear system (independent characterization)
-# ---------------------------------------------------------------------------
-
-def _gaussian_pair_power(m, l, c_index):
-    """Real and imaginary parts of ((Y1_0 + i Y1_c) X1 + (Y2_0 + i Y2_c) X2)^l.
-
-    Variables: Y1 block at 0..m-1, Y2 block at m..2m-1; returns two Polys in
-    2m + 2 X-variables... encoded as dict (alphaX1, alphaX2) -> (re, im) Poly
-    pairs in the 2m Y-variables.
-    """
-    nv = 2 * m
-    w1_re = Poly.variable(nv, 0)
-    w1_im = Poly.variable(nv, c_index)
-    w2_re = Poly.variable(nv, m)
-    w2_im = Poly.variable(nv, m + c_index)
-    # expand (w1 X1 + w2 X2)^l with complex coefficients via binomials
-    out = {}
-    from math import comb
-    for t in range(l + 1):
-        # term C(l,t) w1^t w2^{l-t} X1^t X2^{l-t}
-        re, im = _complex_power(w1_re, w1_im, t)
-        re2, im2 = _complex_power(w2_re, w2_im, l - t)
-        tot_re = re * re2 - im * im2
-        total_im = re * im2 + im * re2
-        out[(t, l - t)] = (tot_re * comb(l, t), total_im * comb(l, t))
-    return out
-
-
-def _complex_power(re, im, n):
-    out_re = Poly.const(re.nvars, 1)
-    out_im = Poly.zero(re.nvars)
-    for _ in range(n):
-        out_re, out_im = out_re * re - out_im * im, out_re * im + out_im * re
-    return out_re, out_im
-
-
-def pluriharmonic_system(k, a, b, r, extra_c_indices=(1, 2)):
-    """Constraint matrix on the relevant p-monomials from the requirement
-    that the assembled Y-polynomials are harmonic in Y1 and Y2 separately.
-
-    m = 2k (nu = 0).  Returns (relevant monomials, nullspace basis).
-    """
-    m = 2 * k
-    nv = 2 * m
-    l = a + b
-    rel = relevant_monomials(k, a, b, r)
-    # T(Y): t1 = |Y1|^2, m2-slot = 2 Y1.Y2, t2 = |Y2|^2
-    t1 = Poly.zero(nv)
-    t2 = Poly.zero(nv)
-    t12 = Poly.zero(nv)
-    for s in range(m):
-        e1 = [0] * nv
-        e1[s] = 2
-        t1 = t1 + Poly.monomial(e1, 1)
-        e2 = [0] * nv
-        e2[m + s] = 2
-        t2 = t2 + Poly.monomial(e2, 1)
-        e12 = [0] * nv
-        e12[s] = 1
-        e12[m + s] = 1
-        t12 = t12 + Poly.monomial(e12, 2)
-
-    # Q-monomial images as X-indexed dictionaries of Y-polynomials
-    images = []
-    for (i, j, kk) in rel:
-        poly = (t1 ** i) * (t12 ** j) * (t2 ** kk)
-        images.append(((2 * i + j, j + 2 * kk), poly))
-
-    rows = []
-    gram_inv1 = [[Fraction(int(x == y)) for y in range(m)] for x in range(m)]
-
-    def lap(pol, block):
-        out = Poly.zero(nv)
-        for s in range(m):
-            out = out + pol.diff(block * m + s).diff(block * m + s)
-        return out
-
-    def add_rows(pfuncs):
-        # pfuncs: dict (aX1, aX2) -> Y-poly (one component of P)
-        combo = {}
-        for idx, ((dx1, dx2), qpol) in enumerate(images):
-            total = Poly.zero(nv)
-            for (px1, px2), ppol in pfuncs.items():
-                if px1 + dx1 == a + r and px2 + dx2 == b + r:
-                    total = total + ppol * qpol
-            combo[idx] = total
-        for block in (0, 1):
-            mono_rows = {}
-            for idx, pol in combo.items():
-                lp = lap(pol, block)
-                for mono, c in lp.terms.items():
-                    mono_rows.setdefault(mono, [Fraction(0)] * len(images))
-                    mono_rows[mono][idx] = c
-            rows.extend(mono_rows.values())
-
-    if l == 0:
-        add_rows({(0, 0): Poly.const(nv, 1)})
-    else:
-        for c_index in extra_c_indices:
-            comps = _gaussian_pair_power(m, l, c_index)
-            re_funcs = {key: val[0] for key, val in comps.items()}
-            im_funcs = {key: val[1] for key, val in comps.items()}
-            add_rows(re_funcs)
-            add_rows(im_funcs)
-
-    if rows:
-        ker = nullspace(rows)
-    else:
-        ker = [[Fraction(int(i == j)) for j in range(len(rel))]
-               for i in range(len(rel))]
-    return rel, ker
+    return dict(sorted(out.items()))

@@ -77,9 +77,6 @@ class HarmonicSpace:
     def laplacian(self, p):
         return p.laplacian(self.gram_inv)
 
-    def is_harmonic(self, p):
-        return self.laplacian(p).is_zero()
-
     def fischer(self, p, q):
         return fischer_pairing(p, q, self.gram_inv)
 
@@ -274,46 +271,6 @@ def trace_zero_space(alg):
 def full_space(alg):
     g = alg.norm_gram()
     return HarmonicSpace([[x / 2 for x in row] for row in g])
-
-
-# ---------------------------------------------------------------------------
-# Gegenbauer polynomial and kernel values (the 4-space displays)
-# ---------------------------------------------------------------------------
-
-def gegenbauer_1d(alpha):
-    """One-variable Gegenbauer polynomial with exact rational coefficients."""
-    if alpha < 0:
-        raise HarmonicsError("alpha must be nonnegative")
-    p = Poly.zero(1)
-    for j in range(alpha // 2 + 1):
-        c = Fraction((-1) ** j * 2 ** alpha * factorial(alpha - j),
-                     factorial(j) * factorial(alpha - 2 * j) * 4 ** j)
-        p = p + Poly.monomial((alpha - 2 * j,), c)
-    return p
-
-
-def gegenbauer_kernel(alpha, x, x2):
-    """Kernel value at two quaternions; exact rational (half powers cancel)."""
-    nx, ny = x.norm(), x2.norm()
-    t = (x * x2.conj()).trace()
-    total = Fraction(0)
-    for j in range(alpha // 2 + 1):
-        c = Fraction((-1) ** j * 2 ** alpha * factorial(alpha - j),
-                     factorial(j) * factorial(alpha - 2 * j))
-        total += c * (nx * ny) ** j * t ** (alpha - 2 * j)
-    return total
-
-
-def kernel_normalization(alpha, space=None):
-    """Normalization constant and the reproducing inner product on U_alpha."""
-    if space is None:
-        space = standard_space(4)
-    c = space.kernel_normalization(alpha)
-
-    def inner(p, q):
-        return space.inner(p, q, alpha)
-
-    return c, inner
 
 
 # ---------------------------------------------------------------------------

@@ -84,10 +84,6 @@ class IntLattice:
         return sum(v[i] * sum(g[i][j] * w[j] for j in range(len(w)))
                    for i in range(len(v)))
 
-    def q(self, v):
-        """q(v) = B(v, v)/2 for v in lattice coordinates."""
-        return self.bilinear(v, v) / 2
-
     def ambient(self, v):
         """Ambient coordinates of a vector given in lattice coordinates."""
         return [sum(Fraction(v[i]) * self.basis[i][j]
@@ -114,17 +110,6 @@ class IntLattice:
 
     def __repr__(self):
         return f"IntLattice(rank {len(self.basis)}, scale {self.scale})"
-
-
-def canonical_basis(lattice):
-    """Same lattice with the canonical Hermite-reduced basis.
-
-    Idempotent, and independent of the incoming basis choice.
-    """
-    h = hnf_rational(lattice.basis)
-    if len(h) != len(lattice.basis):
-        raise LatticeError("basis is rank deficient")
-    return IntLattice(h, lattice.gram, lattice.scale)
 
 
 def _ldl(a):

@@ -337,7 +337,7 @@ def spin_split_check(h1, h2, p):
     """
     f1 = good_factor(h1, p)
     f2 = good_factor(h2, p)
-    ps = [f1.power_sums(4)[k] + f2.power_sums(4)[k] for k in range(4)]
+    ps = [a + b for a, b in zip(f1.power_sums(4), f2.power_sums(4))]
     spin = EulerFactor.from_power_sums(p, ps, 4)
     return spin.coeffs == f1.multiply(f2).coeffs
 
@@ -350,7 +350,7 @@ def sym2_identity_check(h1, h2, p):
     """
     f1 = good_factor(h1, p)
     f2 = good_factor(h2, p)
-    ps = [f1.power_sums(20)[k] + f2.power_sums(20)[k] for k in range(20)]
+    ps = [a + b for a, b in zip(f1.power_sums(20), f2.power_sums(20))]
     spin = EulerFactor.from_power_sums(p, ps, 4)
     lhs = spin.sym2()
     rhs = f1.sym2().multiply(f2.sym2()).multiply(f1.tensor(f2))
@@ -363,30 +363,6 @@ def sym2_identity_check(h1, h2, p):
     ok2 = std5.degree == 5 and std5.coeffs[1] == -1 - (
         Fraction(h1.a(p) * h2.a(p), p ** (k - 1)))
     return ok1 and ok2
-
-
-def asai_combination(asai_factor, satake):
-    """L_p(h x f, s) = L^{Asai}_p(f, alpha X) L^{Asai}_p(f, beta X).
-
-    asai_factor: the Asai local polynomial (caller-supplied; the Hilbert side
-    is out of scope here).  The product is expanded symmetrically in the
-    Satake pair, so the result is exact in (a_p, p^{k-1}).
-    """
-    a = asai_factor.coeffs
-    s = satake.a
-    q = satake.pk1
-    deg = 2 * (len(a) - 1)
-    # V_k = alpha^k + beta^k (Lucas recursion)
-    v = [Fraction(2), s]
-    while len(v) <= deg:
-        v.append(s * v[-1] - q * v[-2])
-    out = [Fraction(0)] * (deg + 1)
-    n = len(a)
-    for i in range(n):
-        out[2 * i] += a[i] * a[i] * q ** i
-        for j in range(i + 1, n):
-            out[i + j] += a[i] * a[j] * q ** i * v[j - i]
-    return EulerFactor(satake.prime, out, asai_factor.shift)
 
 
 # ---------------------------------------------------------------------------

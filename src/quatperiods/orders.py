@@ -294,12 +294,6 @@ def product_basis(alg, basis_a, basis_b):
     return hnf_rational(rows)
 
 
-def ideal_norm(alg, basis):
-    """Reduced norm of the lattice: gcd of the values of the norm form."""
-    lat = IntLattice(basis, alg.norm_gram())
-    return lat.content()
-
-
 def left_order_basis(alg, basis):
     """Basis of {x in D : x * I <= I} for the lattice I."""
     binv = inverse(frac_mat(basis))
@@ -356,12 +350,11 @@ class ClassSet:
     lattice I_i * conj(I_j); its norm form counts Brandt matrix entries.
     """
 
-    def __init__(self, order, reps, left_orders, unit_counts, ideal_norms):
+    def __init__(self, order, reps, left_orders, unit_counts):
         self.order = order
         self.reps = reps
         self.left_orders = left_orders
         self.unit_counts = unit_counts
-        self.ideal_norms = ideal_norms
         self._connecting = {}
 
     @property
@@ -464,7 +457,6 @@ def right_ideal_classes(order):
     reps = [order.basis]
     left_orders = [order]
     unit_counts = [order.unit_count()]
-    ideal_norms = [Fraction(1)]
     acc = Fraction(1, unit_counts[0])
     frontier = 0
     while acc < target and frontier < len(reps):
@@ -479,13 +471,12 @@ def right_ideal_classes(order):
             reps.append(nb)
             left_orders.append(lo)
             unit_counts.append(lo.unit_count())
-            ideal_norms.append(ideal_norm(alg, nb))
             acc += Fraction(1, unit_counts[-1])
         frontier += 1
     if acc != target:
         raise OrderError(
             f"class set incomplete: mass {acc} != {target} (disc {n1}, level {n})")
-    return ClassSet(order, reps, left_orders, unit_counts, ideal_norms)
+    return ClassSet(order, reps, left_orders, unit_counts)
 
 
 @lru_cache(maxsize=None)

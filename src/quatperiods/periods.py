@@ -205,15 +205,3 @@ def degenerate_eisenstein(phi1, psi1, psi2, weighting="mass"):
     phi2 = constant_form(cs, 1 / mass)
     return period_sums(phi1, phi2, psi1, psi2, 0, 0, weighting=weighting)
 
-
-def klingen_case(phi, psi1, psi2, weighting="unweighted", signs=None):
-    """Corollary-b specialization phi1 = phi2 = phi.
-
-    With nu1 = nu2 the indices are alpha_i = 2 * weight(psi_i); the product
-    is S1 * S2 = S^2 when psi1 = psi2 pairs with a symmetric coupling, and is
-    proportional to the single central value L(h, f1, f2; 1/2).
-    """
-    report = period_sums(phi, phi, psi1, psi2, 2 * psi1.weight,
-                         2 * psi2.weight, weighting=weighting, signs=signs)
-    report.weights["klingen"] = True
-    return report

@@ -271,15 +271,6 @@ class Quaternion:
         return f"({self.w} + {self.x}i + {self.y}j + {self.z}k)"
 
 
-def similitude_action(x1, x2, y):
-    """sigma_{x1,x2}(y) = x1 * y * x2^{-1}; scales norms by n(x1)/n(x2)."""
-    if x2.is_zero():
-        raise QuatAlgError("x2 must be invertible")
-    if x1.is_zero():
-        raise QuatAlgError("x1 must be invertible")
-    return x1 * y * x2.inverse()
-
-
 @lru_cache(maxsize=None)
 def algebra_for_discriminant(n1):
     """The definite quaternion algebra ramified exactly at primes(n1) and inf.

@@ -63,11 +63,6 @@ class FourierTable:
     prec: int
     coeffs: dict = field(default_factory=dict)
 
-    def coefficient(self, t):
-        if t.trace > self.prec:
-            raise YoshidaError(f"index {t} beyond precision {self.prec}")
-        return self.coeffs.get(t, Poly.zero(2))
-
     def indices(self):
         return sorted(self.coeffs, key=lambda t: t.as_tuple())
 

@@ -11,7 +11,7 @@ from quatperiods import brandt
 from quatperiods.brandt import (BrandtError, QuadExt, _tau_matrix_on_basis,
                                 atkin_lehner, brandt_matrices, brandt_matrix,
                                 constant_form, eichler_theta, eigenforms,
-                                form_from_scalars, inner_product)
+                                inner_product)
 from quatperiods.harmonics import (random_harmonic, tau_action,
                                    trace_zero_space)
 from quatperiods.lattice import short_vectors, theta_coeffs
@@ -221,7 +221,7 @@ def test_eichler_theta_eisenstein():
 def test_eichler_theta_positive_weight_a0_vanishes():
     cs = class_set_for(2)
     sp = trace_zero_space(cs.order.algebra)
-    phi = form_from_scalars(cs, [1])
+    phi = constant_form(cs)
     phi.weight = 2
     phi.values = [random_harmonic(sp, 2, random.Random(1))]
     th = eichler_theta(phi, 3)

@@ -10,7 +10,9 @@ import pytest
 
 import quatperiods
 from quatperiods import cli
+from quatperiods.brandt import constant_form
 from quatperiods.newformdata import eta_product_coefficients
+from quatperiods.periods import period_sums
 
 SRC = str(Path(quatperiods.__file__).resolve().parents[1])
 
@@ -163,13 +165,15 @@ def test_lvalue_triple_11a(capsys):
 def test_level_26_ratios_agree_within_propagated_error(capsys, monkeypatch):
     """(26a,26a;26b,26b) goes to disc 13 and (26b,26b;26a,26a) to disc 2;
     the ratio must not depend on the quadruple beyond the propagated error,
-    which counts both triple Lambdas and every Sym^2 proxy with its power."""
-    lambdas = []
+    which counts both triple Lambdas and every Sym^2 proxy with its power.
+    The reported Lambda carries its own error, not that of L(1/2)."""
+    lambdas, values = [], []
     triple_lambda = cli._triple_lambda
 
     def counting(*args, **kwargs):
         lambdas.append([r.label for r in args[:3]])
-        return triple_lambda(*args, **kwargs)
+        values.append(triple_lambda(*args, **kwargs))
+        return values[-1]
 
     monkeypatch.setattr(cli, "_triple_lambda", counting)
     checks = []
@@ -183,6 +187,11 @@ def test_level_26_ratios_agree_within_propagated_error(capsys, monkeypatch):
     first, second = checks
     assert abs(first["ratio"] / second["ratio"] - 1) <= \
         first["relative_error"] + second["relative_error"]
+    for check, cv in zip(checks, values):
+        lam = check["lambda_h1"]
+        assert lam["value"] == cv.lam
+        assert math.isclose(abs(lam["error"] / lam["value"]),
+                            abs(cv.error / cv.value), rel_tol=1e-9)
 
 
 def test_lvalue_sym2_11a(capsys):
@@ -193,9 +202,24 @@ def test_lvalue_sym2_11a(capsys):
 def test_verify_passes_and_exits_3_on_a_failed_check(capsys, monkeypatch):
     assert cli.main(["verify"]) == 0
     rows = capsys.readouterr().out.splitlines()
-    assert len(rows) == 9 and all(r.split()[0] == "pass" for r in rows)
+    assert len(rows) == 10 and all(r.split()[0] == "pass" for r in rows)
     monkeypatch.setattr(cli, "eichler_mass", lambda n1, m: Fraction(0))
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify"])
     assert exc.value.code == 3
     assert "FAIL  mass formulas" in capsys.readouterr().out
+    monkeypatch.undo()
+
+    def without_mass(phi1, psi1, psi2):
+        # corollary (a) with phi2 the constant form, its 1/mass factor dropped
+        cs = phi1.class_set
+        return period_sums(phi1, constant_form(cs), psi1, psi2, 0, 0,
+                           weighting="mass")
+
+    monkeypatch.setattr(cli, "degenerate_eisenstein", without_mass)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify"])
+    assert exc.value.code == 3
+    rows = capsys.readouterr().out.splitlines()
+    assert [r.split()[0] for r in rows].count("FAIL") == 1
+    assert "  FAIL  paper corollaries (a), (b)" in rows

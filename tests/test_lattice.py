@@ -11,7 +11,7 @@ from quatperiods._linalg import (det, hnf, hnf_rational, identity,
                                  int_kernel, lattice_intersection, mat_mul,
                                  nullspace, charpoly, rref)
 from quatperiods.lattice import (IntLattice, LatticeError, _ldl,
-                                 canonical_basis, short_vectors, theta_coeffs)
+                                 short_vectors, theta_coeffs)
 from quatperiods._poly import Poly
 
 
@@ -134,7 +134,11 @@ def test_int_kernel_matches_transform_oracle(mat):
     assert int_kernel(mat) == reference_int_kernel(mat)
 
 
-# -- canonical basis ---------------------------------------------------------
+# -- canonical basis: the Hermite normal form that IntLattice.key uses ------
+
+def canonical_basis(lattice):
+    return IntLattice(hnf_rational(lattice.basis), lattice.gram)
+
 
 def test_canonical_basis_identity_fixed():
     lat = z4()
@@ -335,8 +339,9 @@ def lattices_and_bounds(draw):
     if draw(st.booleans()):
         v = draw(st.lists(st.integers(-1, 1), min_size=4, max_size=4)
                  .filter(any))
-        assume(lat.q(v) <= 5)
-        return lat, lat.q(v), v
+        q = lat.bilinear(v, v) / 2
+        assume(q <= 5)
+        return lat, q, v
     return lat, draw(st.fractions(0, 5, max_denominator=6)), None
 
 

@@ -6,15 +6,15 @@ import mpmath
 import pytest
 
 from quatperiods.lseries import (EulerFactor, LSeriesError, NewformRecord,
-                                 SatakeParams, _afe_terms, asai_combination,
-                                 central_value, dirichlet_coefficients,
-                                 good_factor, ingest, petersson_norm_proxy,
-                                 resolve_label, spin_split_check,
-                                 sym2_conductor, sym2_factor,
-                                 sym2_gamma_shifts, sym2_identity_check,
-                                 triple_conductor, triple_factor,
-                                 triple_factor_at, triple_factor_steinberg,
-                                 triple_factors, triple_gamma_shifts)
+                                 _afe_terms, central_value,
+                                 dirichlet_coefficients, good_factor, ingest,
+                                 petersson_norm_proxy, resolve_label,
+                                 spin_split_check, sym2_conductor,
+                                 sym2_factor, sym2_gamma_shifts,
+                                 sym2_identity_check, triple_conductor,
+                                 triple_factor, triple_factor_at,
+                                 triple_factor_steinberg, triple_factors,
+                                 triple_gamma_shifts)
 from quatperiods.newformdata import default_data_path, write_newform_file
 from quatperiods.quatalg import primes_up_to
 
@@ -182,27 +182,6 @@ def test_spin_and_sym2_identities_ingested():
                 assert sym2_identity_check(h1, h2, p)
 
 
-def test_asai_combination():
-    # trivial Asai factor
-    triv = EulerFactor(5, [1])
-    sat = SatakeParams(5, Fraction(2), Fraction(5))
-    assert asai_combination(triv, sat).coeffs == [1]
-    # degenerate alpha = beta: rational pair with a^2 = 4q: q = 1, a = 2
-    sq = SatakeParams(5, Fraction(2), Fraction(1))  # alpha = beta = 1
-    asai = EulerFactor(5, [1, -1, 2])
-    comb = asai_combination(asai, sq)
-    sub = EulerFactor(5, [1, -1, 2])  # substitution with alpha = 1
-    assert comb.coeffs == sub.multiply(sub).coeffs
-    # formal-vs-direct substitution oracle with a rational split pair:
-    # alpha = 3, beta = 2 -> s = 5, q = 6
-    sat2 = SatakeParams(7, Fraction(5), Fraction(6))
-    asai2 = EulerFactor(7, [1, 2, -3])
-    got = asai_combination(asai2, sat2)
-    direct = EulerFactor(7, [1, 2 * 3, -3 * 9]).multiply(
-        EulerFactor(7, [1, 2 * 2, -3 * 4]))
-    assert got.coeffs == direct.coeffs
-
-
 def test_dirichlet_coefficients_multiplicative():
     recs = records()
     h = resolve_label(recs, "11a")
@@ -277,15 +256,17 @@ def test_central_value_kernel_independent():
     zeta = {p: EulerFactor(p, [1, -1]) for p in
             (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
              59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113)}
-    h = resolve_label(records(), "11a")
-    sym2 = {p: sym2_factor(h, p) for p in primes_up_to(200)}
     # (factors, gamma shifts, conductor, s0, terms, poles, kernel widths);
-    # the second is the Sym^2 proxy of 11a, which a wrong gamma factor
-    # makes depend on the kernel width
+    # the others are the Sym^2 proxies of 11a, 26a and 26b, which a wrong
+    # gamma factor makes depend on the kernel width
     cases = [(zeta, [Fraction(0)], 1, Fraction(2), 100,
-              ((1, 1), (0, -1)), (6, 10)),
-             (sym2, sym2_gamma_shifts(), sym2_conductor(h), Fraction(1),
-              None, (), (4, 8))]
+              ((1, 1), (0, -1)), (6, 10))]
+    recs = records()
+    for label in ("11a", "26a", "26b"):
+        h = resolve_label(recs, label)
+        sym2 = {p: sym2_factor(h, p) for p in primes_up_to(200)}
+        cases.append((sym2, sym2_gamma_shifts(), sym2_conductor(h),
+                      Fraction(1), None, (), (4, 8)))
     for factors, shifts, cond, s0, terms, poles, widths in cases:
         cv1, cv2 = (central_value(factors, shifts, cond, +1, s0=s0, bits=80,
                                   terms=terms, kernel_width=w, poles=poles)

@@ -2,13 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from quatperiods.brandt import constant_form, eigenforms, form_from_scalars
+from quatperiods.brandt import eigenforms
 from quatperiods.lseries import ingest, resolve_label
 from quatperiods.newformdata import default_data_path
 from quatperiods.orders import class_set_for
 from quatperiods.periods import (PeriodError, SignData, degenerate_eisenstein,
-                                 klingen_case, period_sums, select_algebra,
-                                 sign_gate)
+                                 period_sums, select_algebra, sign_gate)
 
 
 def records():
@@ -140,18 +139,11 @@ def test_degenerate_eisenstein_cases():
 
 
 def test_klingen_case_perfect_square():
+    # corollary (b), phi1 = phi2: S1 = S2, so the product is a square
     cs, e, const = disc11()
-    rep = klingen_case(e, e, e)
+    rep = period_sums(e, e, e, e, 0, 0)
     assert rep.product == 361
     assert rep.product == rep.s1 * rep.s2 and rep.s1 == rep.s2
-    assert rep.product >= 0
-
-
-def test_klingen_sign_gate():
-    cs, e, const = disc11()
-    sd = SignData(11, {11: 1}, {11: 1}, {11: 1})  # product +1: gate fails
-    rep = klingen_case(e, e, e, signs=sd)
-    assert rep.vanishing and rep.reason == "sign-gate"
 
 
 def test_gate_failure_forces_exact_zero_level_14():

@@ -4,13 +4,18 @@ from fractions import Fraction
 import pytest
 
 from quatperiods._poly import Poly
-from quatperiods.brandt import constant_form, eigenforms, form_from_scalars
+from quatperiods.brandt import QuatForm, constant_form, eigenforms
 from quatperiods.harmonics import random_harmonic, trace_zero_space
 from quatperiods.lattice import theta_coeffs
 from quatperiods.orders import class_set_for
 from quatperiods.yoshida import (FourierTable, HalfIntMatrix, YoshidaError,
                                  diagonal_restriction, unimodular_check,
                                  yoshida_lift)
+
+
+def scalar_form(cs, scalars):
+    """The weight-0 form with the given value on each class."""
+    return QuatForm(cs, 0, [Poly.const(3, s) for s in scalars])
 
 
 def disc11_forms():
@@ -36,18 +41,18 @@ def test_lift_cuspidal_a0_vanishes():
 def test_lift_eisenstein_a0_mass_squared():
     cs, e, const = disc11_forms()
     table = yoshida_lift(const, const, 2)
-    a0 = table.coefficient(HalfIntMatrix(0, 0, 0))
+    a0 = table.coeffs[HalfIntMatrix(0, 0, 0)]
     assert a0 == Poly.const(2, Fraction(25, 144))
 
 
 def test_lift_bilinear():
     cs, e, const = disc11_forms()
-    f1 = form_from_scalars(cs, [1, 2])
-    f2 = form_from_scalars(cs, [-1, 1])
-    g = form_from_scalars(cs, [2, 5])
+    f1 = scalar_form(cs, [1, 2])
+    f2 = scalar_form(cs, [-1, 1])
+    g = scalar_form(cs, [2, 5])
     ta = yoshida_lift(f1, g, 3)
     tb = yoshida_lift(f2, g, 3)
-    tsum = yoshida_lift(form_from_scalars(cs, [1 - 2, 2 + 2]), g, 3)
+    tsum = yoshida_lift(scalar_form(cs, [1 - 2, 2 + 2]), g, 3)
     keys = set(ta.coeffs) | set(tb.coeffs) | set(tsum.coeffs)
     for t in keys:
         assert tsum.coeffs.get(t, Poly.zero(2)) == \
@@ -65,7 +70,7 @@ def test_lift_mismatched_eigenvalues_consistency():
 
 def test_lift_parity_rejected():
     cs, e, const = disc11_forms()
-    bad = form_from_scalars(cs, [1, 1])
+    bad = constant_form(cs)
     bad.weight = 1
     sp = trace_zero_space(cs.order.algebra)
     bad.values = [random_harmonic(sp, 1, random.Random(3)) for _ in range(2)]
