@@ -2,9 +2,9 @@
 
 Matrices are plain lists of lists; rows are vectors.  Entries are Fraction
 (or int where stated), ints mod p for the F_p forms of rref and nullspace,
-or elements of another exact field type such as brandt.QuadExt.  Everything
-here is deterministic and allocation-light so the rest of the package can
-lean on it in inner loops.
+or elements of another exact field type such as brandt.NumberFieldElement.
+Everything here is deterministic and allocation-light so the rest of the
+package can lean on it in inner loops.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def rref(mat, p=None):
     """Reduced row echelon form; returns (new_matrix, pivot_columns).
 
     Over Q by default: int entries become Fraction, and other exact field
-    elements (such as brandt.QuadExt) are used as they are.  Over F_p when p
+    elements (such as brandt.NumberFieldElement) are used as they are.  Over F_p when p
     is given: entries are ints reduced to 0..p-1.
     """
     if p is None:

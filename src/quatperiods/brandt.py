@@ -3,8 +3,9 @@
 Conventions: T(p)_{ij} = (1/e_j) #{x in I_i conj(I_j) : q(x) = p} on the
 primitively scaled connecting lattices.  This matrix is integral at weight 0,
 has row sums p + 1 there, and is self-adjoint for the natural inner product
-<phi, psi> = sum_i <<phi_i, psi_i>> / e_i.  Eigenvalues are exact: rational,
-or in a real quadratic field stored with its minimal polynomial.
+<phi, psi> = sum_i <<phi_i, psi_i>> / e_i.  Eigenvalues are exact: one
+eigenform stands for each Galois orbit, with its eigenvalues and values in
+its Hecke field, a number field Q[x]/(f) (Q itself for a rational form).
 
 All T(p) for a tuple of primes are built in one pass (Pizer, J. Algebra 64,
 1980): each connecting lattice is enumerated once up to the largest p and
@@ -20,13 +21,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from ._linalg import charpoly, mat_mul, mat_vec, nullspace, rref
+from ._linalg import (charpoly, content, identity, mat_mul, mat_vec,
+                      nullspace, rref, solve_right, transpose)
 from ._poly import Poly
 from .harmonics import (SplitIso, tau_action, tau_substitution,
                         trace_zero_space)
 from .lattice import short_vectors, theta_coeffs
-from .orders import (_square_part, norm_one_element, product_basis,
-                     two_sided_prime_ideal)
+from .orders import norm_one_element, product_basis, two_sided_prime_ideal
 from .quatalg import Quaternion, _is_prime, _prime_factors
 
 
@@ -35,74 +36,115 @@ class BrandtError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# exact quadratic numbers (for eigenvalues in real quadratic fields)
+# exact number fields (the Hecke fields of eigenforms)
 # ---------------------------------------------------------------------------
 
-class QuadExt:
-    """a + b sqrt(d) with rational a, b and squarefree integer d > 0."""
+class NumberFieldElement:
+    """An element of K = Q[x]/(f), f irreducible and monic of degree d >= 2.
 
-    __slots__ = ("a", "b", "d")
+    Stored as its d rational coordinates on the power basis 1, x, ...,
+    x^(d-1) (low to high), with f as its coefficients high to low, as from
+    _char_factors.  Mixes with int and Fraction, so the field-generic rref
+    and nullspace work over K as they are.
+    """
 
-    def __init__(self, a, b, d):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.d = int(d)
+    __slots__ = ("coeffs", "modulus")
+
+    def __init__(self, coeffs, modulus):
+        self.coeffs = tuple(coeffs)
+        self.modulus = modulus
 
     @classmethod
-    def of(cls, x, d):
-        if isinstance(x, QuadExt):
-            return x
-        return cls(x, 0, d)
+    def generator(cls, modulus):
+        """x mod f, a root of f."""
+        return cls([Fraction(int(k == 1)) for k in range(len(modulus) - 1)],
+                   modulus)
+
+    def _lift(self, other):
+        if isinstance(other, NumberFieldElement):
+            return other
+        zeros = [Fraction(0)] * (len(self.coeffs) - 1)
+        return NumberFieldElement([Fraction(other)] + zeros, self.modulus)
 
     def __add__(self, other):
-        other = QuadExt.of(other, self.d)
-        return QuadExt(self.a + other.a, self.b + other.b, self.d)
+        other = self._lift(other)
+        return NumberFieldElement(
+            [a + b for a, b in zip(self.coeffs, other.coeffs)], self.modulus)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
+        return self * -1
 
     def __sub__(self, other):
-        return self + (-QuadExt.of(other, self.d))
+        return self + -other
 
     def __rsub__(self, other):
-        return QuadExt.of(other, self.d) - self
+        return -self + other
 
     def __mul__(self, other):
-        other = QuadExt.of(other, self.d)
-        return QuadExt(self.a * other.a + self.d * self.b * other.b,
-                       self.a * other.b + self.b * other.a, self.d)
+        if not isinstance(other, NumberFieldElement):
+            return NumberFieldElement([a * other for a in self.coeffs],
+                                      self.modulus)
+        d = len(self.coeffs)
+        prod = [Fraction(0)] * (2 * d - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                prod[i + j] += a * b
+        # x^k = -(f_1 x^(k-1) + ... + f_d x^(k-d)) for f = x^d + f_1 x^(d-1)
+        # + ... + f_d, from the top power down
+        for k in range(2 * d - 2, d - 1, -1):
+            for i, f in enumerate(self.modulus[1:], 1):
+                prod[k - i] -= prod[k] * f
+        return NumberFieldElement(prod[:d], self.modulus)
 
     __rmul__ = __mul__
 
-    def inverse(self):
-        n = self.a * self.a - self.d * self.b * self.b
-        if n == 0:
-            raise ZeroDivisionError("zero quadratic number")
-        return QuadExt(self.a / n, -self.b / n, self.d)
+    def matrix(self):
+        """Multiplication by self on the power basis (column k: self x^k)."""
+        x = NumberFieldElement.generator(self.modulus)
+        cols = [self]
+        while len(cols) < len(self.coeffs):
+            cols.append(cols[-1] * x)
+        return transpose([y.coeffs for y in cols])
 
     def __truediv__(self, other):
-        return self * QuadExt.of(other, self.d).inverse()
+        if not isinstance(other, NumberFieldElement):
+            return self * (1 / Fraction(other))
+        try:
+            quotient = solve_right(other.matrix(), self.coeffs)
+        except ValueError:
+            raise ZeroDivisionError("division by zero in a number field") \
+                from None
+        return NumberFieldElement(quotient, self.modulus)
 
-    def is_zero(self):
-        return self.a == 0 and self.b == 0
-
-    def conjugate(self):
-        return QuadExt(self.a, -self.b, self.d)
+    def __rtruediv__(self, other):
+        return self._lift(other) / self
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
-        return (self.a, self.b, self.d) == (other.a, other.b, other.d)
+        if isinstance(other, (int, Fraction, NumberFieldElement)):
+            return not self - other
+        return NotImplemented
 
-    def __float__(self):
-        return float(self.a) + float(self.b) * self.d ** 0.5
+    def __bool__(self):
+        return any(self.coeffs)
 
     def __repr__(self):
-        if self.b == 0:
-            return str(self.a)
-        return f"({self.a}+{self.b}*sqrt({self.d}))"
+        return poly_text(self.coeffs[::-1])
+
+
+def poly_text(coeffs):
+    """Text of a polynomial in x from its coefficients high to low:
+    (1, -1/2, 3) gives x^2 - 1/2*x + 3."""
+    terms = []
+    for e, c in enumerate(reversed(coeffs)):
+        if c:
+            mono = "" if e == 0 else "x" if e == 1 else f"x^{e}"
+            factor = "" if mono and abs(c) == 1 else \
+                str(abs(c)) + "*" * bool(mono)
+            terms.append(("- " if c < 0 else "+ ") + factor + mono)
+    text = " ".join(reversed(terms)) or "+ 0"
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 # ---------------------------------------------------------------------------
@@ -111,14 +153,19 @@ class QuadExt:
 
 @dataclass
 class QuatForm:
-    """Function on the ideal classes with values in U_nu of the algebra."""
+    """Function on the ideal classes with values in U_nu of the algebra.
+
+    An eigenform's values and eigenvalues lie in its Hecke field Q[x]/(f):
+    Fractions when f has degree 1 (field None), NumberFieldElements else.
+    """
     class_set: object
     weight: int
     values: list          # Poly on the trace-zero space (constants at nu=0)
     label: str = ""
-    eigenvalues: dict = None     # p -> eigenvalue (Fraction or QuadExt)
+    eigenvalues: dict = None     # p -> eigenvalue in the Hecke field
     al_signs: dict = None        # p -> +-1
     essential: bool = None
+    field: tuple = None          # f, high to low, if its degree is >= 2
 
     def scalar_values(self):
         if self.weight != 0:
@@ -129,7 +176,7 @@ class QuatForm:
         return QuatForm(self.class_set, self.weight,
                         [v * c for v in self.values], label=self.label,
                         eigenvalues=self.eigenvalues, al_signs=self.al_signs,
-                        essential=self.essential)
+                        essential=self.essential, field=self.field)
 
 
 def constant_form(class_set, value=1):
@@ -173,32 +220,28 @@ class BrandtOperator:
     def apply(self, form):
         if form.class_set is not self.class_set or form.weight != self.nu:
             raise BrandtError("operator/form mismatch")
-        vec = _form_to_vector(form, self.block_dim)
+        vec = _form_to_vector(form)
         out = mat_vec(self.matrix, vec)
         return _vector_to_form(self.class_set, self.nu, out, self.block_dim)
 
 
-def _basis3(class_set, nu):
-    return trace_zero_space(class_set.order.algebra).harmonic_basis(nu)
-
-
-def _form_to_vector(form, block_dim):
+def _form_to_vector(form):
     sp = trace_zero_space(form.class_set.order.algebra)
-    out = []
-    for v in form.values:
-        out.extend(sp.coords_in_basis(v, form.weight))
-    return out
+    return [c for v in form.values for c in sp.coords_in_basis(v, form.weight)]
 
 
 def _vector_to_form(class_set, nu, vec, block_dim):
-    basis = _basis3(class_set, nu)
+    """The form with coordinates vec, whose entries may lie in a number
+    field: each value sums its basis polynomials' terms times vec's."""
+    basis = trace_zero_space(class_set.order.algebra).harmonic_basis(nu)
     values = []
     for i in range(class_set.size):
+        terms = {}
+        for b, c in zip(basis, vec[i * block_dim:(i + 1) * block_dim]):
+            for m, x in b.terms.items() if c else ():
+                terms[m] = terms.get(m, 0) + x * c
         p = Poly.zero(3)
-        for k, b in enumerate(basis):
-            c = vec[i * block_dim + k]
-            if c:
-                p = p + b * c
+        p.terms = {m: x for m, x in terms.items() if x}
         values.append(p)
     return QuatForm(class_set, nu, values)
 
@@ -339,10 +382,9 @@ def _good_primes(n, count=8):
 def _char_factors(mat):
     """Irreducible factors over Q of the characteristic polynomial.
 
-    Returns (Fraction coefficients high to low, multiplicity) pairs in
-    sympy's factor order, which the eigenform sort relies on.  This is the
-    only user of sympy, imported here so that jobs that never factor a
-    polynomial do not load it.
+    Returns (monic Fraction coefficients high to low, multiplicity) pairs.
+    This is the only user of sympy, imported here so that jobs that never
+    factor a polynomial do not load it.
     """
     import sympy
     coeffs = charpoly(mat)
@@ -350,41 +392,39 @@ def _char_factors(mat):
     poly = sum(sympy.Rational(c.numerator, c.denominator) * x ** (len(coeffs) - 1 - i)
                for i, c in enumerate(coeffs))
     _, factors = sympy.factor_list(sympy.Poly(poly, x))
-    return [([Fraction(int(sympy.numer(c)), int(sympy.denom(c)))
-              for c in fac.all_coeffs()], mult) for fac, mult in factors]
+    out = []
+    for fac, mult in factors:
+        fc = [Fraction(int(sympy.numer(c)), int(sympy.denom(c)))
+              for c in fac.all_coeffs()]
+        out.append((tuple(c / fc[0] for c in fc), mult))
+    return out
 
 
 def _restrict(mat, basis_vectors):
     """Matrix of the operator restricted to the span of independent rows.
 
     Returns M with image_k = sum_l M[l][k] basis_l, i.e. the restricted
-    operator in the coordinates of the given basis (columns = images).
+    operator in the coordinates of the given basis (columns = images): the
+    right block of rref([B | mat B]) for the columns B of the basis.
     """
-    img = [mat_vec(mat, v) for v in basis_vectors]
-    out = [_coords_in_span(row, basis_vectors) for row in img]
-    return [list(col) for col in zip(*out)] if out else []
-
-
-def _coords_in_span(vec, basis_vectors):
-    m = [list(col) for col in zip(*basis_vectors)]
-    aug = [m[i] + [Fraction(vec[i])] for i in range(len(vec))]
-    red, piv = rref(aug)
-    ncols = len(basis_vectors)
-    coords = [Fraction(0)] * ncols
-    for r, pc in enumerate(piv):
-        if pc == ncols:
-            raise BrandtError("vector not in span")
-        coords[pc] = red[r][ncols]
-    return coords
+    d = len(basis_vectors)
+    images = [mat_vec(mat, v) for v in basis_vectors]
+    red, piv = rref([list(row) for row in zip(*basis_vectors, *images)])
+    if piv != list(range(d)):
+        raise BrandtError("the span is not invariant under the operator")
+    return [row[d:] for row in red[:d]]
 
 
 @lru_cache(maxsize=None)
 def eigenforms(class_set, nu=0, primes=None):
-    """Simultaneous eigenbasis of the Brandt operators at weight nu.
+    """Simultaneous eigenforms of the Brandt operators at weight nu, one per
+    Galois orbit.
 
-    Weight 0: complete decomposition with essential/non-essential labels,
-    rational or quadratic eigen-data, primitive integral normalization with
-    positive leading coordinate.  Positive weight is supported on maximal
+    The space splits by the characteristic polynomials of the T(p), then of
+    the involutions w_p (old-form classes share all good Hecke eigenvalues
+    and differ only under w_p), down to Galois orbits; _make_eigenform
+    builds each orbit's form over its Hecke field.  Weight 0 adds the
+    essential/non-essential labels.  Positive weight is supported on maximal
     orders (where the whole space is essential apart from nothing).
     Memoised per (class set, nu, primes) like brandt_matrix: callers share
     the returned list and forms and must not mutate them; primes must be a
@@ -394,55 +434,27 @@ def eigenforms(class_set, nu=0, primes=None):
     if primes is None:
         primes = tuple(_good_primes(n))
     ops = list(brandt_matrices(class_set, primes, nu))
-    dim_total = class_set.size * ops[0].block_dim
-
     split_ops = ops + [atkin_lehner(class_set, p, nu)
                        for p in _prime_factors(n)]
-    spaces = [[_unit_vector(dim_total, i) for i in range(dim_total)]]
-    # split by successive operators (Hecke, then the involutions: old-form
-    # classes share all good Hecke eigenvalues and differ only under w_p)
+    spaces = [identity(class_set.size * ops[0].block_dim)]
     for op in split_ops:
         new_spaces = []
         for basis in spaces:
-            if len(basis) == 1:
+            if len(basis) > 1:
+                sub = _restrict(op.matrix, basis)
+                factors = _char_factors(sub)
+            if len(basis) == 1 or len(factors) == 1:
                 new_spaces.append(basis)
                 continue
-            sub = _restrict(op.matrix, basis)
-            factors = _char_factors(sub)
-            if len(factors) == 1 and factors[0][1] == len(basis) and \
-                    len(factors[0][0]) == 2:
-                new_spaces.append(basis)
-                continue
-            for fac, mult in factors:
-                poly_mat = _apply_poly(sub, fac)
-                ker = nullspace(poly_mat)
-                vectors = [_combine(basis, k) for k in ker]
-                if vectors:
-                    new_spaces.append(vectors)
+            for fac, _ in factors:
+                ker = nullspace(_apply_poly(sub, fac))
+                new_spaces.append([_combine(basis, k) for k in ker])
         spaces = new_spaces
-
-    forms = []
-    for basis in spaces:
-        if len(basis) == 1:
-            forms.append(_make_eigenform(class_set, nu, basis[0], primes, ops))
-        else:
-            sub = _restrict(ops[0].matrix, basis)
-            factors = _char_factors(sub)
-            if all(len(f) == 3 for f, _ in factors) and len(basis) == 2:
-                forms.extend(_quadratic_eigenforms(class_set, nu, basis, sub,
-                                                   factors[0][0], primes, ops))
-            else:
-                # leave as an unresolved block (not expected at desk scale)
-                raise BrandtError(
-                    f"could not split a {len(basis)}-dim eigenspace")
+    forms = [_make_eigenform(class_set, nu, basis,
+                             *_orbit_operator(basis, split_ops), primes, ops)
+             for basis in spaces]
     forms.sort(key=_eigenform_sort_key)
     return forms
-
-
-def _unit_vector(n, i):
-    v = [Fraction(0)] * n
-    v[i] = Fraction(1)
-    return v
 
 
 def _apply_poly(mat, coeffs):
@@ -462,45 +474,64 @@ def _combine(basis, coords):
             for i in range(n)]
 
 
-def _normalize_primitive(vec):
-    from math import gcd, lcm
-    den = 1
-    for x in vec:
-        den = lcm(den, Fraction(x).denominator)
-    ints = [int(Fraction(x) * den) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x), 1)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return [Fraction(x) for x in ints]
+def _orbit_operator(basis, split_ops):
+    """(M, f) for the first operator whose restriction M to the span of basis
+    has an irreducible characteristic polynomial f of multiplicity one: the
+    span is then one Galois orbit, with Hecke field Q[x]/(f)."""
+    for op in split_ops:
+        sub = _restrict(op.matrix, basis)
+        factors = _char_factors(sub)
+        if len(factors) == 1 and factors[0][1] == 1:
+            return sub, factors[0][0]
+    raise BrandtError(f"a {len(basis)}-dim common eigenspace of the Hecke "
+                      "and Atkin-Lehner operators is not one Galois orbit")
 
 
-def _make_eigenform(class_set, nu, vec, primes, ops):
-    vec = _normalize_primitive(vec)
+def _coords(x):
+    """The rational coordinates of a Hecke field element."""
+    return x.coeffs if isinstance(x, NumberFieldElement) else (x,)
+
+
+def _normalize(vec):
+    """vec scaled so that its first nonzero entry is a positive rational and
+    the rational coordinates of its entries are coprime integers: for a
+    rational vector, the primitive integral one with positive lead."""
+    lead = next(x for x in vec if x)
+    vec = [x / lead for x in vec]
+    scale = content([c for x in vec for c in _coords(x)])
+    return [x / scale for x in vec]
+
+
+def _eigenvalue(op, vec):
+    """The eigenvalue of the operator op at its eigenvector vec."""
+    img = mat_vec(op.matrix, vec)
+    k = next(i for i, x in enumerate(vec) if x)
+    lam = img[k] / vec[k]
+    if any(y != lam * x for x, y in zip(vec, img)):
+        raise BrandtError(f"an orbit's eigenvector is not one of {op.label}")
+    return lam
+
+
+def _make_eigenform(class_set, nu, basis, sub, fac, primes, ops):
+    """The eigenform of the orbit spanned by basis, where an operator acts by
+    sub with irreducible characteristic polynomial fac: the kernel of sub - x
+    over K = Q[x]/(fac), or of sub - lambda over Q for a linear fac."""
+    field = fac if len(fac) > 2 else None
+    theta = NumberFieldElement.generator(field) if field else -fac[1]
+    shifted = [[x - theta if i == j else x for j, x in enumerate(row)]
+               for i, row in enumerate(sub)]
+    vec = _normalize(_combine(basis, nullspace(shifted)[0]))
     form = _vector_to_form(class_set, nu, vec, ops[0].block_dim)
-    eigs = {}
-    for p, op in zip(primes, ops):
-        img = mat_vec(op.matrix, vec)
-        k = next(i for i, x in enumerate(vec) if x)
-        eigs[p] = img[k] / vec[k]
-        assert all(img[i] == eigs[p] * vec[i] for i in range(len(vec)))
-    form.eigenvalues = eigs
+    form.field = field
+    form.eigenvalues = {p: _eigenvalue(t, vec) for p, t in zip(primes, ops)}
+    # w_p commutes with the operator that acts on the orbit irreducibly, so
+    # it acts by an involution of the Hecke field: +1 or -1
     form.al_signs = {}
-    n = class_set.order.reduced_discriminant()
-    for p in _prime_factors(n):
-        w = atkin_lehner(class_set, p, nu)
-        img = mat_vec(w.matrix, vec)
-        k = next(i for i, x in enumerate(vec) if x)
-        sign = img[k] / vec[k]
-        if all(img[i] == sign * vec[i] for i in range(len(vec))) and \
-                sign in (1, -1):
-            form.al_signs[p] = int(sign)
-        else:
-            form.al_signs[p] = None  # not an AL eigenvector (rare; labeled)
+    for p in _prime_factors(class_set.order.reduced_discriminant()):
+        sign = _eigenvalue(atkin_lehner(class_set, p, nu), vec)
+        if sign not in (1, -1):
+            raise BrandtError(f"w{p} acts on an orbit by {sign}, not by +-1")
+        form.al_signs[p] = 1 if sign == 1 else -1
     if nu == 0:
         from .orders import essential_complement
         proj = essential_complement(class_set)
@@ -515,51 +546,17 @@ def _make_eigenform(class_set, nu, vec, primes, ops):
     return form
 
 
-def _quadratic_eigenforms(class_set, nu, basis, sub, factor, primes, ops):
-    """Conjugate pair of eigenforms for an irreducible quadratic factor.
-
-    factor: coefficients [1, c1, c0] high to low, as from _char_factors.
-    """
-    c1, c0 = factor[1:]
-    disc = c1 * c1 - 4 * c0
-    # theta = (-c1 + sqrt(disc)) / 2; work in Q(sqrt(d)) with disc = s^2 d
-    num = abs(disc.numerator * disc.denominator)
-    sq = _square_part(num)
-    d = num // (sq * sq)
-    s = Fraction(sq, disc.denominator)
-    theta = QuadExt(-c1 / 2, s / 2, d)
-    out = []
-    for root in (theta, theta.conjugate()):
-        mat = [[QuadExt.of(sub[i][j], d) for j in range(len(sub))]
-               for i in range(len(sub))]
-        for i in range(len(sub)):
-            mat[i][i] = mat[i][i] - root
-        coords = nullspace(mat)[0]
-        vec = [sum((coords[k] * QuadExt.of(basis[k][i], d)
-                    for k in range(len(basis))), QuadExt(0, 0, d))
-               for i in range(len(basis[0]))]
-        form = QuatForm(class_set, nu, None, label="quadratic-eigenform")
-        form.vector = vec
-        form.field_disc = d
-        eigs = {}
-        for p, op in zip(primes, ops):
-            img = mat_vec(op.matrix, vec)
-            k = next(i for i, v in enumerate(vec) if not v.is_zero())
-            eigs[p] = img[k] / vec[k]
-        form.eigenvalues = eigs
-        out.append(form)
-    return out
-
-
 def _eigenform_sort_key(form):
+    """Label, field degree, the eigenvalues' exact coordinates, then the
+    Atkin-Lehner signs, +1 first: exact, so that no float picks an embedding
+    of an irrational Hecke field, and total, since old-form copies differ
+    only in their signs."""
     order = {"eisenstein": 0, "cuspidal-essential": 1, "non-essential": 2,
-             "eigenform": 3, "quadratic-eigenform": 4}
-    eig = []
-    if form.eigenvalues:
-        for p in sorted(form.eigenvalues):
-            v = form.eigenvalues[p]
-            eig.append(float(v))
-    return (order.get(form.label, 9), eig)
+             "eigenform": 3}
+    degree = len(form.field) - 1 if form.field else 1
+    return (order[form.label], degree,
+            [_coords(form.eigenvalues[p]) for p in sorted(form.eigenvalues)],
+            [-form.al_signs[p] for p in sorted(form.al_signs)])
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import newformdata
 from .brandt import (brandt_matrix, constant_form, eichler_theta, eigenforms,
-                     inner_product, unit_average_form)
+                     inner_product, poly_text, unit_average_form)
 from .lseries import (_afe_terms, central_value, ingest,
                       petersson_norm_proxy, resolve_label, sym2_factor,
                       triple_conductor, triple_factor_at, triple_factors,
@@ -44,7 +44,8 @@ def _records(args):
 
 
 def match_eigenform(class_set, record, bound=50):
-    """The weight-0 eigenform matching a newform's a_p for good p <= bound."""
+    """The rational weight-0 eigenform matching a newform's a_p for good
+    p <= bound."""
     level = class_set.order.level
     if record.level != level:
         raise ValidationError(f"{record.label} has level {record.level}, "
@@ -53,7 +54,7 @@ def match_eigenform(class_set, record, bound=50):
     forms = eigenforms(class_set, 0, primes=tuple(primes))
     hits = []
     for f in forms:
-        if f.label == "eisenstein" or f.eigenvalues is None:
+        if f.label == "eisenstein" or f.field:
             continue
         try:
             if all(f.eigenvalues[p] == record.a(p) for p in primes):
@@ -338,11 +339,12 @@ def _class_set(args):
 
 
 def _cusp_form(cs):
-    forms = [f for f in eigenforms(cs) if f.label == "cuspidal-essential"]
+    forms = [f for f in eigenforms(cs)
+             if f.label == "cuspidal-essential" and not f.field]
     if len(forms) != 1:
         raise ValidationError(
-            f"{len(forms)} essential cusp forms on this class set; theta "
-            "selects one with --match LABEL")
+            f"{len(forms)} rational essential cusp forms on this class set; "
+            "theta selects one with --match LABEL")
     return forms[0]
 
 
@@ -368,14 +370,14 @@ def run_eigen(args):
     for f in eigenforms(cs):
         out.append({
             "label": f.label,
-            "values": [str(v) for v in f.scalar_values()]
-            if f.weight == 0 and f.values is not None else "non-scalar",
+            "values": [str(v) for v in f.scalar_values()],
             "eigenvalues": {str(p): str(v)
                             for p, v in sorted(f.eigenvalues.items())},
-            "al_signs": {str(p): v
-                         for p, v in sorted((f.al_signs or {}).items())},
+            "al_signs": {str(p): v for p, v in sorted(f.al_signs.items())},
             "essential": f.essential,
         })
+        if f.field:
+            out[-1]["field"] = poly_text(f.field)
     return {"class_number": cs.size, "forms": out}
 
 

@@ -553,7 +553,7 @@ def _afe_terms(conductor):
     return min(base, 200000)
 
 
-def petersson_norm_proxy(record, factors=None, bits=100, terms=None):
+def petersson_norm_proxy(record, bits=100, terms=None):
     """Value of the completed symmetric square at the analytic edge s = 1.
 
     Proportional to the Petersson norm up to a level-weight constant, which
@@ -561,12 +561,10 @@ def petersson_norm_proxy(record, factors=None, bits=100, terms=None):
     built only up to the series length that central_value reads.
     """
     conductor = sym2_conductor(record)
-    if factors is None:
-        count = _afe_terms(conductor) if terms is None else terms
-        factors = {}
-        for p in primes_up_to(min(record.pmax(), count)):
-            if record.level % p == 0 or p in record.ap:
-                factors[p] = sym2_factor(record, p)
+    count = _afe_terms(conductor) if terms is None else terms
+    factors = {p: sym2_factor(record, p)
+               for p in primes_up_to(min(record.pmax(), count))
+               if record.level % p == 0 or p in record.ap}
     cv = central_value(factors, sym2_gamma_shifts(record.weight),
                        conductor, +1, s0=Fraction(1),
                        bits=bits, terms=terms)

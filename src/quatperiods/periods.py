@@ -188,14 +188,14 @@ def period_sums(phi1, phi2, psi1, psi2, alpha1, alpha2,
         "numeric-zero" if product == 0 else "", weighting, both)
 
 
-def degenerate_eisenstein(phi1, psi1, psi2, weighting="mass"):
+def degenerate_eisenstein(phi1, psi1, psi2):
     """Corollary-a specialization: phi2 = mass^{-1} * constant.
 
     With nu2 = 0 the indices are alpha1 = alpha2 = 0 and the psi weights must
-    both be nu1 / 2.  The mass convention is the default here: the
-    theta-pairing derivation puts 1/e_j inside the sums, and only that
-    convention produces the exact vanishing for distinct psi eigenforms that
-    the corollary states (the unweighted values are still reported).
+    both be nu1 / 2.  The sums use the mass convention: the theta-pairing
+    derivation puts 1/e_j inside the sums, and only that convention produces
+    the exact vanishing for distinct psi eigenforms that the corollary states
+    (the unweighted values are still reported).
     """
     from .brandt import constant_form
     cs = phi1.class_set
@@ -203,5 +203,5 @@ def degenerate_eisenstein(phi1, psi1, psi2, weighting="mass"):
         raise PeriodError("psi forms must have equal weight")
     mass = sum(Fraction(1, e) for e in cs.unit_counts)
     phi2 = constant_form(cs, 1 / mass)
-    return period_sums(phi1, phi2, psi1, psi2, 0, 0, weighting=weighting)
+    return period_sums(phi1, phi2, psi1, psi2, 0, 0, weighting="mass")
 

@@ -5,16 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from quatperiods._linalg import mat_mul, mat_vec
+from quatperiods._linalg import charpoly, mat_mul, mat_vec
 from quatperiods._poly import Poly
 from quatperiods import brandt
-from quatperiods.brandt import (BrandtError, QuadExt, _tau_matrix_on_basis,
-                                atkin_lehner, brandt_matrices, brandt_matrix,
-                                constant_form, eichler_theta, eigenforms,
-                                inner_product)
+from quatperiods.brandt import (BrandtError, NumberFieldElement,
+                                _tau_matrix_on_basis, atkin_lehner,
+                                brandt_matrices, brandt_matrix, constant_form,
+                                eichler_theta, eigenforms, inner_product)
+from quatperiods.cli import match_eigenform
 from quatperiods.harmonics import (random_harmonic, tau_action,
                                    trace_zero_space)
 from quatperiods.lattice import short_vectors, theta_coeffs
+from quatperiods.lseries import NewformRecord
+from quatperiods.newformdata import curve_ap
 from quatperiods.orders import class_set_for, eichler_mass
 from quatperiods.quatalg import (Quaternion, _is_squarefree, _prime_factors,
                                  primes_up_to)
@@ -261,12 +264,61 @@ def test_level_37_ground_truth():
     assert sorted(f.eigenvalues[3] for f in cusps) == [-3, 1]
 
 
-def test_quadext_arithmetic():
-    x = QuadExt(1, 2, 5)
-    y = QuadExt(3, -1, 5)
-    assert (x * y) == QuadExt(3 - 10, 6 - 1, 5)
-    assert (x / x) == QuadExt(1, 0, 5)
-    assert x.conjugate() == QuadExt(1, -2, 5)
+def field_element(coeffs, modulus):
+    return NumberFieldElement([Fraction(c) for c in coeffs],
+                              tuple(Fraction(c) for c in modulus))
+
+
+@pytest.mark.parametrize("modulus", [
+    (1, 1, -1),          # x^2 + x - 1: Q(sqrt 5)
+    (1, 1, -3, -1),      # x^3 + x^2 - 3x - 1: the Hecke field of level 53
+], ids=["quadratic", "cubic"])
+def test_number_field_arithmetic(modulus):
+    x = NumberFieldElement.generator(tuple(Fraction(c) for c in modulus))
+    d = len(modulus) - 1
+    # x is a root of f (Horner), and no lower power of x is rational
+    value = 0
+    for c in modulus:
+        value = value * x + c
+    assert value == 0
+    power = x
+    for _ in range(d - 1):
+        assert power != power.coeffs[0]
+        power = power * x
+    a = field_element([1, 2] + [0] * (d - 2), modulus)       # 1 + 2x
+    b = field_element([3, -1] + [Fraction(1, 2)] * (d - 2), modulus)
+    assert a * b == b * a and (a + b) * a == a * a + b * a
+    assert a - a == 0 and not (a - a) and a != 0
+    # inverses: a * (1/a) = 1, a / b * b = a, against a rational too
+    assert a * (1 / a) == 1 and a / b * b == a
+    assert (a / 3) * 3 == a and 2 / a * a == 2
+    with pytest.raises(ZeroDivisionError):
+        a / (b - b)
+    # the multiplication matrix of x is the companion matrix of f
+    assert charpoly(x.matrix()) == [Fraction(c) for c in modulus]
+
+
+def test_number_field_arithmetic_quadratic_by_hand():
+    # r = x mod x^2 + x - 1, so r^2 = 1 - r
+    modulus = (1, 1, -1)
+    a = field_element([1, 2], modulus)
+    b = field_element([3, -1], modulus)
+    # (1 + 2r)(3 - r) = 3 + 5r - 2r^2 = 1 + 7r
+    assert a * b == field_element([1, 7], modulus)
+    # (1 + 2r)^2 = 1 + 4r + 4r^2 = 5, so 1/(1 + 2r) = (1 + 2r)/5
+    assert a * a == 5 and 1 / a == a / 5 and b / a == a * b / 5
+    assert str(a * b) == "7*x + 1" and str(-a) == "-2*x - 1"
+
+
+def orbit_degree(form):
+    return len(form.field) - 1 if form.field else 1
+
+
+def field_trace(value):
+    if isinstance(value, NumberFieldElement):
+        m = value.matrix()
+        return sum(m[i][i] for i in range(len(m)))
+    return value
 
 
 @pytest.mark.parametrize("disc, field_disc, a2", [
@@ -274,17 +326,22 @@ def test_quadext_arithmetic():
     (29, 2, (Fraction(-1), Fraction(1))),         # a_2(29a) = -1 +- sqrt 2
 ])
 def test_quadratic_eigenforms_ground_truth(disc, field_disc, a2):
-    cs = class_set_for(disc)
-    forms = [f for f in eigenforms(cs) if f.label == "quadratic-eigenform"]
-    assert len(forms) == 2
-    assert {f.field_disc for f in forms} == {field_disc}
+    # a +- b sqrt(d) has minimal polynomial x^2 - 2a x + a^2 - b^2 d
     a, b = a2
-    assert sorted((f.eigenvalues[2].a, f.eigenvalues[2].b) for f in forms) \
-        == [(a, -b), (a, b)]
+    a2_minpoly = (1, -2 * a, a * a - b * b * field_disc)
+    cs = class_set_for(disc)
+    forms = [f for f in eigenforms(cs) if f.field]
+    assert len(forms) == 1
+    (f,) = forms
+    assert orbit_degree(f) == 2 and f.label == "cuspidal-essential"
+    a2 = f.eigenvalues[2]
+    # a_2 is irrational, so its minimal polynomial is its characteristic one
+    assert any(a2.coeffs[1:])
+    assert charpoly(a2.matrix()) == list(a2_minpoly)
     t2 = brandt_matrix(cs, 2).matrix
-    for f in forms:
-        lam = f.eigenvalues[2]
-        assert mat_vec(t2, f.vector) == [lam * x for x in f.vector]
+    v = f.scalar_values()
+    assert mat_vec(t2, v) == [a2 * x for x in v]
+    assert f.al_signs == {disc: 1} and f.essential
 
 
 def reference_brandt_matrices(cs, primes, nu=0):
@@ -396,3 +453,76 @@ def test_eigenforms_enumerate_each_class_pair_once(monkeypatch):
     assert len(primes) == 13 and cs.size == 3
     eigenforms(cs, 0, primes=primes)
     assert len(enumerated) == len(set(map(id, enumerated))) == 3 * 4 // 2
+
+
+ORBIT_CASES = GROUND_TRUTH + [(p, p) for p in (61, 79, 83, 89)]
+
+
+@pytest.mark.parametrize("disc, level", ORBIT_CASES,
+                         ids=[f"{d}-{n}" for d, n in ORBIT_CASES])
+def test_eigenforms_are_galois_orbits(disc, level):
+    cs = class_set_for(disc, level // disc)
+    forms = eigenforms(cs)
+    assert sum(orbit_degree(f) for f in forms) == cs.size
+    primes = sorted(forms[0].eigenvalues)
+    ops = brandt_matrices(cs, tuple(primes))
+    for p, op in zip(primes, ops):
+        if p in primes[:2]:
+            assert sum(field_trace(f.eigenvalues[p]) for f in forms) == \
+                sum(op.matrix[i][i] for i in range(cs.size))
+        for f in forms:
+            v = f.scalar_values()
+            assert mat_vec(op.matrix, v) == [f.eigenvalues[p] * x for x in v]
+    for f in forms:
+        assert sorted(f.al_signs) == _prime_factors(level)
+        assert set(f.al_signs.values()) <= {1, -1}
+    # the order is exact and total: old-form copies differ in their signs
+    keys = [brandt._eigenform_sort_key(f) for f in forms]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_block_that_is_not_one_orbit_raises():
+    # weight 2 on the maximal order of disc 2: T(3) vanishes off the
+    # unit-invariant subspace, and neither T(3) nor w_2 acts irreducibly on
+    # the block they leave unsplit
+    with pytest.raises(BrandtError, match="not one Galois orbit"):
+        eigenforms(class_set_for(2), 2, primes=(3,))
+
+
+# Jacquet-Langlands ground truth: rational newforms from Cremona's tables
+# (Algorithms for Modular Elliptic Curves, 1997) as curve models; a typo in
+# a model fails the match, which is why it must find exactly one form
+JL_CURVES = {
+    # label: (disc, level, [a1, a2, a3, a4, a6])
+    "35a": (5, 35, [0, 1, 1, 9, 1]),
+    "37a": (37, 37, [0, 0, 1, -1, 0]),
+    "37b": (37, 37, [0, 1, 1, -23, -50]),
+    "38a": (2, 38, [1, 0, 1, 9, 90]),
+    "38b": (2, 38, [1, 1, 1, 0, 1]),
+    "39a": (3, 39, [1, 1, 0, -4, -5]),
+    "43a": (43, 43, [0, 1, 1, 0, 0]),
+    "53a": (53, 53, [1, -1, 1, 0, 0]),
+    "57a": (3, 57, [0, -1, 1, -2, 2]),
+    "57c": (3, 57, [0, 1, 1, 20, -32]),
+    "58a": (2, 58, [1, -1, 0, -1, 1]),
+    "58b": (2, 58, [1, 1, 1, 5, 9]),
+    "61a": (61, 61, [1, 0, 0, -2, 1]),
+    "65a": (5, 65, [1, 0, 0, -1, 0]),
+    "66a": (2, 66, [1, 0, 1, -6, 4]),
+    "66c": (2, 66, [1, 0, 0, -45, 81]),
+    "77a": (7, 77, [0, 0, 1, 2, 0]),
+}
+
+
+@pytest.mark.parametrize("label", sorted(JL_CURVES))
+def test_curve_matches_one_rational_eigenform(label):
+    disc, level, coeffs = JL_CURVES[label]
+    ap = {p: curve_ap(coeffs, p)
+          for p in primes_up_to(50) + _prime_factors(level)}
+    assert all(ap[p] in (1, -1) for p in _prime_factors(level))
+    record = NewformRecord(label, level, 2, ap, {})
+    cs = class_set_for(disc, level // disc)
+    form = match_eigenform(cs, record)
+    assert form.field is None and form.label == "cuspidal-essential"
+    if level in (35, 39, 43, 53, 61, 65, 77):
+        assert any(f.field for f in eigenforms(cs))

@@ -45,6 +45,7 @@ def test_eigen_output_is_byte_identical_across_processes():
 @pytest.mark.parametrize("args", [
     ("classset", "--disc", "13", "--level", "26"),
     ("brandt", "--disc", "13", "--level", "26", "--p", "47"),
+    ("eigen", "--disc", "53"),
 ])
 def test_output_is_byte_identical_across_processes(args):
     runs = [run_cli(*args) for _ in range(2)]
@@ -122,6 +123,20 @@ def test_theta_is_proportional_to_11a(capsys):
     a = eta_product_coefficients([1, 1, 11, 11], 10)
     assert coeffs[0] == 0
     assert all(coeffs[n] == coeffs[1] * a[n] for n in range(1, 11))
+
+
+def test_eigen_and_theta_at_a_cubic_hecke_field(capsys):
+    # level 53: the Eisenstein form, 53a and one orbit with a cubic field
+    forms = run_json(capsys, "eigen", "--disc", "53")["forms"]
+    assert [f.get("field") for f in forms] == \
+        [None, None, "x^3 + x^2 - 3*x - 1"]
+    assert forms[1]["eigenvalues"]["2"] == "-1"
+    assert forms[2]["eigenvalues"]["2"] == "x"
+    assert all(f["al_signs"]["53"] in (1, -1) for f in forms)
+    # theta lifts the one rational cusp form: a_2 = -1, a_3 = -3 of 53a
+    th = run_json(capsys, "theta", "--disc", "53", "--prec", "3")
+    c = {int(n): Fraction(v) for n, v in th["coefficients"].items()}
+    assert c[1] != 0 and c[2] == -c[1] and c[3] == -3 * c[1]
 
 
 def test_diffop_z12_test(capsys):
