@@ -1,27 +1,36 @@
-"""Sparse multivariate polynomials over Q.
+"""Sparse multivariate polynomials over an exact field.
 
-Monomials are exponent tuples, coefficients Fraction.  This is deliberately
-small: just the operations the harmonic-polynomial and differential-operator
-machinery needs (products, derivatives, linear substitution, Laplacians with
-respect to an arbitrary Gram matrix, Fischer pairing).
+Monomials are exponent tuples.  Coefficients follow the rule of
+_linalg.rref: an int becomes a Fraction, and any other exact field element
+(a Fraction, a brandt.NumberFieldElement) is kept as it is.  The constructor
+is the one way to build a polynomial: it adds up repeated monomials and drops
+zero sums.  This is deliberately small: just the operations the
+harmonic-polynomial and differential-operator machinery needs (products,
+derivatives, linear substitution, Laplacians with respect to an arbitrary
+Gram matrix, Fischer pairing).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from operator import add
 
 
 class Poly:
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars, terms=None):
+    def __init__(self, nvars, terms=()):
+        """terms: a dict or (monomial, coefficient) pairs."""
         self.nvars = nvars
-        self.terms = {}
-        if terms:
-            for mono, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
-                    self.terms[tuple(mono)] = c
+        acc = {}
+        for mono, c in terms.items() if isinstance(terms, dict) else terms:
+            mono = tuple(mono)
+            if mono in acc:
+                c = acc[mono] + c
+            acc[mono] = c
+        self.terms = {m: Fraction(c) if isinstance(c, int) else c
+                      for m, c in acc.items() if c}
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -30,71 +39,48 @@ class Poly:
 
     @classmethod
     def const(cls, nvars, c):
-        c = Fraction(c)
-        if c == 0:
-            return cls(nvars)
-        return cls(nvars, {tuple([0] * nvars): c})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
-    def variable(cls, nvars, i, c=1):
-        mono = [0] * nvars
-        mono[i] = 1
-        return cls(nvars, {tuple(mono): Fraction(c)})
+    def variable(cls, nvars, i):
+        return cls(nvars, {tuple(int(k == i) for k in range(nvars)): 1})
 
     @classmethod
     def monomial(cls, exps, c=1):
-        return cls(len(exps), {tuple(exps): Fraction(c)})
+        return cls(len(exps), {tuple(exps): c})
+
+    def embed(self, nvars, offset=0):
+        """self in nvars variables, its own at offset, offset + 1, ..."""
+        head = (0,) * offset
+        tail = (0,) * (nvars - offset - self.nvars)
+        return Poly(nvars, ((head + m + tail, c)
+                            for m, c in self.terms.items()))
 
     # -- basic ring ops ----------------------------------------------------
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
             other = Poly.const(self.nvars, other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        p = Poly(self.nvars)
-        p.terms = out
-        return p
+        return Poly(self.nvars, chain(self.terms.items(),
+                                      other.terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = Poly(self.nvars)
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
+        return self * -1
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.nvars, other)
-        return self + (-other)
+        return self + -other
 
     def __rsub__(self, other):
-        return (-self) + other
+        return -self + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            p = Poly(self.nvars)
-            if c:
-                p.terms = {m: cc * c for m, cc in self.terms.items()}
-            return p
-        out = {}
-        n = self.nvars
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(m1[i] + m2[i] for i in range(n))
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        p = Poly(n)
-        p.terms = out
-        return p
+        if not isinstance(other, Poly):
+            return Poly(self.nvars, ((m, c * other)
+                                     for m, c in self.terms.items()))
+        return Poly(self.nvars, ((tuple(map(add, m1, m2)), c1 * c2)
+                                 for m1, c1 in self.terms.items()
+                                 for m2, c2 in other.terms.items()))
 
     __rmul__ = __mul__
 
@@ -109,7 +95,7 @@ class Poly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
             other = Poly.const(self.nvars, other)
         return self.nvars == other.nvars and self.terms == other.terms
 
@@ -121,20 +107,12 @@ class Poly:
 
     # -- calculus ----------------------------------------------------------
     def diff(self, i):
-        out = {}
-        for m, c in self.terms.items():
-            if m[i]:
-                mm = list(m)
-                mm[i] -= 1
-                out[tuple(mm)] = c * m[i]
-        p = Poly(self.nvars)
-        p.terms = out
-        return p
+        return Poly(self.nvars, ((m[:i] + (m[i] - 1,) + m[i + 1:], c * m[i])
+                                 for m, c in self.terms.items() if m[i]))
 
     def laplacian(self, gram_inv):
         """Sum_{ij} gram_inv[i][j] d_i d_j applied to self."""
-        n = self.nvars
-        out = Poly.zero(n)
+        out = Poly.zero(self.nvars)
         for i in range(len(gram_inv)):
             di = self.diff(i)
             for j in range(len(gram_inv)):
@@ -146,65 +124,61 @@ class Poly:
     def eval(self, point):
         total = Fraction(0)
         for m, c in self.terms.items():
-            v = c
-            for i, e in enumerate(m):
+            for x, e in zip(point, m):
                 if e:
-                    v *= Fraction(point[i]) ** e
-            total += v
+                    c = c * x ** e
+            total += c
         return total
 
     def eval_partial(self, assignments):
         """Substitute values for some variables (dict index -> value)."""
-        out = Poly.zero(self.nvars)
+        out = []
         for m, c in self.terms.items():
-            v = c
             mm = list(m)
             for i, val in assignments.items():
                 if m[i]:
-                    v *= Fraction(val) ** m[i]
+                    c = c * val ** m[i]
                 mm[i] = 0
-            out = out + Poly(self.nvars, {tuple(mm): v})
-        return out
+            out.append((mm, c))
+        return Poly(self.nvars, out)
 
     def subs_linear(self, mat):
         """Substitute x_i -> sum_j mat[i][j] * y_j; output in len(mat[0]) vars."""
         nout = len(mat[0])
-        images = [Poly(nout, {tuple(int(j == k) for k in range(nout)): mat[i][j]
-                              for j in range(nout) if mat[i][j] != 0})
-                  for i in range(self.nvars)]
-        out = Poly.zero(nout)
-        cache = {}
-        for m, c in self.terms.items():
+        images = [Poly(nout, ((tuple(int(j == k) for k in range(nout)), x)
+                              for j, x in enumerate(row)))
+                  for row in mat]
+        powers = {}
+
+        def image(m, c):
             term = Poly.const(nout, c)
             for i, e in enumerate(m):
                 if e:
-                    key = (i, e)
-                    if key not in cache:
-                        cache[key] = images[i] ** e
-                    term = term * cache[key]
-            out = out + term
-        return out
+                    if (i, e) not in powers:
+                        powers[i, e] = images[i] ** e
+                    term = term * powers[i, e]
+            return term.terms.items()
+
+        return Poly(nout, chain.from_iterable(
+            image(m, c) for m, c in self.terms.items()))
 
     def total_degree(self):
         return max((sum(m) for m in self.terms), default=0)
 
     def homogeneous_component(self, d):
-        p = Poly(self.nvars)
-        p.terms = {m: c for m, c in self.terms.items() if sum(m) == d}
-        return p
+        return Poly(self.nvars, {m: c for m, c in self.terms.items()
+                                 if sum(m) == d})
 
     def coefficient_of(self, var_indices, exps):
         """Coefficient of prod(x_i^e) over var_indices; a Poly in all vars."""
-        out = {}
+        out = []
         for m, c in self.terms.items():
             if all(m[v] == e for v, e in zip(var_indices, exps)):
                 mm = list(m)
                 for v in var_indices:
                     mm[v] = 0
-                out[tuple(mm)] = out.get(tuple(mm), Fraction(0)) + c
-        p = Poly(self.nvars)
-        p.terms = {m: c for m, c in out.items() if c}
-        return p
+                out.append((mm, c))
+        return Poly(self.nvars, out)
 
     def __repr__(self):
         if not self.terms:

@@ -24,11 +24,11 @@ from functools import lru_cache
 from ._linalg import (charpoly, content, identity, mat_mul, mat_vec,
                       nullspace, rref, solve_right, transpose)
 from ._poly import Poly
-from .harmonics import (SplitIso, tau_action, tau_substitution,
+from .harmonics import (split_iso, tau_action, tau_substitution,
                         trace_zero_space)
 from .lattice import short_vectors, theta_coeffs
 from .orders import norm_one_element, product_basis, two_sided_prime_ideal
-from .quatalg import Quaternion, _is_prime, _prime_factors
+from .quatalg import Quaternion, _is_prime, _prime_factors, good_primes
 
 
 class BrandtError(ValueError):
@@ -172,12 +172,6 @@ class QuatForm:
             raise BrandtError("scalar values only at weight 0")
         return [v.terms.get((0, 0, 0), Fraction(0)) for v in self.values]
 
-    def scale(self, c):
-        return QuatForm(self.class_set, self.weight,
-                        [v * c for v in self.values], label=self.label,
-                        eigenvalues=self.eigenvalues, al_signs=self.al_signs,
-                        essential=self.essential, field=self.field)
-
 
 def constant_form(class_set, value=1):
     return QuatForm(class_set, 0,
@@ -236,13 +230,9 @@ def _vector_to_form(class_set, nu, vec, block_dim):
     basis = trace_zero_space(class_set.order.algebra).harmonic_basis(nu)
     values = []
     for i in range(class_set.size):
-        terms = {}
-        for b, c in zip(basis, vec[i * block_dim:(i + 1) * block_dim]):
-            for m, x in b.terms.items() if c else ():
-                terms[m] = terms.get(m, 0) + x * c
-        p = Poly.zero(3)
-        p.terms = {m: x for m, x in terms.items() if x}
-        values.append(p)
+        coords = vec[i * block_dim:(i + 1) * block_dim]
+        values.append(Poly(3, ((m, x * c) for b, c in zip(basis, coords) if c
+                               for m, x in b.terms.items())))
     return QuatForm(class_set, nu, values)
 
 
@@ -353,31 +343,22 @@ def inner_product(phi, psi):
     """Natural inner product sum_i <<phi_i, psi_i>>_0 / e_i."""
     if phi.class_set is not psi.class_set or phi.weight != psi.weight:
         raise BrandtError("forms live on different spaces")
-    sp = trace_zero_space(phi.class_set.order.algebra)
+    if phi.weight:
+        sp = trace_zero_space(phi.class_set.order.algebra)
+        vals = [sp.inner(a, b, phi.weight)
+                for a, b in zip(phi.values, psi.values)]
+    else:
+        vals = [a * b for a, b in zip(phi.scalar_values(),
+                                      psi.scalar_values())]
     total = Fraction(0)
-    for i in range(phi.class_set.size):
-        val = sp.inner(phi.values[i], psi.values[i], phi.weight) \
-            if phi.weight else \
-            phi.values[i].terms.get((0, 0, 0), Fraction(0)) * \
-            psi.values[i].terms.get((0, 0, 0), Fraction(0))
-        total += Fraction(val, phi.class_set.unit_counts[i]) \
-            if isinstance(val, int) else val / phi.class_set.unit_counts[i]
+    for val, e in zip(vals, phi.class_set.unit_counts):
+        total += val / e
     return total
 
 
 # ---------------------------------------------------------------------------
 # simultaneous eigenforms
 # ---------------------------------------------------------------------------
-
-def _good_primes(n, count=8):
-    out = []
-    p = 2
-    while len(out) < count:
-        if _is_prime(p) and n % p:
-            out.append(p)
-        p += 1
-    return out
-
 
 def _char_factors(mat):
     """Irreducible factors over Q of the characteristic polynomial.
@@ -432,7 +413,7 @@ def eigenforms(class_set, nu=0, primes=None):
     """
     n = class_set.order.reduced_discriminant()
     if primes is None:
-        primes = tuple(_good_primes(n))
+        primes = tuple(good_primes(n, 8))
     ops = list(brandt_matrices(class_set, primes, nu))
     split_ops = ops + [atkin_lehner(class_set, p, nu)
                        for p in _prime_factors(n)]
@@ -575,7 +556,10 @@ def eichler_theta(form, prec):
     alg = cs.order.algebra
     nu = form.weight
     coeffs = {n: Fraction(0) for n in range(prec + 1)}
-    split = SplitIso(alg, nu) if nu else None
+    if nu:
+        split = split_iso(alg, nu)
+    else:
+        values = form.scalar_values()
     for i in range(cs.size):
         # at weight 0 the terms (i, j) and (j, i) are equal: conj maps
         # I_i conj(I_j) onto I_j conj(I_i) and keeps norms
@@ -584,8 +568,7 @@ def eichler_theta(form, prec):
                          cs.unit_counts[i] * cs.unit_counts[j])
             conn = cs.connecting(i, j)
             if nu == 0:
-                fi = form.values[i].terms.get((0, 0, 0), Fraction(0))
-                fj = form.values[j].terms.get((0, 0, 0), Fraction(0))
+                fi, fj = values[i], values[j]
                 if fi and fj:
                     th = theta_coeffs(conn, prec)
                     for n, c in th.items():
@@ -594,7 +577,6 @@ def eichler_theta(form, prec):
                 poly4 = split.apply(form.values[i], form.values[j])
                 if poly4.is_zero():
                     continue
-                for v, q in short_vectors(conn, prec, include_zero=True):
-                    if q.denominator == 1 and q <= prec:
-                        coeffs[int(q)] += w * poly4.eval(conn.ambient(v))
+                for n, c in theta_coeffs(conn, prec, weight=poly4).items():
+                    coeffs[n] += w * c
     return coeffs

@@ -41,14 +41,12 @@ def _xmono(i, j):
 
 def _rho_bracket():
     """rho[X] = r11 X1^2 + 2 r12 X1 X2 + r22 X2^2."""
-    out = Poly.zero(NV)
+    terms = []
     for (rv, xi, xj, c) in ((R11, 2, 0, 1), (R12, 1, 1, 2), (R22, 0, 2, 1)):
-        m = [0] * NV
+        m = list(_xmono(xi, xj))
         m[rv] = 1
-        m[X1] = xi
-        m[X2] = xj
-        out = out + Poly.monomial(m, c)
-    return out
+        terms.append((m, c))
+    return Poly(NV, terms)
 
 
 def _rho_derivative(p, which):
@@ -124,7 +122,7 @@ def holomorphic_projection(p, w1, w2):
     r11^j q1^t1 |-> Gamma(w1-1-j)/Gamma(w1-1) (-1)^j t1^j q1^t1 and the same
     for r22 against t2; requires w_i > 1 + (r-degree) (the weight bound).
     """
-    out = Poly.zero(NV)
+    terms = []
     for mono, c in p.terms.items():
         j1, j12, j2 = mono[R11], mono[R12], mono[R22]
         if j12:
@@ -142,8 +140,8 @@ def holomorphic_projection(p, w1, w2):
         m[R22] = 0
         m[T1] += j1
         m[T2] += j2
-        out = out + Poly.monomial(m, coef)
-    return out
+        terms.append((m, coef))
+    return Poly(NV, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +182,10 @@ class DiffOperator:
     def q_poly(self, t):
         """Q(T) in (X1, X2): substitute u1 -> n1 X1^2, u12 -> m2 X1 X2,
         u2 -> n2 X2^2 (m2 is the z12-frequency, twice the off-diagonal)."""
-        out = Poly.zero(2)
         n1, m2, n2 = t.as_tuple() if hasattr(t, "as_tuple") else t
-        for (i, j, kk), c in self.poly.items():
-            val = c * Fraction(n1) ** i * Fraction(m2) ** j * Fraction(n2) ** kk
-            if val:
-                out = out + Poly.monomial((2 * i + j, j + 2 * kk), val)
-        return out
+        return Poly(2, (((2 * i + j, j + 2 * kk),
+                         c * n1 ** i * m2 ** j * n2 ** kk)
+                        for (i, j, kk), c in self.poly.items()))
 
 
 @lru_cache(maxsize=None)

@@ -10,17 +10,18 @@ rescaled so the kernels reproduce.
 The invariant trilinear couplings are built from iterated Laplacians of
 products followed by harmonic projection: T(P,Q,R) = <<proj(Lap^k(P*Q)), R>>.
 They are nonzero exactly on balanced triples with even degree sum, and unique
-up to scalar; the "delta-contraction/v1" tag records this normalization.
+up to scalar.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, factorial
 
-from ._linalg import frac_mat, identity, inverse, vec_mat
+from ._linalg import (frac_mat, identity, inverse, nullspace, solve_right,
+                      vec_mat)
 from ._poly import Poly, apply_diff_operator, fischer_pairing
 from .quatalg import quaternion_product
 
@@ -43,36 +44,18 @@ def _monomials(nvars, degree):
 class HarmonicSpace:
     """Polynomials on an n-space with quadratic form q(x) = x^T A x."""
 
-    _cache = {}
-
-    def __new__(cls, gram):
-        key = tuple(tuple(Fraction(x) for x in row) for row in gram)
-        if key not in cls._cache:
-            obj = super().__new__(cls)
-            obj._init(key)
-            cls._cache[key] = obj
-        return cls._cache[key]
-
-    def _init(self, key):
-        self.gram = frac_mat([list(row) for row in key])
+    def __init__(self, gram):
+        self.gram = frac_mat(gram)
         self.dim = len(self.gram)
         self.gram_inv = inverse(self.gram)
-        self._proj_solvers = {}
-        self._bases = {}
-        self._kernel_norms = {}
 
     # -- basic objects -------------------------------------------------------
+    @cached_property
     def q_poly(self):
         n = self.dim
-        p = Poly.zero(n)
-        for i in range(n):
-            for j in range(n):
-                if self.gram[i][j]:
-                    mono = [0] * n
-                    mono[i] += 1
-                    mono[j] += 1
-                    p = p + Poly.monomial(mono, self.gram[i][j])
-        return p
+        return Poly(n, ((tuple(int(k == i) + int(k == j) for k in range(n)), g)
+                        for i, row in enumerate(self.gram)
+                        for j, g in enumerate(row)))
 
     def laplacian(self, p):
         return p.laplacian(self.gram_inv)
@@ -81,81 +64,56 @@ class HarmonicSpace:
         return fischer_pairing(p, q, self.gram_inv)
 
     # -- harmonic basis ------------------------------------------------------
+    @lru_cache(maxsize=None)
     def harmonic_basis(self, degree):
         """Canonical basis of harmonic polynomials of the given degree."""
-        if degree not in self._bases:
-            monos = _monomials(self.dim, degree)
-            if degree < 2:
-                basis = [Poly.monomial(m) for m in monos]
-            else:
-                lower = _monomials(self.dim, degree - 2)
-                rows = []
-                for m in monos:
-                    lap = self.laplacian(Poly.monomial(m))
-                    rows.append([lap.terms.get(lm, Fraction(0))
-                                 for lm in lower])
-                # kernel of mono-coeff vector -> laplacian coeffs
-                from ._linalg import nullspace
-                ker = nullspace([list(col) for col in zip(*rows)])
-                basis = []
-                for v in ker:
-                    p = Poly.zero(self.dim)
-                    for coef, m in zip(v, monos):
-                        if coef:
-                            p = p + Poly.monomial(m, coef)
-                    basis.append(p)
-            self._bases[degree] = basis
-        return self._bases[degree]
+        monos = _monomials(self.dim, degree)
+        if degree < 2:
+            return [Poly.monomial(m) for m in monos]
+        lower = _monomials(self.dim, degree - 2)
+        rows = []
+        for m in monos:
+            lap = self.laplacian(Poly.monomial(m))
+            rows.append([lap.terms.get(lm, Fraction(0)) for lm in lower])
+        # kernel of mono-coeff vector -> laplacian coeffs
+        ker = nullspace([list(col) for col in zip(*rows)])
+        return [Poly(self.dim, zip(monos, v)) for v in ker]
 
     def coords_in_basis(self, p, degree):
         """Coordinates of a harmonic polynomial in the canonical basis."""
         basis = self.harmonic_basis(degree)
-        gram = self._basis_fischer_gram(degree)
         rhs = [self.fischer(b, p) for b in basis]
-        from ._linalg import solve_right
-        return solve_right(gram, rhs)
+        return solve_right(self._basis_fischer_gram(degree), rhs)
 
     @lru_cache(maxsize=None)
-    def _basis_fischer_gram_cached(self, degree):
-        basis = self.harmonic_basis(degree)
-        return tuple(tuple(self.fischer(b1, b2) for b2 in basis)
-                     for b1 in basis)
-
     def _basis_fischer_gram(self, degree):
-        return [list(row) for row in self._basis_fischer_gram_cached(degree)]
+        """Fischer pairings of the canonical basis; callers only read it."""
+        basis = self.harmonic_basis(degree)
+        return [[self.fischer(b1, b2) for b2 in basis] for b1 in basis]
 
     # -- harmonic projection -------------------------------------------------
+    @lru_cache(maxsize=None)
     def _projection_solver(self, degree):
         """Inverse of g -> Lap(q*g) on homogeneous degree-(degree-2) polys."""
-        if degree not in self._proj_solvers:
-            lower = _monomials(self.dim, degree - 2)
-            qp = self.q_poly()
-            cols = []
-            for m in lower:
-                img = self.laplacian(qp * Poly.monomial(m))
-                cols.append([img.terms.get(lm, Fraction(0)) for lm in lower])
-            mat = [list(row) for row in zip(*cols)]
-            self._proj_solvers[degree] = (lower, inverse(mat))
-        return self._proj_solvers[degree]
+        lower = _monomials(self.dim, degree - 2)
+        cols = []
+        for m in lower:
+            img = self.laplacian(self.q_poly * Poly.monomial(m))
+            cols.append([img.terms.get(lm, Fraction(0)) for lm in lower])
+        return lower, inverse([list(row) for row in zip(*cols)])
 
     def harmonic_projection(self, p):
         """Fischer-orthogonal projection onto harmonics, degree by degree."""
         out = Poly.zero(self.dim)
         for d in sorted({sum(m) for m in p.terms}):
             comp = p.homogeneous_component(d)
-            while d >= 2:
-                lap = self.laplacian(comp)
-                if lap.is_zero():
-                    break
+            lap = self.laplacian(comp)
+            if not lap.is_zero():
                 lower, inv = self._projection_solver(d)
                 rhs = [lap.terms.get(lm, Fraction(0)) for lm in lower]
                 g_coords = vec_mat(rhs, [list(r) for r in zip(*inv)])
-                g = Poly.zero(self.dim)
-                for coef, m in zip(g_coords, lower):
-                    if coef:
-                        g = g + Poly.monomial(m, coef)
-                comp = comp - self.q_poly() * g
-                break
+                g = Poly(self.dim, zip(lower, g_coords))
+                comp = comp - self.q_poly * g
             out = out + comp
         return out
 
@@ -163,66 +121,46 @@ class HarmonicSpace:
     def kernel_bipoly(self, degree):
         """Zonal reproducing kernel K(x, y) as a polynomial in 2*dim vars."""
         n = self.dim
-        pair = Poly.zero(2 * n)
-        for i in range(n):
-            for j in range(n):
-                if self.gram[i][j]:
-                    mono = [0] * (2 * n)
-                    mono[i] += 1
-                    mono[n + j] += 1
-                    pair = pair + Poly.monomial(mono, self.gram[i][j])
-        qx = Poly.zero(2 * n)
-        qy = Poly.zero(2 * n)
-        for i in range(n):
-            for j in range(n):
-                if self.gram[i][j]:
-                    mx = [0] * (2 * n)
-                    mx[i] += 1
-                    mx[j] += 1
-                    qx = qx + Poly.monomial(mx, self.gram[i][j])
-                    my = [0] * (2 * n)
-                    my[n + i] += 1
-                    my[n + j] += 1
-                    qy = qy + Poly.monomial(my, self.gram[i][j])
-        return _kernel_from_invariants(self.dim, degree, pair, qx, qy)
+        qx = self.q_poly.embed(2 * n)
+        qy = self.q_poly.embed(2 * n, n)
+        # <x, y> = (q(x + y) - q(x) - q(y)) / 2
+        plus = [[int(j in (i, n + i)) for j in range(2 * n)] for i in range(n)]
+        pair = (self.q_poly.subs_linear(plus) - qx - qy) * Fraction(1, 2)
+        return _kernel_from_invariants(n, degree, pair, qx, qy)
 
     def kernel_at(self, degree, point):
         """K(x, point) as a polynomial in x (dim vars)."""
-        bip = self.kernel_bipoly(degree)
         n = self.dim
-        assigned = bip.eval_partial({n + i: point[i] for i in range(n)})
-        out = Poly.zero(n)
-        for m, c in assigned.terms.items():
-            out = out + Poly.monomial(m[:n], c)
-        return out
+        assigned = self.kernel_bipoly(degree).eval_partial(
+            {n + i: x for i, x in enumerate(point)})
+        return Poly(n, ((m[:n], c) for m, c in assigned.terms.items()))
 
+    @lru_cache(maxsize=None)
     def kernel_normalization(self, degree):
         """c with <K(.,y), Q>_Fischer = c * Q(y) for harmonic Q.
 
         Asserts consistency over the whole basis at two generic points,
         which is the reproducing-kernel property itself.
         """
-        if degree not in self._kernel_norms:
-            basis = self.harmonic_basis(degree)
-            pts = ([Fraction(k + 1, 1) for k in range(self.dim)],
-                   [Fraction(2 * k + 1, 2) for k in range(self.dim)])
-            c = None
-            for pt in pts:
-                ker = self.kernel_at(degree, pt)
-                for b in basis:
-                    val = b.eval(pt)
-                    if val == 0:
-                        continue
-                    ratio = self.fischer(ker, b) / val
-                    if c is None:
-                        c = ratio
-                    elif c != ratio:
-                        raise HarmonicsError(
-                            "kernel fails the reproducing property")
-            if c is None or c == 0:
-                raise HarmonicsError("degenerate kernel normalization")
-            self._kernel_norms[degree] = c
-        return self._kernel_norms[degree]
+        basis = self.harmonic_basis(degree)
+        pts = ([Fraction(k + 1, 1) for k in range(self.dim)],
+               [Fraction(2 * k + 1, 2) for k in range(self.dim)])
+        c = None
+        for pt in pts:
+            ker = self.kernel_at(degree, pt)
+            for b in basis:
+                val = b.eval(pt)
+                if val == 0:
+                    continue
+                ratio = self.fischer(ker, b) / val
+                if c is None:
+                    c = ratio
+                elif c != ratio:
+                    raise HarmonicsError(
+                        "kernel fails the reproducing property")
+        if c is None or c == 0:
+            raise HarmonicsError("degenerate kernel normalization")
+        return c
 
     def inner(self, p, q, degree=None):
         """Invariant inner product normalized so the kernel reproduces."""
@@ -259,15 +197,18 @@ def _kernel_from_invariants(dim, degree, pair, qx, qy):
 # standard spaces and algebra-attached spaces
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def standard_space(dim):
     return HarmonicSpace(identity(dim))
 
 
+@lru_cache(maxsize=None)
 def trace_zero_space(alg):
     g = alg.trace_zero_gram()
     return HarmonicSpace([[x / 2 for x in row] for row in g])
 
 
+@lru_cache(maxsize=None)
 def full_space(alg):
     g = alg.norm_gram()
     return HarmonicSpace([[x / 2 for x in row] for row in g])
@@ -344,8 +285,6 @@ class TrilinearForm:
     degrees: tuple
     zero: bool
     reason: str = ""
-    normalization: str = "delta-contraction/v1"
-    _tensor: dict = field(default_factory=dict, repr=False)
 
     def value(self, p, q, r):
         a, b, c = self.degrees
@@ -363,21 +302,18 @@ class TrilinearForm:
         return self.space.inner(prod, r, c)
 
     def tensor(self):
-        """Full coupling tensor on the canonical bases (cached)."""
+        """Full coupling tensor on the canonical bases: its nonzero entries."""
         if self.zero:
             return {}
-        if not self._tensor:
-            a, b, c = self.degrees
-            ba = self.space.harmonic_basis(a)
-            bb = self.space.harmonic_basis(b)
-            bc = self.space.harmonic_basis(c)
-            for ia, pa in enumerate(ba):
-                for ib, pb in enumerate(bb):
-                    for ic, pc in enumerate(bc):
-                        v = self.value(pa, pb, pc)
-                        if v:
-                            self._tensor[(ia, ib, ic)] = v
-        return self._tensor
+        ba, bb, bc = (self.space.harmonic_basis(d) for d in self.degrees)
+        out = {}
+        for ia, pa in enumerate(ba):
+            for ib, pb in enumerate(bb):
+                for ic, pc in enumerate(bc):
+                    v = self.value(pa, pb, pc)
+                    if v:
+                        out[(ia, ib, ic)] = v
+        return out
 
     def nonzero_witness(self):
         """A basis triple with nonzero value, or None."""
@@ -420,8 +356,7 @@ def invariant_coupling(nu, beta1p, beta2p, space=None):
     """
     form = trilinear_form(nu, beta1p, beta2p, space)
     if form.reason == "parity":
-        return TrilinearForm(form.space, form.degrees, False,
-                             normalization="epsilon-contraction/v1")
+        return TrilinearForm(form.space, form.degrees, False)
     return form
 
 
@@ -437,17 +372,7 @@ class SplitIso:
     Indices: u is the left similitude slot, v the right.
     """
 
-    _cache = {}
-
-    def __new__(cls, alg, m):
-        key = (alg, m)
-        if key not in cls._cache:
-            obj = super().__new__(cls)
-            obj._init(alg, m)
-            cls._cache[key] = obj
-        return cls._cache[key]
-
-    def _init(self, alg, m):
+    def __init__(self, alg, m):
         self.alg = alg
         self.m = m
         self.space3 = trace_zero_space(alg)
@@ -470,37 +395,27 @@ class SplitIso:
         self._build_matrix()
 
     def _harmproj_x(self, p):
-        """Harmonic projection in the x-block with u,v symbolic."""
-        # group terms by x-monomial, project each x-monomial once
+        """Harmonic projection in the x-block with u,v symbolic: the terms
+        are grouped by x-monomial, and each x-monomial projected once."""
         groups = {}
         for mono, c in p.terms.items():
-            xm, rest = mono[:4], mono[4:]
-            groups.setdefault(xm, []).append((rest, c))
-        proj_cache = {}
-        out = Poly.zero(10)
-        for xm, items in groups.items():
-            if xm not in proj_cache:
-                proj_cache[xm] = self.space4.harmonic_projection(
-                    Poly.monomial(xm))
-            px = proj_cache[xm]
-            for rest, c in items:
-                for m2, c2 in px.terms.items():
-                    out = out + Poly.monomial(tuple(m2) + rest, c * c2)
-        return out
+            groups.setdefault(mono[:4], []).append((mono[4:], c))
+        return Poly(10, (
+            (mx + rest, c * cx)
+            for xm, items in groups.items()
+            for mx, cx in self.space4.harmonic_projection(
+                Poly.monomial(xm)).terms.items()
+            for rest, c in items))
 
     def _build_matrix(self):
         m = self.m
         b3 = self.space3.harmonic_basis(m)
-        b4 = self.space4.harmonic_basis(2 * m)
-        images = []
+        gram_inv = self.space3.gram_inv
         self.pairs = [(r, s) for r in range(len(b3)) for s in range(len(b3))]
-        for (r, s) in self.pairs:
-            img = _pair_block(self.kernel, b3[r], 4, self.space3.gram_inv)
-            img = _pair_block(img, b3[s], 7, self.space3.gram_inv)
-            img4 = Poly.zero(4)
-            for mono, c in img.terms.items():
-                img4 = img4 + Poly.monomial(mono[:4], c)
-            images.append(img4)
+        # pairing u (vars 4-6) leaves x and v, then v sits at 4-6 in turn
+        images = [_pair_block(_pair_block(self.kernel, b3[r], 4, gram_inv),
+                              b3[s], 4, gram_inv)
+                  for r, s in self.pairs]
         mat = [self.space4.coords_in_basis(img, 2 * m) for img in images]
         self.phi_matrix = mat              # rows indexed by (r,s) pairs
         self.phi_inv = inverse(mat)        # columns map basis4 -> pair coords
@@ -520,25 +435,27 @@ class SplitIso:
         return out
 
 
+@lru_cache(maxsize=None)
+def split_iso(alg, m):
+    """The SplitIso of (alg, m), built once per process."""
+    return SplitIso(alg, m)
+
+
 def _pair_block(big, small, offset, gram_inv):
-    """Fischer-pair small against the block of small.nvars vars at offset."""
+    """Fischer-pair small against the block of small.nvars vars at offset.
+
+    The result is a Poly in the other variables of big, in their order.
+    """
     n = big.nvars
     k = small.nvars
     coeff = [[Fraction(0)] * n for _ in range(n)]
     for i in range(k):
         for j in range(k):
             coeff[offset + i][offset + j] = gram_inv[i][j]
-    op = Poly.zero(n)
-    for mono, c in small.terms.items():
-        mm = [0] * n
-        mm[offset:offset + k] = mono
-        op = op + Poly.monomial(mm, c)
-    applied = apply_diff_operator(op, big, coeff)
-    out = Poly.zero(n)
-    for mono, c in applied.terms.items():
-        if not any(mono[offset:offset + k]):
-            out = out + Poly.monomial(mono, c)
-    return out
+    applied = apply_diff_operator(small.embed(n, offset), big, coeff)
+    return Poly(n - k, ((mono[:offset] + mono[offset + k:], c)
+                        for mono, c in applied.terms.items()
+                        if not any(mono[offset:offset + k])))
 
 
 # ---------------------------------------------------------------------------
@@ -573,78 +490,50 @@ def c_coeff(q_bipoly, alpha1, alpha2, nu1, nu2, alg):
         return Poly.zero(8)
 
     # Q coordinates on basis(nu1) x basis(nu2)
-    b_nu1 = space3.harmonic_basis(nu1)
-    b_nu2 = space3.harmonic_basis(nu2)
     q_coords = _bipoly_coords(q_bipoly, space3, nu1, nu2)
 
-    splits = (SplitIso(alg, m1), SplitIso(alg, m2))
-    kers = (_kernel_split_components(space4, splits[0], a1p),
-            _kernel_split_components(space4, splits[1], a2p))
+    splits = (split_iso(alg, m1), split_iso(alg, m2))
+    # the x1 components on vars 0-3, the x2 components on vars 4-7
+    kers = ([d.embed(8) for d in
+             _kernel_split_components(space4, splits[0], a1p)],
+            [d.embed(8, 4) for d in
+             _kernel_split_components(space4, splits[1], a2p)])
 
     ten1 = t1.tensor()
     ten2 = t2.tensor()
     if not ten1 or not ten2:
         return Poly.zero(8)
 
-    n1pairs = splits[0].pairs
-    n2pairs = splits[1].pairs
-    out = Poly.zero(8)
+    terms = []
     for (ia, ib), qc in q_coords.items():
-        if not qc:
-            continue
-        for i1, (r1, s1) in enumerate(n1pairs):
-            d1 = kers[0][i1]
+        for (r1, s1), d1 in zip(splits[0].pairs, kers[0]):
             if d1.is_zero():
                 continue
-            for i2, (r2, s2) in enumerate(n2pairs):
+            for (r2, s2), d2 in zip(splits[1].pairs, kers[1]):
                 v1 = ten1.get((ia, r1, r2))
                 if not v1:
                     continue
                 v2 = ten2.get((ib, s1, s2))
-                if not v2:
+                if not v2 or d2.is_zero():
                     continue
-                d2 = kers[1][i2]
-                if d2.is_zero():
-                    continue
-                d2s = _shift_block(d2, 4)
-                out = out + d1 * d2s * (qc * v1 * v2)
-    return out
-
-
-def _shift_block(p4, offset):
-    out = Poly.zero(8)
-    for mono, c in p4.terms.items():
-        mm = [0] * 8
-        for k in range(4):
-            mm[offset + k] = mono[k]
-        out = out + Poly.monomial(tuple(mm), c)
-    return out
+                terms.extend((d1 * d2 * (qc * v1 * v2)).terms.items())
+    return Poly(8, terms)
 
 
 def _kernel_split_components(space4, split, alpha):
     """Split components of the 4-space kernel G^{(alpha)}(x, .).
 
     Returns, for each (r, s) pair index of the split basis, the x-polynomial
-    coefficient (a Poly in 8 vars living on the x1 block 0-3).
+    coefficient (a Poly in the 4 vars of x).
     """
     bip = space4.kernel_bipoly(alpha)  # vars x:0-3, y:4-7
     b4 = space4.harmonic_basis(alpha)
     # coordinates of G(x, .) in basis4 of the y-block, coefficients in x
-    gram = space4._basis_fischer_gram(alpha)
-    ginv = inverse(gram)
-    rhs = []
-    for b in b4:
-        paired = _pair_block(bip, b, 4, space4.gram_inv)
-        px = Poly.zero(8)
-        for mono, c in paired.terms.items():
-            mm = [0] * 8
-            for k in range(4):
-                mm[k] = mono[k]
-            px = px + Poly.monomial(tuple(mm), c)
-        rhs.append(px)
+    ginv = inverse(space4._basis_fischer_gram(alpha))
+    rhs = [_pair_block(bip, b, 4, space4.gram_inv) for b in b4]
     coords = []
     for i in range(len(b4)):
-        acc = Poly.zero(8)
+        acc = Poly.zero(4)
         for j in range(len(b4)):
             if ginv[i][j]:
                 acc = acc + rhs[j] * ginv[i][j]
@@ -652,7 +541,7 @@ def _kernel_split_components(space4, split, alpha):
     # pair coordinates via phi_inv: pair_coord[k] = sum_t coords[t] * phi_inv[t][k]
     out = []
     for kidx in range(len(split.pairs)):
-        acc = Poly.zero(8)
+        acc = Poly.zero(4)
         for t in range(len(b4)):
             coef = split.phi_inv[t][kidx]
             if coef:
@@ -669,10 +558,9 @@ def _bipoly_coords(q_bipoly, space3, nu1, nu2):
     g2 = inverse(space3._basis_fischer_gram(nu2))
     raw = {}
     for ia, pa in enumerate(b1):
-        paired = _pair_block(q_bipoly, pa, 0, space3.gram_inv)
+        paired = _pair_block(q_bipoly, pa, 0, space3.gram_inv)  # t block
         for ib, pb in enumerate(b2):
-            val = _pair_block(paired, pb, 3, space3.gram_inv)
-            raw[(ia, ib)] = val.terms.get(tuple([0] * 6), Fraction(0))
+            raw[(ia, ib)] = space3.fischer(pb, paired)
     out = {}
     for ia in range(len(b1)):
         for ib in range(len(b2)):

@@ -33,13 +33,11 @@ class IntLattice:
     basis: rows are lattice generators in ambient coordinates.
     gram:  Gram matrix of B on the *ambient* basis (so the Gram on the
            lattice basis is basis * gram * basis^T).
-    scale: bookkeeping factor recording any rescaling of the form.
     """
 
-    def __init__(self, basis, gram, scale=Fraction(1)):
+    def __init__(self, basis, gram):
         self.basis = frac_mat(basis)
         self.gram = frac_mat(gram)
-        self.scale = Fraction(scale)
         n = len(self.gram)
         if any(len(r) != n for r in self.gram):
             raise LatticeError("gram must be square")
@@ -93,7 +91,7 @@ class IntLattice:
     def rescaled(self, factor):
         factor = Fraction(factor)
         g = [[x * factor for x in row] for row in self.gram]
-        return IntLattice(self.basis, g, self.scale * factor)
+        return IntLattice(self.basis, g)
 
     def content(self):
         """gcd of the q-values on the lattice (from the basis Gram)."""
@@ -109,7 +107,7 @@ class IntLattice:
                 tuple(tuple(x for x in row) for row in self.gram))
 
     def __repr__(self):
-        return f"IntLattice(rank {len(self.basis)}, scale {self.scale})"
+        return f"IntLattice(rank {len(self.basis)})"
 
 
 def _ldl(a):

@@ -46,7 +46,6 @@ class NewformRecord:
     weight: int
     ap: dict                 # prime -> integer a_p
     al_signs: dict           # prime | level -> +-1
-    source: str = "file"
 
     def a(self, p):
         if p not in self.ap:
@@ -108,29 +107,8 @@ def resolve_label(records, label):
 
 
 # ---------------------------------------------------------------------------
-# Satake parameters and Euler factors
+# Euler factors
 # ---------------------------------------------------------------------------
-
-@dataclass
-class SatakeParams:
-    """The pair {alpha, beta} stored exactly as (a_p, p^{k-1})."""
-    prime: int
-    a: Fraction
-    pk1: Fraction            # alpha * beta = p^{k-1}
-    analytic: bool = False   # True once scaled to |alpha| = 1 bookkeeping
-
-    @classmethod
-    def of(cls, record, p):
-        if record.level % p == 0:
-            raise LSeriesError(f"{p} divides the level; not a good prime")
-        return cls(p, Fraction(record.a(p)),
-                   Fraction(p ** (record.weight - 1)))
-
-    def factor(self):
-        """Local L-factor 1 - a_p X + p^{k-1} X^2 (arithmetic)."""
-        return EulerFactor(self.prime, [Fraction(1), -self.a, self.pk1],
-                           shift=Fraction(0))
-
 
 @dataclass
 class EulerFactor:
@@ -175,7 +153,7 @@ class EulerFactor:
         coeffs = [(-1) ** k * e[k] for k in range(degree + 1)]
         return cls(prime, coeffs, shift)
 
-    def tensor(self, other, shift=None):
+    def tensor(self, other):
         """Factor with reciprocal roots r_i * s_j (Rankin-Selberg tensor)."""
         if self.prime != other.prime:
             raise LSeriesError("tensor needs matching primes")
@@ -183,24 +161,20 @@ class EulerFactor:
         ps1 = self.power_sums(d)
         ps2 = other.power_sums(d)
         ps = [ps1[k] * ps2[k] for k in range(d)]
-        if shift is None:
-            shift = self.shift + other.shift
-        return EulerFactor.from_power_sums(self.prime, ps, d, shift)
+        return EulerFactor.from_power_sums(self.prime, ps, d,
+                                           self.shift + other.shift)
 
-    def sym2(self, shift=None):
+    def sym2(self):
         """Symmetric square: roots r_i r_j for i <= j."""
         d = self.degree * (self.degree + 1) // 2
         ps1 = self.power_sums(2 * d)
         ps = [(ps1[k] ** 2 + ps1[2 * k + 1]) / 2 for k in range(d)]
-        if shift is None:
-            shift = 2 * self.shift
-        return EulerFactor.from_power_sums(self.prime, ps, d, shift)
+        return EulerFactor.from_power_sums(self.prime, ps, d, 2 * self.shift)
 
-    def scale_roots(self, c, shift=None):
+    def scale_roots(self, c):
         c = Fraction(c)
         coeffs = [self.coeffs[k] * c ** k for k in range(len(self.coeffs))]
-        return EulerFactor(self.prime, coeffs,
-                           self.shift if shift is None else shift)
+        return EulerFactor(self.prime, coeffs, self.shift)
 
     def multiply(self, other):
         """Product of factors (concatenated root multisets)."""
@@ -229,8 +203,11 @@ class EulerFactor:
 # ---------------------------------------------------------------------------
 
 def good_factor(record, p):
-    """Degree-2 arithmetic factor of a newform at a good prime."""
-    return SatakeParams.of(record, p).factor()
+    """Degree-2 arithmetic factor 1 - a_p X + p^{k-1} X^2 of a newform at a
+    good prime."""
+    if record.level % p == 0:
+        raise LSeriesError(f"{p} divides the level; not a good prime")
+    return EulerFactor(p, [1, -record.a(p), p ** (record.weight - 1)])
 
 
 def triple_factor(h, f1, f2, p):

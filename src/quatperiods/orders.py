@@ -22,8 +22,8 @@ from ._linalg import (det, frac_mat, hnf_rational, identity, inverse,
                       lattice_index, lattice_intersection, mat_mul, nullspace,
                       transpose, vec_mat)
 from .lattice import IntLattice, short_vectors
-from .quatalg import (Quaternion, _is_prime, _is_squarefree, _prime_factors,
-                      algebra_for_discriminant)
+from .quatalg import (Quaternion, _is_squarefree, _prime_factors,
+                      algebra_for_discriminant, good_primes)
 
 
 class OrderError(ValueError):
@@ -61,10 +61,10 @@ def _is_order(alg, basis):
 class EichlerOrder:
     """An order in a definite quaternion algebra, of squarefree level N."""
 
-    def __init__(self, algebra, basis, check=True):
+    def __init__(self, algebra, basis):
         self.algebra = algebra
         self.basis = hnf_rational(basis)
-        if check and not _is_order(algebra, self.basis):
+        if not _is_order(algebra, self.basis):
             raise OrderError("basis does not span an order")
         self._inv = inverse(self.basis)
 
@@ -448,11 +448,7 @@ def right_ideal_classes(order):
     n1 = alg.discriminant
     n2 = n // n1
     target = eichler_mass(n1, n2)
-    p = 2
-    while n % p == 0:
-        p += 1
-        while not _is_prime(p):
-            p += 1
+    p = good_primes(n, 1)[0]
 
     reps = [order.basis]
     left_orders = [order]
@@ -467,7 +463,7 @@ def right_ideal_classes(order):
                 break
             if any(ideals_equivalent(alg, nb, r) for r in reps):
                 continue
-            lo = EichlerOrder(alg, left_order_basis(alg, nb), check=True)
+            lo = EichlerOrder(alg, left_order_basis(alg, nb))
             reps.append(nb)
             left_orders.append(lo)
             unit_counts.append(lo.unit_count())

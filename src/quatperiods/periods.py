@@ -134,7 +134,7 @@ def _zero_report(cs, weights, reason, weighting):
 
 
 def period_sums(phi1, phi2, psi1, psi2, alpha1, alpha2,
-                weighting="unweighted", signs=None, check_gate_n1=None):
+                weighting="unweighted", signs=None):
     """The two trilinear period sums and their product.
 
     S_i = sum_j w_j T_i(phi_i(y_j) x psi1(y_j) x psi2(y_j)), with w_j = 1
@@ -154,8 +154,7 @@ def period_sums(phi1, phi2, psi1, psi2, alpha1, alpha2,
     n1 = cs.order.algebra.discriminant
 
     if signs is not None:
-        gate_n1 = check_gate_n1 if check_gate_n1 is not None else n1
-        if not sign_gate(signs, gate_n1):
+        if not sign_gate(signs, n1):
             return _zero_report(cs, weights, "sign-gate", weighting)
 
     if alpha1 + alpha2 != 2 * nu2 or a1p < 0 or a2p < 0 or \

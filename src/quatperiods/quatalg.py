@@ -64,6 +64,17 @@ def primes_up_to(n):
     return [i for i in range(2, n + 1) if sieve[i]]
 
 
+def good_primes(n, count):
+    """The count smallest primes that do not divide n, in increasing order."""
+    out = []
+    p = 2
+    while len(out) < count:
+        if n % p and _is_prime(p):
+            out.append(p)
+        p += 1
+    return out
+
+
 def _legendre(a, p):
     a %= p
     if a == 0:
@@ -253,12 +264,6 @@ class Quaternion:
 
     def is_zero(self):
         return not (self.w or self.x or self.y or self.z)
-
-    def inverse(self):
-        n = self.norm()
-        if n == 0:
-            raise QuatAlgError("zero quaternion has no inverse")
-        return self.conj() * (Fraction(1) / n)
 
     def __eq__(self, other):
         return isinstance(other, Quaternion) and self.alg == other.alg and \

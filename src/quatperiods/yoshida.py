@@ -103,19 +103,19 @@ def yoshida_lift(phi1, phi2, prec):
     # and only cancel after the m2-summation of the diagonal restriction
     alphas = [(a1, 2 * nu2 - a1) for a1 in range(2 * nu2 + 1)] \
         if not scalar else []
+    if scalar:
+        values1, values2 = phi1.scalar_values(), phi2.scalar_values()
 
     for i in range(cs.size):
         for j in range(cs.size):
             w = Fraction(1, cs.unit_counts[i] * cs.unit_counts[j])
             if scalar:
-                f1 = phi1.values[i].terms.get((0, 0, 0), Fraction(0))
-                f2 = phi2.values[j].terms.get((0, 0, 0), Fraction(0))
-                coef = w * f1 * f2
+                coef = w * values1[i] * values2[j]
                 if coef == 0:
                     continue
                 cpolys = None
             else:
-                q_bip = _tensor_bipoly(phi1.values[i], phi2.values[j])
+                q_bip = phi1.values[i].embed(6) * phi2.values[j].embed(6, 3)
                 if q_bip.is_zero():
                     continue
                 family = psi_components(q_bip, nu1, nu2, alg)
@@ -136,11 +136,8 @@ def yoshida_lift(phi1, phi2, prec):
                         add = Poly.const(2, coef)
                     else:
                         pt = conn.ambient(v1) + conn.ambient(v2)
-                        add = Poly.zero(2)
-                        for (a1, a2), cp in cpolys.items():
-                            val = cp.eval(pt)
-                            if val:
-                                add = add + Poly.monomial((a1, a2), val * w)
+                        add = Poly(2, ((key, cp.eval(pt) * w)
+                                       for key, cp in cpolys.items()))
                         if add.is_zero():
                             continue
                     cur = table.coeffs.get(t)
@@ -150,14 +147,6 @@ def yoshida_lift(phi1, phi2, prec):
         if not t.is_psd():
             raise YoshidaError(f"non-psd index {t} appeared")
     return table
-
-
-def _tensor_bipoly(p_left, p_right):
-    out = Poly.zero(6)
-    for m1, c1 in p_left.terms.items():
-        for m2, c2 in p_right.terms.items():
-            out = out + Poly.monomial(tuple(m1) + tuple(m2), c1 * c2)
-    return out
 
 
 def _raise_x1(c):

@@ -13,7 +13,7 @@ from quatperiods.brandt import (BrandtError, NumberFieldElement,
                                 brandt_matrices, brandt_matrix, constant_form,
                                 eichler_theta, eigenforms, inner_product)
 from quatperiods.cli import match_eigenform
-from quatperiods.harmonics import (random_harmonic, tau_action,
+from quatperiods.harmonics import (SplitIso, random_harmonic, tau_action,
                                    trace_zero_space)
 from quatperiods.lattice import short_vectors, theta_coeffs
 from quatperiods.lseries import NewformRecord
@@ -221,14 +221,39 @@ def test_eichler_theta_eisenstein():
     assert all(v > 0 for v in th.values())
 
 
-def test_eichler_theta_positive_weight_a0_vanishes():
-    cs = class_set_for(2)
+def _random_weight_2_form(disc):
+    """Random weight-2 values, one per class, not averaged over the units."""
+    cs = class_set_for(disc)
     sp = trace_zero_space(cs.order.algebra)
     phi = constant_form(cs)
     phi.weight = 2
-    phi.values = [random_harmonic(sp, 2, random.Random(1))]
-    th = eichler_theta(phi, 3)
+    rng = random.Random(1)
+    phi.values = [random_harmonic(sp, 2, rng) for _ in range(cs.size)]
+    return phi
+
+
+def test_eichler_theta_positive_weight_a0_vanishes():
+    th = eichler_theta(_random_weight_2_form(2), 3)
     assert th[0] == 0
+
+
+@pytest.mark.parametrize("disc, prec", [(2, 3), (11, 4)])
+def test_eichler_theta_positive_weight_matches_vector_sum(disc, prec):
+    # oracle: the lift's defining sum over the vectors of every ordered
+    # pair of classes, weighted by the split image of phi_i x phi_j
+    phi = _random_weight_2_form(disc)
+    cs = phi.class_set
+    split = SplitIso(cs.order.algebra, 2)
+    expect = {n: Fraction(0) for n in range(prec + 1)}
+    for i in range(cs.size):
+        for j in range(cs.size):
+            w = Fraction(1, cs.unit_counts[i] * cs.unit_counts[j])
+            conn = cs.connecting(i, j)
+            poly4 = split.apply(phi.values[i], phi.values[j])
+            for v, q in short_vectors(conn, prec, include_zero=True):
+                if q.denominator == 1:
+                    expect[int(q)] += w * poly4.eval(conn.ambient(v))
+    assert eichler_theta(phi, prec) == expect
 
 
 def test_eigenforms_level_26_match_both_algebras():

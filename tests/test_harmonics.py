@@ -6,12 +6,14 @@ import pytest
 
 from quatperiods._linalg import rref
 from quatperiods._poly import Poly
+from quatperiods.brandt import NumberFieldElement
 from quatperiods.harmonics import (HarmonicsError, SplitIso, TrilinearForm,
                                    balanced, c_coeff, full_space,
                                    random_harmonic, standard_space,
                                    tau_action, tau_matrix, trace_zero_space,
                                    trilinear_form)
 from quatperiods.quatalg import Quaternion, algebra_for_discriminant
+from test_quatalg import inverse
 
 
 def _block_laplacian(p, gram_inv, offset, dim):
@@ -23,6 +25,44 @@ def _block_laplacian(p, gram_inv, offset, dim):
             if g:
                 out = out + di.diff(offset + j) * g
     return out
+
+
+# -- the polynomial constructor and embed -------------------------------------
+
+def test_poly_sums_repeated_monomials_and_drops_zero_sums():
+    p = Poly(2, [((1, 0), 2), ((0, 1), 3), ((1, 0), 5), ((0, 1), -3)])
+    assert p.terms == {(1, 0): 7}
+    assert Poly(2, {(1, 1): 0}).is_zero()
+
+
+def test_poly_int_coefficients_become_fractions():
+    p = Poly(2, {(1, 0): 3, (0, 1): -1})
+    assert all(type(c) is Fraction for c in p.terms.values())
+    halves = {m: c / 2 for m, c in p.terms.items()}
+    assert halves == {(1, 0): Fraction(3, 2), (0, 1): Fraction(-1, 2)}
+    assert all(type(c) is Fraction for c in halves.values())
+
+
+def test_poly_keeps_number_field_coefficients():
+    root2 = NumberFieldElement.generator((Fraction(1), Fraction(0),
+                                          Fraction(-2)))
+    p = Poly(2, [((1, 0), root2), ((0, 1), 1), ((0, 1), root2 * -1)])
+    assert p.terms[(1, 0)] is root2
+    assert p.terms[(0, 1)] == 1 - root2
+    assert (p * p).terms[(2, 0)] == 2
+    assert Poly(2, [((1, 0), root2), ((1, 0), -root2)]).is_zero()
+
+
+def test_poly_embed_tensor_matches_term_products():
+    rng = random.Random(14)
+    sp = standard_space(3)
+    a = random_harmonic(sp, 2, rng)
+    b = random_harmonic(sp, 1, rng)
+    assert _tensor6(a, b).terms == {m1 + m2: c1 * c2
+                                    for m1, c1 in a.terms.items()
+                                    for m2, c2 in b.terms.items()}
+    assert b.embed(5, 1).terms == {(0,) + m + (0,): c
+                                   for m, c in b.terms.items()}
 
 
 # -- Gegenbauer kernel --------------------------------------------------------
@@ -316,11 +356,7 @@ def test_c_coeff_parity_rejected():
 
 
 def _tensor6(pa, pb):
-    q = Poly.zero(6)
-    for m1, c1 in pa.terms.items():
-        for m2, c2 in pb.terms.items():
-            q = q + Poly.monomial(tuple(m1) + tuple(m2), c1 * c2)
-    return q
+    return pa.embed(6) * pb.embed(6, 3)
 
 
 def test_c_coeff_equivariance_exact():
@@ -335,7 +371,7 @@ def test_c_coeff_equivariance_exact():
     i, j, _ = alg.gens()
     y1 = alg.one() + i  # norm 2
     y2 = alg.one() + j  # norm 2
-    m = [(y1 * e * y2.inverse()).coords()
+    m = [(y1 * e * inverse(y2)).coords()
          for e in (alg.one(),) + alg.gens()]
     big = [[Fraction(0)] * 8 for _ in range(8)]
     for r in range(4):
@@ -343,8 +379,8 @@ def test_c_coeff_equivariance_exact():
             big[r][s] = m[s][r]
             big[4 + r][4 + s] = m[s][r]
     lhs = c.subs_linear(big)
-    rhs = c_coeff(_tensor6(tau_action(y1.inverse(), p1),
-                           tau_action(y2.inverse(), p2)),
+    rhs = c_coeff(_tensor6(tau_action(inverse(y1), p1),
+                           tau_action(inverse(y2), p2)),
                   a1, a2, nu1, nu2, alg)
     assert lhs == rhs
 

@@ -23,29 +23,42 @@ def test_cli_import_does_not_load_sympy():
 
 
 def _names(node):
-    """Every name read, attribute taken or name imported under node."""
+    """Every name read or imported under node."""
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
             yield n.id
-        elif isinstance(n, ast.Attribute):
-            yield n.attr
         elif isinstance(n, ast.alias):
             yield n.name
 
 
+def _attributes(node):
+    """Every attribute taken under node: the x.name accesses."""
+    return (n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+
 def test_every_function_and_class_is_used():
     # Only the package's own references count: what only tests/ or bench/
-    # reach is a test oracle, which belongs in tests/, or dead code.
+    # reach is a test oracle, which belongs in tests/, or dead code.  A
+    # method is used only through an attribute access x.name outside its
+    # own body, and a function or class only through its bare name or an
+    # import, so that a method, function or local of the same name does
+    # not hide it.
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.rglob("*.py"))}
     uses = Counter(name for tree in trees.values() for name in _names(tree))
+    attrs = Counter(name for tree in trees.values()
+                    for name in _attributes(tree))
+    methods = {id(node) for tree in trees.values() for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for node in cls.body}
     unused = []
     for path, tree in trees.items():
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or \
                     node.name.startswith("__"):
                 continue
-            own = sum(1 for name in _names(node) if name == node.name)
-            if uses[node.name] == own:
+            refs, counts = (_attributes, attrs) if id(node) in methods \
+                else (_names, uses)
+            own = sum(1 for name in refs(node) if name == node.name)
+            if counts[node.name] == own:
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert not unused, "defined but unused in src/:\n" + "\n".join(unused)
