@@ -218,27 +218,24 @@ def int_kernel(mat):
     return [row[cols:] for row in hnf(aug) if not any(row[:cols])]
 
 
-def _denominator_lcm(rows):
-    d = 1
-    for row in rows:
-        for x in row:
-            d = lcm(d, Fraction(x).denominator)
-    return d
+def integer_rows(rows):
+    """(d, int_rows): rational rows as integer rows over their least common
+    denominator d, so rows == int_rows / d."""
+    d = lcm(*(Fraction(x).denominator for row in rows for x in row))
+    return d, [[int(Fraction(x) * d) for x in row] for row in rows]
 
 
 def hnf_rational(rows):
     """Canonical HNF basis of the lattice spanned by rational rows."""
-    d = _denominator_lcm(rows)
-    int_rows = [[int(Fraction(x) * d) for x in row] for row in rows]
+    d, int_rows = integer_rows(rows)
     h = hnf(int_rows)
     return [[Fraction(x, d) for x in row] for row in h]
 
 
 def lattice_intersection(basis_a, basis_b):
     """Basis of the intersection of two full lattices given by rational rows."""
-    d = lcm(_denominator_lcm(basis_a), _denominator_lcm(basis_b))
-    a = [[int(Fraction(x) * d) for x in row] for row in basis_a]
-    b = [[int(Fraction(x) * d) for x in row] for row in basis_b]
+    d, rows = integer_rows(basis_a + basis_b)
+    a, b = rows[:len(basis_a)], rows[len(basis_a):]
     stacked = a + [[-x for x in row] for row in b]
     ker = int_kernel(stacked)
     na = len(a)

@@ -16,6 +16,7 @@ onto I_j conj(I_i) and keeps norms, so e_j T_ij = e_i T_ji.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,7 +46,8 @@ class NumberFieldElement:
     Stored as its d rational coordinates on the power basis 1, x, ...,
     x^(d-1) (low to high), with f as its coefficients high to low, as from
     _char_factors.  Mixes with int and Fraction, so the field-generic rref
-    and nullspace work over K as they are.
+    and nullspace work over K as they are, and has a numerator and a
+    denominator like a Fraction, so lattice.integer_terms clears it too.
     """
 
     __slots__ = ("coeffs", "modulus")
@@ -99,6 +101,16 @@ class NumberFieldElement:
         return NumberFieldElement(prod[:d], self.modulus)
 
     __rmul__ = __mul__
+
+    @property
+    def denominator(self):
+        """Least common denominator of the coordinates, as for a Fraction."""
+        return math.lcm(*(a.denominator for a in self.coeffs))
+
+    @property
+    def numerator(self):
+        """self * denominator, with integral coordinates, as for a Fraction."""
+        return self * self.denominator
 
     def matrix(self):
         """Multiplication by self on the power basis (column k: self x^k)."""

@@ -12,6 +12,14 @@ integers A_i.  Since W q(x) is an integer, q(x) <= bound holds exactly when
 W q(x) <= floor(W bound); and an integer t satisfies A t^2 <= R exactly when
 |t| <= isqrt(R // A).  So every coordinate range is computed without floats
 or slack, and no boundary vector with q(x) == bound is missed.
+
+Sums over lattice vectors run in integers too.  A lattice caches its basis
+and its basis Gram as integer rows over one denominator each, so a vector's
+ambient coordinates are y / D with integer y, and B(v, w) is an integer dot
+product over G.  A polynomial weight p of degree d with coefficients over
+the common denominator L becomes integer coefficients c_m = L D^(d-|m|) p_m,
+so p(y / D) = sum_m c_m y^m / (L D^d): the sum is taken in integers and
+divided once.
 """
 
 from __future__ import annotations
@@ -19,8 +27,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
-from ._linalg import content, det, frac_mat, hnf_rational, mat_mul, transpose
+from ._linalg import (content, det, frac_mat, hnf_rational, integer_rows,
+                      mat_mul, transpose)
 
 
 class LatticeError(ValueError):
@@ -76,17 +86,25 @@ class IntLattice:
         """Gram of B on the lattice basis."""
         return [row[:] for row in self._basis_gram]
 
-    def bilinear(self, v, w):
-        """B(v, w) for vectors in lattice coordinates."""
-        g = self._basis_gram
-        return sum(v[i] * sum(g[i][j] * w[j] for j in range(len(w)))
-                   for i in range(len(v)))
+    @cached_property
+    def integer_basis(self):
+        """(D, rows): the basis is rows / D with integer rows, D minimal."""
+        return integer_rows(self.basis)
+
+    @cached_property
+    def integer_gram(self):
+        """(G, rows): the basis Gram is rows / G, integer rows, G minimal."""
+        return integer_rows(self._basis_gram)
+
+    def integer_ambient(self, v):
+        """D times the ambient coordinates of v (lattice coordinates)."""
+        rows = self.integer_basis[1]
+        return [sum(map(mul, v, col)) for col in zip(*rows)]
 
     def ambient(self, v):
         """Ambient coordinates of a vector given in lattice coordinates."""
-        return [sum(Fraction(v[i]) * self.basis[i][j]
-                    for i in range(len(v)))
-                for j in range(len(self.basis[0]))]
+        den = self.integer_basis[0]
+        return [Fraction(y, den) for y in self.integer_ambient(v)]
 
     def rescaled(self, factor):
         factor = Fraction(factor)
@@ -169,6 +187,27 @@ def short_vectors(lattice, bound, include_zero=False):
     return result
 
 
+def integer_terms(polys, den):
+    """(N, [[(m, c), ...] per poly]): p(y / den) = sum_m c y^m / N for every
+    point y, with one N for all the polys and integer c.
+
+    N = L den^d for d the largest total degree and L the common denominator
+    of the coefficients.  A coefficient in a number field (anything with a
+    numerator and a denominator, like a Fraction) keeps its field: c is then
+    a field element with integral coordinates.
+    """
+    deg = max(p.total_degree() for p in polys)
+    big = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    return big * den ** deg, [
+        [(m, c.numerator * (big // c.denominator) * den ** (deg - sum(m)))
+         for m, c in p.terms.items()] for p in polys]
+
+
+def monomial_values(y, monos):
+    """[prod_i y_i^m_i for m in monos]."""
+    return [math.prod(x ** e for x, e in zip(y, m) if e) for m in monos]
+
+
 def theta_coeffs(lattice, prec, weight=None):
     """Theta coefficients {n: sum_{q(x)=n} weight(x)} for 0 <= n <= prec.
 
@@ -177,16 +216,17 @@ def theta_coeffs(lattice, prec, weight=None):
     """
     if prec < 0:
         raise LatticeError("prec must be nonnegative")
-    coeffs = {}
-    vecs = short_vectors(lattice, prec, include_zero=True)
-    for v, q in vecs:
+    sums = dict.fromkeys(range(int(math.floor(prec)) + 1), 0)
+    if weight is None:
+        for _, q in short_vectors(lattice, prec, include_zero=True):
+            if q.denominator == 1:
+                sums[int(q)] += 1
+        return sums
+    den, (terms,) = integer_terms([weight], lattice.integer_basis[0])
+    monos = [m for m, _ in terms]
+    coefs = [c for _, c in terms]
+    for v, q in short_vectors(lattice, prec, include_zero=True):
         if q.denominator == 1:
-            n = int(q)
-            if weight is None:
-                val = coeffs.get(n, 0) + 1
-            else:
-                val = coeffs.get(n, Fraction(0)) + weight.eval(lattice.ambient(v))
-            coeffs[n] = val
-    for n in range(int(math.floor(prec)) + 1):
-        coeffs.setdefault(n, Fraction(0) if weight is not None else 0)
-    return dict(sorted(coeffs.items()))
+            y = lattice.integer_ambient(v)
+            sums[int(q)] += sum(map(mul, coefs, monomial_values(y, monos)))
+    return {n: s * Fraction(1, den) for n, s in sums.items()}

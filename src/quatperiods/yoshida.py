@@ -7,16 +7,24 @@ flagged in the project notes).  Truncation is by trace(T) = n1 + n2.
 
 Coefficient polynomials use the c_{a1 a2} machinery with the proportionality
 constants set to 1, so everything here is exact, for vector values too.
+
+The lattice sums run in integers: for each pair of classes the coefficient
+polynomials are put over one common denominator with integer coefficients
+(lattice.integer_terms), each vector's integer ambient coordinates and
+monomials are computed once, and m2 is an integer dot product with B x1.
+Every index accumulates integer numerators, which are divided by the common
+denominator, and weighted by 1/(e_i e_j), once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, mul
 
 from ._poly import Poly
 from .harmonics import c_coeff
-from .lattice import short_vectors
+from .lattice import integer_terms, monomial_values, short_vectors
 
 
 class YoshidaError(ValueError):
@@ -100,53 +108,90 @@ def yoshida_lift(phi1, phi2, prec):
     scalar = (nu1 == 0 and nu2 == 0)
 
     # all X-slots are stored: odd alpha' components are nonzero per index
-    # and only cancel after the m2-summation of the diagonal restriction
-    alphas = [(a1, 2 * nu2 - a1) for a1 in range(2 * nu2 + 1)] \
-        if not scalar else []
+    # and only cancel after the m2-summation of the diagonal restriction;
+    # the scalar case sums the constant 1, i.e. counts the pairs
     if scalar:
+        alphas = [(0, 0)]
+        cpolys = [Poly.const(8, 1)]
         values1, values2 = phi1.scalar_values(), phi2.scalar_values()
+    else:
+        alphas = [(a1, 2 * nu2 - a1) for a1 in range(2 * nu2 + 1)]
 
     for i in range(cs.size):
         for j in range(cs.size):
             w = Fraction(1, cs.unit_counts[i] * cs.unit_counts[j])
             if scalar:
-                coef = w * values1[i] * values2[j]
-                if coef == 0:
+                w = w * values1[i] * values2[j]
+                if w == 0:
                     continue
-                cpolys = None
             else:
                 q_bip = phi1.values[i].embed(6) * phi2.values[j].embed(6, 3)
                 if q_bip.is_zero():
                     continue
                 family = psi_components(q_bip, nu1, nu2, alg)
-                cpolys = {key: family[key] for key in alphas}
-            conn = cs.connecting(i, j)
-            vecs = short_vectors(conn, prec, include_zero=True)
-            for v1, q1 in vecs:
-                if q1.denominator != 1:
-                    continue
-                for v2, q2 in vecs:
-                    if q1 + q2 > prec or q2.denominator != 1:
-                        continue
-                    m2 = conn.bilinear(v1, v2)
-                    if m2.denominator != 1:
-                        continue
-                    t = HalfIntMatrix(int(q1), int(m2), int(q2))
-                    if scalar:
-                        add = Poly.const(2, coef)
-                    else:
-                        pt = conn.ambient(v1) + conn.ambient(v2)
-                        add = Poly(2, ((key, cp.eval(pt) * w)
-                                       for key, cp in cpolys.items()))
-                        if add.is_zero():
-                            continue
-                    cur = table.coeffs.get(t)
-                    table.coeffs[t] = add if cur is None else cur + add
+                cpolys = [family[key] for key in alphas]
+            den, sums = _pair_sums(cs.connecting(i, j), prec, cpolys)
+            scale = w / den
+            for key, nums in sums.items():
+                t = HalfIntMatrix(*key)
+                poly = Poly(2, ((a, x * scale) for a, x in zip(alphas, nums)))
+                cur = table.coeffs.get(t)
+                table.coeffs[t] = poly if cur is None else cur + poly
     table.coeffs = {t: c for t, c in table.coeffs.items() if not c.is_zero()}
     for t in table.coeffs:
         if not t.is_psd():
             raise YoshidaError(f"non-psd index {t} appeared")
     return table
+
+
+def _pair_sums(conn, prec, polys):
+    """(N, {(n1, m2, n2): [N * sum_{(x1, x2) of index T} p(x1, x2) per p]}).
+
+    The sums run over the pairs of vectors of conn with integral norms
+    q(x1) + q(x2) <= prec and integral m2 = B(x1, x2); a pair at which every
+    p vanishes is skipped, so an index first appears at its first nonzero
+    pair.  The polys are on two copies of the ambient space, x1 first, and
+    all in integers over one denominator N (lattice.integer_terms): each
+    x1 block is summed out once per x1, and each x2 then costs an integer
+    dot product with its precomputed monomials.
+    """
+    n = len(conn.basis)
+    den, slots = integer_terms(polys, conn.integer_basis[0])
+    monos1 = sorted({m[:n] for terms in slots for m, _ in terms})
+    monos2 = sorted({m[n:] for terms in slots for m, _ in terms})
+    pos1 = {m: k for k, m in enumerate(monos1)}
+    pos2 = {m: k for k, m in enumerate(monos2)}
+    slots = [[(pos1[m[:n]], pos2[m[n:]], c) for m, c in terms]
+             for terms in slots]
+    gden, grows = conn.integer_gram
+    vecs = []
+    for v, q in short_vectors(conn, prec, include_zero=True):
+        if q.denominator == 1:
+            y = conn.integer_ambient(v)
+            vecs.append((v, int(q), monomial_values(y, monos1),
+                         monomial_values(y, monos2)))
+    sums = {}
+    for v1, q1, mono1, _ in vecs:
+        gv1 = [sum(map(mul, row, v1)) for row in grows]   # G is symmetric
+        partials = []
+        for terms in slots:
+            part = [0] * len(monos2)
+            for k1, k2, c in terms:
+                part[k2] += c * mono1[k1]
+            partials.append(part)
+        for v2, q2, _, mono2 in vecs:
+            if q1 + q2 > prec:
+                continue
+            m2 = sum(map(mul, gv1, v2))
+            if m2 % gden:
+                continue
+            vals = [sum(map(mul, part, mono2)) for part in partials]
+            if not any(vals):
+                continue
+            key = (q1, m2 // gden, q2)
+            cur = sums.get(key)
+            sums[key] = vals if cur is None else list(map(add, cur, vals))
+    return den, sums
 
 
 def _raise_x1(c):
@@ -186,12 +231,12 @@ def diagonal_restriction(table, alpha1, alpha2):
     if (alpha1 + shift) % 2 or (alpha2 + shift) % 2:
         for t in table.coeffs:
             out.setdefault((t.n1, t.n2), Fraction(0))
-        return out
+        return dict(sorted(out.items()))
     for t, poly in table.coeffs.items():
         val = poly.terms.get((alpha1, alpha2), Fraction(0))
         key = (t.n1, t.n2)
         out[key] = out.get(key, Fraction(0)) + val
-    return {k: v for k, v in sorted(out.items())}
+    return dict(sorted(out.items()))
 
 
 def unimodular_check(table, u, t):

@@ -238,3 +238,17 @@ def test_verify_passes_and_exits_3_on_a_failed_check(capsys, monkeypatch):
     rows = capsys.readouterr().out.splitlines()
     assert [r.split()[0] for r in rows].count("FAIL") == 1
     assert "  FAIL  paper corollaries (a), (b)" in rows
+
+
+@pytest.mark.parametrize("job", [
+    "yoshida --disc 3 --nu1 2 --nu2 2 --prec 4 --seed 1",
+    "restrict --disc 11 --prec 6 --gamma 2",
+])
+def test_lift_tables_match_the_benchmark_references(job):
+    # the benchmark's gate wants these bytes; a changed Fourier table fails
+    # here first
+    refs = json.loads((Path(SRC).parent / "bench" / "references.json")
+                      .read_text(encoding="utf-8"))
+    proc = run_cli(*job.split())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == refs[job]["stdout"]

@@ -339,7 +339,9 @@ def lattices_and_bounds(draw):
     if draw(st.booleans()):
         v = draw(st.lists(st.integers(-1, 1), min_size=4, max_size=4)
                  .filter(any))
-        q = lat.bilinear(v, v) / 2
+        g = lat.basis_gram()
+        q = sum(v[i] * g[i][j] * v[j] for i in range(4)
+                for j in range(4)) / 2
         assume(q <= 5)
         return lat, q, v
     return lat, draw(st.fractions(0, 5, max_denominator=6)), None
@@ -374,6 +376,25 @@ def test_theta_harmonic_weight_kills_zero():
     w = Poly.monomial((2, 0, 0, 0)) - Poly.monomial((0, 2, 0, 0))
     coeffs = theta_coeffs(z4(), 2, weight=w)
     assert coeffs[0] == 0
+
+
+def test_theta_weight_matches_vector_sum():
+    # integer evaluation over the basis denominator 2 of the Hurwitz order,
+    # with mixed degrees and with rational and number-field coefficients,
+    # against Poly.eval at every vector (odd exponents would cancel)
+    from quatperiods.brandt import NumberFieldElement
+    lat = hurwitz_lattice()
+    assert lat.integer_basis[0] == 2
+    root2 = NumberFieldElement.generator((Fraction(1), Fraction(0),
+                                          Fraction(-2)))
+    rational = Poly(4, {(4, 0, 0, 0): Fraction(3, 7), (0, 2, 2, 0): -1,
+                        (2, 0, 0, 0): Fraction(5, 2)})
+    for weight in (rational, rational * (root2 + Fraction(1, 3))):
+        expect = {n: Fraction(0) for n in range(4)}
+        for v, q in short_vectors(lat, 3, include_zero=True):
+            expect[int(q)] += weight.eval(lat.ambient(v))
+        assert theta_coeffs(lat, 3, weight=weight) == expect
+        assert any(expect.values())
 
 
 def test_theta_counts_match_short_vectors():

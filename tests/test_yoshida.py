@@ -4,13 +4,14 @@ from fractions import Fraction
 import pytest
 
 from quatperiods._poly import Poly
-from quatperiods.brandt import QuatForm, constant_form, eigenforms
+from quatperiods.brandt import (QuatForm, constant_form, eigenforms,
+                                unit_average_form)
 from quatperiods.harmonics import random_harmonic, trace_zero_space
-from quatperiods.lattice import theta_coeffs
+from quatperiods.lattice import short_vectors, theta_coeffs
 from quatperiods.orders import class_set_for
 from quatperiods.yoshida import (FourierTable, HalfIntMatrix, YoshidaError,
-                                 diagonal_restriction, unimodular_check,
-                                 yoshida_lift)
+                                 diagonal_restriction, psi_components,
+                                 unimodular_check, yoshida_lift)
 
 
 def scalar_form(cs, scalars):
@@ -24,6 +25,87 @@ def disc11_forms():
     e = next(f for f in forms if f.label == "cuspidal-essential")
     const = next(f for f in forms if f.label == "eisenstein")
     return cs, e, const
+
+
+def reference_yoshida_lift(phi1, phi2, prec):
+    """Oracle for yoshida_lift: every coefficient polynomial evaluated with
+    Poly.eval in Fractions at every vector pair, index by index."""
+    cs = phi1.class_set
+    nu1, nu2 = phi1.weight, phi2.weight
+    scalar = (nu1 == 0 and nu2 == 0)
+    alphas = [(a1, 2 * nu2 - a1) for a1 in range(2 * nu2 + 1)]
+    coeffs = {}
+    for i in range(cs.size):
+        for j in range(cs.size):
+            w = Fraction(1, cs.unit_counts[i] * cs.unit_counts[j])
+            if scalar:
+                coef = w * phi1.scalar_values()[i] * phi2.scalar_values()[j]
+                if coef == 0:
+                    continue
+            else:
+                q_bip = phi1.values[i].embed(6) * phi2.values[j].embed(6, 3)
+                if q_bip.is_zero():
+                    continue
+                family = psi_components(q_bip, nu1, nu2, cs.order.algebra)
+            conn = cs.connecting(i, j)
+            g = conn.basis_gram()
+            vecs = short_vectors(conn, prec, include_zero=True)
+            for v1, q1 in vecs:
+                for v2, q2 in vecs:
+                    if q1.denominator != 1 or q2.denominator != 1 or \
+                            q1 + q2 > prec:
+                        continue
+                    m2 = sum(v1[a] * g[a][b] * v2[b]
+                             for a in range(4) for b in range(4))
+                    if m2.denominator != 1:
+                        continue
+                    t = HalfIntMatrix(int(q1), int(m2), int(q2))
+                    if scalar:
+                        add = Poly.const(2, coef)
+                    else:
+                        pt = conn.ambient(v1) + conn.ambient(v2)
+                        add = Poly(2, ((key, family[key].eval(pt) * w)
+                                       for key in alphas))
+                    coeffs[t] = coeffs.get(t, Poly.zero(2)) + add
+    return {t: c for t, c in coeffs.items() if not c.is_zero()}
+
+
+def seeded_pair(disc, nu, seed):
+    """The unit-averaged pair that `yoshida --nu1 nu --nu2 nu` lifts."""
+    cs = class_set_for(disc)
+    rng = random.Random(seed)
+    return unit_average_form(cs, nu, rng), unit_average_form(cs, nu, rng)
+
+
+def disc11_cusp_pair():
+    e = disc11_forms()[1]
+    return e, e
+
+
+def cubic_eigenform_pair(disc, nu):
+    f = next(f for f in eigenforms(class_set_for(disc), nu) if f.field)
+    return f, f
+
+
+@pytest.mark.parametrize("make, args, prec, dens", [
+    pytest.param(seeded_pair, (3, 2, 1), 4, [2], id="disc3-nu2-seed1"),
+    pytest.param(seeded_pair, (3, 2, 2), 4, [2], id="disc3-nu2-seed2"),
+    pytest.param(seeded_pair, (3, 2, 3), 4, [2], id="disc3-nu2-seed3"),
+    # class number 2: the weights 1/(e_i e_j) vary over four lattices
+    pytest.param(seeded_pair, (11, 2, 1), 3, [2, 2, 2, 4], id="disc11-nu2"),
+    pytest.param(disc11_cusp_pair, (), 6, [2, 2, 2, 4], id="disc11-nu0"),
+    # coefficients in the cubic Hecke field of a weight-1 eigenform
+    pytest.param(cubic_eigenform_pair, (13, 1), 3, [4], id="disc13-cubic"),
+])
+def test_lift_matches_pairwise_fraction_oracle(make, args, prec, dens):
+    phi1, phi2 = make(*args)
+    cs = phi1.class_set
+    # the basis denominators that the integer sums must clear
+    assert [cs.connecting(i, j).integer_basis[0] for i in range(cs.size)
+            for j in range(cs.size)] == dens
+    expect = reference_yoshida_lift(phi1, phi2, prec)
+    assert expect
+    assert yoshida_lift(phi1, phi2, prec).coeffs == expect
 
 
 def test_half_int_matrix_psd():
@@ -111,7 +193,9 @@ def test_parity_gate_vector_case():
     # the restriction map is identically zero
     table = FourierTable(3, 1, 2, {HalfIntMatrix(1, 0, 1):
                                    Poly.monomial((1, 1), 5)})
+    table.coeffs[HalfIntMatrix(0, 0, 1)] = Poly.monomial((2, 0), 1)
     out = diagonal_restriction(table, 1, 1)
+    assert list(out) == [(0, 1), (1, 1)]
     assert all(v == 0 for v in out.values())
 
 
