@@ -112,9 +112,12 @@ def inverse(mat):
 
 
 def solve_right(mat, rhs):
-    """Solve mat * x = rhs for a column vector x given as a list."""
+    """Solve mat * x = rhs for a column vector x given as a list.
+
+    Entries are taken by the rule of rref, so rhs may lie in a number field.
+    """
     n = len(mat)
-    aug = [list(map(Fraction, mat[i])) + [Fraction(rhs[i])] for i in range(n)]
+    aug = [list(mat[i]) + [rhs[i]] for i in range(n)]
     red, piv = rref(aug)
     if piv[:n] != list(range(n)):
         raise ValueError("matrix not invertible")

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from ._factor import factor
 from ._linalg import (charpoly, content, identity, mat_mul, mat_vec,
                       nullspace, rref, solve_right, transpose)
 from ._poly import Poly
@@ -44,10 +45,11 @@ class NumberFieldElement:
     """An element of K = Q[x]/(f), f irreducible and monic of degree d >= 2.
 
     Stored as its d rational coordinates on the power basis 1, x, ...,
-    x^(d-1) (low to high), with f as its coefficients high to low, as from
-    _char_factors.  Mixes with int and Fraction, so the field-generic rref
-    and nullspace work over K as they are, and has a numerator and a
-    denominator like a Fraction, so lattice.integer_terms clears it too.
+    x^(d-1) (low to high), with f as its coefficients high to low: an
+    irreducible factor of a characteristic polynomial, from _char_factors.
+    Mixes with int and Fraction, so the field-generic rref and nullspace
+    work over K as they are, and has a numerator and a denominator like a
+    Fraction, so lattice.integer_terms clears it too.
     """
 
     __slots__ = ("coeffs", "modulus")
@@ -373,24 +375,10 @@ def inner_product(phi, psi):
 # ---------------------------------------------------------------------------
 
 def _char_factors(mat):
-    """Irreducible factors over Q of the characteristic polynomial.
-
-    Returns (monic Fraction coefficients high to low, multiplicity) pairs.
-    This is the only user of sympy, imported here so that jobs that never
-    factor a polynomial do not load it.
-    """
-    import sympy
-    coeffs = charpoly(mat)
-    x = sympy.symbols("x")
-    poly = sum(sympy.Rational(c.numerator, c.denominator) * x ** (len(coeffs) - 1 - i)
-               for i, c in enumerate(coeffs))
-    _, factors = sympy.factor_list(sympy.Poly(poly, x))
-    out = []
-    for fac, mult in factors:
-        fc = [Fraction(int(sympy.numer(c)), int(sympy.denom(c)))
-              for c in fac.all_coeffs()]
-        out.append((tuple(c / fc[0] for c in fc), mult))
-    return out
+    """Irreducible factors over Q of the characteristic polynomial, as
+    (monic Fraction coefficients high to low, multiplicity) pairs in the
+    order of _factor.factor (Zassenhaus' method)."""
+    return factor(charpoly(mat))
 
 
 def _restrict(mat, basis_vectors):

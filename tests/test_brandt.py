@@ -237,13 +237,12 @@ def test_eichler_theta_positive_weight_a0_vanishes():
     assert th[0] == 0
 
 
-@pytest.mark.parametrize("disc, prec", [(2, 3), (11, 4)])
-def test_eichler_theta_positive_weight_matches_vector_sum(disc, prec):
-    # oracle: the lift's defining sum over the vectors of every ordered
-    # pair of classes, weighted by the split image of phi_i x phi_j
-    phi = _random_weight_2_form(disc)
+def vector_sum_theta(phi, prec):
+    """Oracle for eichler_theta at positive weight: the lift's defining sum
+    over the vectors of every ordered pair of classes, weighted by the split
+    image of phi_i x phi_j."""
     cs = phi.class_set
-    split = SplitIso(cs.order.algebra, 2)
+    split = SplitIso(cs.order.algebra, phi.weight)
     expect = {n: Fraction(0) for n in range(prec + 1)}
     for i in range(cs.size):
         for j in range(cs.size):
@@ -253,7 +252,23 @@ def test_eichler_theta_positive_weight_matches_vector_sum(disc, prec):
             for v, q in short_vectors(conn, prec, include_zero=True):
                 if q.denominator == 1:
                     expect[int(q)] += w * poly4.eval(conn.ambient(v))
-    assert eichler_theta(phi, prec) == expect
+    return expect
+
+
+@pytest.mark.parametrize("disc, prec", [(2, 3), (11, 4)])
+def test_eichler_theta_positive_weight_matches_vector_sum(disc, prec):
+    phi = _random_weight_2_form(disc)
+    assert eichler_theta(phi, prec) == vector_sum_theta(phi, prec)
+
+
+@pytest.mark.parametrize("disc, nu", [(13, 1), (7, 2)])
+def test_eichler_theta_number_field_eigenform_matches_vector_sum(disc, nu):
+    # the values lie in a quadratic Hecke field, and so do the coefficients
+    phi = next(f for f in eigenforms(class_set_for(disc), nu) if f.field)
+    assert len(phi.field) == 3
+    th = eichler_theta(phi, 4)
+    assert th == vector_sum_theta(phi, 4)
+    assert any(isinstance(c, NumberFieldElement) for c in th.values())
 
 
 def test_eigenforms_level_26_match_both_algebras():

@@ -1,25 +1,53 @@
-"""Package-wide guards: what start-up imports, and no code that nothing uses."""
+"""Package-wide guards: what runs import, which dependencies are declared,
+and no code that nothing uses."""
 import ast
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import quatperiods
 
 PACKAGE = Path(quatperiods.__file__).resolve().parent
 
 
-def test_cli_import_does_not_load_sympy():
-    # sympy costs about 0.6 s to import; only brandt._char_factors uses it
+def test_no_run_imports_sympy():
+    # characteristic polynomials are factored inside the package
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import quatperiods.cli, sys; print('sympy' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=60)
+    code = ("import sys\n"
+            "from quatperiods.cli import main\n"
+            "main(['eigen', '--disc', '13', '--level', '26'])\n"
+            "main(['period', '--h1', '11a', '--h2', '11a', '--f1', '11a',"
+            " '--f2', '11a'])\n"
+            "assert 'sympy' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+
+
+def _top_level_imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_declared_dependencies_are_the_third_party_imports():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = PACKAGE.parent.parent / "pyproject.toml"
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group()
+                for dep in tomllib.loads(pyproject.read_text(
+                    encoding="utf-8"))["project"]["dependencies"]}
+    imported = {name for path in PACKAGE.rglob("*.py")
+                for name in _top_level_imports(ast.parse(
+                    path.read_text(encoding="utf-8")))}
+    assert imported - set(sys.stdlib_module_names) - {"quatperiods"} == \
+        declared
 
 
 def _names(node):
