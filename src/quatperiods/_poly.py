@@ -112,14 +112,11 @@ class Poly:
 
     def laplacian(self, gram_inv):
         """Sum_{ij} gram_inv[i][j] d_i d_j applied to self."""
-        out = Poly.zero(self.nvars)
-        for i in range(len(gram_inv)):
-            di = self.diff(i)
-            for j in range(len(gram_inv)):
-                g = gram_inv[i][j]
-                if g:
-                    out = out + di.diff(j) * g
-        return out
+        return Poly(self.nvars, ((m, c * g)
+                                 for i, row in enumerate(gram_inv)
+                                 for di in (self.diff(i),)
+                                 for j, g in enumerate(row) if g
+                                 for m, c in di.diff(j).terms.items()))
 
     def eval(self, point):
         total = Fraction(0)
@@ -201,7 +198,7 @@ def apply_diff_operator(op, target, coeff_matrix=None):
     With coeff_matrix None, D_i = d_i.  Returns a Poly.
     """
     n = target.nvars
-    out = Poly.zero(n)
+    out = []
     for m, c in op.terms.items():
         cur = target
         for i, e in enumerate(m):
@@ -211,13 +208,11 @@ def apply_diff_operator(op, target, coeff_matrix=None):
                 if coeff_matrix is None:
                     cur = cur.diff(i)
                 else:
-                    acc = Poly.zero(n)
-                    for j, g in enumerate(coeff_matrix[i]):
-                        if g:
-                            acc = acc + cur.diff(j) * g
-                    cur = acc
-        out = out + cur * c
-    return out
+                    cur = Poly(n, ((mono, x * g)
+                                   for j, g in enumerate(coeff_matrix[i]) if g
+                                   for mono, x in cur.diff(j).terms.items()))
+        out.extend((mono, x * c) for mono, x in cur.terms.items())
+    return Poly(n, out)
 
 
 def fischer_pairing(p, q, gram_inv=None):

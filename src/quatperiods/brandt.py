@@ -26,8 +26,8 @@ from ._factor import factor
 from ._linalg import (charpoly, content, identity, mat_mul, mat_vec,
                       nullspace, rref, solve_right, transpose)
 from ._poly import Poly
-from .harmonics import (split_iso, tau_action, tau_substitution,
-                        trace_zero_space)
+from .harmonics import (linear_combination, split_iso, tau_action,
+                        tau_substitution, trace_zero_space)
 from .lattice import short_vectors, theta_coeffs
 from .orders import norm_one_element, product_basis, two_sided_prime_ideal
 from .quatalg import Quaternion, _is_prime, _prime_factors, good_primes
@@ -242,12 +242,9 @@ def _vector_to_form(class_set, nu, vec, block_dim):
     """The form with coordinates vec, whose entries may lie in a number
     field: each value sums its basis polynomials' terms times vec's."""
     basis = trace_zero_space(class_set.order.algebra).harmonic_basis(nu)
-    values = []
-    for i in range(class_set.size):
-        coords = vec[i * block_dim:(i + 1) * block_dim]
-        values.append(Poly(3, ((m, x * c) for b, c in zip(basis, coords) if c
-                               for m, x in b.terms.items())))
-    return QuatForm(class_set, nu, values)
+    return QuatForm(class_set, nu, [
+        linear_combination(3, basis, vec[i * block_dim:(i + 1) * block_dim])
+        for i in range(class_set.size)])
 
 
 def _tau_matrix_on_basis(space, basis, x, nu):

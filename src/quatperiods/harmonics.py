@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from itertools import chain
 from math import comb, factorial
+from operator import mul
 
-from ._linalg import (frac_mat, identity, inverse, nullspace, solve_right,
-                      vec_mat)
+from ._linalg import frac_mat, identity, inverse, nullspace, vec_mat
 from ._poly import Poly, apply_diff_operator, fischer_pairing
 from .quatalg import quaternion_product
 
@@ -79,17 +80,32 @@ class HarmonicSpace:
         ker = nullspace([list(col) for col in zip(*rows)])
         return [Poly(self.dim, zip(monos, v)) for v in ker]
 
-    def coords_in_basis(self, p, degree):
-        """Coordinates of a harmonic polynomial in the canonical basis."""
-        basis = self.harmonic_basis(degree)
-        rhs = [self.fischer(b, p) for b in basis]
-        return solve_right(self._basis_fischer_gram(degree), rhs)
-
     @lru_cache(maxsize=None)
-    def _basis_fischer_gram(self, degree):
-        """Fischer pairings of the canonical basis; callers only read it."""
+    def free_monomials(self, degree):
+        """The free monomial of each basis polynomial, in basis order.
+
+        harmonic_basis is a nullspace in rref form, so each basis polynomial
+        has coefficient 1 at its own free monomial, 0 at the other basis
+        polynomials' free monomials, and no term after it in monomial order.
+        """
+        return [max(b.terms) for b in self.harmonic_basis(degree)]
+
+    def coords_in_basis(self, p, degree):
+        """Coordinates of a harmonic polynomial in the canonical basis.
+
+        Read off, not solved: the coordinates are p's coefficients at the
+        free monomials of the basis.  That holds when p is harmonic and
+        homogeneous of the given degree; otherwise the read-off would return
+        raw coefficients, so the sum of the basis polynomials with these
+        coordinates is rebuilt and HarmonicsError raised unless it is p.
+        """
         basis = self.harmonic_basis(degree)
-        return [[self.fischer(b1, b2) for b2 in basis] for b1 in basis]
+        coords = [p.terms.get(m, Fraction(0))
+                  for m in self.free_monomials(degree)]
+        if linear_combination(self.dim, basis, coords) != p:
+            raise HarmonicsError(
+                f"not a harmonic polynomial of degree {degree}")
+        return coords
 
     # -- harmonic projection -------------------------------------------------
     @lru_cache(maxsize=None)
@@ -173,24 +189,23 @@ class HarmonicSpace:
 
 def _kernel_from_invariants(dim, degree, pair, qx, qy):
     """Zonal harmonic kernel written in <x,y>, q(x), q(y)."""
-    out = Poly.zero(pair.nvars)
     if dim == 3:
         # solid Legendre: sum_j (-1)^j C(nu,j) C(2nu-2j,nu) <x,y>^{nu-2j} (qq')^j
-        for j in range(degree // 2 + 1):
-            c = Fraction((-1) ** j * comb(degree, j) * comb(2 * degree - 2 * j,
-                                                            degree))
-            out = out + (pair ** (degree - 2 * j)) * (qx * qy) ** j * c
-        return out
-    if dim == 4:
+        coeffs = [Fraction((-1) ** j * comb(degree, j)
+                           * comb(2 * degree - 2 * j, degree))
+                  for j in range(degree // 2 + 1)]
+    elif dim == 4:
         # 2^a sum_j (-1)^j ((a-j)!/(j!(a-2j)!)) (qq')^j tr(x conj(y))^{a-2j},
         # with tr(x conj(y)) = 2 <x,y>
-        for j in range(degree // 2 + 1):
-            c = Fraction((-1) ** j * factorial(degree - j) * 2 ** degree,
-                         factorial(j) * factorial(degree - 2 * j))
-            c *= Fraction(2) ** (degree - 2 * j)
-            out = out + (pair ** (degree - 2 * j)) * (qx * qy) ** j * c
-        return out
-    raise HarmonicsError(f"no kernel for dimension {dim}")
+        coeffs = [Fraction((-1) ** j * factorial(degree - j) * 2 ** degree,
+                           factorial(j) * factorial(degree - 2 * j))
+                  * Fraction(2) ** (degree - 2 * j)
+                  for j in range(degree // 2 + 1)]
+    else:
+        raise HarmonicsError(f"no kernel for dimension {dim}")
+    return Poly(pair.nvars, chain.from_iterable(
+        (pair ** (degree - 2 * j) * (qx * qy) ** j * c).terms.items()
+        for j, c in enumerate(coeffs)))
 
 
 # ---------------------------------------------------------------------------
@@ -266,16 +281,15 @@ def _cross_bilinear(space, p, q):
     """
     n = space.dim
     ginv = space.gram_inv
-    raised_p = [sum((p.diff(j) * ginv[b][j] for j in range(n)),
-                    Poly.zero(n)) for b in range(n)]
-    raised_q = [sum((q.diff(j) * ginv[c][j] for j in range(n)),
-                    Poly.zero(n)) for c in range(n)]
+    raised_p = [linear_combination(n, [p.diff(j) for j in range(n)], ginv[b])
+                for b in range(n)]
+    raised_q = [linear_combination(n, [q.diff(j) for j in range(n)], ginv[c])
+                for c in range(n)]
     eps = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
            (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}
-    out = Poly.zero(n)
-    for (a, b, c), sign in eps.items():
-        out = out + Poly.variable(n, a) * raised_p[b] * raised_q[c] * sign
-    return out
+    return Poly(n, chain.from_iterable(
+        (Poly.variable(n, a) * raised_p[b] * raised_q[c] * sign).terms.items()
+        for (a, b, c), sign in eps.items()))
 
 
 @dataclass
@@ -367,9 +381,15 @@ def invariant_coupling(nu, beta1p, beta2p, space=None):
 class SplitIso:
     """The equivariant isomorphism U_m x U_m -> U_{2m}(full space).
 
-    Built from the invariant kernel w(x; u, v) = tr(u x v conj(x)) with u, v
-    trace zero: Phi(P x Q)(x) pairs P(u) Q(v) against harmproj_x(w^m).
-    Indices: u is the left similitude slot, v the right.
+    Phi(P x Q)(x) pairs P(u) Q(v), u and v trace zero, against w^m for the
+    invariant kernel w(x; u, v) = tr(u x v conj(x)) = u^T M(x) v.  By the
+    reproducing property, pairing P(u) with (u^T a)^m gives m! P(A^{-1} a),
+    A the Gram matrix of the 3-space; so Phi(P x Q) pairs m! P(A^{-1} M(x) v)
+    with Q(v), and w^m is never expanded.  The images are harmonic in x: they
+    have type (m, m) under the two similitude slots, and the degree-2m
+    polynomials on the 4-space are the sum of q^{m-k} H_{2k}, H_{2k} of type
+    (k, k), so only H_{2m} has that type (coords_in_basis checks it on every
+    build).  Indices: u is the left similitude slot, v the right.
     """
 
     def __init__(self, alg, m):
@@ -377,46 +397,15 @@ class SplitIso:
         self.m = m
         self.space3 = trace_zero_space(alg)
         self.space4 = full_space(alg)
-        nv = 10  # x:0-3, u:4-6, v:7-9
-        zero = Poly.zero(nv)
-        xq = tuple(Poly.variable(nv, i) for i in range(4))
-        uq = (zero, Poly.variable(nv, 4), Poly.variable(nv, 5),
-              Poly.variable(nv, 6))
-        vq = (zero, Poly.variable(nv, 7), Poly.variable(nv, 8),
-              Poly.variable(nv, 9))
-        xbar = (xq[0], -xq[1], -xq[2], -xq[3])
-        a, b = alg.a, alg.b
-        prod = quaternion_product(a, b, uq, xq)
-        prod = quaternion_product(a, b, prod, vq)
-        prod = quaternion_product(a, b, prod, xbar)
-        w = prod[0] * 2  # reduced trace
-        wm = w ** m
-        self.kernel = self._harmproj_x(wm)
-        self._build_matrix()
-
-    def _harmproj_x(self, p):
-        """Harmonic projection in the x-block with u,v symbolic: the terms
-        are grouped by x-monomial, and each x-monomial projected once."""
-        groups = {}
-        for mono, c in p.terms.items():
-            groups.setdefault(mono[:4], []).append((mono[4:], c))
-        return Poly(10, (
-            (mx + rest, c * cx)
-            for xm, items in groups.items()
-            for mx, cx in self.space4.harmonic_projection(
-                Poly.monomial(xm)).terms.items()
-            for rest, c in items))
-
-    def _build_matrix(self):
-        m = self.m
         b3 = self.space3.harmonic_basis(m)
         gram_inv = self.space3.gram_inv
         self.pairs = [(r, s) for r in range(len(b3)) for s in range(len(b3))]
-        # pairing u (vars 4-6) leaves x and v, then v sits at 4-6 in turn
-        images = [_pair_block(_pair_block(self.kernel, b3[r], 4, gram_inv),
-                              b3[s], 4, gram_inv)
-                  for r, s in self.pairs]
-        mat = [self.space4.coords_in_basis(img, 2 * m) for img in images]
+        a = _similitude_vector(alg, gram_inv)
+        # P(u) paired with w^m leaves x:0-3 and v:4-6; pairing Q(v) leaves x
+        raised = [_compose(b * factorial(m), a) for b in b3]
+        mat = [self.space4.coords_in_basis(
+            _pair_block(raised[r], b3[s], 4, gram_inv), 2 * m)
+            for r, s in self.pairs]
         self.phi_matrix = mat              # rows indexed by (r,s) pairs
         self.phi_inv = inverse(mat)        # columns map basis4 -> pair coords
 
@@ -425,14 +414,46 @@ class SplitIso:
         coords_l = self.space3.coords_in_basis(p3_left, self.m)
         coords_r = self.space3.coords_in_basis(p3_right, self.m)
         b4 = self.space4.harmonic_basis(2 * self.m)
-        out = Poly.zero(4)
-        for idx, (r, s) in enumerate(self.pairs):
-            c = coords_l[r] * coords_r[s]
-            if c:
-                for t, bt in enumerate(b4):
-                    if self.phi_matrix[idx][t]:
-                        out = out + bt * (c * self.phi_matrix[idx][t])
-        return out
+        return Poly(4, ((mono, x * (c * coef))
+                        for row, (r, s) in zip(self.phi_matrix, self.pairs)
+                        for c in (coords_l[r] * coords_r[s],) if c
+                        for bt, coef in zip(b4, row) if coef
+                        for mono, x in bt.terms.items()))
+
+
+def _similitude_vector(alg, gram_inv):
+    """A^{-1} M(x) v for w(x; u, v) = tr(u x v conj(x)) = u^T M(x) v.
+
+    One Poly per u-slot in the vars x:0-3, v:4-6.  M(x) is read off the
+    terms of w, each of which must have degree 1 in u and in v.
+    """
+    var = [Poly.variable(10, i) for i in range(10)]  # x:0-3, u:4-6, v:7-9
+    zero = Poly.zero(10)
+    prod = quaternion_product(alg.a, alg.b, [zero] + var[4:7], var[:4])
+    prod = quaternion_product(alg.a, alg.b, prod, [zero] + var[7:])
+    prod = quaternion_product(alg.a, alg.b, prod,
+                              [var[0], -var[1], -var[2], -var[3]])
+    rows = [[], [], []]
+    for mono, c in (prod[0] * 2).terms.items():  # reduced trace
+        if sum(mono[4:7]) != 1 or sum(mono[7:]) != 1:
+            raise HarmonicsError("tr(u x v conj(x)) is not bilinear in u, v")
+        i = mono[4:7].index(1)
+        for k, row in enumerate(rows):
+            row.append((mono[:4] + mono[7:], gram_inv[k][i] * c))
+    return [Poly(7, row) for row in rows]
+
+
+def _compose(p, images):
+    """p with the polynomials images substituted for its variables."""
+    return Poly(images[0].nvars, chain.from_iterable(
+        reduce(mul, map(pow, images, mono), c).terms.items()
+        for mono, c in p.terms.items()))
+
+
+def linear_combination(nvars, basis, coords):
+    """sum_i coords[i] * basis[i], built as one Poly in nvars variables."""
+    return Poly(nvars, ((mono, x * c) for b, c in zip(basis, coords) if c
+                        for mono, x in b.terms.items()))
 
 
 @lru_cache(maxsize=None)
@@ -527,56 +548,43 @@ def _kernel_split_components(space4, split, alpha):
     coefficient (a Poly in the 4 vars of x).
     """
     bip = space4.kernel_bipoly(alpha)  # vars x:0-3, y:4-7
-    b4 = space4.harmonic_basis(alpha)
-    # coordinates of G(x, .) in basis4 of the y-block, coefficients in x
-    ginv = inverse(space4._basis_fischer_gram(alpha))
-    rhs = [_pair_block(bip, b, 4, space4.gram_inv) for b in b4]
-    coords = []
-    for i in range(len(b4)):
-        acc = Poly.zero(4)
-        for j in range(len(b4)):
-            if ginv[i][j]:
-                acc = acc + rhs[j] * ginv[i][j]
-        coords.append(acc)
-    # pair coordinates via phi_inv: pair_coord[k] = sum_t coords[t] * phi_inv[t][k]
-    out = []
-    for kidx in range(len(split.pairs)):
-        acc = Poly.zero(4)
-        for t in range(len(b4)):
-            coef = split.phi_inv[t][kidx]
-            if coef:
-                acc = acc + coords[t] * coef
-        out.append(acc)
-    return out
+    # harmonic in y: coordinate t is the x-part at the free monomial t
+    slot = {f: t for t, f in enumerate(space4.free_monomials(alpha))}
+    coords = [[] for _ in slot]
+    for mono, c in bip.terms.items():
+        if mono[4:] in slot:
+            coords[slot[mono[4:]]].append((mono[:4], c))
+    # pair coordinate k: sum_t coords[t] * phi_inv[t][k]
+    return [Poly(4, ((mono, c * row[k])
+                     for group, row in zip(coords, split.phi_inv) if row[k]
+                     for mono, c in group))
+            for k in range(len(split.pairs))]
 
 
 def _bipoly_coords(q_bipoly, space3, nu1, nu2):
-    """Coordinates of a (nu1, nu2)-bipoly on basis x basis of the 3-space."""
+    """Coordinates of a (nu1, nu2)-bipoly on basis x basis of the 3-space.
+
+    Read off at the pairs of free monomials, as in coords_in_basis, and
+    checked the same way: HarmonicsError unless the bipolynomial rebuilt from
+    them is q_bipoly, so an input not harmonic in each block is refused.
+    """
     b1 = space3.harmonic_basis(nu1)
     b2 = space3.harmonic_basis(nu2)
-    g1 = inverse(space3._basis_fischer_gram(nu1))
-    g2 = inverse(space3._basis_fischer_gram(nu2))
-    raw = {}
-    for ia, pa in enumerate(b1):
-        paired = _pair_block(q_bipoly, pa, 0, space3.gram_inv)  # t block
-        for ib, pb in enumerate(b2):
-            raw[(ia, ib)] = space3.fischer(pb, paired)
-    out = {}
-    for ia in range(len(b1)):
-        for ib in range(len(b2)):
-            acc = Fraction(0)
-            for ja in range(len(b1)):
-                for jb in range(len(b2)):
-                    acc += g1[ia][ja] * g2[ib][jb] * raw[(ja, jb)]
-            if acc:
-                out[(ia, ib)] = acc
+    terms = q_bipoly.terms
+    out = {(ia, ib): terms[f1 + f2]
+           for ia, f1 in enumerate(space3.free_monomials(nu1))
+           for ib, f2 in enumerate(space3.free_monomials(nu2))
+           if f1 + f2 in terms}
+    rebuilt = linear_combination(6, [b1[ia].embed(6) * b2[ib].embed(6, 3)
+                                     for ia, ib in out], list(out.values()))
+    if rebuilt != q_bipoly:
+        raise HarmonicsError(
+            f"not a harmonic bipolynomial of degrees ({nu1}, {nu2})")
     return out
 
 
 def random_harmonic(space, degree, rng, span=5):
     """Deterministic pseudo-random harmonic polynomial (for tests)."""
     basis = space.harmonic_basis(degree)
-    out = Poly.zero(space.dim)
-    for b in basis:
-        out = out + b * Fraction(rng.randint(-span, span))
-    return out
+    coords = [Fraction(rng.randint(-span, span)) for _ in basis]
+    return linear_combination(space.dim, basis, coords)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from operator import add, mul
 
 from ._poly import Poly
@@ -196,10 +197,8 @@ def _pair_sums(conn, prec, polys):
 
 def _raise_x1(c):
     """x1 . grad_{x2}: derivative of x2 -> x2 + t x1 (coordinate free)."""
-    out = Poly.zero(8)
-    for s in range(4):
-        out = out + Poly.variable(8, s) * c.diff(4 + s)
-    return out
+    return Poly(8, chain.from_iterable(
+        (Poly.variable(8, s) * c.diff(4 + s)).terms.items() for s in range(4)))
 
 
 def psi_components(q_bip, nu1, nu2, alg):

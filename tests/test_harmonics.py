@@ -4,15 +4,16 @@ from math import factorial
 
 import pytest
 
-from quatperiods._linalg import rref
+from quatperiods._linalg import rref, solve_right
 from quatperiods._poly import Poly
 from quatperiods.brandt import NumberFieldElement
 from quatperiods.harmonics import (HarmonicsError, SplitIso, TrilinearForm,
-                                   balanced, c_coeff, full_space,
+                                   _pair_block, balanced, c_coeff, full_space,
                                    random_harmonic, standard_space,
                                    tau_action, tau_matrix, trace_zero_space,
                                    trilinear_form)
-from quatperiods.quatalg import Quaternion, algebra_for_discriminant
+from quatperiods.quatalg import (Quaternion, algebra_for_discriminant,
+                                 quaternion_product)
 from test_quatalg import inverse
 
 
@@ -307,13 +308,88 @@ def test_trilinear_uniqueness_injectivity():
     assert len(rref(rows)[1]) == len(basis)
 
 
+# -- harmonic coordinates ------------------------------------------------------
+
+def fischer_coords(space, p, degree):
+    """Oracle for coords_in_basis: solve the Fischer pairings of p against
+    the basis with the basis' Fischer Gram matrix."""
+    basis = space.harmonic_basis(degree)
+    gram = [[space.fischer(b1, b2) for b2 in basis] for b1 in basis]
+    return solve_right(gram, [space.fischer(b, p) for b in basis])
+
+
+def _coordinate_spaces():
+    yield standard_space(3)
+    for disc in (2, 11):
+        alg = algebra_for_discriminant(disc)
+        yield trace_zero_space(alg)
+        yield full_space(alg)
+
+
+def test_coords_in_basis_matches_fischer_solve():
+    rng = random.Random(15)
+    for sp in _coordinate_spaces():
+        for degree in range(5):
+            p = random_harmonic(sp, degree, rng)
+            coords = sp.coords_in_basis(p, degree)
+            assert coords == fischer_coords(sp, p, degree)
+            assert len(coords) == (2 * degree + 1 if sp.dim == 3
+                                   else (degree + 1) ** 2)
+
+
+def test_coords_in_basis_keeps_number_field_coefficients():
+    root2 = NumberFieldElement.generator((Fraction(1), Fraction(0),
+                                          Fraction(-2)))
+    sp = trace_zero_space(algebra_for_discriminant(11))
+    basis = sp.harmonic_basis(2)
+    weights = [root2 * (k - 2) + k for k in range(len(basis))]
+    p = Poly(3, ((m, x * c) for b, c in zip(basis, weights)
+                 for m, x in b.terms.items()))
+    coords = sp.coords_in_basis(p, 2)
+    assert coords == weights
+    assert coords == fischer_coords(sp, p, 2)
+
+
+def test_coords_in_basis_rejects_non_harmonic():
+    sp = trace_zero_space(algebra_for_discriminant(2))
+    with pytest.raises(HarmonicsError):
+        sp.coords_in_basis(sp.q_poly, 2)
+    with pytest.raises(HarmonicsError):
+        sp.coords_in_basis(random_harmonic(sp, 2, random.Random(16)), 1)
+
+
 # -- split isomorphism ---------------------------------------------------------
 
+def split_matrix_by_projection(alg, m):
+    """Oracle for SplitIso.phi_matrix: expand w^m, w = tr(u x v conj(x)),
+    in 10 vars (x:0-3, u:4-6, v:7-9), project it to harmonics in x, pair it
+    with P(u) and Q(v), and solve for coordinates by Fischer pairing."""
+    sp3, sp4 = trace_zero_space(alg), full_space(alg)
+    zero = Poly.zero(10)
+    xq = tuple(Poly.variable(10, i) for i in range(4))
+    uq = (zero,) + tuple(Poly.variable(10, i) for i in range(4, 7))
+    vq = (zero,) + tuple(Poly.variable(10, i) for i in range(7, 10))
+    xbar = (xq[0], -xq[1], -xq[2], -xq[3])
+    prod = quaternion_product(alg.a, alg.b, uq, xq)
+    prod = quaternion_product(alg.a, alg.b, prod, vq)
+    prod = quaternion_product(alg.a, alg.b, prod, xbar)
+    wm = (prod[0] * 2) ** m
+    kernel = Poly(10, ((mx + mono[4:], c * cx)
+                       for mono, c in wm.terms.items()
+                       for mx, cx in sp4.harmonic_projection(
+                           Poly.monomial(mono[:4])).terms.items()))
+    b3 = sp3.harmonic_basis(m)
+    return [fischer_coords(sp4, _pair_block(
+        _pair_block(kernel, br, 4, sp3.gram_inv), bs, 4, sp3.gram_inv), 2 * m)
+        for br in b3 for bs in b3]
+
+
 def test_split_iso_invertible():
-    for n1 in (2, 11):
-        alg = algebra_for_discriminant(n1)
+    for disc in (2, 11):
+        alg = algebra_for_discriminant(disc)
         for m in (0, 1, 2):
             split = SplitIso(alg, m)
+            assert split.phi_matrix == split_matrix_by_projection(alg, m)
             assert len(split.phi_inv) == len(split.pairs)
 
 
@@ -383,6 +459,16 @@ def test_c_coeff_equivariance_exact():
                            tau_action(inverse(y2), p2)),
                   a1, a2, nu1, nu2, alg)
     assert lhs == rhs
+
+
+def test_c_coeff_rejects_bipoly_not_harmonic_in_s_block():
+    # q(s) * P(t) has the right degrees (2, 1) but is not harmonic in s; a
+    # Fischer solve would project it silently
+    alg = algebra_for_discriminant(2)
+    sp3 = trace_zero_space(alg)
+    p2 = random_harmonic(sp3, 1, random.Random(17))
+    with pytest.raises(HarmonicsError):
+        c_coeff(_tensor6(sp3.q_poly, p2), 1, 1, 2, 1, alg)
 
 
 def test_c_coeff_harmonic_each_variable():
