@@ -209,18 +209,6 @@ def hnf(mat):
     return [row for row in m[:r] if any(row)]
 
 
-def int_kernel(mat):
-    """Z-basis of {x integer row vector : x * mat = 0}.
-
-    The rows of hnf([mat | I]) that vanish on the mat block span the kernel
-    in their I block.  The HNF is canonical, and so is this basis.
-    """
-    cols = len(mat[0]) if mat else 0
-    aug = [list(row) + [int(i == j) for j in range(len(mat))]
-           for i, row in enumerate(mat)]
-    return [row[cols:] for row in hnf(aug) if not any(row[:cols])]
-
-
 def integer_rows(rows):
     """(d, int_rows): rational rows as integer rows over their least common
     denominator d, so rows == int_rows / d."""
@@ -233,20 +221,6 @@ def hnf_rational(rows):
     d, int_rows = integer_rows(rows)
     h = hnf(int_rows)
     return [[Fraction(x, d) for x in row] for row in h]
-
-
-def lattice_intersection(basis_a, basis_b):
-    """Basis of the intersection of two full lattices given by rational rows."""
-    d, rows = integer_rows(basis_a + basis_b)
-    a, b = rows[:len(basis_a)], rows[len(basis_a):]
-    stacked = a + [[-x for x in row] for row in b]
-    ker = int_kernel(stacked)
-    na = len(a)
-    out = []
-    for k in ker:
-        vec = [sum(k[i] * a[i][j] for i in range(na)) for j in range(len(a[0]))]
-        out.append([Fraction(x, d) for x in vec])
-    return hnf_rational(out)
 
 
 def lattice_index(big, small):

@@ -338,13 +338,13 @@ def _class_set(args):
     return class_set_for(args.disc, level // args.disc)
 
 
-def _cusp_form(cs):
+def _cusp_form(cs, hint="this command needs exactly one"):
     forms = [f for f in eigenforms(cs)
              if f.label == "cuspidal-essential" and not f.field]
     if len(forms) != 1:
         raise ValidationError(
             f"{len(forms)} rational essential cusp forms on this class set; "
-            "theta selects one with --match LABEL")
+            + hint)
     return forms[0]
 
 
@@ -388,7 +388,7 @@ def run_theta(args):
     elif args.match:
         form = match_eigenform(cs, resolve_label(_records(args), args.match))
     else:
-        form = _cusp_form(cs)
+        form = _cusp_form(cs, "select one with --match LABEL")
     th = eichler_theta(form, args.prec)
     return {"coefficients": {str(n): str(v) for n, v in th.items()}}
 

@@ -134,8 +134,12 @@ class HarmonicSpace:
         return out
 
     # -- kernels -------------------------------------------------------------
+    @lru_cache(maxsize=None)
     def kernel_bipoly(self, degree):
-        """Zonal reproducing kernel K(x, y) as a polynomial in 2*dim vars."""
+        """Zonal reproducing kernel K(x, y) as a polynomial in 2*dim vars.
+
+        Built once per degree: callers share it and must not mutate it.
+        """
         n = self.dim
         qx = self.q_poly.embed(2 * n)
         qy = self.q_poly.embed(2 * n, n)
@@ -503,7 +507,6 @@ def c_coeff(q_bipoly, alpha1, alpha2, nu1, nu2, alg):
         raise HarmonicsError("negative harmonic degree")
     m1, m2 = a1p // 2, a2p // 2
     space3 = trace_zero_space(alg)
-    space4 = full_space(alg)
 
     t1 = invariant_coupling(nu1, a1p, a2p, space3)
     t2 = invariant_coupling(nu2, a1p, a2p, space3)
@@ -515,10 +518,8 @@ def c_coeff(q_bipoly, alpha1, alpha2, nu1, nu2, alg):
 
     splits = (split_iso(alg, m1), split_iso(alg, m2))
     # the x1 components on vars 0-3, the x2 components on vars 4-7
-    kers = ([d.embed(8) for d in
-             _kernel_split_components(space4, splits[0], a1p)],
-            [d.embed(8, 4) for d in
-             _kernel_split_components(space4, splits[1], a2p)])
+    kers = ([d.embed(8) for d in _kernel_split_components(alg, m1)],
+            [d.embed(8, 4) for d in _kernel_split_components(alg, m2)])
 
     ten1 = t1.tensor()
     ten2 = t2.tensor()
@@ -541,12 +542,17 @@ def c_coeff(q_bipoly, alpha1, alpha2, nu1, nu2, alg):
     return Poly(8, terms)
 
 
-def _kernel_split_components(space4, split, alpha):
-    """Split components of the 4-space kernel G^{(alpha)}(x, .).
+@lru_cache(maxsize=None)
+def _kernel_split_components(alg, m):
+    """Split components of the 4-space kernel G^{(2m)}(x, .).
 
-    Returns, for each (r, s) pair index of the split basis, the x-polynomial
-    coefficient (a Poly in the 4 vars of x).
+    Returns, for each (r, s) pair index of split_iso(alg, m), the
+    x-polynomial coefficient (a Poly in the 4 vars of x).  Built once per
+    (alg, m): callers share the list and must not mutate it.
     """
+    space4 = full_space(alg)
+    split = split_iso(alg, m)
+    alpha = 2 * m
     bip = space4.kernel_bipoly(alpha)  # vars x:0-3, y:4-7
     # harmonic in y: coordinate t is the x-part at the free monomial t
     slot = {f: t for t, f in enumerate(space4.free_monomials(alpha))}

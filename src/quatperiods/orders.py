@@ -6,21 +6,32 @@ traversal seeded at the order itself, with the Eichler mass formula as the
 termination certificate (the mass formula is imported as a standard fact;
 it is not proved in this package).
 
-At p | N both the two-sided ideal of norm p and the index-p superorders come
-from one 4 x 4 kernel mod p: the trace Gram of the order reduced mod p has
-kernel P/pO with P = O & pO^#, the dual O^# taken under the reduced-trace
-form.  Every kernel mod p here is _linalg.nullspace over F_p.
+Superorders, two-sided ideals, left orders and the order test all come
+from two primitives: the kernel mod p of an order's trace Gram, and the
+product I*J of two lattices (product_basis, scaled by connecting_lattice).
+They rest on three facts from Voight, Quaternion Algebras, GTM 288:
+- an index-p superorder O' of O satisfies pO' <= O and O' <= O'^# <= O^#,
+  the dual taken under the reduced-trace form, so O' = O + Zv with
+  v = lift(c)/p for a line c of the trace-Gram kernel mod p, which is
+  (O & pO^#)/pO (the chapters on discriminants and the different);
+- a full lattice L is an order iff 1 is in L and L*L = L: an order is a
+  lattice that is a subring, and 1 in L makes L <= L*L (the chapter on
+  orders);
+- for a locally principal right ideal I of an Eichler order,
+  I*conj(I) = n(I) O_l(I), so the left order is I*conj(I) / n(I) (the
+  chapter on quaternion ideals and invertibility).
+Every kernel mod p here is _linalg.nullspace over F_p.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
 
-from ._linalg import (det, frac_mat, hnf_rational, identity, inverse,
-                      lattice_index, lattice_intersection, mat_mul, nullspace,
-                      transpose, vec_mat)
+from ._linalg import (det, hnf_rational, identity, inverse, lattice_index,
+                      nullspace, transpose, vec_mat)
 from .lattice import IntLattice, short_vectors
 from .quatalg import (Quaternion, _is_squarefree, _prime_factors,
                       algebra_for_discriminant, good_primes)
@@ -34,28 +45,12 @@ class OrderError(ValueError):
 # orders
 # ---------------------------------------------------------------------------
 
-def _basis_quaternions(alg, basis):
-    return [Quaternion(alg, *row) for row in basis]
-
-
-def _span_contains(basis_inv, vec):
-    coords = vec_mat([Fraction(x) for x in vec], basis_inv)
-    return all(c.denominator == 1 for c in coords)
-
-
 def _is_order(alg, basis):
-    """Check: full rank, contains 1, closed under multiplication."""
-    if det(basis) == 0:
-        return False
-    binv = inverse(basis)
-    if not _span_contains(binv, [1, 0, 0, 0]):
-        return False
-    qs = _basis_quaternions(alg, basis)
-    for x in qs:
-        for y in qs:
-            if not _span_contains(binv, (x * y).coords()):
-                return False
-    return True
+    """Whether the lattice of an HNF basis is an order: rank 4, 1 in L and
+    L*L = L."""
+    return len(basis) == 4 and \
+        hnf_rational(basis + [[1, 0, 0, 0]]) == basis and \
+        product_basis(alg, basis, basis) == basis
 
 
 class EichlerOrder:
@@ -73,10 +68,7 @@ class EichlerOrder:
         return IntLattice(self.basis, self.algebra.norm_gram())
 
     def basis_quaternions(self):
-        return _basis_quaternions(self.algebra, self.basis)
-
-    def contains(self, q):
-        return _span_contains(self._inv, q.coords())
+        return [Quaternion(self.algebra, *row) for row in self.basis]
 
     def coords_of(self, q):
         return vec_mat(q.coords(), self._inv)
@@ -123,31 +115,26 @@ class EichlerOrder:
         return f"EichlerOrder(disc {self.algebra.discriminant}, level {self.level})"
 
 
-def _enlarge_once(order, p):
-    """Find a superorder of index p inside (1/p) * order, or None."""
-    alg = order.algebra
-    basis = order.basis
-    qs = order.basis_quaternions()
-    single = []
-    for c in _nonzero_tuples(p, 4):
-        v = sum((qi * Fraction(ci) for qi, ci in zip(qs, c)),
-                Quaternion(alg, 0, 0, 0, 0)) * Fraction(1, p)
+def _superorder_bases(order, p, kernel):
+    """HNF bases of the index-p superorders O + Zv, v = lift(c)/p, for the
+    lines c of the span of kernel mod p (see _dual_kernel_mod_p).
+
+    O + Zv depends only on the line of c, and a nonzero c puts v outside O.
+    Each line is tried once, as its vector whose last nonzero coordinate is
+    1, in increasing order of sum c_i p^i: the order in which a walk over
+    (Z/p)^4 first meets it, so the first basis yielded is that walk's.
+    """
+    span = {tuple(sum(t * k[i] for t, k in zip(ts, kernel)) % p
+                  for i in range(4))
+            for ts in itertools.product(range(p), repeat=len(kernel))}
+    lines = [c for c in span if any(c) and [x for x in c if x][-1] == 1]
+    for c in sorted(lines, key=lambda c: c[::-1]):
+        v = order.element_from_coords(c) * Fraction(1, p)
         if v.trace().denominator != 1 or v.norm().denominator != 1:
             continue
-        if order.contains(v):
-            continue
-        single.append(v)
-        cand = hnf_rational(basis + [v.coords()])
-        if len(cand) == 4 and _is_order(alg, cand):
-            return cand
-    # rare fallback: an index-p^2 step generated by two integral candidates
-    for ii in range(len(single)):
-        for jj in range(ii + 1, len(single)):
-            cand = hnf_rational(basis + [single[ii].coords(),
-                                         single[jj].coords()])
-            if len(cand) == 4 and _is_order(alg, cand):
-                return cand
-    return None
+        cand = hnf_rational(order.basis + [v.coords()])
+        if _is_order(order.algebra, cand):
+            yield cand
 
 
 def _nonzero_tuples(p, n):
@@ -168,9 +155,9 @@ def maximal_order(algebra):
     target = algebra.discriminant
     d = order.reduced_discriminant()
     while d != target:
-        excess = d // target
-        p = _prime_factors(excess)[0]
-        bigger = _enlarge_once(order, p)
+        p = _prime_factors(d // target)[0]
+        kernel = _dual_kernel_mod_p(order, p)
+        bigger = next(_superorder_bases(order, p, kernel), None)
         if bigger is None:
             raise OrderError(f"cannot enlarge order at p={p}")
         order = EichlerOrder(algebra, bigger)
@@ -294,26 +281,20 @@ def product_basis(alg, basis_a, basis_b):
     return hnf_rational(rows)
 
 
-def left_order_basis(alg, basis):
-    """Basis of {x in D : x * I <= I} for the lattice I."""
-    binv = inverse(frac_mat(basis))
-    inter = None
-    for row in basis:
-        # condition: coords(x * b) integral, i.e. x in Z^4 * (M_b * binv)^{-1}
-        mb = right_mul_matrix_of(alg, row)
-        cond = mat_mul(mb, binv)
-        latt = inverse(cond)  # rows span {x : x * cond in Z^4}
-        inter = latt if inter is None else lattice_intersection(inter, latt)
-    return hnf_rational(inter)
+def connecting_lattice(alg, basis_a, basis_b):
+    """Primitively scaled I * conj(J) with its norm form.
 
-
-def right_mul_matrix_of(alg, row):
-    """Matrix M with coords(x * b) = coords(x) * M for b with given coords."""
-    b = Quaternion(alg, *row)
-    rows = []
-    for e in (alg.one(),) + alg.gens():
-        rows.append((e * b).coords())
-    return frac_mat(rows)
+    The square part of the content is divided out of the basis and the rest
+    out of the form, so the scaled norm form is integral primitive.  For
+    J = I the content is n(I)^2 and the lattice is the left order of I.
+    """
+    prod = product_basis(alg, basis_a, conj_basis(alg, basis_b))
+    lat = IntLattice(prod, alg.norm_gram())
+    c = lat.content()
+    s = Fraction(_square_part(c.numerator), _square_part(c.denominator))
+    m = c / (s * s)
+    basis = [[x / s for x in row] for row in lat.basis]
+    return IntLattice(basis, lat.gram).rescaled(Fraction(1, m))
 
 
 # ---------------------------------------------------------------------------
@@ -365,23 +346,11 @@ class ClassSet:
         return sum(Fraction(1, e) for e in self.unit_counts)
 
     def connecting(self, i, j):
-        """Primitively scaled I_i * conj(I_j) with its norm form.
-
-        The square part of the content is divided out of the basis and the
-        rest out of the form, so the scaled norm form is integral primitive
-        and connecting(i, i) is literally the left order.
-        """
+        """connecting_lattice of I_i and I_j; connecting(i, i) is the left
+        order of I_i."""
         if (i, j) not in self._connecting:
-            alg = self.order.algebra
-            prod = product_basis(alg, self.reps[i],
-                                 conj_basis(alg, self.reps[j]))
-            lat = IntLattice(prod, alg.norm_gram())
-            c = lat.content()
-            s = Fraction(_square_part(c.numerator), _square_part(c.denominator))
-            m = c / (s * s)
-            basis = [[x / s for x in row] for row in lat.basis]
-            self._connecting[(i, j)] = IntLattice(
-                basis, lat.gram).rescaled(Fraction(1, m))
+            self._connecting[(i, j)] = connecting_lattice(
+                self.order.algebra, self.reps[i], self.reps[j])
         return self._connecting[(i, j)]
 
     def to_json(self):
@@ -407,7 +376,7 @@ def _neighbors(alg, ideal_basis, left_ord, p):
         rows = [(u * Quaternion(alg, *row)).coords() for row in ideal_basis]
         rows += [[p * x for x in row] for row in ideal_basis]
         nb = hnf_rational(rows)
-        if lattice_index(frac_mat(ideal_basis), nb) != p * p:
+        if lattice_index(ideal_basis, nb) != p * p:
             continue
         key = tuple(tuple(x for x in row) for row in nb)
         if key not in found:
@@ -463,7 +432,7 @@ def right_ideal_classes(order):
                 break
             if any(ideals_equivalent(alg, nb, r) for r in reps):
                 continue
-            lo = EichlerOrder(alg, left_order_basis(alg, nb))
+            lo = EichlerOrder(alg, connecting_lattice(alg, nb, nb).basis)
             reps.append(nb)
             left_orders.append(lo)
             unit_counts.append(lo.unit_count())
@@ -514,14 +483,12 @@ def two_sided_prime_ideal(order, p):
         raise OrderError(f"{p} does not divide the level")
     rows = [order.element_from_coords(k).coords()
             for k in _dual_kernel_mod_p(order, p)]
-    basis = hnf_rational(rows + [[p * x for x in row] for row in order.basis])
+    p_order = [[p * x for x in row] for row in order.basis]
+    basis = hnf_rational(rows + p_order)
     if lattice_index(order.basis, basis) != p * p:
         raise OrderError(f"two-sided ideal at {p} does not have index {p}^2")
-    bq = _basis_quaternions(order.algebra, basis)
-    for x in bq:
-        for y in bq:
-            if any((c / p).denominator != 1 for c in order.coords_of(x * y)):
-                raise OrderError(f"two-sided ideal at {p}: P*P is not in pR")
+    if product_basis(order.algebra, basis, basis) != p_order:
+        raise OrderError(f"two-sided ideal at {p}: P*P is not pR")
     return basis
 
 
@@ -540,23 +507,11 @@ def superorders_at(order, p):
     GTM 288: the discriminant and different, and Eichler orders).  For
     p | N1 the order is maximal at p and the list is empty.
     """
-    alg = order.algebra
     kernel = _dual_kernel_mod_p(order, p)
     if len(kernel) != 2:
         raise OrderError(f"p-part of O^#/O at {p} is not 2-dimensional")
-    k1, k2 = kernel
-    lines = [[(a + t * b) % p for a, b in zip(k1, k2)] for t in range(p)]
-    lines.append(k2)
-    found = {}
-    for c in lines:
-        v = order.element_from_coords(c) * Fraction(1, p)
-        if v.trace().denominator != 1 or v.norm().denominator != 1:
-            continue
-        cand = hnf_rational(order.basis + [v.coords()])
-        if _is_order(alg, cand):
-            key = tuple(tuple(x for x in row) for row in cand)
-            found[key] = cand
-    return [EichlerOrder(alg, found[k]) for k in sorted(found)]
+    return [EichlerOrder(order.algebra, basis)
+            for basis in sorted(_superorder_bases(order, p, kernel))]
 
 
 def class_map_to_superorder(class_set, super_cs):

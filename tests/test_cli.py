@@ -92,6 +92,16 @@ def test_unsupported_input_exits_2(args):
     (("eigen", "--disc", "11", "--nu1", "2"), "--nu1"),
     (("euler", "--p", "3", "--h1", "11a", "--f1", "14a", "--f2", "14a"),
      "mixes levels"),
+    # no rational essential cusp form: only theta has --match to offer
+    (("theta", "--disc", "2", "--prec", "3"),
+     "0 rational essential cusp forms on this class set; select one with "
+     "--match LABEL"),
+    (("restrict", "--disc", "2", "--prec", "3"),
+     "0 rational essential cusp forms on this class set; this command "
+     "needs exactly one"),
+    (("yoshida", "--disc", "2", "--prec", "2"),
+     "0 rational essential cusp forms on this class set; this command "
+     "needs exactly one"),
 ])
 def test_missing_label_or_mismatched_input_exits_2(args, message):
     proc = run_cli(*args)

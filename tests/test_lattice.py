@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quatperiods._linalg import (det, hnf, hnf_rational, identity,
-                                 int_kernel, lattice_intersection, mat_mul,
-                                 nullspace, charpoly, rref)
+                                 integer_rows, mat_mul, nullspace, charpoly,
+                                 rref)
 from quatperiods.lattice import (IntLattice, LatticeError, _ldl,
                                  short_vectors, theta_coeffs)
 from quatperiods._poly import Poly
@@ -58,6 +58,28 @@ def test_nullspace_and_charpoly():
     cp = charpoly([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(2)]])
     # x^2 - 4x + 3
     assert cp == [Fraction(1), Fraction(-4), Fraction(3)]
+
+
+def int_kernel(mat):
+    """Z-basis of {x integer row vector : x * mat = 0}.
+
+    The rows of hnf([mat | I]) that vanish on the mat block span the kernel
+    in their I block.  The HNF is canonical, and so is this basis.
+    """
+    cols = len(mat[0]) if mat else 0
+    aug = [list(row) + [int(i == j) for j in range(len(mat))]
+           for i, row in enumerate(mat)]
+    return [row[cols:] for row in hnf(aug) if not any(row[:cols])]
+
+
+def lattice_intersection(basis_a, basis_b):
+    """Basis of the intersection of two full lattices given by rational rows."""
+    d, rows = integer_rows(basis_a + basis_b)
+    a, b = rows[:len(basis_a)], rows[len(basis_a):]
+    stacked = a + [[-x for x in row] for row in b]
+    out = [[Fraction(sum(k[i] * a[i][j] for i in range(len(a))), d)
+            for j in range(len(a[0]))] for k in int_kernel(stacked)]
+    return hnf_rational(out)
 
 
 def test_lattice_intersection():

@@ -3,16 +3,25 @@ from fractions import Fraction
 
 import pytest
 
-from quatperiods._linalg import (hnf_rational, identity, lattice_index,
-                                 mat_mul, rref)
+from quatperiods._linalg import (frac_mat, hnf_rational, identity, inverse,
+                                 lattice_index, mat_mul, rref, vec_mat)
 from quatperiods.brandt import atkin_lehner
-from quatperiods.orders import (OrderError, _is_order, class_set_for,
-                                eichler_mass, eichler_order,
+from quatperiods.lattice import IntLattice, short_vectors
+from quatperiods.orders import (EichlerOrder, OrderError, _is_order,
+                                class_set_for, eichler_mass, eichler_order,
                                 essential_complement, ideals_equivalent,
                                 maximal_order, product_basis,
                                 right_ideal_classes, superorders_at,
                                 two_sided_prime_ideal)
-from quatperiods.quatalg import Quaternion, algebra_for_discriminant
+from quatperiods.quatalg import (Quaternion, _is_squarefree, _prime_factors,
+                                 algebra_for_discriminant)
+
+from test_lattice import lattice_intersection
+
+
+def contains(order, q):
+    """Whether the quaternion q lies in the order."""
+    return all(c.denominator == 1 for c in order.coords_of(q))
 
 
 def test_hurwitz_maximal_order():
@@ -24,10 +33,9 @@ def test_hurwitz_maximal_order():
     from quatperiods._linalg import det
     assert det(g) == 4
     # contains (1+i+j+k)/2
-    from quatperiods.quatalg import Quaternion
     omega = Quaternion(alg, Fraction(1, 2), Fraction(1, 2), Fraction(1, 2),
                        Fraction(1, 2))
-    assert order.contains(omega)
+    assert contains(order, omega)
 
 
 def test_maximal_order_discriminants():
@@ -40,8 +48,6 @@ def test_maximal_order_discriminants():
 def test_maximal_order_idempotent():
     alg = algebra_for_discriminant(11)
     order = maximal_order(alg)
-    again = right_ideal_classes  # noqa: F841  (no re-maximalization api; HNF is the fixed point)
-    from quatperiods.orders import EichlerOrder
     rebuilt = EichlerOrder(alg, order.basis)
     assert rebuilt.basis == order.basis
 
@@ -85,14 +91,34 @@ def test_unit_counts_admissible():
         assert all(e in (2, 4, 6, 8, 12, 24) for e in cs.unit_counts)
 
 
+def right_mul_matrix_of(alg, row):
+    """Matrix M with coords(x * b) = coords(x) * M for b with given coords."""
+    b = Quaternion(alg, *row)
+    return frac_mat([(e * b).coords() for e in (alg.one(),) + alg.gens()])
+
+
+def reference_left_order(alg, basis):
+    """Basis of {x in D : x * I <= I}, intersected over the basis of I."""
+    binv = inverse(frac_mat(basis))
+    inter = None
+    for row in basis:
+        # coords(x * b) integral, i.e. x in Z^4 * (M_b * binv)^{-1}
+        latt = inverse(mat_mul(right_mul_matrix_of(alg, row), binv))
+        inter = latt if inter is None else lattice_intersection(inter, latt)
+    return hnf_rational(inter)
+
+
 def test_connecting_lattice_diagonal_is_left_order():
-    cs = class_set_for(11)
-    for i in range(cs.size):
-        conn = cs.connecting(i, i)
-        assert conn.key() == cs.left_orders[i].norm_lattice().key()
-        # minimum of the scaled norm form is 1 (the identity is in the order)
-        from quatperiods.lattice import short_vectors
-        assert min(q for _, q in short_vectors(conn, 1)) == 1
+    for n1, n2 in [(11, 1), (2, 11), (7, 2), (3, 5), (13, 2), (2, 19)]:
+        cs = class_set_for(n1, n2)
+        alg = cs.order.algebra
+        for i in range(cs.size):
+            left = reference_left_order(alg, cs.reps[i])
+            assert cs.left_orders[i].basis == left
+            conn = cs.connecting(i, i)
+            assert conn.key() == IntLattice(left, alg.norm_gram()).key()
+            # minimum of the scaled norm form is 1 (the identity is in it)
+            assert min(q for _, q in short_vectors(conn, 1)) == 1
 
 
 def test_class_set_deterministic():
@@ -200,21 +226,86 @@ def reference_two_sided_ideal(order, p):
     return [list(row) for row in hits.pop()]
 
 
-def reference_superorders(order, p):
-    """Index-p superorders by testing v = c/p for all ~p^4 tuples c."""
+def reference_is_order(alg, basis):
+    """Rank 4, and 1 and every product of two basis elements have integral
+    coordinates in the basis."""
+    if len(basis) != 4:
+        return False
+    binv = inverse(frac_mat(basis))
+    qs = [Quaternion(alg, *row) for row in basis]
+    return all(all(c.denominator == 1 for c in vec_mat(q.coords(), binv))
+               for q in [alg.one()] + [x * y for x in qs for y in qs])
+
+
+def _integral_candidates(order, p):
+    """v = c/p, c * basis, with integral trace and norm and v not in O, for
+    the tuples c in increasing order of sum c_i p^i."""
     alg = order.algebra
     qs = order.basis_quaternions()
-    found = {}
-    for c in itertools.product(range(p), repeat=4):
+    for t in itertools.product(range(p), repeat=4):
+        c = t[::-1]
         v = sum((q * Fraction(ci) for q, ci in zip(qs, c)),
                 Quaternion(alg, 0, 0, 0, 0)) * Fraction(1, p)
-        if v.trace().denominator != 1 or v.norm().denominator != 1 or \
-                order.contains(v):
-            continue
-        cand = hnf_rational(order.basis + [v.coords()])
-        if _is_order(alg, cand):
+        if v.trace().denominator == 1 and v.norm().denominator == 1 and \
+                not contains(order, v):
+            yield v.coords()
+
+
+def reference_superorders(order, p):
+    """Index-p superorders by testing v = c/p for all ~p^4 tuples c."""
+    found = {}
+    for v in _integral_candidates(order, p):
+        cand = hnf_rational(order.basis + [v])
+        if reference_is_order(order.algebra, cand):
             found[tuple(map(tuple, cand))] = cand
     return [found[k] for k in sorted(found)]
+
+
+def reference_maximal_order(alg):
+    """Saturate Z<1,i,j,k> by the tuple walk: at the smallest prime p of the
+    excess discriminant, the first integral v = c/p whose O + Zv is an
+    order, else the first pair of such v that gives an order."""
+    order = EichlerOrder(alg, identity(4))
+    while order.reduced_discriminant() != alg.discriminant:
+        p = _prime_factors(order.reduced_discriminant() //
+                           alg.discriminant)[0]
+        single = []
+        bigger = None
+        for v in _integral_candidates(order, p):
+            single.append(v)
+            cand = hnf_rational(order.basis + [v])
+            if reference_is_order(alg, cand):
+                bigger = cand
+                break
+        if bigger is None:
+            pairs = (hnf_rational(order.basis + [v, w])
+                     for v, w in itertools.combinations(single, 2))
+            bigger = next(c for c in pairs if reference_is_order(alg, c))
+        order = EichlerOrder(alg, bigger)
+    return order
+
+
+@pytest.mark.parametrize("n1", [
+    n for n in range(2, 120)
+    if _is_squarefree(n) and len(_prime_factors(n)) % 2 == 1])
+def test_maximal_order_matches_tuple_walk(n1):
+    # at disc 73 (p = 7) the walk's superorder is not the smallest in HNF
+    alg = algebra_for_discriminant(n1)
+    assert maximal_order(alg).basis == reference_maximal_order(alg).basis
+
+
+def test_is_order_matches_coordinate_check():
+    for n1, n2, p in [(2, 1, 2), (11, 1, 11), (7, 2, 2), (3, 5, 5)]:
+        order = class_set_for(n1, n2).order
+        alg = order.algebra
+        ideal = two_sided_prime_ideal(order, p)
+        lattices = [order.basis, ideal, hnf_rational(ideal + [[1, 0, 0, 0]]),
+                    [[x / p for x in row] for row in order.basis],
+                    order.basis[:3]]
+        verdicts = [_is_order(alg, basis) for basis in lattices]
+        assert verdicts == [reference_is_order(alg, basis)
+                            for basis in lattices]
+        assert verdicts == [True, False, True, False, False]
 
 
 @pytest.mark.parametrize("n1, n2, p", [(7, 2, 2), (7, 2, 7), (3, 5, 3),

@@ -90,3 +90,22 @@ def test_every_function_and_class_is_used():
             if counts[node.name] == own:
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert not unused, "defined but unused in src/:\n" + "\n".join(unused)
+
+
+def test_every_module_level_import_is_read():
+    # An import counts as a use in the guard above, so an import that its
+    # own module never reads would also hide a dead helper.
+    unread = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or \
+                    getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read:
+                    unread.append(f"{path.name}:{node.lineno} {name}")
+    assert not unread, "imported but never read:\n" + "\n".join(unread)
