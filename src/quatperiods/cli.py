@@ -113,11 +113,11 @@ def run_pipeline(args):
     if args.lvalue:
         result["lvalue_cross_check"] = ratio_quantity(
             h1, h2, f1, f2, phi1, phi2, psi1, psi2,
-            bits=args.bits, terms=args.pmax or None)
+            terms=args.pmax or None)
     return result
 
 
-def _triple_lambda(h, f1, f2, bits=100, terms=None):
+def _triple_lambda(h, f1, f2, terms=None):
     """Completed central value of L(h, f1, f2; s) with documented bad data."""
     level = h.level
     cond = triple_conductor(level)
@@ -129,11 +129,10 @@ def _triple_lambda(h, f1, f2, bits=100, terms=None):
         sign *= -h.a(p) * -f1.a(p) * -f2.a(p)
     sign = -sign
     return central_value(factors, triple_gamma_shifts(), cond, sign,
-                         bits=bits, terms=terms)
+                         terms=terms)
 
 
-def ratio_quantity(h1, h2, f1, f2, phi1, phi2, psi1, psi2,
-                   bits=100, terms=None):
+def ratio_quantity(h1, h2, f1, f2, phi1, phi2, psi1, psi2, terms=None):
     """Ratio diagnostic for the central-value proportionality.
 
     Computes (S1 S2)^2 <h1,h1> <h2,h2> <f1,f1>^2 <f2,f2>^2 /
@@ -149,15 +148,15 @@ def ratio_quantity(h1, h2, f1, f2, phi1, phi2, psi1, psi2,
     norms = [inner_product(f, f) for f in (phi1, phi2, psi1, psi2)]
     s_sq = (rep.s1 * rep.s2) ** 2
     normalized = s_sq / (norms[0] * norms[1] * norms[2] ** 2 * norms[3] ** 2)
-    lam1 = _triple_lambda(h1, f1, f2, bits=bits, terms=terms)
+    lam1 = _triple_lambda(h1, f1, f2, terms=terms)
     lam2 = lam1 if h2.label == h1.label \
-        else _triple_lambda(h2, f1, f2, bits=bits, terms=terms)
+        else _triple_lambda(h2, f1, f2, terms=terms)
     # each Sym^2 proxy's power in the ratio, equal labels adding up
     records, powers = {}, Counter()
     for r, power in ((h1, 1), (h2, 1), (f1, 2), (f2, 2)):
         records[r.label] = r
         powers[r.label] += power
-    pets = {label: petersson_norm_proxy(r, bits=bits)
+    pets = {label: petersson_norm_proxy(r)
             for label, r in records.items()}
     value = None
     rel_err = float("inf")
@@ -469,9 +468,9 @@ def run_lvalue(args):
     terms = args.pmax or None
     if args.sym2:
         cv = petersson_norm_proxy(resolve_label(_records(args), args.sym2),
-                                  bits=args.bits, terms=terms)
+                                  terms=terms)
     else:
-        cv = _triple_lambda(*_triple(args), bits=args.bits, terms=terms)
+        cv = _triple_lambda(*_triple(args), terms=terms)
     return {"type": "sym2-edge" if args.sym2 else "triple-central",
             "value": cv.value, "lambda": cv.lam, "error": cv.error,
             "terms": cv.terms}
@@ -560,7 +559,6 @@ def build_parser():
                        help="use the symmetric square of this newform")
 
     def afe(p):
-        p.add_argument("--bits", type=POSITIVE, default=100)
         p.add_argument("--pmax", type=NONNEG, default=0,
                        help="series length (default 0: from the conductor)")
 

@@ -2,17 +2,20 @@
 
 Factor algebra is exact over Q throughout (reciprocal-root power sums make
 tensor products and symmetric squares one-liners); floating point enters only
-in the smoothed approximate-functional-equation evaluator, which works at a
-configurable mpmath precision and reports an error estimate.
+in the smoothed approximate-functional-equation evaluator, which works in
+double precision and reports an error estimate.  Doubles suffice: the sums
+take every grid value and every Dirichlet coefficient as a double anyway,
+and the reported errors, set by the node counts and the series length, are
+1e-8 or more, far above the rounding of the grid.
 
 The evaluator (Dokchitser, Exp. Math. 13, 2004) does only the work that four
 exact facts leave over: the integrand is conjugate-symmetric on its line, so
 the grid is one-sided; at s = 1/2 the sums at s and 1 - s coincide, so one
-is computed; equal Gamma_R shifts are grouped, one Gamma_R call per distinct
-argument, shared by both sums; and the series reads the factor at p only up to X^floor(log_p
-terms), so for p^2 > terms the triple factor is its linear term alone.  The
-Dirichlet coefficients are identical with or without the last fact, and the
-others change only rounding.
+is computed; equal Gamma_R shifts are grouped, one log Gamma per distinct
+argument, shared by both sums; and the series reads the factor at p only up
+to X^floor(log_p terms), so for p^2 > terms the triple factor is its linear
+term alone.  The Dirichlet coefficients are identical with or without the
+last fact, and the others change only rounding.
 
 Normalization bookkeeping: polynomials are stored in the arithmetic
 normalization (coefficients in Z[a_p]); each factor records the shift that
@@ -21,14 +24,13 @@ moves the functional-equation center to s = 1/2.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath
-
-from .quatalg import _is_prime, primes_up_to
+from .quatalg import primes_up_to
 
 
 class LSeriesError(ValueError):
@@ -64,6 +66,7 @@ def ingest(path):
     Rejects malformed rows and Ramanujan violations, naming the row.
     """
     records = []
+    primes, sieved = set(), 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -89,8 +92,11 @@ def ingest(path):
             for p, v in eps.items():
                 if v not in (1, -1) or level % p:
                     raise LSeriesError(f"row {lineno}: bad sign data at {p}")
+            if ap and max(ap) > sieved:
+                sieved = max(ap)
+                primes = set(primes_up_to(sieved))
             for p, a in ap.items():
-                if not _is_prime(p):
+                if p not in primes:
                     raise LSeriesError(f"row {lineno}: {p} is not prime")
                 if a * a > 4 * p ** (weight - 1):
                     raise LSeriesError(
@@ -346,8 +352,8 @@ def sym2_identity_check(h1, h2, p):
 # Dirichlet coefficients and the smoothed AFE evaluator
 # ---------------------------------------------------------------------------
 
-def dirichlet_coefficients(factors, count, bits=80):
-    """Analytic-normalization coefficients b_1..b_count as mpf.
+def dirichlet_coefficients(factors, count):
+    """Analytic-normalization coefficients b_1..b_count as floats.
 
     factors: dict prime -> EulerFactor (each with its shift); every prime
     up to count needs one, and is read only up to X^floor(log_p count).
@@ -357,24 +363,20 @@ def dirichlet_coefficients(factors, count, bits=80):
         if p not in factors:
             raise LSeriesError(
                 f"no Euler factor supplied for a prime dividing {p}")
-    with mpmath.workprec(bits):
-        b = [None] + [mpmath.mpf(1)] * count
-        for p in primes:
-            f = factors[p]
-            mmax = int(math.log(count, p)) + 1
-            local = f.local_coefficients(mmax)
-            shift = mpmath.mpf(f.shift.numerator) / f.shift.denominator
-            scale = [mpmath.power(p, -m * shift) for m in range(mmax + 1)]
-            loc = [mpmath.mpf(c.numerator) / c.denominator * scale[m]
-                   for m, c in enumerate(local)]
-            for n in range(p, count + 1, p):
-                v = 0
-                nn = n
-                while nn % p == 0:
-                    nn //= p
-                    v += 1
-                b[n] *= loc[v]
-        return b
+    b = [None] + [1.0] * count
+    for p in primes:
+        f = factors[p]
+        local = f.local_coefficients(int(math.log(count, p)) + 1)
+        shift = float(f.shift)
+        loc = [float(c) * p ** (-v * shift) for v, c in enumerate(local)]
+        for n in range(p, count + 1, p):
+            v = 0
+            nn = n
+            while nn % p == 0:
+                nn //= p
+                v += 1
+            b[n] *= loc[v]
+    return b
 
 
 @dataclass
@@ -386,8 +388,36 @@ class CentralValue:
     details: dict = field(default_factory=dict)
 
 
+# Stirling's series for log Gamma: B_2k / (2k (2k - 1)) for k = 1..7
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188,
+             -691 / 360360, 1 / 156)
+
+
+def _log_gamma(z):
+    """log Gamma(z) for Re z > 0, up to a multiple of 2 pi i.
+
+    The recurrence Gamma(z) = Gamma(z + n) / (z (z + 1) ... (z + n - 1))
+    moves z to |z| >= 12, where the first omitted Stirling term is below
+    1e-17.
+    """
+    prod = 1
+    while abs(z) < 12:
+        prod *= z
+        z += 1
+    inv = 1 / z
+    series = 0
+    for coeff in reversed(_STIRLING):
+        series = series * inv * inv + coeff
+    return (z - 0.5) * cmath.log(z) - z + 0.5 * math.log(2 * math.pi) \
+        + series * inv - cmath.log(prod)
+
+
+# end of the grid: |exp(w^2 / a)| = _GRID_TOL e^{-10} at t = tmax
+_GRID_TOL = 2.0 ** -50
+
+
 def central_value(factors, gamma_shifts, conductor, sign, s0=Fraction(1, 2),
-                  bits=100, terms=None, kernel_width=4, poles=()):
+                  terms=None, kernel_width=4, poles=()):
     """Smoothed approximate functional equation at s0.
 
     Lambda(s) = Q^{s/2} prod_j Gamma_R(s + mu_j) L(s) with Lambda(s) =
@@ -402,125 +432,106 @@ def central_value(factors, gamma_shifts, conductor, sign, s0=Fraction(1, 2),
       and each sum uses Re g_0 + 2 Re sum_{k >= 1} g_k n^{-i t_k};
     - one sum at s0 = 1/2: there the sums at s0 and 1 - s0 are the same, so
       it is computed once;
-    - grouped Gamma_R factors: one Gamma_R evaluation per distinct argument
-      s + mu_j, raised to its multiplicity, shared by the sums at s0 and
-      1 - s0, and Gamma_R(x + 2) = Gamma_R(x) x / (2 pi) for arguments two
-      apart;
+    - grouped Gamma_R factors: one log Gamma_R evaluation per distinct
+      argument s + mu_j, times its multiplicity, shared by the sums at s0
+      and 1 - s0, and log Gamma_R(x + 2) = log Gamma_R(x) + log(x / (2 pi))
+      for arguments two apart;
     - Euler factors only as deep as read: dirichlet_coefficients reads the
       factor at p only up to X^floor(log_p terms), so callers may pass
       truncated factors (see triple_factors).
 
     Raises when the supplied factors do not reach the needed cutoff.
     """
-    with mpmath.workprec(bits):
-        q = mpmath.mpf(conductor)
-        shifts = Counter(Fraction(m) for m in gamma_shifts)
-        s0 = Fraction(s0)
-        lines = sorted({s0, 1 - s0})
-        s0f = _mpf(s0)
-        # both expansion lines s0 + c and 1 - s0 + c must clear the
-        # absolute-convergence abscissa
-        c = max(mpmath.mpf("1.75"), abs(s0f - mpmath.mpf("0.5")) + mpmath.mpf("1.3"))
-        aa = mpmath.mpf(kernel_width)
+    shifts = Counter(Fraction(m) for m in gamma_shifts)
+    s0 = Fraction(s0)
+    lines = sorted({s0, 1 - s0})
+    # both expansion lines s0 + c and 1 - s0 + c must clear the
+    # absolute-convergence abscissa
+    c = max(1.75, abs(float(s0) - 0.5) + 1.3)
+    aa = float(kernel_width)
+    log_q = math.log(conductor)
 
-        def lam_gamma(w, ss):
-            """{s: Q^{(s+w)/2} prod_j Gamma_R(s + w + mu_j)} for s in ss."""
-            gamma_r = {}
-            for o in sorted({s + mu for s in ss for mu in shifts}):
-                x = w + _mpf(o)
-                if o - 2 in gamma_r:
-                    gamma_r[o] = gamma_r[o - 2] * (x - 2) / (2 * mpmath.pi)
-                else:
-                    gamma_r[o] = mpmath.power(mpmath.pi, -x / 2) \
-                        * mpmath.gamma(x / 2)
-            out = {}
-            for s in ss:
-                out[s] = mpmath.power(q, (_mpf(s) + w) / 2)
-                for mu, mult in shifts.items():
-                    out[s] *= gamma_r[s + mu] ** mult
-            return out
+    def log_lam_gamma(w, ss):
+        """{s: log(Q^{(s+w)/2} prod_j Gamma_R(s + w + mu_j))} for s in ss,
+        up to multiples of 2 pi i."""
+        log_gamma_r = {}
+        for o in sorted({s + mu for s in ss for mu in shifts}):
+            x = w + float(o)
+            if o - 2 in log_gamma_r:
+                log_gamma_r[o] = log_gamma_r[o - 2] \
+                    + cmath.log((x - 2) / (2 * math.pi))
+            else:
+                log_gamma_r[o] = -x / 2 * math.log(math.pi) \
+                    + _log_gamma(x / 2)
+        return {s: (float(s) + w) / 2 * log_q
+                + sum(mult * log_gamma_r[s + mu] for mu, mult in shifts.items())
+                for s in ss}
 
-        # choose the truncation from the size of V(n): the integrand decays
-        # like n^{-(sigma+c)}; require bound * tail_zeta < tol
-        if terms is None:
-            terms = _afe_terms(conductor)
-        maxn = terms
+    # choose the truncation from the size of V(n): the integrand decays
+    # like n^{-(sigma+c)}; require bound * tail_zeta < tol
+    if terms is None:
+        terms = _afe_terms(conductor)
+    maxn = terms
+    b = dirichlet_coefficients(factors, maxn)
+    tmax = math.sqrt(aa * (math.log(1 / _GRID_TOL) + c * c / aa + 10))
 
-        # Dirichlet coefficients (converted to machine floats for the
-        # oscillatory sums; the grid itself is computed with mpmath gammas)
-        b_mp = dirichlet_coefficients(factors, maxn, bits=bits)
-        b = [0.0 if x is None else float(x) for x in b_mp]
+    def grid(nodes):
+        """Step h and {s: [g_s(t_k)] for k = 0..nodes} on every line."""
+        h = tmax / nodes
+        gs = {s: [] for s in lines}
+        for k in range(nodes + 1):
+            w = complex(c, k * h)
+            log_kernel = w * w / aa - cmath.log(w)
+            for s, lg in log_lam_gamma(w, lines).items():
+                gs[s].append(cmath.exp(lg + log_kernel))
+        return h, gs
 
-        tol = mpmath.mpf(2) ** (-max(40, bits // 2))
-        tmax = mpmath.sqrt(aa * (mpmath.log(1 / tol) + c * c / aa + 10))
+    def smoothed_sum(s, h, gs):
+        """The sum at s and its final 35% block."""
+        g0 = gs[0].real
+        upper = gs[:0:-1]          # g_K .. g_1, for Horner's rule
+        exponent = -float(s) - c
+        total = 0.0
+        checkpoint = max(1, int(maxn * 0.65))
+        at_checkpoint = 0.0
+        for n in range(1, maxn + 1):
+            if n == checkpoint:
+                at_checkpoint = total
+            if b[n] == 0.0:
+                continue
+            # sum_{k >= 1} g_k z^k with z = n^{-i h}
+            z = complex(math.cos(h * math.log(n)),
+                        -math.sin(h * math.log(n)))
+            acc = 0j
+            for g in upper:
+                acc = (acc + g) * z
+            total += b[n] * n ** exponent * (g0 + 2 * acc.real)
+        total *= h / (2 * math.pi)
+        at_checkpoint *= h / (2 * math.pi)
+        return total, abs(total - at_checkpoint)
 
-        def grid(nodes):
-            """Step h and {s: [g_s(t_k)] for k = 0..nodes} on every line."""
-            h = tmax / nodes
-            gs = {s: [] for s in lines}
-            for k in range(nodes + 1):
-                w = mpmath.mpc(c, k * h)
-                kernel = mpmath.exp(w * w / aa) / w
-                for s, lg in lam_gamma(w, lines).items():
-                    gs[s].append(complex(lg * kernel))
-            return float(h), gs
+    coarse, fine = grid(180), grid(260)
+    sums = {}
+    for s in lines:
+        val, blk = smoothed_sum(s, coarse[0], coarse[1][s])
+        val_b, _ = smoothed_sum(s, fine[0], fine[1][s])
+        sums[s] = val, val_b, blk
+    val1, val1b, blk1 = sums[s0]
+    val2, val2b, blk2 = sums[1 - s0]
+    quad_err = abs(val1 - val1b) + abs(val2 - val2b)
+    # the tail beyond maxn is estimated by the final 35% block (terms
+    # decay superpolynomially in this range, so the block dominates)
+    series_err = 2 * (blk1 + blk2)
 
-        def smoothed_sum(s, h, gs):
-            """The sum at s and its final 35% block."""
-            g0 = gs[0].real
-            upper = gs[:0:-1]          # g_K .. g_1, for Horner's rule
-            exponent = -float(s) - float(c)
-            total = 0.0
-            checkpoint = max(1, int(maxn * 0.65))
-            at_checkpoint = 0.0
-            for n in range(1, maxn + 1):
-                if n == checkpoint:
-                    at_checkpoint = total
-                if b[n] == 0.0:
-                    continue
-                # sum_{k >= 1} g_k z^k with z = n^{-i h}
-                z = complex(math.cos(h * math.log(n)),
-                            -math.sin(h * math.log(n)))
-                acc = 0j
-                for g in upper:
-                    acc = (acc + g) * z
-                total += b[n] * n ** exponent * (g0 + 2 * acc.real)
-            total *= h / (2 * math.pi)
-            at_checkpoint *= h / (2 * math.pi)
-            return mpmath.mpf(total), abs(total - at_checkpoint)
+    lam = val1b + sign * val2b
+    for (loc, res) in poles:
+        w = float(loc) - float(s0)
+        if abs(w) < c:
+            lam -= float(res) * math.exp(w * w / aa) / w
 
-        coarse, fine = grid(180), grid(260)
-        sums = {}
-        for s in lines:
-            val, blk = smoothed_sum(s, coarse[0], coarse[1][s])
-            val_b, _ = smoothed_sum(s, fine[0], fine[1][s])
-            sums[s] = val, val_b, blk
-        val1, val1b, blk1 = sums[s0]
-        val2, val2b, blk2 = sums[1 - s0]
-        quad_err = abs(val1 - val1b) + abs(val2 - val2b)
-        # the tail beyond maxn is estimated by the final 35% block (terms
-        # decay superpolynomially in this range, so the block dominates)
-        series_err = 2 * (blk1 + blk2)
-
-        lam = val1b + sign * val2b
-        for (loc, res) in poles:
-            loc = mpmath.mpf(loc)
-            res = mpmath.mpf(res)
-            w = loc - s0f
-            if abs(mpmath.re(w)) < c:
-                lam -= res * mpmath.exp(w * w / aa) / w
-
-        gam = lam_gamma(mpmath.mpf(0), [s0])[s0]
-        value = lam / gam
-        err = (quad_err + series_err) / abs(gam)
-        return CentralValue(float(value), float(err), float(lam),
-                            maxn, {"quad_err": float(quad_err),
-                                   "tail": float(series_err)})
-
-
-def _mpf(x):
-    """The Fraction x as an mpf at the working precision."""
-    return mpmath.mpf(x.numerator) / x.denominator
+    gam = cmath.exp(log_lam_gamma(0j, [s0])[s0]).real
+    return CentralValue(lam / gam, (quad_err + series_err) / abs(gam), lam,
+                        maxn, {"quad_err": quad_err, "tail": series_err})
 
 
 def _afe_terms(conductor):
@@ -530,7 +541,7 @@ def _afe_terms(conductor):
     return min(base, 200000)
 
 
-def petersson_norm_proxy(record, bits=100, terms=None):
+def petersson_norm_proxy(record, terms=None):
     """Value of the completed symmetric square at the analytic edge s = 1.
 
     Proportional to the Petersson norm up to a level-weight constant, which
@@ -543,7 +554,6 @@ def petersson_norm_proxy(record, bits=100, terms=None):
                for p in primes_up_to(min(record.pmax(), count))
                if record.level % p == 0 or p in record.ap}
     cv = central_value(factors, sym2_gamma_shifts(record.weight),
-                       conductor, +1, s0=Fraction(1),
-                       bits=bits, terms=terms)
+                       conductor, +1, s0=Fraction(1), terms=terms)
     return cv
 

@@ -329,14 +329,15 @@ class ClassSet:
 
     reps[0] is the order itself.  connecting(i, j) is the primitively scaled
     lattice I_i * conj(I_j); its norm form counts Brandt matrix entries.
+    connecting holds the lattices already built, keyed by (i, j).
     """
 
-    def __init__(self, order, reps, left_orders, unit_counts):
+    def __init__(self, order, reps, left_orders, unit_counts, connecting):
         self.order = order
         self.reps = reps
         self.left_orders = left_orders
         self.unit_counts = unit_counts
-        self._connecting = {}
+        self._connecting = connecting
 
     @property
     def size(self):
@@ -422,6 +423,7 @@ def right_ideal_classes(order):
     reps = [order.basis]
     left_orders = [order]
     unit_counts = [order.unit_count()]
+    connecting = {}
     acc = Fraction(1, unit_counts[0])
     frontier = 0
     while acc < target and frontier < len(reps):
@@ -432,7 +434,9 @@ def right_ideal_classes(order):
                 break
             if any(ideals_equivalent(alg, nb, r) for r in reps):
                 continue
-            lo = EichlerOrder(alg, connecting_lattice(alg, nb, nb).basis)
+            i = len(reps)
+            connecting[(i, i)] = connecting_lattice(alg, nb, nb)
+            lo = EichlerOrder(alg, connecting[(i, i)].basis)
             reps.append(nb)
             left_orders.append(lo)
             unit_counts.append(lo.unit_count())
@@ -441,7 +445,7 @@ def right_ideal_classes(order):
     if acc != target:
         raise OrderError(
             f"class set incomplete: mass {acc} != {target} (disc {n1}, level {n})")
-    return ClassSet(order, reps, left_orders, unit_counts)
+    return ClassSet(order, reps, left_orders, unit_counts, connecting)
 
 
 @lru_cache(maxsize=None)

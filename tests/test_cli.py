@@ -75,6 +75,7 @@ def test_output_is_byte_identical_across_processes(args):
      "--alpha1", "2"),
     ("classset", "--disc", "11", "--bits", "5"),
     ("lvalue", "--h1", "11a", "--f1", "14a", "--f2", "14a"),
+    ("lvalue", "--sym2", "11a", "--bits", "100"),
 ])
 def test_unsupported_input_exits_2(args):
     proc = run_cli(*args)

@@ -16,14 +16,18 @@ PACKAGE = Path(quatperiods.__file__).resolve().parent
 
 
 def test_no_run_imports_sympy():
-    # characteristic polynomials are factored inside the package
+    # characteristic polynomials are factored inside the package, and the
+    # L-values are computed in double precision without mpmath
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     code = ("import sys\n"
             "from quatperiods.cli import main\n"
             "main(['eigen', '--disc', '13', '--level', '26'])\n"
             "main(['period', '--h1', '11a', '--h2', '11a', '--f1', '11a',"
             " '--f2', '11a'])\n"
-            "assert 'sympy' not in sys.modules\n")
+            "main(['lvalue', '--h1', '11a', '--f1', '11a', '--f2', '11a'])\n"
+            "main(['lvalue', '--sym2', '11a'])\n"
+            "assert 'sympy' not in sys.modules\n"
+            "assert 'mpmath' not in sys.modules\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
