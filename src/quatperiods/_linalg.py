@@ -3,8 +3,10 @@
 Matrices are plain lists of lists; rows are vectors.  Entries are Fraction
 (or int where stated), ints mod p for the F_p forms of rref and nullspace,
 or elements of another exact field type such as brandt.NumberFieldElement.
-Everything here is deterministic and allocation-light so the rest of the
-package can lean on it in inner loops.
+A rational lattice is one pair (den, rows): integer rows in HNF over one
+denominator (hnf_lattice), so products, membership and indices of lattices
+stay in integers.  Everything here is deterministic and allocation-light so
+the rest of the package can lean on it in inner loops.
 """
 
 from __future__ import annotations
@@ -78,28 +80,6 @@ def rref(mat, p=None):
         if r == rows:
             break
     return m, pivots
-
-
-def det(mat):
-    """Determinant by fraction-free-ish Gaussian elimination."""
-    n = len(mat)
-    m = [list(map(Fraction, row)) for row in mat]
-    d = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            d = -d
-        d *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [m[i][j] - f * m[c][j] for j in range(c, n)]
-                m[i] = [Fraction(0)] * c + m[i]
-    return d
 
 
 def inverse(mat):
@@ -184,11 +164,7 @@ def hnf(mat):
     r = 0
     for c in range(cols):
         # find/make a pivot at (r, c) by gcd row combinations
-        pr = None
-        for i in range(r, rows):
-            if m[i][c] != 0:
-                pr = i
-                break
+        pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
@@ -216,30 +192,32 @@ def integer_rows(rows):
     return d, [[int(Fraction(x) * d) for x in row] for row in rows]
 
 
-def hnf_rational(rows):
-    """Canonical HNF basis of the lattice spanned by rational rows."""
-    d, int_rows = integer_rows(rows)
-    h = hnf(int_rows)
-    return [[Fraction(x, d) for x in row] for row in h]
+def hnf_lattice(den, rows):
+    """The canonical (den, rows) of the lattice spanned by integer rows / den.
+
+    rows come out in HNF as a tuple of tuples and den > 0 is divided down
+    until gcd(den, every entry) = 1, so one lattice has one hashable pair.
+    """
+    h = hnf(rows)
+    g = gcd(den, *(x for row in h for x in row))
+    return den // g, tuple(tuple(x // g for x in row) for row in h)
 
 
-def lattice_index(big, small):
-    """Index [big : small] for small <= big, as a positive integer."""
-    idx = det(small) / det(big)
-    idx = abs(idx)
-    if idx.denominator != 1:
-        raise ValueError("not a sublattice")
-    return idx.numerator
+def hnf_solve(rows, v):
+    """Integer c with c * rows = v for a square HNF rows, or None if the
+    solution is not integral: back-substitution down the diagonal."""
+    c = []
+    for j, row in enumerate(rows):
+        t, r = divmod(v[j] - sum(ci * rows[i][j] for i, ci in enumerate(c)),
+                      row[j])
+        if r:
+            return None
+        c.append(t)
+    return c
 
 
 def content(values):
     """gcd of numerators / lcm of denominators of a family of rationals."""
-    num = 0
-    den = 1
-    for v in values:
-        v = Fraction(v)
-        num = gcd(num, v.numerator)
-        den = lcm(den, v.denominator)
-    if num == 0:
-        return Fraction(0)
-    return Fraction(num, den)
+    values = [Fraction(v) for v in values]
+    return Fraction(gcd(*(v.numerator for v in values)),
+                    lcm(*(v.denominator for v in values)))

@@ -225,18 +225,6 @@ class BrandtOperator:
     matrix: list          # square over Q, size r * dim(U_nu)
     block_dim: int
 
-    def apply(self, form):
-        if form.class_set is not self.class_set or form.weight != self.nu:
-            raise BrandtError("operator/form mismatch")
-        vec = _form_to_vector(form)
-        out = mat_vec(self.matrix, vec)
-        return _vector_to_form(self.class_set, self.nu, out, self.block_dim)
-
-
-def _form_to_vector(form):
-    sp = trace_zero_space(form.class_set.order.algebra)
-    return [c for v in form.values for c in sp.coords_in_basis(v, form.weight)]
-
 
 def _vector_to_form(class_set, nu, vec, block_dim):
     """The form with coordinates vec, whose entries may lie in a number
@@ -271,7 +259,7 @@ def brandt_matrices(class_set, primes, nu=0):
     ordered pair.  Memoised: callers share the returned operators and must
     not mutate them.
     """
-    n = class_set.order.reduced_discriminant()
+    n = class_set.order.level
     for p in primes:
         if n % p == 0:
             raise BrandtError(f"{p} divides the level {n}; not a good prime")
@@ -315,7 +303,7 @@ def brandt_matrices(class_set, primes, nu=0):
 @lru_cache(maxsize=None)
 def atkin_lehner(class_set, p, nu=0):
     """The involution w_p for p | N, via the two-sided ideal of norm p."""
-    n = class_set.order.reduced_discriminant()
+    n = class_set.order.level
     if n % p != 0:
         raise BrandtError(f"{p} does not divide the level {n}")
     alg = class_set.order.algebra
@@ -408,7 +396,7 @@ def eigenforms(class_set, nu=0, primes=None):
     the returned list and forms and must not mutate them; primes must be a
     tuple.
     """
-    n = class_set.order.reduced_discriminant()
+    n = class_set.order.level
     if primes is None:
         primes = tuple(good_primes(n, 8))
     ops = list(brandt_matrices(class_set, primes, nu))
@@ -505,7 +493,7 @@ def _make_eigenform(class_set, nu, basis, sub, fac, primes, ops):
     # w_p commutes with the operator that acts on the orbit irreducibly, so
     # it acts by an involution of the Hecke field: +1 or -1
     form.al_signs = {}
-    for p in _prime_factors(class_set.order.reduced_discriminant()):
+    for p in _prime_factors(class_set.order.level):
         sign = _eigenvalue(atkin_lehner(class_set, p, nu), vec)
         if sign not in (1, -1):
             raise BrandtError(f"w{p} acts on an orbit by {sign}, not by +-1")

@@ -13,12 +13,14 @@ W q(x) <= floor(W bound); and an integer t satisfies A t^2 <= R exactly when
 |t| <= isqrt(R // A).  So every coordinate range is computed without floats
 or slack, and no boundary vector with q(x) == bound is missed.
 
-Sums over lattice vectors run in integers too.  A lattice caches its basis
-and its basis Gram as integer rows over one denominator each, so a vector's
-ambient coordinates are y / D with integer y, and B(v, w) is an integer dot
-product over G.  A polynomial weight p of degree d with coefficients over
-the common denominator L becomes integer coefficients c_m = L D^(d-|m|) p_m,
-so p(y / D) = sum_m c_m y^m / (L D^d): the sum is taken in integers and
+Sums over lattice vectors run in integers too.  A lattice's basis is one
+pair (D, rows) of integer rows over one denominator, as orders.py builds
+it with _linalg.hnf_lattice, and the lattice caches its basis Gram as
+integer rows over a denominator G.  So a vector's ambient coordinates are
+y / D with integer y, and B(v, w) is an integer dot product over G.  A
+polynomial weight p of degree d with coefficients over the common
+denominator L becomes integer coefficients c_m = L D^(d-|m|) p_m, so
+p(y / D) = sum_m c_m y^m / (L D^d): the sum is taken in integers and
 divided once.
 """
 
@@ -29,8 +31,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
-from ._linalg import (content, det, frac_mat, hnf_rational, integer_rows,
-                      mat_mul, transpose)
+from ._linalg import content, frac_mat, hnf, integer_rows, mat_mul, transpose
 
 
 class LatticeError(ValueError):
@@ -40,29 +41,29 @@ class LatticeError(ValueError):
 class IntLattice:
     """Full-rank lattice in an ambient rational space with a quadratic form.
 
-    basis: rows are lattice generators in ambient coordinates.
+    basis: (D, rows), the lattice generators rows / D in ambient
+           coordinates, with integer rows and D > 0.
     gram:  Gram matrix of B on the *ambient* basis (so the Gram on the
-           lattice basis is basis * gram * basis^T).
+           lattice basis is rows * gram * rows^T / D^2).
     """
 
     def __init__(self, basis, gram):
-        self.basis = frac_mat(basis)
+        self.basis = basis
         self.gram = frac_mat(gram)
         n = len(self.gram)
         if any(len(r) != n for r in self.gram):
             raise LatticeError("gram must be square")
-        for i in range(n):
-            for j in range(i):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise LatticeError("gram must be symmetric")
-        if len(self.basis) != len(self.basis[0]):
-            raise LatticeError("basis must be square (full rank lattice)")
-        if det(self.basis) == 0:
-            raise LatticeError("basis is rank deficient")
+        if self.gram != transpose(self.gram):
+            raise LatticeError("gram must be symmetric")
+        rows = basis[1]
+        if len(rows) != len(rows[0]) or len(hnf(rows)) != len(rows):
+            raise LatticeError("basis must be square and of full rank")
 
     @cached_property
     def _basis_gram(self):
-        return mat_mul(mat_mul(self.basis, self.gram), transpose(self.basis))
+        den, rows = self.basis
+        g = mat_mul(mat_mul(rows, self.gram), transpose(rows))
+        return [[x / (den * den) for x in row] for row in g]
 
     @cached_property
     def integer_ldl(self):
@@ -87,23 +88,18 @@ class IntLattice:
         return [row[:] for row in self._basis_gram]
 
     @cached_property
-    def integer_basis(self):
-        """(D, rows): the basis is rows / D with integer rows, D minimal."""
-        return integer_rows(self.basis)
-
-    @cached_property
     def integer_gram(self):
         """(G, rows): the basis Gram is rows / G, integer rows, G minimal."""
         return integer_rows(self._basis_gram)
 
     def integer_ambient(self, v):
         """D times the ambient coordinates of v (lattice coordinates)."""
-        rows = self.integer_basis[1]
+        rows = self.basis[1]
         return [sum(map(mul, v, col)) for col in zip(*rows)]
 
     def ambient(self, v):
         """Ambient coordinates of a vector given in lattice coordinates."""
-        den = self.integer_basis[0]
+        den = self.basis[0]
         return [Fraction(y, den) for y in self.integer_ambient(v)]
 
     def rescaled(self, factor):
@@ -118,14 +114,8 @@ class IntLattice:
         vals += [g[i][j] for i in range(len(g)) for j in range(i)]
         return content(vals)
 
-    def key(self):
-        """Canonical hashable key (HNF basis plus ambient Gram)."""
-        h = hnf_rational(self.basis)
-        return (tuple(tuple(x for x in row) for row in h),
-                tuple(tuple(x for x in row) for row in self.gram))
-
     def __repr__(self):
-        return f"IntLattice(rank {len(self.basis)})"
+        return f"IntLattice(rank {len(self.basis[1])})"
 
 
 def _ldl(a):
@@ -222,7 +212,7 @@ def theta_coeffs(lattice, prec, weight=None):
             if q.denominator == 1:
                 sums[int(q)] += 1
         return sums
-    den, (terms,) = integer_terms([weight], lattice.integer_basis[0])
+    den, (terms,) = integer_terms([weight], lattice.basis[0])
     monos = [m for m, _ in terms]
     coefs = [c for _, c in terms]
     for v, q in short_vectors(lattice, prec, include_zero=True):

@@ -1,7 +1,10 @@
 """Eichler orders, right ideal class sets, two-sided ideals, essential part.
 
-Ideals and orders are stored as row-basis matrices in the coordinates
-1, i, j, k of the ambient algebra.  Class sets are computed by p-neighbor
+Ideals and orders are stored as one canonical pair (den, rows) of
+_linalg.hnf_lattice: integer HNF rows over one denominator, in the
+coordinates 1, i, j, k of an algebra with integer a, b.  Products multiply
+integer rows, membership and coordinates back-substitute down the HNF, and
+an index is a ratio of HNF diagonals.  Class sets are computed by p-neighbor
 traversal seeded at the order itself, with the Eichler mass formula as the
 termination certificate (the mass formula is imported as a standard fact;
 it is not proved in this package).
@@ -30,11 +33,11 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from ._linalg import (det, hnf_rational, identity, inverse, lattice_index,
-                      nullspace, transpose, vec_mat)
+from ._linalg import hnf_lattice, hnf_solve, nullspace, transpose, vec_mat
 from .lattice import IntLattice, short_vectors
 from .quatalg import (Quaternion, _is_squarefree, _prime_factors,
-                      algebra_for_discriminant, good_primes)
+                      algebra_for_discriminant, good_primes,
+                      quaternion_product)
 
 
 class OrderError(ValueError):
@@ -45,62 +48,87 @@ class OrderError(ValueError):
 # orders
 # ---------------------------------------------------------------------------
 
+def _structure_constants(alg):
+    """(a, b) as integers; every algebra_for_discriminant has them so."""
+    if alg.a.denominator != 1 or alg.b.denominator != 1:
+        raise OrderError(f"structure constants of {alg} are not integers")
+    return alg.a.numerator, alg.b.numerator
+
+
+def _norm(a, b, y):
+    """Reduced norm of the quaternion with integer coordinates y."""
+    w, x, u, z = y
+    return w * w - a * x * x - b * u * u + a * b * z * z
+
+
+def _coords(basis, d, num):
+    """Integer coordinates in basis = (den, rows) of the element num / d,
+    or None if it is not in the lattice."""
+    den, rows = basis
+    t = [x * den for x in num]
+    if any(x % d for x in t):
+        return None
+    return hnf_solve(rows, [x // d for x in t])
+
+
+def _covolume(basis):
+    """Covolume of a rank-4 lattice (den, rows) in the coordinates 1, i, j, k:
+    the product of the HNF diagonal over den^4."""
+    den, rows = basis
+    return Fraction(math.prod(row[i] for i, row in enumerate(rows)), den ** 4)
+
+
+def _in_rational_order(bases):
+    """Rank-4 bases (den, rows) in the lexicographic order of their rational
+    rows rows / den, compared over one common denominator."""
+    bases = list(bases)
+    m = math.lcm(*(den for den, _ in bases))
+    return sorted(bases, key=lambda b: [x * (m // b[0])
+                                        for row in b[1] for x in row])
+
+
+def _basis_json(basis):
+    den, rows = basis
+    return [[str(Fraction(x, den)) for x in row] for row in rows]
+
+
 def _is_order(alg, basis):
-    """Whether the lattice of an HNF basis is an order: rank 4, 1 in L and
-    L*L = L."""
-    return len(basis) == 4 and \
-        hnf_rational(basis + [[1, 0, 0, 0]]) == basis and \
+    """Whether the lattice of a canonical basis is an order: rank 4, 1 in L
+    and L*L = L."""
+    return len(basis[1]) == 4 and \
+        _coords(basis, 1, (1, 0, 0, 0)) is not None and \
         product_basis(alg, basis, basis) == basis
 
 
 class EichlerOrder:
-    """An order in a definite quaternion algebra, of squarefree level N."""
+    """An order in a definite quaternion algebra, of squarefree level N.
+
+    basis is the canonical (den, rows) of _linalg.hnf_lattice.  The level is
+    the reduced discriminant, the square root of the determinant of the
+    trace form: 4|ab| times the covolume of the basis.
+    """
 
     def __init__(self, algebra, basis):
         self.algebra = algebra
-        self.basis = hnf_rational(basis)
+        self.basis = hnf_lattice(*basis)
         if not _is_order(algebra, self.basis):
             raise OrderError("basis does not span an order")
-        self._inv = inverse(self.basis)
+        a, b = _structure_constants(algebra)
+        level = 4 * abs(a * b) * _covolume(self.basis)
+        if level.denominator != 1:
+            raise OrderError("reduced discriminant is not an integer")
+        self.level = level.numerator
 
-    # -- lattice views -------------------------------------------------------
     def norm_lattice(self):
         return IntLattice(self.basis, self.algebra.norm_gram())
-
-    def basis_quaternions(self):
-        return [Quaternion(self.algebra, *row) for row in self.basis]
-
-    def coords_of(self, q):
-        return vec_mat(q.coords(), self._inv)
-
-    def element_from_coords(self, coords):
-        amb = vec_mat([Fraction(c) for c in coords], self.basis)
-        return Quaternion(self.algebra, *amb)
-
-    def reduced_discriminant(self):
-        g = self.norm_lattice().basis_gram()
-        d = det(g)
-        if d.denominator != 1:
-            raise OrderError("trace form determinant is not integral")
-        r = math.isqrt(d.numerator)
-        if r * r != d.numerator:
-            raise OrderError("trace form determinant is not a perfect square")
-        return r
-
-    @property
-    def level(self):
-        return self.reduced_discriminant()
 
     def unit_count(self):
         return len(short_vectors(self.norm_lattice(), 1))
 
-    def key(self):
-        return tuple(tuple(row) for row in self.basis)
-
     def to_json(self):
         return {
             "algebra": self.algebra.to_json(),
-            "basis": [[str(x) for x in row] for row in self.basis],
+            "basis": _basis_json(self.basis),
             "level": self.level,
         }
 
@@ -109,59 +137,55 @@ class EichlerOrder:
             self.algebra == other.algebra and self.basis == other.basis
 
     def __hash__(self):
-        return hash((self.algebra, self.key()))
+        return hash((self.algebra, self.basis))
 
     def __repr__(self):
         return f"EichlerOrder(disc {self.algebra.discriminant}, level {self.level})"
 
 
 def _superorder_bases(order, p, kernel):
-    """HNF bases of the index-p superorders O + Zv, v = lift(c)/p, for the
-    lines c of the span of kernel mod p (see _dual_kernel_mod_p).
+    """Canonical bases of the index-p superorders O + Zv, v = lift(c)/p, for
+    the lines c of the span of kernel mod p (see _dual_kernel_mod_p).
 
     O + Zv depends only on the line of c, and a nonzero c puts v outside O.
     Each line is tried once, as its vector whose last nonzero coordinate is
     1, in increasing order of sum c_i p^i: the order in which a walk over
     (Z/p)^4 first meets it, so the first basis yielded is that walk's.
     """
+    den, rows = order.basis
+    a, b = _structure_constants(order.algebra)
     span = {tuple(sum(t * k[i] for t, k in zip(ts, kernel)) % p
                   for i in range(4))
             for ts in itertools.product(range(p), repeat=len(kernel))}
     lines = [c for c in span if any(c) and [x for x in c if x][-1] == 1]
+    p_rows = [[p * x for x in row] for row in rows]
     for c in sorted(lines, key=lambda c: c[::-1]):
-        v = order.element_from_coords(c) * Fraction(1, p)
-        if v.trace().denominator != 1 or v.norm().denominator != 1:
-            continue
-        cand = hnf_rational(order.basis + [v.coords()])
+        y = vec_mat(c, rows)                    # v = y / (p den)
+        if 2 * y[0] % (p * den) or _norm(a, b, y) % (p * den) ** 2:
+            continue                            # trace or norm not integral
+        cand = hnf_lattice(p * den, p_rows + [y])
         if _is_order(order.algebra, cand):
             yield cand
 
 
 def _nonzero_tuples(p, n):
-    total = p ** n
-    for idx in range(1, total):
-        t = []
-        v = idx
-        for _ in range(n):
-            t.append(v % p)
-            v //= p
-        yield tuple(t)
+    """The nonzero c in (Z/p)^n in increasing order of sum c_i p^i."""
+    return (t[::-1] for t in itertools.product(range(p), repeat=n) if any(t))
 
 
 @lru_cache(maxsize=None)
 def maximal_order(algebra):
     """A maximal order, found by saturating Z<1,i,j,k> prime by prime."""
-    order = EichlerOrder(algebra, identity(4))
+    order = EichlerOrder(algebra, (1, [[int(i == j) for j in range(4)]
+                                       for i in range(4)]))
     target = algebra.discriminant
-    d = order.reduced_discriminant()
-    while d != target:
-        p = _prime_factors(d // target)[0]
+    while order.level != target:
+        p = _prime_factors(order.level // target)[0]
         kernel = _dual_kernel_mod_p(order, p)
         bigger = next(_superorder_bases(order, p, kernel), None)
         if bigger is None:
             raise OrderError(f"cannot enlarge order at p={p}")
         order = EichlerOrder(algebra, bigger)
-        d = order.reduced_discriminant()
     return order
 
 
@@ -195,18 +219,27 @@ def _sqrt_mod_p(a, p):
 
 
 def _find_idempotent(order, p):
-    """A nontrivial idempotent of order/p*order (requires p unramified)."""
-    one_red = [int(v) % p for v in order.coords_of(order.algebra.one())]
+    """Order coordinates of a nontrivial idempotent of order/p*order
+    (requires p unramified)."""
+    den, rows = order.basis
+    a, b = _structure_constants(order.algebra)
+    one_red = [v % p for v in _coords(order.basis, 1, (1, 0, 0, 0))]
+
+    def idempotent(c):
+        # x = y / den, so x*x - x = (y*y - den y) / den^2
+        y = vec_mat(c, rows)
+        diff = _coords(order.basis, den * den,
+                       [s - den * t for s, t in
+                        zip(quaternion_product(a, b, y, y), y)])
+        return all(v % p == 0 for v in diff)
+
     for c in _nonzero_tuples(p, 4):
-        x = order.element_from_coords(list(c))
         if p == 2:
-            diff = order.coords_of(x * x - x)
-            if all(int(v) % 2 == 0 for v in diff):
-                red = [ci % 2 for ci in c]
-                if any(red) and red != one_red:
-                    return x
+            if list(c) != one_red and idempotent(c):
+                return list(c)
             continue
-        tr, nm = int(x.trace()), int(x.norm())
+        y = vec_mat(c, rows)
+        tr, nm = 2 * y[0] // den, _norm(a, b, y) // (den * den)
         disc = (tr * tr - 4 * nm) % p
         if disc == 0:
             continue
@@ -221,11 +254,8 @@ def _find_idempotent(order, p):
         dinv = pow((lam - mu) % p, -1, p)
         e_coords = [((ci - mu * oc) * dinv) % p
                     for ci, oc in zip(c, one_red)]
-        e = order.element_from_coords(e_coords)
-        diff = order.coords_of(e * e - e)
-        if all(int(v) % p == 0 for v in diff):
-            if any(e_coords) and e_coords != one_red:
-                return e
+        if any(e_coords) and e_coords != one_red and idempotent(e_coords):
+            return e_coords
     raise OrderError(f"no idempotent found mod {p}")
 
 
@@ -242,23 +272,24 @@ def eichler_order(maximal, n2):
         raise OrderError("level factor must be squarefree")
     if math.gcd(n2, alg.discriminant) != 1:
         raise OrderError("level factor must be coprime to the discriminant")
+    a, b = _structure_constants(alg)
     order = maximal
     for p in _prime_factors(n2):
-        e = _find_idempotent(order, p)
-        f = alg.one() - e
+        den, rows = order.basis
+        e = vec_mat(_find_idempotent(order, p), rows)   # e / den
+        f = [den - e[0]] + [-x for x in e[1:]]          # (1 - e) * den
         # matrix of z -> (1-e) z e on order coordinates, mod p
-        rows_map = []
-        for bq in order.basis_quaternions():
-            w = order.coords_of(f * bq * e)
-            rows_map.append([int(v) % p for v in w])
+        rows_map = [[v % p for v in _coords(
+            order.basis, den ** 3,
+            quaternion_product(a, b, quaternion_product(a, b, f, row), e))]
+            for row in rows]
         kernel = nullspace(transpose(rows_map), p)
         if len(kernel) != 3:
             raise OrderError(f"unexpected kernel dimension at p={p}")
-        sub = [order.element_from_coords(k).coords() for k in kernel]
-        sub += [[p * x for x in row] for row in order.basis]
-        new_basis = hnf_rational(sub)
-        new_order = EichlerOrder(alg, new_basis)
-        if new_order.reduced_discriminant() != p * order.reduced_discriminant():
+        sub = [vec_mat(k, rows) for k in kernel]
+        sub += [[p * x for x in row] for row in rows]
+        new_order = EichlerOrder(alg, (den, sub))
+        if new_order.level != p * order.level:
             raise OrderError(f"suborder at {p} has wrong discriminant")
         order = new_order
     return order
@@ -268,17 +299,19 @@ def eichler_order(maximal, n2):
 # ideals
 # ---------------------------------------------------------------------------
 
-def conj_basis(alg, basis):
-    return [Quaternion(alg, *row).conj().coords() for row in basis]
-
-
 def product_basis(alg, basis_a, basis_b):
-    rows = []
-    for ra in basis_a:
-        qa = Quaternion(alg, *ra)
-        for rb in basis_b:
-            rows.append((qa * Quaternion(alg, *rb)).coords())
-    return hnf_rational(rows)
+    """Canonical basis of I*J: the products of the rows over den_I den_J."""
+    a, b = _structure_constants(alg)
+    (da, ra), (db, rb) = basis_a, basis_b
+    return hnf_lattice(da * db, [quaternion_product(a, b, x, y)
+                                 for x in ra for y in rb])
+
+
+def times_conj(alg, basis_a, basis_b):
+    """I * conj(J) with the norm form; conj flips the signs of i, j, k."""
+    den, rows = basis_b
+    conj = (den, [(w, -x, -y, -z) for w, x, y, z in rows])
+    return IntLattice(product_basis(alg, basis_a, conj), alg.norm_gram())
 
 
 def connecting_lattice(alg, basis_a, basis_b):
@@ -288,12 +321,12 @@ def connecting_lattice(alg, basis_a, basis_b):
     out of the form, so the scaled norm form is integral primitive.  For
     J = I the content is n(I)^2 and the lattice is the left order of I.
     """
-    prod = product_basis(alg, basis_a, conj_basis(alg, basis_b))
-    lat = IntLattice(prod, alg.norm_gram())
+    lat = times_conj(alg, basis_a, basis_b)
     c = lat.content()
-    s = Fraction(_square_part(c.numerator), _square_part(c.denominator))
-    m = c / (s * s)
-    basis = [[x / s for x in row] for row in lat.basis]
+    sn, sd = _square_part(c.numerator), _square_part(c.denominator)
+    m = c * Fraction(sd * sd, sn * sn)
+    den, rows = lat.basis
+    basis = hnf_lattice(den * sn, [[x * sd for x in row] for row in rows])
     return IntLattice(basis, lat.gram).rescaled(Fraction(1, m))
 
 
@@ -360,31 +393,29 @@ class ClassSet:
             "class_number": self.size,
             "unit_counts": self.unit_counts,
             "mass": str(self.mass()),
-            "reps": [[[str(x) for x in row] for row in rep]
-                     for rep in self.reps],
+            "reps": [_basis_json(rep) for rep in self.reps],
         }
 
 
 def _neighbors(alg, ideal_basis, left_ord, p):
-    """The p+1 neighbor ideals u*I + p*I for rank-1 u in the left order."""
-    found = {}
-    qs = left_ord.basis_quaternions()
+    """The p+1 neighbor ideals u*I + p*I for rank-1 u in the left order,
+    in the order of their rational rows."""
+    a, b = _structure_constants(alg)
+    den, rows = ideal_basis
+    lden, lrows = left_ord.basis
+    p_rows = [[p * lden * x for x in row] for row in rows]
+    found = set()
     for c in _nonzero_tuples(p, 4):
-        u = sum((qi * Fraction(ci) for qi, ci in zip(qs, c)),
-                Quaternion(alg, 0, 0, 0, 0))
-        if u.norm() % p != 0:
+        u = vec_mat(c, lrows)                   # u / lden, of integral norm
+        if _norm(a, b, u) % (p * lden * lden):
             continue
-        rows = [(u * Quaternion(alg, *row)).coords() for row in ideal_basis]
-        rows += [[p * x for x in row] for row in ideal_basis]
-        nb = hnf_rational(rows)
-        if lattice_index(ideal_basis, nb) != p * p:
-            continue
-        key = tuple(tuple(x for x in row) for row in nb)
-        if key not in found:
-            found[key] = nb
+        nb = hnf_lattice(lden * den, [quaternion_product(a, b, u, row)
+                                      for row in rows] + p_rows)
+        if _covolume(nb) == p * p * _covolume(ideal_basis):
+            found.add(nb)
             if len(found) == p + 1:
                 break
-    return [found[k] for k in sorted(found)]
+    return _in_rational_order(found)
 
 
 def norm_one_element(alg, basis_a, basis_b):
@@ -393,8 +424,7 @@ def norm_one_element(alg, basis_a, basis_b):
     The content of the product lattice is n(I)n(J); such an element q exists
     iff I ~ J, and then I = q * J up to units.
     """
-    prod = product_basis(alg, basis_a, conj_basis(alg, basis_b))
-    lat = IntLattice(prod, alg.norm_gram())
+    lat = times_conj(alg, basis_a, basis_b)
     scaled = lat.rescaled(Fraction(1, lat.content()))
     for v, q in short_vectors(scaled, 1):
         if q == 1:
@@ -414,7 +444,7 @@ def right_ideal_classes(order):
     Eichler mass certifies completeness.
     """
     alg = order.algebra
-    n = order.reduced_discriminant()
+    n = order.level
     n1 = alg.discriminant
     n2 = n // n1
     target = eichler_mass(n1, n2)
@@ -483,15 +513,15 @@ def two_sided_prime_ideal(order, p):
     discriminant and different, and Eichler orders).  P/pO is the kernel of
     the trace Gram mod p; both certificates below are checked anyway.
     """
-    if order.reduced_discriminant() % p != 0:
+    if order.level % p != 0:
         raise OrderError(f"{p} does not divide the level")
-    rows = [order.element_from_coords(k).coords()
-            for k in _dual_kernel_mod_p(order, p)]
-    p_order = [[p * x for x in row] for row in order.basis]
-    basis = hnf_rational(rows + p_order)
-    if lattice_index(order.basis, basis) != p * p:
+    den, rows = order.basis
+    p_rows = [[p * x for x in row] for row in rows]
+    basis = hnf_lattice(den, [vec_mat(k, rows)
+                              for k in _dual_kernel_mod_p(order, p)] + p_rows)
+    if _covolume(basis) != p * p * _covolume(order.basis):
         raise OrderError(f"two-sided ideal at {p} does not have index {p}^2")
-    if product_basis(order.algebra, basis, basis) != p_order:
+    if product_basis(order.algebra, basis, basis) != hnf_lattice(den, p_rows):
         raise OrderError(f"two-sided ideal at {p}: P*P is not pR")
     return basis
 
@@ -514,8 +544,8 @@ def superorders_at(order, p):
     kernel = _dual_kernel_mod_p(order, p)
     if len(kernel) != 2:
         raise OrderError(f"p-part of O^#/O at {p} is not 2-dimensional")
-    return [EichlerOrder(order.algebra, basis)
-            for basis in sorted(_superorder_bases(order, p, kernel))]
+    return [EichlerOrder(order.algebra, basis) for basis in
+            _in_rational_order(_superorder_bases(order, p, kernel))]
 
 
 def class_map_to_superorder(class_set, super_cs):
@@ -540,7 +570,7 @@ def essential_complement(class_set):
     """
     r = class_set.size
     n1 = class_set.order.algebra.discriminant
-    n2 = class_set.order.reduced_discriminant() // n1
+    n2 = class_set.order.level // n1
     vectors = [[Fraction(1)] * r]  # constants always pull back
     for p in _prime_factors(n2):
         for sup in superorders_at(class_set.order, p):

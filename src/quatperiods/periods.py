@@ -128,7 +128,7 @@ class PeriodReport:
 
 def _zero_report(cs, weights, reason, weighting):
     return PeriodReport(cs.order.algebra.discriminant,
-                        cs.order.reduced_discriminant(), weights,
+                        cs.order.level, weights,
                         Fraction(0), Fraction(0), Fraction(0), Fraction(0),
                         True, reason, weighting)
 
@@ -182,7 +182,7 @@ def period_sums(phi1, phi2, psi1, psi2, alpha1, alpha2,
     s1, s2 = both[weighting]
     product = s1 * s2
     return PeriodReport(
-        n1, cs.order.reduced_discriminant(), weights, s1, s2, product,
+        n1, cs.order.level, weights, s1, s2, product,
         product ** 2, product == 0,
         "numeric-zero" if product == 0 else "", weighting, both)
 

@@ -7,6 +7,7 @@ quaternary form and Brandt matrices downstream stay integral.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -56,9 +57,11 @@ def _is_prime(p):
 
 def primes_up_to(n):
     """The primes p <= n, by the sieve of Eratosthenes."""
+    if n < 2:
+        return []
     sieve = bytearray([1]) * (n + 1)
     sieve[0:2] = b"\x00\x00"
-    for i in range(2, int(n ** 0.5) + 1):
+    for i in range(2, math.isqrt(n) + 1):
         if sieve[i]:
             sieve[i * i::i] = b"\x00" * len(sieve[i * i::i])
     return [i for i in range(2, n + 1) if sieve[i]]
@@ -166,9 +169,6 @@ class QuaternionAlgebra:
             d *= p
         return d
 
-    def one(self):
-        return Quaternion(self, 1, 0, 0, 0)
-
     def gens(self):
         return (Quaternion(self, 0, 1, 0, 0),
                 Quaternion(self, 0, 0, 1, 0),
@@ -253,9 +253,6 @@ class Quaternion:
 
     def conj(self):
         return Quaternion(self.alg, self.w, -self.x, -self.y, -self.z)
-
-    def trace(self):
-        return 2 * self.w
 
     def norm(self):
         a, b = self.alg.a, self.alg.b

@@ -156,8 +156,8 @@ def _pair_sums(conn, prec, polys):
     x1 block is summed out once per x1, and each x2 then costs an integer
     dot product with its precomputed monomials.
     """
-    n = len(conn.basis)
-    den, slots = integer_terms(polys, conn.integer_basis[0])
+    n = len(conn.basis[1])
+    den, slots = integer_terms(polys, conn.basis[0])
     monos1 = sorted({m[:n] for terms in slots for m, _ in terms})
     monos2 = sorted({m[n:] for terms in slots for m, _ in terms})
     pos1 = {m: k for k, m in enumerate(monos1)}

@@ -9,7 +9,8 @@ from quatperiods._linalg import charpoly, mat_mul, mat_vec
 from quatperiods._poly import Poly
 from quatperiods import brandt
 from quatperiods.brandt import (BrandtError, NumberFieldElement,
-                                _tau_matrix_on_basis, atkin_lehner,
+                                _tau_matrix_on_basis, _vector_to_form,
+                                atkin_lehner,
                                 brandt_matrices, brandt_matrix, constant_form,
                                 eichler_theta, eigenforms, inner_product)
 from quatperiods.cli import match_eigenform
@@ -152,11 +153,21 @@ def test_inner_product_mismatch():
         inner_product(c1, c2)
 
 
+def apply(op, form):
+    """The form op(form): op's matrix on the harmonic coordinates of form."""
+    if form.class_set is not op.class_set or form.weight != op.nu:
+        raise BrandtError("operator/form mismatch")
+    sp = trace_zero_space(form.class_set.order.algebra)
+    vec = [c for v in form.values for c in sp.coords_in_basis(v, form.weight)]
+    return _vector_to_form(op.class_set, op.nu, mat_vec(op.matrix, vec),
+                           op.block_dim)
+
+
 def test_eigenvalue_defining_identity():
     cs = class_set_for(11)
     cusp = cuspidal_11()
     t2 = brandt_matrix(cs, 2)
-    image = t2.apply(cusp)
+    image = apply(t2, cusp)
     assert image.scalar_values() == [v * cusp.eigenvalues[2]
                                      for v in cusp.scalar_values()]
 

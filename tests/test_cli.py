@@ -123,6 +123,41 @@ def test_classset_level_11(capsys):
     assert out["unit_counts"] == [4, 6]
 
 
+# Class-set JSON recorded before orders moved from Fraction rows to integer
+# HNF pairs: the basis strings of the order and of every representative.
+MAXIMAL_11_BASIS = [["1/2", "0", "0", "1/2"], ["0", "1/2", "1/2", "0"],
+                    ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
+EICHLER_22_BASIS = [["1/2", "1/2", "1/2", "19/2"], ["0", "1", "0", "4"],
+                    ["0", "0", "1", "4"], ["0", "0", "0", "11"]]
+CLASSSET_JSON = {
+    ("--disc", "11"): {
+        "class_number": 2, "mass": "5/12",
+        "order": {"algebra": {"a": "-1/1", "b": "-11/1", "disc": 11},
+                  "basis": MAXIMAL_11_BASIS, "level": 11},
+        "reps": [MAXIMAL_11_BASIS,
+                 [["1/2", "0", "1", "1/2"], ["0", "1/2", "1/2", "1"],
+                  ["0", "0", "2", "0"], ["0", "0", "0", "2"]]],
+        "unit_counts": [4, 6]},
+    ("--disc", "2", "--level", "22"): {
+        "class_number": 1, "mass": "1/2",
+        "order": {"algebra": {"a": "-1/1", "b": "-1/1", "disc": 2},
+                  "basis": EICHLER_22_BASIS, "level": 22},
+        "reps": [EICHLER_22_BASIS],
+        "unit_counts": [2]},
+}
+
+
+@pytest.mark.parametrize("args, size", [(("--disc", "11"), 791),
+                                        (("--disc", "2", "--level", "22"),
+                                         587)])
+def test_classset_json_is_pinned(capsys, args, size):
+    assert cli.main(["classset", *args]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(CLASSSET_JSON[args], sort_keys=True,
+                             indent=1) + "\n"
+    assert len(out) == size
+
+
 def test_brandt_row_sums(capsys):
     out = run_json(capsys, "brandt", "--disc", "11", "--p", "2")
     assert [sum(int(x) for x in row) for row in out["matrix"]] == [3, 3]

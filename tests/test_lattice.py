@@ -7,29 +7,85 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quatperiods._linalg import (det, hnf, hnf_rational, identity,
-                                 integer_rows, mat_mul, nullspace, charpoly,
-                                 rref)
+from quatperiods._linalg import (hnf, hnf_lattice, integer_rows, mat_mul,
+                                 nullspace, charpoly, rref)
 from quatperiods.lattice import (IntLattice, LatticeError, _ldl,
                                  short_vectors, theta_coeffs)
 from quatperiods._poly import Poly
 
 
+# -- Fraction oracles for the integer lattice core ---------------------------
+
+def det(mat):
+    """Determinant by Gaussian elimination over Fraction."""
+    n = len(mat)
+    m = [list(map(Fraction, row)) for row in mat]
+    d = Fraction(1)
+    for c in range(n):
+        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pr is None:
+            return Fraction(0)
+        if pr != c:
+            m[c], m[pr] = m[pr], m[c]
+            d = -d
+        d *= m[c][c]
+        for i in range(c + 1, n):
+            f = m[i][c] / m[c][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return d
+
+
+def hnf_rational(rows):
+    """Canonical HNF basis of the lattice spanned by rational rows, in
+    Fractions: the HNF over the least common denominator."""
+    d, int_rows = integer_rows(rows)
+    return [[Fraction(x, d) for x in row] for row in hnf(int_rows)]
+
+
+def lattice_index(big, small):
+    """Index [big : small] for small <= big, as a ratio of determinants."""
+    idx = abs(det(small) / det(big))
+    if idx.denominator != 1:
+        raise ValueError("not a sublattice")
+    return idx.numerator
+
+
+def pair(rows):
+    """The canonical (den, rows) of the lattice spanned by rational rows."""
+    return hnf_lattice(*integer_rows(rows))
+
+
+def fractions(basis):
+    """The rational rows rows / den of a pair (den, rows)."""
+    den, rows = basis
+    return [[Fraction(x, den) for x in row] for row in rows]
+
+
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def z4():
-    return IntLattice(identity(4), [[2 if i == j else 0 for j in range(4)]
-                                    for i in range(4)])
+    return IntLattice((1, identity(4)), [[2 if i == j else 0 for j in range(4)]
+                                         for i in range(4)])
 
 
 def hurwitz_lattice():
-    basis = [[Fraction(1, 2)] * 4, [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    basis = [[1] * 4, [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]
     gram = [[2 if i == j else 0 for j in range(4)] for i in range(4)]
-    return IntLattice(basis, gram)
+    return IntLattice((2, basis), gram)
 
 
 def d4_lattice():
     basis = [[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1], [0, 0, 1, 1]]
     gram = [[2 if i == j else 0 for j in range(4)] for i in range(4)]
-    return IntLattice(basis, gram)
+    return IntLattice((1, basis), gram)
+
+
+def transformed(lat, u):
+    """The lattice of lat with its basis rows changed by the matrix u."""
+    den, rows = lat.basis
+    return IntLattice((den, mat_mul(u, rows)), lat.gram)
 
 
 def random_unimodular(rng, n=4, steps=12):
@@ -156,28 +212,30 @@ def test_int_kernel_matches_transform_oracle(mat):
     assert int_kernel(mat) == reference_int_kernel(mat)
 
 
-# -- canonical basis: the Hermite normal form that IntLattice.key uses ------
+# -- canonical basis: the (den, rows) pair of hnf_lattice --------------------
 
 def canonical_basis(lattice):
-    return IntLattice(hnf_rational(lattice.basis), lattice.gram)
+    return IntLattice(hnf_lattice(*lattice.basis), lattice.gram)
 
 
 def test_canonical_basis_identity_fixed():
     lat = z4()
     can = canonical_basis(lat)
-    assert can.basis == identity(4)
+    assert can.basis == (1, tuple(map(tuple, identity(4))))
     assert canonical_basis(can).basis == can.basis
+    # a common factor of den and the rows is divided out
+    assert hnf_lattice(6, [[3 * x for x in row] for row in identity(4)]) == \
+        (2, tuple(map(tuple, identity(4))))
 
 
 def test_canonical_basis_unimodular_invariance():
     rng = random.Random(7)
-    lat = d4_lattice()
-    can0 = canonical_basis(lat).basis
-    for _ in range(5):
-        u = random_unimodular(rng)
-        transformed = IntLattice(mat_mul([[Fraction(x) for x in r] for r in u],
-                                         lat.basis), lat.gram)
-        assert canonical_basis(transformed).basis == can0
+    for lat in (d4_lattice(), hurwitz_lattice()):
+        can0 = canonical_basis(lat).basis
+        assert fractions(can0) == hnf_rational(fractions(lat.basis))
+        for _ in range(5):
+            u = random_unimodular(rng)
+            assert canonical_basis(transformed(lat, u)).basis == can0
 
 
 def test_canonical_basis_d4_vector_sets_agree():
@@ -185,10 +243,7 @@ def test_canonical_basis_d4_vector_sets_agree():
     # by exhaustive ambient box search
     rng = random.Random(11)
     lat = d4_lattice()
-    u = random_unimodular(rng)
-    transformed = IntLattice(mat_mul([[Fraction(x) for x in r] for r in u],
-                                     lat.basis), lat.gram)
-    can = canonical_basis(transformed)
+    can = canonical_basis(transformed(lat, random_unimodular(rng)))
 
     def ambient_set(lattice, bound):
         out = set()
@@ -208,7 +263,7 @@ def test_canonical_basis_d4_vector_sets_agree():
 
 def test_rank_deficient_rejected():
     with pytest.raises(LatticeError):
-        IntLattice([[1, 0], [2, 0]], [[2, 0], [0, 2]])
+        IntLattice((1, [[1, 0], [2, 0]]), [[2, 0], [0, 2]])
 
 
 # -- short vectors -----------------------------------------------------------
@@ -261,9 +316,7 @@ def test_short_vectors_deterministic_order():
 def test_short_vectors_unimodular_norm_multiset():
     rng = random.Random(3)
     lat = d4_lattice()
-    u = random_unimodular(rng)
-    other = IntLattice(mat_mul([[Fraction(x) for x in r] for r in u],
-                               lat.basis), lat.gram)
+    other = transformed(lat, random_unimodular(rng))
     norms0 = sorted(q for _, q in short_vectors(lat, 8))
     norms1 = sorted(q for _, q in short_vectors(other, 8))
     assert norms0 == norms1
@@ -357,7 +410,7 @@ def lattices_and_bounds(draw):
             for j in range(4)] for i in range(4)]
     gram = [[2 * sum(low[i][k] * low[j][k] for k in range(4))
              for j in range(4)] for i in range(4)]
-    lat = IntLattice(identity(4), gram)
+    lat = IntLattice((1, identity(4)), gram)
     if draw(st.booleans()):
         v = draw(st.lists(st.integers(-1, 1), min_size=4, max_size=4)
                  .filter(any))
@@ -382,7 +435,7 @@ def test_short_vectors_match_fraction_oracle(case):
 
 
 def test_non_positive_definite_rejected():
-    lat = IntLattice(identity(2), [[2, 0], [0, -2]])
+    lat = IntLattice((1, identity(2)), [[2, 0], [0, -2]])
     with pytest.raises(LatticeError):
         short_vectors(lat, 2)
 
@@ -406,7 +459,7 @@ def test_theta_weight_matches_vector_sum():
     # against Poly.eval at every vector (odd exponents would cancel)
     from quatperiods.brandt import NumberFieldElement
     lat = hurwitz_lattice()
-    assert lat.integer_basis[0] == 2
+    assert lat.basis[0] == 2
     root2 = NumberFieldElement.generator((Fraction(1), Fraction(0),
                                           Fraction(-2)))
     rational = Poly(4, {(4, 0, 0, 0): Fraction(3, 7), (0, 2, 2, 0): -1,

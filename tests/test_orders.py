@@ -1,37 +1,63 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quatperiods._linalg import (frac_mat, hnf_rational, identity, inverse,
-                                 lattice_index, mat_mul, rref, vec_mat)
+from quatperiods._linalg import inverse, mat_mul, rref, transpose, vec_mat
 from quatperiods.brandt import atkin_lehner
 from quatperiods.lattice import IntLattice, short_vectors
-from quatperiods.orders import (EichlerOrder, OrderError, _is_order,
-                                class_set_for, eichler_mass, eichler_order,
-                                essential_complement, ideals_equivalent,
-                                maximal_order, product_basis,
-                                right_ideal_classes, superorders_at,
+from quatperiods.orders import (EichlerOrder, OrderError, _coords, _covolume,
+                                _is_order, class_set_for, eichler_mass,
+                                eichler_order, essential_complement,
+                                ideals_equivalent, maximal_order,
+                                product_basis, right_ideal_classes,
+                                superorders_at, times_conj,
                                 two_sided_prime_ideal)
 from quatperiods.quatalg import (Quaternion, _is_squarefree, _prime_factors,
                                  algebra_for_discriminant)
 
-from test_lattice import lattice_intersection
+from test_lattice import (det, fractions, hnf_rational, identity,
+                          lattice_index, lattice_intersection, pair)
+from test_quatalg import one
+
+
+# The references below work in Fraction rows; fractions() turns a package
+# basis (den, rows) into them for every comparison.
+
+def fraction_coords(basis, q):
+    """Coordinates of the quaternion q in the Fraction rows basis."""
+    return vec_mat(q.coords(), inverse(basis))
 
 
 def contains(order, q):
     """Whether the quaternion q lies in the order."""
-    return all(c.denominator == 1 for c in order.coords_of(q))
+    return all(c.denominator == 1
+               for c in fraction_coords(fractions(order.basis), q))
+
+
+def reference_level(alg, basis):
+    """Reduced discriminant: the square root of det of the trace form."""
+    d = det(mat_mul(mat_mul(basis, alg.norm_gram()), transpose(basis)))
+    assert d.denominator == 1 and math.isqrt(d.numerator) ** 2 == d
+    return math.isqrt(d.numerator)
+
+
+def lattice_key(lattice):
+    """Canonical hashable key of an IntLattice: its basis pair and Gram."""
+    return (pair(fractions(lattice.basis)),
+            tuple(tuple(row) for row in lattice.gram))
 
 
 def test_hurwitz_maximal_order():
     alg = algebra_for_discriminant(2)
     order = maximal_order(alg)
-    assert order.reduced_discriminant() == 2
+    assert order.level == 2
     # trace-form determinant oracle: 2^2 = 4
-    g = order.norm_lattice().basis_gram()
-    from quatperiods._linalg import det
-    assert det(g) == 4
+    assert det(order.norm_lattice().basis_gram()) == 4
+    assert reference_level(alg, fractions(order.basis)) == 2
     # contains (1+i+j+k)/2
     omega = Quaternion(alg, Fraction(1, 2), Fraction(1, 2), Fraction(1, 2),
                        Fraction(1, 2))
@@ -42,7 +68,8 @@ def test_maximal_order_discriminants():
     for n1 in (2, 3, 5, 7, 11, 13):
         alg = algebra_for_discriminant(n1)
         order = maximal_order(alg)
-        assert order.reduced_discriminant() == n1
+        assert order.level == n1 == \
+            reference_level(alg, fractions(order.basis))
 
 
 def test_maximal_order_idempotent():
@@ -57,8 +84,10 @@ def test_eichler_order_levels():
     maximal = maximal_order(alg)
     assert eichler_order(maximal, 1) == maximal
     order22 = eichler_order(maximal, 11)
-    assert order22.reduced_discriminant() == 22
-    assert lattice_index(maximal.basis, order22.basis) == 11
+    assert order22.level == 22 == \
+        reference_level(alg, fractions(order22.basis))
+    assert lattice_index(fractions(maximal.basis),
+                         fractions(order22.basis)) == 11
 
 
 def test_eichler_order_rejects_bad_level():
@@ -94,12 +123,12 @@ def test_unit_counts_admissible():
 def right_mul_matrix_of(alg, row):
     """Matrix M with coords(x * b) = coords(x) * M for b with given coords."""
     b = Quaternion(alg, *row)
-    return frac_mat([(e * b).coords() for e in (alg.one(),) + alg.gens()])
+    return [(e * b).coords() for e in (one(alg),) + alg.gens()]
 
 
 def reference_left_order(alg, basis):
     """Basis of {x in D : x * I <= I}, intersected over the basis of I."""
-    binv = inverse(frac_mat(basis))
+    binv = inverse(basis)
     inter = None
     for row in basis:
         # coords(x * b) integral, i.e. x in Z^4 * (M_b * binv)^{-1}
@@ -113,10 +142,11 @@ def test_connecting_lattice_diagonal_is_left_order():
         cs = class_set_for(n1, n2)
         alg = cs.order.algebra
         for i in range(cs.size):
-            left = reference_left_order(alg, cs.reps[i])
-            assert cs.left_orders[i].basis == left
+            left = reference_left_order(alg, fractions(cs.reps[i]))
+            assert fractions(cs.left_orders[i].basis) == left
             conn = cs.connecting(i, i)
-            assert conn.key() == IntLattice(left, alg.norm_gram()).key()
+            assert lattice_key(conn) == \
+                lattice_key(IntLattice(pair(left), alg.norm_gram()))
             # minimum of the scaled norm form is 1 (the identity is in it)
             assert min(q for _, q in short_vectors(conn, 1)) == 1
 
@@ -124,8 +154,7 @@ def test_connecting_lattice_diagonal_is_left_order():
 def test_class_set_deterministic():
     a = right_ideal_classes(class_set_for(11).order)
     b = right_ideal_classes(class_set_for(11).order)
-    assert [tuple(map(tuple, r)) for r in a.reps] == \
-        [tuple(map(tuple, r)) for r in b.reps]
+    assert a.reps == b.reps
 
 
 def test_ideals_equivalent_reflexive():
@@ -139,12 +168,10 @@ def test_two_sided_ideal_squares_to_p():
     cs = class_set_for(11)
     order = cs.order
     basis = two_sided_prime_ideal(order, 11)
-    from quatperiods.orders import product_basis
-    alg = order.algebra
-    sq = product_basis(alg, basis, basis)
+    sq = product_basis(order.algebra, basis, basis)
     # P^2 = 11 * R as lattices
-    scaled = [[x / 11 for x in row] for row in sq]
-    assert scaled == order.basis
+    scaled = [[x / 11 for x in row] for row in fractions(sq)]
+    assert scaled == fractions(order.basis)
 
 
 def test_superorders_at_level_prime():
@@ -205,22 +232,27 @@ def _planes_mod_p(p, n=4):
 
 def reference_two_sided_ideal(order, p):
     """The norm-p two-sided ideal by walking all ~p^4 planes of O/pO."""
-    gens = order.basis_quaternions()
+    obasis = fractions(order.basis)
+    gens = [Quaternion(order.algebra, *row) for row in obasis]
+
+    def element(c):
+        return Quaternion(order.algebra, *vec_mat(c, obasis))
+
     hits = set()
     for rows in _planes_mod_p(p):
-        vs = [order.element_from_coords(r) for r in rows]
-        if any(int(v.trace()) % p or int(v.norm()) % p for v in vs):
+        vs = [element(r) for r in rows]
+        if any(int(2 * v.w) % p or int(v.norm()) % p for v in vs):
             continue
         # two-sided mod p: every g*v and v*g stays in the plane
         if any(len(rref(rows + [[int(x) % p for x in
-                                 order.coords_of(prod)]], p)[1]) != 2
+                                 fraction_coords(obasis, prod)]], p)[1]) != 2
                for v in vs for g in gens for prod in (g * v, v * g)):
             continue
         basis = hnf_rational([v.coords() for v in vs] +
-                             [[p * x for x in row] for row in order.basis])
+                             [[p * x for x in row] for row in obasis])
         bq = [Quaternion(order.algebra, *row) for row in basis]
         if all((c / p).denominator == 1 for x in bq for y in bq
-               for c in order.coords_of(x * y)):
+               for c in fraction_coords(obasis, x * y)):
             hits.add(tuple(map(tuple, basis)))
     assert len(hits) == 1
     return [list(row) for row in hits.pop()]
@@ -231,31 +263,30 @@ def reference_is_order(alg, basis):
     coordinates in the basis."""
     if len(basis) != 4:
         return False
-    binv = inverse(frac_mat(basis))
+    binv = inverse(basis)
     qs = [Quaternion(alg, *row) for row in basis]
     return all(all(c.denominator == 1 for c in vec_mat(q.coords(), binv))
-               for q in [alg.one()] + [x * y for x in qs for y in qs])
+               for q in [one(alg)] + [x * y for x in qs for y in qs])
 
 
-def _integral_candidates(order, p):
-    """v = c/p, c * basis, with integral trace and norm and v not in O, for
-    the tuples c in increasing order of sum c_i p^i."""
-    alg = order.algebra
-    qs = order.basis_quaternions()
+def _integral_candidates(alg, basis, p):
+    """v = c/p, c * basis, with integral trace and norm and v not in the
+    lattice of the Fraction rows basis, for the tuples c in increasing order
+    of sum c_i p^i."""
     for t in itertools.product(range(p), repeat=4):
-        c = t[::-1]
-        v = sum((q * Fraction(ci) for q, ci in zip(qs, c)),
-                Quaternion(alg, 0, 0, 0, 0)) * Fraction(1, p)
-        if v.trace().denominator == 1 and v.norm().denominator == 1 and \
-                not contains(order, v):
+        v = Quaternion(alg, *vec_mat([Fraction(ci, p) for ci in t[::-1]],
+                                     basis))
+        if (2 * v.w).denominator == 1 and v.norm().denominator == 1 and \
+                any(c.denominator != 1 for c in fraction_coords(basis, v)):
             yield v.coords()
 
 
 def reference_superorders(order, p):
     """Index-p superorders by testing v = c/p for all ~p^4 tuples c."""
+    basis = fractions(order.basis)
     found = {}
-    for v in _integral_candidates(order, p):
-        cand = hnf_rational(order.basis + [v])
+    for v in _integral_candidates(order.algebra, basis, p):
+        cand = hnf_rational(basis + [v])
         if reference_is_order(order.algebra, cand):
             found[tuple(map(tuple, cand))] = cand
     return [found[k] for k in sorted(found)]
@@ -265,24 +296,24 @@ def reference_maximal_order(alg):
     """Saturate Z<1,i,j,k> by the tuple walk: at the smallest prime p of the
     excess discriminant, the first integral v = c/p whose O + Zv is an
     order, else the first pair of such v that gives an order."""
-    order = EichlerOrder(alg, identity(4))
-    while order.reduced_discriminant() != alg.discriminant:
-        p = _prime_factors(order.reduced_discriminant() //
+    basis = hnf_rational(identity(4))
+    while reference_level(alg, basis) != alg.discriminant:
+        p = _prime_factors(reference_level(alg, basis) //
                            alg.discriminant)[0]
         single = []
         bigger = None
-        for v in _integral_candidates(order, p):
+        for v in _integral_candidates(alg, basis, p):
             single.append(v)
-            cand = hnf_rational(order.basis + [v])
+            cand = hnf_rational(basis + [v])
             if reference_is_order(alg, cand):
                 bigger = cand
                 break
         if bigger is None:
-            pairs = (hnf_rational(order.basis + [v, w])
+            pairs = (hnf_rational(basis + [v, w])
                      for v, w in itertools.combinations(single, 2))
             bigger = next(c for c in pairs if reference_is_order(alg, c))
-        order = EichlerOrder(alg, bigger)
-    return order
+        basis = bigger
+    return basis
 
 
 @pytest.mark.parametrize("n1", [
@@ -291,18 +322,18 @@ def reference_maximal_order(alg):
 def test_maximal_order_matches_tuple_walk(n1):
     # at disc 73 (p = 7) the walk's superorder is not the smallest in HNF
     alg = algebra_for_discriminant(n1)
-    assert maximal_order(alg).basis == reference_maximal_order(alg).basis
+    assert fractions(maximal_order(alg).basis) == reference_maximal_order(alg)
 
 
 def test_is_order_matches_coordinate_check():
     for n1, n2, p in [(2, 1, 2), (11, 1, 11), (7, 2, 2), (3, 5, 5)]:
         order = class_set_for(n1, n2).order
         alg = order.algebra
-        ideal = two_sided_prime_ideal(order, p)
-        lattices = [order.basis, ideal, hnf_rational(ideal + [[1, 0, 0, 0]]),
-                    [[x / p for x in row] for row in order.basis],
-                    order.basis[:3]]
-        verdicts = [_is_order(alg, basis) for basis in lattices]
+        obasis = fractions(order.basis)
+        ideal = fractions(two_sided_prime_ideal(order, p))
+        lattices = [obasis, ideal, hnf_rational(ideal + [[1, 0, 0, 0]]),
+                    [[x / p for x in row] for row in obasis], obasis[:3]]
+        verdicts = [_is_order(alg, pair(basis)) for basis in lattices]
         assert verdicts == [reference_is_order(alg, basis)
                             for basis in lattices]
         assert verdicts == [True, False, True, False, False]
@@ -312,9 +343,9 @@ def test_is_order_matches_coordinate_check():
                                        (3, 5, 5), (13, 2, 2)])
 def test_mod_p_kernel_matches_brute_force(n1, n2, p):
     order = class_set_for(n1, n2).order
-    assert two_sided_prime_ideal(order, p) == \
+    assert fractions(two_sided_prime_ideal(order, p)) == \
         reference_two_sided_ideal(order, p)
-    assert [s.basis for s in superorders_at(order, p)] == \
+    assert [fractions(s.basis) for s in superorders_at(order, p)] == \
         reference_superorders(order, p)
 
 
@@ -333,9 +364,57 @@ def test_level_38_disc_2_ground_truth():
     for p in (2, 19):
         basis = two_sided_prime_ideal(order, p)
         sq = product_basis(order.algebra, basis, basis)
-        assert [[x / p for x in row] for row in sq] == order.basis
+        assert [[x / p for x in row] for row in fractions(sq)] == \
+            fractions(order.basis)
         w = atkin_lehner(cs, p).matrix
         assert mat_mul(w, w) == eye
     sups = superorders_at(order, 19)
     assert len(sups) == 2
     assert all(s.level == 2 for s in sups)
+
+
+# -- the integer core against the Fraction oracles ---------------------------
+
+@st.composite
+def rational_rows(draw):
+    """Four independent rational rows: small integers over a small
+    denominator."""
+    den = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(-6, 6), min_size=4, max_size=4),
+                         min_size=4, max_size=4).filter(lambda m: det(m)))
+    return [[Fraction(x, den) for x in row] for row in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 11, 13, 30]), rational_rows(), rational_rows(),
+       st.lists(st.integers(-5, 5), min_size=4, max_size=4),
+       st.integers(1, 3),
+       st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+                min_size=4, max_size=4).filter(lambda m: det(m)))
+def test_integer_core_matches_fraction_oracles(n1, rows_a, rows_b, c, m, u):
+    alg = algebra_for_discriminant(n1)
+    a, b = pair(rows_a), pair(rows_b)
+    basis = fractions(a)
+    assert basis == hnf_rational(rows_a)
+    # products, also with a conjugate: the rows of I*J and I*conj(J)
+    qa = [Quaternion(alg, *row) for row in rows_a]
+    qb = [Quaternion(alg, *row) for row in rows_b]
+    assert fractions(product_basis(alg, a, b)) == \
+        hnf_rational([(x * y).coords() for x in qa for y in qb])
+    assert fractions(times_conj(alg, a, b).basis) == \
+        hnf_rational([(x * y.conj()).coords() for x in qa for y in qb])
+    # coordinates and membership of x = (c * basis) / m: in the lattice iff
+    # m divides every c_i, and then its coordinates are c / m
+    x = vec_mat([Fraction(ci, m) for ci in c], basis)
+    d = math.lcm(*(t.denominator for t in x))
+    expect = fraction_coords(basis, Quaternion(alg, *x))
+    got = _coords(a, d, [int(t * d) for t in x])
+    if all(t.denominator == 1 for t in expect):
+        assert got == expect
+    else:
+        assert got is None
+    # index of the sublattice spanned by u * rows, and the covolume
+    sub = pair(mat_mul(u, basis))
+    assert _covolume(sub) / _covolume(a) == \
+        lattice_index(basis, fractions(sub)) == abs(det(u))
+    assert _covolume(a) == abs(det(basis))

@@ -4,7 +4,17 @@ from fractions import Fraction
 import pytest
 
 from quatperiods.quatalg import (QuatAlgError, Quaternion, QuaternionAlgebra,
-                                 algebra_for_discriminant, hilbert_symbol)
+                                 algebra_for_discriminant, hilbert_symbol,
+                                 primes_up_to)
+
+
+def one(alg):
+    return Quaternion(alg, 1, 0, 0, 0)
+
+
+def trace(x):
+    """Reduced trace x + conj(x)."""
+    return 2 * x.w
 
 
 def inverse(x):
@@ -94,10 +104,10 @@ def test_ramified_set_even_with_infinity():
 
 def test_basic_arithmetic():
     alg = algebra_for_discriminant(2)
-    one, (i, j, k) = alg.one(), alg.gens()
-    q = one + i + j + k
+    i, j, k = alg.gens()
+    q = one(alg) + i + j + k
     assert q.norm() == 4
-    assert q.trace() == 2
+    assert trace(q) == 2
     assert (i * j).conj() == -(i * j)
     assert (i * j).conj() == j * i
     assert i * j == k and j * i == -k
@@ -133,7 +143,7 @@ def test_similitude_identity_and_scaling():
     rng = random.Random(7)
     alg = algebra_for_discriminant(2)
     y = _random_quaternion(rng, alg)
-    assert alg.one() * y * inverse(alg.one()) == y
+    assert one(alg) * y * inverse(one(alg)) == y
     for _ in range(20):
         x1 = _random_quaternion(rng, alg)
         x2 = _random_quaternion(rng, alg)
@@ -145,9 +155,16 @@ def test_similitude_identity_and_scaling():
 
 def test_similitude_conjugation_preserves_trace_zero():
     alg = algebra_for_discriminant(2)
-    _, (i, j, k) = alg.one(), alg.gens()
-    x = alg.one() + i
+    i, j, k = alg.gens()
+    x = one(alg) + i
     y = j + k
     out = x * y * inverse(x)
-    assert out.trace() == 0
+    assert trace(out) == 0
     assert out.norm() == y.norm()
+
+
+@pytest.mark.parametrize("n, primes", [(-3, []), (-1, []), (0, []), (1, []),
+                                       (2, [2]), (30, [2, 3, 5, 7, 11, 13,
+                                                       17, 19, 23, 29])])
+def test_primes_up_to_small_and_negative_bounds(n, primes):
+    assert primes_up_to(n) == primes

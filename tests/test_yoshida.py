@@ -101,7 +101,7 @@ def test_lift_matches_pairwise_fraction_oracle(make, args, prec, dens):
     phi1, phi2 = make(*args)
     cs = phi1.class_set
     # the basis denominators that the integer sums must clear
-    assert [cs.connecting(i, j).integer_basis[0] for i in range(cs.size)
+    assert [cs.connecting(i, j).basis[0] for i in range(cs.size)
             for j in range(cs.size)] == dens
     expect = reference_yoshida_lift(phi1, phi2, prec)
     assert expect
