@@ -179,10 +179,8 @@ def ratio_quantity(h1, h2, f1, f2, phi1, phi2, psi1, psi2, terms=None):
 
 
 def _lambda_with_error(cv):
-    """Lambda(1/2) with its own error, quadrature plus tail; cv.error is that
-    sum divided by the gamma factor, so it belongs to L(1/2)."""
-    return {"value": cv.lam,
-            "error": cv.details["quad_err"] + cv.details["tail"]}
+    """Lambda(1/2) with its own error; cv.error belongs to L(1/2)."""
+    return {"value": cv.lam, "error": cv.lam_error}
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,23 @@ take every grid value and every Dirichlet coefficient as a double anyway,
 and the reported errors, set by the node counts and the series length, are
 1e-8 or more, far above the rounding of the grid.
 
-The evaluator (Dokchitser, Exp. Math. 13, 2004) does only the work that four
-exact facts leave over: the integrand is conjugate-symmetric on its line, so
-the grid is one-sided; at s = 1/2 the sums at s and 1 - s coincide, so one
-is computed; equal Gamma_R shifts are grouped, one log Gamma per distinct
-argument, shared by both sums; and the series reads the factor at p only up
-to X^floor(log_p terms), so for p^2 > terms the triple factor is its linear
+The evaluator (Dokchitser, Exp. Math. 13, 2004) writes each smoothed sum
+as sum_n b_n n^{-s-c} V(log n): the weight V, the inverse Mellin transform
+of the gamma factor times a Gaussian kernel on a quadrature grid, is one
+smooth function of u = log n.  So V is expanded once in Chebyshev
+polynomials of u, and the series is summed once into Chebyshev moments
+sum_n b_n n^{-s-c} T_j(x_n); every grid's sum is then a short dot product.
+One pass over the series thus serves both quadrature grids and the tail
+check, and the reported error has three parts: quadrature (coarse against
+fine grid), tail (the final block of the series) and interpolation (the
+dropped Chebyshev coefficients).
+
+The evaluator also does only the work that four exact facts leave over:
+the integrand is conjugate-symmetric on its line, so the grid is one-sided;
+at s = 1/2 the sums at s and 1 - s coincide, so one is computed; equal
+Gamma_R shifts are grouped, one log Gamma per distinct argument, shared by
+both sums; and the series reads the factor at p only up to
+X^floor(log_p terms), so for p^2 > terms the triple factor is its linear
 term alone.  The Dirichlet coefficients are identical with or without the
 last fact, and the others change only rounding.
 
@@ -53,9 +64,6 @@ class NewformRecord:
         if p not in self.ap:
             raise LSeriesError(f"{self.label}: no a_{p} in the data file")
         return self.ap[p]
-
-    def pmax(self):
-        return max(self.ap)
 
 
 def ingest(path):
@@ -384,6 +392,7 @@ class CentralValue:
     value: float
     error: float
     lam: float              # completed-Lambda value
+    lam_error: float        # error of lam; error is lam_error / |gamma(s0)|
     terms: int
     details: dict = field(default_factory=dict)
 
@@ -414,6 +423,48 @@ def _log_gamma(z):
 
 # end of the grid: |exp(w^2 / a)| = _GRID_TOL e^{-10} at t = tmax
 _GRID_TOL = 2.0 ** -50
+# Chebyshev coefficients of a weight below _CHEB_TOL times the largest are
+# dropped: that is a few times the rounding floor of the sampled weight
+# (about 1e-15 of the largest coefficient), so what is dropped is of the
+# size of rounding.  The first sample count is _CHEB_NODES, doubled up to
+# _CHEB_MAX_NODES until the kept degree is at most 3/4 of it.
+_CHEB_TOL = 2.0 ** -46
+_CHEB_NODES = 64
+_CHEB_MAX_NODES = 512
+
+
+def _chebyshev_coefficients(h, g, span, nodes):
+    """c_0..c_{nodes-1} with V(u) = sum_j c_j T_j(2u / span - 1) on
+    [0, span] for the weight V(u) = Re(g_0 + 2 sum_{k >= 1} g_k e^{-ikhu}),
+    interpolated at `nodes` Chebyshev points of the first kind.
+
+    cos(pi m / (2 nodes)) is tabulated for m < 4 nodes, so every node and
+    every cosine of the transform is read off with its argument reduced
+    exactly.
+    """
+    cos_table = [math.cos(math.pi * m / (2 * nodes)) for m in range(4 * nodes)]
+    upper = g[:0:-1]
+    values = []
+    for i in range(nodes):
+        u = span * (cos_table[2 * i + 1] + 1) / 2
+        z = complex(math.cos(h * u), -math.sin(h * u))
+        acc = 0j
+        for gk in upper:
+            acc = (acc + gk) * z
+        values.append(g[0].real + 2 * acc.real)
+    coeffs = [2 / nodes * sum(v * cos_table[j * (2 * i + 1) % (4 * nodes)]
+                              for i, v in enumerate(values))
+              for j in range(nodes)]
+    coeffs[0] /= 2
+    return coeffs
+
+
+def _kept_degree(coeffs):
+    """Number of leading coefficients kept: all later ones are below
+    _CHEB_TOL times the largest."""
+    floor = _CHEB_TOL * max(map(abs, coeffs))
+    return 1 + max((j for j, cj in enumerate(coeffs) if abs(cj) > floor),
+                   default=0)
 
 
 def central_value(factors, gamma_shifts, conductor, sign, s0=Fraction(1, 2),
@@ -422,14 +473,41 @@ def central_value(factors, gamma_shifts, conductor, sign, s0=Fraction(1, 2),
 
     Lambda(s) = Q^{s/2} prod_j Gamma_R(s + mu_j) L(s) with Lambda(s) =
     sign * Lambda(1-s); poles may be declared as (location, residue) pairs of
-    Lambda.  Returns the finite part L(s0) with an error estimate combining
-    quadrature refinement and a Ramanujan-type tail bound.
+    Lambda.  Returns the finite part L(s0) and Lambda(s0), each with its
+    error.
 
-    The evaluator rests on four exact facts; the first three change only
+    Weight and moments.  With step h on the line Re w = c, the trapezoidal
+    rule makes the smoothed sum at s
+        h / (2 pi) sum_{n <= terms} b_n n^{-s-c} V(log n),
+        V(u) = Re(g_0 + 2 sum_{k >= 1} g_k e^{-ikhu}),
+    where g_k is the integrand at w = c + ikh.  V is sampled at Chebyshev
+    points of [0, log terms], at a cost of (points x grid nodes), whatever
+    the series length; its Chebyshev coefficients c_j in
+    x = 2u / log(terms) - 1 are kept up to the degree D beyond which all
+    are below _CHEB_TOL times the largest.  The sum is then
+    h / (2 pi) sum_{j < D} c_j M_j with the moments
+        M_j = sum_n b_n n^{-s-c} T_j(x_n),
+    which one pass over the series accumulates by the three-term recurrence
+    T_{j+1} = 2x T_j - T_{j-1}.
+
+    One pass for both grids.  The moments depend on neither h nor the g_k,
+    so the coarse (180-node) and the fine (260-node) grid differ only in
+    their c_j and share the pass.  A snapshot of the moments before the
+    final 35% of the series gives that block of the coarse sum.
+
+    Three error sources make lam_error (error = lam_error / |gamma(s0)|),
+    each also in details:
+    - quad_err: the gap between the coarse and the fine sums;
+    - tail: twice the final 35% block, for the terms beyond the series;
+    - interp: the dropped |c_j| of the fine grid times
+      sum_n |b_n n^{-s-c}|, a bound since |T_j| <= 1 on [-1, 1].
+    details["degree"] maps each line s to its D.
+
+    Four exact facts cut the work further; the first three change only
     rounding, the last changes nothing:
     - one-sided grid: for real s the integrand g on the line Re w = c has
-      g(-t) = conj g(t), so only the nodes t_k = k h, k >= 0, are computed
-      and each sum uses Re g_0 + 2 Re sum_{k >= 1} g_k n^{-i t_k};
+      g(-t) = conj g(t), so only the nodes t_k = k h, k >= 0, are computed,
+      which is the form of V above;
     - one sum at s0 = 1/2: there the sums at s0 and 1 - s0 are the same, so
       it is computed once;
     - grouped Gamma_R factors: one log Gamma_R evaluation per distinct
@@ -451,21 +529,31 @@ def central_value(factors, gamma_shifts, conductor, sign, s0=Fraction(1, 2),
     aa = float(kernel_width)
     log_q = math.log(conductor)
 
-    def log_lam_gamma(w, ss):
-        """{s: log(Q^{(s+w)/2} prod_j Gamma_R(s + w + mu_j))} for s in ss,
-        up to multiples of 2 pi i."""
-        log_gamma_r = {}
-        for o in sorted({s + mu for s in ss for mu in shifts}):
-            x = w + float(o)
-            if o - 2 in log_gamma_r:
-                log_gamma_r[o] = log_gamma_r[o - 2] \
-                    + cmath.log((x - 2) / (2 * math.pi))
-            else:
-                log_gamma_r[o] = -x / 2 * math.log(math.pi) \
-                    + _log_gamma(x / 2)
-        return {s: (float(s) + w) / 2 * log_q
-                + sum(mult * log_gamma_r[s + mu] for mu, mult in shifts.items())
-                for s in ss}
+    def log_lam_gamma(ss):
+        """w -> {s: log(Q^{(s+w)/2} prod_j Gamma_R(s + w + mu_j))} for s in
+        ss, up to multiples of 2 pi i; the rational bookkeeping is done once
+        here, not per node."""
+        args = sorted({s + mu for s in ss for mu in shifts})
+        # each argument, with the index of the argument two below it
+        steps = [(float(o), args.index(o - 2) if o - 2 in args else None)
+                 for o in args]
+        parts = [(s, float(s), [(args.index(s + mu), mult)
+                                for mu, mult in shifts.items()]) for s in ss]
+
+        def at(w):
+            log_gamma_r = []
+            for o, below in steps:
+                x = w + o
+                if below is None:
+                    log_gamma_r.append(-x / 2 * math.log(math.pi)
+                                       + _log_gamma(x / 2))
+                else:
+                    log_gamma_r.append(log_gamma_r[below]
+                                       + cmath.log((x - 2) / (2 * math.pi)))
+            return {s: (sf + w) / 2 * log_q
+                    + sum(mult * log_gamma_r[i] for i, mult in part)
+                    for s, sf, part in parts}
+        return at
 
     # choose the truncation from the size of V(n): the integrand decays
     # like n^{-(sigma+c)}; require bound * tail_zeta < tol
@@ -475,6 +563,8 @@ def central_value(factors, gamma_shifts, conductor, sign, s0=Fraction(1, 2),
     b = dirichlet_coefficients(factors, maxn)
     tmax = math.sqrt(aa * (math.log(1 / _GRID_TOL) + c * c / aa + 10))
 
+    on_lines = log_lam_gamma(lines)
+
     def grid(nodes):
         """Step h and {s: [g_s(t_k)] for k = 0..nodes} on every line."""
         h = tmax / nodes
@@ -482,46 +572,71 @@ def central_value(factors, gamma_shifts, conductor, sign, s0=Fraction(1, 2),
         for k in range(nodes + 1):
             w = complex(c, k * h)
             log_kernel = w * w / aa - cmath.log(w)
-            for s, lg in log_lam_gamma(w, lines).items():
+            for s, lg in on_lines(w).items():
                 gs[s].append(cmath.exp(lg + log_kernel))
         return h, gs
 
-    def smoothed_sum(s, h, gs):
-        """The sum at s and its final 35% block."""
-        g0 = gs[0].real
-        upper = gs[:0:-1]          # g_K .. g_1, for Horner's rule
-        exponent = -float(s) - c
-        total = 0.0
-        checkpoint = max(1, int(maxn * 0.65))
-        at_checkpoint = 0.0
-        for n in range(1, maxn + 1):
-            if n == checkpoint:
-                at_checkpoint = total
-            if b[n] == 0.0:
-                continue
-            # sum_{k >= 1} g_k z^k with z = n^{-i h}
-            z = complex(math.cos(h * math.log(n)),
-                        -math.sin(h * math.log(n)))
-            acc = 0j
-            for g in upper:
-                acc = (acc + g) * z
-            total += b[n] * n ** exponent * (g0 + 2 * acc.real)
-        total *= h / (2 * math.pi)
-        at_checkpoint *= h / (2 * math.pi)
-        return total, abs(total - at_checkpoint)
-
     coarse, fine = grid(180), grid(260)
-    sums = {}
+    # u = log n runs over [0, span]; x = 2u / span - 1 over [-1, 1]
+    span = math.log(max(maxn, 2))
+    # per line: the kept degree D and each grid's weight coefficients
+    weights = []
     for s in lines:
-        val, blk = smoothed_sum(s, coarse[0], coarse[1][s])
-        val_b, _ = smoothed_sum(s, fine[0], fine[1][s])
-        sums[s] = val, val_b, blk
+        nodes = _CHEB_NODES
+        while True:
+            coeffs = [_chebyshev_coefficients(h, gs[s], span, nodes)
+                      for h, gs in (coarse, fine)]
+            degree = max(map(_kept_degree, coeffs))
+            if 4 * degree <= 3 * nodes or nodes >= _CHEB_MAX_NODES:
+                break
+            nodes *= 2
+        weights.append((degree, coeffs))
+
+    # one pass over the series: M_j = sum_n b_n n^{-s-c} T_j(x_n) for j < D
+    # on every line, the same moments before the final 35% block, and
+    # sum_n |b_n n^{-s-c}|
+    moments = [[0.0] * degree for degree, _ in weights]
+    exponents = [-float(s) - c for s in lines]
+    absolute = [0.0] * len(lines)
+    checkpoint = max(1, int(maxn * 0.65))
+    for n in range(1, maxn + 1):
+        if n == checkpoint:
+            at_checkpoint = [m[:] for m in moments]
+        if b[n] == 0.0:
+            continue
+        x = 2 * math.log(n) / span - 1
+        x2 = 2 * x
+        for i, m in enumerate(moments):
+            t0 = b[n] * n ** exponents[i]
+            absolute[i] += abs(t0)
+            t1 = t0 * x
+            m[0] += t0
+            # t0, t1 = w T_{j-1}(x), w T_j(x)
+            for j in range(1, len(m)):
+                m[j] += t1
+                t0, t1 = t1, x2 * t1 - t0
+
+    def dot(coeffs, m):
+        return sum(cj * mj for cj, mj in zip(coeffs, m))
+
+    step_c, step_f = coarse[0] / (2 * math.pi), fine[0] / (2 * math.pi)
+    sums, interp = {}, {}
+    for i, s in enumerate(lines):
+        degree, (co, fi) = weights[i]
+        total = dot(co, moments[i])
+        sums[s] = (total * step_c, dot(fi, moments[i]) * step_f,
+                   abs(total - dot(co, at_checkpoint[i])) * step_c)
+        # |T_j| <= 1 on [-1, 1]: the dropped fine-grid coefficients bound
+        # the weight's error at every x_n
+        interp[s] = sum(map(abs, fi[degree:])) * absolute[i] * step_f
     val1, val1b, blk1 = sums[s0]
     val2, val2b, blk2 = sums[1 - s0]
     quad_err = abs(val1 - val1b) + abs(val2 - val2b)
     # the tail beyond maxn is estimated by the final 35% block (terms
     # decay superpolynomially in this range, so the block dominates)
     series_err = 2 * (blk1 + blk2)
+    interp_err = interp[s0] + interp[1 - s0]
+    lam_error = quad_err + series_err + interp_err
 
     lam = val1b + sign * val2b
     for (loc, res) in poles:
@@ -529,9 +644,12 @@ def central_value(factors, gamma_shifts, conductor, sign, s0=Fraction(1, 2),
         if abs(w) < c:
             lam -= float(res) * math.exp(w * w / aa) / w
 
-    gam = cmath.exp(log_lam_gamma(0j, [s0])[s0]).real
-    return CentralValue(lam / gam, (quad_err + series_err) / abs(gam), lam,
-                        maxn, {"quad_err": quad_err, "tail": series_err})
+    gam = cmath.exp(log_lam_gamma([s0])(0j)[s0]).real
+    return CentralValue(lam / gam, lam_error / abs(gam), lam, lam_error,
+                        maxn, {"quad_err": quad_err, "tail": series_err,
+                               "interp": interp_err,
+                               "degree": {s: degree for s, (degree, _)
+                                          in zip(lines, weights)}})
 
 
 def _afe_terms(conductor):
@@ -546,13 +664,12 @@ def petersson_norm_proxy(record, terms=None):
 
     Proportional to the Petersson norm up to a level-weight constant, which
     cancels in the ratio diagnostics this proxy feeds.  Euler factors are
-    built only up to the series length that central_value reads.
+    built at every prime up to the series length that central_value reads,
+    so a prime missing from the data file is named, as on the triple path.
     """
     conductor = sym2_conductor(record)
     count = _afe_terms(conductor) if terms is None else terms
-    factors = {p: sym2_factor(record, p)
-               for p in primes_up_to(min(record.pmax(), count))
-               if record.level % p == 0 or p in record.ap}
+    factors = {p: sym2_factor(record, p) for p in primes_up_to(count)}
     cv = central_value(factors, sym2_gamma_shifts(record.weight),
                        conductor, +1, s0=Fraction(1), terms=terms)
     return cv

@@ -251,8 +251,30 @@ def test_level_26_ratios_agree_within_propagated_error(capsys, monkeypatch):
     for check, cv in zip(checks, values):
         lam = check["lambda_h1"]
         assert lam["value"] == cv.lam
+        assert lam["error"] == cv.lam_error > \
+            cv.details["quad_err"] + cv.details["tail"]
         assert math.isclose(abs(lam["error"] / lam["value"]),
                             abs(cv.error / cv.value), rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("pmax", ["1", "2"])
+@pytest.mark.parametrize("series", [("--h1", "11a", "--f1", "11a", "--f2",
+                                     "11a"), ("--sym2", "11a")])
+def test_lvalue_at_the_shortest_series(capsys, series, pmax):
+    # log 1 = 0: one or two terms must not break the map of log n to [-1, 1]
+    out = run_json(capsys, "lvalue", *series, "--pmax", pmax)
+    assert out["terms"] == int(pmax)
+    assert math.isfinite(out["value"]) and math.isfinite(out["error"])
+
+
+@pytest.mark.parametrize("series", [("--h1", "11a", "--f1", "11a", "--f2",
+                                     "11a"), ("--sym2", "11a")])
+def test_lvalue_names_the_first_missing_coefficient(series):
+    # the shipped data stop before 12007; both paths say so the same way
+    proc = run_cli("lvalue", *series, "--pmax", "99999")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: 11a: no a_12007 in the data file\n"
+    assert proc.stdout == ""
 
 
 def test_lvalue_sym2_11a(capsys):

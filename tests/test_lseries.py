@@ -230,6 +230,17 @@ def test_central_value_zeta_at_2():
     assert abs(cv.value - math.pi ** 2 / 6) < 1e-8
 
 
+def test_wide_kernel_doubles_the_chebyshev_sampling():
+    # at width 30 the weight needs a degree above 3/4 of the first 64
+    # Chebyshev samples, so they are doubled
+    factors = {p: EulerFactor(p, [1, -1]) for p in primes_up_to(100)}
+    cv = central_value(factors, [Fraction(0)], 1, +1, s0=Fraction(2),
+                       terms=100, kernel_width=30, poles=((1, 1), (0, -1)))
+    assert max(cv.details["degree"].values()) > 48
+    assert cv.error < 1e-13
+    assert abs(cv.value - math.pi ** 2 / 6) < 1e-13
+
+
 def test_central_value_sign_minus_one_vanishes():
     recs = records()
     h = resolve_label(recs, "11a")
@@ -392,6 +403,23 @@ def afe_oracle_cases():
 
 
 @pytest.mark.parametrize("case", ["triple", "sym2", "zeta"])
+def test_lambda_error_is_the_error_times_the_gamma_factor(case):
+    factors, shifts, cond, sign, s0, terms, poles = afe_oracle_cases()[case]
+    cv = central_value(factors, shifts, cond, sign, s0=s0, terms=terms,
+                       poles=poles)
+    d = cv.details
+    assert cv.lam_error == d["quad_err"] + d["tail"] + d["interp"]
+    assert d["interp"] > 0
+    gamma = cond ** (s0 / 2) * math.prod(
+        math.pi ** (-(s0 + mu) / 2) * math.gamma((s0 + mu) / 2)
+        for mu in shifts)
+    assert cv.lam_error == pytest.approx(cv.error * abs(gamma), rel=1e-12)
+    # one kept Chebyshev degree per line s0, 1 - s0
+    assert d["degree"].keys() == {s0, 1 - s0}
+    assert all(8 < deg < 64 for deg in d["degree"].values())
+
+
+@pytest.mark.parametrize("case", ["triple", "sym2", "zeta"])
 def test_central_value_matches_two_sided_oracle(case):
     factors, shifts, cond, sign, s0, terms, poles = afe_oracle_cases()[case]
     cv = central_value(factors, shifts, cond, sign, s0=s0, terms=terms,
@@ -401,6 +429,72 @@ def test_central_value_matches_two_sided_oracle(case):
     assert cv.value == pytest.approx(value, rel=1e-12)
     assert cv.lam == pytest.approx(lam, rel=1e-12)
     assert cv.error == pytest.approx(error, rel=1e-6)
+
+
+def horner_central_value(factors, gamma_shifts, conductor, sign, terms):
+    """Oracle for central_value at s0 = 1/2 with kernel width 4, in double
+    precision: the weight summed afresh for every coefficient by Horner's
+    rule, one pass over the series per grid, one log Gamma per shift.
+    Returns (L(1/2), Lambda(1/2), quadrature plus tail error of Lambda)."""
+    c, aa = 1.75, 4.0
+    shifts = [float(mu) for mu in gamma_shifts]
+
+    def log_lam_gamma(w):
+        x = 0.5 + w
+        return x / 2 * math.log(conductor) + sum(
+            -(x + mu) / 2 * math.log(math.pi) + _log_gamma((x + mu) / 2)
+            for mu in shifts)
+
+    b = dirichlet_coefficients(factors, terms)
+    tmax = math.sqrt(aa * (50 * math.log(2) + c * c / aa + 10))
+
+    def smoothed_sum(nodes):
+        """The sum on the grid of that many steps, and its final 35%
+        block."""
+        h = tmax / nodes
+        gs = [cmath.exp(log_lam_gamma(w) + w * w / aa - cmath.log(w))
+              for w in (complex(c, k * h) for k in range(nodes + 1))]
+        g0 = gs[0].real
+        upper = gs[:0:-1]          # g_K .. g_1, for Horner's rule
+        total = at_checkpoint = 0.0
+        checkpoint = max(1, int(terms * 0.65))
+        for n in range(1, terms + 1):
+            if n == checkpoint:
+                at_checkpoint = total
+            if b[n] == 0.0:
+                continue
+            # sum_{k >= 1} g_k z^k with z = n^{-i h}
+            z = complex(math.cos(h * math.log(n)),
+                        -math.sin(h * math.log(n)))
+            acc = 0j
+            for g in upper:
+                acc = (acc + g) * z
+            total += b[n] * n ** (-0.5 - c) * (g0 + 2 * acc.real)
+        return (total * h / (2 * math.pi),
+                abs(total - at_checkpoint) * h / (2 * math.pi))
+
+    (val, blk), (val_b, _) = smoothed_sum(180), smoothed_sum(260)
+    # the sums at s0 and 1 - s0 coincide
+    lam = (1 + sign) * val_b
+    gam = cmath.exp(log_lam_gamma(0j)).real
+    return lam / gam, lam, 2 * abs(val - val_b) + 4 * blk
+
+
+def test_central_value_matches_horner_oracle_at_full_length():
+    recs = records()
+    h, f = resolve_label(recs, "26b"), resolve_label(recs, "26a")
+    cond = triple_conductor(26)
+    terms = _afe_terms(cond)
+    assert terms == 10390
+    factors = triple_factors(h, f, f, terms)
+    cv = central_value(factors, triple_gamma_shifts(), cond, +1)
+    value, lam, error = horner_central_value(
+        factors, triple_gamma_shifts(), cond, +1, terms)
+    assert cv.value == pytest.approx(value, rel=1e-12)
+    assert cv.lam == pytest.approx(lam, rel=1e-12)
+    assert cv.details["interp"] <= 1e-2 * cv.lam_error
+    # quadrature and tail agree up to rounding of Lambda
+    assert abs(cv.lam_error - cv.details["interp"] - error) <= 1e-12 * lam
 
 
 def test_truncated_triple_factors_give_the_same_series():
