@@ -185,13 +185,6 @@ def hnf(mat):
     return [row for row in m[:r] if any(row)]
 
 
-def integer_rows(rows):
-    """(d, int_rows): rational rows as integer rows over their least common
-    denominator d, so rows == int_rows / d."""
-    d = lcm(*(Fraction(x).denominator for row in rows for x in row))
-    return d, [[int(Fraction(x) * d) for x in row] for row in rows]
-
-
 def hnf_lattice(den, rows):
     """The canonical (den, rows) of the lattice spanned by integer rows / den.
 

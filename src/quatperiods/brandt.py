@@ -17,8 +17,7 @@ onto I_j conj(I_i) and keeps norms, so e_j T_ij = e_i T_ji.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -165,21 +164,22 @@ def poly_text(coeffs):
 # forms and operators
 # ---------------------------------------------------------------------------
 
-@dataclass
 class QuatForm:
     """Function on the ideal classes with values in U_nu of the algebra.
 
     An eigenform's values and eigenvalues lie in its Hecke field Q[x]/(f):
     Fractions when f has degree 1 (field None), NumberFieldElements else.
     """
-    class_set: object
-    weight: int
-    values: list          # Poly on the trace-zero space (constants at nu=0)
-    label: str = ""
-    eigenvalues: dict = None     # p -> eigenvalue in the Hecke field
-    al_signs: dict = None        # p -> +-1
-    essential: bool = None
-    field: tuple = None          # f, high to low, if its degree is >= 2
+
+    def __init__(self, class_set, weight, values, label=""):
+        self.class_set = class_set
+        self.weight = weight
+        self.values = values  # Polys on the trace-zero space, constant at nu=0
+        self.label = label
+        self.eigenvalues = None   # p -> eigenvalue in the Hecke field
+        self.al_signs = None      # p -> +-1
+        self.essential = None
+        self.field = None         # f, high to low, if its degree is >= 2
 
     def scalar_values(self):
         if self.weight != 0:
@@ -216,14 +216,14 @@ def unit_average_form(class_set, nu, rng, span=5):
     return QuatForm(class_set, nu, values, label="unit-averaged")
 
 
-@dataclass
-class BrandtOperator:
-    """A Hecke operator T(p) or involution w_p on weight-nu forms."""
-    class_set: object
-    nu: int
-    label: str            # "T2", "w11", ...
-    matrix: list          # square over Q, size r * dim(U_nu)
-    block_dim: int
+class BrandtOperator(namedtuple("BrandtOperator",
+                                "class_set nu label matrix block_dim")):
+    """A Hecke operator T(p) or involution w_p on weight-nu forms.
+
+    label is "T2", "w11", ...; matrix is square over Q, of size
+    r * dim(U_nu), with blocks of size block_dim.
+    """
+    __slots__ = ()
 
 
 def _vector_to_form(class_set, nu, vec, block_dim):
@@ -278,9 +278,11 @@ def brandt_matrices(class_set, primes, nu=0):
             conn = class_set.connecting(i, j)
             vecs = short_vectors(conn, max(primes))
             if nu == 0:
-                for p, c in Counter(q for _, q in vecs if q in mats).items():
-                    mats[p][i][j] = Fraction(c, e[j])
-                    mats[p][j][i] = Fraction(c, e[i])
+                counts = Counter(q.numerator for _, q in vecs
+                                 if q.denominator == 1)
+                for p in mats.keys() & counts.keys():
+                    mats[p][i][j] = Fraction(counts[p], e[j])
+                    mats[p][j][i] = Fraction(counts[p], e[i])
                 continue
             for v, q in vecs:
                 if q in mats:

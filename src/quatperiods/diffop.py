@@ -16,7 +16,6 @@ dimensional.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -162,15 +161,13 @@ def relevant_monomials(k, a, b, r):
     return sorted(out)
 
 
-@dataclass
 class DiffOperator:
     """The holomorphic operator data: polynomial p in (u1, u12, u2)."""
-    k: int
-    a: int
-    b: int
-    r: int
-    poly: dict               # (i, j, kk) -> Fraction
-    normalization: str = "z12-test r!"
+
+    def __init__(self, k, a, b, r, poly, normalization="z12-test r!"):
+        self.k, self.a, self.b, self.r = k, a, b, r
+        self.poly = poly                # (i, j, kk) -> Fraction
+        self.normalization = normalization
 
     def z12_test(self):
         """p applied to z12^r X1^a X2^b, evaluated at z12 = 0.

@@ -15,7 +15,7 @@ up to scalar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import chain
@@ -229,8 +229,8 @@ def trace_zero_space(alg):
 
 @lru_cache(maxsize=None)
 def full_space(alg):
-    g = alg.norm_gram()
-    return HarmonicSpace([[x / 2 for x in row] for row in g])
+    den, g = alg.norm_gram()
+    return HarmonicSpace([[Fraction(x, 2 * den) for x in row] for row in g])
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +296,10 @@ def _cross_bilinear(space, p, q):
         for (a, b, c), sign in eps.items()))
 
 
-@dataclass
-class TrilinearForm:
+class TrilinearForm(namedtuple("TrilinearForm", "space degrees zero reason",
+                               defaults=("",))):
     """Invariant coupling on H_a x H_b x H_c for one 3-space."""
-    space: HarmonicSpace
-    degrees: tuple
-    zero: bool
-    reason: str = ""
+    __slots__ = ()
 
     def value(self, p, q, r):
         a, b, c = self.degrees

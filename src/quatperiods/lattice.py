@@ -3,25 +3,36 @@
 Convention: a lattice stores the Gram matrix of the *bilinear* form
 B(x, y) = q(x+y) - q(x) - q(y), so q(x) = B(x, x)/2.
 
-Enumeration is Fincke-Pohst on integers.  Each lattice caches its basis
-Gram and, once, the rational LDL decomposition
-q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2 scaled to integers: with L_i
-the common denominator of row i of u and W that of every d_i / L_i^2,
-W q(x) = sum_i A_i t_i^2 with t_i = L_i x_i + sum_{j>i} (L_i u_ij) x_j and
-integers A_i.  Since W q(x) is an integer, q(x) <= bound holds exactly when
-W q(x) <= floor(W bound); and an integer t satisfies A t^2 <= R exactly when
-|t| <= isqrt(R // A).  So every coordinate range is computed without floats
-or slack, and no boundary vector with q(x) == bound is missed.
+A lattice is two integer pairs over one denominator each.  Its basis is
+(D, rows), the generators rows / D in ambient coordinates, as orders.py
+builds it with _linalg.hnf_lattice.  Its form is (G, g), the ambient Gram
+g / G.  The basis Gram is the integer product rows g rows^T over D^2 G,
+computed once per lattice and divided down until its denominator is prime
+to its entries.  content(), the LDL decomposition and the enumeration all
+read that pair, and rescaling the form scales both pairs without
+recomputing anything.
 
-Sums over lattice vectors run in integers too.  A lattice's basis is one
-pair (D, rows) of integer rows over one denominator, as orders.py builds
-it with _linalg.hnf_lattice, and the lattice caches its basis Gram as
-integer rows over a denominator G.  So a vector's ambient coordinates are
-y / D with integer y, and B(v, w) is an integer dot product over G.  A
-polynomial weight p of degree d with coefficients over the common
-denominator L becomes integer coefficients c_m = L D^(d-|m|) p_m, so
-p(y / D) = sum_m c_m y^m / (L D^d): the sum is taken in integers and
-divided once.
+Enumeration is Fincke-Pohst on integers.  With the basis Gram M / G,
+q(x) = x^T M x / N for N = 2G.  Fraction-free (Bareiss) elimination on M
+leaves in row i the integers b_ij (j >= i), where b_ii is the i-th leading
+principal minor Delta_i, and
+    N q(x) = sum_i T_i^2 / (Delta_{i-1} Delta_i),   T_i = sum_{j>=i} b_ij x_j,
+with Delta_{-1} = 1; the form is positive definite iff every Delta_i > 0.
+With g_i the gcd of row i and W the least common denominator of the
+g_i^2 / (N Delta_{i-1} Delta_i), this is W q(x) = sum_i A_i t_i^2 with
+integers A_i and t_i = T_i / g_i = L_i x_i + sum_{j>i} (b_ij / g_i) x_j.
+Since W q(x) is an integer, q(x) <= bound holds exactly when
+W q(x) <= floor(W bound); and an integer t satisfies A t^2 <= R exactly when
+|t| <= isqrt(R // A).  So every coordinate range is computed without
+fractions, floats or slack, and no boundary vector with q(x) == bound is
+missed.
+
+Sums over lattice vectors run in integers too.  A vector's ambient
+coordinates are y / D with integer y, and B(v, w) is an integer dot
+product over the basis Gram's denominator.  A polynomial weight p of
+degree d with coefficients over the common denominator L becomes integer
+coefficients c_m = L D^(d-|m|) p_m, so p(y / D) = sum_m c_m y^m / (L D^d):
+the sum is taken in integers and divided once.
 """
 
 from __future__ import annotations
@@ -31,11 +42,17 @@ from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
-from ._linalg import content, frac_mat, hnf, integer_rows, mat_mul, transpose
+from ._linalg import hnf
 
 
 class LatticeError(ValueError):
     pass
+
+
+def _reduced(den, rows):
+    """The pair (den, rows) divided by the gcd of den and every entry."""
+    g = math.gcd(den, *(x for row in rows for x in row))
+    return den // g, tuple(tuple(x // g for x in row) for row in rows)
 
 
 class IntLattice:
@@ -43,55 +60,64 @@ class IntLattice:
 
     basis: (D, rows), the lattice generators rows / D in ambient
            coordinates, with integer rows and D > 0.
-    gram:  Gram matrix of B on the *ambient* basis (so the Gram on the
-           lattice basis is rows * gram * rows^T / D^2).
+    gram:  (G, g), the Gram matrix g / G of B on the *ambient* basis, with
+           integer symmetric g and G > 0.
     """
 
     def __init__(self, basis, gram):
         self.basis = basis
-        self.gram = frac_mat(gram)
-        n = len(self.gram)
-        if any(len(r) != n for r in self.gram):
-            raise LatticeError("gram must be square")
-        if self.gram != transpose(self.gram):
+        g = gram[1]
+        n = len(g)
+        if gram[0] <= 0 or any(len(r) != n for r in g):
+            raise LatticeError("gram must be square with a positive "
+                               "denominator")
+        if any(g[i][j] != g[j][i] for i in range(n) for j in range(i)):
             raise LatticeError("gram must be symmetric")
+        self.gram = _reduced(*gram)
         rows = basis[1]
         if len(rows) != len(rows[0]) or len(hnf(rows)) != len(rows):
             raise LatticeError("basis must be square and of full rank")
 
     @cached_property
-    def _basis_gram(self):
+    def integer_gram(self):
+        """(G, rows): the basis Gram is rows / G, with gcd(G, entries) = 1."""
         den, rows = self.basis
-        g = mat_mul(mat_mul(rows, self.gram), transpose(rows))
-        return [[x / (den * den) for x in row] for row in g]
+        gden, g = self.gram
+        rg = [[sum(map(mul, r, col)) for col in g] for r in rows]  # g = g^T
+        return _reduced(den * den * gden,
+                        [[sum(map(mul, a, r)) for r in rows] for a in rg])
 
     @cached_property
     def integer_ldl(self):
-        """(W, [(A_i, L_i, [(j, L_i u_ij) for j > i, u_ij != 0])]).
+        """(W, [(A_i, L_i, [(j, b_ij / g_i) for j > i, b_ij != 0])]).
 
-        The integer form of the LDL decomposition described in the module
-        docstring, for short_vectors.  Raises LatticeError when the form is
-        not positive definite.
+        The integer LDL decomposition of the module docstring, for
+        short_vectors, by fraction-free elimination on the basis Gram.
+        Raises LatticeError when the form is not positive definite.
         """
-        g = self._basis_gram
-        d, u = _ldl([[x / 2 for x in row] for row in g])
-        dens = [math.lcm(*(x.denominator for x in row)) for row in u]
-        w = math.lcm(*((di / (den * den)).denominator
-                       for di, den in zip(d, dens)))
-        return w, [(int(di * w / (den * den)), den,
-                    [(j, int(x * den)) for j, x in enumerate(row) if x])
-                   for di, den, row in zip(d, dens, u)]
+        gden, m = self.integer_gram
+        a = [list(row) for row in m]
+        n = len(a)
+        prev, levels = 1, []
+        for i in range(n):
+            piv = a[i][i]
+            if piv <= 0:
+                raise LatticeError("form is not positive definite")
+            g = math.gcd(*a[i][i:])
+            num, den = g * g, 2 * gden * prev * piv
+            r = math.gcd(num, den)
+            levels.append((num // r, den // r, piv // g,
+                           [(j, a[i][j] // g) for j in range(i + 1, n)
+                            if a[i][j]]))
+            for j in range(i + 1, n):         # Bareiss step on the upper part
+                for k in range(j, n):
+                    a[j][k] = (piv * a[j][k] - a[i][j] * a[i][k]) // prev
+            prev = piv
+        w = math.lcm(*(den for _, den, _, _ in levels))
+        return w, [(num * (w // den), lev, row)
+                   for num, den, lev, row in levels]
 
     # -- form values --------------------------------------------------------
-    def basis_gram(self):
-        """Gram of B on the lattice basis."""
-        return [row[:] for row in self._basis_gram]
-
-    @cached_property
-    def integer_gram(self):
-        """(G, rows): the basis Gram is rows / G, integer rows, G minimal."""
-        return integer_rows(self._basis_gram)
-
     def integer_ambient(self, v):
         """D times the ambient coordinates of v (lattice coordinates)."""
         rows = self.basis[1]
@@ -103,38 +129,33 @@ class IntLattice:
         return [Fraction(y, den) for y in self.integer_ambient(v)]
 
     def rescaled(self, factor):
-        factor = Fraction(factor)
-        g = [[x * factor for x in row] for row in self.gram]
-        return IntLattice(self.basis, g)
+        """The lattice with its form times the positive rational factor.
+
+        Both the ambient and the cached basis Gram are scaled, so nothing is
+        recomputed; the basis is shared.
+        """
+        num, den = factor.numerator, factor.denominator
+
+        def scaled(pair):
+            return _reduced(pair[0] * den,
+                            [[x * num for x in row] for row in pair[1]])
+
+        out = IntLattice.__new__(IntLattice)
+        out.basis = self.basis
+        out.gram, out.integer_gram = scaled(self.gram), scaled(self.integer_gram)
+        return out
 
     def content(self):
-        """gcd of the q-values on the lattice (from the basis Gram)."""
-        g = self._basis_gram
-        vals = [g[i][i] / 2 for i in range(len(g))]
-        vals += [g[i][j] for i in range(len(g)) for j in range(i)]
-        return content(vals)
+        """gcd of the q-values on the lattice: with the basis Gram M / G,
+        the gcd of the M_ii and the 2 M_ij over 2G."""
+        gden, m = self.integer_gram
+        n = len(m)
+        g = math.gcd(*(m[i][i] for i in range(n)),
+                     *(2 * m[i][j] for i in range(n) for j in range(i)))
+        return Fraction(g, 2 * gden)
 
     def __repr__(self):
         return f"IntLattice(rank {len(self.basis[1])})"
-
-
-def _ldl(a):
-    """LDL decomposition q(x) = sum_i d[i] (x_i + sum_{j>i} u[i][j] x_j)^2."""
-    n = len(a)
-    a = [row[:] for row in a]
-    d = [Fraction(0)] * n
-    u = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = a[i][i]
-        if d[i] <= 0:
-            raise LatticeError("form is not positive definite")
-        for j in range(i + 1, n):
-            u[i][j] = a[i][j] / d[i]
-        for j in range(i + 1, n):
-            for k in range(j, n):
-                a[j][k] -= a[i][j] * a[i][k] / d[i]
-                a[k][j] = a[j][k]
-    return d, u
 
 
 def short_vectors(lattice, bound, include_zero=False):

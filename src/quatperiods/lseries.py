@@ -37,8 +37,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .quatalg import primes_up_to
@@ -52,13 +51,11 @@ class LSeriesError(ValueError):
 # newform records
 # ---------------------------------------------------------------------------
 
-@dataclass
-class NewformRecord:
-    label: str
-    level: int
-    weight: int
-    ap: dict                 # prime -> integer a_p
-    al_signs: dict           # prime | level -> +-1
+class NewformRecord(namedtuple("NewformRecord",
+                               "label level weight ap al_signs")):
+    """A newform's eigen-data: ap maps each prime to the integer a_p and
+    al_signs each prime dividing the level to its sign +-1."""
+    __slots__ = ()
 
     def a(self, p):
         if p not in self.ap:
@@ -124,19 +121,17 @@ def resolve_label(records, label):
 # Euler factors
 # ---------------------------------------------------------------------------
 
-@dataclass
 class EulerFactor:
     """Local factor as a polynomial in X = p^{-s}, constant term 1.
 
     shift: evaluating the analytic (s -> 1-s symmetric) normalization means
     substituting X = p^{-s-shift}.
     """
-    prime: int
-    coeffs: list
-    shift: Fraction = Fraction(0)
 
-    def __post_init__(self):
-        self.coeffs = [Fraction(c) for c in self.coeffs]
+    def __init__(self, prime, coeffs, shift=Fraction(0)):
+        self.prime = prime
+        self.coeffs = [Fraction(c) for c in coeffs]
+        self.shift = shift
         if not self.coeffs or self.coeffs[0] != 1:
             raise LSeriesError("Euler factor must have constant term 1")
 
@@ -387,14 +382,11 @@ def dirichlet_coefficients(factors, count):
     return b
 
 
-@dataclass
-class CentralValue:
-    value: float
-    error: float
-    lam: float              # completed-Lambda value
-    lam_error: float        # error of lam; error is lam_error / |gamma(s0)|
-    terms: int
-    details: dict = field(default_factory=dict)
+class CentralValue(namedtuple("CentralValue",
+                              "value error lam lam_error terms details")):
+    """L(s0) with its error; lam is the completed Lambda(s0) and lam_error
+    its error, so error is lam_error / |gamma(s0)|."""
+    __slots__ = ()
 
 
 # Stirling's series for log Gamma: B_2k / (2k (2k - 1)) for k = 1..7

@@ -324,10 +324,10 @@ def connecting_lattice(alg, basis_a, basis_b):
     lat = times_conj(alg, basis_a, basis_b)
     c = lat.content()
     sn, sd = _square_part(c.numerator), _square_part(c.denominator)
-    m = c * Fraction(sd * sd, sn * sn)
     den, rows = lat.basis
     basis = hnf_lattice(den * sn, [[x * sd for x in row] for row in rows])
-    return IntLattice(basis, lat.gram).rescaled(Fraction(1, m))
+    return IntLattice(basis, lat.gram).rescaled(
+        Fraction(c.denominator // (sd * sd), c.numerator // (sn * sn)))
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +425,7 @@ def norm_one_element(alg, basis_a, basis_b):
     iff I ~ J, and then I = q * J up to units.
     """
     lat = times_conj(alg, basis_a, basis_b)
-    scaled = lat.rescaled(Fraction(1, lat.content()))
+    scaled = lat.rescaled(1 / lat.content())
     for v, q in short_vectors(scaled, 1):
         if q == 1:
             return Quaternion(alg, *scaled.ambient(v))
@@ -495,10 +495,13 @@ def _dual_kernel_mod_p(order, p):
     """O-coordinates mod p of (O & pO^#)/pO: the kernel of the trace Gram mod p.
 
     x = c * basis lies in pO^# iff tr(x conj(y)) is divisible by p for every
-    y in O, i.e. iff c * G = 0 mod p for the Gram G of the order's basis.
+    y in O, i.e. iff c * G = 0 mod p for the Gram G of the order's basis;
+    G is symmetric, so that is the kernel of G itself.
     """
-    gram = order.norm_lattice().basis_gram()
-    return nullspace(transpose([[int(x) for x in row] for row in gram]), p)
+    den, gram = order.norm_lattice().integer_gram
+    if den != 1:
+        raise OrderError("the trace form is not integral on the order")
+    return nullspace(gram, p)
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,7 @@ carry both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .harmonics import trace_zero_space, trilinear_form
@@ -22,13 +22,10 @@ class PeriodError(ValueError):
     pass
 
 
-@dataclass
-class SignData:
-    """Atkin-Lehner signs of the quadruple (h1, h2, f1, f2) at p | N."""
-    level: int
-    eps_h: dict      # shared by h1 and h2
-    eps_f1: dict
-    eps_f2: dict
+class SignData(namedtuple("SignData", "level eps_h eps_f1 eps_f2")):
+    """Atkin-Lehner signs of the quadruple (h1, h2, f1, f2) at p | N; eps_h
+    is shared by h1 and h2."""
+    __slots__ = ()
 
     @classmethod
     def from_records(cls, h1, h2, f1, f2):
@@ -95,19 +92,12 @@ def _divisors_odd_omega(n):
     return sorted(out)
 
 
-@dataclass
-class PeriodReport:
-    discriminant: int
-    level: int
-    weights: dict              # nu1, nu2, alpha1, alpha2, k1, k2
-    s1: object
-    s2: object
-    product: object
-    squared_proxy: object
-    vanishing: bool
-    reason: str
-    weighting: str
-    conventions: dict = field(default_factory=dict)
+class PeriodReport(namedtuple(
+        "PeriodReport", "discriminant level weights s1 s2 product "
+        "squared_proxy vanishing reason weighting conventions")):
+    """The period sums of one quadruple; weights holds nu1, nu2, alpha1,
+    alpha2, k1 and k2."""
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -130,7 +120,7 @@ def _zero_report(cs, weights, reason, weighting):
     return PeriodReport(cs.order.algebra.discriminant,
                         cs.order.level, weights,
                         Fraction(0), Fraction(0), Fraction(0), Fraction(0),
-                        True, reason, weighting)
+                        True, reason, weighting, {})
 
 
 def period_sums(phi1, phi2, psi1, psi2, alpha1, alpha2,

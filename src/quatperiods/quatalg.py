@@ -175,12 +175,14 @@ class QuaternionAlgebra:
                 Quaternion(self, 0, 0, 0, 1))
 
     def norm_gram(self):
-        """Gram of B(x,y) = tr(x * conj(y)) on the basis 1, i, j, k."""
-        a, b = self.a, self.b
-        return frac_mat([[2, 0, 0, 0],
-                         [0, -2 * a, 0, 0],
-                         [0, 0, -2 * b, 0],
-                         [0, 0, 0, 2 * a * b]])
+        """Gram of B(x,y) = tr(x * conj(y)) on the basis 1, i, j, k, as a
+        pair (G, rows) of integer rows over one denominator G."""
+        (an, ad), (bn, bd) = ((x.numerator, x.denominator)
+                              for x in (self.a, self.b))
+        diag = (2 * ad * bd, -2 * an * bd, -2 * bn * ad, 2 * an * bn)
+        g = math.gcd(ad * bd, *diag)
+        return ad * bd // g, [[diag[i] // g if i == j else 0 for j in range(4)]
+                              for i in range(4)]
 
     def trace_zero_gram(self):
         """Gram of B restricted to span(i, j, k)."""

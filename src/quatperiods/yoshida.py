@@ -18,7 +18,7 @@ denominator, and weighted by 1/(e_i e_j), once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
 from operator import add, mul
@@ -32,12 +32,9 @@ class YoshidaError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class HalfIntMatrix:
+class HalfIntMatrix(namedtuple("HalfIntMatrix", "n1 m2 n2")):
     """(n1, m2, n2) representing [[n1, m2/2], [m2/2, n2]]."""
-    n1: int
-    m2: int
-    n2: int
+    __slots__ = ()
 
     def is_psd(self):
         return self.n1 >= 0 and self.n2 >= 0 and \
@@ -60,17 +57,16 @@ class HalfIntMatrix:
         return (self.n1, self.m2, self.n2)
 
 
-@dataclass
 class FourierTable:
     """Fourier coefficients of a degree-2 lift, indexed by HalfIntMatrix.
 
     Coefficients are Polys in 2 variables (X1, X2), homogeneous of degree
     2*nu2 (degree 0 in the scalar case).
     """
-    nu1: int
-    nu2: int
-    prec: int
-    coeffs: dict = field(default_factory=dict)
+
+    def __init__(self, nu1, nu2, prec, coeffs=None):
+        self.nu1, self.nu2, self.prec = nu1, nu2, prec
+        self.coeffs = {} if coeffs is None else coeffs
 
     def indices(self):
         return sorted(self.coeffs, key=lambda t: t.as_tuple())

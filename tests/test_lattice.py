@@ -7,10 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quatperiods._linalg import (hnf, hnf_lattice, integer_rows, mat_mul,
-                                 nullspace, charpoly, rref)
-from quatperiods.lattice import (IntLattice, LatticeError, _ldl,
-                                 short_vectors, theta_coeffs)
+from quatperiods._linalg import (content, hnf, hnf_lattice, mat_mul,
+                                 nullspace, charpoly, rref, transpose)
+from quatperiods.lattice import (IntLattice, LatticeError, short_vectors,
+                                 theta_coeffs)
+from quatperiods.orders import class_set_for, times_conj
 from quatperiods._poly import Poly
 
 
@@ -33,6 +34,13 @@ def det(mat):
             f = m[i][c] / m[c][c]
             m[i] = [x - f * y for x, y in zip(m[i], m[c])]
     return d
+
+
+def integer_rows(rows):
+    """(d, int_rows): rational rows as integer rows over their least common
+    denominator d, so rows == int_rows / d."""
+    d = math.lcm(*(Fraction(x).denominator for row in rows for x in row))
+    return d, [[int(Fraction(x) * d) for x in row] for row in rows]
 
 
 def hnf_rational(rows):
@@ -65,21 +73,71 @@ def identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
+def basis_gram(lattice):
+    """Oracle for IntLattice.integer_gram: the Gram of B on the lattice
+    basis, rows * gram * rows^T / D^2, in Fractions."""
+    den, rows = lattice.basis
+    g = mat_mul(mat_mul(rows, fractions(lattice.gram)), transpose(rows))
+    return [[x / (den * den) for x in row] for row in g]
+
+
+def _ldl(a):
+    """LDL decomposition q(x) = sum_i d[i] (x_i + sum_{j>i} u[i][j] x_j)^2."""
+    n = len(a)
+    a = [row[:] for row in a]
+    d = [Fraction(0)] * n
+    u = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        d[i] = a[i][i]
+        if d[i] <= 0:
+            raise LatticeError("form is not positive definite")
+        for j in range(i + 1, n):
+            u[i][j] = a[i][j] / d[i]
+        for j in range(i + 1, n):
+            for k in range(j, n):
+                a[j][k] -= a[i][j] * a[i][k] / d[i]
+                a[k][j] = a[j][k]
+    return d, u
+
+
+def integer_ldl(lattice):
+    """Oracle for IntLattice.integer_ldl: the Fraction LDL of the basis Gram
+    scaled to integers (per-row denominators L_i, one common W)."""
+    g = basis_gram(lattice)
+    d, u = _ldl([[x / 2 for x in row] for row in g])
+    dens = [math.lcm(*(x.denominator for x in row)) for row in u]
+    w = math.lcm(*((di / (den * den)).denominator
+                   for di, den in zip(d, dens)))
+    return w, [(int(di * w / (den * den)), den,
+                [(j, int(x * den)) for j, x in enumerate(row) if x])
+               for di, den, row in zip(d, dens, u)]
+
+
+def lattice_content(lattice):
+    """Oracle for IntLattice.content: the gcd of the q(b_i) and B(b_i, b_j)
+    read off the Fraction basis Gram."""
+    g = basis_gram(lattice)
+    vals = [g[i][i] / 2 for i in range(len(g))]
+    vals += [g[i][j] for i in range(len(g)) for j in range(i)]
+    return content(vals)
+
+
 def z4():
-    return IntLattice((1, identity(4)), [[2 if i == j else 0 for j in range(4)]
-                                         for i in range(4)])
+    return IntLattice((1, identity(4)), (1, [[2 if i == j else 0
+                                              for j in range(4)]
+                                             for i in range(4)]))
 
 
 def hurwitz_lattice():
     basis = [[1] * 4, [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]
     gram = [[2 if i == j else 0 for j in range(4)] for i in range(4)]
-    return IntLattice((2, basis), gram)
+    return IntLattice((2, basis), (1, gram))
 
 
 def d4_lattice():
     basis = [[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1], [0, 0, 1, 1]]
     gram = [[2 if i == j else 0 for j in range(4)] for i in range(4)]
-    return IntLattice((1, basis), gram)
+    return IntLattice((1, basis), (1, gram))
 
 
 def transformed(lat, u):
@@ -263,7 +321,7 @@ def test_canonical_basis_d4_vector_sets_agree():
 
 def test_rank_deficient_rejected():
     with pytest.raises(LatticeError):
-        IntLattice((1, [[1, 0], [2, 0]]), [[2, 0], [0, 2]])
+        IntLattice((1, [[1, 0], [2, 0]]), (1, [[2, 0], [0, 2]]))
 
 
 # -- short vectors -----------------------------------------------------------
@@ -361,7 +419,7 @@ def _ceil_sqrt_bound(center, radius2):
 def fraction_short_vectors(lattice, bound, include_zero=False):
     """Oracle for short_vectors: Fincke-Pohst with every step in Fractions."""
     bound = Fraction(bound)
-    g = lattice.basis_gram()
+    g = basis_gram(lattice)
     n = len(g)
     d, u = _ldl([[g[i][j] / 2 for j in range(n)] for i in range(n)])
     out = []
@@ -410,11 +468,11 @@ def lattices_and_bounds(draw):
             for j in range(4)] for i in range(4)]
     gram = [[2 * sum(low[i][k] * low[j][k] for k in range(4))
              for j in range(4)] for i in range(4)]
-    lat = IntLattice((1, identity(4)), gram)
+    lat = IntLattice((1, identity(4)), integer_rows(gram))
     if draw(st.booleans()):
         v = draw(st.lists(st.integers(-1, 1), min_size=4, max_size=4)
                  .filter(any))
-        g = lat.basis_gram()
+        g = basis_gram(lat)
         q = sum(v[i] * g[i][j] * v[j] for i in range(4)
                 for j in range(4)) / 2
         assume(q <= 5)
@@ -435,9 +493,62 @@ def test_short_vectors_match_fraction_oracle(case):
 
 
 def test_non_positive_definite_rejected():
-    lat = IntLattice((1, identity(2)), [[2, 0], [0, -2]])
+    lat = IntLattice((1, identity(2)), (1, [[2, 0], [0, -2]]))
     with pytest.raises(LatticeError):
         short_vectors(lat, 2)
+
+
+# -- the integer setup against its Fraction oracles --------------------------
+
+def check_integer_setup(lat, bound):
+    """lat's integer basis Gram, LDL, content and short vectors against the
+    Fraction oracles, which read only lat.basis and lat.gram."""
+    den, rows = integer_rows(basis_gram(lat))
+    assert lat.integer_gram == (den, tuple(map(tuple, rows)))
+    assert lat.integer_ldl == integer_ldl(lat)
+    assert lat.content() == lattice_content(lat)
+    assert short_vectors(lat, bound) == fraction_short_vectors(lat, bound)
+
+
+@st.composite
+def based_lattices(draw):
+    """A form of lattices_and_bounds on the basis (D, D I + U) with D > 1
+    and U strictly upper triangular, so that the basis Gram carries D^2,
+    with a bound and a positive rescaling factor."""
+    lat, bound, _ = draw(lattices_and_bounds())
+    den = draw(st.integers(2, 4))
+    rows = [[den if i == j else draw(st.integers(-3, 3)) if j > i else 0
+             for j in range(4)] for i in range(4)]
+    factor = draw(st.fractions(Fraction(1, 6), 6, max_denominator=6))
+    return IntLattice((den, rows), lat.gram), bound, factor
+
+
+@settings(max_examples=40, deadline=None)
+@given(based_lattices())
+def test_integer_setup_and_rescaling_match_fraction_oracles(case):
+    lat, bound, factor = case
+    check_integer_setup(lat, bound)
+    scaled = lat.rescaled(factor)
+    assert scaled.basis == lat.basis
+    assert fractions(scaled.gram) == [[x * factor for x in row]
+                                      for row in fractions(lat.gram)]
+    check_integer_setup(scaled, bound)
+
+
+@pytest.mark.parametrize("n1, n2", [(11, 1), (2, 13), (13, 2), (7, 2)])
+def test_connecting_lattices_match_fraction_oracles(n1, n2):
+    # connecting_lattice and norm_one_element rescale a product lattice
+    # whose integer Gram is already cached
+    cs = class_set_for(n1, n2)
+    alg = cs.order.algebra
+    for i in range(cs.size):
+        for j in range(cs.size):
+            conn = cs.connecting(i, j)
+            check_integer_setup(conn, 3)
+            assert conn.content() == 1
+            prod = times_conj(alg, cs.reps[i], cs.reps[j])
+            check_integer_setup(prod, 2 * prod.content())
+            check_integer_setup(prod.rescaled(1 / prod.content()), 2)
 
 
 # -- theta coefficients ------------------------------------------------------

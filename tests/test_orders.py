@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -10,16 +11,16 @@ from quatperiods._linalg import inverse, mat_mul, rref, transpose, vec_mat
 from quatperiods.brandt import atkin_lehner
 from quatperiods.lattice import IntLattice, short_vectors
 from quatperiods.orders import (EichlerOrder, OrderError, _coords, _covolume,
-                                _is_order, class_set_for, eichler_mass,
-                                eichler_order, essential_complement,
-                                ideals_equivalent, maximal_order,
-                                product_basis, right_ideal_classes,
-                                superorders_at, times_conj,
-                                two_sided_prime_ideal)
+                                _dual_kernel_mod_p, _is_order, class_set_for,
+                                eichler_mass, eichler_order,
+                                essential_complement, ideals_equivalent,
+                                maximal_order, product_basis,
+                                right_ideal_classes, superorders_at,
+                                times_conj, two_sided_prime_ideal)
 from quatperiods.quatalg import (Quaternion, _is_squarefree, _prime_factors,
                                  algebra_for_discriminant)
 
-from test_lattice import (det, fractions, hnf_rational, identity,
+from test_lattice import (basis_gram, det, fractions, hnf_rational, identity,
                           lattice_index, lattice_intersection, pair)
 from test_quatalg import one
 
@@ -40,15 +41,15 @@ def contains(order, q):
 
 def reference_level(alg, basis):
     """Reduced discriminant: the square root of det of the trace form."""
-    d = det(mat_mul(mat_mul(basis, alg.norm_gram()), transpose(basis)))
+    d = det(mat_mul(mat_mul(basis, fractions(alg.norm_gram())),
+                    transpose(basis)))
     assert d.denominator == 1 and math.isqrt(d.numerator) ** 2 == d
     return math.isqrt(d.numerator)
 
 
 def lattice_key(lattice):
     """Canonical hashable key of an IntLattice: its basis pair and Gram."""
-    return (pair(fractions(lattice.basis)),
-            tuple(tuple(row) for row in lattice.gram))
+    return pair(fractions(lattice.basis)), lattice.gram
 
 
 def test_hurwitz_maximal_order():
@@ -56,7 +57,7 @@ def test_hurwitz_maximal_order():
     order = maximal_order(alg)
     assert order.level == 2
     # trace-form determinant oracle: 2^2 = 4
-    assert det(order.norm_lattice().basis_gram()) == 4
+    assert det(basis_gram(order.norm_lattice())) == 4
     assert reference_level(alg, fractions(order.basis)) == 2
     # contains (1+i+j+k)/2
     omega = Quaternion(alg, Fraction(1, 2), Fraction(1, 2), Fraction(1, 2),
@@ -354,6 +355,16 @@ def test_two_sided_ideal_rejects_good_prime():
         two_sided_prime_ideal(class_set_for(11).order, 3)
     with pytest.raises(OrderError):
         superorders_at(class_set_for(11).order, 3)
+
+
+def test_dual_kernel_rejects_a_non_integral_trace_form():
+    # (1/2) Z<1, i, j, k> is no order: its trace form has denominator 2,
+    # which the kernel mod p must reject instead of truncating
+    alg = algebra_for_discriminant(2)
+    half = SimpleNamespace(norm_lattice=lambda: IntLattice(
+        (2, identity(4)), alg.norm_gram()))
+    with pytest.raises(OrderError, match="not integral"):
+        _dual_kernel_mod_p(half, 2)
 
 
 def test_level_38_disc_2_ground_truth():

@@ -33,6 +33,19 @@ def test_no_run_imports_sympy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # every cold process pays for what `import quatperiods.cli` pulls in,
+    # and dataclasses alone brings inspect, ast, dis and tokenize
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    code = ("import sys\n"
+            "import quatperiods.cli\n"
+            "assert 'dataclasses' not in sys.modules\n"
+            "assert 'inspect' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def _top_level_imports(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):

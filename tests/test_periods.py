@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 from fractions import Fraction
 
 import pytest
@@ -12,8 +12,10 @@ from quatperiods.periods import (PeriodError, SignData, degenerate_eisenstein,
 
 
 def scaled_form(form, c):
-    """form with every value multiplied by c."""
-    return dataclasses.replace(form, values=[v * c for v in form.values])
+    """A copy of form with every value multiplied by c."""
+    out = copy.copy(form)
+    out.values = [v * c for v in form.values]
+    return out
 
 
 def records():

@@ -13,6 +13,8 @@ from quatperiods.yoshida import (FourierTable, HalfIntMatrix, YoshidaError,
                                  diagonal_restriction, psi_components,
                                  unimodular_check, yoshida_lift)
 
+from test_lattice import basis_gram
+
 
 def scalar_form(cs, scalars):
     """The weight-0 form with the given value on each class."""
@@ -48,7 +50,7 @@ def reference_yoshida_lift(phi1, phi2, prec):
                     continue
                 family = psi_components(q_bip, nu1, nu2, cs.order.algebra)
             conn = cs.connecting(i, j)
-            g = conn.basis_gram()
+            g = basis_gram(conn)
             vecs = short_vectors(conn, prec, include_zero=True)
             for v1, q1 in vecs:
                 for v2, q2 in vecs:
