@@ -39,8 +39,12 @@ class ValidationError(ValueError):
     pass
 
 
-def _records(args):
-    return ingest(args.newforms or newformdata.default_data_path())
+def _newforms(args, *labels):
+    """The records of the given labels, in order; of the newform file only
+    their rows are parsed."""
+    records = ingest(args.newforms or newformdata.default_data_path(),
+                     set(labels))
+    return [resolve_label(records, label) for label in labels]
 
 
 def match_eigenform(class_set, record, bound=50):
@@ -83,9 +87,8 @@ def _signs(h1, h2, f1, f2):
 
 def run_pipeline(args):
     """Newform labels -> sign table -> algebra -> period report (+ L-values)."""
-    records = _records(args)
-    h1, h2, f1, f2 = (resolve_label(records, getattr(args, key))
-                      for key in QUADRUPLE)
+    h1, h2, f1, f2 = _newforms(args,
+                               *(getattr(args, key) for key in QUADRUPLE))
     level = args.level or h1.level
     for r in (h1, h2, f1, f2):
         if r.level != level:
@@ -219,8 +222,7 @@ def run_verify(args):
     ok &= check("level 11 ground truth", level11)
 
     def theta_match():
-        records = _records(args)
-        h = resolve_label(records, "11a")
+        h, = _newforms(args, "11a")
         cs = class_set_for(11)
         cusp = next(f for f in eigenforms(cs)
                     if f.label == "cuspidal-essential")
@@ -383,7 +385,7 @@ def run_theta(args):
     if args.eisenstein:
         form = next(f for f in eigenforms(cs) if f.label == "eisenstein")
     elif args.match:
-        form = match_eigenform(cs, resolve_label(_records(args), args.match))
+        form = match_eigenform(cs, *_newforms(args, args.match))
     else:
         form = _cusp_form(cs, "select one with --match LABEL")
     th = eichler_theta(form, args.prec)
@@ -430,9 +432,8 @@ def run_diffop(args):
 
 
 def run_gate(args):
-    records = _records(args)
     signs, table, n1, reason = _signs(
-        *(resolve_label(records, getattr(args, key)) for key in QUADRUPLE))
+        *_newforms(args, *(getattr(args, key) for key in QUADRUPLE)))
     return {"level": signs.level, "sign_table": table,
             "selected_disc": n1, "rejection": reason}
 
@@ -443,9 +444,8 @@ def _triple(args):
                if not getattr(args, key)]
     if missing:
         raise ValidationError(f"{args.command} needs " + ", ".join(missing))
-    records = _records(args)
-    triple = [resolve_label(records, getattr(args, key))
-              for key in ("h1", "f1", "f2")]
+    triple = _newforms(args,
+                       *(getattr(args, key) for key in ("h1", "f1", "f2")))
     if len({r.level for r in triple}) > 1:
         raise ValidationError(
             "the triple mixes levels "
@@ -455,7 +455,7 @@ def _triple(args):
 
 def run_euler(args):
     if args.sym2:
-        fac = sym2_factor(resolve_label(_records(args), args.sym2), args.p)
+        fac = sym2_factor(*_newforms(args, args.sym2), args.p)
     else:
         fac = triple_factor_at(*_triple(args), args.p)
     return {"type": "sym2" if args.sym2 else "triple", "p": args.p,
@@ -465,8 +465,7 @@ def run_euler(args):
 def run_lvalue(args):
     terms = args.pmax or None
     if args.sym2:
-        cv = petersson_norm_proxy(resolve_label(_records(args), args.sym2),
-                                  terms=terms)
+        cv = petersson_norm_proxy(*_newforms(args, args.sym2), terms=terms)
     else:
         cv = _triple_lambda(*_triple(args), terms=terms)
     return {"type": "sym2-edge" if args.sym2 else "triple-central",

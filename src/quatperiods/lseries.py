@@ -1,12 +1,15 @@
 """Newform data, exact Euler factor algebra, numerical central values.
 
-Factor algebra is exact over Q throughout (reciprocal-root power sums make
-tensor products and symmetric squares one-liners); floating point enters only
-in the smoothed approximate-functional-equation evaluator, which works in
-double precision and reports an error estimate.  Doubles suffice: the sums
-take every grid value and every Dirichlet coefficient as a double anyway,
-and the reported errors, set by the node counts and the series length, are
-1e-8 or more, far above the rounding of the grid.
+Factor algebra is exact and runs in Python ints: every arithmetically
+normalized factor has integer coefficients, and the divisions in Newton's
+identities are exact in Z for integral reciprocal roots, so a Fraction
+appears only where a caller scales roots by a non-integer.  Reciprocal-root
+power sums make tensor products and symmetric squares one-liners.  Floating
+point enters only in the smoothed approximate-functional-equation evaluator,
+which works in double precision and reports an error estimate.  Doubles
+suffice: the sums take every grid value and every Dirichlet coefficient as a
+double anyway, and the reported errors, set by the node counts and the
+series length, are 1e-8 or more, far above the rounding of the grid.
 
 The evaluator (Dokchitser, Exp. Math. 13, 2004) writes each smoothed sum
 as sum_n b_n n^{-s-c} V(log n): the weight V, the inverse Mellin transform
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from collections import Counter, namedtuple
 from fractions import Fraction
 
@@ -63,12 +67,15 @@ class NewformRecord(namedtuple("NewformRecord",
         return self.ap[p]
 
 
-def ingest(path):
+def ingest(path, labels=None):
     """Parse a newform eigen-data file.
 
     Format (one record per line):
     label|N|k|eps_p list as p:+-1 comma-separated|a_p list as p:value
-    Rejects malformed rows and Ramanujan violations, naming the row.
+    Rejects malformed rows and Ramanujan violations, naming the row.  With
+    labels given, only the rows whose label is among them are parsed and
+    checked; every row's label is still read, so a label the file repeats
+    comes back once per row.
     """
     records = []
     primes, sieved = set(), 0
@@ -76,6 +83,8 @@ def ingest(path):
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
+                continue
+            if labels is not None and line.split("|", 1)[0] not in labels:
                 continue
             parts = line.split("|")
             if len(parts) != 5:
@@ -121,16 +130,24 @@ def resolve_label(records, label):
 # Euler factors
 # ---------------------------------------------------------------------------
 
+def _divide(a, k):
+    """a / k exactly: an int when k divides a, else a Fraction."""
+    q, r = divmod(a, k)
+    return Fraction(a) / k if r else q
+
+
 class EulerFactor:
     """Local factor as a polynomial in X = p^{-s}, constant term 1.
 
-    shift: evaluating the analytic (s -> 1-s symmetric) normalization means
+    Coefficients are exact: ints for integral factors, which every method
+    keeps as ints, and Fractions only where a caller brings them in.  shift:
+    evaluating the analytic (s -> 1-s symmetric) normalization means
     substituting X = p^{-s-shift}.
     """
 
     def __init__(self, prime, coeffs, shift=Fraction(0)):
         self.prime = prime
-        self.coeffs = [Fraction(c) for c in coeffs]
+        self.coeffs = list(coeffs)
         self.shift = shift
         if not self.coeffs or self.coeffs[0] != 1:
             raise LSeriesError("Euler factor must have constant term 1")
@@ -140,27 +157,29 @@ class EulerFactor:
         return len(self.coeffs) - 1
 
     def power_sums(self, count):
-        """Power sums of reciprocal roots via Newton's identities."""
-        e = [(-1) ** k * self.coeffs[k] if k < len(self.coeffs) else Fraction(0)
-             for k in range(count + 1)]
-        ps = [Fraction(0)] * (count + 1)
+        """Power sums p_1..p_count of the reciprocal roots by Newton's
+        identities, p_k = -(k c_k + sum_{0 < i < k} c_i p_{k-i})."""
+        c, d = self.coeffs, self.degree
+        ps = [0]
         for k in range(1, count + 1):
-            acc = Fraction(0)
-            for i in range(1, k):
-                acc += (-1) ** (i - 1) * e[i] * ps[k - i]
-            ps[k] = acc + (-1) ** (k - 1) * Fraction(k) * e[k]
+            acc = k * c[k] if k <= d else 0
+            for i in range(1, min(k, d + 1)):
+                acc += c[i] * ps[k - i]
+            ps.append(-acc)
         return ps[1:]
 
     @classmethod
     def from_power_sums(cls, prime, ps, degree, shift=Fraction(0)):
-        e = [Fraction(1)]
+        """The factor whose reciprocal roots have power sums ps[0], ps[1],
+        ...: c_k = -(sum_{0 < i <= k} c_{k-i} p_i) / k.  The division is
+        exact in Z when the roots are algebraic integers."""
+        c = [1]
         for k in range(1, degree + 1):
-            acc = Fraction(0)
+            acc = 0
             for i in range(1, k + 1):
-                acc += (-1) ** (i - 1) * e[k - i] * ps[i - 1]
-            e.append(acc / k)
-        coeffs = [(-1) ** k * e[k] for k in range(degree + 1)]
-        return cls(prime, coeffs, shift)
+                acc += c[k - i] * ps[i - 1]
+            c.append(_divide(-acc, k))
+        return cls(prime, c, shift)
 
     def tensor(self, other):
         """Factor with reciprocal roots r_i * s_j (Rankin-Selberg tensor)."""
@@ -174,14 +193,15 @@ class EulerFactor:
                                            self.shift + other.shift)
 
     def sym2(self):
-        """Symmetric square: roots r_i r_j for i <= j."""
+        """Symmetric square: roots r_i r_j for i <= j, whose k-th power sum
+        (p_k^2 + p_2k) / 2 is an integer for integral roots."""
         d = self.degree * (self.degree + 1) // 2
         ps1 = self.power_sums(2 * d)
-        ps = [(ps1[k] ** 2 + ps1[2 * k + 1]) / 2 for k in range(d)]
+        ps = [_divide(ps1[k] ** 2 + ps1[2 * k + 1], 2) for k in range(d)]
         return EulerFactor.from_power_sums(self.prime, ps, d, 2 * self.shift)
 
     def scale_roots(self, c):
-        c = Fraction(c)
+        """Roots times c, an int or a Fraction."""
         coeffs = [self.coeffs[k] * c ** k for k in range(len(self.coeffs))]
         return EulerFactor(self.prime, coeffs, self.shift)
 
@@ -190,7 +210,7 @@ class EulerFactor:
         if self.prime != other.prime or self.shift != other.shift:
             raise LSeriesError("factor product needs matching prime and shift")
         a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             for j, y in enumerate(b):
                 out[i + j] += x * y
@@ -198,9 +218,9 @@ class EulerFactor:
 
     def local_coefficients(self, count):
         """Dirichlet coefficients of 1/f at p^0..p^count (arithmetic)."""
-        inv = [Fraction(1)]
+        inv = [1]
         for m in range(1, count + 1):
-            acc = Fraction(0)
+            acc = 0
             for k in range(1, min(m, self.degree) + 1):
                 acc -= self.coeffs[k] * inv[m - k]
             inv.append(acc)
@@ -247,7 +267,7 @@ def triple_factor_steinberg(h, f1, f2, p):
     for r in (h, f1, f2):
         if r.level % p or r.weight != 2:
             raise LSeriesError("Steinberg triple factor needs weight 2, p||N")
-    c = Fraction(h.a(p) * f1.a(p) * f2.a(p))
+    c = h.a(p) * f1.a(p) * f2.a(p)
     one = EulerFactor(p, [1, -c], shift=Fraction(3, 2))
     two = EulerFactor(p, [1, -c * p], shift=Fraction(3, 2))
     return one.multiply(two).multiply(two)
@@ -265,8 +285,10 @@ def triple_factors(h, f1, f2, count):
 
     dirichlet_coefficients(factors, count) reads the factor at p only up to
     X^floor(log_p count).  For a good p with p^2 > count that is the linear
-    term -b_p, b_p = a_p(h) a_p(f1) a_p(f2), so the degree-8 factor is built
-    only for p <= sqrt(count), and the series is the same term for term.
+    term -b_p, b_p = a_p(h) a_p(f1) a_p(f2), an int, so the degree-8 factor
+    is built only for p <= sqrt(count), and the series is the same term for
+    term; such a p then costs dirichlet_coefficients one stride over its
+    multiples.
     """
     deep = math.isqrt(count)
     shift = _triple_shift(h, f1, f2)
@@ -295,7 +317,7 @@ def sym2_factor(record, p):
     """Symmetric square local factor (degree 3 good, 1 bad), shift k-1."""
     shift = Fraction(record.weight - 1)
     if record.level % p == 0:
-        a = Fraction(record.a(p))
+        a = record.a(p)
         return EulerFactor(p, [1, -a * a * p ** (record.weight - 2)],
                            shift=shift)
     s2 = good_factor(record, p).sym2()
@@ -360,6 +382,13 @@ def dirichlet_coefficients(factors, count):
 
     factors: dict prime -> EulerFactor (each with its shift); every prime
     up to count needs one, and is read only up to X^floor(log_p count).
+
+    b_n is 1.0 times the local value at p^v || n for each p | n, multiplied
+    in increasing order of p.  For each p the local values of its multiples
+    are laid out with one stride per power p^v <= count, each over the one
+    before (a prime with p^2 > count has only v = 1), and multiplied into b
+    in one more stride.  Nothing is divided out, so a zero local value is
+    harmless.
     """
     primes = primes_up_to(count)
     for p in primes:
@@ -372,13 +401,15 @@ def dirichlet_coefficients(factors, count):
         local = f.local_coefficients(int(math.log(count, p)) + 1)
         shift = float(f.shift)
         loc = [float(c) * p ** (-v * shift) for v, c in enumerate(local)]
-        for n in range(p, count + 1, p):
-            v = 0
-            nn = n
-            while nn % p == 0:
-                nn //= p
-                v += 1
-            b[n] *= loc[v]
+        # at[j] is the local value at (j + 1) p; p^v | (j + 1) p exactly
+        # when j + 1 is a multiple of q = p^{v-1}
+        at = [loc[1]] * (count // p)
+        q, v = p, 2
+        while q * p <= count:
+            at[q - 1::q] = [loc[v]] * (count // (q * p))
+            q *= p
+            v += 1
+        b[p::p] = map(operator.mul, b[p::p], at)
     return b
 
 

@@ -204,6 +204,61 @@ def test_euler_triple_factor_degree(capsys):
     assert len(out["coeffs"]) == 9
 
 
+# euler JSON recorded while the factor algebra ran in Fractions: a good and
+# a Steinberg prime of a triple, and the Sym^2 factor at a good and a bad
+# prime
+EULER_JSON = {
+    ("--h1", "11a", "--f1", "11a", "--f2", "11a", "--p", "3"): {
+        "coeffs": ["1", "1", "63", "-108", "1728", "-2916", "45927", "19683",
+                   "531441"],
+        "p": 3, "shift": "3/2", "type": "triple"},
+    ("--h1", "26a", "--f1", "26b", "--f2", "26b", "--p", "13"): {
+        "coeffs": ["1", "-27", "195", "-169"],
+        "p": 13, "shift": "3/2", "type": "triple"},
+    ("--sym2", "11a", "--p", "5"): {
+        "coeffs": ["1", "4", "-20", "-125"],
+        "p": 5, "shift": "1", "type": "sym2"},
+    ("--sym2", "11a", "--p", "11"): {
+        "coeffs": ["1", "-1"], "p": 11, "shift": "1", "type": "sym2"},
+}
+
+
+@pytest.mark.parametrize("args", list(EULER_JSON))
+def test_euler_json_is_pinned(capsys, args):
+    assert cli.main(["euler", *args]) == 0
+    assert capsys.readouterr().out == json.dumps(
+        EULER_JSON[args], sort_keys=True, indent=1) + "\n"
+
+
+NEWFORMS = ("a|7|2|7:+1|2:1,3:1\n"
+            "bad|7|2\n"
+            "d|7|2|7:+1|2:1,3:1\n"
+            "r|7|2|7:+1|2:5,3:1\n"
+            "d|7|2|7:-1|2:0,3:1\n")
+
+
+@pytest.mark.parametrize("label, message", [
+    ("zz", "label zz: 0 matches in the file"),
+    ("d", "label d: 2 matches in the file"),
+    ("bad", "row 2: expected 5 fields"),
+    ("r", "row 4: Ramanujan violation |a_2|=5"),
+])
+def test_only_the_named_rows_are_read_but_every_label_is(capsys, tmp_path,
+                                                         label, message):
+    path = tmp_path / "newforms.txt"
+    path.write_text(NEWFORMS, encoding="utf-8")
+    # the rows of other labels are not parsed, so their faults do not show
+    out = run_json(capsys, "euler", "--newforms", str(path), "--sym2", "a",
+                   "--p", "3")
+    assert out["coeffs"] == ["1", "2", "-6", "-27"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["euler", "--newforms", str(path), "--sym2", label,
+                  "--p", "3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_yoshida_weight_0_lift_level_11(capsys):
     out = run_json(capsys, "yoshida", "--disc", "11", "--prec", "4")
     polys = {tuple(c["T"]): c["poly"] for c in out["coeffs"]}

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatperiods.lseries import (EulerFactor, LSeriesError, NewformRecord,
                                  _afe_terms, _log_gamma, central_value,
@@ -88,6 +90,161 @@ def test_power_sums_roundtrip():
     ps = f.power_sums(6)
     g = EulerFactor.from_power_sums(5, ps[:3], 3)
     assert g.coeffs == f.coeffs
+
+
+class FractionFactor:
+    """Oracle for the EulerFactor algebra: Newton's identities with signed
+    elementary symmetric functions, every value a Fraction."""
+
+    def __init__(self, coeffs):
+        self.coeffs = [Fraction(c) for c in coeffs]
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    def power_sums(self, count):
+        e = [(-1) ** k * self.coeffs[k] if k < len(self.coeffs)
+             else Fraction(0) for k in range(count + 1)]
+        ps = [Fraction(0)] * (count + 1)
+        for k in range(1, count + 1):
+            acc = Fraction(0)
+            for i in range(1, k):
+                acc += (-1) ** (i - 1) * e[i] * ps[k - i]
+            ps[k] = acc + (-1) ** (k - 1) * Fraction(k) * e[k]
+        return ps[1:]
+
+    @classmethod
+    def from_power_sums(cls, ps, degree):
+        e = [Fraction(1)]
+        for k in range(1, degree + 1):
+            acc = Fraction(0)
+            for i in range(1, k + 1):
+                acc += (-1) ** (i - 1) * e[k - i] * ps[i - 1]
+            e.append(acc / k)
+        return cls([(-1) ** k * e[k] for k in range(degree + 1)])
+
+    def tensor(self, other):
+        d = self.degree * other.degree
+        ps1 = self.power_sums(d)
+        ps2 = other.power_sums(d)
+        return FractionFactor.from_power_sums(
+            [ps1[k] * ps2[k] for k in range(d)], d)
+
+    def sym2(self):
+        d = self.degree * (self.degree + 1) // 2
+        ps1 = self.power_sums(2 * d)
+        return FractionFactor.from_power_sums(
+            [(ps1[k] ** 2 + ps1[2 * k + 1]) / 2 for k in range(d)], d)
+
+    def scale_roots(self, c):
+        c = Fraction(c)
+        return FractionFactor([self.coeffs[k] * c ** k
+                               for k in range(len(self.coeffs))])
+
+    def multiply(self, other):
+        a, b = self.coeffs, other.coeffs
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return FractionFactor(out)
+
+    def local_coefficients(self, count):
+        inv = [Fraction(1)]
+        for m in range(1, count + 1):
+            acc = Fraction(0)
+            for k in range(1, min(m, self.degree) + 1):
+                acc -= self.coeffs[k] * inv[m - k]
+            inv.append(acc)
+        return inv
+
+
+def integral_factor(degree):
+    """Coefficients 1, c_1..c_degree of an integral factor, |c_k| <= 50;
+    c_1 = -a_p is 0 often enough to be drawn."""
+    return st.lists(st.integers(-50, 50), min_size=degree, max_size=degree
+                    ).map(lambda tail: [1, *tail])
+
+
+def all_ints(values):
+    return all(type(v) is int for v in values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]),
+       pair=st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+           lambda ds: st.tuples(integral_factor(ds[0]),
+                                integral_factor(ds[1]))),
+       count=st.integers(0, 8))
+def test_integral_factor_algebra_matches_the_fraction_oracle(p, pair, count):
+    (a, b), (fa, fb) = pair, map(FractionFactor, pair)
+    f, g = EulerFactor(p, a), EulerFactor(p, b)
+    ps = f.power_sums(count)
+    assert ps == fa.power_sums(count) and all_ints(ps)
+    rebuilt = EulerFactor.from_power_sums(p, f.power_sums(f.degree),
+                                          f.degree)
+    assert rebuilt.coeffs == a
+    for got, want in ((f.tensor(g), fa.tensor(fb)), (f.sym2(), fa.sym2()),
+                      (f.multiply(g), fa.multiply(fb)),
+                      (f.scale_roots(-3), fa.scale_roots(-3))):
+        assert got.coeffs == want.coeffs and all_ints(got.coeffs)
+    local = f.local_coefficients(count)
+    assert local == fa.local_coefficients(count) and all_ints(local)
+
+
+def test_scale_roots_by_a_non_integer_gives_fractions():
+    f = EulerFactor(5, [1, 2, 5]).scale_roots(Fraction(1, 5))
+    assert f.coeffs == FractionFactor([1, 2, 5]).scale_roots(
+        Fraction(1, 5)).coeffs == [1, Fraction(2, 5), Fraction(1, 5)]
+    assert all(type(c) is Fraction for c in f.coeffs)
+
+
+def brute_force_coefficients(factors, count):
+    """Oracle for dirichlet_coefficients: factor each n and multiply 1.0 by
+    the local double at p^v || n in increasing order of p."""
+    loc = {}
+    for p in primes_up_to(count):
+        f = factors[p]
+        local = FractionFactor(f.coeffs).local_coefficients(
+            int(math.log(count, p)) + 1)
+        shift = float(f.shift)
+        loc[p] = [float(c) * p ** (-v * shift) for v, c in enumerate(local)]
+    b = [None]
+    for n in range(1, count + 1):
+        value, m = 1.0, n
+        for p in sorted(loc):
+            v = 0
+            while m % p == 0:
+                m //= p
+                v += 1
+            if v:
+                value *= loc[p][v]
+        b.append(value)
+    return b
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 8, 9, 30, 49, 250, 1000])
+def test_dirichlet_coefficients_match_the_factored_oracle(count):
+    # b_p = 0 at 3 (p^2 <= count from 9 on) and at the largest prime
+    # (p^2 > count); the rest random of degree 1 to 3, with shifts that make
+    # the product of three or more local doubles depend on their order
+    rng = random.Random(count)
+    primes = primes_up_to(count)
+    factors = {}
+    for p in primes:
+        degree = rng.randint(1, 3)
+        coeffs = [1] + [rng.randint(-9, 9) for _ in range(degree)]
+        if p in (3, primes[-1]):
+            coeffs[1] = 0
+        factors[p] = EulerFactor(p, coeffs, rng.choice(
+            [Fraction(0), Fraction(1, 2), Fraction(3, 2)]))
+    b = dirichlet_coefficients(factors, count)
+    want = brute_force_coefficients(factors, count)
+    assert b[0] is None and want[0] is None
+    assert [x.hex() for x in b[1:]] == [x.hex() for x in want[1:]]
+    if count >= 3:
+        assert b[3] == 0.0
 
 
 def test_tensor_degrees_and_values():
