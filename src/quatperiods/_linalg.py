@@ -5,8 +5,8 @@ Matrices are plain lists of lists; rows are vectors.  Entries are Fraction
 or elements of another exact field type such as brandt.NumberFieldElement.
 A rational lattice is one pair (den, rows): integer rows in HNF over one
 denominator (hnf_lattice), so products, membership and indices of lattices
-stay in integers.  Everything here is deterministic and allocation-light so
-the rest of the package can lean on it in inner loops.
+stay in integers.  inverse, too, clears each row of its denominators and
+eliminates in integers.  Everything here is deterministic.
 """
 
 from __future__ import annotations
@@ -83,12 +83,37 @@ def rref(mat, p=None):
 
 
 def inverse(mat):
+    """Inverse of a square matrix of ints and Fractions, as Fractions.
+
+    Each row is cleared of its denominators, and fraction-free (Bareiss)
+    Gauss-Jordan elimination runs on [D A | D] in integers, D the diagonal
+    of the row scales.  Every entry stays a minor, so each division by the
+    last pivot p is exact, and the blocks end as [p I | p A^{-1}].
+    """
     n = len(mat)
-    aug = [list(map(Fraction, mat[i])) + identity(n)[i] for i in range(n)]
-    red, piv = rref(aug)
-    if piv[:n] != list(range(n)):
-        raise ValueError("matrix not invertible")
-    return [row[n:] for row in red]
+    m = []
+    for i, row in enumerate(mat):
+        d = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (d // x.denominator) for x in row]
+                 + [d * (i == j) for j in range(n)])
+    prev = 1
+    for k in range(n):
+        pr = next((i for i in range(k, n) if m[i][k]), None)
+        if pr is None:
+            raise ValueError("matrix not invertible")
+        m[k], m[pr] = m[pr], m[k]
+        top = m[k]
+        pk = top[k]
+        for i, row in enumerate(m):
+            f = row[k]
+            if i == k:
+                continue
+            if f:
+                m[i] = [(pk * x - f * y) // prev for x, y in zip(row, top)]
+            elif pk != prev:
+                m[i] = [pk * x // prev for x in row]
+        prev = pk
+    return [[Fraction(x, prev) for x in row[n:]] for row in m]
 
 
 def solve_right(mat, rhs):

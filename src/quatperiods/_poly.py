@@ -85,13 +85,15 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        result = Poly.const(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
+        """self ** k from the top bit of k down: floor(log2 k) squares and
+        popcount(k) - 1 products with self."""
+        if type(k) is not int or k < 0:
+            raise ValueError(f"exponent must be a nonnegative int, not {k!r}")
+        result = self if k else Poly.const(self.nvars, 1)
+        for bit in bin(k)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __eq__(self, other):

@@ -447,7 +447,8 @@ def _similitude_vector(alg, gram_inv):
 def _compose(p, images):
     """p with the polynomials images substituted for its variables."""
     return Poly(images[0].nvars, chain.from_iterable(
-        reduce(mul, map(pow, images, mono), c).terms.items()
+        reduce(mul, (img ** e for img, e in zip(images, mono) if e),
+               Poly.const(images[0].nvars, c)).terms.items()
         for mono, c in p.terms.items()))
 
 

@@ -214,9 +214,29 @@ def integer_terms(polys, den):
          for m, c in p.terms.items()] for p in polys]
 
 
-def monomial_values(y, monos):
-    """[prod_i y_i^m_i for m in monos]."""
-    return [math.prod(x ** e for x, e in zip(y, m) if e) for m in monos]
+def monomial_values(points, monos):
+    """[[prod_i y_i^m_i for m in monos] for y in points], built up
+    incrementally: a monomial is its parent (its first nonzero exponent
+    lowered by one) times that y_i, so once the parents are found each
+    point costs one product per monomial or parent."""
+    index, steps = {}, []   # monomial -> value number; (parent number, i)
+
+    def visit(m):
+        if m not in index:
+            i = next((i for i, e in enumerate(m) if e), None)
+            if i is not None:
+                steps.append((visit(m[:i] + (m[i] - 1,) + m[i + 1:]), i))
+            index[m] = len(steps)
+        return index[m]
+
+    slots = [visit(m) for m in monos]
+    out = []
+    for y in points:
+        vals = [1]
+        for k, i in steps:
+            vals.append(vals[k] * y[i])
+        out.append([vals[k] for k in slots])
+    return out
 
 
 def theta_coeffs(lattice, prec, weight=None):
@@ -236,8 +256,10 @@ def theta_coeffs(lattice, prec, weight=None):
     den, (terms,) = integer_terms([weight], lattice.basis[0])
     monos = [m for m, _ in terms]
     coefs = [c for _, c in terms]
-    for v, q in short_vectors(lattice, prec, include_zero=True):
-        if q.denominator == 1:
-            y = lattice.integer_ambient(v)
-            sums[int(q)] += sum(map(mul, coefs, monomial_values(y, monos)))
+    found = [(int(q), lattice.integer_ambient(v))
+             for v, q in short_vectors(lattice, prec, include_zero=True)
+             if q.denominator == 1]
+    for (n, _), vals in zip(found, monomial_values([y for _, y in found],
+                                                   monos)):
+        sums[n] += sum(map(mul, coefs, vals))
     return {n: s * Fraction(1, den) for n, s in sums.items()}

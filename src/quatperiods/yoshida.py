@@ -145,12 +145,13 @@ def _pair_sums(conn, prec, polys):
     """(N, {(n1, m2, n2): [N * sum_{(x1, x2) of index T} p(x1, x2) per p]}).
 
     The sums run over the pairs of vectors of conn with integral norms
-    q(x1) + q(x2) <= prec and integral m2 = B(x1, x2); a pair at which every
-    p vanishes is skipped, so an index first appears at its first nonzero
-    pair.  The polys are on two copies of the ambient space, x1 first, and
-    all in integers over one denominator N (lattice.integer_terms): each
-    x1 block is summed out once per x1, and each x2 then costs an integer
-    dot product with its precomputed monomials.
+    q(x1) + q(x2) <= prec and integral m2 = B(x1, x2).  The polys are on two
+    copies of the ambient space, x1 first, and all in integers over one
+    denominator N (lattice.integer_terms).  With the vectors sorted by norm
+    the x2 loop stops at the first q2 > prec - q1, and the x2 monomial rows
+    of each (x1, index) group are added up before one integer dot product
+    per p.  A group whose sums all vanish is skipped; an index can still
+    appear with sums that add up to 0 over its groups.
     """
     n = len(conn.basis[1])
     den, slots = integer_terms(polys, conn.basis[0])
@@ -161,31 +162,35 @@ def _pair_sums(conn, prec, polys):
     slots = [[(pos1[m[:n]], pos2[m[n:]], c) for m, c in terms]
              for terms in slots]
     gden, grows = conn.integer_gram
-    vecs = []
-    for v, q in short_vectors(conn, prec, include_zero=True):
-        if q.denominator == 1:
-            y = conn.integer_ambient(v)
-            vecs.append((v, int(q), monomial_values(y, monos1),
-                         monomial_values(y, monos2)))
+    vecs = sorted((int(q), v) for v, q in
+                  short_vectors(conn, prec, include_zero=True)
+                  if q.denominator == 1)
+    ys = [conn.integer_ambient(v) for _, v in vecs]
+    vecs = list(zip(vecs, monomial_values(ys, monos1),
+                    monomial_values(ys, monos2)))
     sums = {}
-    for v1, q1, mono1, _ in vecs:
+    for (q1, v1), mono1, _ in vecs:
         gv1 = [sum(map(mul, row, v1)) for row in grows]   # G is symmetric
+        groups = {}
+        for (q2, v2), _, mono2 in vecs:
+            if q1 + q2 > prec:
+                break
+            m2 = sum(map(mul, gv1, v2))
+            if m2 % gden:
+                continue
+            key = (q1, m2 // gden, q2)
+            cur = groups.get(key)
+            groups[key] = mono2 if cur is None else list(map(add, cur, mono2))
         partials = []
         for terms in slots:
             part = [0] * len(monos2)
             for k1, k2, c in terms:
                 part[k2] += c * mono1[k1]
             partials.append(part)
-        for v2, q2, _, mono2 in vecs:
-            if q1 + q2 > prec:
-                continue
-            m2 = sum(map(mul, gv1, v2))
-            if m2 % gden:
-                continue
-            vals = [sum(map(mul, part, mono2)) for part in partials]
+        for key, row in groups.items():
+            vals = [sum(map(mul, part, row)) for part in partials]
             if not any(vals):
                 continue
-            key = (q1, m2 // gden, q2)
             cur = sums.get(key)
             sums[key] = vals if cur is None else list(map(add, cur, vals))
     return den, sums

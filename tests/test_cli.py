@@ -365,11 +365,15 @@ def test_verify_passes_and_exits_3_on_a_failed_check(capsys, monkeypatch):
 
 @pytest.mark.parametrize("job", [
     "yoshida --disc 3 --nu1 2 --nu2 2 --prec 4 --seed 1",
+    "yoshida --disc 3 --nu1 2 --nu2 2 --prec 4 --seed 2",
+    "yoshida --disc 3 --nu1 2 --nu2 2 --prec 4 --seed 3",
     "restrict --disc 11 --prec 6 --gamma 2",
+    "theta --disc 11 --prec 30",
+    "diffop --k 4 --a 2 --b 1 --r 2 --T 2,1,3",
 ])
 def test_lift_tables_match_the_benchmark_references(job):
-    # the benchmark's gate wants these bytes; a changed Fourier table fails
-    # here first
+    # the six siegel-lift jobs of the benchmark: its gate wants these bytes,
+    # and a changed Fourier table or theta series fails here first
     refs = json.loads((Path(SRC).parent / "bench" / "references.json")
                       .read_text(encoding="utf-8"))
     proc = run_cli(*job.split())

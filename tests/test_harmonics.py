@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
+from functools import reduce
 from math import factorial
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatperiods._linalg import rref, solve_right
 from quatperiods._poly import Poly
@@ -52,6 +56,47 @@ def test_poly_keeps_number_field_coefficients():
     assert p.terms[(0, 1)] == 1 - root2
     assert (p * p).terms[(2, 0)] == 2
     assert Poly(2, [((1, 0), root2), ((1, 0), -root2)]).is_zero()
+
+
+ROOT2 = NumberFieldElement.generator((Fraction(1), Fraction(0), Fraction(-2)))
+
+monomials2 = st.tuples(st.integers(0, 2), st.integers(0, 2))
+small_polys = st.one_of(
+    st.dictionaries(monomials2, st.integers(-3, 3), max_size=4),
+    st.dictionaries(monomials2, st.tuples(st.integers(-2, 2),
+                                          st.integers(-2, 2)).map(
+        lambda ab: ROOT2 * ab[1] + ab[0]), max_size=3),
+).map(lambda terms: Poly(2, terms))
+
+
+def counted_power(p, k):
+    """(p ** k, the number of Poly products it took)."""
+    calls = []
+    product = Poly.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return product(self, other)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Poly, "__mul__", counting)
+        result = p ** k
+    return result, len(calls)
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_polys, st.integers(0, 6))
+def test_poly_power_is_the_repeated_product_by_binary_powering(p, k):
+    result, products = counted_power(p, k)
+    assert result == reduce(mul, [p] * k, Poly.const(2, 1))
+    # floor(log2 k) squares and popcount(k) - 1 further products
+    assert products <= (k.bit_length() - 1 + k.bit_count() - 1 if k else 0)
+
+
+@pytest.mark.parametrize("k", [-1, -3, 1.0, Fraction(2)])
+def test_poly_power_rejects_exponents_that_are_not_nonnegative_ints(k):
+    with pytest.raises(ValueError, match="nonnegative int"):
+        Poly(2, {(1, 0): 1}) ** k
 
 
 def test_poly_embed_tensor_matches_term_products():

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quatperiods._linalg import (content, hnf, hnf_lattice, mat_mul,
-                                 nullspace, charpoly, rref, transpose)
+from quatperiods._linalg import (content, hnf, hnf_lattice, inverse,
+                                 mat_mul, nullspace, charpoly, rref, transpose)
+from quatperiods.harmonics import split_iso
 from quatperiods.lattice import (IntLattice, LatticeError, short_vectors,
                                  theta_coeffs)
 from quatperiods.orders import class_set_for, times_conj
+from quatperiods.quatalg import algebra_for_discriminant
 from quatperiods._poly import Poly
 
 
@@ -172,6 +174,53 @@ def test_nullspace_and_charpoly():
     cp = charpoly([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(2)]])
     # x^2 - 4x + 3
     assert cp == [Fraction(1), Fraction(-4), Fraction(3)]
+
+
+def fraction_inverse(mat):
+    """Oracle for _linalg.inverse: rref of [A | I] in Fractions."""
+    n = len(mat)
+    aug = [[Fraction(x) for x in mat[i]] + identity(n)[i] for i in range(n)]
+    red, piv = rref(aug)
+    if piv[:n] != list(range(n)):
+        raise ValueError("matrix not invertible")
+    return [row[n:] for row in red]
+
+
+@st.composite
+def rational_matrices(draw):
+    n = draw(st.integers(1, 8))
+    entry = st.one_of(st.integers(-3, 3),
+                      st.fractions(-20, 20, max_denominator=12))
+    return [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices())
+def test_inverse_matches_fraction_oracle(mat):
+    try:
+        expected = fraction_inverse(mat)
+    except ValueError:
+        with pytest.raises(ValueError, match="matrix not invertible"):
+            inverse(mat)
+        return
+    got = inverse(mat)
+    assert got == expected
+    assert all(type(x) is Fraction for row in got for x in row)
+    assert mat_mul(mat, got) == identity(len(mat))
+
+
+@pytest.mark.parametrize("disc", [3, 11])
+def test_inverse_of_the_split_isomorphism_matches_fraction_oracle(disc):
+    split = split_iso(algebra_for_discriminant(disc), 2)
+    assert len(split.phi_matrix) == 25
+    assert split.phi_inv == fraction_inverse(split.phi_matrix)
+
+
+def test_inverse_rejects_singular_matrices():
+    for mat in ([[1, 2], [2, 4]], [[0, 0], [0, 1]],
+                [[Fraction(1, 2), 1, 0], [1, 2, 0], [0, 0, 3]]):
+        with pytest.raises(ValueError, match="^matrix not invertible$"):
+            inverse(mat)
 
 
 def int_kernel(mat):
