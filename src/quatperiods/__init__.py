@@ -7,10 +7,10 @@ Submodules:
   harmonics  harmonic polynomial spaces, kernels, trilinear forms
   brandt     Brandt matrices, eigenforms, theta lifts
   yoshida    degree-2 Yoshida lift Fourier coefficients
-  periods    Atkin-Lehner gates and trilinear period sums
+  periods    Atkin-Lehner gates, period sums, the quadruple pipeline
   diffop     holomorphic differential operators on Siegel expansions
   lseries    newform data, Euler factors, numerical central values
-  cli        command line interface
+  cli        thin command line layer over the modules above
 """
 
 __version__ = "0.1.0"

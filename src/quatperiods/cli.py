@@ -1,10 +1,12 @@
-"""Command line interface and end-to-end pipeline.
+"""Command line layer: parse, call, print, map errors to exit codes.
 
 Subcommands: classset, brandt, eigen, theta, yoshida, restrict, diffop, gate,
 period, euler, lvalue, verify.  Each takes only the flags its handler reads;
-the parsed arguments are the whole configuration.  Outputs are deterministic
-JSON (sorted keys, no timestamps).  Exit codes: 0 success, 2 invalid input
-(one `error: ...` line on stderr), 3 math-invariant failure.
+the parsed arguments are the whole configuration.  A handler resolves
+newform labels and calls the package; the pipeline from a quadruple to its
+period report lives in `periods`, the central values in `lseries`.  Outputs
+are deterministic JSON (sorted keys, no timestamps).  Exit codes: 0 success,
+2 invalid input (one `error: ...` line on stderr), 3 math-invariant failure.
 """
 
 from __future__ import annotations
@@ -13,26 +15,24 @@ import argparse
 import json
 import math
 import sys
-from collections import Counter
 from fractions import Fraction
 
 from . import newformdata
 from .brandt import (brandt_matrix, constant_form, eichler_theta, eigenforms,
-                     inner_product, poly_text, unit_average_form)
-from .lseries import (_afe_terms, central_value, ingest,
-                      petersson_norm_proxy, resolve_label, sym2_factor,
-                      triple_conductor, triple_factor_at, triple_factors,
-                      triple_gamma_shifts, LSeriesError)
+                     poly_text, unit_average_form)
+from .lseries import (ingest, petersson_norm_proxy, resolve_label,
+                      sym2_factor, triple_central_value, triple_factor_at,
+                      LSeriesError)
 from .orders import class_set_for, eichler_mass
 from .periods import (PeriodError, SignData, degenerate_eisenstein,
-                      period_sums, select_algebra, sign_gate)
-from .quatalg import _is_prime, _is_squarefree, _prime_factors, primes_up_to
+                      match_eigenform, period_sums, quadruple_gate,
+                      quadruple_report, sign_gate)
+from .quatalg import _is_prime, _is_squarefree, _prime_factors
 from .yoshida import HalfIntMatrix, diagonal_restriction, yoshida_lift
 from .diffop import apply_to_table, projection_poly
 
-CONVENTION_VERSION = "qp-v1"
-
 QUADRUPLE = ("h1", "h2", "f1", "f2")
+TRIPLE = ("h1", "f1", "f2")
 
 
 class ValidationError(ValueError):
@@ -45,145 +45,6 @@ def _newforms(args, *labels):
     records = ingest(args.newforms or newformdata.default_data_path(),
                      set(labels))
     return [resolve_label(records, label) for label in labels]
-
-
-def match_eigenform(class_set, record, bound=50):
-    """The rational weight-0 eigenform matching a newform's a_p for good
-    p <= bound."""
-    level = class_set.order.level
-    if record.level != level:
-        raise ValidationError(f"{record.label} has level {record.level}, "
-                              f"but the class set has level {level}")
-    primes = [p for p in primes_up_to(bound) if level % p]
-    forms = eigenforms(class_set, 0, primes=tuple(primes))
-    hits = []
-    for f in forms:
-        if f.label == "eisenstein" or f.field:
-            continue
-        try:
-            if all(f.eigenvalues[p] == record.a(p) for p in primes):
-                hits.append(f)
-        except (KeyError, LSeriesError):
-            continue
-    if len(hits) != 1:
-        labels = [f.label for f in hits]
-        raise ValidationError(
-            f"{record.label}: eigenform match ambiguity, candidates {labels}")
-    return hits[0]
-
-
-# ---------------------------------------------------------------------------
-# pipeline
-# ---------------------------------------------------------------------------
-
-def _signs(h1, h2, f1, f2):
-    """Sign data of a quadruple, its table by prime, the selected
-    discriminant (None if the period vanishes) and the rejection reason."""
-    signs = SignData.from_records(h1, h2, f1, f2)
-    n1, reason = select_algebra(signs)
-    table = {str(p): signs.product_at(p) for p in _prime_factors(signs.level)}
-    return signs, table, n1, reason
-
-
-def run_pipeline(args):
-    """Newform labels -> sign table -> algebra -> period report (+ L-values)."""
-    h1, h2, f1, f2 = _newforms(args,
-                               *(getattr(args, key) for key in QUADRUPLE))
-    level = args.level or h1.level
-    for r in (h1, h2, f1, f2):
-        if r.level != level:
-            raise ValidationError(f"{r.label} has level {r.level}, not {level}")
-    signs, table, n1, reason = _signs(h1, h2, f1, f2)
-    result = {
-        "labels": {key: getattr(args, key) for key in QUADRUPLE},
-        "level": level,
-        "sign_table": table,
-        "convention": CONVENTION_VERSION,
-        "weighting": args.weighting,
-        "selected_disc": n1,
-    }
-    if n1 is None:
-        result["vanishing_certificate"] = reason
-        return result
-    cs = class_set_for(n1, level // n1)
-    phi1 = match_eigenform(cs, h1)
-    phi2 = match_eigenform(cs, h2)
-    psi1 = match_eigenform(cs, f1)
-    psi2 = match_eigenform(cs, f2)
-    report = period_sums(phi1, phi2, psi1, psi2, 0, 0,
-                         weighting=args.weighting, signs=signs)
-    result["period"] = report.to_json()
-    if args.lvalue:
-        result["lvalue_cross_check"] = ratio_quantity(
-            h1, h2, f1, f2, phi1, phi2, psi1, psi2,
-            terms=args.pmax or None)
-    return result
-
-
-def _triple_lambda(h, f1, f2, terms=None):
-    """Completed central value of L(h, f1, f2; s) with documented bad data."""
-    level = h.level
-    cond = triple_conductor(level)
-    if terms is None:
-        terms = _afe_terms(cond)
-    factors = triple_factors(h, f1, f2, terms)
-    sign = 1
-    for p in _prime_factors(level):
-        sign *= -h.a(p) * -f1.a(p) * -f2.a(p)
-    sign = -sign
-    return central_value(factors, triple_gamma_shifts(), cond, sign,
-                         terms=terms)
-
-
-def ratio_quantity(h1, h2, f1, f2, phi1, phi2, psi1, psi2, terms=None):
-    """Ratio diagnostic for the central-value proportionality.
-
-    Computes (S1 S2)^2 <h1,h1> <h2,h2> <f1,f1>^2 <f2,f2>^2 /
-    (Lambda(h1,f1,f2;1/2) Lambda(h2,f1,f2;1/2)) with the S sums in the mass
-    convention and all four quaternionic forms normalized to unit natural
-    norm (equivalently: theta lifts with first coefficient one; the two
-    normalizations coincide).  The <f_i> factors follow the period formula,
-    which carries them explicitly; Petersson norms are symmetric-square
-    proxies, so a fixed level-weight constant is left over and cancels when
-    two quadruples are compared.
-    """
-    rep = period_sums(phi1, phi2, psi1, psi2, 0, 0, weighting="mass")
-    norms = [inner_product(f, f) for f in (phi1, phi2, psi1, psi2)]
-    s_sq = (rep.s1 * rep.s2) ** 2
-    normalized = s_sq / (norms[0] * norms[1] * norms[2] ** 2 * norms[3] ** 2)
-    lam1 = _triple_lambda(h1, f1, f2, terms=terms)
-    lam2 = lam1 if h2.label == h1.label \
-        else _triple_lambda(h2, f1, f2, terms=terms)
-    # each Sym^2 proxy's power in the ratio, equal labels adding up
-    records, powers = {}, Counter()
-    for r, power in ((h1, 1), (h2, 1), (f1, 2), (f2, 2)):
-        records[r.label] = r
-        powers[r.label] += power
-    pets = {label: petersson_norm_proxy(r)
-            for label, r in records.items()}
-    value = None
-    rel_err = float("inf")
-    if lam1.lam and lam2.lam:
-        value = float(normalized) / (lam1.lam * lam2.lam) \
-            * math.prod(pets[label].lam ** power
-                        for label, power in powers.items())
-        # each factor's relative error times its power in the ratio
-        rel_err = sum(abs(cv.error / cv.value) for cv in (lam1, lam2)) \
-            + sum(power * abs(pets[label].error / pets[label].value)
-                  for label, power in powers.items())
-    return {
-        "normalized_period_sq": str(normalized),
-        "lambda_h1": _lambda_with_error(lam1),
-        "lambda_h2": _lambda_with_error(lam2),
-        "petersson": {k: v.lam for k, v in pets.items()},
-        "ratio": value,
-        "relative_error": rel_err,
-    }
-
-
-def _lambda_with_error(cv):
-    """Lambda(1/2) with its own error; cv.error belongs to L(1/2)."""
-    return {"value": cv.lam, "error": cv.lam_error}
 
 
 # ---------------------------------------------------------------------------
@@ -432,20 +293,32 @@ def run_diffop(args):
 
 
 def run_gate(args):
-    signs, table, n1, reason = _signs(
+    signs, table, n1, reason = quadruple_gate(
         *_newforms(args, *(getattr(args, key) for key in QUADRUPLE)))
     return {"level": signs.level, "sign_table": table,
             "selected_disc": n1, "rejection": reason}
 
 
-def _triple(args):
-    """The newforms named by --h1, --f1 and --f2."""
-    missing = [f"--{key}" for key in ("h1", "f1", "f2")
-               if not getattr(args, key)]
+def run_pipeline(args):
+    """The period report of the quadruple named by the label flags."""
+    return quadruple_report(
+        *_newforms(args, *(getattr(args, key) for key in QUADRUPLE)),
+        weighting=args.weighting, lvalue=args.lvalue,
+        terms=args.pmax or None)
+
+
+def _series(args):
+    """The newform named by --sym2, or the triple named by --h1, --f1 and
+    --f2; naming both is a contradiction."""
+    given = [f"--{key}" for key in TRIPLE if getattr(args, key)]
+    if args.sym2:
+        if given:
+            raise ValidationError("--sym2 excludes " + ", ".join(given))
+        return _newforms(args, args.sym2)
+    missing = [f"--{key}" for key in TRIPLE if not getattr(args, key)]
     if missing:
         raise ValidationError(f"{args.command} needs " + ", ".join(missing))
-    triple = _newforms(args,
-                       *(getattr(args, key) for key in ("h1", "f1", "f2")))
+    triple = _newforms(args, *(getattr(args, key) for key in TRIPLE))
     if len({r.level for r in triple}) > 1:
         raise ValidationError(
             "the triple mixes levels "
@@ -454,20 +327,21 @@ def _triple(args):
 
 
 def run_euler(args):
+    records = _series(args)
     if args.sym2:
-        fac = sym2_factor(*_newforms(args, args.sym2), args.p)
+        fac = sym2_factor(*records, args.p)
     else:
-        fac = triple_factor_at(*_triple(args), args.p)
+        fac = triple_factor_at(*records, args.p)
     return {"type": "sym2" if args.sym2 else "triple", "p": args.p,
             "coeffs": [str(c) for c in fac.coeffs], "shift": str(fac.shift)}
 
 
 def run_lvalue(args):
-    terms = args.pmax or None
+    records, terms = _series(args), args.pmax or None
     if args.sym2:
-        cv = petersson_norm_proxy(*_newforms(args, args.sym2), terms=terms)
+        cv = petersson_norm_proxy(*records, terms=terms)
     else:
-        cv = _triple_lambda(*_triple(args), terms=terms)
+        cv = triple_central_value(*records, terms=terms)
     return {"type": "sym2-edge" if args.sym2 else "triple-central",
             "value": cv.value, "lambda": cv.lam, "error": cv.error,
             "terms": cv.terms}
@@ -550,7 +424,7 @@ def build_parser():
             p.add_argument(f"--{key}", required=True)
 
     def triple(p):
-        for key in ("h1", "f1", "f2"):
+        for key in TRIPLE:
             p.add_argument(f"--{key}", default="")
         p.add_argument("--sym2", default="",
                        help="use the symmetric square of this newform")
@@ -566,9 +440,10 @@ def build_parser():
     add("eigen", run_eigen, class_set)
     p = add("theta", run_theta, class_set, newforms)
     p.add_argument("--prec", type=POSITIVE, default=6)
-    p.add_argument("--match", default="",
-                   help="newform label to select the eigenform")
-    p.add_argument("--eisenstein", action="store_true")
+    form = p.add_mutually_exclusive_group()
+    form.add_argument("--match", default="",
+                      help="newform label to select the eigenform")
+    form.add_argument("--eisenstein", action="store_true")
     p = add("yoshida", run_yoshida, class_set)
     p.add_argument("--nu1", type=NONNEG, default=0)
     p.add_argument("--nu2", type=NONNEG, default=0)
@@ -585,7 +460,6 @@ def build_parser():
     p.add_argument("--T", type=_index, help="index n1,m2,n2 for Q(T)")
     add("gate", run_gate, quadruple, newforms)
     p = add("period", run_pipeline, quadruple, newforms, afe)
-    p.add_argument("--level", type=LEVEL)
     p.add_argument("--weighting", default="unweighted",
                    choices=("unweighted", "mass"))
     p.add_argument("--lvalue", action="store_true")

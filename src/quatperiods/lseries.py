@@ -44,7 +44,7 @@ import operator
 from collections import Counter, namedtuple
 from fractions import Fraction
 
-from .quatalg import primes_up_to
+from .quatalg import _prime_factors, primes_up_to
 
 
 class LSeriesError(ValueError):
@@ -682,6 +682,18 @@ def _afe_terms(conductor):
     return min(base, 200000)
 
 
+def triple_central_value(h, f1, f2, terms=None):
+    """Completed central value of L(h, f1, f2; s) at s = 1/2, for weight-2
+    newforms of one squarefree level N, all Steinberg at every p | N."""
+    conductor = triple_conductor(h.level)
+    count = _afe_terms(conductor) if terms is None else terms
+    # root number -prod_{p | N} eps_p, eps_p = -a_p(h) a_p(f1) a_p(f2)
+    sign = -math.prod(-h.a(p) * -f1.a(p) * -f2.a(p)
+                      for p in _prime_factors(h.level))
+    return central_value(triple_factors(h, f1, f2, count),
+                         triple_gamma_shifts(), conductor, sign, terms=terms)
+
+
 def petersson_norm_proxy(record, terms=None):
     """Value of the completed symmetric square at the analytic edge s = 1.
 
@@ -693,7 +705,6 @@ def petersson_norm_proxy(record, terms=None):
     conductor = sym2_conductor(record)
     count = _afe_terms(conductor) if terms is None else terms
     factors = {p: sym2_factor(record, p) for p in primes_up_to(count)}
-    cv = central_value(factors, sym2_gamma_shifts(record.weight),
-                       conductor, +1, s0=Fraction(1), terms=terms)
-    return cv
+    return central_value(factors, sym2_gamma_shifts(record.weight),
+                         conductor, +1, s0=Fraction(1), terms=terms)
 

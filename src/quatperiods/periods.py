@@ -1,4 +1,5 @@
-"""Atkin-Lehner vanishing gates and trilinear period sums.
+"""Atkin-Lehner vanishing gates, trilinear period sums and the pipeline from
+a newform quadruple to its period report and L-value cross-check.
 
 The finite sums S_i = sum_j T_i(phi_i(y_j), psi1(y_j), psi2(y_j)) are the
 quantities the main theorem relates to central triple-product L-values.  The
@@ -7,15 +8,28 @@ convention here, with the mass-weighted variant (which is the one the
 theta-pairing derivation actually produces, and which the degenerate
 Eisenstein case needs for its vanishing statement) exposed as a flag; reports
 carry both.
+
+The pipeline, quadruple_report, takes four newform records of one
+squarefree level N from their Atkin-Lehner signs to the discriminant N1 | N
+the gate admits (or the vanishing certificate), the matching eigenforms on
+the Eichler order of level N there, and their period sums; ratio_quantity
+sets those against the triple central values and Sym^2 Petersson proxies.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+import math
+from collections import Counter, namedtuple
 from fractions import Fraction
+from itertools import combinations
 
+from .brandt import constant_form, eigenforms, inner_product
 from .harmonics import trace_zero_space, trilinear_form
-from .quatalg import _prime_factors
+from .lseries import LSeriesError, petersson_norm_proxy, triple_central_value
+from .orders import class_set_for
+from .quatalg import _prime_factors, primes_up_to
+
+CONVENTION_VERSION = "qp-v1"
 
 
 class PeriodError(ValueError):
@@ -29,8 +43,10 @@ class SignData(namedtuple("SignData", "level eps_h eps_f1 eps_f2")):
 
     @classmethod
     def from_records(cls, h1, h2, f1, f2):
-        if not (h1.level == h2.level == f1.level == f2.level):
-            raise PeriodError("quadruple must share one squarefree level")
+        for r in (h2, f1, f2):
+            if r.level != h1.level:
+                raise PeriodError(
+                    f"{r.label} has level {r.level}, not {h1.level}")
         if h1.al_signs != h2.al_signs:
             raise PeriodError(
                 "h1, h2 must share their Atkin-Lehner eigenvalues")
@@ -41,10 +57,8 @@ class SignData(namedtuple("SignData", "level eps_h eps_f1 eps_f2")):
         return self.eps_h[p] * self.eps_f1[p] * self.eps_f2[p]
 
     def global_product(self):
-        out = 1
-        for p in _prime_factors(self.level):
-            out *= self.product_at(p)
-        return out
+        return math.prod(self.product_at(p)
+                         for p in _prime_factors(self.level))
 
 
 def sign_gate(signs, n1):
@@ -67,10 +81,8 @@ def select_algebra(signs):
     """
     if signs.global_product() == 1:
         return None, "sign +1 => central value zero"
-    n1 = 1
-    for p in _prime_factors(signs.level):
-        if signs.product_at(p) == -1:
-            n1 *= p
+    n1 = math.prod(p for p in _prime_factors(signs.level)
+                   if signs.product_at(p) == -1)
     # global product -1 forces an odd number of -1 primes
     passers = [d for d in _divisors_odd_omega(signs.level)
                if sign_gate(signs, d)]
@@ -81,15 +93,8 @@ def select_algebra(signs):
 
 def _divisors_odd_omega(n):
     primes = _prime_factors(n)
-    out = []
-    for mask in range(1, 1 << len(primes)):
-        if bin(mask).count("1") % 2 == 1:
-            d = 1
-            for k, p in enumerate(primes):
-                if mask >> k & 1:
-                    d *= p
-            out.append(d)
-    return sorted(out)
+    return sorted(math.prod(c) for k in range(1, len(primes) + 1, 2)
+                  for c in combinations(primes, k))
 
 
 class PeriodReport(namedtuple(
@@ -186,7 +191,6 @@ def degenerate_eisenstein(phi1, psi1, psi2):
     the exact vanishing for distinct psi eigenforms that the corollary states
     (the unweighted values are still reported).
     """
-    from .brandt import constant_form
     cs = phi1.class_set
     if psi1.weight != psi2.weight:
         raise PeriodError("psi forms must have equal weight")
@@ -194,3 +198,114 @@ def degenerate_eisenstein(phi1, psi1, psi2):
     phi2 = constant_form(cs, 1 / mass)
     return period_sums(phi1, phi2, psi1, psi2, 0, 0, weighting="mass")
 
+
+def match_eigenform(class_set, record, bound=50):
+    """The rational weight-0 eigenform matching a newform's a_p for good
+    p <= bound."""
+    level = class_set.order.level
+    if record.level != level:
+        raise PeriodError(f"{record.label} has level {record.level}, "
+                          f"but the class set has level {level}")
+    primes = [p for p in primes_up_to(bound) if level % p]
+    forms = eigenforms(class_set, 0, primes=tuple(primes))
+    hits = []
+    for f in forms:
+        if f.label == "eisenstein" or f.field:
+            continue
+        try:
+            if all(f.eigenvalues[p] == record.a(p) for p in primes):
+                hits.append(f)
+        except (KeyError, LSeriesError):
+            continue
+    if len(hits) != 1:
+        labels = [f.label for f in hits]
+        raise PeriodError(
+            f"{record.label}: eigenform match ambiguity, candidates {labels}")
+    return hits[0]
+
+
+def quadruple_gate(h1, h2, f1, f2):
+    """Sign data of a quadruple, its table by prime, the selected
+    discriminant (None if the period vanishes) and the rejection reason."""
+    signs = SignData.from_records(h1, h2, f1, f2)
+    n1, reason = select_algebra(signs)
+    table = {str(p): signs.product_at(p) for p in _prime_factors(signs.level)}
+    return signs, table, n1, reason
+
+
+def quadruple_report(h1, h2, f1, f2, weighting="unweighted", lvalue=False,
+                     terms=None):
+    """Newform records -> sign table -> algebra -> period report, plus the
+    L-value cross-check when lvalue is set; terms is the series length of
+    every central value (None: from its conductor)."""
+    records = (h1, h2, f1, f2)
+    signs, table, n1, reason = quadruple_gate(*records)
+    result = {
+        "labels": {key: r.label
+                   for key, r in zip(("h1", "h2", "f1", "f2"), records)},
+        "level": signs.level,
+        "sign_table": table,
+        "convention": CONVENTION_VERSION,
+        "weighting": weighting,
+        "selected_disc": n1,
+    }
+    if n1 is None:
+        result["vanishing_certificate"] = reason
+        return result
+    cs = class_set_for(n1, signs.level // n1)
+    forms = [match_eigenform(cs, r) for r in records]
+    report = period_sums(*forms, 0, 0, weighting=weighting, signs=signs)
+    result["period"] = report.to_json()
+    if lvalue:
+        result["lvalue_cross_check"] = ratio_quantity(records, forms, report,
+                                                      terms=terms)
+    return result
+
+
+def ratio_quantity(records, forms, report, terms=None):
+    """Ratio diagnostic for the central-value proportionality.
+
+    Computes (S1 S2)^2 <h1,h1> <h2,h2> <f1,f1>^2 <f2,f2>^2 /
+    (Lambda(h1,f1,f2;1/2) Lambda(h2,f1,f2;1/2)) with the S sums in the mass
+    convention, read from the report of the quadruple's forms, and all four
+    quaternionic forms normalized to unit natural norm (equivalently: theta
+    lifts with first coefficient one; the two normalizations coincide).
+    The <f_i> factors follow the period formula, which carries them
+    explicitly; Petersson norms are symmetric-square proxies, so a fixed
+    level-weight constant is left over and cancels when two quadruples are
+    compared.
+    """
+    h1, h2, f1, f2 = records
+    s1, s2 = report.conventions["mass"]
+    # each form's norm and Sym^2 proxy enters the ratio to these powers
+    powers = (1, 1, 2, 2)
+    normalized = (s1 * s2) ** 2 / math.prod(
+        inner_product(f, f) ** k for f, k in zip(forms, powers))
+    lam1 = triple_central_value(h1, f1, f2, terms=terms)
+    lam2 = lam1 if h2.label == h1.label \
+        else triple_central_value(h2, f1, f2, terms=terms)
+    # equal labels share one proxy, their powers adding up
+    by_label, power_of = {}, Counter()
+    for r, k in zip(records, powers):
+        by_label[r.label] = r
+        power_of[r.label] += k
+    pets = {label: petersson_norm_proxy(r) for label, r in by_label.items()}
+    value = None
+    rel_err = float("inf")
+    if lam1.lam and lam2.lam:
+        value = float(normalized) / (lam1.lam * lam2.lam) \
+            * math.prod(pets[label].lam ** power
+                        for label, power in power_of.items())
+        # each factor's relative error times its power in the ratio
+        rel_err = sum(abs(cv.error / cv.value) for cv in (lam1, lam2)) \
+            + sum(power * abs(pets[label].error / pets[label].value)
+                  for label, power in power_of.items())
+    # each Lambda(1/2) with its own error; cv.error belongs to L(1/2)
+    return {
+        "normalized_period_sq": str(normalized),
+        "lambda_h1": {"value": lam1.lam, "error": lam1.lam_error},
+        "lambda_h2": {"value": lam2.lam, "error": lam2.lam_error},
+        "petersson": {k: v.lam for k, v in pets.items()},
+        "ratio": value,
+        "relative_error": rel_err,
+    }

@@ -13,13 +13,13 @@ from quatperiods.brandt import (BrandtError, NumberFieldElement,
                                 atkin_lehner,
                                 brandt_matrices, brandt_matrix, constant_form,
                                 eichler_theta, eigenforms, inner_product)
-from quatperiods.cli import match_eigenform
 from quatperiods.harmonics import (SplitIso, random_harmonic, tau_action,
                                    trace_zero_space)
 from quatperiods.lattice import short_vectors, theta_coeffs
 from quatperiods.lseries import NewformRecord
 from quatperiods.newformdata import curve_ap
 from quatperiods.orders import class_set_for, eichler_mass
+from quatperiods.periods import match_eigenform
 from quatperiods.quatalg import (Quaternion, _is_squarefree, _prime_factors,
                                  primes_up_to)
 from test_lattice import fraction_short_vectors

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import quatperiods
-from quatperiods import cli
+from quatperiods import cli, periods
 from quatperiods.brandt import constant_form
 from quatperiods.newformdata import eta_product_coefficients
 from quatperiods.periods import period_sums
@@ -76,6 +76,9 @@ def test_output_is_byte_identical_across_processes(args):
     ("classset", "--disc", "11", "--bits", "5"),
     ("lvalue", "--h1", "11a", "--f1", "14a", "--f2", "14a"),
     ("lvalue", "--sym2", "11a", "--bits", "100"),
+    # the level is the records' own, so there is no flag for it
+    ("period", "--h1", "11a", "--h2", "11a", "--f1", "11a", "--f2", "11a",
+     "--level", "11"),
 ])
 def test_unsupported_input_exits_2(args):
     proc = run_cli(*args)
@@ -103,6 +106,18 @@ def test_unsupported_input_exits_2(args):
     (("yoshida", "--disc", "2", "--prec", "2"),
      "0 rational essential cusp forms on this class set; this command "
      "needs exactly one"),
+    # contradictory flags: none is dropped, not even an unknown label
+    (("lvalue", "--sym2", "11a", "--h1", "26a", "--f1", "zz"),
+     "--sym2 excludes --h1, --f1"),
+    (("euler", "--sym2", "11a", "--h1", "26a", "--p", "3"),
+     "--sym2 excludes --h1"),
+    (("theta", "--disc", "11", "--eisenstein", "--match", "11a"),
+     "not allowed with argument"),
+    # a mixed-level quadruple names the record off the level of h1
+    (("period", "--h1", "11a", "--h2", "11a", "--f1", "14a", "--f2", "14a"),
+     "14a has level 14, not 11"),
+    (("gate", "--h1", "14a", "--h2", "14a", "--f1", "14a", "--f2", "11a"),
+     "11a has level 11, not 14"),
 ])
 def test_missing_label_or_mismatched_input_exits_2(args, message):
     proc = run_cli(*args)
@@ -284,14 +299,14 @@ def test_level_26_ratios_agree_within_propagated_error(capsys, monkeypatch):
     which counts both triple Lambdas and every Sym^2 proxy with its power.
     The reported Lambda carries its own error, not that of L(1/2)."""
     lambdas, values = [], []
-    triple_lambda = cli._triple_lambda
+    triple_lambda = periods.triple_central_value
 
     def counting(*args, **kwargs):
         lambdas.append([r.label for r in args[:3]])
         values.append(triple_lambda(*args, **kwargs))
         return values[-1]
 
-    monkeypatch.setattr(cli, "_triple_lambda", counting)
+    monkeypatch.setattr(periods, "triple_central_value", counting)
     checks = []
     for (h, f), disc in ((("26a", "26b"), 13), (("26b", "26a"), 2)):
         out = run_json(capsys, "period", "--h1", h, "--h2", h, "--f1", f,

@@ -1,4 +1,5 @@
 import copy
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from quatperiods.brandt import eigenforms
 from quatperiods.lseries import ingest, resolve_label
 from quatperiods.newformdata import default_data_path
+from quatperiods import periods
 from quatperiods.orders import class_set_for
 from quatperiods.periods import (PeriodError, SignData, degenerate_eisenstein,
                                  period_sums, select_algebra, sign_gate)
@@ -194,3 +196,56 @@ def test_gate_failure_forces_exact_zero_level_15():
             assert rep.product == 0
         else:
             assert rep.product != 0
+
+
+# -- the pipeline from a quadruple to the L-value cross-check ------------------
+
+# Recorded before the pipeline moved out of the command line layer, at the
+# default (unweighted) convention: the exact fields byte for byte, the
+# floats of the cross-check with their lambda values and errors.
+CROSS_CHECK = {
+    ("11a", "11a"): {
+        "exact": {"normalized_period_sq": "4/25", "S1": "-19", "S2": "-19",
+                  "conventions": {"mass": ["-5/2", "-5/2"],
+                                  "unweighted": ["-19", "-19"]}},
+        "ratio": 1.206000047052023,
+        "relative_error": 0.00028917003839570306,
+        "lambda": (0.0024048098258204315, 1.2205701162264155e-09)},
+    ("26a", "26b"): {
+        "exact": {"normalized_period_sq": "1/9", "S1": "-2", "S2": "-2",
+                  "conventions": {"mass": ["-1", "-1"],
+                                  "unweighted": ["-2", "-2"]}},
+        "ratio": 3.1376519884754575,
+        "relative_error": 0.0012038687873767726,
+        "lambda": (0.06477479724012745, 4.4108824213699575e-09)},
+}
+
+
+@pytest.mark.parametrize("h, f", sorted(CROSS_CHECK))
+def test_quadruple_report_pins_the_cross_check(monkeypatch, h, f):
+    calls = []
+    original = periods.period_sums
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(periods, "period_sums", counting)
+    recs = ingest(default_data_path(), {h, f})
+    h_rec, f_rec = resolve_label(recs, h), resolve_label(recs, f)
+    out = periods.quadruple_report(h_rec, h_rec, f_rec, f_rec, lvalue=True)
+    # the cross-check reads the mass sums off the report it follows
+    assert len(calls) == 1
+    want = CROSS_CHECK[h, f]
+    check, report = out["lvalue_cross_check"], out["period"]
+    got = {"normalized_period_sq": check["normalized_period_sq"],
+           "S1": report["S1"], "S2": report["S2"],
+           "conventions": report["conventions"]}
+    assert got == want["exact"]
+    for key in ("ratio", "relative_error"):
+        assert math.isclose(check[key], want[key], rel_tol=1e-12)
+    for key in ("lambda_h1", "lambda_h2"):
+        lam = check[key]
+        assert math.isclose(lam["value"], want["lambda"][0], rel_tol=1e-12)
+        assert math.isclose(lam["error"], want["lambda"][1], rel_tol=1e-12)
+
