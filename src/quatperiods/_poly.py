@@ -71,9 +71,6 @@ class Poly:
     def __sub__(self, other):
         return self + -other
 
-    def __rsub__(self, other):
-        return -self + other
-
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return Poly(self.nvars, ((m, c * other)

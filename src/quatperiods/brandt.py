@@ -25,11 +25,12 @@ from ._factor import factor
 from ._linalg import (charpoly, content, identity, mat_mul, mat_vec,
                       nullspace, rref, solve_right, transpose)
 from ._poly import Poly
-from .harmonics import (linear_combination, split_iso, tau_action,
-                        tau_substitution, trace_zero_space)
+from .harmonics import (linear_combination, random_harmonic, split_iso,
+                        tau_action, tau_substitution, trace_zero_space)
 from .lattice import short_vectors, theta_coeffs
-from .orders import norm_one_element, product_basis, two_sided_prime_ideal
-from .quatalg import Quaternion, _is_prime, _prime_factors, good_primes
+from .orders import (essential_complement, norm_one_element, product_basis,
+                     two_sided_prime_ideal)
+from .quatalg import _is_prime, _prime_factors, good_primes
 
 
 class BrandtError(ValueError):
@@ -200,7 +201,6 @@ def unit_average_form(class_set, nu, rng, span=5):
     averaging enforces that (and can come out zero when the invariant
     subspace at this weight is trivial).
     """
-    from .harmonics import random_harmonic
     alg = class_set.order.algebra
     sp = trace_zero_space(alg)
     values = []
@@ -210,8 +210,7 @@ def unit_average_form(class_set, nu, rng, span=5):
         acc = Poly.zero(3)
         for v, q in short_vectors(lat, 1):
             if q == 1:
-                u = Quaternion(alg, *lat.ambient(v))
-                acc = acc + tau_action(u, raw)
+                acc = acc + tau_action(alg, lat.integer_ambient(v), raw)
         values.append(acc * Fraction(1, class_set.unit_counts[i]))
     return QuatForm(class_set, nu, values, label="unit-averaged")
 
@@ -235,12 +234,13 @@ def _vector_to_form(class_set, nu, vec, block_dim):
         for i in range(class_set.size)])
 
 
-def _tau_matrix_on_basis(space, basis, x, nu):
-    """Matrix of tau(x) on the harmonic basis (columns = images)."""
-    sub = tau_substitution(x)
-    cols = [space.coords_in_basis(b.subs_linear(sub), nu) for b in basis]
-    dim = len(basis)
-    return [[cols[j][i] for j in range(dim)] for i in range(dim)]
+def _tau_matrix_on_basis(alg, x, nu):
+    """Matrix of tau(x) on the weight-nu harmonic basis (columns = images),
+    for the quaternion with coordinate tuple x."""
+    space = trace_zero_space(alg)
+    sub = tau_substitution(alg, x)
+    return transpose([space.coords_in_basis(b.subs_linear(sub), nu)
+                      for b in space.harmonic_basis(nu)])
 
 
 @lru_cache(maxsize=None)
@@ -268,9 +268,7 @@ def brandt_matrices(class_set, primes, nu=0):
     r = class_set.size
     e = class_set.unit_counts
     alg = class_set.order.algebra
-    sp = trace_zero_space(alg)
-    basis = sp.harmonic_basis(nu)
-    dim = len(basis)
+    dim = len(trace_zero_space(alg).harmonic_basis(nu))
     size = r * dim
     mats = {p: [[Fraction(0)] * size for _ in range(size)] for p in primes}
     for i in range(r):
@@ -286,8 +284,8 @@ def brandt_matrices(class_set, primes, nu=0):
                 continue
             for v, q in vecs:
                 if q in mats:
-                    x = Quaternion(alg, *conn.ambient(v))
-                    tm = _tau_matrix_on_basis(sp, basis, x, nu)
+                    tm = _tau_matrix_on_basis(alg, conn.integer_ambient(v),
+                                              nu)
                     block = mats[q]
                     for a in range(dim):
                         for b in range(dim):
@@ -323,9 +321,7 @@ def atkin_lehner(class_set, p, nu=0):
             raise BrandtError(f"P * I_{i} at {p} is in no class of the set")
         perm.append(j)
         twists.append(twist)
-    sp = trace_zero_space(alg)
-    basis = sp.harmonic_basis(nu)
-    dim = len(basis)
+    dim = len(trace_zero_space(alg).harmonic_basis(nu))
     size = r * dim
     mat = [[Fraction(0)] * size for _ in range(size)]
     for i in range(r):
@@ -333,7 +329,7 @@ def atkin_lehner(class_set, p, nu=0):
         if nu == 0:
             mat[i][j] = Fraction(1)
         else:
-            tm = _tau_matrix_on_basis(sp, basis, twists[i], nu)
+            tm = _tau_matrix_on_basis(alg, twists[i], nu)
             for a in range(dim):
                 for b in range(dim):
                     mat[i * dim + a][j * dim + b] = tm[a][b]
@@ -501,7 +497,6 @@ def _make_eigenform(class_set, nu, basis, sub, fac, primes, ops):
             raise BrandtError(f"w{p} acts on an orbit by {sign}, not by +-1")
         form.al_signs[p] = 1 if sign == 1 else -1
     if nu == 0:
-        from .orders import essential_complement
         proj = essential_complement(class_set)
         sval = form.scalar_values()
         image = mat_vec(proj, sval)

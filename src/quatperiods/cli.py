@@ -163,6 +163,15 @@ def run_verify(args):
             klingen.s1 == klingen.s2 and klingen.product == 361
     ok &= check("paper corollaries (a), (b)", corollaries)
 
+    def paper_constant():
+        # ratio * sqrt(N) = 4^omega(N) at N = 11, within its reported error
+        cross = quadruple_report(*_newforms(args, *["11a"] * 4), lvalue=True,
+                                 terms=2000)["lvalue_cross_check"]
+        err = cross["relative_error"]
+        return err <= 1e-5 and \
+            abs(cross["ratio"] * math.sqrt(11) / 4 - 1) <= 3 * err
+    ok &= check("paper constant at 11a^4", paper_constant)
+
     def euler():
         from .lseries import NewformRecord, spin_split_check, \
             sym2_identity_check

@@ -22,9 +22,10 @@ from itertools import chain
 from math import comb, factorial
 from operator import mul
 
-from ._linalg import frac_mat, identity, inverse, nullspace, vec_mat
+from ._linalg import (frac_mat, identity, inverse, nullspace, transpose,
+                      vec_mat)
 from ._poly import Poly, apply_diff_operator, fischer_pairing
-from .quatalg import quaternion_product
+from .quatalg import quaternion_norm, quaternion_product
 
 
 class HarmonicsError(ValueError):
@@ -223,8 +224,10 @@ def standard_space(dim):
 
 @lru_cache(maxsize=None)
 def trace_zero_space(alg):
-    g = alg.trace_zero_gram()
-    return HarmonicSpace([[x / 2 for x in row] for row in g])
+    """The norm form on span(i, j, k): the i, j, k block of norm_gram."""
+    den, g = alg.norm_gram()
+    return HarmonicSpace([[Fraction(x, 2 * den) for x in row[1:]]
+                          for row in g[1:]])
 
 
 @lru_cache(maxsize=None)
@@ -237,35 +240,38 @@ def full_space(alg):
 # tau action (conjugation on the trace-zero space)
 # ---------------------------------------------------------------------------
 
-def tau_matrix(y):
-    """Matrix rows = coordinates of y^{-1} e_t y on the basis i, j, k."""
-    if y.is_zero():
+def tau_substitution(alg, y):
+    """The linear substitution of tau_action(alg, y, .): column t holds the
+    coordinates on i, j, k of y^{-1} e_t y = conj(y) e_t y / n(y), for
+    e_t = i, j, k.
+
+    y is a coordinate tuple.  Since tau(c y) = tau(y), callers pass integer
+    coordinates where they have them (a lattice vector's integer_ambient):
+    the products then run in ints, with one division by n(y) per entry.
+    """
+    a, b = alg.a, alg.b
+    n = quaternion_norm(a, b, y)
+    if not n:
         raise HarmonicsError("tau action needs nonzero y")
-    alg = y.alg
-    n = y.norm()
-    rows = []
-    for e in alg.gens():
-        img = y.conj() * e * y
-        coords = [img.x / n, img.y / n, img.z / n]
-        if img.w != 0:
+    conj = (y[0], -y[1], -y[2], -y[3])
+    cols = []
+    for t in range(1, 4):
+        e = tuple(int(k == t) for k in range(4))
+        w, *img = quaternion_product(a, b, quaternion_product(a, b, conj, e),
+                                     y)
+        if w:
             raise HarmonicsError("conjugation left the trace-zero space")
-        rows.append(coords)
-    return rows
+        cols.append([Fraction(x, n) for x in img])
+    return transpose(cols)
 
 
-def tau_action(y, p):
+def tau_action(alg, y, p):
     """(tau(y) P)(x) = P(y^{-1} x y) on trace-zero polynomials.
 
     Group action: tau(y1 y2) = tau(y1) o tau(y2); harmonicity and degree are
     preserved because conjugation is an isometry of the norm form.
     """
-    return p.subs_linear(tau_substitution(y))
-
-
-def tau_substitution(y):
-    """The linear substitution of tau_action(y, .): tau_matrix(y) transposed."""
-    m = tau_matrix(y)
-    return [[m[j][i] for j in range(3)] for i in range(3)]
+    return p.subs_linear(tau_substitution(alg, y))
 
 
 # ---------------------------------------------------------------------------

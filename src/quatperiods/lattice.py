@@ -5,12 +5,15 @@ B(x, y) = q(x+y) - q(x) - q(y), so q(x) = B(x, x)/2.
 
 A lattice is two integer pairs over one denominator each.  Its basis is
 (D, rows), the generators rows / D in ambient coordinates, as orders.py
-builds it with _linalg.hnf_lattice.  Its form is (G, g), the ambient Gram
-g / G.  The basis Gram is the integer product rows g rows^T over D^2 G,
-computed once per lattice and divided down until its denominator is prime
-to its entries.  content(), the LDL decomposition and the enumeration all
-read that pair, and rescaling the form scales both pairs without
-recomputing anything.
+builds it with _linalg.hnf_lattice.  There the ambient space is a
+quaternion algebra on 1, i, j, k, and integer_ambient(v), D times the
+coordinates of a lattice vector, is the integer 4-tuple that
+quatalg.quaternion_product and quaternion_norm take.  Its form is (G, g),
+the ambient Gram g / G.  The basis Gram is the integer product rows g rows^T
+over D^2 G, computed once per lattice and divided down until its
+denominator is prime to its entries.  content(), the LDL decomposition and
+the enumeration all read that pair, and rescaling the form scales both
+pairs without recomputing anything.
 
 Enumeration is Fincke-Pohst on integers.  With the basis Gram M / G,
 q(x) = x^T M x / N for N = 2G.  Fraction-free (Bareiss) elimination on M

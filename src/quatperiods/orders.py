@@ -2,12 +2,14 @@
 
 Ideals and orders are stored as one canonical pair (den, rows) of
 _linalg.hnf_lattice: integer HNF rows over one denominator, in the
-coordinates 1, i, j, k of an algebra with integer a, b.  Products multiply
-integer rows, membership and coordinates back-substitute down the HNF, and
-an index is a ratio of HNF diagonals.  Class sets are computed by p-neighbor
-traversal seeded at the order itself, with the Eichler mass formula as the
-termination certificate (the mass formula is imported as a standard fact;
-it is not proved in this package).
+coordinates 1, i, j, k of an algebra with integer a, b.  A row is den
+times the coordinates of a quaternion, so products of rows go through
+quatalg.quaternion_product and norms through quatalg.quaternion_norm, both
+in integers.  Membership and coordinates
+back-substitute down the HNF, and an index is a ratio of HNF diagonals.
+Class sets are computed by p-neighbor traversal seeded at the order itself,
+with the Eichler mass formula as the termination certificate (the mass
+formula is imported as a standard fact; it is not proved in this package).
 
 Superorders, two-sided ideals, left orders and the order test all come
 from two primitives: the kernel mod p of an order's trace Gram, and the
@@ -35,9 +37,9 @@ from functools import lru_cache
 
 from ._linalg import hnf_lattice, hnf_solve, nullspace, transpose, vec_mat
 from .lattice import IntLattice, short_vectors
-from .quatalg import (Quaternion, _is_squarefree, _prime_factors,
+from .quatalg import (_is_squarefree, _prime_factors, _square_part,
                       algebra_for_discriminant, good_primes,
-                      quaternion_product)
+                      quaternion_norm, quaternion_product)
 
 
 class OrderError(ValueError):
@@ -47,19 +49,6 @@ class OrderError(ValueError):
 # ---------------------------------------------------------------------------
 # orders
 # ---------------------------------------------------------------------------
-
-def _structure_constants(alg):
-    """(a, b) as integers; every algebra_for_discriminant has them so."""
-    if alg.a.denominator != 1 or alg.b.denominator != 1:
-        raise OrderError(f"structure constants of {alg} are not integers")
-    return alg.a.numerator, alg.b.numerator
-
-
-def _norm(a, b, y):
-    """Reduced norm of the quaternion with integer coordinates y."""
-    w, x, u, z = y
-    return w * w - a * x * x - b * u * u + a * b * z * z
-
 
 def _coords(basis, d, num):
     """Integer coordinates in basis = (den, rows) of the element num / d,
@@ -113,8 +102,7 @@ class EichlerOrder:
         self.basis = hnf_lattice(*basis)
         if not _is_order(algebra, self.basis):
             raise OrderError("basis does not span an order")
-        a, b = _structure_constants(algebra)
-        level = 4 * abs(a * b) * _covolume(self.basis)
+        level = 4 * abs(algebra.a * algebra.b) * _covolume(self.basis)
         if level.denominator != 1:
             raise OrderError("reduced discriminant is not an integer")
         self.level = level.numerator
@@ -153,7 +141,7 @@ def _superorder_bases(order, p, kernel):
     (Z/p)^4 first meets it, so the first basis yielded is that walk's.
     """
     den, rows = order.basis
-    a, b = _structure_constants(order.algebra)
+    alg = order.algebra
     span = {tuple(sum(t * k[i] for t, k in zip(ts, kernel)) % p
                   for i in range(4))
             for ts in itertools.product(range(p), repeat=len(kernel))}
@@ -161,10 +149,11 @@ def _superorder_bases(order, p, kernel):
     p_rows = [[p * x for x in row] for row in rows]
     for c in sorted(lines, key=lambda c: c[::-1]):
         y = vec_mat(c, rows)                    # v = y / (p den)
-        if 2 * y[0] % (p * den) or _norm(a, b, y) % (p * den) ** 2:
+        if 2 * y[0] % (p * den) or \
+                quaternion_norm(alg.a, alg.b, y) % (p * den) ** 2:
             continue                            # trace or norm not integral
         cand = hnf_lattice(p * den, p_rows + [y])
-        if _is_order(order.algebra, cand):
+        if _is_order(alg, cand):
             yield cand
 
 
@@ -222,7 +211,7 @@ def _find_idempotent(order, p):
     """Order coordinates of a nontrivial idempotent of order/p*order
     (requires p unramified)."""
     den, rows = order.basis
-    a, b = _structure_constants(order.algebra)
+    a, b = order.algebra.a, order.algebra.b
     one_red = [v % p for v in _coords(order.basis, 1, (1, 0, 0, 0))]
 
     def idempotent(c):
@@ -239,7 +228,7 @@ def _find_idempotent(order, p):
                 return list(c)
             continue
         y = vec_mat(c, rows)
-        tr, nm = 2 * y[0] // den, _norm(a, b, y) // (den * den)
+        tr, nm = 2 * y[0] // den, quaternion_norm(a, b, y) // (den * den)
         disc = (tr * tr - 4 * nm) % p
         if disc == 0:
             continue
@@ -272,7 +261,7 @@ def eichler_order(maximal, n2):
         raise OrderError("level factor must be squarefree")
     if math.gcd(n2, alg.discriminant) != 1:
         raise OrderError("level factor must be coprime to the discriminant")
-    a, b = _structure_constants(alg)
+    a, b = alg.a, alg.b
     order = maximal
     for p in _prime_factors(n2):
         den, rows = order.basis
@@ -301,9 +290,8 @@ def eichler_order(maximal, n2):
 
 def product_basis(alg, basis_a, basis_b):
     """Canonical basis of I*J: the products of the rows over den_I den_J."""
-    a, b = _structure_constants(alg)
     (da, ra), (db, rb) = basis_a, basis_b
-    return hnf_lattice(da * db, [quaternion_product(a, b, x, y)
+    return hnf_lattice(da * db, [quaternion_product(alg.a, alg.b, x, y)
                                  for x in ra for y in rb])
 
 
@@ -333,18 +321,6 @@ def connecting_lattice(alg, basis_a, basis_b):
 # ---------------------------------------------------------------------------
 # class sets
 # ---------------------------------------------------------------------------
-
-def _square_part(n):
-    """Largest s with s^2 | n, for a positive integer n."""
-    s = 1
-    for p in _prime_factors(n):
-        v = 0
-        while n % p == 0:
-            n //= p
-            v += 1
-        s *= p ** (v // 2)
-    return s
-
 
 def eichler_mass(n1, n2):
     """Mass of an Eichler order of level n1*n2 (standard fact, used as a
@@ -400,14 +376,14 @@ class ClassSet:
 def _neighbors(alg, ideal_basis, left_ord, p):
     """The p+1 neighbor ideals u*I + p*I for rank-1 u in the left order,
     in the order of their rational rows."""
-    a, b = _structure_constants(alg)
+    a, b = alg.a, alg.b
     den, rows = ideal_basis
     lden, lrows = left_ord.basis
     p_rows = [[p * lden * x for x in row] for row in rows]
     found = set()
     for c in _nonzero_tuples(p, 4):
         u = vec_mat(c, lrows)                   # u / lden, of integral norm
-        if _norm(a, b, u) % (p * lden * lden):
+        if quaternion_norm(a, b, u) % (p * lden * lden):
             continue
         nb = hnf_lattice(lden * den, [quaternion_product(a, b, u, row)
                                       for row in rows] + p_rows)
@@ -419,7 +395,8 @@ def _neighbors(alg, ideal_basis, left_ord, p):
 
 
 def norm_one_element(alg, basis_a, basis_b):
-    """First element of norm 1 in I * conj(J) rescaled by its content, or None.
+    """First element of norm 1 in I * conj(J) rescaled by its content, as a
+    tuple of Fraction coordinates, or None.
 
     The content of the product lattice is n(I)n(J); such an element q exists
     iff I ~ J, and then I = q * J up to units.
@@ -428,7 +405,7 @@ def norm_one_element(alg, basis_a, basis_b):
     scaled = lat.rescaled(1 / lat.content())
     for v, q in short_vectors(scaled, 1):
         if q == 1:
-            return Quaternion(alg, *scaled.ambient(v))
+            return tuple(scaled.ambient(v))
     return None
 
 

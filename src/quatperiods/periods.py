@@ -289,7 +289,8 @@ def ratio_quantity(records, forms, report, terms=None):
     for r, k in zip(records, powers):
         by_label[r.label] = r
         power_of[r.label] += k
-    pets = {label: petersson_norm_proxy(r) for label, r in by_label.items()}
+    pets = {label: petersson_norm_proxy(r, terms=terms)
+            for label, r in by_label.items()}
     value = None
     rel_err = float("inf")
     if lam1.lam and lam2.lam:

@@ -1,8 +1,12 @@
 """Definite quaternion algebras over Q.
 
-Structure constants i^2 = a, j^2 = b, k = ij = -ji with a, b < 0.  All
-coordinates are exact rationals; the reduced norm is then a positive definite
-quaternary form and Brandt matrices downstream stay integral.
+Structure constants i^2 = a, j^2 = b, k = ij = -ji with integers a, b < 0,
+so the reduced norm is a positive definite quaternary form.  A quaternion
+is its coordinate 4-tuple (w, x, y, z) on the basis 1, i, j, k, over any
+commutative ring: integers for the elements of a lattice scaled by its
+denominator, Fractions or polynomials elsewhere.  quaternion_product and
+quaternion_norm are the one product and the one norm; conjugation flips the
+signs of x, y and z.
 """
 
 from __future__ import annotations
@@ -10,8 +14,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-
-from ._linalg import frac_mat
 
 
 class QuatAlgError(ValueError):
@@ -33,26 +35,24 @@ def _prime_factors(n):
     return out
 
 
+def _square_part(n):
+    """Largest s with s^2 | n, for a positive integer n."""
+    s = 1
+    for p in _prime_factors(n):
+        v = 0
+        while n % p == 0:
+            n //= p
+            v += 1
+        s *= p ** (v // 2)
+    return s
+
+
 def _is_squarefree(n):
-    n = abs(int(n))
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 1
-    return True
+    return _square_part(abs(n)) == 1
 
 
-def _is_prime(p):
-    p = int(p)
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+def _is_prime(n):
+    return _prime_factors(n) == [n]
 
 
 def primes_up_to(n):
@@ -142,12 +142,13 @@ def hilbert_symbol(a, b, p):
 
 
 class QuaternionAlgebra:
-    """Q-algebra with basis 1, i, j, k; i^2 = a, j^2 = b, k = ij = -ji."""
+    """Q-algebra with basis 1, i, j, k; i^2 = a, j^2 = b, k = ij = -ji for
+    integers a, b."""
 
     def __init__(self, a, b):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        if self.a >= 0 or self.b >= 0:
+        self.a = a
+        self.b = b
+        if a >= 0 or b >= 0:
             raise QuatAlgError("need a < 0 and b < 0 for a definite algebra")
         self.ramified_finite = self._ramified_set()
         # product formula: with infinity ramified, |finite set| must be odd
@@ -157,41 +158,23 @@ class QuaternionAlgebra:
     def _ramified_set(self):
         candidates = {2}
         for x in (self.a, self.b):
-            candidates.update(_prime_factors(x.numerator))
-            candidates.update(_prime_factors(x.denominator))
+            candidates.update(_prime_factors(x))
         return tuple(sorted(p for p in candidates
                             if hilbert_symbol(self.a, self.b, p) == -1))
 
     @property
     def discriminant(self):
-        d = 1
-        for p in self.ramified_finite:
-            d *= p
-        return d
-
-    def gens(self):
-        return (Quaternion(self, 0, 1, 0, 0),
-                Quaternion(self, 0, 0, 1, 0),
-                Quaternion(self, 0, 0, 0, 1))
+        return math.prod(self.ramified_finite)
 
     def norm_gram(self):
         """Gram of B(x,y) = tr(x * conj(y)) on the basis 1, i, j, k, as a
-        pair (G, rows) of integer rows over one denominator G."""
-        (an, ad), (bn, bd) = ((x.numerator, x.denominator)
-                              for x in (self.a, self.b))
-        diag = (2 * ad * bd, -2 * an * bd, -2 * bn * ad, 2 * an * bn)
-        g = math.gcd(ad * bd, *diag)
-        return ad * bd // g, [[diag[i] // g if i == j else 0 for j in range(4)]
-                              for i in range(4)]
-
-    def trace_zero_gram(self):
-        """Gram of B restricted to span(i, j, k)."""
-        a, b = self.a, self.b
-        return frac_mat([[-2 * a, 0, 0], [0, -2 * b, 0], [0, 0, 2 * a * b]])
+        pair (G, rows) of integer rows over one denominator G = 1."""
+        diag = (2, -2 * self.a, -2 * self.b, 2 * self.a * self.b)
+        return 1, [[diag[i] if i == j else 0 for j in range(4)]
+                   for i in range(4)]
 
     def to_json(self):
-        return {"a": f"{self.a.numerator}/{self.a.denominator}",
-                "b": f"{self.b.numerator}/{self.b.denominator}",
+        return {"a": f"{self.a}/1", "b": f"{self.b}/1",
                 "disc": self.discriminant}
 
     def __eq__(self, other):
@@ -218,61 +201,10 @@ def quaternion_product(a, b, left, right):
     )
 
 
-class Quaternion:
-    __slots__ = ("alg", "w", "x", "y", "z")
-
-    def __init__(self, alg, w, x, y, z):
-        self.alg = alg
-        self.w = Fraction(w)
-        self.x = Fraction(x)
-        self.y = Fraction(y)
-        self.z = Fraction(z)
-
-    def coords(self):
-        return [self.w, self.x, self.y, self.z]
-
-    def __add__(self, other):
-        return Quaternion(self.alg, self.w + other.w, self.x + other.x,
-                          self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other):
-        return Quaternion(self.alg, self.w - other.w, self.x - other.x,
-                          self.y - other.y, self.z - other.z)
-
-    def __neg__(self):
-        return Quaternion(self.alg, -self.w, -self.x, -self.y, -self.z)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return Quaternion(self.alg, self.w * c, self.x * c,
-                              self.y * c, self.z * c)
-        return Quaternion(self.alg, *quaternion_product(
-            self.alg.a, self.alg.b, self.coords(), other.coords()))
-
-    def __rmul__(self, other):
-        return self * other  # scalars commute
-
-    def conj(self):
-        return Quaternion(self.alg, self.w, -self.x, -self.y, -self.z)
-
-    def norm(self):
-        a, b = self.alg.a, self.alg.b
-        return (self.w ** 2 - a * self.x ** 2 - b * self.y ** 2
-                + a * b * self.z ** 2)
-
-    def is_zero(self):
-        return not (self.w or self.x or self.y or self.z)
-
-    def __eq__(self, other):
-        return isinstance(other, Quaternion) and self.alg == other.alg and \
-            self.coords() == other.coords()
-
-    def __hash__(self):
-        return hash((self.alg, self.w, self.x, self.y, self.z))
-
-    def __repr__(self):
-        return f"({self.w} + {self.x}i + {self.y}j + {self.z}k)"
+def quaternion_norm(a, b, y):
+    """Reduced norm y conj(y) of the quaternion with coordinates y."""
+    w, x, u, z = y
+    return w * w - a * x * x - b * u * u + a * b * z * z
 
 
 @lru_cache(maxsize=None)

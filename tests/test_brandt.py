@@ -20,8 +20,7 @@ from quatperiods.lseries import NewformRecord
 from quatperiods.newformdata import curve_ap
 from quatperiods.orders import class_set_for, eichler_mass
 from quatperiods.periods import match_eigenform
-from quatperiods.quatalg import (Quaternion, _is_squarefree, _prime_factors,
-                                 primes_up_to)
+from quatperiods.quatalg import _is_squarefree, _prime_factors, primes_up_to
 from test_lattice import fraction_short_vectors
 
 
@@ -207,13 +206,12 @@ def test_tau_matrix_on_basis_matches_tau_action():
     for nu in (1, 2):
         basis = sp.harmonic_basis(nu)
         for _ in range(4):
-            x = Quaternion(alg, *(rng.randint(-3, 3) for _ in range(3)),
-                           rng.randint(1, 3))
-            tm = _tau_matrix_on_basis(sp, basis, x, nu)
+            x = (*(rng.randint(-3, 3) for _ in range(3)), rng.randint(1, 3))
+            tm = _tau_matrix_on_basis(alg, x, nu)
             for j, b in enumerate(basis):
                 image = sum((c * tm[i][j] for i, c in enumerate(basis)),
                             Poly.zero(3))
-                assert image == tau_action(x, b)
+                assert image == tau_action(alg, x, b)
 
 
 def test_eichler_theta_hecke_property():
@@ -413,8 +411,7 @@ def reference_brandt_matrices(cs, primes, nu=0):
             for v, q in fraction_short_vectors(conn, max(primes)):
                 if q not in mats:
                     continue
-                tm = _tau_matrix_on_basis(
-                    sp, basis, Quaternion(alg, *conn.ambient(v)), nu) \
+                tm = _tau_matrix_on_basis(alg, conn.ambient(v), nu) \
                     if nu else [[1]]
                 for a in range(dim):
                     for b in range(dim):

@@ -355,7 +355,7 @@ def test_lvalue_sym2_11a(capsys):
 def test_verify_passes_and_exits_3_on_a_failed_check(capsys, monkeypatch):
     assert cli.main(["verify"]) == 0
     rows = capsys.readouterr().out.splitlines()
-    assert len(rows) == 10 and all(r.split()[0] == "pass" for r in rows)
+    assert len(rows) == 11 and all(r.split()[0] == "pass" for r in rows)
     monkeypatch.setattr(cli, "eichler_mass", lambda n1, m: Fraction(0))
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify"])
@@ -376,6 +376,19 @@ def test_verify_passes_and_exits_3_on_a_failed_check(capsys, monkeypatch):
     rows = capsys.readouterr().out.splitlines()
     assert [r.split()[0] for r in rows].count("FAIL") == 1
     assert "  FAIL  paper corollaries (a), (b)" in rows
+    monkeypatch.undo()
+
+    # the Sym^2 proxies at their default length, as if the series length
+    # did not reach them: the relative error grows to 2.9e-4
+    proxy = periods.petersson_norm_proxy
+    monkeypatch.setattr(periods, "petersson_norm_proxy",
+                        lambda record, terms=None: proxy(record))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify"])
+    assert exc.value.code == 3
+    rows = capsys.readouterr().out.splitlines()
+    assert [r.split()[0] for r in rows].count("FAIL") == 1
+    assert "  FAIL  paper constant at 11a^4" in rows
 
 
 @pytest.mark.parametrize("job", [

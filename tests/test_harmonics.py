@@ -8,17 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quatperiods._linalg import rref, solve_right
+from quatperiods._linalg import mat_mul, rref, solve_right
 from quatperiods._poly import Poly
 from quatperiods.brandt import NumberFieldElement
 from quatperiods.harmonics import (HarmonicsError, SplitIso, TrilinearForm,
                                    _pair_block, balanced, c_coeff, full_space,
                                    random_harmonic, standard_space,
-                                   tau_action, tau_matrix, trace_zero_space,
-                                   trilinear_form)
-from quatperiods.quatalg import (Quaternion, algebra_for_discriminant,
-                                 quaternion_product)
-from test_quatalg import inverse, one, trace
+                                   tau_action, tau_substitution,
+                                   trace_zero_space, trilinear_form)
+from quatperiods.quatalg import algebra_for_discriminant, quaternion_product
+from test_quatalg import Quaternion, gens, inverse, one, trace
 
 
 def _block_laplacian(p, gram_inv, offset, dim):
@@ -129,7 +128,7 @@ def gegenbauer_kernel(alpha, x, x2):
 def test_gegenbauer_kernel_values():
     alg = algebra_for_discriminant(2)
     e = one(alg)
-    for x in (e, e + alg.gens()[0]):
+    for x in (e, e + gens(alg)[0]):
         assert gegenbauer_kernel(0, x, e) == 1
     # alpha = 1: kernel is 2 tr(x conj(x')), so at x = x' = 1 it is 4
     assert gegenbauer_kernel(1, e, e) == 4
@@ -226,8 +225,8 @@ def test_tau_identity_and_central():
     alg = algebra_for_discriminant(11)
     sp = trace_zero_space(alg)
     p = random_harmonic(sp, 2, random.Random(5))
-    assert tau_action(one(alg), p) == p
-    assert tau_action(one(alg) * 3, p) == p
+    assert tau_action(alg, (1, 0, 0, 0), p) == p
+    assert tau_action(alg, (3, 0, 0, 0), p) == p
 
 
 def test_tau_group_law():
@@ -235,18 +234,44 @@ def test_tau_group_law():
     sp = trace_zero_space(alg)
     rng = random.Random(6)
     p = random_harmonic(sp, 2, rng)
-    y1 = Quaternion(alg, 1, 2, 0, -1)
-    y2 = Quaternion(alg, 0, 1, 1, 1)
-    assert tau_action(y1 * y2, p) == tau_action(y1, tau_action(y2, p))
+    y1, y2 = (1, 2, 0, -1), (0, 1, 1, 1)
+    y12 = quaternion_product(alg.a, alg.b, y1, y2)
+    assert tau_action(alg, y12, p) == \
+        tau_action(alg, y1, tau_action(alg, y2, p))
 
 
 def test_tau_rotation_example():
     # conjugation by i rotates by pi about the i axis: j -> -j, k -> -k
     alg = algebra_for_discriminant(2)
-    i = alg.gens()[0]
-    m = tau_matrix(i)
-    assert m == [[Fraction(1), 0, 0], [0, Fraction(-1), 0],
-                 [0, 0, Fraction(-1)]]
+    assert tau_substitution(alg, (0, 1, 0, 0)) == \
+        [[Fraction(1), 0, 0], [0, Fraction(-1), 0], [0, 0, Fraction(-1)]]
+
+
+nonzero_tuples = st.lists(st.integers(-4, 4), min_size=4,
+                          max_size=4).filter(any).map(tuple)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 7, 13]), nonzero_tuples, nonzero_tuples,
+       st.integers(-5, 5).filter(bool), st.integers(1, 4))
+def test_tau_substitution_on_tuples(n1, y1, y2, c, d):
+    alg = algebra_for_discriminant(n1)
+    s1 = tau_substitution(alg, y1)
+    # tau(c y) = tau(y), and Fraction coordinates y / d give the same matrix
+    assert tau_substitution(alg, tuple(c * x for x in y1)) == s1
+    assert tau_substitution(alg, tuple(Fraction(x, d) for x in y1)) == s1
+    # tau(y1 y2) = tau(y1) o tau(y2): P(S12 x) = P(S2 S1 x)
+    s12 = tau_substitution(alg, quaternion_product(alg.a, alg.b, y1, y2))
+    assert s12 == mat_mul(tau_substitution(alg, y2), s1)
+    # against the oracle quaternion: column t is y^{-1} e_t y
+    q = Quaternion(alg, *y1)
+    for t, e in enumerate(gens(alg)):
+        assert [row[t] for row in s1] == (inverse(q) * e * q).coords()[1:]
+
+
+def test_tau_rejects_zero():
+    with pytest.raises(HarmonicsError):
+        tau_substitution(algebra_for_discriminant(2), (0, 0, 0, 0))
 
 
 def test_tau_preserves_inner_product_exact():
@@ -254,12 +279,12 @@ def test_tau_preserves_inner_product_exact():
     sp = trace_zero_space(alg)
     rng = random.Random(7)
     for _ in range(10):
-        y = Quaternion(alg, *[rng.randint(-4, 4) for _ in range(4)])
-        if y.is_zero():
+        y = [rng.randint(-4, 4) for _ in range(4)]
+        if not any(y):
             continue
         p = random_harmonic(sp, 2, rng)
         q = random_harmonic(sp, 2, rng)
-        assert sp.inner(tau_action(y, p), tau_action(y, q), 2) == \
+        assert sp.inner(tau_action(alg, y, p), tau_action(alg, y, q), 2) == \
             sp.inner(p, q, 2)
 
 
@@ -270,10 +295,10 @@ def test_tau_preserves_inner_product_numeric_oracle():
     alg = algebra_for_discriminant(11)
     sp = trace_zero_space(alg)
     rng = random.Random(8)
-    y = Quaternion(alg, 2, -1, 1, 0)
+    y = (2, -1, 1, 0)
     p = random_harmonic(sp, 2, rng)
     q = random_harmonic(sp, 2, rng)
-    lhs = sp.inner(tau_action(y, p), tau_action(y, q), 2)
+    lhs = sp.inner(tau_action(alg, y, p), tau_action(alg, y, q), 2)
     rhs = sp.inner(p, q, 2)
     assert abs(mpmath.mpf(float(lhs - rhs))) < mpmath.mpf(2) ** -90
     assert lhs == rhs
@@ -283,8 +308,7 @@ def test_tau_preserves_harmonicity():
     alg = algebra_for_discriminant(3)
     sp = trace_zero_space(alg)
     p = random_harmonic(sp, 3, random.Random(9))
-    y = Quaternion(alg, 1, 1, -2, 1)
-    assert sp.laplacian(tau_action(y, p)).is_zero()
+    assert sp.laplacian(tau_action(alg, (1, 1, -2, 1), p)).is_zero()
 
 
 # -- trilinear forms ----------------------------------------------------------
@@ -319,11 +343,11 @@ def test_trilinear_nonzero_and_invariant():
     r = random_harmonic(sp, 1, rng)
     base = t.value(p, q, r)
     for _ in range(5):
-        y = Quaternion(alg, *[rng.randint(-3, 3) for _ in range(4)])
-        if y.is_zero():
+        y = [rng.randint(-3, 3) for _ in range(4)]
+        if not any(y):
             continue
-        assert t.value(tau_action(y, p), tau_action(y, q),
-                       tau_action(y, r)) == base
+        assert t.value(tau_action(alg, y, p), tau_action(alg, y, q),
+                       tau_action(alg, y, r)) == base
 
 
 def test_trilinear_balance_scan_small():
@@ -489,19 +513,19 @@ def test_c_coeff_equivariance_exact():
     p1 = random_harmonic(sp3, nu1, rng)
     p2 = random_harmonic(sp3, nu2, rng)
     c = c_coeff(_tensor6(p1, p2), a1, a2, nu1, nu2, alg)
-    i, j, _ = alg.gens()
+    i, j, _ = gens(alg)
     y1 = one(alg) + i  # norm 2
     y2 = one(alg) + j  # norm 2
     m = [(y1 * e * inverse(y2)).coords()
-         for e in (one(alg),) + alg.gens()]
+         for e in (one(alg),) + gens(alg)]
     big = [[Fraction(0)] * 8 for _ in range(8)]
     for r in range(4):
         for s in range(4):
             big[r][s] = m[s][r]
             big[4 + r][4 + s] = m[s][r]
     lhs = c.subs_linear(big)
-    rhs = c_coeff(_tensor6(tau_action(inverse(y1), p1),
-                           tau_action(inverse(y2), p2)),
+    rhs = c_coeff(_tensor6(tau_action(alg, inverse(y1).coords(), p1),
+                           tau_action(alg, inverse(y2).coords(), p2)),
                   a1, a2, nu1, nu2, alg)
     assert lhs == rhs
 

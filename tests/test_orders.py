@@ -17,12 +17,12 @@ from quatperiods.orders import (EichlerOrder, OrderError, _coords, _covolume,
                                 maximal_order, product_basis,
                                 right_ideal_classes, superorders_at,
                                 times_conj, two_sided_prime_ideal)
-from quatperiods.quatalg import (Quaternion, _is_squarefree, _prime_factors,
+from quatperiods.quatalg import (_is_squarefree, _prime_factors,
                                  algebra_for_discriminant)
 
 from test_lattice import (basis_gram, det, fractions, hnf_rational, identity,
                           lattice_index, lattice_intersection, pair)
-from test_quatalg import one
+from test_quatalg import Quaternion, gens, one
 
 
 # The references below work in Fraction rows; fractions() turns a package
@@ -124,7 +124,7 @@ def test_unit_counts_admissible():
 def right_mul_matrix_of(alg, row):
     """Matrix M with coords(x * b) = coords(x) * M for b with given coords."""
     b = Quaternion(alg, *row)
-    return [(e * b).coords() for e in (one(alg),) + alg.gens()]
+    return [(e * b).coords() for e in (one(alg),) + gens(alg)]
 
 
 def reference_left_order(alg, basis):

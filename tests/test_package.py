@@ -1,6 +1,7 @@
 """Package-wide guards: what runs import, which dependencies are declared,
 and no code that nothing uses."""
 import ast
+import json
 import os
 import re
 import subprocess
@@ -114,6 +115,67 @@ def test_every_function_and_class_is_used():
             if counts[node.name] == own or few:
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert not unused, "defined but unused in src/:\n" + "\n".join(unused)
+
+
+# In-process CLI jobs that between them run every operator of the package's
+# classes: the jobs of test_no_run_imports_sympy, a positive-weight Yoshida
+# lift, and an eigenform over the Hecke field Q(sqrt 5).
+DUNDER_JOBS = (
+    ["eigen", "--disc", "13", "--level", "26"],
+    ["period", "--h1", "11a", "--h2", "11a", "--f1", "11a", "--f2", "11a"],
+    ["lvalue", "--h1", "11a", "--f1", "11a", "--f2", "11a"],
+    ["lvalue", "--sym2", "11a"],
+    ["yoshida", "--disc", "3", "--nu1", "2", "--nu2", "2", "--prec", "4",
+     "--seed", "1"],
+    ["eigen", "--disc", "23"],
+)
+
+# Under sys.setprofile, the names "module.py Class.__dunder__" of every
+# function called from a frame of the package while the jobs run.
+DUNDER_PROBE = """
+import contextlib, io, json, os, sys
+from quatperiods.cli import main
+pkg = os.path.dirname(sys.modules["quatperiods"].__file__) + os.sep
+entered = set()
+
+def probe(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and code.co_name.startswith("__") and \\
+            code.co_filename.startswith(pkg) and \\
+            frame.f_back.f_code.co_filename.startswith(pkg):
+        entered.add(os.path.basename(code.co_filename) + " "
+                    + code.co_qualname)
+
+sys.setprofile(probe)
+with contextlib.redirect_stdout(io.StringIO()):
+    for job in json.loads(sys.argv[1]):
+        main(job)
+sys.setprofile(None)
+print(json.dumps(sorted(entered)))
+"""
+
+
+def test_every_operator_dunder_is_entered():
+    # The AST guard above cannot see that `a - b` reaches __sub__, so the
+    # operator and unary dunders of the package's classes are checked by
+    # running code instead: each must be entered from the package itself
+    # while the jobs run.  Construction, equality, hashing and repr serve
+    # containers and debugging and stay exempt.
+    exempt = {"__init__", "__eq__", "__hash__", "__repr__"}
+    defined = {f"{path.name} {cls.name}.{node.name}"
+               for path in sorted(PACKAGE.rglob("*.py"))
+               for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, ast.FunctionDef)
+               and node.name.startswith("__") and node.name.endswith("__")
+               and node.name not in exempt}
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", DUNDER_PROBE, json.dumps(DUNDER_JOBS)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    never = sorted(defined - set(json.loads(proc.stdout)))
+    assert not never, "never entered from src/:\n" + "\n".join(never)
 
 
 def test_every_module_level_import_is_read():

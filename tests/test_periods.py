@@ -249,3 +249,15 @@ def test_quadruple_report_pins_the_cross_check(monkeypatch, h, f):
         assert math.isclose(lam["value"], want["lambda"][0], rel_tol=1e-12)
         assert math.isclose(lam["error"], want["lambda"][1], rel_tol=1e-12)
 
+
+
+def test_paper_constant_at_11a4_with_a_long_series():
+    # ratio * sqrt(N) = 4^omega(N) with no fitted parameter, at N = 11.  The
+    # series length must reach the Sym^2 proxies as well as the two Lambda:
+    # with the proxies at their 83-term default the error stays at 2.9e-4
+    h = resolve_label(ingest(default_data_path(), {"11a"}), "11a")
+    cross = periods.quadruple_report(h, h, h, h, lvalue=True,
+                                     terms=2000)["lvalue_cross_check"]
+    err = cross["relative_error"]
+    assert err <= 1e-5
+    assert abs(cross["ratio"] * math.sqrt(11) / 4 - 1) <= 3 * err
