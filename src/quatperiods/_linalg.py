@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 
 def frac_mat(rows):
@@ -232,6 +233,66 @@ def hnf_solve(rows, v):
             return None
         c.append(t)
     return c
+
+
+def lll_gram(gram):
+    """Unimodular U, as integer rows, with U gram U^T LLL-reduced (3/4).
+
+    Cohen's integral LLL (GTM 138, Alg. 2.6.7) on a positive definite
+    integer Gram matrix alone: d[k + 1] is the k-th leading principal minor
+    of the current basis Gram and lam[k][j] = d[j + 1] mu_kj, so every
+    step divides exactly.  A row k > kmax is still the k-th unit row, which
+    gives its products with the reduced rows from gram and U.
+    """
+    n = len(gram)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+
+    def reduce(k, l):
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])   # round(mu_kl)
+            u[k] = [x - q * y for x, y in zip(u[k], u[l])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    if n:
+        d[1] = gram[0][0]
+        if d[1] <= 0:
+            raise ValueError("Gram matrix not positive definite")
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            for j in range(k + 1):
+                x = sum(map(mul, gram[k], u[j]))
+                for i in range(j):
+                    x = (d[i + 1] * x - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = x
+                elif x <= 0:
+                    raise ValueError("Gram matrix not positive definite")
+                else:
+                    d[k + 1] = x
+        reduce(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+            u[k], u[k - 1] = u[k - 1], u[k]
+            for j in range(k - 1):
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            m = lam[k][k - 1]
+            b = (d[k - 1] * d[k + 1] + m * m) // d[k]
+            for i in range(k + 1, kmax + 1):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
+                lam[i][k - 1] = (b * t + m * lam[i][k]) // d[k + 1]
+            d[k] = b
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
+    return u
 
 
 def content(values):

@@ -8,16 +8,19 @@ eigenform stands for each Galois orbit, with its eigenvalues and values in
 its Hecke field, a number field Q[x]/(f) (Q itself for a rational form).
 
 All T(p) for a tuple of primes are built in one pass (Pizer, J. Algebra 64,
-1980): each connecting lattice is enumerated once up to the largest p and
-its vectors are bucketed by norm.  At weight 0 only the pairs i <= j are
-enumerated, by the conjugation symmetry: x -> conj(x) maps I_i conj(I_j)
-onto I_j conj(I_i) and keeps norms, so e_j T_ij = e_i T_ji.
+1980): each connecting lattice is enumerated once up to the largest p.  At
+weight 0 that enumeration only counts its vectors per norm
+(lattice.norm_counts), and only the pairs i <= j are enumerated, by the
+conjugation symmetry: x -> conj(x) maps I_i conj(I_j) onto I_j conj(I_i)
+and keeps norms, so e_j T_ij = e_i T_ji.  At positive weight, where every
+ordered pair is enumerated, tau(-x) = tau(x) is added twice for one x of
+each pair +-x.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -27,7 +30,7 @@ from ._linalg import (charpoly, content, identity, mat_mul, mat_vec,
 from ._poly import Poly
 from .harmonics import (linear_combination, random_harmonic, split_iso,
                         tau_action, tau_substitution, trace_zero_space)
-from .lattice import short_vectors, theta_coeffs
+from .lattice import norm_counts, short_vectors, theta_coeffs
 from .orders import (essential_complement, norm_one_element, product_basis,
                      two_sided_prime_ideal)
 from .quatalg import _is_prime, _prime_factors, good_primes
@@ -274,22 +277,23 @@ def brandt_matrices(class_set, primes, nu=0):
     for i in range(r):
         for j in range(i if nu == 0 else 0, r):
             conn = class_set.connecting(i, j)
-            vecs = short_vectors(conn, max(primes))
             if nu == 0:
-                counts = Counter(q.numerator for _, q in vecs
-                                 if q.denominator == 1)
-                for p in mats.keys() & counts.keys():
+                counts = norm_counts(conn, max(primes))
+                for p in primes:
                     mats[p][i][j] = Fraction(counts[p], e[j])
                     mats[p][j][i] = Fraction(counts[p], e[i])
                 continue
-            for v, q in vecs:
-                if q in mats:
+            for v, q in short_vectors(conn, max(primes)):
+                # tau(-x) = tau(x): one x of each pair +-x, whose first
+                # nonzero coordinate is positive, counts twice
+                if q in mats and next(filter(None, v)) > 0:
                     tm = _tau_matrix_on_basis(alg, conn.integer_ambient(v),
                                               nu)
                     block = mats[q]
                     for a in range(dim):
                         for b in range(dim):
-                            block[i * dim + a][j * dim + b] += tm[a][b] / e[j]
+                            block[i * dim + a][j * dim + b] += \
+                                2 * tm[a][b] / e[j]
     if nu == 0:
         for mat in mats.values():
             for row in mat:

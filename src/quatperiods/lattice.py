@@ -11,24 +11,35 @@ coordinates of a lattice vector, is the integer 4-tuple that
 quatalg.quaternion_product and quaternion_norm take.  Its form is (G, g),
 the ambient Gram g / G.  The basis Gram is the integer product rows g rows^T
 over D^2 G, computed once per lattice and divided down until its
-denominator is prime to its entries.  content(), the LDL decomposition and
-the enumeration all read that pair, and rescaling the form scales both
+denominator is prime to its entries.  content(), the reduction and the
+enumeration all read that pair, and rescaling the form scales both
 pairs without recomputing anything.
 
-Enumeration is Fincke-Pohst on integers.  With the basis Gram M / G,
-q(x) = x^T M x / N for N = 2G.  Fraction-free (Bareiss) elimination on M
-leaves in row i the integers b_ij (j >= i), where b_ii is the i-th leading
-principal minor Delta_i, and
-    N q(x) = sum_i T_i^2 / (Delta_{i-1} Delta_i),   T_i = sum_{j>=i} b_ij x_j,
-with Delta_{-1} = 1; the form is positive definite iff every Delta_i > 0.
-With g_i the gcd of row i and W the least common denominator of the
-g_i^2 / (N Delta_{i-1} Delta_i), this is W q(x) = sum_i A_i t_i^2 with
-integers A_i and t_i = T_i / g_i = L_i x_i + sum_{j>i} (b_ij / g_i) x_j.
-Since W q(x) is an integer, q(x) <= bound holds exactly when
-W q(x) <= floor(W bound); and an integer t satisfies A t^2 <= R exactly when
-|t| <= isqrt(R // A).  So every coordinate range is computed without
-fractions, floats or slack, and no boundary vector with q(x) == bound is
-missed.
+Enumeration is Fincke-Pohst on integers (Math. Comp. 44, 1985), run on an
+LLL-reduced basis (Math. Ann. 261, 1982).  The basis Gram M / G is reduced
+once per lattice to R = U M U^T with U unimodular (_linalg.lll_gram, in
+integers), so the nested coordinate ranges are short and few of them are
+empty; a vector y in reduced coordinates is y U in basis coordinates.
+With q(y) = y^T R y / N for N = 2G, fraction-free (Bareiss) elimination
+on R leaves in row i the integers b_ij (j >= i), where b_ii is the i-th
+leading principal minor Delta_i, and
+    N q(y) = sum_i T_i^2 / (Delta_{i-1} Delta_i),   T_i = sum_{j>=i} b_ij y_j,
+with Delta_{-1} = 1; the form is positive definite iff every Delta_i > 0,
+which the reduction checks.  With g_i the gcd of row i and W the least
+common denominator of the g_i^2 / (N Delta_{i-1} Delta_i), this is
+W q(y) = sum_i A_i t_i^2 with integers A_i and
+t_i = T_i / g_i = L_i y_i + sum_{j>i} (b_ij / g_i) y_j.  Since W q(y) is an
+integer, q(y) <= bound holds exactly when W q(y) <= floor(W bound); and an
+integer t satisfies A t^2 <= R exactly when |t| <= isqrt(R // A).  So
+every coordinate range is computed without fractions, floats or slack, and
+no boundary vector with q(y) == bound is missed.
+
+The enumeration visits one vector of each pair +-y, and yields whole
+innermost ranges rather than vectors.  short_vectors maps each vector and
+its negative back to basis coordinates and sorts them, so its list does
+not depend on the reduction.  norm_counts, which the weight-0 Brandt
+matrices, unit counts and theta series need, only adds 2 to the count of
+the norm W q(y) / W of each vector, and builds no per-vector object.
 
 Sums over lattice vectors run in integers too.  A vector's ambient
 coordinates are y / D with integer y, and B(v, w) is an integer dot
@@ -43,9 +54,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import add, mul, neg
 
-from ._linalg import hnf
+from ._linalg import hnf, lll_gram
 
 
 class LatticeError(ValueError):
@@ -91,21 +102,34 @@ class IntLattice:
                         [[sum(map(mul, a, r)) for r in rows] for a in rg])
 
     @cached_property
+    def reduction(self):
+        """(U, R): the unimodular U of _linalg.lll_gram for the basis Gram
+        M / G of integer_gram, and the reduced Gram R = U M U^T over the
+        same G.  The reduced basis is U times the basis.
+
+        Raises LatticeError when the form is not positive definite.
+        """
+        m = self.integer_gram[1]
+        try:
+            u = lll_gram(m)
+        except ValueError:
+            raise LatticeError("form is not positive definite") from None
+        um = [[sum(map(mul, r, col)) for col in m] for r in u]   # M = M^T
+        return u, [[sum(map(mul, a, r)) for r in u] for a in um]
+
+    @cached_property
     def integer_ldl(self):
         """(W, [(A_i, L_i, [(j, b_ij / g_i) for j > i, b_ij != 0])]).
 
-        The integer LDL decomposition of the module docstring, for
-        short_vectors, by fraction-free elimination on the basis Gram.
-        Raises LatticeError when the form is not positive definite.
+        The integer LDL decomposition of the module docstring, for the
+        enumeration, by fraction-free elimination on the reduced Gram.
         """
-        gden, m = self.integer_gram
-        a = [list(row) for row in m]
+        gden = self.integer_gram[0]
+        a = [list(row) for row in self.reduction[1]]
         n = len(a)
         prev, levels = 1, []
         for i in range(n):
             piv = a[i][i]
-            if piv <= 0:
-                raise LatticeError("form is not positive definite")
             g = math.gcd(*a[i][i:])
             num, den = g * g, 2 * gden * prev * piv
             r = math.gcd(num, den)
@@ -134,8 +158,9 @@ class IntLattice:
     def rescaled(self, factor):
         """The lattice with its form times the positive rational factor.
 
-        Both the ambient and the cached basis Gram are scaled, so nothing is
-        recomputed; the basis is shared.
+        Both the ambient and the cached basis Gram are scaled, so the basis
+        Gram is not recomputed; the basis is shared, and the reduction is
+        made when the scaled lattice is first enumerated.
         """
         num, den = factor.numerator, factor.denominator
 
@@ -161,44 +186,88 @@ class IntLattice:
         return f"IntLattice(rank {len(self.basis[1])})"
 
 
+def _pair_rows(lattice, bound):
+    """Fincke-Pohst on the reduced form up to q(y) <= bound, one vector of
+    each pair +-y != 0.
+
+    Yields (y, lo, base, ts) once per innermost range: the reduced
+    coordinates y, of which y[0] is left 0, and the vectors with
+    y_0 = lo, lo + 1, ..., whose t_0 = L_0 y_0 + c runs through the range
+    ts, and W q = base + A_0 t_0^2.  y is one list, overwritten by the next
+    row.  A vector is kept when its last nonzero coordinate is positive:
+    while all coordinates above a level are 0, its offset c is 0 and its
+    range, symmetric, starts at 0 (at 1 on level 0).
+    """
+    bound = Fraction(bound)
+    if bound < 0:
+        raise LatticeError("bound must be nonnegative")
+    w, levels = lattice.integer_ldl
+    top = bound.numerator * w // bound.denominator    # floor(W * bound)
+    y = [0] * len(levels)
+
+    def descend(i, rem):
+        # rem = top - sum_{k>i} A_k t_k^2 >= 0
+        a, den, row = levels[i]
+        c = sum(cij * y[j] for j, cij in row)
+        s = math.isqrt(rem // a)                # |t| <= s  <=>  A t^2 <= rem
+        hi = (s - c) // den
+        if not any(y):                          # c = 0, so lo = -hi
+            lo = 0 if i else 1
+        else:
+            lo = -((s + c) // den)
+        if not i:
+            yield y, lo, top - rem, range(den * lo + c, den * hi + c + 1, den)
+            return
+        for x in range(lo, hi + 1):
+            y[i] = x
+            t = den * x + c
+            yield from descend(i - 1, rem - a * t * t)
+        y[i] = 0
+
+    return descend(len(levels) - 1, top)
+
+
 def short_vectors(lattice, bound, include_zero=False):
     """All lattice vectors with 0 < q(x) <= bound (exact, both signs).
 
     Returns a list of (coords, norm) with coords in lattice coordinates,
     sorted lexicographically.  With include_zero the zero vector is prepended.
     """
-    bound = Fraction(bound)
-    if bound < 0:
-        raise LatticeError("bound must be nonnegative")
+    rows = _pair_rows(lattice, bound)
     w, levels = lattice.integer_ldl
-    n = len(levels)
-    top = bound.numerator * w // bound.denominator    # floor(W * bound)
+    a = levels[0][0]
+    u = lattice.reduction[0]
+    cols = list(zip(*u))
     found = []
-    coords = [0] * n
-
-    def descend(i, rem):
-        # rem = floor(W * bound) - sum_{k>i} A_k t_k^2 >= 0
-        a, den, row = levels[i]
-        c = sum(cij * coords[j] for j, cij in row)
-        s = math.isqrt(rem // a)                # |t| <= s  <=>  A t^2 <= rem
-        for x in range(-((s + c) // den), (s - c) // den + 1):
-            coords[i] = x
-            t = den * x + c
-            if i:
-                descend(i - 1, rem - a * t * t)
-            else:
-                found.append((tuple(coords), top - rem + a * t * t))
-        coords[i] = 0
-
-    if n:
-        descend(n - 1, top)
-        found.remove(((0,) * n, 0))
+    for y, lo, base, ts in rows:
+        v = tuple(sum(map(mul, y, col)) + lo * e for col, e in zip(cols, u[0]))
+        for t in ts:
+            m = base + a * t * t
+            found.append((v, m))
+            found.append((tuple(map(neg, v)), m))
+            v = tuple(map(add, v, u[0]))
     found.sort()
     norms = {m: Fraction(m, w) for m in {m for _, m in found}}
     result = [(list(v), norms[m]) for v, m in found]
     if include_zero:
-        result.insert(0, ([0] * n, Fraction(0)))
+        result.insert(0, ([0] * len(levels), Fraction(0)))
     return result
+
+
+def norm_counts(lattice, bound):
+    """[#{x : q(x) = n} for n in 0..floor(bound)], the zero vector counted
+    at n = 0.  Each pair +-x is visited once and counted twice, and no
+    vector is built: only W q(x) of each is computed."""
+    rows = _pair_rows(lattice, bound)
+    w, levels = lattice.integer_ldl
+    a = levels[0][0]
+    counts = [1] + [0] * math.floor(bound)
+    for _, _, base, ts in rows:
+        for t in ts:
+            n, r = divmod(base + a * t * t, w)
+            if not r:
+                counts[n] += 2
+    return counts
 
 
 def integer_terms(polys, den):
@@ -250,12 +319,9 @@ def theta_coeffs(lattice, prec, weight=None):
     """
     if prec < 0:
         raise LatticeError("prec must be nonnegative")
-    sums = dict.fromkeys(range(int(math.floor(prec)) + 1), 0)
     if weight is None:
-        for _, q in short_vectors(lattice, prec, include_zero=True):
-            if q.denominator == 1:
-                sums[int(q)] += 1
-        return sums
+        return dict(enumerate(norm_counts(lattice, prec)))
+    sums = dict.fromkeys(range(int(math.floor(prec)) + 1), 0)
     den, (terms,) = integer_terms([weight], lattice.basis[0])
     monos = [m for m, _ in terms]
     coefs = [c for _, c in terms]

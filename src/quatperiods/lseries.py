@@ -386,8 +386,9 @@ def dirichlet_coefficients(factors, count):
     b_n is 1.0 times the local value at p^v || n for each p | n, multiplied
     in increasing order of p.  For each p the local values of its multiples
     are laid out with one stride per power p^v <= count, each over the one
-    before (a prime with p^2 > count has only v = 1), and multiplied into b
-    in one more stride.  Nothing is divided out, so a zero local value is
+    before, and multiplied into b in one more stride.  A prime with
+    p^2 > count has only v = 1, whose value -c_1 p^(-shift) is read off its
+    factor directly.  Nothing is divided out, so a zero local value is
     harmless.
     """
     primes = primes_up_to(count)
@@ -396,11 +397,17 @@ def dirichlet_coefficients(factors, count):
             raise LSeriesError(
                 f"no Euler factor supplied for a prime dividing {p}")
     b = [None] + [1.0] * count
+    shift = None
     for p in primes:
         f = factors[p]
+        if f.shift is not shift:        # most factors share one shift
+            shift, s = f.shift, float(f.shift)
+        if p * p > count:
+            val = float(-f.coeffs[1] if f.degree else 0) * p ** -s
+            b[p::p] = [x * val for x in b[p::p]]
+            continue
         local = f.local_coefficients(int(math.log(count, p)) + 1)
-        shift = float(f.shift)
-        loc = [float(c) * p ** (-v * shift) for v, c in enumerate(local)]
+        loc = [float(c) * p ** (-v * s) for v, c in enumerate(local)]
         # at[j] is the local value at (j + 1) p; p^v | (j + 1) p exactly
         # when j + 1 is a multiple of q = p^{v-1}
         at = [loc[1]] * (count // p)

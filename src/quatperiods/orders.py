@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._linalg import hnf_lattice, hnf_solve, nullspace, transpose, vec_mat
-from .lattice import IntLattice, short_vectors
+from .lattice import IntLattice, norm_counts, short_vectors
 from .quatalg import (_is_squarefree, _prime_factors, _square_part,
                       algebra_for_discriminant, good_primes,
                       quaternion_norm, quaternion_product)
@@ -111,7 +111,7 @@ class EichlerOrder:
         return IntLattice(self.basis, self.algebra.norm_gram())
 
     def unit_count(self):
-        return len(short_vectors(self.norm_lattice(), 1))
+        return norm_counts(self.norm_lattice(), 1)[1]
 
     def to_json(self):
         return {

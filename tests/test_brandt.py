@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -15,7 +17,7 @@ from quatperiods.brandt import (BrandtError, NumberFieldElement,
                                 eichler_theta, eigenforms, inner_product)
 from quatperiods.harmonics import (SplitIso, random_harmonic, tau_action,
                                    trace_zero_space)
-from quatperiods.lattice import short_vectors, theta_coeffs
+from quatperiods.lattice import norm_counts, short_vectors, theta_coeffs
 from quatperiods.lseries import NewformRecord
 from quatperiods.newformdata import curve_ap
 from quatperiods.orders import class_set_for, eichler_mass
@@ -444,6 +446,19 @@ def test_brandt_matrices_weight_2_match_ordered_pair_oracle(disc):
         assert op.matrix == reference[p]
 
 
+def test_weight_0_brandt_matrices_at_level_210_match_the_recorded_hash():
+    # disc 2, level 210, class number 16: eight primes up to 37 in
+    # connecting lattices far from reduced; the hash was recorded when the
+    # matrices were counted from vector lists of the unreduced bases
+    cs = class_set_for(2, 105)
+    primes = good_primes(210, 37)
+    assert cs.size == 16 and len(primes) == 8
+    text = json.dumps([[[str(x) for x in row] for row in op.matrix]
+                       for op in brandt_matrices(cs, primes)])
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "6c7eb816847df7405dbac590c87e65ccc632f11b4d294dbef3ea12673a8efe90"
+
+
 def squarefree_levels(bound):
     """(disc, level) for squarefree level <= bound and every disc | level
     with an odd number of prime factors."""
@@ -489,11 +504,11 @@ def test_hecke_and_atkin_lehner_identities(disc, level):
 def test_eigenforms_enumerate_each_class_pair_once(monkeypatch):
     enumerated = []
 
-    def counting(lattice, bound, include_zero=False):
+    def counting(lattice, bound):
         enumerated.append(lattice)
-        return short_vectors(lattice, bound, include_zero)
+        return norm_counts(lattice, bound)
 
-    monkeypatch.setattr(brandt, "short_vectors", counting)
+    monkeypatch.setattr(brandt, "norm_counts", counting)
     for cached in (eigenforms, brandt_matrices, brandt_matrix):
         cached.cache_clear()
     cs = class_set_for(13, 2)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 from quatperiods._linalg import (content, hnf, hnf_lattice, inverse,
                                  mat_mul, nullspace, charpoly, rref, transpose)
 from quatperiods.harmonics import split_iso
-from quatperiods.lattice import (IntLattice, LatticeError, short_vectors,
-                                 theta_coeffs)
+from quatperiods.lattice import (IntLattice, LatticeError, norm_counts,
+                                 short_vectors, theta_coeffs)
 from quatperiods.orders import class_set_for, times_conj
 from quatperiods.quatalg import algebra_for_discriminant
 from quatperiods._poly import Poly
@@ -102,10 +103,17 @@ def _ldl(a):
     return d, u
 
 
+def reduced_gram(lattice):
+    """The Fraction Gram of the reduced basis: U basis_gram U^T for the U
+    of lattice.reduction."""
+    u = lattice.reduction[0]
+    return mat_mul(mat_mul(u, basis_gram(lattice)), transpose(u))
+
+
 def integer_ldl(lattice):
-    """Oracle for IntLattice.integer_ldl: the Fraction LDL of the basis Gram
-    scaled to integers (per-row denominators L_i, one common W)."""
-    g = basis_gram(lattice)
+    """Oracle for IntLattice.integer_ldl: the Fraction LDL of the reduced
+    Gram scaled to integers (per-row denominators L_i, one common W)."""
+    g = reduced_gram(lattice)
     d, u = _ldl([[x / 2 for x in row] for row in g])
     dens = [math.lcm(*(x.denominator for x in row)) for row in u]
     w = math.lcm(*((di / (den * den)).denominator
@@ -542,21 +550,56 @@ def test_short_vectors_match_fraction_oracle(case):
 
 
 def test_non_positive_definite_rejected():
-    lat = IntLattice((1, identity(2)), (1, [[2, 0], [0, -2]]))
-    with pytest.raises(LatticeError):
-        short_vectors(lat, 2)
+    # the reduction checks the first leading minor and each later one
+    for gram in ([[2, 0], [0, -2]], [[-2, 0], [0, 2]], [[2, 3], [3, 2]]):
+        lat = IntLattice((1, identity(2)), (1, gram))
+        with pytest.raises(LatticeError):
+            short_vectors(lat, 2)
+        with pytest.raises(LatticeError):
+            norm_counts(lat, 2)
 
 
 # -- the integer setup against its Fraction oracles --------------------------
 
+def check_reduction(lat):
+    """lat.reduction: U is an integer matrix of determinant +-1, the cached
+    reduced Gram is U M U^T for the integer basis Gram M, and the reduced
+    basis is LLL-reduced: |mu_ij| <= 1/2 and the Lovasz condition with
+    3/4, read off the Fraction LDL of the reduced Gram."""
+    u, r = lat.reduction
+    assert all(type(x) is int for row in u for x in row)
+    assert abs(det(u)) == 1
+    assert r == mat_mul(mat_mul(u, lat.integer_gram[1]), transpose(u))
+    d, mu = _ldl(reduced_gram(lat))
+    assert all(abs(x) <= Fraction(1, 2) for row in mu for x in row)
+    assert all(d[k] >= (Fraction(3, 4) - mu[k - 1][k] ** 2) * d[k - 1]
+               for k in range(1, len(d)))
+
+
 def check_integer_setup(lat, bound):
-    """lat's integer basis Gram, LDL, content and short vectors against the
-    Fraction oracles, which read only lat.basis and lat.gram."""
+    """lat's integer basis Gram, reduction, LDL, content, short vectors and
+    norm counts against the Fraction oracles, which read only lat.basis,
+    lat.gram and the U of lat.reduction."""
     den, rows = integer_rows(basis_gram(lat))
     assert lat.integer_gram == (den, tuple(map(tuple, rows)))
+    check_reduction(lat)
     assert lat.integer_ldl == integer_ldl(lat)
     assert lat.content() == lattice_content(lat)
-    assert short_vectors(lat, bound) == fraction_short_vectors(lat, bound)
+    vecs = fraction_short_vectors(lat, bound)
+    assert short_vectors(lat, bound) == vecs
+    want = Counter(int(q) for _, q in vecs if q.denominator == 1)
+    assert norm_counts(lat, bound) == \
+        [1] + [want[n] for n in range(1, math.floor(bound) + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattices_and_bounds())
+def test_reduction_and_norm_counts_match_fraction_oracles(case):
+    # half of the bounds are met exactly by some vector, which must count
+    lat, bound, v = case
+    check_integer_setup(lat, bound)
+    if v is not None and bound.denominator == 1:
+        assert norm_counts(lat, bound)[-1] >= 2
 
 
 @st.composite

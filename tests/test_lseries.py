@@ -247,6 +247,50 @@ def test_dirichlet_coefficients_match_the_factored_oracle(count):
         assert b[3] == 0.0
 
 
+def stride_coefficients(factors, count):
+    """Oracle for dirichlet_coefficients: its stride loop with the full
+    per-prime set-up (local_coefficients, math.log and float(shift)) at
+    every prime, also where p^2 > count reads only the value at v = 1."""
+    b = [None] + [1.0] * count
+    for p in primes_up_to(count):
+        f = factors[p]
+        local = f.local_coefficients(int(math.log(count, p)) + 1)
+        shift = float(f.shift)
+        loc = [float(c) * p ** (-v * shift) for v, c in enumerate(local)]
+        at = [loc[1]] * (count // p)
+        q, v = p, 2
+        while q * p <= count:
+            at[q - 1::q] = [loc[v]] * (count // (q * p))
+            q *= p
+            v += 1
+        b[p::p] = [x * y for x, y in zip(b[p::p], at)]
+    return b
+
+
+def test_dirichlet_coefficients_match_the_stride_loop():
+    # the level-26 triple and Sym^2 series at full length, and random
+    # factors of degree 0 to 3 with int or Fraction coefficients, whose
+    # equal shifts are distinct objects
+    recs = records()
+    h, f = resolve_label(recs, "26b"), resolve_label(recs, "26a")
+    cases = [(triple_factors(h, f, f, 10390), 10390),
+             ({p: sym2_factor(h, p) for p in primes_up_to(700)}, 700)]
+    rng = random.Random(5)
+    for count in (1, 2, 3, 4, 8, 9, 30, 49, 250, 1000):
+        factors = {}
+        for p in primes_up_to(count):
+            coeffs = [1] + [rng.randint(-9, 9)
+                            for _ in range(rng.randint(0, 3))]
+            fac = EulerFactor(p, coeffs, Fraction(rng.choice((0, 1, 3)), 2))
+            factors[p] = fac.scale_roots(Fraction(1, 3)) \
+                if rng.random() < 0.3 else fac
+        cases.append((factors, count))
+    assert any(fac.degree == 0 for fac in cases[-1][0].values())
+    for factors, count in cases:
+        assert [x.hex() for x in dirichlet_coefficients(factors, count)[1:]] \
+            == [x.hex() for x in stride_coefficients(factors, count)[1:]]
+
+
 def test_tensor_degrees_and_values():
     rng = random.Random(1)
     for _ in range(20):
