@@ -211,15 +211,45 @@ def hnf(mat):
     return [row for row in m[:r] if any(row)]
 
 
+def reduced_pair(den, rows):
+    """The pair (den, rows) divided by the gcd of den and every entry, with
+    rows as a tuple of tuples."""
+    g = gcd(den, *(x for row in rows for x in row))
+    return den // g, tuple(tuple(x // g for x in row) for row in rows)
+
+
 def hnf_lattice(den, rows):
     """The canonical (den, rows) of the lattice spanned by integer rows / den.
 
     rows come out in HNF as a tuple of tuples and den > 0 is divided down
     until gcd(den, every entry) = 1, so one lattice has one hashable pair.
+    An HNF times a positive integer is again an HNF, so reduced_pair alone
+    makes the canonical pair of c * H / den for H already in HNF.
     """
-    h = hnf(rows)
-    g = gcd(den, *(x for row in h for x in row))
-    return den // g, tuple(tuple(x // g for x in row) for row in h)
+    return reduced_pair(den, hnf(rows))
+
+
+def det(mat):
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: every entry stays a minor, so each division by the last
+    pivot is exact."""
+    m = [list(row) for row in mat]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n):
+        pr = next((i for i in range(k, n) if m[i][k]), None)
+        if pr is None:
+            return 0
+        if pr != k:
+            m[k], m[pr] = m[pr], m[k]
+            sign = -sign
+        top = m[k]
+        pk = top[k]
+        for i in range(k + 1, n):
+            f = m[i][k]
+            m[i] = [(pk * x - f * y) // prev for x, y in zip(m[i], top)]
+        prev = pk
+    return sign * prev
 
 
 def hnf_solve(rows, v):

@@ -56,17 +56,11 @@ from fractions import Fraction
 from functools import cached_property
 from operator import add, mul, neg
 
-from ._linalg import hnf, lll_gram
+from ._linalg import det, lll_gram, reduced_pair
 
 
 class LatticeError(ValueError):
     pass
-
-
-def _reduced(den, rows):
-    """The pair (den, rows) divided by the gcd of den and every entry."""
-    g = math.gcd(den, *(x for row in rows for x in row))
-    return den // g, tuple(tuple(x // g for x in row) for row in rows)
 
 
 class IntLattice:
@@ -87,9 +81,9 @@ class IntLattice:
                                "denominator")
         if any(g[i][j] != g[j][i] for i in range(n) for j in range(i)):
             raise LatticeError("gram must be symmetric")
-        self.gram = _reduced(*gram)
+        self.gram = reduced_pair(*gram)
         rows = basis[1]
-        if len(rows) != len(rows[0]) or len(hnf(rows)) != len(rows):
+        if not rows or any(len(r) != len(rows) for r in rows) or not det(rows):
             raise LatticeError("basis must be square and of full rank")
 
     @cached_property
@@ -98,8 +92,8 @@ class IntLattice:
         den, rows = self.basis
         gden, g = self.gram
         rg = [[sum(map(mul, r, col)) for col in g] for r in rows]  # g = g^T
-        return _reduced(den * den * gden,
-                        [[sum(map(mul, a, r)) for r in rows] for a in rg])
+        return reduced_pair(den * den * gden,
+                            [[sum(map(mul, a, r)) for r in rows] for a in rg])
 
     @cached_property
     def reduction(self):
@@ -165,8 +159,8 @@ class IntLattice:
         num, den = factor.numerator, factor.denominator
 
         def scaled(pair):
-            return _reduced(pair[0] * den,
-                            [[x * num for x in row] for row in pair[1]])
+            return reduced_pair(pair[0] * den,
+                                [[x * num for x in row] for row in pair[1]])
 
         out = IntLattice.__new__(IntLattice)
         out.basis = self.basis

@@ -31,6 +31,12 @@ X^floor(log_p terms), so for p^2 > terms the triple factor is its linear
 term alone.  The Dirichlet coefficients are identical with or without the
 last fact, and the others change only rounding.
 
+The series is streamed: the factors of triple_factors and of the Sym^2
+proxy are a read-only Mapping that builds the factor at p when
+dirichlet_coefficients reaches p's stride and keeps nothing, and the
+coefficients b_n live in one array('d').  So one factor is alive at a
+time, next to count + 1 doubles, however long the series.
+
 Normalization bookkeeping: polynomials are stored in the arithmetic
 normalization (coefficients in Z[a_p]); each factor records the shift that
 moves the functional-equation center to s = 1/2.
@@ -39,12 +45,14 @@ moves the functional-equation center to s = 1/2.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import operator
 from collections import Counter, namedtuple
+from collections.abc import Mapping
 from fractions import Fraction
 
-from .quatalg import _prime_factors, primes_up_to
+from .quatalg import _prime_factors, prime_sieve, primes_up_to
 
 
 class LSeriesError(ValueError):
@@ -280,26 +288,54 @@ def triple_factor_at(h, f1, f2, p):
     return triple_factor(h, f1, f2, p)
 
 
+class _FactorsOnDemand(Mapping):
+    """Read-only map from each prime p <= count to its Euler factor.
+
+    A lookup calls build(p) and keeps nothing, so a reader that takes one
+    prime at a time, as dirichlet_coefficients does, holds one factor at a
+    time.  Iteration, len and `in` read only the sieve to count.
+    """
+
+    def __init__(self, count, build):
+        self._sieve = prime_sieve(count)
+        self._build = build
+
+    def __contains__(self, p):
+        return isinstance(p, int) and 0 <= p < len(self._sieve) \
+            and self._sieve[p] == 1
+
+    def __getitem__(self, p):
+        if p not in self:
+            raise KeyError(p)
+        return self._build(p)
+
+    def __iter__(self):
+        return itertools.compress(range(len(self._sieve)), self._sieve)
+
+    def __len__(self):
+        return self._sieve.count(1)
+
+
 def triple_factors(h, f1, f2, count):
-    """Euler factors at every p <= count, as deep as the series reads them.
+    """Euler factors at every p <= count, as deep as the series reads them,
+    as a read-only Mapping that builds a factor on each lookup.
 
     dirichlet_coefficients(factors, count) reads the factor at p only up to
     X^floor(log_p count).  For a good p with p^2 > count that is the linear
     term -b_p, b_p = a_p(h) a_p(f1) a_p(f2), an int, so the degree-8 factor
-    is built only for p <= sqrt(count), and the series is the same term for
-    term; such a p then costs dirichlet_coefficients one stride over its
-    multiples.
+    is built only for p <= sqrt(count) and at p | N, and the series is the
+    same term for term; such a p then costs dirichlet_coefficients one
+    stride over its multiples.  Nothing is built before it is read, so a
+    prime missing from the data file raises on the lookup.
     """
     deep = math.isqrt(count)
     shift = _triple_shift(h, f1, f2)
-    factors = {}
-    for p in primes_up_to(count):
+
+    def build(p):
         if p <= deep or any(r.level % p == 0 for r in (h, f1, f2)):
-            factors[p] = triple_factor_at(h, f1, f2, p)
-        else:
-            factors[p] = EulerFactor(p, [1, -h.a(p) * f1.a(p) * f2.a(p)],
-                                     shift)
-    return factors
+            return triple_factor_at(h, f1, f2, p)
+        return EulerFactor(p, [1, -h.a(p) * f1.a(p) * f2.a(p)], shift)
+    return _FactorsOnDemand(count, build)
 
 
 def triple_conductor(n):
@@ -378,25 +414,35 @@ def sym2_identity_check(h1, h2, p):
 # ---------------------------------------------------------------------------
 
 def dirichlet_coefficients(factors, count):
-    """Analytic-normalization coefficients b_1..b_count as floats.
+    """Analytic-normalization coefficients b_1..b_count as an array('d') b
+    of count + 1 doubles, b[n] = b_n and b[0] = 0.0.
 
-    factors: dict prime -> EulerFactor (each with its shift); every prime
-    up to count needs one, and is read only up to X^floor(log_p count).
+    factors: a Mapping prime -> EulerFactor (each with its shift), such as a
+    dict or the on-demand map of triple_factors.  Its keys up to count, in
+    increasing order, are the primes the series walks, and every prime up
+    to count needs one; each factor is looked up once, when its prime's
+    stride is written, and read only up to X^floor(log_p count).
 
     b_n is 1.0 times the local value at p^v || n for each p | n, multiplied
     in increasing order of p.  For each p the local values of its multiples
     are laid out with one stride per power p^v <= count, each over the one
     before, and multiplied into b in one more stride.  A prime with
     p^2 > count has only v = 1, whose value -c_1 p^(-shift) is read off its
-    factor directly.  Nothing is divided out, so a zero local value is
-    harmless.
+    factor directly and multiplied into each multiple in place.  Nothing is
+    divided out, so a zero local value is harmless.
     """
-    primes = primes_up_to(count)
-    for p in primes:
-        if p not in factors:
-            raise LSeriesError(
-                f"no Euler factor supplied for a prime dividing {p}")
-    b = [None] + [1.0] * count
+    # loaded here: the extension module adds about 0.14 MB to the peak RSS
+    # of every CLI process that imports it, and only the series needs it
+    from array import array
+    sieve = prime_sieve(count)
+    primes = [p for p in sorted(factors) if 0 < p <= count and sieve[p]]
+    if len(primes) < sieve.count(1):
+        p = next(p for p in itertools.compress(range(count + 1), sieve)
+                 if p not in factors)
+        raise LSeriesError(
+            f"no Euler factor supplied for a prime dividing {p}")
+    b = array("d", [1.0]) * (count + 1)
+    b[0] = 0.0
     shift = None
     for p in primes:
         f = factors[p]
@@ -404,19 +450,20 @@ def dirichlet_coefficients(factors, count):
             shift, s = f.shift, float(f.shift)
         if p * p > count:
             val = float(-f.coeffs[1] if f.degree else 0) * p ** -s
-            b[p::p] = [x * val for x in b[p::p]]
+            for n in range(p, count + 1, p):
+                b[n] *= val
             continue
         local = f.local_coefficients(int(math.log(count, p)) + 1)
         loc = [float(c) * p ** (-v * s) for v, c in enumerate(local)]
         # at[j] is the local value at (j + 1) p; p^v | (j + 1) p exactly
         # when j + 1 is a multiple of q = p^{v-1}
-        at = [loc[1]] * (count // p)
+        at = array("d", loc[1:2]) * (count // p)
         q, v = p, 2
         while q * p <= count:
-            at[q - 1::q] = [loc[v]] * (count // (q * p))
+            at[q - 1::q] = array("d", loc[v:v + 1]) * (count // (q * p))
             q *= p
             v += 1
-        b[p::p] = map(operator.mul, b[p::p], at)
+        b[p::p] = array("d", map(operator.mul, b[p::p], at))
     return b
 
 
@@ -548,6 +595,11 @@ def central_value(factors, gamma_shifts, conductor, sign, s0=Fraction(1, 2),
       factor at p only up to X^floor(log_p terms), so callers may pass
       truncated factors (see triple_factors).
 
+    factors is any Mapping prime -> EulerFactor: a dict, or the on-demand
+    map of triple_factors, whose factors are built one prime at a time
+    while dirichlet_coefficients fills its array('d'); the moment pass
+    reads that array as it stands.
+
     Raises when the supplied factors do not reach the needed cutoff.
     """
     shifts = Counter(Fraction(m) for m in gamma_shifts)
@@ -629,15 +681,15 @@ def central_value(factors, gamma_shifts, conductor, sign, s0=Fraction(1, 2),
     exponents = [-float(s) - c for s in lines]
     absolute = [0.0] * len(lines)
     checkpoint = max(1, int(maxn * 0.65))
-    for n in range(1, maxn + 1):
+    for n, bn in enumerate(itertools.islice(b, 1, None), 1):
         if n == checkpoint:
             at_checkpoint = [m[:] for m in moments]
-        if b[n] == 0.0:
+        if bn == 0.0:
             continue
         x = 2 * math.log(n) / span - 1
         x2 = 2 * x
         for i, m in enumerate(moments):
-            t0 = b[n] * n ** exponents[i]
+            t0 = bn * n ** exponents[i]
             absolute[i] += abs(t0)
             t1 = t0 * x
             m[0] += t0
@@ -706,12 +758,13 @@ def petersson_norm_proxy(record, terms=None):
 
     Proportional to the Petersson norm up to a level-weight constant, which
     cancels in the ratio diagnostics this proxy feeds.  Euler factors are
-    built at every prime up to the series length that central_value reads,
-    so a prime missing from the data file is named, as on the triple path.
+    built on demand, as on the triple path, at every prime up to the series
+    length that central_value reads, so a prime missing from the data file
+    is named.
     """
     conductor = sym2_conductor(record)
     count = _afe_terms(conductor) if terms is None else terms
-    factors = {p: sym2_factor(record, p) for p in primes_up_to(count)}
+    factors = _FactorsOnDemand(count, lambda p: sym2_factor(record, p))
     return central_value(factors, sym2_gamma_shifts(record.weight),
                          conductor, +1, s0=Fraction(1), terms=terms)
 

@@ -35,7 +35,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from ._linalg import hnf_lattice, hnf_solve, nullspace, transpose, vec_mat
+from ._linalg import (hnf_lattice, hnf_solve, nullspace, reduced_pair,
+                      transpose, vec_mat)
 from .lattice import IntLattice, norm_counts, short_vectors
 from .quatalg import (_is_squarefree, _prime_factors, _square_part,
                       algebra_for_discriminant, good_primes,
@@ -313,7 +314,8 @@ def connecting_lattice(alg, basis_a, basis_b):
     c = lat.content()
     sn, sd = _square_part(c.numerator), _square_part(c.denominator)
     den, rows = lat.basis
-    basis = hnf_lattice(den * sn, [[x * sd for x in row] for row in rows])
+    # sd times an HNF is an HNF: only the gcd is left to divide out
+    basis = reduced_pair(den * sn, [[x * sd for x in row] for row in rows])
     return IntLattice(basis, lat.gram).rescaled(
         Fraction(c.denominator // (sd * sd), c.numerator // (sn * sn)))
 
@@ -394,15 +396,18 @@ def _neighbors(alg, ideal_basis, left_ord, p):
     return _in_rational_order(found)
 
 
+def _unit_scaled_product(alg, basis_a, basis_b):
+    """I * conj(J) with its norm form divided by its content n(I)n(J): it
+    has an element of norm 1 iff I ~ J, and then I = q * J up to units for
+    each such q."""
+    lat = times_conj(alg, basis_a, basis_b)
+    return lat.rescaled(1 / lat.content())
+
+
 def norm_one_element(alg, basis_a, basis_b):
     """First element of norm 1 in I * conj(J) rescaled by its content, as a
-    tuple of Fraction coordinates, or None.
-
-    The content of the product lattice is n(I)n(J); such an element q exists
-    iff I ~ J, and then I = q * J up to units.
-    """
-    lat = times_conj(alg, basis_a, basis_b)
-    scaled = lat.rescaled(1 / lat.content())
+    tuple of Fraction coordinates, or None."""
+    scaled = _unit_scaled_product(alg, basis_a, basis_b)
     for v, q in short_vectors(scaled, 1):
         if q == 1:
             return tuple(scaled.ambient(v))
@@ -410,8 +415,9 @@ def norm_one_element(alg, basis_a, basis_b):
 
 
 def ideals_equivalent(alg, basis_a, basis_b):
-    """Right ideal equivalence I ~ J: the rescaled I * conj(J) represents 1."""
-    return norm_one_element(alg, basis_a, basis_b) is not None
+    """Right ideal equivalence I ~ J: the rescaled I * conj(J) represents 1,
+    counted without listing a vector."""
+    return norm_counts(_unit_scaled_product(alg, basis_a, basis_b), 1)[1] > 0
 
 
 def right_ideal_classes(order):

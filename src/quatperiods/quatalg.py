@@ -11,6 +11,7 @@ signs of x, y and z.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -55,16 +56,20 @@ def _is_prime(n):
     return _prime_factors(n) == [n]
 
 
+def prime_sieve(n):
+    """The sieve of Eratosthenes to n: a bytearray s of length n + 1 (empty
+    for n < 0) with s[k] = 1 exactly when k is prime."""
+    sieve = bytearray([1]) * max(n + 1, 0)
+    sieve[0:2] = bytes(len(sieve[0:2]))
+    for i in range(2, math.isqrt(max(n, 0)) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(sieve[i * i::i]))
+    return sieve
+
+
 def primes_up_to(n):
     """The primes p <= n, by the sieve of Eratosthenes."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(n) + 1):
-        if sieve[i]:
-            sieve[i * i::i] = b"\x00" * len(sieve[i * i::i])
-    return [i for i in range(2, n + 1) if sieve[i]]
+    return list(itertools.compress(range(n + 1), prime_sieve(n)))
 
 
 def good_primes(n, count):

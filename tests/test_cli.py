@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -407,3 +408,29 @@ def test_lift_tables_match_the_benchmark_references(job):
     proc = run_cli(*job.split())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == refs[job]["stdout"]
+
+
+def bench_module(name):
+    """A module of the benchmark directory, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", Path(SRC).parent / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+CHECKS = bench_module("checks")
+LVALUE_JOBS = [" ".join(job) for job in bench_module("workloads").all_jobs()
+               if job[0] == "lvalue"]
+
+
+@pytest.mark.parametrize("job", LVALUE_JOBS)
+def test_lvalue_jobs_pass_the_benchmark_gate(capsys, job):
+    # the eight lvalue-afe jobs, run in-process and checked by the gate the
+    # benchmark applies: tolerance against the reference L-value, or
+    # finiteness for a Sym^2 proxy
+    argv = job.split()
+    code = cli.main(argv)
+    stdout = capsys.readouterr().out.encode("utf-8")
+    why = CHECKS.failure(argv, code, stdout, CHECKS.load_references())
+    assert why is None, why

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from quatperiods import _linalg
 from quatperiods._linalg import (content, hnf, hnf_lattice, inverse,
-                                 mat_mul, nullspace, charpoly, rref, transpose)
+                                 mat_mul, nullspace, charpoly, reduced_pair,
+                                 rref, transpose)
 from quatperiods.harmonics import split_iso
 from quatperiods.lattice import (IntLattice, LatticeError, norm_counts,
                                  short_vectors, theta_coeffs)
@@ -173,6 +175,34 @@ def test_hnf_is_canonical_and_idempotent():
     h = hnf(m)
     assert hnf(h) == h
     assert det(h) != 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_bareiss_det_matches_fraction_oracle(mat):
+    assert _linalg.det(mat) == det(mat)
+
+
+def test_det_of_singular_and_row_swapped_matrices():
+    assert _linalg.det([[0, 1], [1, 0]]) == -1
+    assert _linalg.det([[0, 2, 1], [0, 1, 5], [3, 0, 0]]) == 27
+    assert _linalg.det([[1, 2, 3], [2, 4, 6], [0, 0, 1]]) == 0
+    assert _linalg.det([[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0],
+                        [0, 0, 0, 7]]) == 0
+
+
+def test_scaled_hnf_is_its_own_hnf():
+    # connecting_lattice scales an HNF pair by a positive integer and skips
+    # the HNF: only the gcd is left to divide out
+    rng = random.Random(3)
+    for _ in range(40):
+        m = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(6)]
+        den, rows = hnf_lattice(rng.randint(1, 12), m)
+        c, s = rng.randint(1, 6), rng.randint(1, 6)
+        scaled = [[x * c for x in row] for row in rows]
+        assert reduced_pair(den * s, scaled) == hnf_lattice(den * s, scaled)
 
 
 def test_nullspace_and_charpoly():
@@ -379,6 +409,19 @@ def test_canonical_basis_d4_vector_sets_agree():
 def test_rank_deficient_rejected():
     with pytest.raises(LatticeError):
         IntLattice((1, [[1, 0], [2, 0]]), (1, [[2, 0], [0, 2]]))
+
+
+@pytest.mark.parametrize("rows", [
+    # rank 3: the third row is the sum of the first two
+    [[1, 0, 2, 0], [0, 3, 1, 1], [1, 3, 3, 1], [0, 0, 0, 5]],
+    # non-square
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]],
+])
+def test_singular_or_non_square_4d_basis_rejected(rows):
+    gram = (1, [[2 if i == j else 0 for j in range(4)] for i in range(4)])
+    with pytest.raises(LatticeError, match="square and of full rank"):
+        IntLattice((1, rows), gram)
 
 
 # -- short vectors -----------------------------------------------------------

@@ -1,6 +1,8 @@
 import cmath
 import math
 import random
+import tracemalloc
+from collections.abc import Mapping, MutableMapping
 from fractions import Fraction
 
 import mpmath
@@ -14,8 +16,9 @@ from quatperiods.lseries import (EulerFactor, LSeriesError, NewformRecord,
                                  petersson_norm_proxy, resolve_label,
                                  spin_split_check, sym2_conductor,
                                  sym2_factor, sym2_gamma_shifts,
-                                 sym2_identity_check, triple_conductor,
-                                 triple_factor, triple_factor_at,
+                                 sym2_identity_check, triple_central_value,
+                                 triple_conductor, triple_factor,
+                                 triple_factor_at,
                                  triple_factor_steinberg, triple_factors,
                                  triple_gamma_shifts)
 from quatperiods.newformdata import default_data_path, write_newform_file
@@ -241,7 +244,8 @@ def test_dirichlet_coefficients_match_the_factored_oracle(count):
             [Fraction(0), Fraction(1, 2), Fraction(3, 2)]))
     b = dirichlet_coefficients(factors, count)
     want = brute_force_coefficients(factors, count)
-    assert b[0] is None and want[0] is None
+    assert b.typecode == "d" and len(b) == count + 1 and b[0] == 0.0
+    assert want[0] is None
     assert [x.hex() for x in b[1:]] == [x.hex() for x in want[1:]]
     if count >= 3:
         assert b[3] == 0.0
@@ -709,6 +713,51 @@ def test_truncated_triple_factors_give_the_same_series():
         len(primes_up_to(math.isqrt(count))) - 2
     assert dirichlet_coefficients(truncated, count) == \
         dirichlet_coefficients(full, count)
+
+
+def test_triple_factors_are_a_read_only_map_built_on_lookup():
+    recs = records()
+    h, f = resolve_label(recs, "26a"), resolve_label(recs, "26b")
+    factors = triple_factors(h, f, f, 100)
+    assert isinstance(factors, Mapping)
+    assert not isinstance(factors, MutableMapping)
+    assert list(factors) == primes_up_to(100) and len(factors) == 25
+    assert 97 in factors and 13 in factors
+    assert all(n not in factors for n in (0, 1, 4, 91, 101))
+    with pytest.raises(KeyError):
+        factors[91]
+    # each lookup builds a new factor: nothing is kept between reads
+    assert factors[3] is not factors[3]
+    assert factors[3].coeffs == triple_factor_at(h, f, f, 3).coeffs
+    assert factors[13].coeffs == triple_factor_at(h, f, f, 13).coeffs
+    assert factors[97].coeffs == [1, -h.a(97) * f.a(97) ** 2]
+    assert factors[97].shift == factors[3].shift == Fraction(3, 2)
+
+
+def test_sym2_series_reads_a_map_as_a_dict():
+    recs = records()
+    h = resolve_label(recs, "26a")
+    full = {p: sym2_factor(h, p) for p in primes_up_to(200)}
+    cv = petersson_norm_proxy(h, terms=200)
+    want = central_value(full, sym2_gamma_shifts(), sym2_conductor(h), +1,
+                         s0=Fraction(1), terms=200)
+    assert (cv.value, cv.error) == (want.value, want.error)
+
+
+def test_central_value_holds_one_factor_at_a_time():
+    # the level-26 triple reads 10,390 coefficients: with the factors built
+    # on demand and b_n in a double array, the traced peak stays well below
+    # what 1,250 factors next to a list of float objects take (744 KB)
+    recs = records()
+    h, f = resolve_label(recs, "26b"), resolve_label(recs, "26a")
+    triple_central_value(h, f, f)
+    tracemalloc.start()
+    try:
+        triple_central_value(h, f, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 450_000
 
 
 @pytest.mark.parametrize("level", [11, 14, 15, 26, 37, 38])
