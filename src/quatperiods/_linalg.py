@@ -1,19 +1,24 @@
-"""Exact linear algebra over fields and Z: elimination, HNF, lattices, char polys.
+"""Exact linear algebra on lists of rows: elimination, HNF, lattices, char polys.
 
-Matrices are plain lists of lists; rows are vectors.  Entries are Fraction
-(or int where stated), ints mod p for the F_p forms of rref and nullspace,
-or elements of another exact field type such as brandt.NumberFieldElement.
-A rational lattice is one pair (den, rows): integer rows in HNF over one
-denominator (hnf_lattice), so products, membership and indices of lattices
-stay in integers.  inverse, too, clears each row of its denominators and
-eliminates in integers.  Everything here is deterministic.
+Matrices are plain lists of lists; rows are vectors.  All elimination is one
+fraction-free routine, bareiss, over an integral domain whose exact division
+the caller passes: // in Z for det, for rref over Q (each row cleared of its
+denominators first), hence inverse, and for lattice.IntLattice.integer_ldl;
+a * b^-1 mod p in F_p for the kernels mod p of orders.py and _factor.py; and
+/ in a number field such as brandt.NumberFieldElement for the eigenvectors
+over a Hecke field.  solve_right and nullspace read rref.  A rational
+lattice is one pair (den, rows): integer rows in HNF over one denominator
+(hnf_lattice), so products, membership and indices of lattices stay in
+integers.  hnf, lll_gram and charpoly are algorithms of their own.
+Everything here is deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache, partial
 from math import gcd, lcm
-from operator import mul
+from operator import floordiv, mul, truediv
 
 
 def frac_mat(rows):
@@ -43,78 +48,85 @@ def transpose(a):
     return [list(row) for row in zip(*a)]
 
 
+def bareiss(m, div, full=False):
+    """Fraction-free (Bareiss) echelon form of the rows m, in place.
+
+    The entries lie in an integral domain whose exact division is
+    div(a, b) = a / b.  Step r takes the first column c with a nonzero entry
+    in rows r.., swaps that row up as the pivot row, and replaces each row x
+    below it (each other row when full) by (p x - x_c top) / last, for the
+    new pivot p and the previous one, last (1 at the start).  Every entry
+    stays a minor of the input (Bareiss, Math. Comp. 22, 1968), so every
+    division is exact.  Row r ends as the pivot row of step r and the rows
+    past the rank as zero; full makes the pivot rows last times the reduced
+    row echelon form.  Returns (pivot columns, sign of the row permutation,
+    last pivot).
+    """
+    rows = len(m)
+    pivots, sign, last = [], 1, 1
+    for c in range(len(m[0]) if rows else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, rows) if m[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+            sign = -sign
+        top = m[r]
+        pk = top[c]
+        for i in range(0 if full else r + 1, rows):
+            f = m[i][c]
+            if i == r:
+                continue
+            if f:
+                m[i] = [div(pk * x - f * y, last) for x, y in zip(m[i], top)]
+            elif pk != last:
+                m[i] = [div(pk * x, last) for x in m[i]]
+        pivots.append(c)
+        last = pk
+    return pivots, sign, last
+
+
 def rref(mat, p=None):
     """Reduced row echelon form; returns (new_matrix, pivot_columns).
 
-    Over Q by default: int entries become Fraction, and other exact field
-    elements (such as brandt.NumberFieldElement) are used as they are.  Over F_p when p
-    is given: entries are ints reduced to 0..p-1.
+    Over F_p when p is given: entries are ints reduced to 0..p-1.  Over Q
+    when every entry is an int or a Fraction: each row is cleared of its
+    denominators, and the entries come out as Fractions.  Otherwise over the
+    field of the entries (such as brandt.NumberFieldElement, with ints taken
+    as Fractions).  Each pivot row is divided by its pivot once, after a
+    full bareiss pass in the domain's division.
     """
-    if p is None:
+    if p is not None:
+        m = [[x % p for x in row] for row in mat]
+        inv = cache(partial(pow, exp=-1, mod=p))
+        div = scale = lambda a, b: a * inv(b) % p
+    elif all(isinstance(x, (int, Fraction)) for row in mat for x in row):
+        m = []
+        for row in mat:
+            d = lcm(*(x.denominator for x in row))
+            m.append([x.numerator * (d // x.denominator) for x in row])
+        div, scale = floordiv, Fraction
+    else:
         m = [[Fraction(x) if isinstance(x, int) else x for x in row]
              for row in mat]
-    else:
-        m = [[x % p for x in row] for row in mat]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        if p is None:
-            m[r] = [x / pv for x in m[r]]
-        else:
-            inv = pow(pv, -1, p)
-            m[r] = [x * inv % p for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [m[i][j] - f * m[r][j] for j in range(cols)]
-                if p is not None:
-                    m[i] = [x % p for x in m[i]]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
+        div = scale = truediv
+    pivots = bareiss(m, div, full=True)[0]
+    for r, row in enumerate(m):
+        pv = row[pivots[r]] if r < len(pivots) else 1
+        m[r] = [scale(x, pv) for x in row]
     return m, pivots
 
 
 def inverse(mat):
-    """Inverse of a square matrix of ints and Fractions, as Fractions.
-
-    Each row is cleared of its denominators, and fraction-free (Bareiss)
-    Gauss-Jordan elimination runs on [D A | D] in integers, D the diagonal
-    of the row scales.  Every entry stays a minor, so each division by the
-    last pivot p is exact, and the blocks end as [p I | p A^{-1}].
-    """
+    """Inverse of a square matrix of ints and Fractions, as Fractions: the
+    right block of rref([A | I])."""
     n = len(mat)
-    m = []
-    for i, row in enumerate(mat):
-        d = lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (d // x.denominator) for x in row]
-                 + [d * (i == j) for j in range(n)])
-    prev = 1
-    for k in range(n):
-        pr = next((i for i in range(k, n) if m[i][k]), None)
-        if pr is None:
-            raise ValueError("matrix not invertible")
-        m[k], m[pr] = m[pr], m[k]
-        top = m[k]
-        pk = top[k]
-        for i, row in enumerate(m):
-            f = row[k]
-            if i == k:
-                continue
-            if f:
-                m[i] = [(pk * x - f * y) // prev for x, y in zip(row, top)]
-            elif pk != prev:
-                m[i] = [pk * x // prev for x in row]
-        prev = pk
-    return [[Fraction(x, prev) for x in row[n:]] for row in m]
+    red, piv = rref([list(row) + [int(i == j) for j in range(n)]
+                     for i, row in enumerate(mat)])
+    if piv != list(range(n)):
+        raise ValueError("matrix not invertible")
+    return [row[n:] for row in red]
 
 
 def solve_right(mat, rhs):
@@ -230,26 +242,10 @@ def hnf_lattice(den, rows):
 
 
 def det(mat):
-    """Determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination: every entry stays a minor, so each division by the last
-    pivot is exact."""
-    m = [list(row) for row in mat]
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n):
-        pr = next((i for i in range(k, n) if m[i][k]), None)
-        if pr is None:
-            return 0
-        if pr != k:
-            m[k], m[pr] = m[pr], m[k]
-            sign = -sign
-        top = m[k]
-        pk = top[k]
-        for i in range(k + 1, n):
-            f = m[i][k]
-            m[i] = [(pk * x - f * y) // prev for x, y in zip(m[i], top)]
-        prev = pk
-    return sign * prev
+    """Determinant of a square integer matrix: the sign times the last pivot
+    of a forward bareiss pass, or 0 when the rank is short."""
+    pivots, sign, last = bareiss([list(row) for row in mat], floordiv)
+    return sign * last if len(pivots) == len(mat) else 0
 
 
 def hnf_solve(rows, v):

@@ -392,8 +392,11 @@ def eigenforms(class_set, nu=0, primes=None):
     the involutions w_p (old-form classes share all good Hecke eigenvalues
     and differ only under w_p), down to Galois orbits; _make_eigenform
     builds each orbit's form over its Hecke field.  Weight 0 adds the
-    essential/non-essential labels.  Positive weight is supported on maximal
-    orders (where the whole space is essential apart from nothing).
+    essential/non-essential labels.  At nu > 0 it decomposes the whole
+    direct sum of U_nu over the classes, which is the space of forms only
+    where every unit group is +-1: at disc 7 and nu = 2 it returns 4 forms
+    spanning 5 dimensions against dim S_6^new(Gamma_0(7)) = 3, and at disc
+    2, 3 and 5 it raises BrandtError (ROADMAP item 4(a)).
     Memoised per (class set, nu, primes) like brandt_matrix: callers share
     the returned list and forms and must not mutate them; primes must be a
     tuple.

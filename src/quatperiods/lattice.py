@@ -20,9 +20,10 @@ LLL-reduced basis (Math. Ann. 261, 1982).  The basis Gram M / G is reduced
 once per lattice to R = U M U^T with U unimodular (_linalg.lll_gram, in
 integers), so the nested coordinate ranges are short and few of them are
 empty; a vector y in reduced coordinates is y U in basis coordinates.
-With q(y) = y^T R y / N for N = 2G, fraction-free (Bareiss) elimination
-on R leaves in row i the integers b_ij (j >= i), where b_ii is the i-th
-leading principal minor Delta_i, and
+With q(y) = y^T R y / N for N = 2G, a forward fraction-free pass of
+_linalg.bareiss on R, which never swaps rows of a positive definite form,
+leaves in row i the integers b_ij (j >= i), where b_ii is the i-th leading
+principal minor Delta_i, and
     N q(y) = sum_i T_i^2 / (Delta_{i-1} Delta_i),   T_i = sum_{j>=i} b_ij y_j,
 with Delta_{-1} = 1; the form is positive definite iff every Delta_i > 0,
 which the reduction checks.  With g_i the gcd of row i and W the least
@@ -54,9 +55,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from operator import add, mul, neg
+from operator import add, floordiv, mul, neg
 
-from ._linalg import det, lll_gram, reduced_pair
+from ._linalg import bareiss, det, lll_gram, reduced_pair
 
 
 class LatticeError(ValueError):
@@ -115,11 +116,12 @@ class IntLattice:
     def integer_ldl(self):
         """(W, [(A_i, L_i, [(j, b_ij / g_i) for j > i, b_ij != 0])]).
 
-        The integer LDL decomposition of the module docstring, for the
-        enumeration, by fraction-free elimination on the reduced Gram.
+        The integer LDL decomposition of the module docstring, read off the
+        rows of a forward _linalg.bareiss pass on the reduced Gram.
         """
         gden = self.integer_gram[0]
         a = [list(row) for row in self.reduction[1]]
+        bareiss(a, floordiv)
         n = len(a)
         prev, levels = 1, []
         for i in range(n):
@@ -130,9 +132,6 @@ class IntLattice:
             levels.append((num // r, den // r, piv // g,
                            [(j, a[i][j] // g) for j in range(i + 1, n)
                             if a[i][j]]))
-            for j in range(i + 1, n):         # Bareiss step on the upper part
-                for k in range(j, n):
-                    a[j][k] = (piv * a[j][k] - a[i][j] * a[i][k]) // prev
             prev = piv
         w = math.lcm(*(den for _, den, _, _ in levels))
         return w, [(num * (w // den), lev, row)

@@ -736,9 +736,7 @@ def central_value(factors, gamma_shifts, conductor, sign, s0=Fraction(1, 2),
 
 def _afe_terms(conductor):
     """Series length needed for the smoothed sums (heuristic + margin)."""
-    sq = float(conductor) ** 0.5
-    base = int(sq * 3) + 50
-    return min(base, 200000)
+    return int(float(conductor) ** 0.5 * 3) + 50
 
 
 def triple_central_value(h, f1, f2, terms=None):

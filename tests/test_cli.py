@@ -392,24 +392,6 @@ def test_verify_passes_and_exits_3_on_a_failed_check(capsys, monkeypatch):
     assert "  FAIL  paper constant at 11a^4" in rows
 
 
-@pytest.mark.parametrize("job", [
-    "yoshida --disc 3 --nu1 2 --nu2 2 --prec 4 --seed 1",
-    "yoshida --disc 3 --nu1 2 --nu2 2 --prec 4 --seed 2",
-    "yoshida --disc 3 --nu1 2 --nu2 2 --prec 4 --seed 3",
-    "restrict --disc 11 --prec 6 --gamma 2",
-    "theta --disc 11 --prec 30",
-    "diffop --k 4 --a 2 --b 1 --r 2 --T 2,1,3",
-])
-def test_lift_tables_match_the_benchmark_references(job):
-    # the six siegel-lift jobs of the benchmark: its gate wants these bytes,
-    # and a changed Fourier table or theta series fails here first
-    refs = json.loads((Path(SRC).parent / "bench" / "references.json")
-                      .read_text(encoding="utf-8"))
-    proc = run_cli(*job.split())
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == refs[job]["stdout"]
-
-
 def bench_module(name):
     """A module of the benchmark directory, loaded from its file."""
     spec = importlib.util.spec_from_file_location(
@@ -420,17 +402,17 @@ def bench_module(name):
 
 
 CHECKS = bench_module("checks")
-LVALUE_JOBS = [" ".join(job) for job in bench_module("workloads").all_jobs()
-               if job[0] == "lvalue"]
+BENCH_JOBS = [" ".join(job) for job in bench_module("workloads").all_jobs()]
 
 
-@pytest.mark.parametrize("job", LVALUE_JOBS)
-def test_lvalue_jobs_pass_the_benchmark_gate(capsys, job):
-    # the eight lvalue-afe jobs, run in-process and checked by the gate the
-    # benchmark applies: tolerance against the reference L-value, or
-    # finiteness for a Sym^2 proxy
+@pytest.mark.parametrize("job", BENCH_JOBS)
+def test_benchmark_jobs_pass_the_benchmark_gate(job):
+    # every job any benchmark seed can run, each in a fresh interpreter as
+    # the benchmark runs it, checked by the gate the benchmark applies: exact
+    # JSON byte for byte (class sets, eigenforms, S1/S2, Fourier tables),
+    # an L-value within the reported errors, a Sym^2 proxy finite
     argv = job.split()
-    code = cli.main(argv)
-    stdout = capsys.readouterr().out.encode("utf-8")
-    why = CHECKS.failure(argv, code, stdout, CHECKS.load_references())
-    assert why is None, why
+    proc = run_cli(*argv)
+    why = CHECKS.failure(argv, proc.returncode, proc.stdout.encode("utf-8"),
+                         CHECKS.load_references())
+    assert why is None, f"{why}\n{proc.stderr}"

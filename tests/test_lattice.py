@@ -3,6 +3,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from quatperiods import _linalg
 from quatperiods._linalg import (content, hnf, hnf_lattice, inverse,
                                  mat_mul, nullspace, charpoly, reduced_pair,
-                                 rref, transpose)
+                                 rref, solve_right, transpose)
+from quatperiods.brandt import NumberFieldElement
 from quatperiods.harmonics import split_iso
 from quatperiods.lattice import (IntLattice, LatticeError, norm_counts,
                                  short_vectors, theta_coeffs)
@@ -214,14 +216,147 @@ def test_nullspace_and_charpoly():
     assert cp == [Fraction(1), Fraction(-4), Fraction(3)]
 
 
+def reference_rref(mat, p=None):
+    """Oracle for _linalg.rref, apart from its elimination core: Gauss-Jordan
+    that divides each pivot row by its pivot, over Q in Fractions (other
+    exact field elements kept as they are) or over F_p in ints 0..p-1."""
+    if p is None:
+        m = [[Fraction(x) if isinstance(x, int) else x for x in row]
+             for row in mat]
+    else:
+        m = [[x % p for x in row] for row in mat]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        if p is None:
+            m[r] = [x / pv for x in m[r]]
+        else:
+            inv = pow(pv, -1, p)
+            m[r] = [x * inv % p for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [m[i][j] - f * m[r][j] for j in range(cols)]
+                if p is not None:
+                    m[i] = [x % p for x in m[i]]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
 def fraction_inverse(mat):
-    """Oracle for _linalg.inverse: rref of [A | I] in Fractions."""
+    """Oracle for _linalg.inverse: reference_rref of [A | I] in Fractions."""
     n = len(mat)
     aug = [[Fraction(x) for x in mat[i]] + identity(n)[i] for i in range(n)]
-    red, piv = rref(aug)
+    red, piv = reference_rref(aug)
     if piv[:n] != list(range(n)):
         raise ValueError("matrix not invertible")
     return [row[n:] for row in red]
+
+
+def typed(x):
+    """x with each entry of its nested lists paired with its type, so that
+    == compares the types too."""
+    if isinstance(x, (list, tuple)):
+        return [typed(y) for y in x]
+    return type(x), x
+
+
+def assert_same(got, expected, same_types):
+    if same_types:
+        got, expected = typed(got), typed(expected)
+    assert got == expected
+
+
+def assert_matches_reference(fn, *args, same_types=True):
+    """fn(*args) equals what it returns with _linalg.rref replaced by
+    reference_rref, in values and (with same_types) in types, or raises the
+    same ValueError."""
+    with mock.patch.object(_linalg, "rref", reference_rref):
+        try:
+            expected = fn(*args)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{exc}$"):
+                fn(*args)
+            return None
+    got = fn(*args)
+    assert_same(got, expected, same_types)
+    return got
+
+
+# Q(sqrt 5) = Q[x]/(x^2 + x - 1), the Hecke field of eigen --disc 23
+SQRT5_FIELD = (Fraction(1), Fraction(1), Fraction(-1))
+Q_ENTRIES = st.one_of(st.integers(-3, 3),
+                      st.fractions(-5, 5, max_denominator=6))
+SQRT5_ENTRIES = st.one_of(
+    Q_ENTRIES, st.tuples(Q_ENTRIES, Q_ENTRIES).map(
+        lambda ab: NumberFieldElement([Fraction(ab[0]), Fraction(ab[1])],
+                                      SQRT5_FIELD)))
+
+
+@st.composite
+def echelon_inputs(draw, entries, max_rows=5, max_cols=6):
+    """A matrix whose rows past a random rank are random combinations of
+    the rows before it, so that it is often rank-deficient, and often
+    wide."""
+    rows, cols = draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols))
+    base = [draw(st.lists(entries, min_size=cols, max_size=cols))
+            for _ in range(draw(st.integers(1, rows)))]
+    mat = list(base)
+    while len(mat) < rows:
+        coeffs = draw(st.lists(entries, min_size=len(base),
+                               max_size=len(base)))
+        mat.append([sum(c * row[j] for c, row in zip(coeffs, base))
+                    for j in range(cols)])
+    return draw(st.permutations(mat))
+
+
+def check_rref_nullspace_solve(mat, rhs, p=None, same_types=True):
+    """rref, nullspace and solve_right against reference_rref; returns the
+    rref."""
+    red = rref(mat, p)
+    assert_same(red, reference_rref(mat, p), same_types)
+    kernel = assert_matches_reference(nullspace, mat, p, same_types=same_types)
+    for v in kernel:
+        for row in mat:
+            total = sum(a * x for a, x in zip(row, v))
+            assert (total % p if p else total) == 0
+    if p is None and len(mat[0]) >= len(mat):
+        assert_matches_reference(solve_right, [row[:len(mat)] for row in mat],
+                                 rhs, same_types=same_types)
+    return red[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(echelon_inputs(Q_ENTRIES), st.lists(Q_ENTRIES, min_size=5, max_size=5))
+def test_rref_nullspace_and_solve_over_q_match_the_reference(mat, rhs):
+    red = check_rref_nullspace_solve(mat, rhs)
+    assert all(type(x) is Fraction for row in red for x in row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(echelon_inputs(st.integers(-9, 9)), st.sampled_from([2, 3, 5, 7]))
+def test_rref_and_nullspace_over_f_p_match_the_reference(mat, p):
+    red = check_rref_nullspace_solve(mat, None, p)
+    assert all(type(x) is int and 0 <= x < p for row in red for x in row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(echelon_inputs(SQRT5_ENTRIES, 4, 5),
+       st.lists(SQRT5_ENTRIES, min_size=4, max_size=4))
+def test_rref_nullspace_and_solve_over_q_sqrt5_match_the_reference(mat, rhs):
+    # equal values; a zero entry can come out as a field element where the
+    # reference keeps a Fraction, as in the zero row of rref([[0], [x]])
+    check_rref_nullspace_solve(mat, rhs, same_types=False)
 
 
 @st.composite

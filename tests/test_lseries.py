@@ -764,3 +764,10 @@ def test_central_value_holds_one_factor_at_a_time():
 def test_triple_series_length_is_the_afe_default(level):
     cond = triple_conductor(level)
     assert _afe_terms(cond) == int(3 * math.sqrt(cond)) + 50
+
+
+def test_afe_length_is_not_capped():
+    # from level 86 on the default triple series is longer than 200,000
+    # terms; it is streamed, so its length is not cut to a cap
+    cond = triple_conductor(86)
+    assert _afe_terms(cond) == int(3 * math.sqrt(cond)) + 50 > 200_000
