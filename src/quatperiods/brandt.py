@@ -520,12 +520,14 @@ def _eigenform_sort_key(form):
     """Label, field degree, the eigenvalues' exact coordinates, then the
     Atkin-Lehner signs, +1 first: exact, so that no float picks an embedding
     of an irrational Hecke field, and total, since old-form copies differ
-    only in their signs."""
+    only in their signs.  A rational eigenvalue is padded to the field
+    degree, so a Fraction and a field element of one value tie."""
     order = {"eisenstein": 0, "cuspidal-essential": 1, "non-essential": 2,
              "eigenform": 3}
     degree = len(form.field) - 1 if form.field else 1
+    coords = [_coords(form.eigenvalues[p]) for p in sorted(form.eigenvalues)]
     return (order[form.label], degree,
-            [_coords(form.eigenvalues[p]) for p in sorted(form.eigenvalues)],
+            [c + (0,) * (degree - len(c)) for c in coords],
             [-form.al_signs[p] for p in sorted(form.al_signs)])
 
 

@@ -1,8 +1,8 @@
 """Command line layer: parse, call, print, map errors to exit codes.
 
-Subcommands: classset, brandt, eigen, theta, yoshida, restrict, diffop, gate,
-period, euler, lvalue, verify.  Each takes only the flags its handler reads;
-the parsed arguments are the whole configuration.  A handler resolves
+`COMMANDS` maps each subcommand to its handler and its flags, each flag to a
+type and a default; `parse_args` reads the named command's entry only, and
+the namespace it returns is the whole configuration.  A handler resolves
 newform labels and calls the package; the pipeline from a quadruple to its
 period report lives in `periods`, the central values in `lseries`.  Outputs
 are deterministic JSON (sorted keys, no timestamps).  Exit codes: 0 success,
@@ -11,11 +11,11 @@ are deterministic JSON (sorted keys, no timestamps).  Exit codes: 0 success,
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import newformdata
 from .brandt import (brandt_matrix, constant_form, eichler_theta, eigenforms,
@@ -68,26 +68,21 @@ def run_verify(args):
     ok = True
 
     def masses():
-        for n1 in (2, 3, 5, 7, 11, 13):
-            if class_set_for(n1).mass() != eichler_mass(n1, 1):
-                return False
-        return class_set_for(2, 11).mass() == eichler_mass(2, 11)
+        return all(class_set_for(n1, m).mass() == eichler_mass(n1, m)
+                   for n1, m in ((2, 1), (3, 1), (5, 1), (7, 1), (11, 1),
+                                 (13, 1), (2, 11)))
     ok &= check("mass formulas", masses)
 
     def level11():
         cs = class_set_for(11)
-        forms = eigenforms(cs)
-        cusp = next(f for f in forms if f.label == "cuspidal-essential")
+        cusp = _cusp_form(cs)
         return sorted(cs.unit_counts) == [4, 6] and \
             cusp.scalar_values() == [2, -3] and cusp.eigenvalues[2] == -2
     ok &= check("level 11 ground truth", level11)
 
     def theta_match():
         h, = _newforms(args, "11a")
-        cs = class_set_for(11)
-        cusp = next(f for f in eigenforms(cs)
-                    if f.label == "cuspidal-essential")
-        th = eichler_theta(cusp, 20)
+        th = eichler_theta(_cusp_form(class_set_for(11)), 20)
         ratio = th[1]
         return all(th[n] == ratio * h.a(n) for n in (2, 3, 5, 7, 11, 13, 17, 19))
     ok &= check("theta lift matches 11a", theta_match)
@@ -121,9 +116,7 @@ def run_verify(args):
     ok &= check("trilinear balance scan", balance)
 
     def yoshida_checks():
-        cs = class_set_for(11)
-        forms = eigenforms(cs)
-        cusp = next(f for f in forms if f.label == "cuspidal-essential")
+        cusp = _cusp_form(class_set_for(11))
         table = yoshida_lift(cusp, cusp, 4)
         if HalfIntMatrix(0, 0, 0) in table.coeffs:
             return False
@@ -146,10 +139,9 @@ def run_verify(args):
     ok &= check("sign gates", gates)
 
     def diffops():
-        for (k, a, b, r) in ((2, 0, 0, 2), (3, 1, 0, 1), (4, 2, 1, 2)):
-            if projection_poly(k, a, b, r).z12_test() != math.factorial(r):
-                return False
-        return True
+        return all(projection_poly(k, a, b, r).z12_test() == math.factorial(r)
+                   for k, a, b, r in ((2, 0, 0, 2), (3, 1, 0, 1),
+                                      (4, 2, 1, 2)))
     ok &= check("differential operators", diffops)
 
     def corollaries():
@@ -251,6 +243,8 @@ def run_eigen(args):
 
 
 def run_theta(args):
+    if args.eisenstein and args.match:
+        raise ValidationError("--match not allowed with argument --eisenstein")
     cs = _class_set(args)
     if args.eisenstein:
         form = next(f for f in eigenforms(cs) if f.label == "eisenstein")
@@ -281,11 +275,8 @@ def run_restrict(args):
     """Restriction of the weight-0 lift; alpha1 + alpha2 = 2 nu2 = 0."""
     form = _cusp_form(_class_set(args))
     table = yoshida_lift(form, form, args.prec)
-    if args.gamma:
-        data = apply_to_table(projection_poly(2, 0, 0, args.gamma), table,
-                              0, 0)
-    else:
-        data = diagonal_restriction(table, 0, 0)
+    data = apply_to_table(projection_poly(2, 0, 0, args.gamma), table, 0, 0) \
+        if args.gamma else diagonal_restriction(table, 0, 0)
     return {"coefficients": {f"{k[0]},{k[1]}": str(v)
                              for k, v in sorted(data.items())}}
 
@@ -360,124 +351,133 @@ def run_lvalue(args):
 # argument parsing
 # ---------------------------------------------------------------------------
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a bad command line as one `error: ...` line and exit 2, the
-    same form as the checks that need more than one flag."""
-
-    def error(self, message):
-        print(f"error: {message}", file=sys.stderr)
-        sys.exit(2)
-
-
-def _int_type(test, what):
-    """argparse type: an integer n with test(n), described as `what`."""
+def _flag_type(test, what, convert=int):
+    """Flag type: convert(text) if it passes test, described as `what`."""
     def parse(text):
         try:
-            n = int(text)
+            value = convert(text)
         except ValueError:
-            n = None
-        if n is None or not test(n):
-            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
-        return n
+            value = None
+        if value is None or not test(value):
+            raise ValidationError(f"{text!r} is not {what}")
+        return value
     return parse
 
 
-NONNEG = _int_type(lambda n: n >= 0, "a nonnegative integer")
-POSITIVE = _int_type(lambda n: n >= 1, "a positive integer")
-PRIME = _int_type(_is_prime, "a prime")
-LEVEL = _int_type(lambda n: n >= 1 and _is_squarefree(n),
-                  "a positive squarefree integer")
-DISC = _int_type(
+NONNEG = _flag_type(lambda n: n >= 0, "a nonnegative integer")
+POSITIVE = _flag_type(lambda n: n >= 1, "a positive integer")
+PRIME = _flag_type(_is_prime, "a prime")
+LEVEL = _flag_type(lambda n: n >= 1 and _is_squarefree(n),
+                   "a positive squarefree integer")
+WEIGHTING = _flag_type(lambda s: s in ("unweighted", "mass"),
+                       "unweighted or mass", str)
+DISC = _flag_type(
     lambda n: n >= 2 and _is_squarefree(n) and len(_prime_factors(n)) % 2,
     "a product of an odd number of distinct primes, so no definite "
     "quaternion algebra has it as discriminant")
 
 
 def _index(text):
-    """argparse type: the index n1,m2,n2 of a half-integral matrix."""
+    """Flag type: the index n1,m2,n2 of a half-integral matrix."""
     try:
         n1, m2, n2 = (int(x) for x in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(
+        raise ValidationError(
             f"{text!r} is not an index n1,m2,n2 of three integers") from None
     return HalfIntMatrix(n1, m2, n2)
 
 
-def build_parser():
-    parser = _Parser(
-        prog="quatperiods",
-        description="Brandt matrices, Yoshida lifts and period sums on "
-                    "definite quaternion algebras")
-    sub = parser.add_subparsers(dest="command", required=True)
+# A flag maps to (type, default): the type turns its text into the value,
+# `bool` marks a switch that takes no value, and REQUIRED a flag with none.
+REQUIRED = ...
+CLASS_SET = {"disc": (DISC, REQUIRED), "level": (LEVEL, None)}
+NEWFORMS = {"newforms": (str, "")}
+LABELS4 = {key: (str, REQUIRED) for key in QUADRUPLE}
+LABELS3 = {**{key: (str, "") for key in TRIPLE}, "sym2": (str, "")}
+AFE = {"pmax": (NONNEG, 0)}
+COMMANDS = {
+    "classset": (run_classset, CLASS_SET),
+    "brandt": (run_brandt, {**CLASS_SET, "p": (PRIME, REQUIRED),
+                            "nu1": (NONNEG, 0)}),
+    "eigen": (run_eigen, CLASS_SET),
+    "theta": (run_theta, {**CLASS_SET, **NEWFORMS, "prec": (POSITIVE, 6),
+                          "match": (str, ""), "eisenstein": (bool, False)}),
+    "yoshida": (run_yoshida, {**CLASS_SET, "nu1": (NONNEG, 0),
+                              "nu2": (NONNEG, 0), "prec": (NONNEG, 6),
+                              "seed": (int, 0)}),
+    "restrict": (run_restrict, {**CLASS_SET, "prec": (NONNEG, 6),
+                                "gamma": (NONNEG, 0)}),
+    "diffop": (run_diffop, {
+        "k": (_flag_type(lambda n: n >= 2, "an integer >= 2"), 2),
+        "a": (NONNEG, 0), "b": (NONNEG, 0), "r": (NONNEG, 0),
+        "T": (_index, None)}),
+    "gate": (run_gate, {**LABELS4, **NEWFORMS}),
+    "period": (run_pipeline, {**LABELS4, **NEWFORMS, **AFE,
+                              "weighting": (WEIGHTING, "unweighted"),
+                              "lvalue": (bool, False)}),
+    "euler": (run_euler, {**LABELS3, **NEWFORMS, "p": (PRIME, REQUIRED)}),
+    "lvalue": (run_lvalue, {**LABELS3, **NEWFORMS, **AFE}),
+    "verify": (run_verify, {**NEWFORMS, "seed": (int, 0)}),
+}
+HELP = {"out": "write the JSON to this file, not to stdout",
+        "level": "a multiple of --disc (default: --disc)",
+        "newforms": "newform data file (default: the shipped one)",
+        "sym2": "use the symmetric square of this newform",
+        "pmax": "series length (default 0: from the conductor)",
+        "match": "newform label to select the eigenform",
+        "T": "index n1,m2,n2 for Q(T)"}
 
-    def add(name, run, *groups):
-        p = sub.add_parser(name)
-        p.set_defaults(run=run)
-        p.add_argument("--out", default="",
-                       help="write the JSON to this file, not to stdout")
-        for group in groups:
-            group(p)
-        return p
 
-    def class_set(p):
-        p.add_argument("--disc", type=DISC, required=True)
-        p.add_argument("--level", type=LEVEL,
-                       help="a multiple of --disc (default: --disc)")
+def _help(command, flags):
+    """The usage text: every command, or the flags of one."""
+    if command not in COMMANDS:
+        return ("usage: quatperiods COMMAND [--FLAG VALUE ...]\n\nBrandt "
+                "matrices, Yoshida lifts and period sums on definite "
+                "quaternion algebras\n\ncommands: " + ", ".join(COMMANDS))
+    lines = [f"usage: quatperiods {command} [--FLAG VALUE ...]\n\nflags:"]
+    for flag, (kind, default) in flags.items():
+        spec = f"--{flag}" + ("" if kind is bool else f" {flag.upper()}")
+        note = "required" if default is REQUIRED else HELP.get(flag, "")
+        lines.append(f"  {spec:<21} {note}".rstrip())
+    return "\n".join(lines)
 
-    def newforms(p):
-        p.add_argument("--newforms", default="",
-                       help="newform data file (default: the shipped one)")
 
-    def quadruple(p):
-        for key in QUADRUPLE:
-            p.add_argument(f"--{key}", required=True)
-
-    def triple(p):
-        for key in TRIPLE:
-            p.add_argument(f"--{key}", default="")
-        p.add_argument("--sym2", default="",
-                       help="use the symmetric square of this newform")
-
-    def afe(p):
-        p.add_argument("--pmax", type=NONNEG, default=0,
-                       help="series length (default 0: from the conductor)")
-
-    add("classset", run_classset, class_set)
-    p = add("brandt", run_brandt, class_set)
-    p.add_argument("--p", type=PRIME, required=True)
-    p.add_argument("--nu1", type=NONNEG, default=0)
-    add("eigen", run_eigen, class_set)
-    p = add("theta", run_theta, class_set, newforms)
-    p.add_argument("--prec", type=POSITIVE, default=6)
-    form = p.add_mutually_exclusive_group()
-    form.add_argument("--match", default="",
-                      help="newform label to select the eigenform")
-    form.add_argument("--eisenstein", action="store_true")
-    p = add("yoshida", run_yoshida, class_set)
-    p.add_argument("--nu1", type=NONNEG, default=0)
-    p.add_argument("--nu2", type=NONNEG, default=0)
-    p.add_argument("--prec", type=NONNEG, default=6)
-    p.add_argument("--seed", type=int, default=0)
-    p = add("restrict", run_restrict, class_set)
-    p.add_argument("--prec", type=NONNEG, default=6)
-    p.add_argument("--gamma", type=NONNEG, default=0)
-    p = add("diffop", run_diffop)
-    p.add_argument("--k", type=_int_type(lambda n: n >= 2, "an integer >= 2"),
-                   default=2)
-    for key in ("a", "b", "r"):
-        p.add_argument(f"--{key}", type=NONNEG, default=0)
-    p.add_argument("--T", type=_index, help="index n1,m2,n2 for Q(T)")
-    add("gate", run_gate, quadruple, newforms)
-    p = add("period", run_pipeline, quadruple, newforms, afe)
-    p.add_argument("--weighting", default="unweighted",
-                   choices=("unweighted", "mass"))
-    p.add_argument("--lvalue", action="store_true")
-    p = add("euler", run_euler, triple, newforms)
-    p.add_argument("--p", type=PRIME, required=True)
-    add("lvalue", run_lvalue, triple, newforms, afe)
-    p = add("verify", run_verify, newforms)
-    p.add_argument("--seed", type=int, default=0)
-    return parser
+def parse_args(argv):
+    """The namespace of one command line: command, run and every flag of the
+    command, given or defaulted; the last of a repeated flag wins.  Prints
+    the help and exits 0 on -h or --help."""
+    command = argv[0] if argv else ""
+    run, flags = COMMANDS.get(command, (None, {}))
+    flags = {"out": (str, ""), **flags}
+    values = {flag: default for flag, (_, default) in flags.items()}
+    if {"-h", "--help"} & set(argv):
+        print(_help(command, flags))
+        sys.exit(0)
+    if run is None:
+        raise ValidationError(f"unknown command {command!r}, not one of "
+                              + ", ".join(COMMANDS))
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        kind = flags.get(flag[2:], (None,))[0] if flag[:2] == "--" else None
+        if kind is None:
+            raise ValidationError(f"{command} has no flag {flag!r}")
+        if kind is bool and eq:
+            raise ValidationError(f"argument {flag}: takes no value")
+        if kind is not bool and not eq:
+            text = next(tokens, None)
+            if text is None or text.startswith("--"):
+                raise ValidationError(f"argument {flag}: expected one value")
+        try:
+            values[flag[2:]] = True if kind is bool else kind(text)
+        except ValueError as exc:
+            raise ValidationError(f"argument {flag}: {exc}") from None
+    missing = [f"--{flag}" for flag, value in values.items()
+               if value is REQUIRED]
+    if missing:
+        raise ValidationError("the following arguments are required: "
+                              + ", ".join(missing))
+    return SimpleNamespace(command=command, run=run, **values)
 
 
 def _emit(out, payload):
@@ -490,8 +490,8 @@ def _emit(out, payload):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         payload = args.run(args)
     except (ValidationError, PeriodError, LSeriesError) as exc:
         print(f"error: {exc}", file=sys.stderr)

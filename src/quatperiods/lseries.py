@@ -52,7 +52,7 @@ from collections import Counter, namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
 
-from .quatalg import _prime_factors, prime_sieve, primes_up_to
+from .quatalg import _prime_factors, prime_sieve
 
 
 class LSeriesError(ValueError):
@@ -85,8 +85,7 @@ def ingest(path, labels=None):
     checked; every row's label is still read, so a label the file repeats
     comes back once per row.
     """
-    records = []
-    primes, sieved = set(), 0
+    records, sieve = [], bytearray()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -114,11 +113,10 @@ def ingest(path, labels=None):
             for p, v in eps.items():
                 if v not in (1, -1) or level % p:
                     raise LSeriesError(f"row {lineno}: bad sign data at {p}")
-            if ap and max(ap) > sieved:
-                sieved = max(ap)
-                primes = set(primes_up_to(sieved))
+            if ap and max(ap) >= len(sieve):
+                sieve = prime_sieve(max(ap))
             for p, a in ap.items():
-                if p not in primes:
+                if p < 2 or not sieve[p]:
                     raise LSeriesError(f"row {lineno}: {p} is not prime")
                 if a * a > 4 * p ** (weight - 1):
                     raise LSeriesError(

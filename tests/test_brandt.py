@@ -4,6 +4,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -542,6 +543,24 @@ def test_eigenforms_are_galois_orbits(disc, level):
     # the order is exact and total: old-form copies differ in their signs
     keys = [brandt._eigenform_sort_key(f) for f in forms]
     assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_sort_key_reads_a_rational_eigenvalue_by_value_not_type():
+    # an elimination may return a rational eigenvalue over a Hecke field as
+    # a Fraction or as a field element; the order must not see which
+    modulus = (1, 1, -1)
+    x = field_element([0, 1], modulus)
+
+    def form(a2, a3):
+        return SimpleNamespace(label="cuspidal-essential", field=modulus,
+                               eigenvalues={2: a2, 3: a3}, al_signs={11: 1})
+
+    one = field_element([1, 0], modulus)
+    assert brandt._eigenform_sort_key(form(Fraction(1), x)) == \
+        brandt._eigenform_sort_key(form(one, x))
+    # tied at 2, so a_3 decides: x comes before x + 5
+    forms = [form(Fraction(1), x + 5), form(one, x)]
+    assert sorted(forms, key=brandt._eigenform_sort_key) == forms[::-1]
 
 
 def test_block_that_is_not_one_orbit_raises():

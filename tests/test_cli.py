@@ -14,6 +14,7 @@ from quatperiods import cli, periods
 from quatperiods.brandt import constant_form
 from quatperiods.newformdata import eta_product_coefficients
 from quatperiods.periods import period_sums
+from quatperiods.yoshida import HalfIntMatrix
 
 SRC = str(Path(quatperiods.__file__).resolve().parents[1])
 
@@ -126,6 +127,165 @@ def test_missing_label_or_mismatched_input_exits_2(args, message):
     assert proc.stderr.startswith("error: ") and message in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+# Each command's flags and defaults as the argparse parser had them before
+# the flag table replaced it; REQ marks a required flag.
+REQ = "required"
+PARSER_FLAGS = {
+    "classset": {"out": "", "disc": REQ, "level": None},
+    "brandt": {"out": "", "disc": REQ, "level": None, "p": REQ, "nu1": 0},
+    "eigen": {"out": "", "disc": REQ, "level": None},
+    "theta": {"out": "", "disc": REQ, "level": None, "newforms": "",
+              "prec": 6, "match": "", "eisenstein": False},
+    "yoshida": {"out": "", "disc": REQ, "level": None, "nu1": 0, "nu2": 0,
+                "prec": 6, "seed": 0},
+    "restrict": {"out": "", "disc": REQ, "level": None, "prec": 6,
+                 "gamma": 0},
+    "diffop": {"out": "", "k": 2, "a": 0, "b": 0, "r": 0, "T": None},
+    "gate": {"out": "", "h1": REQ, "h2": REQ, "f1": REQ, "f2": REQ,
+             "newforms": ""},
+    "period": {"out": "", "h1": REQ, "h2": REQ, "f1": REQ, "f2": REQ,
+               "newforms": "", "pmax": 0, "weighting": "unweighted",
+               "lvalue": False},
+    "euler": {"out": "", "h1": "", "f1": "", "f2": "", "sym2": "",
+              "newforms": "", "p": REQ},
+    "lvalue": {"out": "", "h1": "", "f1": "", "f2": "", "sym2": "",
+               "newforms": "", "pmax": 0},
+    "verify": {"out": "", "newforms": "", "seed": 0},
+}
+# a valid text for each flag and the value the handler reads; None marks a
+# switch, which takes no text and reads True
+FLAG_VALUES = {
+    "out": ("o.json", "o.json"), "disc": ("11", 11), "level": ("22", 22),
+    "p": ("3", 3), "nu1": ("2", 2), "nu2": ("4", 4), "newforms": ("f", "f"),
+    "prec": ("5", 5), "match": ("11a", "11a"), "eisenstein": None,
+    "seed": ("-4", -4), "gamma": ("1", 1), "k": ("4", 4), "a": ("2", 2),
+    "b": ("1", 1), "r": ("3", 3), "T": ("2,1,3", HalfIntMatrix(2, 1, 3)),
+    "h1": ("26a", "26a"), "h2": ("26b", "26b"), "f1": ("14a", "14a"),
+    "f2": ("15a", "15a"), "sym2": ("11a", "11a"), "pmax": ("7", 7),
+    "weighting": ("mass", "mass"), "lvalue": None,
+}
+
+
+def flag_argv(flags, form):
+    """The command-line words that give every flag of flags its sample
+    value, as `--flag value` or as `--flag=value`."""
+    argv = []
+    for flag in flags:
+        if FLAG_VALUES[flag] is None:
+            argv.append(f"--{flag}")
+        elif form == "space":
+            argv += [f"--{flag}", FLAG_VALUES[flag][0]]
+        else:
+            argv.append(f"--{flag}={FLAG_VALUES[flag][0]}")
+    return argv
+
+
+def recorded_args(monkeypatch, argv):
+    """The namespace the handler of argv[0] is called with."""
+    seen = []
+
+    def record(args):
+        seen.append(args)
+
+    monkeypatch.setitem(cli.COMMANDS, argv[0],
+                        (record, cli.COMMANDS[argv[0]][1]))
+    assert cli.main(argv) == 0
+    args, = seen
+    assert args.run is record
+    return {key: value for key, value in vars(args).items() if key != "run"}
+
+
+@pytest.mark.parametrize("form", ["space", "equals"])
+@pytest.mark.parametrize("command", list(PARSER_FLAGS))
+def test_every_flag_reaches_the_handler(monkeypatch, command, form):
+    flags = PARSER_FLAGS[command]
+    got = recorded_args(monkeypatch, [command, *flag_argv(flags, form)])
+    assert got == {"command": command,
+                   **{flag: True if FLAG_VALUES[flag] is None
+                      else FLAG_VALUES[flag][1] for flag in flags}}
+
+
+@pytest.mark.parametrize("command", list(PARSER_FLAGS))
+def test_flags_left_out_take_the_parser_defaults(monkeypatch, command):
+    flags = PARSER_FLAGS[command]
+    required = [flag for flag, default in flags.items() if default is REQ]
+    got = recorded_args(monkeypatch,
+                        [command, *flag_argv(required, "space")])
+    assert got == {"command": command, **flags,
+                   **{flag: FLAG_VALUES[flag][1] for flag in required}}
+
+
+def test_the_last_of_a_repeated_flag_wins(monkeypatch):
+    got = recorded_args(monkeypatch, ["classset", "--disc=11", "--level",
+                                      "22", "--disc", "7", "--level=7"])
+    assert (got["disc"], got["level"]) == (7, 7)
+
+
+PERIOD_11A = ("period", "--h1", "11a", "--h2", "11a", "--f1", "11a",
+              "--f2", "11a")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    # unknown command, none at all, unknown flag, a positional word and an
+    # abbreviation, which the flag table does not expand
+    (("bogus", "--disc", "11"), "'bogus'"),
+    ((), "classset, brandt"),
+    (("eigen", "--disc", "11", "--prec", "3"), "--prec"),
+    (("eigen", "11"), "'11'"),
+    (("brandt", "--disc", "11", "--p", "3", "--nu", "1"), "--nu"),
+    # missing value, at the end or before the next flag
+    (("eigen", "--disc"), "--disc"),
+    (("theta", "--disc", "11", "--match", "--eisenstein"), "--match"),
+    # missing required flag
+    (("brandt", "--disc", "11"), "--p"),
+    (("euler", "--sym2", "11a"), "--p"),
+    # bad value, in either form
+    (("brandt", "--disc", "11", "--p=4"), "--p"),
+    (("yoshida", "--disc", "11", "--seed=x"), "--seed"),
+    (("diffop", "--T", "1,2,x"), "--T"),
+    (("classset", "--disc=11", "--level", "4"), "--level"),
+    # bad choice, and a value given to a switch
+    ((*PERIOD_11A, "--weighting", "equal"), "--weighting"),
+    ((*PERIOD_11A, "--lvalue=yes"), "--lvalue"),
+    # exclusive flags, in either order
+    (("theta", "--disc", "11", "--match=11a", "--eisenstein"),
+     "not allowed with argument --eisenstein"),
+    (("theta", "--disc", "11", "--eisenstein", "--match", "11a"), "--match"),
+])
+def test_bad_command_line_exits_2_naming_the_flag(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and flag in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["bogus", "-h"]])
+def test_help_lists_every_command(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "definite quaternion algebras" in out
+    commands = next(line for line in out.splitlines()
+                    if line.startswith("commands: "))
+    assert commands.split(": ")[1].split(", ") == list(PARSER_FLAGS)
+    assert len(PARSER_FLAGS) == 12
+
+
+@pytest.mark.parametrize("command", list(PARSER_FLAGS))
+def test_help_lists_the_flags_of_a_command(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--disc", "11", "--help"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    flags = [line.split()[0] for line in lines if line.startswith("  --")]
+    assert flags == [f"--{flag}" for flag in PARSER_FLAGS[command]]
+    assert "write the JSON to this file, not to stdout" in lines[3]
 
 
 def run_json(capsys, *args):
@@ -399,6 +559,45 @@ def bench_module(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+# Installs the benchmark's span recorder, as bench/trace_child.py does, and
+# runs one CLI job; prints the calls of each traced layer.
+TRACED_JOB = """
+import importlib.util, json, sys
+from pathlib import Path
+
+def bench_module(name):
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", Path(sys.argv[1], f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+spans, workloads = bench_module("spans"), bench_module("workloads")
+tracer = spans.Tracer()
+spans.install(tracer, workloads.LAYERS)
+from quatperiods import cli
+cli.main(sys.argv[2:])
+print(json.dumps({name: t["calls"]
+                  for name, t in spans.layer_totals(tracer.spans).items()}))
+"""
+
+
+def test_traced_benchmark_spans_the_cli_layers(tmp_path):
+    # the tracer imports quatperiods.cli before a job runs and rebinds the
+    # names it finds there, so every layer, cli.match_eigenform among them,
+    # must be bound when the module is imported
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_JOB, str(Path(SRC).parent / "bench"),
+         *PERIOD_11A, "--out", str(tmp_path / "period.json")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout)
+    assert calls["cli.match_eigenform"] > 0
+    assert calls["brandt.eigenforms"] > 0
+    assert json.loads((tmp_path / "period.json").read_text())["period"]
 
 
 CHECKS = bench_module("checks")

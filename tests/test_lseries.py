@@ -82,6 +82,21 @@ def test_ingest_rejects_non_prime_index(tmp_path, index):
         ingest(str(bad))
 
 
+@pytest.mark.parametrize("entries, index", [
+    ("1:0", 1), ("0:0", 0), ("-3:1", -3), ("9:1", 9), ("2:1,-3:1", -3),
+    ("3:1,9:1,5:1", 9)])
+def test_ingest_rejects_non_prime_entries(tmp_path, entries, index):
+    # a negative index would read the prime sieve from its end
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"x|7|2|7:+1|2:1,3:1\ny|7|2|7:+1|{entries}\n",
+                   encoding="utf-8")
+    with pytest.raises(LSeriesError, match=f"row 2: {index} is not prime"):
+        ingest(str(bad))
+    bad.write_text(f"y|7|2|7:+1|{entries}\n", encoding="utf-8")
+    with pytest.raises(LSeriesError, match=f"row 1: {index} is not prime"):
+        ingest(str(bad))
+
+
 def test_ingest_empty(tmp_path):
     f = tmp_path / "empty.txt"
     f.write_text("", encoding="utf-8")

@@ -35,13 +35,18 @@ def test_no_run_imports_sympy():
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
-    # every cold process pays for what `import quatperiods.cli` pulls in,
-    # and dataclasses alone brings inspect, ast, dis and tokenize
+    # every cold process pays for what `import quatperiods.cli` and one job
+    # pull in: dataclasses alone brings inspect, ast, dis and tokenize, and
+    # argparse brings gettext, whose first parser imports locale; none of
+    # them is loaded by the interpreter's own start-up
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     code = ("import sys\n"
             "import quatperiods.cli\n"
-            "assert 'dataclasses' not in sys.modules\n"
-            "assert 'inspect' not in sys.modules\n")
+            "quatperiods.cli.main(['theta', '--disc', '11', '--prec', '3',"
+            " '--match=11a'])\n"
+            "for name in ('dataclasses', 'inspect', 'argparse', 'gettext',"
+            " 'locale'):\n"
+            "    assert name not in sys.modules, name\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
