@@ -22,7 +22,9 @@ coefficients of g from high to low.
 
 Inside this module a polynomial is the list of its coefficients from low to
 high with no trailing zeros; factor() takes and returns them high to low,
-like _linalg.charpoly.
+like _linalg.charpoly.  The helpers work over Q, and over F_p where p is
+given, so they also serve brandt.NumberFieldElement: its product is _mul
+and _divmod's remainder, and its inverse is _bezout's, as in Hensel lifting.
 """
 
 from __future__ import annotations
@@ -66,9 +68,9 @@ def _trim(f):
     return f
 
 
-def _reduce(f, m):
-    """f with coefficients mod m in 0..m-1."""
-    return _trim([c % m for c in f])
+def _reduce(f, m=None):
+    """f with coefficients mod m in 0..m-1; f trimmed when m is None."""
+    return _trim(f if m is None else [c % m for c in f])
 
 
 def _add(f, g):
@@ -118,8 +120,7 @@ def _divmod(f, g, p=None):
         q[k] = c = c if p is None else c % p
         for i, x in enumerate(g):
             r[k + i] -= c * x
-    r = r[:len(g) - 1]
-    return q, _trim(r) if p is None else _reduce(r, p)
+    return q, _reduce(r[:len(g) - 1], p)
 
 
 def _gcd(f, g, p=None):
@@ -129,15 +130,16 @@ def _gcd(f, g, p=None):
     return _monic(f, p)
 
 
-def _bezout(g, h, p):
-    """(s, t) with s g + t h = 1 over F_p, for coprime g and h."""
+def _bezout(g, h, p=None):
+    """(s, t) with s g + t h = 1 over Q or over F_p, for coprime g and h
+    (extended Euclid)."""
     r0, r1, s0, s1, t0, t1 = g, h, [1], [], [], [1]
     while r1:
         q, r = _divmod(r0, r1, p)
         r0, r1 = r1, r
         s0, s1 = s1, _reduce(_sub(s0, _mul(q, s1)), p)
         t0, t1 = t1, _reduce(_sub(t0, _mul(q, t1)), p)
-    inv = pow(r0[0], -1, p)
+    inv = _inverse(r0[0], p)
     return _reduce([c * inv for c in s0], p), _reduce([c * inv for c in t0], p)
 
 

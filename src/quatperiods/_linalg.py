@@ -6,11 +6,12 @@ the caller passes: // in Z for det, for rref over Q (each row cleared of its
 denominators first), hence inverse, and for lattice.IntLattice.integer_ldl;
 a * b^-1 mod p in F_p for the kernels mod p of orders.py and _factor.py; and
 / in a number field such as brandt.NumberFieldElement for the eigenvectors
-over a Hecke field.  solve_right and nullspace read rref.  A rational
-lattice is one pair (den, rows): integer rows in HNF over one denominator
-(hnf_lattice), so products, membership and indices of lattices stay in
-integers.  hnf, lll_gram and charpoly are algorithms of their own.
-Everything here is deterministic.
+over a Hecke field, where a quotient is no linear solve but the product by
+an inverse from _factor._bezout's extended Euclidean algorithm.  nullspace
+reads rref.  A rational lattice is one pair (den, rows): integer rows in HNF
+over one denominator (hnf_lattice), so products, membership and indices of
+lattices stay in integers.  hnf, lll_gram and charpoly are algorithms of
+their own.  Everything here is deterministic.
 """
 
 from __future__ import annotations
@@ -127,19 +128,6 @@ def inverse(mat):
     if piv != list(range(n)):
         raise ValueError("matrix not invertible")
     return [row[n:] for row in red]
-
-
-def solve_right(mat, rhs):
-    """Solve mat * x = rhs for a column vector x given as a list.
-
-    Entries are taken by the rule of rref, so rhs may lie in a number field.
-    """
-    n = len(mat)
-    aug = [list(mat[i]) + [rhs[i]] for i in range(n)]
-    red, piv = rref(aug)
-    if piv[:n] != list(range(n)):
-        raise ValueError("matrix not invertible")
-    return [red[i][n] for i in range(n)]
 
 
 def nullspace(mat, p=None):

@@ -24,9 +24,9 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from ._factor import factor
+from ._factor import _bezout, _divmod, _mul, _trim, factor
 from ._linalg import (charpoly, content, identity, mat_mul, mat_vec,
-                      nullspace, rref, solve_right, transpose)
+                      nullspace, rref, transpose)
 from ._poly import Poly
 from .harmonics import (linear_combination, random_harmonic, split_iso,
                         tau_action, tau_substitution, trace_zero_space)
@@ -50,16 +50,22 @@ class NumberFieldElement:
     Stored as its d rational coordinates on the power basis 1, x, ...,
     x^(d-1) (low to high), with f as its coefficients high to low: an
     irreducible factor of a characteristic polynomial, from _char_factors.
-    Mixes with int and Fraction, so the field-generic rref and nullspace
-    work over K as they are, and has a numerator and a denominator like a
-    Fraction, so lattice.integer_terms clears it too.
+    The arithmetic is _factor's on coefficient lists low to high, with f
+    reversed once when the element is made: a product is the remainder of
+    the polynomial product by f, and a / b is a times the s of 1 = s b + t f
+    from the extended Euclidean algorithm.  Mixes with int and Fraction, so
+    the field-generic rref and nullspace work over K as they are, and has a
+    numerator and a denominator like a Fraction, so lattice.integer_terms
+    clears it too.
     """
 
-    __slots__ = ("coeffs", "modulus")
+    __slots__ = ("coeffs", "modulus", "_low", "_inv")
 
     def __init__(self, coeffs, modulus):
         self.coeffs = tuple(coeffs)
         self.modulus = modulus
+        self._low = modulus[::-1]
+        self._inv = None
 
     @classmethod
     def generator(cls, modulus):
@@ -72,6 +78,12 @@ class NumberFieldElement:
             return other
         zeros = [Fraction(0)] * (len(self.coeffs) - 1)
         return NumberFieldElement([Fraction(other)] + zeros, self.modulus)
+
+    def _reduce(self, poly):
+        """The element poly(x) mod f, for a coefficient list low to high."""
+        rem = _divmod(poly, self._low)[1]
+        zeros = [Fraction(0)] * (len(self.coeffs) - len(rem))
+        return NumberFieldElement(rem + zeros, self.modulus)
 
     def __add__(self, other):
         other = self._lift(other)
@@ -93,17 +105,7 @@ class NumberFieldElement:
         if not isinstance(other, NumberFieldElement):
             return NumberFieldElement([a * other for a in self.coeffs],
                                       self.modulus)
-        d = len(self.coeffs)
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                prod[i + j] += a * b
-        # x^k = -(f_1 x^(k-1) + ... + f_d x^(k-d)) for f = x^d + f_1 x^(d-1)
-        # + ... + f_d, from the top power down
-        for k in range(2 * d - 2, d - 1, -1):
-            for i, f in enumerate(self.modulus[1:], 1):
-                prod[k - i] -= prod[k] * f
-        return NumberFieldElement(prod[:d], self.modulus)
+        return self._reduce(_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -117,23 +119,21 @@ class NumberFieldElement:
         """self * denominator, with integral coordinates, as for a Fraction."""
         return self * self.denominator
 
-    def matrix(self):
-        """Multiplication by self on the power basis (column k: self x^k)."""
-        x = NumberFieldElement.generator(self.modulus)
-        cols = [self]
-        while len(cols) < len(self.coeffs):
-            cols.append(cols[-1] * x)
-        return transpose([y.coeffs for y in cols])
+    def _inverse(self):
+        """1 / self, kept once found: elimination divides a whole row by
+        one pivot."""
+        if self._inv is None:
+            if not self:
+                raise ZeroDivisionError("division by zero in a number field")
+            # f is irreducible, so a nonzero element is prime to it
+            self._inv = self._reduce(
+                _bezout(_trim(list(self.coeffs)), self._low)[0])
+        return self._inv
 
     def __truediv__(self, other):
         if not isinstance(other, NumberFieldElement):
             return self * (1 / Fraction(other))
-        try:
-            quotient = solve_right(other.matrix(), self.coeffs)
-        except ValueError:
-            raise ZeroDivisionError("division by zero in a number field") \
-                from None
-        return NumberFieldElement(quotient, self.modulus)
+        return self * other._inverse()
 
     def __rtruediv__(self, other):
         return self._lift(other) / self

@@ -218,7 +218,10 @@ def algebra_for_discriminant(n1):
 
     n1 must be squarefree with an odd number of prime factors.  Search policy:
     (-1,-1) for n1 = 2, (-1,-p) for p = 3 mod 4, otherwise small structure
-    constants by increasing |a| + |b|.
+    constants by increasing |a| + |b|.  At an odd prime that divides neither
+    a nor b both are units, whose Hilbert symbol is +1, so that prime does
+    not ramify: a candidate is tried only when every odd prime of n1 divides
+    ab, which skips no algebra the full scan would return first.
     """
     n1 = int(n1)
     if n1 < 2 or not _is_squarefree(n1):
@@ -234,9 +237,12 @@ def algebra_for_discriminant(n1):
         alg = QuaternionAlgebra(-1, -n1)
         if alg.ramified_finite == target:
             return alg
+    odd = [p for p in primes if p != 2]
     for total in range(2, 4 * n1 + 64):
         for abs_a in range(1, total):
             abs_b = total - abs_a
+            if any(abs_a * abs_b % p for p in odd):
+                continue
             try:
                 alg = QuaternionAlgebra(-abs_a, -abs_b)
             except QuatAlgError:

@@ -7,8 +7,10 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quatperiods._linalg import charpoly, mat_mul, mat_vec
+from quatperiods._linalg import charpoly, mat_mul, mat_vec, rref
 from quatperiods._poly import Poly
 from quatperiods import brandt
 from quatperiods.brandt import (BrandtError, NumberFieldElement,
@@ -321,6 +323,28 @@ def field_element(coeffs, modulus):
                               tuple(Fraction(c) for c in modulus))
 
 
+def multiplication_matrix(a):
+    """Oracle: multiplication by a on the power basis, column k holding the
+    coordinates of a x^k, each column the one before times x by hand:
+    x^d = -(f_1 x^(d-1) + ... + f_d) for f = x^d + f_1 x^(d-1) + ... + f_d."""
+    tail = a.modulus[:0:-1]
+    cols = [list(a.coeffs)]
+    while len(cols) < len(a.coeffs):
+        prev = cols[-1]
+        cols.append([c - prev[-1] * f
+                     for c, f in zip([0] + prev[:-1], tail)])
+    return [list(row) for row in zip(*cols)]
+
+
+def field_quotient(a, b):
+    """Oracle for a / b: the coordinates q with M(b) q = a for the
+    multiplication matrix M(b), read off the rref of [M(b) | a]."""
+    m = multiplication_matrix(b)
+    red, piv = rref([row + [c] for row, c in zip(m, a.coeffs)])
+    assert piv == list(range(len(m)))
+    return NumberFieldElement([row[-1] for row in red], a.modulus)
+
+
 @pytest.mark.parametrize("modulus", [
     (1, 1, -1),          # x^2 + x - 1: Q(sqrt 5)
     (1, 1, -3, -1),      # x^3 + x^2 - 3x - 1: the Hecke field of level 53
@@ -347,7 +371,31 @@ def test_number_field_arithmetic(modulus):
     with pytest.raises(ZeroDivisionError):
         a / (b - b)
     # the multiplication matrix of x is the companion matrix of f
-    assert charpoly(x.matrix()) == [Fraction(c) for c in modulus]
+    assert charpoly(multiplication_matrix(x)) == [Fraction(c) for c in modulus]
+
+
+# the Hecke fields of eigen --disc 53 and eigen --disc 131
+HECKE_MODULI = {
+    "cubic-53": (1, 1, -3, -1),
+    "degree-10-131": (1, 0, -18, 2, 111, -18, -270, 28, 232, 16, -32),
+}
+
+
+@pytest.mark.parametrize("modulus", HECKE_MODULI.values(), ids=HECKE_MODULI)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_number_field_laws_and_division_oracle(modulus, data):
+    d = len(modulus) - 1
+    coords = st.lists(st.fractions(-9, 9, max_denominator=6),
+                      min_size=d, max_size=d)
+    a, b, c = (field_element(data.draw(coords), modulus) for _ in range(3))
+    assert (a * b) * c == a * (b * c)
+    if a:
+        assert a * (1 / a) == 1
+    if b:
+        q = a / b
+        assert q * b == a
+        assert q == field_quotient(a, b)
 
 
 def test_number_field_arithmetic_quadratic_by_hand():
@@ -368,7 +416,7 @@ def orbit_degree(form):
 
 def field_trace(value):
     if isinstance(value, NumberFieldElement):
-        m = value.matrix()
+        m = multiplication_matrix(value)
         return sum(m[i][i] for i in range(len(m)))
     return value
 
@@ -389,7 +437,7 @@ def test_quadratic_eigenforms_ground_truth(disc, field_disc, a2):
     a2 = f.eigenvalues[2]
     # a_2 is irrational, so its minimal polynomial is its characteristic one
     assert any(a2.coeffs[1:])
-    assert charpoly(a2.matrix()) == list(a2_minpoly)
+    assert charpoly(multiplication_matrix(a2)) == list(a2_minpoly)
     t2 = brandt_matrix(cs, 2).matrix
     v = f.scalar_values()
     assert mat_vec(t2, v) == [a2 * x for x in v]
@@ -519,7 +567,7 @@ def test_eigenforms_enumerate_each_class_pair_once(monkeypatch):
     assert len(enumerated) == len(set(map(id, enumerated))) == 3 * 4 // 2
 
 
-ORBIT_CASES = GROUND_TRUTH + [(p, p) for p in (61, 79, 83, 89)]
+ORBIT_CASES = GROUND_TRUTH + [(p, p) for p in (61, 79, 83, 89, 131)]
 
 
 @pytest.mark.parametrize("disc, level", ORBIT_CASES,

@@ -117,6 +117,8 @@ FACTORS_OF_FIRST_T = {
         ((1, -1, -9, 7, 20, -12, -8), 1)]),
     (89, 89): (2, [((1, -3), 1), ((1, -1), 1), ((1, 1), 1),
         ((1, 1, -10, -10, 21, 17), 1)]),
+    (131, 131): (2, [((1, -3), 1), ((1, 0), 1),
+        ((1, 0, -18, 2, 111, -18, -270, 28, 232, 16, -32), 1)]),
 }
 
 

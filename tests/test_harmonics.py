@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quatperiods._linalg import mat_mul, rref, solve_right
+from quatperiods._linalg import mat_mul, rref
 from quatperiods._poly import Poly
 from quatperiods.brandt import NumberFieldElement
 from quatperiods.harmonics import (HarmonicsError, SplitIso, TrilinearForm,
@@ -381,10 +381,13 @@ def test_trilinear_uniqueness_injectivity():
 
 def fischer_coords(space, p, degree):
     """Oracle for coords_in_basis: solve the Fischer pairings of p against
-    the basis with the basis' Fischer Gram matrix."""
+    the basis with the basis' Fischer Gram matrix, by rref of the Gram
+    matrix augmented with the pairings."""
     basis = space.harmonic_basis(degree)
-    gram = [[space.fischer(b1, b2) for b2 in basis] for b1 in basis]
-    return solve_right(gram, [space.fischer(b, p) for b in basis])
+    red, piv = rref([[space.fischer(b1, b2) for b2 in basis]
+                     + [space.fischer(b1, p)] for b1 in basis])
+    assert piv == list(range(len(basis)))
+    return [row[-1] for row in red]
 
 
 def _coordinate_spaces():

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import count
 
 import pytest
 
 from quatperiods.quatalg import (QuatAlgError, QuaternionAlgebra,
-                                 _is_prime, _is_squarefree, _square_part,
+                                 _is_prime, _is_squarefree, _prime_factors,
+                                 _square_part,
                                  algebra_for_discriminant, hilbert_symbol,
                                  primes_up_to, quaternion_norm,
                                  quaternion_product)
@@ -160,6 +162,36 @@ def test_algebra_for_small_discriminants():
     assert (alg11.a, alg11.b) == (-1, -11)
     for n1 in (2, 3, 5, 7, 11, 13):
         alg = algebra_for_discriminant(n1)
+        assert alg.discriminant == n1
+
+
+def full_scan_algebra(n1):
+    """Oracle: algebra_for_discriminant's search with no candidate skipped,
+    every (-|a|, -|b|) tried by increasing |a| + |b|."""
+    target = tuple(_prime_factors(n1))
+    if n1 == 2:
+        return QuaternionAlgebra(-1, -1)
+    if _is_prime(n1) and n1 % 4 == 3:
+        alg = QuaternionAlgebra(-1, -n1)
+        if alg.ramified_finite == target:
+            return alg
+    for total in count(2):
+        for abs_a in range(1, total):
+            try:
+                alg = QuaternionAlgebra(-abs_a, -(total - abs_a))
+            except QuatAlgError:
+                continue
+            if alg.ramified_finite == target:
+                return alg
+
+
+def test_pruned_algebra_search_matches_the_full_scan():
+    valid = [n1 for n1 in range(2, 100) if _is_squarefree(n1)
+             and len(_prime_factors(n1)) % 2 == 1]
+    assert len(valid) == 30
+    for n1 in valid:
+        alg, oracle = algebra_for_discriminant(n1), full_scan_algebra(n1)
+        assert (alg.a, alg.b) == (oracle.a, oracle.b)
         assert alg.discriminant == n1
 
 
