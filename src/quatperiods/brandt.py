@@ -26,7 +26,7 @@ from functools import lru_cache
 
 from ._factor import _bezout, _divmod, _mul, _trim, factor
 from ._linalg import (charpoly, content, identity, mat_mul, mat_vec,
-                      nullspace, rref, transpose)
+                      nullspace, rref, transpose, vec_mat)
 from ._poly import Poly
 from .harmonics import (linear_combination, random_harmonic, split_iso,
                         tau_action, tau_substitution, trace_zero_space)
@@ -49,7 +49,7 @@ class NumberFieldElement:
 
     Stored as its d rational coordinates on the power basis 1, x, ...,
     x^(d-1) (low to high), with f as its coefficients high to low: an
-    irreducible factor of a characteristic polynomial, from _char_factors.
+    irreducible factor of a characteristic polynomial, from _factor.factor.
     The arithmetic is _factor's on coefficient lists low to high, with f
     reversed once when the element is made: a product is the remainder of
     the polynomial product by f, and a / b is a times the s of 1 = s b + t f
@@ -361,13 +361,6 @@ def inner_product(phi, psi):
 # simultaneous eigenforms
 # ---------------------------------------------------------------------------
 
-def _char_factors(mat):
-    """Irreducible factors over Q of the characteristic polynomial, as
-    (monic Fraction coefficients high to low, multiplicity) pairs in the
-    order of _factor.factor (Zassenhaus' method)."""
-    return factor(charpoly(mat))
-
-
 def _restrict(mat, basis_vectors):
     """Matrix of the operator restricted to the span of independent rows.
 
@@ -388,15 +381,17 @@ def eigenforms(class_set, nu=0, primes=None):
     """Simultaneous eigenforms of the Brandt operators at weight nu, one per
     Galois orbit.
 
-    The space splits by the characteristic polynomials of the T(p), then of
-    the involutions w_p (old-form classes share all good Hecke eigenvalues
-    and differ only under w_p), down to Galois orbits; _make_eigenform
-    builds each orbit's form over its Hecke field.  Weight 0 adds the
-    essential/non-essential labels.  At nu > 0 it decomposes the whole
-    direct sum of U_nu over the classes, which is the space of forms only
-    where every unit group is +-1: at disc 7 and nu = 2 it returns 4 forms
-    spanning 5 dimensions against dim S_6^new(Gamma_0(7)) = 3, and at disc
-    2, 3 and 5 it raises BrandtError (ROADMAP item 4(a)).
+    One pass of _orbits splits the space by the characteristic polynomials
+    of the T(p), then of the involutions w_p (old-form classes share all
+    good Hecke eigenvalues and differ only under w_p), down to Galois
+    orbits; _make_eigenform builds each orbit's form over its Hecke field.
+    Weight 0 adds the labels: a non-constant form is essential iff it is
+    orthogonal to every pullback of orders.essential_complement.  At nu > 0
+    it decomposes the whole direct sum of U_nu over the classes, which is
+    the space of forms only where every unit group is +-1: at disc 7 and
+    nu = 2 it returns 4 forms spanning 5 dimensions against
+    dim S_6^new(Gamma_0(7)) = 3, and at disc 2, 3 and 5 it raises
+    BrandtError (ROADMAP item 4(a)).
     Memoised per (class set, nu, primes) like brandt_matrix: callers share
     the returned list and forms and must not mutate them; primes must be a
     tuple.
@@ -404,58 +399,52 @@ def eigenforms(class_set, nu=0, primes=None):
     n = class_set.order.level
     if primes is None:
         primes = tuple(good_primes(n, 8))
-    ops = list(brandt_matrices(class_set, primes, nu))
-    split_ops = ops + [atkin_lehner(class_set, p, nu)
-                       for p in _prime_factors(n)]
-    spaces = [identity(class_set.size * ops[0].block_dim)]
-    for op in split_ops:
-        new_spaces = []
-        for basis in spaces:
-            if len(basis) > 1:
-                sub = _restrict(op.matrix, basis)
-                factors = _char_factors(sub)
-            if len(basis) == 1 or len(factors) == 1:
-                new_spaces.append(basis)
-                continue
-            for fac, _ in factors:
-                ker = nullspace(_apply_poly(sub, fac))
-                new_spaces.append([_combine(basis, k) for k in ker])
-        spaces = new_spaces
-    forms = [_make_eigenform(class_set, nu, basis,
-                             *_orbit_operator(basis, split_ops), primes, ops)
-             for basis in spaces]
+    ops = brandt_matrices(class_set, primes, nu)
+    split_ops = ops + tuple(atkin_lehner(class_set, p, nu)
+                            for p in _prime_factors(n))
+    forms = [_make_eigenform(class_set, nu, *orbit, primes, ops)
+             for orbit in _orbits(identity(class_set.size * ops[0].block_dim),
+                                  split_ops)]
     forms.sort(key=_eigenform_sort_key)
     return forms
 
 
+def _orbits(basis, ops, path=()):
+    """The Galois orbits in the span of basis, as (basis, M, f) triples.
+
+    Each operator in turn is restricted to the span and its characteristic
+    polynomial factored once; each factor's kernel is a piece, split further
+    by the remaining operators, and path holds the (operator, factor) pairs
+    that cut out the span.  A span is one orbit as soon as a factor f on its
+    path has degree equal to its dimension: that operator acts on it
+    irreducibly, so no commuting operator splits it.  The first such
+    operator gives the Hecke field Q[x]/(f), and M is its restriction.
+    """
+    for op, fac in path:
+        if len(fac) - 1 == len(basis):
+            yield basis, _restrict(op.matrix, basis), fac
+            return
+    if not ops:
+        raise BrandtError(f"a {len(basis)}-dim common eigenspace of the Hecke "
+                          "and Atkin-Lehner operators is not one Galois orbit")
+    sub = _restrict(ops[0].matrix, basis)
+    factors = factor(charpoly(sub))
+    for fac, _ in factors:
+        piece = basis if len(factors) == 1 else \
+            [vec_mat(k, basis) for k in nullspace(_apply_poly(sub, fac))]
+        yield from _orbits(piece, ops[1:], path + ((ops[0], fac),))
+
+
 def _apply_poly(mat, coeffs):
-    """f(mat) for f given by its coefficients high to low (Horner)."""
-    n = len(mat)
-    result = [[Fraction(0)] * n for _ in range(n)]
-    for c in coeffs:
+    """f(mat) for a monic f given by its coefficients high to low: Horner
+    from mat + c_1 I, so a degree-d f costs d - 1 matrix products."""
+    result = [[x + coeffs[1] if i == j else x for j, x in enumerate(row)]
+              for i, row in enumerate(mat)]
+    for c in coeffs[2:]:
         result = mat_mul(result, mat)
-        for i in range(n):
+        for i in range(len(mat)):
             result[i][i] += c
     return result
-
-
-def _combine(basis, coords):
-    n = len(basis[0])
-    return [sum(coords[k] * basis[k][i] for k in range(len(basis)))
-            for i in range(n)]
-
-
-def _orbit_operator(basis, split_ops):
-    """(M, f) for the first operator whose restriction M to the span of basis
-    has an irreducible characteristic polynomial f of multiplicity one: the
-    span is then one Galois orbit, with Hecke field Q[x]/(f)."""
-    for op in split_ops:
-        sub = _restrict(op.matrix, basis)
-        factors = _char_factors(sub)
-        if len(factors) == 1 and factors[0][1] == 1:
-            return sub, factors[0][0]
-    raise BrandtError(f"a {len(basis)}-dim common eigenspace of the Hecke "
-                      "and Atkin-Lehner operators is not one Galois orbit")
 
 
 def _coords(x):
@@ -491,7 +480,7 @@ def _make_eigenform(class_set, nu, basis, sub, fac, primes, ops):
     theta = NumberFieldElement.generator(field) if field else -fac[1]
     shifted = [[x - theta if i == j else x for j, x in enumerate(row)]
                for i, row in enumerate(sub)]
-    vec = _normalize(_combine(basis, nullspace(shifted)[0]))
+    vec = _normalize(vec_mat(nullspace(shifted)[0], basis))
     form = _vector_to_form(class_set, nu, vec, ops[0].block_dim)
     form.field = field
     form.eigenvalues = {p: _eigenvalue(t, vec) for p, t in zip(primes, ops)}
@@ -504,10 +493,11 @@ def _make_eigenform(class_set, nu, basis, sub, fac, primes, ops):
             raise BrandtError(f"w{p} acts on an orbit by {sign}, not by +-1")
         form.al_signs[p] = 1 if sign == 1 else -1
     if nu == 0:
-        proj = essential_complement(class_set)
         sval = form.scalar_values()
-        image = mat_vec(proj, sval)
-        form.essential = (image == sval)
+        e = class_set.unit_counts
+        form.essential = all(
+            sum(s * Fraction(u_i, e_i) for s, u_i, e_i in zip(sval, u, e)) == 0
+            for u in essential_complement(class_set))
         const = all(v == sval[0] for v in sval)
         form.label = "eisenstein" if const else (
             "cuspidal-essential" if form.essential else "non-essential")

@@ -26,6 +26,11 @@ They rest on three facts from Voight, Quaternion Algebras, GTM 288:
   I*conj(I) = n(I) O_l(I), so the left order is I*conj(I) / n(I) (the
   chapter on quaternion ideals and invertibility).
 Every kernel mod p here is _linalg.nullspace over F_p.
+
+The essential part is given by what it is orthogonal to: essential_complement
+lists the constants and the pullbacks of functions on the class sets of the
+index-p superorders, and a weight-0 form is essential iff it is orthogonal
+to each of them under sum_i u_i v_i / e_i (brandt._make_eigenform).
 """
 
 from __future__ import annotations
@@ -548,42 +553,23 @@ def class_map_to_superorder(class_set, super_cs):
 
 @lru_cache(maxsize=None)
 def essential_complement(class_set):
-    """Projector (as an exact matrix) onto the essential part at weight 0.
+    """The pullbacks whose complement is the essential part at weight 0.
 
-    Pullbacks come from all index-p superorders (p | N2); for a maximal order
-    the non-essential space is spanned by the constant function.  Memoised per
-    class set: callers share the returned matrix and must not mutate it.
+    Returns integer vectors on the classes: the constant vector, then the
+    indicator of each class of each index-p superorder (p | N2), pulled back
+    by class_map_to_superorder.  The essential part is their orthogonal
+    complement for <u, v> = sum_i u_i v_i / e_i; for a maximal order that is
+    the complement of the constants.  Memoised per class set: callers share
+    the returned vectors and must not mutate them.
     """
     r = class_set.size
     n1 = class_set.order.algebra.discriminant
     n2 = class_set.order.level // n1
-    vectors = [[Fraction(1)] * r]  # constants always pull back
+    vectors = [[1] * r]  # constants always pull back
     for p in _prime_factors(n2):
         for sup in superorders_at(class_set.order, p):
             sup_cs = right_ideal_classes(sup)
             cmap = class_map_to_superorder(class_set, sup_cs)
-            for k in range(sup_cs.size):
-                vectors.append([Fraction(1 if cmap[i] == k else 0)
-                                for i in range(r)])
-    # orthogonal projector onto complement w.r.t. <u, v> = sum u_i v_i / e_i
-    weights = [Fraction(1, e) for e in class_set.unit_counts]
-
-    def wdot(u, v):
-        return sum(u[i] * v[i] * weights[i] for i in range(r))
-
-    # Gram-Schmidt the pullback span, then subtract
-    ortho = []
-    for v in vectors:
-        w = list(v)
-        for u in ortho:
-            c = wdot(w, u) / wdot(u, u)
-            w = [w[i] - c * u[i] for i in range(r)]
-        if any(w):
-            ortho.append(w)
-    proj = [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
-    for u in ortho:
-        uu = wdot(u, u)
-        for i in range(r):
-            for j in range(r):
-                proj[i][j] -= u[i] * u[j] * weights[j] / uu
-    return proj
+            vectors.extend([int(c == k) for c in cmap]
+                           for k in range(sup_cs.size))
+    return vectors

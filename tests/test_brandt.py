@@ -593,6 +593,40 @@ def test_eigenforms_are_galois_orbits(disc, level):
     assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
+def genus_x0(n):
+    """Genus of X_0(n) for squarefree n, from the index of Gamma_0(n), its
+    elliptic points of orders 2 and 3 and its 2^omega(n) cusps (Shimura,
+    Introduction to the Arithmetic Theory of Automorphic Functions, 1971,
+    Prop. 1.40 and 1.43)."""
+    ps = _prime_factors(n)
+    index = math.prod(p + 1 for p in ps)
+    nu2 = math.prod(1 if p == 2 else 2 if p % 4 == 1 else 0 for p in ps)
+    nu3 = math.prod(1 if p == 3 else 2 if p % 3 == 1 else 0 for p in ps)
+    return (1 + Fraction(index, 12) - Fraction(nu2, 4) - Fraction(nu3, 3)
+            - Fraction(2 ** len(ps), 2))
+
+
+def new_cusp_dimension(n):
+    """dim S_2^new(Gamma_0(n)) for squarefree n: dim S_2(Gamma_0(n)) =
+    sum over d | n of 2^omega(n/d) dim S_2^new(d), inverted over the
+    divisors d of n with weights (-2)^omega(d)."""
+    ps = _prime_factors(n)
+    return sum((-2) ** k * genus_x0(n // math.prod(ds))
+               for k in range(len(ps) + 1)
+               for ds in itertools.combinations(ps, k))
+
+
+@pytest.mark.parametrize("disc, level", GROUND_TRUTH,
+                         ids=[f"{d}-{n}" for d, n in GROUND_TRUTH])
+def test_essential_forms_span_the_new_space(disc, level):
+    # Jacquet-Langlands: the essential part at level N matches the weight-2
+    # newforms of level N, so the orbits labelled essential have total
+    # degree dim S_2^new(Gamma_0(N)), counted here without any quaternion
+    forms = eigenforms(class_set_for(disc, level // disc))
+    assert sum(orbit_degree(f) for f in forms
+               if f.label == "cuspidal-essential") == new_cusp_dimension(level)
+
+
 def test_sort_key_reads_a_rational_eigenvalue_by_value_not_type():
     # an elimination may return a rational eigenvalue over a Hecke field as
     # a Fraction or as a field element; the order must not see which

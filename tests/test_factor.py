@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from quatperiods._factor import _berlekamp, factor
 from quatperiods._linalg import charpoly
-from quatperiods.brandt import _char_factors, brandt_matrix
+from quatperiods.brandt import brandt_matrix
 from quatperiods.orders import class_set_for
 from quatperiods.quatalg import good_primes, primes_up_to
 from test_brandt import ORBIT_CASES
@@ -132,8 +132,8 @@ def test_factors_of_first_hecke_operator_are_pinned(disc, level):
     p, expect = FACTORS_OF_FIRST_T[(disc, level)]
     assert p == good_primes(level, 1)[0]
     mat = brandt_matrix(class_set_for(disc, level // disc), p).matrix
-    assert _char_factors(mat) == [(tuple(map(Fraction, f)), m)
-                                  for f, m in expect]
+    assert factor(charpoly(mat)) == [(tuple(map(Fraction, f)), m)
+                                     for f, m in expect]
     assert expand(expect) == charpoly(mat)
 
 

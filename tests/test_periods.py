@@ -9,6 +9,7 @@ from quatperiods.lseries import ingest, resolve_label
 from quatperiods.newformdata import default_data_path
 from quatperiods import periods
 from quatperiods.orders import class_set_for
+from quatperiods.quatalg import _prime_factors
 from quatperiods.periods import (PeriodError, SignData, degenerate_eisenstein,
                                  period_sums, select_algebra, sign_gate)
 
@@ -251,13 +252,24 @@ def test_quadruple_report_pins_the_cross_check(monkeypatch, h, f):
 
 
 
-def test_paper_constant_at_11a4_with_a_long_series():
-    # ratio * sqrt(N) = 4^omega(N) with no fitted parameter, at N = 11.  The
-    # series length must reach the Sym^2 proxies as well as the two Lambda:
-    # with the proxies at their 83-term default the error stays at 2.9e-4
-    h = resolve_label(ingest(default_data_path(), {"11a"}), "11a")
-    cross = periods.quadruple_report(h, h, h, h, lvalue=True,
-                                     terms=2000)["lvalue_cross_check"]
+# The shipped quadruples (h, h; f, f) with a series length that reaches the
+# Sym^2 proxies as well as the two Lambda: with the proxies at their 83-term
+# default the error at 11a^4 stays at 2.9e-4
+PAPER_CONSTANT_CASES = [("11a", "11a", 2000), ("14a", "14a", 4000),
+                        ("15a", "15a", 4000)] + [
+    (h, f, 11000) for h in ("26a", "26b") for f in ("26a", "26b")]
+
+
+@pytest.mark.parametrize("h, f, terms", PAPER_CONSTANT_CASES,
+                         ids=[f"{h}-{f}" for h, f, _ in PAPER_CONSTANT_CASES])
+def test_paper_constant_at_every_shipped_quadruple(h, f, terms):
+    # ratio * sqrt(N) = 4^omega(N) with no fitted parameter
+    recs = ingest(default_data_path(), {h, f})
+    h_rec, f_rec = resolve_label(recs, h), resolve_label(recs, f)
+    cross = periods.quadruple_report(h_rec, h_rec, f_rec, f_rec, lvalue=True,
+                                     terms=terms)["lvalue_cross_check"]
+    n = h_rec.level
     err = cross["relative_error"]
     assert err <= 1e-5
-    assert abs(cross["ratio"] * math.sqrt(11) / 4 - 1) <= 3 * err
+    assert abs(cross["ratio"] * math.sqrt(n) / 4 ** len(_prime_factors(n))
+               - 1) <= 3 * err
