@@ -1,24 +1,24 @@
 """Factorization of rational polynomials into irreducibles over Q.
 
 The Hecke fields of eigenforms are the irreducible factors of the
-characteristic polynomials of Brandt and Atkin-Lehner operators.  factor()
-finds them by Zassenhaus' method (von zur Gathen-Gerhard, Modern Computer
-Algebra, ch. 14-15; Cohen, GTM 138, sec. 3.5):
+characteristic polynomials of Brandt and Atkin-Lehner operators, and only
+the distinct ones matter: the split cuts a space by the kernel of each.
+factor() finds them by Zassenhaus' method (von zur Gathen-Gerhard, Modern
+Computer Algebra, ch. 14-15; Cohen, GTM 138, sec. 3.5):
 
-1. squarefree decomposition over Q by Yun's gcds, which gives the
-   multiplicities;
-2. each squarefree part, as a primitive integer polynomial f, is factored
-   modulo the smallest prime p that does not divide its leading coefficient
-   and keeps it squarefree, by Berlekamp's kernel of Q - I over F_p;
-3. the factors mod p are Hensel-lifted to p^k > 2B, for B the
+1. the squarefree part f / gcd(f, f') over Q, as a primitive integer
+   polynomial f, is factored modulo the smallest prime p that does not
+   divide its leading coefficient and keeps it squarefree, by Berlekamp's
+   kernel of Q - I over F_p;
+2. the factors mod p are Hensel-lifted to p^k > 2B, for B the
    Landau-Mignotte bound 2^n ||f||_2 times the leading coefficient;
-4. products of subsets of the lifted factors, smallest subsets first, are
+3. products of subsets of the lifted factors, smallest subsets first, are
    tested as factors over Z by exact division.
 
 The degrees here are small, so subset recombination needs no lattice
 reduction.  The factors come sorted as the primitive integer factors g with
-positive leading coefficient: by degree, then multiplicity, then the
-coefficients of g from high to low.
+positive leading coefficient: by degree, then the coefficients of g from
+high to low.
 
 Inside this module a polynomial is the list of its coefficients from low to
 high with no trailing zeros; factor() takes and returns them high to low,
@@ -38,24 +38,21 @@ from .quatalg import _is_prime
 
 
 def factor(coeffs):
-    """Irreducible factors over Q of the nonzero polynomial with rational
-    coefficients high to low, as (monic Fraction coefficients high to low,
-    multiplicity) pairs whose product is the polynomial over its leading
-    coefficient.
+    """The distinct irreducible factors over Q of the nonzero polynomial with
+    rational coefficients high to low, as monic Fraction coefficients high
+    to low: the factors of its squarefree part f / gcd(f, f').
 
     Sorted as the primitive integer factors g with positive leading
-    coefficient: by degree, then multiplicity, then g's coefficients high to
-    low.
+    coefficient: by degree, then g's coefficients high to low.
     """
-    out = []
-    for part, mult in _squarefree_parts(_monic(
-            _trim([Fraction(c) for c in reversed(coeffs)]))):
-        scale = content(part)
-        out += [(g, mult) for g in _factor_squarefree(
-            [int(c / scale) for c in part])]
-    out.sort(key=lambda item: (len(item[0]), item[1], item[0][::-1]))
-    return [(tuple(Fraction(c, g[-1]) for c in reversed(g)), mult)
-            for g, mult in out]
+    f = _monic(_trim([Fraction(c) for c in reversed(coeffs)]))
+    f = _divmod(f, _gcd(f, _derivative(f)))[0]
+    if len(f) == 1:
+        return []
+    scale = content(f)
+    out = _factor_squarefree([int(c / scale) for c in f])
+    out.sort(key=lambda g: (len(g), g[::-1]))
+    return [tuple(Fraction(c, g[-1]) for c in reversed(g)) for g in out]
 
 
 # ---------------------------------------------------------------------------
@@ -152,24 +149,6 @@ def _primitive(f):
 # ---------------------------------------------------------------------------
 # Zassenhaus' method
 # ---------------------------------------------------------------------------
-
-def _squarefree_parts(f):
-    """(a, i) for the squarefree, pairwise coprime, monic a of positive
-    degree with monic f = prod a^i over Q (Yun)."""
-    df = _derivative(f)
-    b = _gcd(f, df)
-    c = _divmod(f, b)[0]
-    d = _sub(_divmod(df, b)[0], _derivative(c))
-    parts = []
-    for i in count(1):
-        if len(c) == 1:
-            return parts
-        a = _gcd(c, d)
-        c = _divmod(c, a)[0]
-        d = _sub(_divmod(d, a)[0], _derivative(c))
-        if len(a) > 1:
-            parts.append((a, i))
-
 
 def _factor_squarefree(f):
     """The irreducible factors over Z of a primitive squarefree f with

@@ -4,14 +4,14 @@ Matrices are plain lists of lists; rows are vectors.  All elimination is one
 fraction-free routine, bareiss, over an integral domain whose exact division
 the caller passes: // in Z for det, for rref over Q (each row cleared of its
 denominators first), hence inverse, and for lattice.IntLattice.integer_ldl;
-a * b^-1 mod p in F_p for the kernels mod p of orders.py and _factor.py; and
-/ in a number field such as brandt.NumberFieldElement for the eigenvectors
-over a Hecke field, where a quotient is no linear solve but the product by
-an inverse from _factor._bezout's extended Euclidean algorithm.  nullspace
-reads rref.  A rational lattice is one pair (den, rows): integer rows in HNF
-over one denominator (hnf_lattice), so products, membership and indices of
-lattices stay in integers.  hnf, lll_gram and charpoly are algorithms of
-their own.  Everything here is deterministic.
+and a * b^-1 mod p in F_p for the kernels mod p of orders.py and _factor.py.
+No elimination runs over a number field: brandt reads a Hecke eigenvector
+off Krylov vectors over Q.  nullspace reads rref, and charpoly det: it is
+the characteristic polynomial interpolated from n + 1 integer determinants.
+A rational lattice is one pair (den, rows): integer rows in HNF over one
+denominator (hnf_lattice), so products, membership and indices of lattices
+stay in integers.  hnf and lll_gram are algorithms of their own.
+Everything here is deterministic.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, partial
 from math import gcd, lcm
-from operator import floordiv, mul, truediv
+from operator import floordiv, mul
 
 
 def frac_mat(rows):
@@ -52,16 +52,16 @@ def transpose(a):
 def bareiss(m, div, full=False):
     """Fraction-free (Bareiss) echelon form of the rows m, in place.
 
-    The entries lie in an integral domain whose exact division is
-    div(a, b) = a / b.  Step r takes the first column c with a nonzero entry
-    in rows r.., swaps that row up as the pivot row, and replaces each row x
-    below it (each other row when full) by (p x - x_c top) / last, for the
-    new pivot p and the previous one, last (1 at the start).  Every entry
-    stays a minor of the input (Bareiss, Math. Comp. 22, 1968), so every
-    division is exact.  Row r ends as the pivot row of step r and the rows
-    past the rank as zero; full makes the pivot rows last times the reduced
-    row echelon form.  Returns (pivot columns, sign of the row permutation,
-    last pivot).
+    The entries lie in an integral domain, Z or F_p in this package, whose
+    exact division is div(a, b) = a / b.  Step r takes the first column c
+    with a nonzero entry in rows r.., swaps that row up as the pivot row, and
+    replaces each row x below it (each other row when full) by
+    (p x - x_c top) / last, for the new pivot p and the previous one, last
+    (1 at the start).  Every entry stays a minor of the input (Bareiss,
+    Math. Comp. 22, 1968), so every division is exact.  Row r ends as the
+    pivot row of step r and the rows past the rank as zero; full makes the
+    pivot rows last times the reduced row echelon form.  Returns (pivot
+    columns, sign of the row permutation, last pivot).
     """
     rows = len(m)
     pivots, sign, last = [], 1, 1
@@ -92,26 +92,21 @@ def rref(mat, p=None):
     """Reduced row echelon form; returns (new_matrix, pivot_columns).
 
     Over F_p when p is given: entries are ints reduced to 0..p-1.  Over Q
-    when every entry is an int or a Fraction: each row is cleared of its
-    denominators, and the entries come out as Fractions.  Otherwise over the
-    field of the entries (such as brandt.NumberFieldElement, with ints taken
-    as Fractions).  Each pivot row is divided by its pivot once, after a
-    full bareiss pass in the domain's division.
+    otherwise, for entries that are ints and Fractions: each row is cleared
+    of its denominators, and the entries come out as Fractions.  Each pivot
+    row is divided by its pivot once, after a full bareiss pass in integers
+    or in F_p.
     """
     if p is not None:
         m = [[x % p for x in row] for row in mat]
         inv = cache(partial(pow, exp=-1, mod=p))
         div = scale = lambda a, b: a * inv(b) % p
-    elif all(isinstance(x, (int, Fraction)) for row in mat for x in row):
+    else:
         m = []
         for row in mat:
             d = lcm(*(x.denominator for x in row))
             m.append([x.numerator * (d // x.denominator) for x in row])
         div, scale = floordiv, Fraction
-    else:
-        m = [[Fraction(x) if isinstance(x, int) else x for x in row]
-             for row in mat]
-        div = scale = truediv
     pivots = bareiss(m, div, full=True)[0]
     for r, row in enumerate(m):
         pv = row[pivots[r]] if r < len(pivots) else 1
@@ -151,25 +146,28 @@ def nullspace(mat, p=None):
 
 
 def charpoly(mat):
-    """Characteristic polynomial det(xI - M), coefficients high to low degree.
+    """det(xI - M) for a square M of ints and Fractions, as Fraction
+    coefficients high to low, from integer determinants.
 
-    Faddeev-LeVerrier; exact over Fraction.
+    For D the common denominator of M, P(t) = det(tI - DM) lies in Z[t].
+    det gives P at t = 0..n; divided differences, each // k exact, turn the
+    values into the coefficients of P in the Newton basis t(t-1)...(t-k+1),
+    and Horner in that basis gives P.  The coefficient of x^(n-k) in
+    det(xI - M) is P's over D^k.
     """
     n = len(mat)
-    coeffs = [Fraction(1)]
-    m = [[Fraction(0)] * n for _ in range(n)]
-    c = Fraction(1)
-    mk = None
+    d = lcm(*(x.denominator for row in mat for x in row))
+    newton = [det([[t * (i == j) - int(x * d) for j, x in enumerate(row)]
+                   for i, row in enumerate(mat)]) for t in range(n + 1)]
     for k in range(1, n + 1):
-        if mk is None:
-            mk = [list(map(Fraction, row)) for row in mat]
-        else:
-            for i in range(n):
-                mk[i][i] += c
-            mk = mat_mul(mat, mk)
-        c = -Fraction(sum(mk[i][i] for i in range(n)), k)
-        coeffs.append(c)
-    return coeffs
+        for i in range(n, k - 1, -1):
+            newton[i] = (newton[i] - newton[i - 1]) // k
+    poly = [newton[n]]
+    for k in range(n - 1, -1, -1):
+        # poly * (t - k) + newton[k]
+        poly = [a - k * b for a, b in zip(poly + [0], [0] + poly)]
+        poly[-1] += newton[k]
+    return [Fraction(c, d ** k) for k, c in enumerate(poly)]
 
 
 # ---------------------------------------------------------------------------

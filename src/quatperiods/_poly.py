@@ -1,8 +1,8 @@
 """Sparse multivariate polynomials over an exact field.
 
-Monomials are exponent tuples.  Coefficients follow the rule of
-_linalg.rref: an int becomes a Fraction, and any other exact field element
-(a Fraction, a brandt.NumberFieldElement) is kept as it is.  The constructor
+Monomials are exponent tuples.  An int coefficient becomes a Fraction, and
+any other exact field element (a Fraction, a brandt.NumberFieldElement) is
+kept as it is.  The constructor
 is the one way to build a polynomial: it adds up repeated monomials and drops
 zero sums.  This is deliberately small: just the operations the
 harmonic-polynomial and differential-operator machinery needs (products,

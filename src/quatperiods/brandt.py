@@ -53,10 +53,11 @@ class NumberFieldElement:
     The arithmetic is _factor's on coefficient lists low to high, with f
     reversed once when the element is made: a product is the remainder of
     the polynomial product by f, and a / b is a times the s of 1 = s b + t f
-    from the extended Euclidean algorithm.  Mixes with int and Fraction, so
-    the field-generic rref and nullspace work over K as they are, and has a
-    numerator and a denominator like a Fraction, so lattice.integer_terms
-    clears it too.
+    from the extended Euclidean algorithm.  An int or a Fraction may stand
+    on either side of + and *, and on the right of - and /: that is all an
+    eigenvector's Krylov sum, its normalization, the eigenvalues and the
+    Poly values of a form ask of K.  It has a numerator and a denominator
+    like a Fraction, so lattice.integer_terms clears it too.
     """
 
     __slots__ = ("coeffs", "modulus", "_low", "_inv")
@@ -98,9 +99,6 @@ class NumberFieldElement:
     def __sub__(self, other):
         return self + -other
 
-    def __rsub__(self, other):
-        return -self + other
-
     def __mul__(self, other):
         if not isinstance(other, NumberFieldElement):
             return NumberFieldElement([a * other for a in self.coeffs],
@@ -120,8 +118,8 @@ class NumberFieldElement:
         return self * self.denominator
 
     def _inverse(self):
-        """1 / self, kept once found: elimination divides a whole row by
-        one pivot."""
+        """1 / self, kept once found: _normalize divides a whole vector by
+        its lead entry."""
         if self._inv is None:
             if not self:
                 raise ZeroDivisionError("division by zero in a number field")
@@ -134,9 +132,6 @@ class NumberFieldElement:
         if not isinstance(other, NumberFieldElement):
             return self * (1 / Fraction(other))
         return self * other._inverse()
-
-    def __rtruediv__(self, other):
-        return self._lift(other) / self
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, NumberFieldElement)):
@@ -384,7 +379,8 @@ def eigenforms(class_set, nu=0, primes=None):
     One pass of _orbits splits the space by the characteristic polynomials
     of the T(p), then of the involutions w_p (old-form classes share all
     good Hecke eigenvalues and differ only under w_p), down to Galois
-    orbits; _make_eigenform builds each orbit's form over its Hecke field.
+    orbits; _make_eigenform builds each orbit's form over its Hecke field,
+    its vector a combination of Krylov vectors over Q.
     Weight 0 adds the labels: a non-constant form is essential iff it is
     orthogonal to every pullback of orders.essential_complement.  At nu > 0
     it decomposes the whole direct sum of U_nu over the classes, which is
@@ -410,7 +406,7 @@ def eigenforms(class_set, nu=0, primes=None):
 
 
 def _orbits(basis, ops, path=()):
-    """The Galois orbits in the span of basis, as (basis, M, f) triples.
+    """The Galois orbits in the span of basis, as (basis, op, f) triples.
 
     Each operator in turn is restricted to the span and its characteristic
     polynomial factored once; each factor's kernel is a piece, split further
@@ -418,18 +414,18 @@ def _orbits(basis, ops, path=()):
     that cut out the span.  A span is one orbit as soon as a factor f on its
     path has degree equal to its dimension: that operator acts on it
     irreducibly, so no commuting operator splits it.  The first such
-    operator gives the Hecke field Q[x]/(f), and M is its restriction.
+    operator, op, gives the Hecke field Q[x]/(f).
     """
     for op, fac in path:
         if len(fac) - 1 == len(basis):
-            yield basis, _restrict(op.matrix, basis), fac
+            yield basis, op, fac
             return
     if not ops:
         raise BrandtError(f"a {len(basis)}-dim common eigenspace of the Hecke "
                           "and Atkin-Lehner operators is not one Galois orbit")
     sub = _restrict(ops[0].matrix, basis)
     factors = factor(charpoly(sub))
-    for fac, _ in factors:
+    for fac in factors:
         piece = basis if len(factors) == 1 else \
             [vec_mat(k, basis) for k in nullspace(_apply_poly(sub, fac))]
         yield from _orbits(piece, ops[1:], path + ((ops[0], fac),))
@@ -472,15 +468,25 @@ def _eigenvalue(op, vec):
     return lam
 
 
-def _make_eigenform(class_set, nu, basis, sub, fac, primes, ops):
-    """The eigenform of the orbit spanned by basis, where an operator acts by
-    sub with irreducible characteristic polynomial fac: the kernel of sub - x
-    over K = Q[x]/(fac), or of sub - lambda over Q for a linear fac."""
+def _make_eigenform(class_set, nu, basis, op, fac, primes, ops):
+    """The eigenform of the orbit spanned by basis, on which op acts with
+    irreducible characteristic polynomial f = x^d + f_(d-1) x^(d-1) + ...
+    + f_0 (fac, high to low).  Its vector is v = sum_(k<d) q_k(theta) M^k w
+    over K = Q[x]/(f), for theta = x, M = op.matrix, w = basis[0],
+    q_(d-1) = 1 and q_(k-1) = theta q_k + f_k: (M - theta) v is
+    f(M) w - f(theta) w = 0, as f(M) kills the orbit, and v != 0, as the
+    M^k w are independent for an irreducible f.  That is d - 1 rational
+    products by M and no elimination over K; for a linear f, v = w."""
     field = fac if len(fac) > 2 else None
-    theta = NumberFieldElement.generator(field) if field else -fac[1]
-    shifted = [[x - theta if i == j else x for j, x in enumerate(row)]
-               for i, row in enumerate(sub)]
-    vec = _normalize(vec_mat(nullspace(shifted)[0], basis))
+    theta = NumberFieldElement.generator(field) if field else None
+    krylov = [basis[0]]
+    for _ in fac[2:]:
+        krylov.append(mat_vec(op.matrix, krylov[-1]))
+    vec, q = krylov.pop(), 1
+    for c, u in zip(fac[1:-1], reversed(krylov)):
+        q = q * theta + c
+        vec = [a + q * b for a, b in zip(vec, u)]
+    vec = _normalize(vec)
     form = _vector_to_form(class_set, nu, vec, ops[0].block_dim)
     form.field = field
     form.eigenvalues = {p: _eigenvalue(t, vec) for p, t in zip(primes, ops)}

@@ -732,6 +732,20 @@ def central_value(factors, gamma_shifts, conductor, sign, s0=Fraction(1, 2),
                                           in zip(lines, weights)}})
 
 
+def _check_coverage(records, count):
+    """Raise, before anything of size count is built, the LSeriesError the
+    series would raise at the first prime p <= count whose a_p a record
+    lacks.  Only a series past top, the largest p in the data, needs it;
+    some prime in (top, 2 top] is missing (Bertrand), so the sieve stops at
+    2 top."""
+    top = max(max(r.ap, default=1) for r in records)
+    if count > top:
+        sieve = prime_sieve(min(count, 2 * top))
+        for p in itertools.compress(range(len(sieve)), sieve):
+            for r in records:
+                r.a(p)
+
+
 def _afe_terms(conductor):
     """Series length needed for the smoothed sums (heuristic + margin)."""
     return int(float(conductor) ** 0.5 * 3) + 50
@@ -745,6 +759,7 @@ def triple_central_value(h, f1, f2, terms=None):
     # root number -prod_{p | N} eps_p, eps_p = -a_p(h) a_p(f1) a_p(f2)
     sign = -math.prod(-h.a(p) * -f1.a(p) * -f2.a(p)
                       for p in _prime_factors(h.level))
+    _check_coverage((h, f1, f2), count)
     return central_value(triple_factors(h, f1, f2, count),
                          triple_gamma_shifts(), conductor, sign, terms=terms)
 
@@ -760,6 +775,7 @@ def petersson_norm_proxy(record, terms=None):
     """
     conductor = sym2_conductor(record)
     count = _afe_terms(conductor) if terms is None else terms
+    _check_coverage((record,), count)
     factors = _FactorsOnDemand(count, lambda p: sym2_factor(record, p))
     return central_value(factors, sym2_gamma_shifts(record.weight),
                          conductor, +1, s0=Fraction(1), terms=terms)

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quatperiods._linalg import charpoly, mat_mul, mat_vec, rref
+from quatperiods._linalg import (charpoly, identity, mat_mul, mat_vec, rref,
+                                 vec_mat)
 from quatperiods._poly import Poly
-from quatperiods import brandt
+from quatperiods import brandt, cli
 from quatperiods.brandt import (BrandtError, NumberFieldElement,
                                 _tau_matrix_on_basis, _vector_to_form,
                                 atkin_lehner,
@@ -26,7 +27,7 @@ from quatperiods.newformdata import curve_ap
 from quatperiods.orders import class_set_for, eichler_mass
 from quatperiods.periods import match_eigenform
 from quatperiods.quatalg import _is_squarefree, _prime_factors, primes_up_to
-from test_lattice import fraction_short_vectors
+from test_lattice import fraction_short_vectors, reference_rref
 
 
 def eta_product_11a(prec):
@@ -366,8 +367,9 @@ def test_number_field_arithmetic(modulus):
     assert a * b == b * a and (a + b) * a == a * a + b * a
     assert a - a == 0 and not (a - a) and a != 0
     # inverses: a * (1/a) = 1, a / b * b = a, against a rational too
-    assert a * (1 / a) == 1 and a / b * b == a
-    assert (a / 3) * 3 == a and 2 / a * a == 2
+    one = field_element([1] + [0] * (d - 1), modulus)
+    assert a * (one / a) == 1 and a / b * b == a
+    assert (a / 3) * 3 == a and one * 2 / a * a == 2
     with pytest.raises(ZeroDivisionError):
         a / (b - b)
     # the multiplication matrix of x is the companion matrix of f
@@ -391,7 +393,7 @@ def test_number_field_laws_and_division_oracle(modulus, data):
     a, b, c = (field_element(data.draw(coords), modulus) for _ in range(3))
     assert (a * b) * c == a * (b * c)
     if a:
-        assert a * (1 / a) == 1
+        assert a * (field_element([1] + [0] * (d - 1), modulus) / a) == 1
     if b:
         q = a / b
         assert q * b == a
@@ -406,7 +408,8 @@ def test_number_field_arithmetic_quadratic_by_hand():
     # (1 + 2r)(3 - r) = 3 + 5r - 2r^2 = 1 + 7r
     assert a * b == field_element([1, 7], modulus)
     # (1 + 2r)^2 = 1 + 4r + 4r^2 = 5, so 1/(1 + 2r) = (1 + 2r)/5
-    assert a * a == 5 and 1 / a == a / 5 and b / a == a * b / 5
+    one = field_element([1, 0], modulus)
+    assert a * a == 5 and one / a == a / 5 and b / a == a * b / 5
     assert str(a * b) == "7*x + 1" and str(-a) == "-2*x - 1"
 
 
@@ -591,6 +594,68 @@ def test_eigenforms_are_galois_orbits(disc, level):
     # the order is exact and total: old-form copies differ in their signs
     keys = [brandt._eigenform_sort_key(f) for f in forms]
     assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+@pytest.mark.parametrize("disc, level", ORBIT_CASES,
+                         ids=[f"{d}-{n}" for d, n in ORBIT_CASES])
+def test_eigenvectors_match_the_kernel_over_the_hecke_field(disc, level):
+    # Oracle for the Krylov eigenvector: the kernel of sub - theta over
+    # K = Q[x]/(f) by Gauss-Jordan in field elements, for sub the operator
+    # that gives the field restricted to the orbit, normalized the same way
+    cs = class_set_for(disc, level // disc)
+    every = eigenforms(cs)
+    forms = [f for f in every if f.field]
+    primes = tuple(sorted(every[0].eigenvalues))
+    ops = brandt_matrices(cs, primes) + tuple(
+        atkin_lehner(cs, p) for p in _prime_factors(level))
+    kernels = []
+    for basis, op, fac in brandt._orbits(identity(cs.size), ops):
+        d = len(fac) - 1
+        if d == 1:
+            continue
+        theta = NumberFieldElement.generator(fac)
+        sub = brandt._restrict(op.matrix, basis)
+        red, piv = reference_rref([
+            [field_element([x] + [0] * (d - 1), fac) - (theta if i == j else 0)
+             for j, x in enumerate(row)] for i, row in enumerate(sub)])
+        (free,) = [c for c in range(d) if c not in piv]
+        coords = [field_element([int(c == free)] + [0] * (d - 1), fac)
+                  for c in range(d)]
+        for r, pc in enumerate(piv):
+            coords[pc] = -red[r][free]
+        kernels.append(brandt._normalize(vec_mat(coords, basis)))
+    assert len(kernels) == len(forms)
+    for f in forms:
+        assert f.scalar_values() in kernels
+
+
+# sha256 of the stdout of eigen --disc D --level N, recorded before the
+# split read eigenvectors off Krylov vectors: irrational Hecke fields up to
+# degree 10, and factors of multiplicity 2
+EIGEN_OUTPUT_SHA256 = {
+    (53, 53):
+        "4c913f1990ff2505dfe14b4f29964ff66141ece76d428429baa5ded5f101a0e6",
+    (131, 131):
+        "76af59703cd2c28635adc77df72d15f02a5233004dc8afe1969aa4ff5c52595a",
+    (23, 46):
+        "5e8e9ea8466d06617c22e17ea82ce8054a63aa23d5056b03d9188bc508158f8f",
+    (29, 58):
+        "49f27ec83216d6b6e920ecc1d93fa362a1ab4d6f5296a7e83e0a9b3e6817a762",
+    (3, 30):
+        "629cd5d1f1bf79e64620fb7024ed08863fff1eac531ec040145ea08021666c2e",
+    (11, 55):
+        "99333cc84c59edfeef3660662f2d3af90d27c3f6efa0fc25aa5878eb3099caac",
+}
+
+
+@pytest.mark.parametrize("disc, level", EIGEN_OUTPUT_SHA256,
+                         ids=[f"{d}-{n}" for d, n in EIGEN_OUTPUT_SHA256])
+def test_eigen_output_matches_the_recorded_hash(capsys, disc, level):
+    assert cli.main(["eigen", "--disc", str(disc), "--level",
+                     str(level)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == \
+        EIGEN_OUTPUT_SHA256[(disc, level)]
 
 
 def genus_x0(n):

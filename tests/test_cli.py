@@ -508,6 +508,21 @@ def test_lvalue_names_the_first_missing_coefficient(series):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("job", [
+    ("lvalue", "--h1", "11a", "--f1", "11a", "--f2", "11a"),
+    ("lvalue", "--sym2", "11a"),
+    ("period", "--h1", "11a", "--h2", "11a", "--f1", "11a", "--f2", "11a",
+     "--lvalue"),
+], ids=["triple", "sym2", "period"])
+def test_series_far_past_the_data_is_rejected_before_it_is_built(job):
+    # a sieve or a coefficient array of 10^14 entries would not fit in
+    # memory: the missing coefficient must be named first
+    proc = run_cli(*job, "--pmax", str(10 ** 14))
+    assert proc.returncode == 2
+    assert proc.stderr == "error: 11a: no a_12007 in the data file\n"
+    assert proc.stdout == ""
+
+
 def test_lvalue_sym2_11a(capsys):
     out = run_json(capsys, "lvalue", "--sym2", "11a")
     assert math.isfinite(out["value"]) and out["value"] > 0

@@ -32,6 +32,18 @@ def expand(factors):
     return out
 
 
+def poly_rem(f, g):
+    """The remainder of f by g, both with rational coefficients high to
+    low, as a list that is empty exactly when g divides f."""
+    r = [Fraction(c) for c in f]
+    while len(r) >= len(g):
+        q = r[0] / g[0]
+        r = [a - q * b for a, b in zip(r, list(g) + [0] * len(r))][1:]
+    while r and not r[0]:
+        r.pop(0)
+    return r
+
+
 def has_rational_root(f):
     """Whether f, with rational coefficients high to low, has a root in Q:
     by the rational root test on its integer multiple."""
@@ -49,8 +61,9 @@ def has_rational_root(f):
 
 
 # The factors of T(p) on the weight-0 space, p the smallest good prime, as
-# (disc, level): (p, [(coefficients high to low, multiplicity), ...]) in
-# the order factor() returns them; recorded with sympy's factor_list
+# (disc, level): (p, [(coefficients high to low, multiplicity), ...]) with
+# the distinct factors in the order factor() returns them; recorded with
+# sympy's factor_list.  The multiplicities pin charpoly through expand
 FACTORS_OF_FIRST_T = {
     (2, 2): (3, [((1, -4), 1)]),
     (3, 3): (2, [((1, -3), 1)]),
@@ -77,14 +90,14 @@ FACTORS_OF_FIRST_T = {
     (13, 26): (3, [((1, -4), 1), ((1, -1), 1), ((1, 3), 1)]),
     (29, 29): (2, [((1, -3), 1), ((1, 2, -1), 1)]),
     (2, 30): (7, [((1, -8), 1), ((1, 4), 1)]),
-    (3, 30): (7, [((1, -8), 1), ((1, 4), 1), ((1, 0), 2)]),
-    (5, 30): (7, [((1, -8), 1), ((1, 4), 1), ((1, 0), 2)]),
+    (3, 30): (7, [((1, -8), 1), ((1, 0), 2), ((1, 4), 1)]),
+    (5, 30): (7, [((1, -8), 1), ((1, 0), 2), ((1, 4), 1)]),
     (30, 30): (7, [((1, -8), 1), ((1, 4), 1)]),
     (31, 31): (2, [((1, -3), 1), ((1, -1, -1), 1)]),
     (3, 33): (2, [((1, -3), 1), ((1, -1), 1)]),
     (11, 33): (2, [((1, -3), 1), ((1, -1), 1), ((1, 2), 2)]),
     (2, 34): (3, [((1, -4), 1), ((1, 2), 1)]),
-    (17, 34): (3, [((1, -4), 1), ((1, 2), 1), ((1, 0), 2)]),
+    (17, 34): (3, [((1, -4), 1), ((1, 0), 2), ((1, 2), 1)]),
     (5, 35): (2, [((1, -3), 1), ((1, 0), 1), ((1, 1, -4), 1)]),
     (7, 35): (2, [((1, -3), 1), ((1, 0), 1), ((1, 1, -4), 1)]),
     (37, 37): (2, [((1, -3), 1), ((1, 0), 1), ((1, 2), 1)]),
@@ -93,7 +106,7 @@ FACTORS_OF_FIRST_T = {
     (3, 39): (2, [((1, -3), 1), ((1, -1), 1), ((1, 2, -1), 1)]),
     (13, 39): (2, [((1, -3), 1), ((1, -1), 1), ((1, 2, -1), 1)]),
     (41, 41): (2, [((1, -3), 1), ((1, 1, -5, -1), 1)]),
-    (2, 42): (5, [((1, -6), 1), ((1, 2), 1), ((1, 0), 2)]),
+    (2, 42): (5, [((1, -6), 1), ((1, 0), 2), ((1, 2), 1)]),
     (3, 42): (5, [((1, -6), 1), ((1, 2), 3)]),
     (7, 42): (5, [((1, -6), 1), ((1, 0), 2), ((1, 2), 3)]),
     (42, 42): (5, [((1, -6), 1), ((1, 2), 1)]),
@@ -132,8 +145,8 @@ def test_factors_of_first_hecke_operator_are_pinned(disc, level):
     p, expect = FACTORS_OF_FIRST_T[(disc, level)]
     assert p == good_primes(level, 1)[0]
     mat = brandt_matrix(class_set_for(disc, level // disc), p).matrix
-    assert factor(charpoly(mat)) == [(tuple(map(Fraction, f)), m)
-                                     for f, m in expect]
+    assert factor(charpoly(mat)) == [tuple(map(Fraction, f))
+                                     for f, _ in expect]
     assert expand(expect) == charpoly(mat)
 
 
@@ -144,27 +157,27 @@ def test_factors_of_first_hecke_operator_are_pinned(disc, level):
 def test_irreducible_that_splits_mod_every_prime(f):
     for p in primes_up_to(50)[2:]:
         assert len(_berlekamp(list(reversed(f)), p)) > 1
-    assert factor(f) == [(tuple(map(Fraction, f)), 1)]
+    assert factor(f) == [tuple(map(Fraction, f))]
 
 
 def test_product_of_quadratics():
     assert factor(poly_mul((1, 0, -2), (1, 0, -3))) == [
-        ((1, 0, -3), 1), ((1, 0, -2), 1)]
+        (1, 0, -3), (1, 0, -2)]
 
 
 def test_large_factor_is_read_off_its_lifts():
     # x^2 - 1000x - 1 is found from the lifts before x^2 + 2, so its
     # coefficients are read mod p^k: lifting only halfway gets them wrong
     assert factor(poly_mul((1, -1000, -1), (1, 0, 2))) == [
-        ((1, -1000, -1), 1), ((1, 0, 2), 1)]
+        (1, -1000, -1), (1, 0, 2)]
 
 
 def test_non_monic_rational_input_with_repeated_factors():
     half, third = Fraction(1, 2), Fraction(1, 3)
     f = expand([((Fraction(3, 2),), 1), ((1, -half), 2), ((1, 0, third), 3),
                 ((3, 1), 1)])
-    assert factor(f) == [((1, third), 1), ((1, -half), 2),
-                         ((1, 0, third), 3)]
+    # distinct factors, ordered as the primitive 2x - 1, 3x + 1, 3x^2 + 1
+    assert factor(f) == [(1, -half), (1, third), (1, 0, third)]
 
 
 def rational_polys():
@@ -175,11 +188,17 @@ def rational_polys():
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(rational_polys(), st.integers(1, 3)),
                 min_size=1, max_size=4))
-def test_factors_multiply_back_and_have_no_rational_root(parts):
+def test_factors_are_the_distinct_irreducible_divisors(parts):
+    # P = the product of the factors divides f, and f divides P^deg f, so
+    # P has exactly f's roots, each once
     f = expand(parts)
     factors = factor(f)
-    assert all(g[0] == 1 for g, _ in factors)
-    assert len({g for g, _ in factors}) == len(factors)
-    assert expand(factors) == [c / f[0] for c in f]
-    assert not any(has_rational_root(g) for g, _ in factors
-                   if 3 <= len(g) <= 4)
+    assert all(g[0] == 1 for g in factors)
+    assert len(set(factors)) == len(factors)
+    prod = expand([(g, 1) for g in factors])
+    assert not poly_rem(f, prod)
+    power = [1]
+    for _ in range(len(f) - 1):
+        power = poly_rem(poly_mul(power, prod), f)
+    assert not power
+    assert not any(has_rational_root(g) for g in factors if 3 <= len(g) <= 4)
