@@ -308,8 +308,7 @@ def atkin_lehner(class_set, p, nu=0):
     alg = class_set.order.algebra
     pbasis = two_sided_prime_ideal(class_set.order, p)
     r = class_set.size
-    perm = []
-    twists = []
+    perm, twists = [], []
     for i in range(r):
         moved = product_basis(alg, class_set.reps[i], pbasis)
         for j in range(r):
@@ -346,10 +345,8 @@ def inner_product(phi, psi):
     else:
         vals = [a * b for a, b in zip(phi.scalar_values(),
                                       psi.scalar_values())]
-    total = Fraction(0)
-    for val, e in zip(vals, phi.class_set.unit_counts):
-        total += val / e
-    return total
+    return sum((val / e for val, e in zip(vals, phi.class_set.unit_counts)),
+               Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +369,9 @@ def _restrict(mat, basis_vectors):
 
 
 @lru_cache(maxsize=None)
-def eigenforms(class_set, nu=0, primes=None):
-    """Simultaneous eigenforms of the Brandt operators at weight nu, one per
-    Galois orbit.
+def eigenforms(class_set, nu=0):
+    """Simultaneous eigenforms of the Brandt operators T(p) for the first 8
+    good p at weight nu, one per Galois orbit.
 
     One pass of _orbits splits the space by the characteristic polynomials
     of the T(p), then of the involutions w_p (old-form classes share all
@@ -388,13 +385,11 @@ def eigenforms(class_set, nu=0, primes=None):
     nu = 2 it returns 4 forms spanning 5 dimensions against
     dim S_6^new(Gamma_0(7)) = 3, and at disc 2, 3 and 5 it raises
     BrandtError (ROADMAP item 4(a)).
-    Memoised per (class set, nu, primes) like brandt_matrix: callers share
-    the returned list and forms and must not mutate them; primes must be a
-    tuple.
+    Memoised per (class set, nu) like brandt_matrix: callers share the
+    returned list and forms and must not mutate them.
     """
     n = class_set.order.level
-    if primes is None:
-        primes = tuple(good_primes(n, 8))
+    primes = tuple(good_primes(n, 8))
     ops = brandt_matrices(class_set, primes, nu)
     split_ops = ops + tuple(atkin_lehner(class_set, p, nu)
                             for p in _prime_factors(n))
@@ -403,6 +398,25 @@ def eigenforms(class_set, nu=0, primes=None):
                                   split_ops)]
     forms.sort(key=_eigenform_sort_key)
     return forms
+
+
+def kernel_eigenform(class_set, eigenvalues, signs):
+    """The weight-0 form, without label, with T(p) eigenvalue eigenvalues[p]
+    and w_q sign signs[q]: the nullspace of the stacked integer matrices
+    T(p) - a_p I and w_q - sigma_q I, if it has dimension 1."""
+    primes, bad = tuple(sorted(eigenvalues)), sorted(signs)
+    ops = (brandt_matrices(class_set, primes) if primes else ()) + tuple(
+        atkin_lehner(class_set, q) for q in bad)
+    shifts = [eigenvalues[p] for p in primes] + [signs[q] for q in bad]
+    kernel = nullspace([row for op, lam in zip(ops, shifts)
+                        for row in _apply_poly(op.matrix, (1, -lam))])
+    if len(kernel) != 1:
+        raise BrandtError("no eigenform has these eigenvalues and signs"
+                          if not kernel else "eigenform ambiguity, a "
+                          f"{len(kernel)}-dim space of forms has them")
+    form = _vector_to_form(class_set, 0, _normalize(kernel[0]), 1)
+    form.eigenvalues, form.al_signs = dict(eigenvalues), dict(signs)
+    return form
 
 
 def _orbits(basis, ops, path=()):

@@ -247,7 +247,7 @@ def run_theta(args):
         raise ValidationError("--match not allowed with argument --eisenstein")
     cs = _class_set(args)
     if args.eisenstein:
-        form = next(f for f in eigenforms(cs) if f.label == "eisenstein")
+        form = constant_form(cs)  # T(p) 1 = (p + 1) 1
     elif args.match:
         form = match_eigenform(cs, *_newforms(args, args.match))
     else:

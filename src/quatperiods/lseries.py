@@ -80,10 +80,11 @@ def ingest(path, labels=None):
 
     Format (one record per line):
     label|N|k|eps_p list as p:+-1 comma-separated|a_p list as p:value
-    Rejects malformed rows and Ramanujan violations, naming the row.  With
-    labels given, only the rows whose label is among them are parsed and
-    checked; every row's label is still read, so a label the file repeats
-    comes back once per row.
+    Rejects malformed rows, Ramanujan violations and, at weight 2, an a_p
+    at p || N other than -eps_p, naming the row.  With labels given, only
+    the rows whose label is among them are parsed and checked; every row's
+    label is still read, so a label the file repeats comes back once per
+    row.
     """
     records, sieve = [], bytearray()
     with open(path, "r", encoding="utf-8") as fh:
@@ -100,19 +101,16 @@ def ingest(path, labels=None):
             try:
                 level = int(level_s)
                 weight = int(weight_s)
-                eps = {}
-                for chunk in filter(None, eps_s.split(",")):
-                    p_s, v_s = chunk.split(":")
-                    eps[int(p_s)] = int(v_s)
-                ap = {}
-                for chunk in filter(None, ap_s.split(",")):
-                    p_s, v_s = chunk.split(":")
-                    ap[int(p_s)] = int(v_s)
+                eps, ap = ({int(p): int(v) for p, v in
+                            (c.split(":") for c in filter(None, s.split(",")))}
+                           for s in (eps_s, ap_s))
             except ValueError:
                 raise LSeriesError(f"row {lineno}: malformed row") from None
             for p, v in eps.items():
                 if v not in (1, -1) or level % p:
                     raise LSeriesError(f"row {lineno}: bad sign data at {p}")
+                if weight == 2 and level % (p * p) and ap.get(p, -v) != -v:
+                    raise LSeriesError(f"row {lineno}: a_{p} is not -eps_{p}")
             if ap and max(ap) >= len(sieve):
                 sieve = prime_sieve(max(ap))
             for p, a in ap.items():
@@ -168,10 +166,8 @@ class EulerFactor:
         c, d = self.coeffs, self.degree
         ps = [0]
         for k in range(1, count + 1):
-            acc = k * c[k] if k <= d else 0
-            for i in range(1, min(k, d + 1)):
-                acc += c[i] * ps[k - i]
-            ps.append(-acc)
+            ps.append(-(k * c[k] if k <= d else 0) - sum(
+                c[i] * ps[k - i] for i in range(1, min(k, d + 1))))
         return ps[1:]
 
     @classmethod
@@ -181,9 +177,7 @@ class EulerFactor:
         exact in Z when the roots are algebraic integers."""
         c = [1]
         for k in range(1, degree + 1):
-            acc = 0
-            for i in range(1, k + 1):
-                acc += c[k - i] * ps[i - 1]
+            acc = sum(c[k - i] * ps[i - 1] for i in range(1, k + 1))
             c.append(_divide(-acc, k))
         return cls(prime, c, shift)
 
@@ -226,10 +220,8 @@ class EulerFactor:
         """Dirichlet coefficients of 1/f at p^0..p^count (arithmetic)."""
         inv = [1]
         for m in range(1, count + 1):
-            acc = 0
-            for k in range(1, min(m, self.degree) + 1):
-                acc -= self.coeffs[k] * inv[m - k]
-            inv.append(acc)
+            inv.append(-sum(self.coeffs[k] * inv[m - k]
+                            for k in range(1, min(m, self.degree) + 1)))
         return inv
 
 

@@ -11,8 +11,8 @@ carry both.
 
 The pipeline, quadruple_report, takes four newform records of one
 squarefree level N from their Atkin-Lehner signs to the discriminant N1 | N
-the gate admits (or the vanishing certificate), the matching eigenforms on
-the Eichler order of level N there, and their period sums; ratio_quantity
+the gate admits (or the vanishing certificate), one Hecke kernel per record
+on the Eichler order of level N there, and their period sums; ratio_quantity
 sets those against the triple central values and Sym^2 Petersson proxies.
 """
 
@@ -23,9 +23,10 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import combinations
 
-from .brandt import constant_form, eigenforms, inner_product
+from .brandt import (BrandtError, constant_form, inner_product,
+                     kernel_eigenform)
 from .harmonics import trace_zero_space, trilinear_form
-from .lseries import LSeriesError, petersson_norm_proxy, triple_central_value
+from .lseries import petersson_norm_proxy, triple_central_value
 from .orders import class_set_for
 from .quatalg import _prime_factors, primes_up_to
 
@@ -166,8 +167,7 @@ def period_sums(phi1, phi2, psi1, psi2, alpha1, alpha2,
 
     both = {}
     for mode in ("unweighted", "mass"):
-        s1 = Fraction(0)
-        s2 = Fraction(0)
+        s1 = s2 = Fraction(0)
         for j in range(cs.size):
             w = Fraction(1) if mode == "unweighted" \
                 else Fraction(1, cs.unit_counts[j])
@@ -200,28 +200,21 @@ def degenerate_eisenstein(phi1, psi1, psi2):
 
 
 def match_eigenform(class_set, record, bound=50):
-    """The rational weight-0 eigenform matching a newform's a_p for good
-    p <= bound."""
+    """The kernel_eigenform of a weight-2 newform: its a_p at good p <= bound
+    and the w_q signs eps_q = -a_q at q | M and -eps_q at q | D, where
+    Jacquet-Langlands flips them."""
     level = class_set.order.level
     if record.level != level:
         raise PeriodError(f"{record.label} has level {record.level}, "
                           f"but the class set has level {level}")
-    primes = [p for p in primes_up_to(bound) if level % p]
-    forms = eigenforms(class_set, 0, primes=tuple(primes))
-    hits = []
-    for f in forms:
-        if f.label == "eisenstein" or f.field:
-            continue
-        try:
-            if all(f.eigenvalues[p] == record.a(p) for p in primes):
-                hits.append(f)
-        except (KeyError, LSeriesError):
-            continue
-    if len(hits) != 1:
-        labels = [f.label for f in hits]
-        raise PeriodError(
-            f"{record.label}: eigenform match ambiguity, candidates {labels}")
-    return hits[0]
+    disc = class_set.order.algebra.discriminant
+    eigenvalues = {p: record.a(p) for p in primes_up_to(bound) if level % p}
+    signs = {q: record.a(q) if disc % q == 0 else -record.a(q)
+             for q in _prime_factors(level)}
+    try:
+        return kernel_eigenform(class_set, eigenvalues, signs)
+    except BrandtError as exc:
+        raise PeriodError(f"{record.label}: {exc}") from None
 
 
 def quadruple_gate(h1, h2, f1, f2):
@@ -235,9 +228,9 @@ def quadruple_gate(h1, h2, f1, f2):
 
 def quadruple_report(h1, h2, f1, f2, weighting="unweighted", lvalue=False,
                      terms=None):
-    """Newform records -> sign table -> algebra -> period report, plus the
-    L-value cross-check when lvalue is set; terms is the series length of
-    every central value (None: from its conductor)."""
+    """Records -> sign table -> algebra -> one Hecke kernel each -> period
+    report, plus the L-value cross-check when lvalue is set; terms is the
+    series length of every central value (None: from its conductor)."""
     records = (h1, h2, f1, f2)
     signs, table, n1, reason = quadruple_gate(*records)
     result = {

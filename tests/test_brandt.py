@@ -25,7 +25,7 @@ from quatperiods.lattice import norm_counts, short_vectors, theta_coeffs
 from quatperiods.lseries import NewformRecord
 from quatperiods.newformdata import curve_ap
 from quatperiods.orders import class_set_for, eichler_mass
-from quatperiods.periods import match_eigenform
+from quatperiods.periods import PeriodError, match_eigenform
 from quatperiods.quatalg import _is_squarefree, _prime_factors, primes_up_to
 from test_lattice import fraction_short_vectors, reference_rref
 
@@ -564,9 +564,8 @@ def test_eigenforms_enumerate_each_class_pair_once(monkeypatch):
     for cached in (eigenforms, brandt_matrices, brandt_matrix):
         cached.cache_clear()
     cs = class_set_for(13, 2)
-    primes = good_primes(26, 50)
-    assert len(primes) == 13 and cs.size == 3
-    eigenforms(cs, 0, primes=primes)
+    assert cs.size == 3
+    eigenforms(cs)
     assert len(enumerated) == len(set(map(id, enumerated))) == 3 * 4 // 2
 
 
@@ -711,11 +710,11 @@ def test_sort_key_reads_a_rational_eigenvalue_by_value_not_type():
 
 
 def test_block_that_is_not_one_orbit_raises():
-    # weight 2 on the maximal order of disc 2: T(3) vanishes off the
-    # unit-invariant subspace, and neither T(3) nor w_2 acts irreducibly on
-    # the block they leave unsplit
+    # weight 2 on the maximal order of disc 2: the T(p) of the first 8 good
+    # p and w_2 leave a 2-dim block unsplit, and none of them acts on it
+    # irreducibly
     with pytest.raises(BrandtError, match="not one Galois orbit"):
-        eigenforms(class_set_for(2), 2, primes=(3,))
+        eigenforms(class_set_for(2), 2)
 
 
 # Jacquet-Langlands ground truth: rational newforms from Cremona's tables
@@ -743,15 +742,43 @@ JL_CURVES = {
 }
 
 
-@pytest.mark.parametrize("label", sorted(JL_CURVES))
-def test_curve_matches_one_rational_eigenform(label):
+def jl_record(label):
+    """The record of a JL_CURVES model: a_p at p <= 50 and at p | N."""
     disc, level, coeffs = JL_CURVES[label]
     ap = {p: curve_ap(coeffs, p)
           for p in primes_up_to(50) + _prime_factors(level)}
     assert all(ap[p] in (1, -1) for p in _prime_factors(level))
-    record = NewformRecord(label, level, 2, ap, {})
-    cs = class_set_for(disc, level // disc)
+    return class_set_for(disc, level // disc), NewformRecord(label, level, 2,
+                                                             ap, {})
+
+
+@pytest.mark.parametrize("label", sorted(JL_CURVES))
+def test_curve_matches_one_rational_eigenform(label):
+    # the Hecke kernel against the split: the one rational essential form
+    # with the curve's eigenvalues has the kernel form's values
+    cs, record = jl_record(label)
     form = match_eigenform(cs, record)
-    assert form.field is None and form.label == "cuspidal-essential"
-    if level in (35, 39, 43, 53, 61, 65, 77):
-        assert any(f.field for f in eigenforms(cs))
+    forms = eigenforms(cs)
+    same = [f for f in forms if f.label == "cuspidal-essential"
+            and not f.field and all(f.eigenvalues[p] == record.a(p)
+                                    for p in f.eigenvalues)]
+    assert len(same) == 1
+    assert form.field is None
+    assert form.scalar_values() == same[0].scalar_values()
+    assert form.al_signs == same[0].al_signs
+    if record.level in (35, 39, 43, 53, 61, 65, 77):
+        assert any(f.field for f in forms)
+
+
+def test_a_kernel_of_dimension_0_or_2_is_no_match():
+    cs, record = jl_record("37a")
+    ap = dict(record.ap)
+    ap[47] += 2
+    with pytest.raises(PeriodError, match="37a: no eigenform has these"):
+        match_eigenform(cs, record._replace(ap=ap))
+    # no good prime <= 2 at level 38, and the constant form has the
+    # signs of 38b, w_2 = w_19 = +1
+    cs, record = jl_record("38b")
+    with pytest.raises(PeriodError, match="38b: eigenform ambiguity, a "
+                       "2-dim space"):
+        match_eigenform(cs, record, bound=2)

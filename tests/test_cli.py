@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import quatperiods
-from quatperiods import cli, periods
+from quatperiods import brandt, cli, newformdata, periods
 from quatperiods.brandt import constant_form
+from quatperiods.lseries import ingest, resolve_label
 from quatperiods.newformdata import eta_product_coefficients
 from quatperiods.periods import period_sums
 from quatperiods.yoshida import HalfIntMatrix
@@ -435,6 +436,36 @@ def test_only_the_named_rows_are_read_but_every_label_is(capsys, tmp_path,
     assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("job", [
+    PERIOD_11A, ("theta", "--disc", "11", "--match", "11a")])
+def test_a_match_names_the_first_missing_coefficient(capsys, tmp_path, job):
+    # a record cut off after a_29 lacks a_31, a good prime the match reads
+    row = Path(newformdata.default_data_path()).read_text(
+        encoding="utf-8").splitlines()[0]
+    path = tmp_path / "newforms.txt"
+    path.write_text(row[:row.index(",31:")] + "\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*job, "--newforms", str(path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: 11a: no a_31 in the data file\n"
+
+
+def test_period_and_theta_match_do_not_split_the_module(capsys, monkeypatch):
+    # each record's form is one Hecke kernel: the Galois-orbit split of
+    # eigenforms is not needed
+    def split(*args, **kwargs):
+        raise AssertionError("eigenforms called")
+
+    for module in (brandt, cli, periods):
+        monkeypatch.setattr(module, "eigenforms", split, raising=False)
+    recs = ingest(newformdata.default_data_path(), {"26a", "26b"})
+    h, f = (resolve_label(recs, label) for label in ("26a", "26b"))
+    report = periods.quadruple_report(h, h, f, f)
+    assert report["selected_disc"] == 13 and report["period"]["S1"]
+    out = run_json(capsys, "theta", "--disc", "11", "--match", "11a")
+    assert out["coefficients"]["1"]
+
+
 def test_yoshida_weight_0_lift_level_11(capsys):
     out = run_json(capsys, "yoshida", "--disc", "11", "--prec", "4")
     polys = {tuple(c["T"]): c["poly"] for c in out["coeffs"]}
@@ -611,7 +642,7 @@ def test_traced_benchmark_spans_the_cli_layers(tmp_path):
     assert proc.returncode == 0, proc.stderr
     calls = json.loads(proc.stdout)
     assert calls["cli.match_eigenform"] > 0
-    assert calls["brandt.eigenforms"] > 0
+    assert calls["brandt.atkin_lehner"] > 0
     assert json.loads((tmp_path / "period.json").read_text())["period"]
 
 

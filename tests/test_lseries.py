@@ -65,6 +65,17 @@ def test_ingest_rejects_ramanujan_violation(tmp_path):
     assert "Ramanujan" in str(err.value)
 
 
+def test_ingest_rejects_a_bad_prime_sign_other_than_minus_a_p(tmp_path):
+    # at weight 2 and p || N, eps_p = -a_p: the gate and a Hecke kernel
+    # read one sign
+    bad = tmp_path / "bad.txt"
+    bad.write_text("x|7|2|7:+1|2:1,7:-1\ny|11|2|11:-1|2:-2,11:-1\n",
+                   encoding="utf-8")
+    with pytest.raises(LSeriesError, match="row 2: a_11 is not -eps_11"):
+        ingest(str(bad))
+    assert ingest(str(bad), {"x"})[0].al_signs == {7: 1}
+
+
 def test_ingest_rejects_malformed(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("only|three|fields\n", encoding="utf-8")
