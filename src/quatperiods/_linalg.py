@@ -38,7 +38,9 @@ def mat_mul(a, b):
 
 
 def mat_vec(a, v):
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
+    """a v over the nonzero entries of each row of a, so a sparse integer
+    matrix costs its nonzero entries; a zero row gives v's own zero."""
+    return [sum((x * y for x, y in zip(row, v) if x), 0 * v[0]) for row in a]
 
 
 def vec_mat(v, a):

@@ -2,7 +2,8 @@
 
 Conventions: T(p)_{ij} = (1/e_j) #{x in I_i conj(I_j) : q(x) = p} on the
 primitively scaled connecting lattices.  This matrix is integral at weight 0,
-has row sums p + 1 there, and is self-adjoint for the natural inner product
+stored as ints there with at most p + 1 nonzero entries per row (row sums
+p + 1), and self-adjoint for the natural inner product
 <phi, psi> = sum_i <<phi_i, psi_i>> / e_i.  Eigenvalues are exact: one
 eigenform stands for each Galois orbit, with its eigenvalues and values in
 its Hecke field, a number field Q[x]/(f) (Q itself for a rational form).
@@ -217,8 +218,8 @@ class BrandtOperator(namedtuple("BrandtOperator",
                                 "class_set nu label matrix block_dim")):
     """A Hecke operator T(p) or involution w_p on weight-nu forms.
 
-    label is "T2", "w11", ...; matrix is square over Q, of size
-    r * dim(U_nu), with blocks of size block_dim.
+    label is "T2", "w11", ...; matrix is square, of size r * dim(U_nu),
+    with blocks of size block_dim: ints at weight 0, Fractions above.
     """
     __slots__ = ()
 
@@ -253,9 +254,9 @@ def brandt_matrices(class_set, primes, nu=0):
 
     The one-pass construction of the module docstring: at weight 0 one
     count c of the norm-p vectors of I_i conj(I_j), i <= j, gives both
-    T_ij = c / e_j and T_ji = c / e_i; positive weight enumerates every
-    ordered pair.  Memoised: callers share the returned operators and must
-    not mutate them.
+    T_ij = c // e_j and T_ji = c // e_i, and a remainder raises; positive
+    weight enumerates every ordered pair.  Memoised: callers share the
+    returned operators and must not mutate them.
     """
     n = class_set.order.level
     for p in primes:
@@ -263,6 +264,8 @@ def brandt_matrices(class_set, primes, nu=0):
             raise BrandtError(f"{p} divides the level {n}; not a good prime")
         if not _is_prime(p):
             raise BrandtError(f"{p} is not prime")
+    if not primes:
+        return ()
     r = class_set.size
     e = class_set.unit_counts
     alg = class_set.order.algebra
@@ -275,8 +278,10 @@ def brandt_matrices(class_set, primes, nu=0):
             if nu == 0:
                 counts = norm_counts(conn, max(primes))
                 for p in primes:
-                    mats[p][i][j] = Fraction(counts[p], e[j])
-                    mats[p][j][i] = Fraction(counts[p], e[i])
+                    if counts[p] % e[j] or counts[p] % e[i]:
+                        raise BrandtError("weight-0 Brandt matrix not integral")
+                    mats[p][i][j], mats[p][j][i] = \
+                        counts[p] // e[j], counts[p] // e[i]
                 continue
             for v, q in short_vectors(conn, max(primes)):
                 # tau(-x) = tau(x): one x of each pair +-x, whose first
@@ -289,12 +294,6 @@ def brandt_matrices(class_set, primes, nu=0):
                         for b in range(dim):
                             block[i * dim + a][j * dim + b] += \
                                 2 * tm[a][b] / e[j]
-    if nu == 0:
-        for mat in mats.values():
-            for row in mat:
-                for x in row:
-                    if x.denominator != 1:
-                        raise BrandtError("weight-0 Brandt matrix not integral")
     return tuple(BrandtOperator(class_set, nu, f"T{p}", mats[p], dim)
                  for p in primes)
 
@@ -321,11 +320,11 @@ def atkin_lehner(class_set, p, nu=0):
         twists.append(twist)
     dim = len(trace_zero_space(alg).harmonic_basis(nu))
     size = r * dim
-    mat = [[Fraction(0)] * size for _ in range(size)]
+    mat = [[Fraction(0) if nu else 0] * size for _ in range(size)]
     for i in range(r):
         j = perm[i]
         if nu == 0:
-            mat[i][j] = Fraction(1)
+            mat[i][j] = 1
         else:
             tm = _tau_matrix_on_basis(alg, twists[i], nu)
             for a in range(dim):
@@ -405,7 +404,7 @@ def kernel_eigenform(class_set, eigenvalues, signs):
     and w_q sign signs[q]: the nullspace of the stacked integer matrices
     T(p) - a_p I and w_q - sigma_q I, if it has dimension 1."""
     primes, bad = tuple(sorted(eigenvalues)), sorted(signs)
-    ops = (brandt_matrices(class_set, primes) if primes else ()) + tuple(
+    ops = brandt_matrices(class_set, primes) + tuple(
         atkin_lehner(class_set, q) for q in bad)
     shifts = [eigenvalues[p] for p in primes] + [signs[q] for q in bad]
     kernel = nullspace([row for op, lam in zip(ops, shifts)
@@ -473,8 +472,9 @@ def _normalize(vec):
 
 
 def _eigenvalue(op, vec):
-    """The eigenvalue of the operator op at its eigenvector vec."""
-    img = mat_vec(op.matrix, vec)
+    """The eigenvalue of the operator op at its _normalized eigenvector vec,
+    whose rational entries are integers: op acts on them as ints."""
+    img = mat_vec(op.matrix, [x.numerator for x in vec])
     k = next(i for i, x in enumerate(vec) if x)
     lam = img[k] / vec[k]
     if any(y != lam * x for x, y in zip(vec, img)):

@@ -22,6 +22,7 @@ import math
 from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from .brandt import (BrandtError, constant_form, inner_product,
                      kernel_eigenform)
@@ -165,15 +166,11 @@ def period_sums(phi1, phi2, psi1, psi2, alpha1, alpha2,
     if t1.zero or t2.zero:
         return _zero_report(cs, weights, "weight-gate", weighting)
 
-    both = {}
-    for mode in ("unweighted", "mass"):
-        s1 = s2 = Fraction(0)
-        for j in range(cs.size):
-            w = Fraction(1) if mode == "unweighted" \
-                else Fraction(1, cs.unit_counts[j])
-            s1 += w * t1.value(phi1.values[j], psi1.values[j], psi2.values[j])
-            s2 += w * t2.value(phi2.values[j], psi1.values[j], psi2.values[j])
-        both[mode] = (s1, s2)
+    values = [[t.value(*v) for v in zip(phi.values, psi1.values, psi2.values)]
+              for t, phi in ((t1, phi1), (t2, phi2))]
+    mass = [Fraction(1, e) for e in cs.unit_counts]
+    both = {"unweighted": tuple(sum(v, Fraction(0)) for v in values),
+            "mass": tuple(sum(map(mul, mass, v), Fraction(0)) for v in values)}
     s1, s2 = both[weighting]
     product = s1 * s2
     return PeriodReport(

@@ -24,7 +24,7 @@ from quatperiods.harmonics import (SplitIso, random_harmonic, tau_action,
 from quatperiods.lattice import norm_counts, short_vectors, theta_coeffs
 from quatperiods.lseries import NewformRecord
 from quatperiods.newformdata import curve_ap
-from quatperiods.orders import class_set_for, eichler_mass
+from quatperiods.orders import ClassSet, class_set_for, eichler_mass
 from quatperiods.periods import PeriodError, match_eigenform
 from quatperiods.quatalg import _is_squarefree, _prime_factors, primes_up_to
 from test_lattice import fraction_short_vectors, reference_rref
@@ -400,6 +400,17 @@ def test_number_field_laws_and_division_oracle(modulus, data):
         assert q == field_quotient(a, b)
 
 
+@pytest.mark.parametrize("vec", [
+    [Fraction(1, 2), Fraction(-3)],
+    [NumberFieldElement.generator(HECKE_MODULI["cubic-53"]), Fraction(2)]],
+    ids=["fraction", "number-field"])
+def test_mat_vec_of_an_integer_matrix_keeps_the_vector_type(vec):
+    # the all-zero row sums no product, yet is the vector's own zero
+    out = mat_vec([[0, 0], [2, -1]], vec)
+    assert all(type(x) is type(vec[0]) for x in out)
+    assert out == [0, 2 * vec[0] - vec[1]]
+
+
 def test_number_field_arithmetic_quadratic_by_hand():
     # r = x mod x^2 + x - 1, so r^2 = 1 - r
     modulus = (1, 1, -1)
@@ -496,6 +507,29 @@ def test_brandt_matrices_weight_2_match_ordered_pair_oracle(disc):
     reference = reference_brandt_matrices(cs, primes, 2)
     for p, op in zip(primes, brandt_matrices(cs, primes, 2)):
         assert op.matrix == reference[p]
+
+
+@pytest.mark.parametrize("nu, kind", [(0, int), (2, Fraction)])
+def test_operator_entries_are_int_at_weight_0_and_fraction_above(nu, kind):
+    cs = class_set_for(11)
+    ops = brandt_matrices(cs, (2, 3), nu) + (atkin_lehner(cs, 11, nu),)
+    for op in ops:
+        assert all(type(x) is kind for row in op.matrix for x in row)
+
+
+def test_no_primes_give_no_operators():
+    cs = class_set_for(11)
+    assert brandt_matrices(cs, ()) == brandt_matrices(cs, (), 2) == ()
+
+
+def test_a_count_that_a_unit_count_does_not_divide_raises():
+    # the norm-2 counts at disc 11 are divisible by e = (4, 6), not by 5
+    cs = class_set_for(11)
+    assert cs.unit_counts == [4, 6]
+    doctored = ClassSet(cs.order, cs.reps, cs.left_orders, [4, 5], {})
+    with pytest.raises(BrandtError, match="weight-0 Brandt matrix not "
+                       "integral"):
+        brandt_matrices(doctored, (2,))
 
 
 def test_weight_0_brandt_matrices_at_level_210_match_the_recorded_hash():
@@ -644,6 +678,8 @@ EIGEN_OUTPUT_SHA256 = {
         "629cd5d1f1bf79e64620fb7024ed08863fff1eac531ec040145ea08021666c2e",
     (11, 55):
         "99333cc84c59edfeef3660662f2d3af90d27c3f6efa0fc25aa5878eb3099caac",
+    (2, 210):
+        "ff138bc4cd53ffa7ed80f0f6a487843f055ed2411cb9402d3e0b8c14d5914d48",
 }
 
 
