@@ -256,7 +256,8 @@ def brandt_matrices(class_set, primes, nu=0):
     count c of the norm-p vectors of I_i conj(I_j), i <= j, gives both
     T_ij = c // e_j and T_ji = c // e_i, and a remainder raises; positive
     weight enumerates every ordered pair.  Memoised: callers share the
-    returned operators and must not mutate them.
+    returned operators and must not mutate them, and pass nu positionally,
+    since lru_cache keys (cs, primes) and (cs, primes, 0) apart.
     """
     n = class_set.order.level
     for p in primes:
@@ -300,7 +301,8 @@ def brandt_matrices(class_set, primes, nu=0):
 
 @lru_cache(maxsize=None)
 def atkin_lehner(class_set, p, nu=0):
-    """The involution w_p for p | N, via the two-sided ideal of norm p."""
+    """The involution w_p for p | N, via the two-sided ideal of norm p.
+    Memoised like brandt_matrices, so callers pass nu positionally."""
     n = class_set.order.level
     if n % p != 0:
         raise BrandtError(f"{p} does not divide the level {n}")
@@ -404,8 +406,8 @@ def kernel_eigenform(class_set, eigenvalues, signs):
     and w_q sign signs[q]: the nullspace of the stacked integer matrices
     T(p) - a_p I and w_q - sigma_q I, if it has dimension 1."""
     primes, bad = tuple(sorted(eigenvalues)), sorted(signs)
-    ops = brandt_matrices(class_set, primes) + tuple(
-        atkin_lehner(class_set, q) for q in bad)
+    ops = brandt_matrices(class_set, primes, 0) + tuple(
+        atkin_lehner(class_set, q, 0) for q in bad)
     shifts = [eigenvalues[p] for p in primes] + [signs[q] for q in bad]
     kernel = nullspace([row for op, lam in zip(ops, shifts)
                         for row in _apply_poly(op.matrix, (1, -lam))])

@@ -74,7 +74,7 @@ def run_verify(args):
     ok &= check("mass formulas", masses)
 
     def level11():
-        cs = class_set_for(11)
+        cs = class_set_for(11, 1)
         cusp = _cusp_form(cs)
         return sorted(cs.unit_counts) == [4, 6] and \
             cusp.scalar_values() == [2, -3] and cusp.eigenvalues[2] == -2
@@ -82,7 +82,7 @@ def run_verify(args):
 
     def theta_match():
         h, = _newforms(args, "11a")
-        th = eichler_theta(_cusp_form(class_set_for(11)), 20)
+        th = eichler_theta(_cusp_form(class_set_for(11, 1)), 20)
         ratio = th[1]
         return all(th[n] == ratio * h.a(n) for n in (2, 3, 5, 7, 11, 13, 17, 19))
     ok &= check("theta lift matches 11a", theta_match)
@@ -116,7 +116,7 @@ def run_verify(args):
     ok &= check("trilinear balance scan", balance)
 
     def yoshida_checks():
-        cusp = _cusp_form(class_set_for(11))
+        cusp = _cusp_form(class_set_for(11, 1))
         table = yoshida_lift(cusp, cusp, 4)
         if HalfIntMatrix(0, 0, 0) in table.coeffs:
             return False
@@ -147,7 +147,7 @@ def run_verify(args):
     def corollaries():
         # (a) phi2 constant: vanishes for distinct psi, S2 = 6 for psi = e;
         # (b) phi1 = phi2 = e: S1 = S2, so the product is a square
-        cs = class_set_for(11)
+        cs = class_set_for(11, 1)
         e = _cusp_form(cs)
         klingen = period_sums(e, e, e, e, 0, 0)
         return degenerate_eisenstein(e, e, constant_form(cs)).vanishing and \

@@ -8,7 +8,7 @@ power sums make tensor products and symmetric squares one-liners.  Floating
 point enters only in the smoothed approximate-functional-equation evaluator,
 which works in double precision and reports an error estimate.  Doubles
 suffice: the sums take every grid value and every Dirichlet coefficient as a
-double anyway, and the reported errors, set by the node counts and the
+double anyway, and the reported errors, set by the grid step and the
 series length, are 1e-8 or more, far above the rounding of the grid.
 
 The evaluator (Dokchitser, Exp. Math. 13, 2004) writes each smoothed sum
@@ -16,11 +16,12 @@ as sum_n b_n n^{-s-c} V(log n): the weight V, the inverse Mellin transform
 of the gamma factor times a Gaussian kernel on a quadrature grid, is one
 smooth function of u = log n.  So V is expanded once in Chebyshev
 polynomials of u, and the series is summed once into Chebyshev moments
-sum_n b_n n^{-s-c} T_j(x_n); every grid's sum is then a short dot product.
-One pass over the series thus serves both quadrature grids and the tail
-check, and the reported error has three parts: quadrature (coarse against
-fine grid), tail (the final block of the series) and interpolation (the
-dropped Chebyshev coefficients).
+sum_n b_n n^{-s-c} T_j(x_n); each smoothed sum is then a short dot product.
+The integrand is evaluated on one trapezoid grid, and the quadrature check
+reads the same values at its even nodes, so one pass over the series serves
+both sums and the tail check.  The reported error has three parts:
+quadrature (the grid against its even nodes), tail (the final block of the
+series) and interpolation (the dropped Chebyshev coefficients).
 
 The evaluator also does only the work that four exact facts leave over:
 the integrand is conjugate-symmetric on its line, so the grid is one-sided;
@@ -557,14 +558,16 @@ def central_value(factors, gamma_shifts, conductor, sign, s0=Fraction(1, 2),
     which one pass over the series accumulates by the three-term recurrence
     T_{j+1} = 2x T_j - T_{j-1}.
 
-    One pass for both grids.  The moments depend on neither h nor the g_k,
-    so the coarse (180-node) and the fine (260-node) grid differ only in
-    their c_j and share the pass.  A snapshot of the moments before the
-    final 35% of the series gives that block of the coarse sum.
+    One grid for both sums.  g is evaluated once, at t_k = k h for
+    k = 0..260; the coarse sum of the quadrature check takes the same
+    values at the even k, with step 2h, so it costs no evaluation of its
+    own.  The moments depend on neither h nor the g_k, so the two sums
+    differ only in their c_j and share the pass.  A snapshot of the moments
+    before the final 35% of the series gives that block of the coarse sum.
 
     Three error sources make lam_error (error = lam_error / |gamma(s0)|),
     each also in details:
-    - quad_err: the gap between the coarse and the fine sums;
+    - quad_err: the gap between the sums at step 2h and at step h;
     - tail: twice the final 35% block, for the terms beyond the series;
     - interp: the dropped |c_j| of the fine grid times
       sum_n |b_n n^{-s-c}|, a bound since |T_j| <= 1 on [-1, 1].
@@ -637,18 +640,15 @@ def central_value(factors, gamma_shifts, conductor, sign, s0=Fraction(1, 2),
 
     on_lines = log_lam_gamma(lines)
 
-    def grid(nodes):
-        """Step h and {s: [g_s(t_k)] for k = 0..nodes} on every line."""
-        h = tmax / nodes
-        gs = {s: [] for s in lines}
-        for k in range(nodes + 1):
-            w = complex(c, k * h)
-            log_kernel = w * w / aa - cmath.log(w)
-            for s, lg in on_lines(w).items():
-                gs[s].append(cmath.exp(lg + log_kernel))
-        return h, gs
-
-    coarse, fine = grid(180), grid(260)
+    # g_s(t_k) on every line for k = 0..260; the even k are the coarse grid
+    h = tmax / 260
+    gs = {s: [] for s in lines}
+    for k in range(261):
+        w = complex(c, k * h)
+        log_kernel = w * w / aa - cmath.log(w)
+        for s, lg in on_lines(w).items():
+            gs[s].append(cmath.exp(lg + log_kernel))
+    coarse, fine = (2 * h, {s: g[::2] for s, g in gs.items()}), (h, gs)
     # u = log n runs over [0, span]; x = 2u / span - 1 over [-1, 1]
     span = math.log(max(maxn, 2))
     # per line: the kept degree D and each grid's weight coefficients
@@ -656,8 +656,8 @@ def central_value(factors, gamma_shifts, conductor, sign, s0=Fraction(1, 2),
     for s in lines:
         nodes = _CHEB_NODES
         while True:
-            coeffs = [_chebyshev_coefficients(h, gs[s], span, nodes)
-                      for h, gs in (coarse, fine)]
+            coeffs = [_chebyshev_coefficients(step, g[s], span, nodes)
+                      for step, g in (coarse, fine)]
             degree = max(map(_kept_degree, coeffs))
             if 4 * degree <= 3 * nodes or nodes >= _CHEB_MAX_NODES:
                 break
@@ -753,7 +753,7 @@ def triple_central_value(h, f1, f2, terms=None):
                       for p in _prime_factors(h.level))
     _check_coverage((h, f1, f2), count)
     return central_value(triple_factors(h, f1, f2, count),
-                         triple_gamma_shifts(), conductor, sign, terms=terms)
+                         triple_gamma_shifts(), conductor, sign, terms=count)
 
 
 def petersson_norm_proxy(record, terms=None):
@@ -770,5 +770,5 @@ def petersson_norm_proxy(record, terms=None):
     _check_coverage((record,), count)
     factors = _FactorsOnDemand(count, lambda p: sym2_factor(record, p))
     return central_value(factors, sym2_gamma_shifts(record.weight),
-                         conductor, +1, s0=Fraction(1), terms=terms)
+                         conductor, +1, s0=Fraction(1), terms=count)
 

@@ -468,7 +468,9 @@ def right_ideal_classes(order):
 
 @lru_cache(maxsize=None)
 def class_set_for(n1, n2=1):
-    """Class set of an Eichler order of level n1*n2 in the disc-n1 algebra."""
+    """Class set of an Eichler order of level n1*n2 in the disc-n1 algebra.
+    Memoised, and callers pass n2, since lru_cache keys (n1,) and (n1, 1)
+    apart."""
     alg = algebra_for_discriminant(n1)
     maximal = maximal_order(alg)
     order = maximal if n2 == 1 else eichler_order(maximal, n2)

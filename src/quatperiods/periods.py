@@ -11,9 +11,10 @@ carry both.
 
 The pipeline, quadruple_report, takes four newform records of one
 squarefree level N from their Atkin-Lehner signs to the discriminant N1 | N
-the gate admits (or the vanishing certificate), one Hecke kernel per record
-on the Eichler order of level N there, and their period sums; ratio_quantity
-sets those against the triple central values and Sym^2 Petersson proxies.
+the gate admits (or the vanishing certificate), one Hecke kernel per
+distinct label on the Eichler order of level N there, and their period
+sums; ratio_quantity sets those against the triple central values and Sym^2
+Petersson proxies.
 """
 
 from __future__ import annotations
@@ -225,9 +226,9 @@ def quadruple_gate(h1, h2, f1, f2):
 
 def quadruple_report(h1, h2, f1, f2, weighting="unweighted", lvalue=False,
                      terms=None):
-    """Records -> sign table -> algebra -> one Hecke kernel each -> period
-    report, plus the L-value cross-check when lvalue is set; terms is the
-    series length of every central value (None: from its conductor)."""
+    """Records -> sign table -> algebra -> one Hecke kernel per label ->
+    period report, plus the L-value cross-check when lvalue is set; terms is
+    the series length of every central value (None: from its conductor)."""
     records = (h1, h2, f1, f2)
     signs, table, n1, reason = quadruple_gate(*records)
     result = {
@@ -243,7 +244,10 @@ def quadruple_report(h1, h2, f1, f2, weighting="unweighted", lvalue=False,
         result["vanishing_certificate"] = reason
         return result
     cs = class_set_for(n1, signs.level // n1)
-    forms = [match_eigenform(cs, r) for r in records]
+    # one Hecke kernel per distinct label: (h, h; f, f) solves two
+    by_label = {r.label: r for r in records}
+    matched = {label: match_eigenform(cs, r) for label, r in by_label.items()}
+    forms = [matched[r.label] for r in records]
     report = period_sums(*forms, 0, 0, weighting=weighting, signs=signs)
     result["period"] = report.to_json()
     if lvalue:

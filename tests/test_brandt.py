@@ -22,8 +22,8 @@ from quatperiods.brandt import (BrandtError, NumberFieldElement,
 from quatperiods.harmonics import (SplitIso, random_harmonic, tau_action,
                                    trace_zero_space)
 from quatperiods.lattice import norm_counts, short_vectors, theta_coeffs
-from quatperiods.lseries import NewformRecord
-from quatperiods.newformdata import curve_ap
+from quatperiods.lseries import NewformRecord, ingest, resolve_label
+from quatperiods.newformdata import curve_ap, default_data_path
 from quatperiods.orders import ClassSet, class_set_for, eichler_mass
 from quatperiods.periods import PeriodError, match_eigenform
 from quatperiods.quatalg import _is_squarefree, _prime_factors, primes_up_to
@@ -601,6 +601,18 @@ def test_eigenforms_enumerate_each_class_pair_once(monkeypatch):
     assert cs.size == 3
     eigenforms(cs)
     assert len(enumerated) == len(set(map(id, enumerated))) == 3 * 4 // 2
+
+
+def test_eigenforms_and_a_kernel_match_share_each_atkin_lehner():
+    # eigenforms and kernel_eigenform key w_q alike, so the split and the
+    # match of 26a on one class set build w_2 and w_13 once between them
+    for cached in (eigenforms, atkin_lehner):
+        cached.cache_clear()
+    cs = class_set_for(13, 2)
+    eigenforms(cs)
+    record = resolve_label(ingest(default_data_path(), {"26a"}), "26a")
+    match_eigenform(cs, record)
+    assert atkin_lehner.cache_info().misses == 2
 
 
 ORBIT_CASES = GROUND_TRUTH + [(p, p) for p in (61, 79, 83, 89, 131)]

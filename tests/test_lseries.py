@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import tracemalloc
+from collections import Counter
 from collections.abc import Mapping, MutableMapping
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quatperiods import lseries
 from quatperiods.lseries import (EulerFactor, LSeriesError, NewformRecord,
                                  _afe_terms, _log_gamma, central_value,
                                  dirichlet_coefficients, good_factor, ingest,
@@ -574,15 +576,21 @@ def two_sided_central_value(factors, gamma_shifts, conductor, sign, s0,
              for x in dirichlet_coefficients(factors, terms)]
         tol = mpmath.mpf(2) ** (-max(40, bits // 2))
 
-        def smoothed_sum(s, nodes):
+        def grid(s):
+            """Step h and the integrand at t_k = k h, k = -260..260."""
             tmax = mpmath.sqrt(aa * (mpmath.log(1 / tol) + c * c / aa + 10))
-            h = tmax / nodes
+            h = tmax / 260
             gs = []
-            for k in range(-nodes, nodes + 1):
+            for k in range(-260, 261):
                 w = mpmath.mpc(c, k * h)
                 gs.append(complex(lam_gamma(s + w) * mpmath.exp(w * w / aa)
                                   / w))
-            h = float(h)
+            return float(h), gs
+
+        def smoothed_sum(s, h, gs):
+            """The sum at step h over the values gs at t_k, k = -K..K, and
+            its final 35% block."""
+            nodes = len(gs) // 2
             total = 0.0
             checkpoint = max(1, int(terms * 0.65))
             at_checkpoint = 0.0
@@ -603,10 +611,13 @@ def two_sided_central_value(factors, gamma_shifts, conductor, sign, s0,
             at_checkpoint *= h / (2 * math.pi)
             return mpmath.mpf(total), abs(total - at_checkpoint)
 
-        val1, blk1 = smoothed_sum(s0, 180)
-        val2, blk2 = smoothed_sum(1 - s0, 180)
-        val1b, _ = smoothed_sum(s0, 260)
-        val2b, _ = smoothed_sum(1 - s0, 260)
+        # the coarse sum takes the even nodes of the same grid, step 2h
+        sums = []
+        for s in (s0, 1 - s0):
+            h, gs = grid(s)
+            sums.append((smoothed_sum(s, 2 * h, gs[::2]),
+                         smoothed_sum(s, h, gs)))
+        ((val1, blk1), (val1b, _)), ((val2, blk2), (val2b, _)) = sums
         err = abs(val1 - val1b) + abs(val2 - val2b) + 2 * (blk1 + blk2)
         lam = val1b + sign * val2b
         for loc, res in poles:
@@ -665,7 +676,7 @@ def test_central_value_matches_two_sided_oracle(case):
 def horner_central_value(factors, gamma_shifts, conductor, sign, terms):
     """Oracle for central_value at s0 = 1/2 with kernel width 4, in double
     precision: the weight summed afresh for every coefficient by Horner's
-    rule, one pass over the series per grid, one log Gamma per shift.
+    rule, one pass over the series per step, one log Gamma per shift.
     Returns (L(1/2), Lambda(1/2), quadrature plus tail error of Lambda)."""
     c, aa = 1.75, 4.0
     shifts = [float(mu) for mu in gamma_shifts]
@@ -679,12 +690,14 @@ def horner_central_value(factors, gamma_shifts, conductor, sign, terms):
     b = dirichlet_coefficients(factors, terms)
     tmax = math.sqrt(aa * (50 * math.log(2) + c * c / aa + 10))
 
-    def smoothed_sum(nodes):
-        """The sum on the grid of that many steps, and its final 35%
-        block."""
-        h = tmax / nodes
-        gs = [cmath.exp(log_lam_gamma(w) + w * w / aa - cmath.log(w))
-              for w in (complex(c, k * h) for k in range(nodes + 1))]
+    # the integrand at t_k = k h, k = 0..260
+    h = tmax / 260
+    grid = [cmath.exp(log_lam_gamma(w) + w * w / aa - cmath.log(w))
+            for w in (complex(c, k * h) for k in range(261))]
+
+    def smoothed_sum(step, gs):
+        """The sum at that step over the values gs at t_k, k >= 0, and its
+        final 35% block."""
         g0 = gs[0].real
         upper = gs[:0:-1]          # g_K .. g_1, for Horner's rule
         total = at_checkpoint = 0.0
@@ -694,17 +707,19 @@ def horner_central_value(factors, gamma_shifts, conductor, sign, terms):
                 at_checkpoint = total
             if b[n] == 0.0:
                 continue
-            # sum_{k >= 1} g_k z^k with z = n^{-i h}
-            z = complex(math.cos(h * math.log(n)),
-                        -math.sin(h * math.log(n)))
+            # sum_{k >= 1} g_k z^k with z = n^{-i step}
+            z = complex(math.cos(step * math.log(n)),
+                        -math.sin(step * math.log(n)))
             acc = 0j
             for g in upper:
                 acc = (acc + g) * z
             total += b[n] * n ** (-0.5 - c) * (g0 + 2 * acc.real)
-        return (total * h / (2 * math.pi),
-                abs(total - at_checkpoint) * h / (2 * math.pi))
+        return (total * step / (2 * math.pi),
+                abs(total - at_checkpoint) * step / (2 * math.pi))
 
-    (val, blk), (val_b, _) = smoothed_sum(180), smoothed_sum(260)
+    # the coarse sum takes the even nodes of the same grid, step 2h
+    val, blk = smoothed_sum(2 * h, grid[::2])
+    val_b, _ = smoothed_sum(h, grid)
     # the sums at s0 and 1 - s0 coincide
     lam = (1 + sign) * val_b
     gam = cmath.exp(log_lam_gamma(0j)).real
@@ -726,6 +741,26 @@ def test_central_value_matches_horner_oracle_at_full_length():
     assert cv.details["interp"] <= 1e-2 * cv.lam_error
     # quadrature and tail agree up to rounding of Lambda
     assert abs(cv.lam_error - cv.details["interp"] - error) <= 1e-12 * lam
+
+
+def test_central_value_evaluates_the_integrand_on_one_grid(monkeypatch):
+    # two log Gamma per node of the 261-node grid (the third argument of
+    # each group is two above the first) and two for the gamma factor at
+    # s0; a second grid would add its own nodes.  The series length is
+    # resolved once, by the caller.
+    calls = Counter()
+    for name in ("_log_gamma", "_afe_terms"):
+        def counting(*args, original=getattr(lseries, name), name=name):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(lseries, name, counting)
+    recs = records()
+    h, f = resolve_label(recs, "26b"), resolve_label(recs, "26a")
+    triple_central_value(h, f, f)
+    assert calls == {"_log_gamma": 524, "_afe_terms": 1}
+    calls.clear()
+    petersson_norm_proxy(f)
+    assert calls == {"_log_gamma": 524, "_afe_terms": 1}
 
 
 def test_truncated_triple_factors_give_the_same_series():

@@ -210,33 +210,40 @@ CROSS_CHECK = {
                   "conventions": {"mass": ["-5/2", "-5/2"],
                                   "unweighted": ["-19", "-19"]}},
         "ratio": 1.206000047052023,
-        "relative_error": 0.00028917003839570306,
-        "lambda": (0.0024048098258204315, 1.2205701162264155e-09)},
+        "relative_error": 0.0002891700384047026,
+        "lambda": (0.0024048098258204315, 1.2205701259066819e-09)},
     ("26a", "26b"): {
         "exact": {"normalized_period_sq": "1/9", "S1": "-2", "S2": "-2",
                   "conventions": {"mass": ["-1", "-1"],
                                   "unweighted": ["-2", "-2"]}},
         "ratio": 3.1376519884754575,
-        "relative_error": 0.0012038687873767726,
-        "lambda": (0.06477479724012745, 4.4108824213699575e-09)},
+        "relative_error": 0.0012038687871145312,
+        "lambda": (0.06477479724012745, 4.410874594219911e-09)},
 }
 
 
 @pytest.mark.parametrize("h, f", sorted(CROSS_CHECK))
 def test_quadruple_report_pins_the_cross_check(monkeypatch, h, f):
-    calls = []
-    original = periods.period_sums
+    calls, matched = [], []
+    original, match = periods.period_sums, periods.match_eigenform
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
+    def counting_match(cs, record):
+        matched.append(record.label)
+        return match(cs, record)
+
     monkeypatch.setattr(periods, "period_sums", counting)
+    monkeypatch.setattr(periods, "match_eigenform", counting_match)
     recs = ingest(default_data_path(), {h, f})
     h_rec, f_rec = resolve_label(recs, h), resolve_label(recs, f)
     out = periods.quadruple_report(h_rec, h_rec, f_rec, f_rec, lvalue=True)
-    # the cross-check reads the mass sums off the report it follows
+    # the cross-check reads the mass sums off the report it follows, and
+    # each distinct label is matched once
     assert len(calls) == 1
+    assert sorted(matched) == sorted({h, f})
     want = CROSS_CHECK[h, f]
     check, report = out["lvalue_cross_check"], out["period"]
     got = {"normalized_period_sq": check["normalized_period_sq"],
