@@ -481,23 +481,28 @@ def parse_args(argv):
 
 
 def _emit(out, payload):
+    """Print the payload as JSON, or write it to the file out; a file that
+    cannot be written raises a ValidationError that names it."""
     text = json.dumps(payload, sort_keys=True, indent=1)
-    if out:
+    if not out:
+        print(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {out}: {exc.strerror}") from None
 
 
 def main(argv=None):
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         payload = args.run(args)
+        if payload is not None:
+            _emit(args.out, payload)
     except (ValidationError, PeriodError, LSeriesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)
-    if payload is not None:
-        _emit(args.out, payload)
     return 0
 
 

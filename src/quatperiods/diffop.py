@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial, perm
 
 from ._poly import Poly
 
@@ -93,20 +93,14 @@ def _d_operator(p):
 
 def delta_iterate_closed(k_plus_l, r, p):
     """Closed formula sum_i Gamma(w+r)/Gamma(w+r-i) C(r,i) N^i D^{r-i}."""
+    iterates = [p]                      # D^j p for j = 0..r
+    for _ in range(r):
+        iterates.append(_d_operator(iterates[-1]))
     out = Poly.zero(NV)
     nf = _rho_bracket()
     for i in range(r + 1):
-        coef = Fraction(1)
-        for t in range(i):
-            coef *= (k_plus_l + r - 1 - t)
-        binom = Fraction(1)
-        for t in range(i):
-            binom = binom * (r - t) / (t + 1)
-        term = p
-        for _ in range(r - i):
-            term = _d_operator(term)
-        term = term * (nf ** i)
-        out = out + term * (coef * binom)
+        term = iterates[r - i] * (nf ** i)
+        out = out + term * Fraction(perm(k_plus_l + r - 1, i) * comb(r, i))
     return out
 
 

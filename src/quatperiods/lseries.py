@@ -32,11 +32,11 @@ X^floor(log_p terms), so for p^2 > terms the triple factor is its linear
 term alone.  The Dirichlet coefficients are identical with or without the
 last fact, and the others change only rounding.
 
-The series is streamed: the factors of triple_factors and of the Sym^2
-proxy are a read-only Mapping that builds the factor at p when
-dirichlet_coefficients reaches p's stride and keeps nothing, and the
-coefficients b_n live in one array('d').  So one factor is alive at a
-time, next to count + 1 doubles, however long the series.
+An L-series' local data is one function factor(p) -> EulerFactor, which
+dirichlet_coefficients calls once per prime, in increasing order.  The
+triple and Sym^2 factors are built on each call and kept nowhere, and the
+b_n live in one array('d'): one factor is alive at a time, next to
+count + 1 doubles, however long the series.
 
 Normalization bookkeeping: polynomials are stored in the arithmetic
 normalization (coefficients in Z[a_p]); each factor records the shift that
@@ -46,11 +46,11 @@ moves the functional-equation center to s = 1/2.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import operator
 from collections import Counter, namedtuple
-from collections.abc import Mapping
 from fractions import Fraction
 
 from .quatalg import _prime_factors, prime_sieve
@@ -76,6 +76,17 @@ class NewformRecord(namedtuple("NewformRecord",
         return self.ap[p]
 
 
+def _numbered_lines(path):
+    """Numbered lines of a UTF-8 text file, or an LSeriesError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except OSError as exc:
+        raise LSeriesError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise LSeriesError(f"cannot read {path}: not UTF-8 text") from None
+
+
 def ingest(path, labels=None):
     """Parse a newform eigen-data file.
 
@@ -88,39 +99,38 @@ def ingest(path, labels=None):
     row.
     """
     records, sieve = [], bytearray()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if labels is not None and line.split("|", 1)[0] not in labels:
-                continue
-            parts = line.split("|")
-            if len(parts) != 5:
-                raise LSeriesError(f"row {lineno}: expected 5 fields")
-            label, level_s, weight_s, eps_s, ap_s = parts
-            try:
-                level = int(level_s)
-                weight = int(weight_s)
-                eps, ap = ({int(p): int(v) for p, v in
-                            (c.split(":") for c in filter(None, s.split(",")))}
-                           for s in (eps_s, ap_s))
-            except ValueError:
-                raise LSeriesError(f"row {lineno}: malformed row") from None
-            for p, v in eps.items():
-                if v not in (1, -1) or level % p:
-                    raise LSeriesError(f"row {lineno}: bad sign data at {p}")
-                if weight == 2 and level % (p * p) and ap.get(p, -v) != -v:
-                    raise LSeriesError(f"row {lineno}: a_{p} is not -eps_{p}")
-            if ap and max(ap) >= len(sieve):
-                sieve = prime_sieve(max(ap))
-            for p, a in ap.items():
-                if p < 2 or not sieve[p]:
-                    raise LSeriesError(f"row {lineno}: {p} is not prime")
-                if a * a > 4 * p ** (weight - 1):
-                    raise LSeriesError(
-                        f"row {lineno}: Ramanujan violation |a_{p}|={abs(a)}")
-            records.append(NewformRecord(label, level, weight, ap, eps))
+    for lineno, raw in _numbered_lines(path):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if labels is not None and line.split("|", 1)[0] not in labels:
+            continue
+        parts = line.split("|")
+        if len(parts) != 5:
+            raise LSeriesError(f"row {lineno}: expected 5 fields")
+        label, level_s, weight_s, eps_s, ap_s = parts
+        try:
+            level = int(level_s)
+            weight = int(weight_s)
+            eps, ap = ({int(p): int(v) for p, v in
+                        (c.split(":") for c in filter(None, s.split(",")))}
+                       for s in (eps_s, ap_s))
+        except ValueError:
+            raise LSeriesError(f"row {lineno}: malformed row") from None
+        for p, v in eps.items():
+            if v not in (1, -1) or level % p:
+                raise LSeriesError(f"row {lineno}: bad sign data at {p}")
+            if weight == 2 and level % (p * p) and ap.get(p, -v) != -v:
+                raise LSeriesError(f"row {lineno}: a_{p} is not -eps_{p}")
+        if ap and max(ap) >= len(sieve):
+            sieve = prime_sieve(max(ap))
+        for p, a in ap.items():
+            if p < 2 or not sieve[p]:
+                raise LSeriesError(f"row {lineno}: {p} is not prime")
+            if a * a > 4 * p ** (weight - 1):
+                raise LSeriesError(
+                    f"row {lineno}: Ramanujan violation |a_{p}|={abs(a)}")
+        records.append(NewformRecord(label, level, weight, ap, eps))
     return records
 
 
@@ -279,45 +289,17 @@ def triple_factor_at(h, f1, f2, p):
     return triple_factor(h, f1, f2, p)
 
 
-class _FactorsOnDemand(Mapping):
-    """Read-only map from each prime p <= count to its Euler factor.
-
-    A lookup calls build(p) and keeps nothing, so a reader that takes one
-    prime at a time, as dirichlet_coefficients does, holds one factor at a
-    time.  Iteration, len and `in` read only the sieve to count.
-    """
-
-    def __init__(self, count, build):
-        self._sieve = prime_sieve(count)
-        self._build = build
-
-    def __contains__(self, p):
-        return isinstance(p, int) and 0 <= p < len(self._sieve) \
-            and self._sieve[p] == 1
-
-    def __getitem__(self, p):
-        if p not in self:
-            raise KeyError(p)
-        return self._build(p)
-
-    def __iter__(self):
-        return itertools.compress(range(len(self._sieve)), self._sieve)
-
-    def __len__(self):
-        return self._sieve.count(1)
-
-
 def triple_factors(h, f1, f2, count):
-    """Euler factors at every p <= count, as deep as the series reads them,
-    as a read-only Mapping that builds a factor on each lookup.
+    """The function p -> Euler factor of L(h, f1, f2; s) at p, as deep as a
+    series of length count reads it; each call builds a new factor.
 
-    dirichlet_coefficients(factors, count) reads the factor at p only up to
+    dirichlet_coefficients(factor, count) reads the factor at p only up to
     X^floor(log_p count).  For a good p with p^2 > count that is the linear
     term -b_p, b_p = a_p(h) a_p(f1) a_p(f2), an int, so the degree-8 factor
     is built only for p <= sqrt(count) and at p | N, and the series is the
     same term for term; such a p then costs dirichlet_coefficients one
-    stride over its multiples.  Nothing is built before it is read, so a
-    prime missing from the data file raises on the lookup.
+    stride over its multiples.  A prime missing from the data file raises
+    the LSeriesError of NewformRecord.a when its factor is built.
     """
     deep = math.isqrt(count)
     shift = _triple_shift(h, f1, f2)
@@ -326,7 +308,7 @@ def triple_factors(h, f1, f2, count):
         if p <= deep or any(r.level % p == 0 for r in (h, f1, f2)):
             return triple_factor_at(h, f1, f2, p)
         return EulerFactor(p, [1, -h.a(p) * f1.a(p) * f2.a(p)], shift)
-    return _FactorsOnDemand(count, build)
+    return build
 
 
 def triple_conductor(n):
@@ -334,9 +316,11 @@ def triple_conductor(n):
     return n ** 5
 
 
-def triple_gamma_shifts():
-    """Gamma_R shifts of the weight-2 triple product, analytic normalization:
-    Gamma_C(s+1/2)^3 Gamma_C(s+3/2)."""
+def triple_gamma_shifts(weights=(2, 2, 2)):
+    """Gamma_R shifts of the triple product of forms of these weights,
+    analytic normalization: Gamma_C(s+1/2)^3 Gamma_C(s+3/2) at weight 2."""
+    if any(k != 2 for k in weights):
+        raise LSeriesError("documented defaults cover weight 2 only")
     return [Fraction(1, 2), Fraction(3, 2)] * 3 + [Fraction(3, 2), Fraction(5, 2)]
 
 
@@ -404,15 +388,14 @@ def sym2_identity_check(h1, h2, p):
 # Dirichlet coefficients and the smoothed AFE evaluator
 # ---------------------------------------------------------------------------
 
-def dirichlet_coefficients(factors, count):
+def dirichlet_coefficients(factor, count):
     """Analytic-normalization coefficients b_1..b_count as an array('d') b
     of count + 1 doubles, b[n] = b_n and b[0] = 0.0.
 
-    factors: a Mapping prime -> EulerFactor (each with its shift), such as a
-    dict or the on-demand map of triple_factors.  Its keys up to count, in
-    increasing order, are the primes the series walks, and every prime up
-    to count needs one; each factor is looked up once, when its prime's
-    stride is written, and read only up to X^floor(log_p count).
+    factor: a function p -> EulerFactor (each with its shift), such as the
+    one of triple_factors.  It is called once for each prime p <= count, in
+    increasing order, when p's stride is written, and its factor is read
+    only up to X^floor(log_p count).
 
     b_n is 1.0 times the local value at p^v || n for each p | n, multiplied
     in increasing order of p.  For each p the local values of its multiples
@@ -425,18 +408,11 @@ def dirichlet_coefficients(factors, count):
     # loaded here: the extension module adds about 0.14 MB to the peak RSS
     # of every CLI process that imports it, and only the series needs it
     from array import array
-    sieve = prime_sieve(count)
-    primes = [p for p in sorted(factors) if 0 < p <= count and sieve[p]]
-    if len(primes) < sieve.count(1):
-        p = next(p for p in itertools.compress(range(count + 1), sieve)
-                 if p not in factors)
-        raise LSeriesError(
-            f"no Euler factor supplied for a prime dividing {p}")
     b = array("d", [1.0]) * (count + 1)
     b[0] = 0.0
     shift = None
-    for p in primes:
-        f = factors[p]
+    for p in itertools.compress(range(count + 1), prime_sieve(count)):
+        f = factor(p)
         if f.shift is not shift:        # most factors share one shift
             shift, s = f.shift, float(f.shift)
         if p * p > count:
@@ -535,7 +511,7 @@ def _kept_degree(coeffs):
                    default=0)
 
 
-def central_value(factors, gamma_shifts, conductor, sign, s0=Fraction(1, 2),
+def central_value(factor, gamma_shifts, conductor, sign, s0=Fraction(1, 2),
                   terms=None, kernel_width=4, poles=()):
     """Smoothed approximate functional equation at s0.
 
@@ -585,15 +561,13 @@ def central_value(factors, gamma_shifts, conductor, sign, s0=Fraction(1, 2),
       and 1 - s0, and log Gamma_R(x + 2) = log Gamma_R(x) + log(x / (2 pi))
       for arguments two apart;
     - Euler factors only as deep as read: dirichlet_coefficients reads the
-      factor at p only up to X^floor(log_p terms), so callers may pass
-      truncated factors (see triple_factors).
+      factor at p only up to X^floor(log_p terms), so a factor function may
+      return truncated factors (see triple_factors).
 
-    factors is any Mapping prime -> EulerFactor: a dict, or the on-demand
-    map of triple_factors, whose factors are built one prime at a time
-    while dirichlet_coefficients fills its array('d'); the moment pass
-    reads that array as it stands.
-
-    Raises when the supplied factors do not reach the needed cutoff.
+    factor is a function p -> EulerFactor, which dirichlet_coefficients
+    calls once per prime p <= terms while it fills its array('d'); the
+    moment pass reads that array as it stands.  Whatever factor raises for
+    a prime it lacks, central_value raises.
     """
     shifts = Counter(Fraction(m) for m in gamma_shifts)
     s0 = Fraction(s0)
@@ -635,7 +609,7 @@ def central_value(factors, gamma_shifts, conductor, sign, s0=Fraction(1, 2),
     if terms is None:
         terms = _afe_terms(conductor)
     maxn = terms
-    b = dirichlet_coefficients(factors, maxn)
+    b = dirichlet_coefficients(factor, maxn)
     tmax = math.sqrt(aa * (math.log(1 / _GRID_TOL) + c * c / aa + 10))
 
     on_lines = log_lam_gamma(lines)
@@ -746,29 +720,29 @@ def _afe_terms(conductor):
 def triple_central_value(h, f1, f2, terms=None):
     """Completed central value of L(h, f1, f2; s) at s = 1/2, for weight-2
     newforms of one squarefree level N, all Steinberg at every p | N."""
+    shifts = triple_gamma_shifts((h.weight, f1.weight, f2.weight))
     conductor = triple_conductor(h.level)
     count = _afe_terms(conductor) if terms is None else terms
     # root number -prod_{p | N} eps_p, eps_p = -a_p(h) a_p(f1) a_p(f2)
     sign = -math.prod(-h.a(p) * -f1.a(p) * -f2.a(p)
                       for p in _prime_factors(h.level))
     _check_coverage((h, f1, f2), count)
-    return central_value(triple_factors(h, f1, f2, count),
-                         triple_gamma_shifts(), conductor, sign, terms=count)
+    return central_value(triple_factors(h, f1, f2, count), shifts,
+                         conductor, sign, terms=count)
 
 
 def petersson_norm_proxy(record, terms=None):
     """Value of the completed symmetric square at the analytic edge s = 1.
 
     Proportional to the Petersson norm up to a level-weight constant, which
-    cancels in the ratio diagnostics this proxy feeds.  Euler factors are
-    built on demand, as on the triple path, at every prime up to the series
-    length that central_value reads, so a prime missing from the data file
-    is named.
+    cancels in the ratio diagnostics this proxy feeds.  Its Euler factors are
+    built one prime at a time, as on the triple path, so a prime missing
+    from the data file is named.
     """
     conductor = sym2_conductor(record)
     count = _afe_terms(conductor) if terms is None else terms
     _check_coverage((record,), count)
-    factors = _FactorsOnDemand(count, lambda p: sym2_factor(record, p))
-    return central_value(factors, sym2_gamma_shifts(record.weight),
+    return central_value(functools.partial(sym2_factor, record),
+                         sym2_gamma_shifts(record.weight),
                          conductor, +1, s0=Fraction(1), terms=count)
 

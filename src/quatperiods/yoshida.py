@@ -23,6 +23,7 @@ from fractions import Fraction
 from itertools import chain
 from operator import add, mul
 
+from ._linalg import det
 from ._poly import Poly
 from .harmonics import c_coeff
 from .lattice import integer_terms, monomial_values, short_vectors
@@ -79,10 +80,6 @@ class FourierTable:
                         "poly": self.coeffs[t].serialize()}
                        for t in self.indices()],
         }
-
-
-def _det_u(u):
-    return u[0][0] * u[1][1] - u[0][1] * u[1][0]
 
 
 def yoshida_lift(phi1, phi2, prec):
@@ -244,8 +241,8 @@ def unimodular_check(table, u, t):
 
     Both indices must be within precision, else an error is raised.
     """
-    det = _det_u(u)
-    if det not in (1, -1):
+    sign = det(u)
+    if sign not in (1, -1):
         raise YoshidaError("U must be unimodular")
     t2 = t.transform(u)
     if t.trace > table.prec or t2.trace > table.prec:
@@ -256,5 +253,5 @@ def unimodular_check(table, u, t):
     # receives sum_j U[i][j] X_j (empirically pinned by the shear cases)
     rhs = a_t.subs_linear([[Fraction(u[0][0]), Fraction(u[0][1])],
                            [Fraction(u[1][0]), Fraction(u[1][1])]])
-    rhs = rhs * Fraction(det ** (table.nu1 - table.nu2 + 2))
+    rhs = rhs * Fraction(sign ** (table.nu1 - table.nu2 + 2))
     return lhs == rhs

@@ -15,6 +15,7 @@ from quatperiods.brandt import constant_form
 from quatperiods.lseries import ingest, resolve_label
 from quatperiods.newformdata import eta_product_coefficients
 from quatperiods.periods import period_sums
+from quatperiods.quatalg import primes_up_to
 from quatperiods.yoshida import HalfIntMatrix
 
 SRC = str(Path(quatperiods.__file__).resolve().parents[1])
@@ -450,6 +451,41 @@ def test_a_match_names_the_first_missing_coefficient(capsys, tmp_path, job):
     assert capsys.readouterr().err == "error: 11a: no a_31 in the data file\n"
 
 
+@pytest.mark.parametrize("kind, reason", [
+    ("missing", "No such file or directory"),
+    ("directory", "Is a directory"),
+    ("latin-1", "not UTF-8 text"),
+], ids=["missing", "directory", "latin-1"])
+def test_an_unreadable_newform_file_exits_2_naming_it(capsys, tmp_path, kind,
+                                                      reason):
+    (tmp_path / "latin-1.txt").write_bytes(
+        "caf\xe9|11|2|11:-1|2:-2\n".encode("latin-1"))
+    path = {"missing": tmp_path / "absent.txt", "directory": tmp_path,
+            "latin-1": tmp_path / "latin-1.txt"}[kind]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["theta", "--disc", "11", "--match", "11a",
+                  "--newforms", str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot read {path}: {reason}\n"
+
+
+@pytest.mark.parametrize("job", [("classset", "--disc", "2"), ("verify",)])
+@pytest.mark.parametrize("kind, reason", [
+    ("missing", "No such file or directory"),
+    ("directory", "Is a directory"),
+], ids=["missing", "directory"])
+def test_an_unwritable_out_file_exits_2_naming_it(capsys, tmp_path, job,
+                                                  kind, reason):
+    # verify writes its --out itself, after printing its rows
+    out = tmp_path / "absent" / "x.json" if kind == "missing" else tmp_path
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*job, "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
+
+
 def test_period_and_theta_match_do_not_split_the_module(capsys, monkeypatch):
     # each record's form is one Hecke kernel: the Galois-orbit split of
     # eigenforms is not needed
@@ -552,6 +588,24 @@ def test_series_far_past_the_data_is_rejected_before_it_is_built(job):
     assert proc.returncode == 2
     assert proc.stderr == "error: 11a: no a_12007 in the data file\n"
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("series", [("--h1", "D", "--f1", "D", "--f2", "D"),
+                                    ("--sym2", "D")], ids=["triple", "sym2"])
+def test_a_series_of_weight_12_is_rejected(capsys, tmp_path, series):
+    # Delta has level 1, so no Steinberg prime checks its weight; the gamma
+    # factors and conductors of both series are those of weight 2
+    tau = eta_product_coefficients([1] * 24, 200)
+    path = tmp_path / "delta.txt"
+    path.write_text("D|1|12||" + ",".join(f"{p}:{tau[p]}"
+                                          for p in primes_up_to(200)) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["lvalue", *series, "--newforms", str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: documented defaults cover weight 2 only\n"
 
 
 def test_lvalue_sym2_11a(capsys):

@@ -1,9 +1,9 @@
 import cmath
+import functools
 import math
 import random
 import tracemalloc
 from collections import Counter
-from collections.abc import Mapping, MutableMapping
 from fractions import Fraction
 
 import mpmath
@@ -231,12 +231,12 @@ def test_scale_roots_by_a_non_integer_gives_fractions():
     assert all(type(c) is Fraction for c in f.coeffs)
 
 
-def brute_force_coefficients(factors, count):
+def brute_force_coefficients(factor, count):
     """Oracle for dirichlet_coefficients: factor each n and multiply 1.0 by
     the local double at p^v || n in increasing order of p."""
     loc = {}
     for p in primes_up_to(count):
-        f = factors[p]
+        f = factor(p)
         local = FractionFactor(f.coeffs).local_coefficients(
             int(math.log(count, p)) + 1)
         shift = float(f.shift)
@@ -270,8 +270,8 @@ def test_dirichlet_coefficients_match_the_factored_oracle(count):
             coeffs[1] = 0
         factors[p] = EulerFactor(p, coeffs, rng.choice(
             [Fraction(0), Fraction(1, 2), Fraction(3, 2)]))
-    b = dirichlet_coefficients(factors, count)
-    want = brute_force_coefficients(factors, count)
+    b = dirichlet_coefficients(factors.__getitem__, count)
+    want = brute_force_coefficients(factors.__getitem__, count)
     assert b.typecode == "d" and len(b) == count + 1 and b[0] == 0.0
     assert want[0] is None
     assert [x.hex() for x in b[1:]] == [x.hex() for x in want[1:]]
@@ -279,13 +279,13 @@ def test_dirichlet_coefficients_match_the_factored_oracle(count):
         assert b[3] == 0.0
 
 
-def stride_coefficients(factors, count):
+def stride_coefficients(factor, count):
     """Oracle for dirichlet_coefficients: its stride loop with the full
     per-prime set-up (local_coefficients, math.log and float(shift)) at
     every prime, also where p^2 > count reads only the value at v = 1."""
     b = [None] + [1.0] * count
     for p in primes_up_to(count):
-        f = factors[p]
+        f = factor(p)
         local = f.local_coefficients(int(math.log(count, p)) + 1)
         shift = float(f.shift)
         loc = [float(c) * p ** (-v * shift) for v, c in enumerate(local)]
@@ -306,7 +306,8 @@ def test_dirichlet_coefficients_match_the_stride_loop():
     recs = records()
     h, f = resolve_label(recs, "26b"), resolve_label(recs, "26a")
     cases = [(triple_factors(h, f, f, 10390), 10390),
-             ({p: sym2_factor(h, p) for p in primes_up_to(700)}, 700)]
+             ({p: sym2_factor(h, p) for p in primes_up_to(700)}.__getitem__,
+              700)]
     rng = random.Random(5)
     for count in (1, 2, 3, 4, 8, 9, 30, 49, 250, 1000):
         factors = {}
@@ -316,11 +317,11 @@ def test_dirichlet_coefficients_match_the_stride_loop():
             fac = EulerFactor(p, coeffs, Fraction(rng.choice((0, 1, 3)), 2))
             factors[p] = fac.scale_roots(Fraction(1, 3)) \
                 if rng.random() < 0.3 else fac
-        cases.append((factors, count))
-    assert any(fac.degree == 0 for fac in cases[-1][0].values())
-    for factors, count in cases:
-        assert [x.hex() for x in dirichlet_coefficients(factors, count)[1:]] \
-            == [x.hex() for x in stride_coefficients(factors, count)[1:]]
+        cases.append((factors.__getitem__, count))
+    assert any(fac.degree == 0 for fac in factors.values())
+    for factor, count in cases:
+        assert [x.hex() for x in dirichlet_coefficients(factor, count)[1:]] \
+            == [x.hex() for x in stride_coefficients(factor, count)[1:]]
 
 
 def test_tensor_degrees_and_values():
@@ -432,7 +433,7 @@ def test_dirichlet_coefficients_multiplicative():
     factors[11] = EulerFactor(11, [1, -h.a(11)])
     for p in factors:
         factors[p] = EulerFactor(p, factors[p].coeffs, Fraction(1, 2))
-    b = dirichlet_coefficients(factors, 12)
+    b = dirichlet_coefficients(factors.__getitem__, 12)
     # b_n = a_n / sqrt(n)
     eta = {1: 1, 2: -2, 3: -1, 4: 2, 5: 1, 6: 2, 7: -2, 8: 0, 9: -2,
            10: -2, 11: 1, 12: -2}
@@ -457,8 +458,8 @@ def test_central_value_zeta_at_2():
     factors = {p: EulerFactor(p, [1, -1]) for p in
                (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113)}
-    cv = central_value(factors, [Fraction(0)], 1, +1, s0=Fraction(2),
-                       terms=100, kernel_width=6,
+    cv = central_value(factors.__getitem__, [Fraction(0)], 1, +1,
+                       s0=Fraction(2), terms=100, kernel_width=6,
                        poles=((1, 1), (0, -1)))
     assert abs(cv.value - math.pi ** 2 / 6) < 1e-8
 
@@ -467,8 +468,9 @@ def test_wide_kernel_doubles_the_chebyshev_sampling():
     # at width 30 the weight needs a degree above 3/4 of the first 64
     # Chebyshev samples, so they are doubled
     factors = {p: EulerFactor(p, [1, -1]) for p in primes_up_to(100)}
-    cv = central_value(factors, [Fraction(0)], 1, +1, s0=Fraction(2),
-                       terms=100, kernel_width=30, poles=((1, 1), (0, -1)))
+    cv = central_value(factors.__getitem__, [Fraction(0)], 1, +1,
+                       s0=Fraction(2), terms=100, kernel_width=30,
+                       poles=((1, 1), (0, -1)))
     assert max(cv.details["degree"].values()) > 48
     assert cv.error < 1e-13
     assert abs(cv.value - math.pi ** 2 / 6) < 1e-13
@@ -483,7 +485,8 @@ def test_central_value_sign_minus_one_vanishes():
         f = good_factor(h, p)
         factors[p] = EulerFactor(p, f.coeffs, Fraction(1, 2))
     factors[11] = EulerFactor(11, [1, -h.a(11)], Fraction(1, 2))
-    cv = central_value(factors, [Fraction(1, 2), Fraction(3, 2)], 11, -1)
+    cv = central_value(factors.__getitem__,
+                       [Fraction(1, 2), Fraction(3, 2)], 11, -1)
     assert abs(cv.value) < 1e-10
 
 
@@ -504,11 +507,11 @@ def test_central_value_level_11_matches_direct_sum():
         f = good_factor(h, p)
         factors[p] = EulerFactor(p, f.coeffs, Fraction(1, 2))
     factors[11] = EulerFactor(11, [1, -h.a(11)], Fraction(1, 2))
-    cv = central_value(factors, [Fraction(1, 2), Fraction(3, 2)], 11, +1,
-                       terms=600)
+    cv = central_value(factors.__getitem__,
+                       [Fraction(1, 2), Fraction(3, 2)], 11, +1, terms=600)
     # direct smoothed sum with a different kernel
     an = {1: 1}
-    b = dirichlet_coefficients(factors, 600)
+    b = dirichlet_coefficients(factors.__getitem__, 600)
     direct = 2 * sum(float(b[n]) * math.sqrt(n) / n
                      * math.exp(-2 * math.pi * n / math.sqrt(11))
                      for n in range(1, 601))
@@ -521,28 +524,33 @@ def test_central_value_kernel_independent():
     zeta = {p: EulerFactor(p, [1, -1]) for p in
             (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
              59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113)}
-    # (factors, gamma shifts, conductor, s0, terms, poles, kernel widths);
+    # (factor, gamma shifts, conductor, s0, terms, poles, kernel widths);
     # the others are the Sym^2 proxies of 11a, 26a and 26b, which a wrong
     # gamma factor makes depend on the kernel width
-    cases = [(zeta, [Fraction(0)], 1, Fraction(2), 100,
+    cases = [(zeta.__getitem__, [Fraction(0)], 1, Fraction(2), 100,
               ((1, 1), (0, -1)), (6, 10))]
     recs = records()
     for label in ("11a", "26a", "26b"):
         h = resolve_label(recs, label)
         sym2 = {p: sym2_factor(h, p) for p in primes_up_to(200)}
-        cases.append((sym2, sym2_gamma_shifts(), sym2_conductor(h),
+        cases.append((sym2.__getitem__, sym2_gamma_shifts(), sym2_conductor(h),
                       Fraction(1), None, (), (4, 8)))
-    for factors, shifts, cond, s0, terms, poles, widths in cases:
-        cv1, cv2 = (central_value(factors, shifts, cond, +1, s0=s0,
+    for factor, shifts, cond, s0, terms, poles, widths in cases:
+        cv1, cv2 = (central_value(factor, shifts, cond, +1, s0=s0,
                                   terms=terms, kernel_width=w, poles=poles)
                     for w in widths)
         assert abs(cv1.value - cv2.value) < cv1.error + cv2.error + 1e-10
 
 
 def test_insufficient_coefficients_error():
-    factors = {2: EulerFactor(2, [1, -1])}
-    with pytest.raises(LSeriesError, match="dividing 3"):
-        dirichlet_coefficients(factors, 10)
+    # a record that lacks a_3: the triple and the Sym^2 series both raise
+    # the LSeriesError of NewformRecord.a that names it
+    h = NewformRecord("h", 11, 2, {2: -2, 5: 1, 7: -2, 11: 1}, {11: -1})
+    for factor in (triple_factors(h, h, h, 10),
+                   functools.partial(sym2_factor, h)):
+        with pytest.raises(LSeriesError,
+                           match="^h: no a_3 in the data file$"):
+            dirichlet_coefficients(factor, 10)
 
 
 def test_petersson_proxy_positive():
@@ -553,7 +561,7 @@ def test_petersson_proxy_positive():
     assert cv.error < abs(cv.value) * 0.01
 
 
-def two_sided_central_value(factors, gamma_shifts, conductor, sign, s0,
+def two_sided_central_value(factor, gamma_shifts, conductor, sign, s0,
                             bits, terms, kernel_width=4, poles=()):
     """Oracle for central_value: the grid over every node t_k, k = -K..K,
     one Gamma_R call per shift, and both sums computed even at s0 = 1/2."""
@@ -573,7 +581,7 @@ def two_sided_central_value(factors, gamma_shifts, conductor, sign, s0,
             return out
 
         b = [0.0 if x is None else float(x)
-             for x in dirichlet_coefficients(factors, terms)]
+             for x in dirichlet_coefficients(factor, terms)]
         tol = mpmath.mpf(2) ** (-max(40, bits // 2))
 
         def grid(s):
@@ -629,25 +637,26 @@ def two_sided_central_value(factors, gamma_shifts, conductor, sign, s0,
 
 
 def afe_oracle_cases():
-    """(factors, shifts, conductor, sign, s0, terms, poles) of the triple
+    """(factor, shifts, conductor, sign, s0, terms, poles) of the triple
     11a x 11a x 11a, the 11a Sym^2 proxy (s0 = 1, so the sums at s0 and
     1 - s0 differ) and zeta at s0 = 2 with its poles."""
     h = resolve_label(records(), "11a")
     return {
         "triple": (triple_factors(h, h, h, 150), triple_gamma_shifts(),
                    triple_conductor(11), +1, Fraction(1, 2), 150, ()),
-        "sym2": ({p: sym2_factor(h, p) for p in primes_up_to(83)},
+        "sym2": ({p: sym2_factor(h, p) for p in primes_up_to(83)}.__getitem__,
                  sym2_gamma_shifts(), sym2_conductor(h), +1, Fraction(1),
                  83, ()),
-        "zeta": ({p: EulerFactor(p, [1, -1]) for p in primes_up_to(100)},
+        "zeta": ({p: EulerFactor(p, [1, -1])
+                  for p in primes_up_to(100)}.__getitem__,
                  [Fraction(0)], 1, +1, Fraction(2), 100, ((1, 1), (0, -1))),
     }
 
 
 @pytest.mark.parametrize("case", ["triple", "sym2", "zeta"])
 def test_lambda_error_is_the_error_times_the_gamma_factor(case):
-    factors, shifts, cond, sign, s0, terms, poles = afe_oracle_cases()[case]
-    cv = central_value(factors, shifts, cond, sign, s0=s0, terms=terms,
+    factor, shifts, cond, sign, s0, terms, poles = afe_oracle_cases()[case]
+    cv = central_value(factor, shifts, cond, sign, s0=s0, terms=terms,
                        poles=poles)
     d = cv.details
     assert cv.lam_error == d["quad_err"] + d["tail"] + d["interp"]
@@ -663,17 +672,17 @@ def test_lambda_error_is_the_error_times_the_gamma_factor(case):
 
 @pytest.mark.parametrize("case", ["triple", "sym2", "zeta"])
 def test_central_value_matches_two_sided_oracle(case):
-    factors, shifts, cond, sign, s0, terms, poles = afe_oracle_cases()[case]
-    cv = central_value(factors, shifts, cond, sign, s0=s0, terms=terms,
+    factor, shifts, cond, sign, s0, terms, poles = afe_oracle_cases()[case]
+    cv = central_value(factor, shifts, cond, sign, s0=s0, terms=terms,
                        poles=poles)
     value, error, lam = two_sided_central_value(
-        factors, shifts, cond, sign, s0, 100, terms, poles=poles)
+        factor, shifts, cond, sign, s0, 100, terms, poles=poles)
     assert cv.value == pytest.approx(value, rel=1e-12)
     assert cv.lam == pytest.approx(lam, rel=1e-12)
     assert cv.error == pytest.approx(error, rel=1e-6)
 
 
-def horner_central_value(factors, gamma_shifts, conductor, sign, terms):
+def horner_central_value(factor, gamma_shifts, conductor, sign, terms):
     """Oracle for central_value at s0 = 1/2 with kernel width 4, in double
     precision: the weight summed afresh for every coefficient by Horner's
     rule, one pass over the series per step, one log Gamma per shift.
@@ -687,7 +696,7 @@ def horner_central_value(factors, gamma_shifts, conductor, sign, terms):
             -(x + mu) / 2 * math.log(math.pi) + _log_gamma((x + mu) / 2)
             for mu in shifts)
 
-    b = dirichlet_coefficients(factors, terms)
+    b = dirichlet_coefficients(factor, terms)
     tmax = math.sqrt(aa * (50 * math.log(2) + c * c / aa + 10))
 
     # the integrand at t_k = k h, k = 0..260
@@ -732,10 +741,10 @@ def test_central_value_matches_horner_oracle_at_full_length():
     cond = triple_conductor(26)
     terms = _afe_terms(cond)
     assert terms == 10390
-    factors = triple_factors(h, f, f, terms)
-    cv = central_value(factors, triple_gamma_shifts(), cond, +1)
+    factor = triple_factors(h, f, f, terms)
+    cv = central_value(factor, triple_gamma_shifts(), cond, +1)
     value, lam, error = horner_central_value(
-        factors, triple_gamma_shifts(), cond, +1, terms)
+        factor, triple_gamma_shifts(), cond, +1, terms)
     assert cv.value == pytest.approx(value, rel=1e-12)
     assert cv.lam == pytest.approx(lam, rel=1e-12)
     assert cv.details["interp"] <= 1e-2 * cv.lam_error
@@ -768,31 +777,47 @@ def test_truncated_triple_factors_give_the_same_series():
     h, f = resolve_label(recs, "26a"), resolve_label(recs, "26b")
     count = 2000
     truncated = triple_factors(h, f, f, count)
-    full = {p: triple_factor_at(h, f, f, p) for p in primes_up_to(count)}
-    assert truncated.keys() == full.keys()
-    assert sum(fac.degree == 8 for fac in truncated.values()) == \
+    full = functools.partial(triple_factor_at, h, f, f)
+    assert sum(truncated(p).degree == 8 for p in primes_up_to(count)) == \
         len(primes_up_to(math.isqrt(count))) - 2
     assert dirichlet_coefficients(truncated, count) == \
         dirichlet_coefficients(full, count)
 
 
-def test_triple_factors_are_a_read_only_map_built_on_lookup():
+def test_the_series_calls_its_factor_once_per_prime_in_order():
+    calls = []
+
+    def factor(p):
+        calls.append(p)
+        return EulerFactor(p, [1, -1])
+
+    for count in (0, 1, 2, 3, 4, 49, 100):
+        calls.clear()
+        dirichlet_coefficients(factor, count)
+        assert calls == primes_up_to(count)
+    calls.clear()
+    central_value(factor, [Fraction(0)], 1, +1, s0=Fraction(2), terms=100,
+                  poles=((1, 1), (0, -1)))
+    assert calls == primes_up_to(100)
+
+
+def test_triple_factors_build_a_new_factor_on_each_call():
     recs = records()
     h, f = resolve_label(recs, "26a"), resolve_label(recs, "26b")
-    factors = triple_factors(h, f, f, 100)
-    assert isinstance(factors, Mapping)
-    assert not isinstance(factors, MutableMapping)
-    assert list(factors) == primes_up_to(100) and len(factors) == 25
-    assert 97 in factors and 13 in factors
-    assert all(n not in factors for n in (0, 1, 4, 91, 101))
-    with pytest.raises(KeyError):
-        factors[91]
-    # each lookup builds a new factor: nothing is kept between reads
-    assert factors[3] is not factors[3]
-    assert factors[3].coeffs == triple_factor_at(h, f, f, 3).coeffs
-    assert factors[13].coeffs == triple_factor_at(h, f, f, 13).coeffs
-    assert factors[97].coeffs == [1, -h.a(97) * f.a(97) ** 2]
-    assert factors[97].shift == factors[3].shift == Fraction(3, 2)
+    factor = triple_factors(h, f, f, 100)
+    # nothing is kept between calls
+    assert factor(3) is not factor(3)
+    for p in primes_up_to(100):
+        fac = factor(p)
+        assert fac.shift == Fraction(3, 2)
+        if p <= 10 or 26 % p == 0:
+            # the whole factor: degree 8 at a good prime, the Steinberg
+            # factor at 2 and 13
+            assert fac.coeffs == triple_factor_at(h, f, f, p).coeffs
+            assert fac.degree == (3 if 26 % p == 0 else 8)
+        else:
+            # above sqrt(100) the series reads only the linear term
+            assert fac.coeffs == [1, -h.a(p) * f.a(p) ** 2]
 
 
 def test_sym2_series_reads_a_map_as_a_dict():
@@ -800,8 +825,8 @@ def test_sym2_series_reads_a_map_as_a_dict():
     h = resolve_label(recs, "26a")
     full = {p: sym2_factor(h, p) for p in primes_up_to(200)}
     cv = petersson_norm_proxy(h, terms=200)
-    want = central_value(full, sym2_gamma_shifts(), sym2_conductor(h), +1,
-                         s0=Fraction(1), terms=200)
+    want = central_value(full.__getitem__, sym2_gamma_shifts(),
+                         sym2_conductor(h), +1, s0=Fraction(1), terms=200)
     assert (cv.value, cv.error) == (want.value, want.error)
 
 
