@@ -161,10 +161,6 @@ class Poly:
     def total_degree(self):
         return max((sum(m) for m in self.terms), default=0)
 
-    def homogeneous_component(self, d):
-        return Poly(self.nvars, {m: c for m, c in self.terms.items()
-                                 if sum(m) == d})
-
     def coefficient_of(self, var_indices, exps):
         """Coefficient of prod(x_i^e) over var_indices; a Poly in all vars."""
         out = []

@@ -339,13 +339,8 @@ def inner_product(phi, psi):
     """Natural inner product sum_i <<phi_i, psi_i>>_0 / e_i."""
     if phi.class_set is not psi.class_set or phi.weight != psi.weight:
         raise BrandtError("forms live on different spaces")
-    if phi.weight:
-        sp = trace_zero_space(phi.class_set.order.algebra)
-        vals = [sp.inner(a, b, phi.weight)
-                for a, b in zip(phi.values, psi.values)]
-    else:
-        vals = [a * b for a, b in zip(phi.scalar_values(),
-                                      psi.scalar_values())]
+    sp = trace_zero_space(phi.class_set.order.algebra)
+    vals = [sp.inner(a, b, phi.weight) for a, b in zip(phi.values, psi.values)]
     return sum((val / e for val, e in zip(vals, phi.class_set.unit_counts)),
                Fraction(0))
 

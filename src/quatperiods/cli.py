@@ -21,8 +21,8 @@ from . import newformdata
 from .brandt import (brandt_matrix, constant_form, eichler_theta, eigenforms,
                      poly_text, unit_average_form)
 from .lseries import (ingest, petersson_norm_proxy, resolve_label,
-                      sym2_factor, triple_central_value, triple_factor_at,
-                      LSeriesError)
+                      sym2_factor, sym2_shift, triple_central_value,
+                      triple_factor_at, triple_shift, LSeriesError)
 from .orders import class_set_for, eichler_mass
 from .periods import (PeriodError, SignData, degenerate_eisenstein,
                       match_eigenform, period_sums, quadruple_gate,
@@ -329,11 +329,12 @@ def _series(args):
 def run_euler(args):
     records = _series(args)
     if args.sym2:
-        fac = sym2_factor(*records, args.p)
+        fac, shift = sym2_factor(*records, args.p), sym2_shift(*records)
     else:
         fac = triple_factor_at(*records, args.p)
+        shift = triple_shift(*records)
     return {"type": "sym2" if args.sym2 else "triple", "p": args.p,
-            "coeffs": [str(c) for c in fac.coeffs], "shift": str(fac.shift)}
+            "coeffs": [str(c) for c in fac], "shift": str(shift)}
 
 
 def run_lvalue(args):

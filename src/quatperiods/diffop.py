@@ -141,7 +141,7 @@ def holomorphic_projection(p, w1, w2):
 # the operator polynomial p(u1, u12, u2)
 # ---------------------------------------------------------------------------
 
-def relevant_monomials(k, a, b, r):
+def relevant_monomials(a, b, r):
     """(i, j, kk) with i+j+kk = r contributing to the X-extraction."""
     out = []
     l = a + b
@@ -158,10 +158,11 @@ def relevant_monomials(k, a, b, r):
 class DiffOperator:
     """The holomorphic operator data: polynomial p in (u1, u12, u2)."""
 
-    def __init__(self, k, a, b, r, poly, normalization="z12-test r!"):
+    normalization = "z12-test r!"
+
+    def __init__(self, k, a, b, r, poly):
         self.k, self.a, self.b, self.r = k, a, b, r
         self.poly = poly                # (i, j, kk) -> Fraction
-        self.normalization = normalization
 
     def z12_test(self):
         """p applied to z12^r X1^a X2^b, evaluated at z12 = 0.
@@ -173,7 +174,7 @@ class DiffOperator:
     def q_poly(self, t):
         """Q(T) in (X1, X2): substitute u1 -> n1 X1^2, u12 -> m2 X1 X2,
         u2 -> n2 X2^2 (m2 is the z12-frequency, twice the off-diagonal)."""
-        n1, m2, n2 = t.as_tuple() if hasattr(t, "as_tuple") else t
+        n1, m2, n2 = t
         return Poly(2, (((2 * i + j, j + 2 * kk),
                          c * n1 ** i * m2 ** j * n2 ** kk)
                         for (i, j, kk), c in self.poly.items()))
@@ -191,13 +192,13 @@ def projection_poly(k, a, b, r):
     Constructed by applying the delta-iterate to e(tr T Z) X1^alpha X2^beta,
     restricting to z12 = 0, projecting holomorphically and extracting the
     X1^{a+r} X2^{b+r} coefficient; the paper's z12^r test value r! comes out
-    automatically and is asserted.
+    without rescaling, and a DiffOpError is raised if it does not.
     """
     if k < 2:
         raise DiffOpError("weight k >= 2 required")
     l = a + b
     w = k + l
-    rel = relevant_monomials(k, a, b, r)
+    rel = relevant_monomials(a, b, r)
     coeffs = {}
     for (i, j, kk) in rel:
         alpha = a + r - 2 * i - j
@@ -211,13 +212,8 @@ def projection_poly(k, a, b, r):
         coeffs[(i, j, kk)] = picked.terms.get(tuple(target), Fraction(0))
     op = DiffOperator(k, a, b, r, coeffs)
     test = op.z12_test()
-    fact = factorial(r)
-    if test == 0:
-        raise DiffOpError("degenerate operator (zero z12 test)")
-    if test != fact:
-        # normalize exactly to the r! convention
-        scale = Fraction(fact) / test
-        op.poly = {key: val * scale for key, val in op.poly.items()}
+    if test != factorial(r):
+        raise DiffOpError(f"z12 test value {test}, not r! = {factorial(r)}")
     return op
 
 

@@ -8,9 +8,11 @@ coordinates.  Kernels are invariant expressions in q and the pairing
 rescaled so the kernels reproduce.
 
 The invariant trilinear couplings are built from iterated Laplacians of
-products followed by harmonic projection: T(P,Q,R) = <<proj(Lap^k(P*Q)), R>>.
-They are nonzero exactly on balanced triples with even degree sum, and unique
-up to scalar.
+products: T(P,Q,R) = <<Lap^k(P*Q), R>>.  No harmonic projection is needed,
+since R is harmonic and multiplication by q is the Fischer adjoint of the
+Laplacian: the non-harmonic part q*g of Lap^k(P*Q) pairs with R to
+<g, Lap R> = 0.  They are nonzero exactly on balanced triples with even
+degree sum, and unique up to scalar.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from itertools import chain
 from math import comb, factorial
 from operator import mul
 
-from ._linalg import (frac_mat, identity, inverse, nullspace, transpose,
-                      vec_mat)
+from ._linalg import frac_mat, identity, inverse, nullspace, transpose
 from ._poly import Poly, apply_diff_operator, fischer_pairing
 from .quatalg import quaternion_norm, quaternion_product
 
@@ -107,32 +108,6 @@ class HarmonicSpace:
             raise HarmonicsError(
                 f"not a harmonic polynomial of degree {degree}")
         return coords
-
-    # -- harmonic projection -------------------------------------------------
-    @lru_cache(maxsize=None)
-    def _projection_solver(self, degree):
-        """Inverse of g -> Lap(q*g) on homogeneous degree-(degree-2) polys."""
-        lower = _monomials(self.dim, degree - 2)
-        cols = []
-        for m in lower:
-            img = self.laplacian(self.q_poly * Poly.monomial(m))
-            cols.append([img.terms.get(lm, Fraction(0)) for lm in lower])
-        return lower, inverse([list(row) for row in zip(*cols)])
-
-    def harmonic_projection(self, p):
-        """Fischer-orthogonal projection onto harmonics, degree by degree."""
-        out = Poly.zero(self.dim)
-        for d in sorted({sum(m) for m in p.terms}):
-            comp = p.homogeneous_component(d)
-            lap = self.laplacian(comp)
-            if not lap.is_zero():
-                lower, inv = self._projection_solver(d)
-                rhs = [lap.terms.get(lm, Fraction(0)) for lm in lower]
-                g_coords = vec_mat(rhs, [list(r) for r in zip(*inv)])
-                g = Poly(self.dim, zip(lower, g_coords))
-                comp = comp - self.q_poly * g
-            out = out + comp
-        return out
 
     # -- kernels -------------------------------------------------------------
     @lru_cache(maxsize=None)
@@ -308,6 +283,7 @@ class TrilinearForm(namedtuple("TrilinearForm", "space degrees zero reason",
     __slots__ = ()
 
     def value(self, p, q, r):
+        """The coupling of p, q and r, for r harmonic of degree c."""
         a, b, c = self.degrees
         if self.zero:
             return Fraction(0)
@@ -319,7 +295,6 @@ class TrilinearForm(namedtuple("TrilinearForm", "space degrees zero reason",
             k = (a + b - c) // 2
         for _ in range(k):
             prod = self.space.laplacian(prod)
-        prod = self.space.harmonic_projection(prod)
         return self.space.inner(prod, r, c)
 
     def tensor(self):

@@ -32,15 +32,19 @@ X^floor(log_p terms), so for p^2 > terms the triple factor is its linear
 term alone.  The Dirichlet coefficients are identical with or without the
 last fact, and the others change only rounding.
 
-An L-series' local data is one function factor(p) -> EulerFactor, which
-dirichlet_coefficients calls once per prime, in increasing order.  The
-triple and Sym^2 factors are built on each call and kept nowhere, and the
-b_n live in one array('d'): one factor is alive at a time, next to
-count + 1 doubles, however long the series.
+A local factor is the list of its coefficients [1, c_1, ..., c_d] as a
+polynomial in X = p^{-s}, low to high, as _factor stores its polynomials,
+and a product of factors is _factor._mul.  An L-series' local data is one
+function factor(p) -> that list, which dirichlet_coefficients calls once
+per prime, in increasing order.  The triple and Sym^2 factors are built on
+each call and kept nowhere, and the b_n live in one array('d'): one factor
+is alive at a time, next to count + 1 doubles, however long the series.
 
-Normalization bookkeeping: polynomials are stored in the arithmetic
-normalization (coefficients in Z[a_p]); each factor records the shift that
-moves the functional-equation center to s = 1/2.
+Normalization bookkeeping: factors are stored in the arithmetic
+normalization (coefficients in Z[a_p]).  Each series has one shift, the
+same at every prime, that moves its functional-equation center to
+s = 1/2: triple_shift and sym2_shift give it, and dirichlet_coefficients
+and central_value take it next to the factor function.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ import operator
 from collections import Counter, namedtuple
 from fractions import Fraction
 
+from ._factor import _mul
 from .quatalg import _prime_factors, prime_sieve
 
 
@@ -151,89 +156,51 @@ def _divide(a, k):
     return Fraction(a) / k if r else q
 
 
-class EulerFactor:
-    """Local factor as a polynomial in X = p^{-s}, constant term 1.
+def power_sums(f, count):
+    """Power sums p_1..p_count of the reciprocal roots of f by Newton's
+    identities, p_k = -(k c_k + sum_{0 < i < k} c_i p_{k-i})."""
+    d = len(f) - 1
+    ps = [0]
+    for k in range(1, count + 1):
+        ps.append(-(k * f[k] if k <= d else 0) - sum(
+            f[i] * ps[k - i] for i in range(1, min(k, d + 1))))
+    return ps[1:]
 
-    Coefficients are exact: ints for integral factors, which every method
-    keeps as ints, and Fractions only where a caller brings them in.  shift:
-    evaluating the analytic (s -> 1-s symmetric) normalization means
-    substituting X = p^{-s-shift}.
-    """
 
-    def __init__(self, prime, coeffs, shift=Fraction(0)):
-        self.prime = prime
-        self.coeffs = list(coeffs)
-        self.shift = shift
-        if not self.coeffs or self.coeffs[0] != 1:
-            raise LSeriesError("Euler factor must have constant term 1")
+def from_power_sums(ps, degree):
+    """The factor whose reciprocal roots have power sums ps[0], ps[1], ...:
+    c_k = -(sum_{0 < i <= k} c_{k-i} p_i) / k.  The division is exact in Z
+    when the roots are algebraic integers."""
+    c = [1]
+    for k in range(1, degree + 1):
+        acc = sum(c[k - i] * ps[i - 1] for i in range(1, k + 1))
+        c.append(_divide(-acc, k))
+    return c
 
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
 
-    def power_sums(self, count):
-        """Power sums p_1..p_count of the reciprocal roots by Newton's
-        identities, p_k = -(k c_k + sum_{0 < i < k} c_i p_{k-i})."""
-        c, d = self.coeffs, self.degree
-        ps = [0]
-        for k in range(1, count + 1):
-            ps.append(-(k * c[k] if k <= d else 0) - sum(
-                c[i] * ps[k - i] for i in range(1, min(k, d + 1))))
-        return ps[1:]
+def tensor(f, g):
+    """Factor with reciprocal roots r_i * s_j (Rankin-Selberg tensor)."""
+    d = (len(f) - 1) * (len(g) - 1)
+    return from_power_sums(
+        list(map(operator.mul, power_sums(f, d), power_sums(g, d))), d)
 
-    @classmethod
-    def from_power_sums(cls, prime, ps, degree, shift=Fraction(0)):
-        """The factor whose reciprocal roots have power sums ps[0], ps[1],
-        ...: c_k = -(sum_{0 < i <= k} c_{k-i} p_i) / k.  The division is
-        exact in Z when the roots are algebraic integers."""
-        c = [1]
-        for k in range(1, degree + 1):
-            acc = sum(c[k - i] * ps[i - 1] for i in range(1, k + 1))
-            c.append(_divide(-acc, k))
-        return cls(prime, c, shift)
 
-    def tensor(self, other):
-        """Factor with reciprocal roots r_i * s_j (Rankin-Selberg tensor)."""
-        if self.prime != other.prime:
-            raise LSeriesError("tensor needs matching primes")
-        d = self.degree * other.degree
-        ps1 = self.power_sums(d)
-        ps2 = other.power_sums(d)
-        ps = [ps1[k] * ps2[k] for k in range(d)]
-        return EulerFactor.from_power_sums(self.prime, ps, d,
-                                           self.shift + other.shift)
+def sym2(f):
+    """Symmetric square: roots r_i r_j for i <= j, whose k-th power sum
+    (p_k^2 + p_2k) / 2 is an integer for integral roots."""
+    d = len(f) * (len(f) - 1) // 2
+    ps = power_sums(f, 2 * d)
+    return from_power_sums(
+        [_divide(ps[k] ** 2 + ps[2 * k + 1], 2) for k in range(d)], d)
 
-    def sym2(self):
-        """Symmetric square: roots r_i r_j for i <= j, whose k-th power sum
-        (p_k^2 + p_2k) / 2 is an integer for integral roots."""
-        d = self.degree * (self.degree + 1) // 2
-        ps1 = self.power_sums(2 * d)
-        ps = [_divide(ps1[k] ** 2 + ps1[2 * k + 1], 2) for k in range(d)]
-        return EulerFactor.from_power_sums(self.prime, ps, d, 2 * self.shift)
 
-    def scale_roots(self, c):
-        """Roots times c, an int or a Fraction."""
-        coeffs = [self.coeffs[k] * c ** k for k in range(len(self.coeffs))]
-        return EulerFactor(self.prime, coeffs, self.shift)
-
-    def multiply(self, other):
-        """Product of factors (concatenated root multisets)."""
-        if self.prime != other.prime or self.shift != other.shift:
-            raise LSeriesError("factor product needs matching prime and shift")
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return EulerFactor(self.prime, out, self.shift)
-
-    def local_coefficients(self, count):
-        """Dirichlet coefficients of 1/f at p^0..p^count (arithmetic)."""
-        inv = [1]
-        for m in range(1, count + 1):
-            inv.append(-sum(self.coeffs[k] * inv[m - k]
-                            for k in range(1, min(m, self.degree) + 1)))
-        return inv
+def local_coefficients(f, count):
+    """Dirichlet coefficients of 1/f at p^0..p^count (arithmetic)."""
+    inv = [1]
+    for m in range(1, count + 1):
+        inv.append(-sum(f[k] * inv[m - k]
+                        for k in range(1, min(m, len(f) - 1) + 1)))
+    return inv
 
 
 # ---------------------------------------------------------------------------
@@ -245,23 +212,24 @@ def good_factor(record, p):
     good prime."""
     if record.level % p == 0:
         raise LSeriesError(f"{p} divides the level; not a good prime")
-    return EulerFactor(p, [1, -record.a(p), p ** (record.weight - 1)])
+    return [1, -record.a(p), p ** (record.weight - 1)]
 
 
 def triple_factor(h, f1, f2, p):
     """Degree-8 good-prime factor of the triple product L(h, f1, f2; s).
 
     Arithmetic coefficients in Z[a_p]; the analytic center s = 1/2 is reached
-    with shift (k1 + k2 + k3 - 3)/2.
+    with triple_shift(h, f1, f2).
     """
     for r in (h, f1, f2):
         if r.level % p == 0:
             raise LSeriesError(f"{p} divides a level; use the bad-prime table")
-    t = good_factor(h, p).tensor(good_factor(f1, p)).tensor(good_factor(f2, p))
-    return EulerFactor(p, t.coeffs, _triple_shift(h, f1, f2))
+    return tensor(tensor(good_factor(h, p), good_factor(f1, p)),
+                  good_factor(f2, p))
 
 
-def _triple_shift(h, f1, f2):
+def triple_shift(h, f1, f2):
+    """The shift (k1 + k2 + k3 - 3)/2 of every factor of L(h, f1, f2; s)."""
     return Fraction(h.weight + f1.weight + f2.weight - 3, 2)
 
 
@@ -277,9 +245,8 @@ def triple_factor_steinberg(h, f1, f2, p):
         if r.level % p or r.weight != 2:
             raise LSeriesError("Steinberg triple factor needs weight 2, p||N")
     c = h.a(p) * f1.a(p) * f2.a(p)
-    one = EulerFactor(p, [1, -c], shift=Fraction(3, 2))
-    two = EulerFactor(p, [1, -c * p], shift=Fraction(3, 2))
-    return one.multiply(two).multiply(two)
+    two = [1, -c * p]
+    return _mul(_mul([1, -c], two), two)
 
 
 def triple_factor_at(h, f1, f2, p):
@@ -291,9 +258,10 @@ def triple_factor_at(h, f1, f2, p):
 
 def triple_factors(h, f1, f2, count):
     """The function p -> Euler factor of L(h, f1, f2; s) at p, as deep as a
-    series of length count reads it; each call builds a new factor.
+    series of length count reads it; each call builds a new coefficient
+    list.  The series' shift is triple_shift(h, f1, f2).
 
-    dirichlet_coefficients(factor, count) reads the factor at p only up to
+    dirichlet_coefficients(factor, count, shift) reads the factor at p up to
     X^floor(log_p count).  For a good p with p^2 > count that is the linear
     term -b_p, b_p = a_p(h) a_p(f1) a_p(f2), an int, so the degree-8 factor
     is built only for p <= sqrt(count) and at p | N, and the series is the
@@ -302,12 +270,11 @@ def triple_factors(h, f1, f2, count):
     the LSeriesError of NewformRecord.a when its factor is built.
     """
     deep = math.isqrt(count)
-    shift = _triple_shift(h, f1, f2)
 
     def build(p):
         if p <= deep or any(r.level % p == 0 for r in (h, f1, f2)):
             return triple_factor_at(h, f1, f2, p)
-        return EulerFactor(p, [1, -h.a(p) * f1.a(p) * f2.a(p)], shift)
+        return [1, -h.a(p) * f1.a(p) * f2.a(p)]
     return build
 
 
@@ -325,14 +292,16 @@ def triple_gamma_shifts(weights=(2, 2, 2)):
 
 
 def sym2_factor(record, p):
-    """Symmetric square local factor (degree 3 good, 1 bad), shift k-1."""
-    shift = Fraction(record.weight - 1)
+    """Symmetric square local factor (degree 3 good, 1 bad)."""
     if record.level % p == 0:
         a = record.a(p)
-        return EulerFactor(p, [1, -a * a * p ** (record.weight - 2)],
-                           shift=shift)
-    s2 = good_factor(record, p).sym2()
-    return EulerFactor(p, s2.coeffs, shift)
+        return [1, -a * a * p ** (record.weight - 2)]
+    return sym2(good_factor(record, p))
+
+
+def sym2_shift(record):
+    """The shift k - 1 of every factor of the symmetric square."""
+    return Fraction(record.weight - 1)
 
 
 def sym2_conductor(record):
@@ -356,9 +325,8 @@ def spin_split_check(h1, h2, p):
     """
     f1 = good_factor(h1, p)
     f2 = good_factor(h2, p)
-    ps = [a + b for a, b in zip(f1.power_sums(4), f2.power_sums(4))]
-    spin = EulerFactor.from_power_sums(p, ps, 4)
-    return spin.coeffs == f1.multiply(f2).coeffs
+    ps = [a + b for a, b in zip(power_sums(f1, 4), power_sums(f2, 4))]
+    return from_power_sums(ps, 4) == _mul(f1, f2)
 
 
 def sym2_identity_check(h1, h2, p):
@@ -369,18 +337,15 @@ def sym2_identity_check(h1, h2, p):
     """
     f1 = good_factor(h1, p)
     f2 = good_factor(h2, p)
-    ps = [a + b for a, b in zip(f1.power_sums(20), f2.power_sums(20))]
-    spin = EulerFactor.from_power_sums(p, ps, 4)
-    lhs = spin.sym2()
-    rhs = f1.sym2().multiply(f2.sym2()).multiply(f1.tensor(f2))
-    ok1 = lhs.coeffs == rhs.coeffs and lhs.degree == 10
+    ps = [a + b for a, b in zip(power_sums(f1, 20), power_sums(f2, 20))]
+    lhs = sym2(from_power_sums(ps, 4))
+    rhs = _mul(_mul(sym2(f1), sym2(f2)), tensor(f1, f2))
+    ok1 = lhs == rhs and len(lhs) == 11
     # degree-5 standard: 1 union (tensor roots scaled by p^{1-k})
-    k = h1.weight
-    tens = f1.tensor(f2).scale_roots(Fraction(1, p ** (k - 1)))
-    zeta = EulerFactor(p, [1, -1])
-    std5 = zeta.multiply(tens)
-    ok2 = std5.degree == 5 and std5.coeffs[1] == -1 - (
-        Fraction(h1.a(p) * h2.a(p), p ** (k - 1)))
+    scale = Fraction(1, p ** (h1.weight - 1))
+    tens = [c * scale ** k for k, c in enumerate(tensor(f1, f2))]
+    std5 = _mul([1, -1], tens)
+    ok2 = len(std5) == 6 and std5[1] == -1 - h1.a(p) * h2.a(p) * scale
     return ok1 and ok2
 
 
@@ -388,14 +353,16 @@ def sym2_identity_check(h1, h2, p):
 # Dirichlet coefficients and the smoothed AFE evaluator
 # ---------------------------------------------------------------------------
 
-def dirichlet_coefficients(factor, count):
+def dirichlet_coefficients(factor, count, shift):
     """Analytic-normalization coefficients b_1..b_count as an array('d') b
     of count + 1 doubles, b[n] = b_n and b[0] = 0.0.
 
-    factor: a function p -> EulerFactor (each with its shift), such as the
-    one of triple_factors.  It is called once for each prime p <= count, in
-    increasing order, when p's stride is written, and its factor is read
-    only up to X^floor(log_p count).
+    factor: a function p -> arithmetic local factor [1, c_1, ..., c_d],
+    such as the one of triple_factors.  It is called once for each prime
+    p <= count, in increasing order, when p's stride is written, and its
+    factor is read only up to X^floor(log_p count).  shift: the series'
+    one shift, so the analytic local value at p^v is c p^(-v shift) for
+    the arithmetic coefficient c of 1/f at p^v.
 
     b_n is 1.0 times the local value at p^v || n for each p | n, multiplied
     in increasing order of p.  For each p the local values of its multiples
@@ -410,17 +377,15 @@ def dirichlet_coefficients(factor, count):
     from array import array
     b = array("d", [1.0]) * (count + 1)
     b[0] = 0.0
-    shift = None
+    s = float(shift)
     for p in itertools.compress(range(count + 1), prime_sieve(count)):
         f = factor(p)
-        if f.shift is not shift:        # most factors share one shift
-            shift, s = f.shift, float(f.shift)
         if p * p > count:
-            val = float(-f.coeffs[1] if f.degree else 0) * p ** -s
+            val = float(-f[1] if len(f) > 1 else 0) * p ** -s
             for n in range(p, count + 1, p):
                 b[n] *= val
             continue
-        local = f.local_coefficients(int(math.log(count, p)) + 1)
+        local = local_coefficients(f, int(math.log(count, p)) + 1)
         loc = [float(c) * p ** (-v * s) for v, c in enumerate(local)]
         # at[j] is the local value at (j + 1) p; p^v | (j + 1) p exactly
         # when j + 1 is a multiple of q = p^{v-1}
@@ -511,8 +476,8 @@ def _kept_degree(coeffs):
                    default=0)
 
 
-def central_value(factor, gamma_shifts, conductor, sign, s0=Fraction(1, 2),
-                  terms=None, kernel_width=4, poles=()):
+def central_value(factor, shift, gamma_shifts, conductor, sign,
+                  s0=Fraction(1, 2), terms=None, kernel_width=4, poles=()):
     """Smoothed approximate functional equation at s0.
 
     Lambda(s) = Q^{s/2} prod_j Gamma_R(s + mu_j) L(s) with Lambda(s) =
@@ -564,8 +529,9 @@ def central_value(factor, gamma_shifts, conductor, sign, s0=Fraction(1, 2),
       factor at p only up to X^floor(log_p terms), so a factor function may
       return truncated factors (see triple_factors).
 
-    factor is a function p -> EulerFactor, which dirichlet_coefficients
-    calls once per prime p <= terms while it fills its array('d'); the
+    factor is a function p -> local factor [1, c_1, ..., c_d] and shift
+    the series' one shift, which dirichlet_coefficients takes: it calls
+    factor once per prime p <= terms while it fills its array('d'), and the
     moment pass reads that array as it stands.  Whatever factor raises for
     a prime it lacks, central_value raises.
     """
@@ -609,7 +575,7 @@ def central_value(factor, gamma_shifts, conductor, sign, s0=Fraction(1, 2),
     if terms is None:
         terms = _afe_terms(conductor)
     maxn = terms
-    b = dirichlet_coefficients(factor, maxn)
+    b = dirichlet_coefficients(factor, maxn, shift)
     tmax = math.sqrt(aa * (math.log(1 / _GRID_TOL) + c * c / aa + 10))
 
     on_lines = log_lam_gamma(lines)
@@ -727,8 +693,9 @@ def triple_central_value(h, f1, f2, terms=None):
     sign = -math.prod(-h.a(p) * -f1.a(p) * -f2.a(p)
                       for p in _prime_factors(h.level))
     _check_coverage((h, f1, f2), count)
-    return central_value(triple_factors(h, f1, f2, count), shifts,
-                         conductor, sign, terms=count)
+    return central_value(triple_factors(h, f1, f2, count),
+                         triple_shift(h, f1, f2), shifts, conductor, sign,
+                         terms=count)
 
 
 def petersson_norm_proxy(record, terms=None):
@@ -743,6 +710,6 @@ def petersson_norm_proxy(record, terms=None):
     count = _afe_terms(conductor) if terms is None else terms
     _check_coverage((record,), count)
     return central_value(functools.partial(sym2_factor, record),
-                         sym2_gamma_shifts(record.weight),
+                         sym2_shift(record), sym2_gamma_shifts(record.weight),
                          conductor, +1, s0=Fraction(1), terms=count)
 

@@ -54,9 +54,6 @@ class HalfIntMatrix(namedtuple("HalfIntMatrix", "n1 m2 n2")):
             + 2 * self.n2 * c * d
         return HalfIntMatrix(n1, m2, n2)
 
-    def as_tuple(self):
-        return (self.n1, self.m2, self.n2)
-
 
 class FourierTable:
     """Fourier coefficients of a degree-2 lift, indexed by HalfIntMatrix.
@@ -70,13 +67,13 @@ class FourierTable:
         self.coeffs = {} if coeffs is None else coeffs
 
     def indices(self):
-        return sorted(self.coeffs, key=lambda t: t.as_tuple())
+        return sorted(self.coeffs)
 
     def to_json(self):
         return {
             "nu": [self.nu1, self.nu2],
             "prec": self.prec,
-            "coeffs": [{"T": list(t.as_tuple()),
+            "coeffs": [{"T": list(t),
                         "poly": self.coeffs[t].serialize()}
                        for t in self.indices()],
         }

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from quatperiods import diffop
 from quatperiods._linalg import nullspace
 from quatperiods._poly import Poly
 from quatperiods.brandt import QuatForm
@@ -76,7 +77,7 @@ def pluriharmonic_system(k, a, b, r, extra_c_indices=(1, 2)):
     m = 2 * k
     nv = 2 * m
     l = a + b
-    rel = relevant_monomials(k, a, b, r)
+    rel = relevant_monomials(a, b, r)
     # T(Y): t1 = |Y1|^2, m2-slot = 2 Y1.Y2, t2 = |Y2|^2
     t1 = Poly.zero(nv)
     t2 = Poly.zero(nv)
@@ -242,6 +243,18 @@ def test_z12_normalization_grid():
                 for t in range(1, r + 1):
                     fact *= t
                 assert op.z12_test() == fact
+
+
+@pytest.mark.parametrize("scale", [2, 0])
+def test_projection_poly_raises_unless_the_z12_test_is_r_factorial(
+        monkeypatch, scale):
+    # the construction yields r! itself; a rescaled image is an error, not
+    # something to rescale back
+    project = diffop.holomorphic_projection
+    monkeypatch.setattr(diffop, "holomorphic_projection",
+                        lambda p, w1, w2: project(p, w1, w2) * scale)
+    with pytest.raises(DiffOpError, match=r"z12 test value \d+, not r! = 2"):
+        projection_poly(3, 1, 0, 2)
 
 
 def test_uniqueness_via_pluriharmonic_system():

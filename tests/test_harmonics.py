@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import factorial
 from operator import mul
 
@@ -13,7 +13,8 @@ from quatperiods._linalg import mat_mul, mat_vec, rref
 from quatperiods._poly import Poly
 from quatperiods.brandt import NumberFieldElement
 from quatperiods.harmonics import (HarmonicsError, SplitIso, TrilinearForm,
-                                   _pair_block, balanced, c_coeff, full_space,
+                                   _cross_bilinear, _monomials, _pair_block,
+                                   balanced, c_coeff, full_space,
                                    random_harmonic, standard_space,
                                    tau_action, tau_substitution,
                                    trace_zero_space, trilinear_form)
@@ -29,6 +30,32 @@ def _block_laplacian(p, gram_inv, offset, dim):
             g = gram_inv[i][j]
             if g:
                 out = out + di.diff(offset + j) * g
+    return out
+
+
+@lru_cache(maxsize=None)
+def _projection_solver(space, degree):
+    """The monomials of degree - 2 and the inverse of g -> Lap(q g) on the
+    polynomials they span."""
+    lower = _monomials(space.dim, degree - 2)
+    images = [space.laplacian(space.q_poly * Poly.monomial(m)) for m in lower]
+    return lower, _linalg.inverse([[img.terms.get(lm, Fraction(0))
+                                    for img in images] for lm in lower])
+
+
+def harmonic_projection(space, p):
+    """Fischer-orthogonal projection onto harmonics, degree by degree: each
+    homogeneous part P less q g, for the g with Lap(q g) = Lap(P)."""
+    out = Poly.zero(space.dim)
+    for d in sorted({sum(m) for m in p.terms}):
+        part = Poly(space.dim, {m: c for m, c in p.terms.items()
+                                if sum(m) == d})
+        lap = space.laplacian(part)
+        if not lap.is_zero():
+            lower, inv = _projection_solver(space, d)
+            g = mat_vec(inv, [lap.terms.get(m, Fraction(0)) for m in lower])
+            part = part - space.q_poly * Poly(space.dim, zip(lower, g))
+        out = out + part
     return out
 
 
@@ -378,6 +405,44 @@ def test_trilinear_uniqueness_injectivity():
     assert len(rref(rows)[1]) == len(basis)
 
 
+def projected_value(form, p, q, r):
+    """Oracle for TrilinearForm.value: the Laplacian iterate of the product
+    (or of the epsilon coupling, at an odd degree sum) projected to
+    harmonics before it is paired with r.  Also returns whether the
+    projection changed it."""
+    a, b, c = form.degrees
+    sp = form.space
+    if (a + b + c) % 2:
+        prod, k = _cross_bilinear(sp, p, q), (a + b - 1 - c) // 2
+    else:
+        prod, k = p * q, (a + b - c) // 2
+    for _ in range(k):
+        prod = sp.laplacian(prod)
+    proj = harmonic_projection(sp, prod)
+    return sp.inner(proj, r, c), proj != prod
+
+
+def test_trilinear_value_needs_no_harmonic_projection():
+    # r is harmonic, so the part q g that the projection removes pairs to
+    # <g, Lap r> = 0; odd degree sums take the pseudo-scalar coupling, and
+    # the disc-11 trace-zero space has a non-diagonal Gram matrix
+    rng = random.Random(35)
+    changed = total = 0
+    for sp in (standard_space(3),
+               trace_zero_space(algebra_for_discriminant(11))):
+        for degrees in ((1, 1, 2), (2, 2, 2), (2, 1, 2), (2, 2, 3),
+                        (3, 2, 3), (3, 3, 2)):
+            form = TrilinearForm(sp, degrees, False)
+            for _ in range(3):
+                p, q, r = (random_harmonic(sp, d, rng) for d in degrees)
+                want, moved = projected_value(form, p, q, r)
+                assert form.value(p, q, r) == want != 0
+                changed += moved
+                total += 1
+    # the projection is not the identity on most of these iterates
+    assert 2 * changed > total
+
+
 # -- harmonic coordinates ------------------------------------------------------
 
 def fischer_coords(space, p, degree):
@@ -448,8 +513,8 @@ def split_matrix_by_projection(alg, m):
     wm = (prod[0] * 2) ** m
     kernel = Poly(10, ((mx + mono[4:], c * cx)
                        for mono, c in wm.terms.items()
-                       for mx, cx in sp4.harmonic_projection(
-                           Poly.monomial(mono[:4])).terms.items()))
+                       for mx, cx in harmonic_projection(
+                           sp4, Poly.monomial(mono[:4])).terms.items()))
     b3 = sp3.harmonic_basis(m)
     return [fischer_coords(sp4, _pair_block(
         _pair_block(kernel, br, 4, sp3.gram_inv), bs, 4, sp3.gram_inv), 2 * m)

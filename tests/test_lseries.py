@@ -12,17 +12,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quatperiods import lseries
-from quatperiods.lseries import (EulerFactor, LSeriesError, NewformRecord,
-                                 _afe_terms, _log_gamma, central_value,
-                                 dirichlet_coefficients, good_factor, ingest,
-                                 petersson_norm_proxy, resolve_label,
-                                 spin_split_check, sym2_conductor,
-                                 sym2_factor, sym2_gamma_shifts,
-                                 sym2_identity_check, triple_central_value,
+from quatperiods._factor import _mul
+from quatperiods.lseries import (LSeriesError, NewformRecord, _afe_terms,
+                                 _log_gamma, central_value,
+                                 dirichlet_coefficients, from_power_sums,
+                                 good_factor, ingest, local_coefficients,
+                                 petersson_norm_proxy, power_sums,
+                                 resolve_label, spin_split_check, sym2,
+                                 sym2_conductor, sym2_factor,
+                                 sym2_gamma_shifts, sym2_identity_check,
+                                 sym2_shift, tensor, triple_central_value,
                                  triple_conductor, triple_factor,
-                                 triple_factor_at,
-                                 triple_factor_steinberg, triple_factors,
-                                 triple_gamma_shifts)
+                                 triple_factor_at, triple_factor_steinberg,
+                                 triple_factors, triple_gamma_shifts,
+                                 triple_shift)
 from quatperiods.newformdata import default_data_path, write_newform_file
 from quatperiods.quatalg import primes_up_to
 
@@ -117,14 +120,12 @@ def test_ingest_empty(tmp_path):
 
 
 def test_power_sums_roundtrip():
-    f = EulerFactor(5, [1, -3, Fraction(7, 2), -1])
-    ps = f.power_sums(6)
-    g = EulerFactor.from_power_sums(5, ps[:3], 3)
-    assert g.coeffs == f.coeffs
+    f = [1, -3, Fraction(7, 2), -1]
+    assert from_power_sums(power_sums(f, 6)[:3], 3) == f
 
 
 class FractionFactor:
-    """Oracle for the EulerFactor algebra: Newton's identities with signed
+    """Oracle for the local factor algebra: Newton's identities with signed
     elementary symmetric functions, every value a Fraction."""
 
     def __init__(self, coeffs):
@@ -202,44 +203,52 @@ def all_ints(values):
     return all(type(v) is int for v in values)
 
 
+def scaled(f, c):
+    """The factor f with its roots times c."""
+    return [x * c ** k for k, x in enumerate(f)]
+
+
 @settings(max_examples=60, deadline=None)
-@given(p=st.sampled_from([2, 3, 5, 7]),
-       pair=st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+@given(pair=st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
            lambda ds: st.tuples(integral_factor(ds[0]),
                                 integral_factor(ds[1]))),
        count=st.integers(0, 8))
-def test_integral_factor_algebra_matches_the_fraction_oracle(p, pair, count):
-    (a, b), (fa, fb) = pair, map(FractionFactor, pair)
-    f, g = EulerFactor(p, a), EulerFactor(p, b)
-    ps = f.power_sums(count)
+def test_integral_factor_algebra_matches_the_fraction_oracle(pair, count):
+    (f, g), (fa, fb) = pair, map(FractionFactor, pair)
+    ps = power_sums(f, count)
     assert ps == fa.power_sums(count) and all_ints(ps)
-    rebuilt = EulerFactor.from_power_sums(p, f.power_sums(f.degree),
-                                          f.degree)
-    assert rebuilt.coeffs == a
-    for got, want in ((f.tensor(g), fa.tensor(fb)), (f.sym2(), fa.sym2()),
-                      (f.multiply(g), fa.multiply(fb)),
-                      (f.scale_roots(-3), fa.scale_roots(-3))):
-        assert got.coeffs == want.coeffs and all_ints(got.coeffs)
-    local = f.local_coefficients(count)
+    assert from_power_sums(power_sums(f, len(f) - 1), len(f) - 1) == f
+    for got, want in ((tensor(f, g), fa.tensor(fb)), (sym2(f), fa.sym2()),
+                      (_mul(f, g), fa.multiply(fb))):
+        assert got == want.coeffs and all_ints(got)
+    local = local_coefficients(f, count)
     assert local == fa.local_coefficients(count) and all_ints(local)
 
 
 def test_scale_roots_by_a_non_integer_gives_fractions():
-    f = EulerFactor(5, [1, 2, 5]).scale_roots(Fraction(1, 5))
-    assert f.coeffs == FractionFactor([1, 2, 5]).scale_roots(
-        Fraction(1, 5)).coeffs == [1, Fraction(2, 5), Fraction(1, 5)]
-    assert all(type(c) is Fraction for c in f.coeffs)
+    # roots scaled by 1/5, as sym2_identity_check scales the tensor: the
+    # algebra keeps the Fraction coefficients exact
+    f = scaled([1, 2, 5], Fraction(1, 5))
+    fa = FractionFactor([1, 2, 5]).scale_roots(Fraction(1, 5))
+    assert f == fa.coeffs == [1, Fraction(2, 5), Fraction(1, 5)]
+    assert all(type(c) is Fraction for c in f[1:])
+    g = [1, -3, 7]
+    for got, want in ((tensor(f, g), fa.tensor(FractionFactor(g))),
+                      (sym2(f), fa.sym2())):
+        assert got == want.coeffs
+        assert any(type(c) is Fraction for c in got)
+    assert power_sums(f, 6) == fa.power_sums(6)
+    assert local_coefficients(f, 6) == fa.local_coefficients(6)
 
 
-def brute_force_coefficients(factor, count):
+def brute_force_coefficients(factor, count, shift):
     """Oracle for dirichlet_coefficients: factor each n and multiply 1.0 by
     the local double at p^v || n in increasing order of p."""
     loc = {}
+    shift = float(shift)
     for p in primes_up_to(count):
-        f = factor(p)
-        local = FractionFactor(f.coeffs).local_coefficients(
+        local = FractionFactor(factor(p)).local_coefficients(
             int(math.log(count, p)) + 1)
-        shift = float(f.shift)
         loc[p] = [float(c) * p ** (-v * shift) for v, c in enumerate(local)]
     b = [None]
     for n in range(1, count + 1):
@@ -258,20 +267,20 @@ def brute_force_coefficients(factor, count):
 @pytest.mark.parametrize("count", [1, 2, 3, 4, 8, 9, 30, 49, 250, 1000])
 def test_dirichlet_coefficients_match_the_factored_oracle(count):
     # b_p = 0 at 3 (p^2 <= count from 9 on) and at the largest prime
-    # (p^2 > count); the rest random of degree 1 to 3, with shifts that make
-    # the product of three or more local doubles depend on their order
+    # (p^2 > count); the rest random of degree 1 to 3, with a shift that
+    # makes the product of three or more local doubles depend on their order
     rng = random.Random(count)
     primes = primes_up_to(count)
+    shift = rng.choice([Fraction(1, 2), Fraction(3, 2)])
     factors = {}
     for p in primes:
         degree = rng.randint(1, 3)
         coeffs = [1] + [rng.randint(-9, 9) for _ in range(degree)]
         if p in (3, primes[-1]):
             coeffs[1] = 0
-        factors[p] = EulerFactor(p, coeffs, rng.choice(
-            [Fraction(0), Fraction(1, 2), Fraction(3, 2)]))
-    b = dirichlet_coefficients(factors.__getitem__, count)
-    want = brute_force_coefficients(factors.__getitem__, count)
+        factors[p] = coeffs
+    b = dirichlet_coefficients(factors.__getitem__, count, shift)
+    want = brute_force_coefficients(factors.__getitem__, count, shift)
     assert b.typecode == "d" and len(b) == count + 1 and b[0] == 0.0
     assert want[0] is None
     assert [x.hex() for x in b[1:]] == [x.hex() for x in want[1:]]
@@ -279,15 +288,14 @@ def test_dirichlet_coefficients_match_the_factored_oracle(count):
         assert b[3] == 0.0
 
 
-def stride_coefficients(factor, count):
+def stride_coefficients(factor, count, shift):
     """Oracle for dirichlet_coefficients: its stride loop with the full
-    per-prime set-up (local_coefficients, math.log and float(shift)) at
-    every prime, also where p^2 > count reads only the value at v = 1."""
+    per-prime set-up (local_coefficients and math.log) at every prime, also
+    where p^2 > count reads only the value at v = 1."""
     b = [None] + [1.0] * count
+    shift = float(shift)
     for p in primes_up_to(count):
-        f = factor(p)
-        local = f.local_coefficients(int(math.log(count, p)) + 1)
-        shift = float(f.shift)
+        local = local_coefficients(factor(p), int(math.log(count, p)) + 1)
         loc = [float(c) * p ** (-v * shift) for v, c in enumerate(local)]
         at = [loc[1]] * (count // p)
         q, v = p, 2
@@ -301,47 +309,49 @@ def stride_coefficients(factor, count):
 
 def test_dirichlet_coefficients_match_the_stride_loop():
     # the level-26 triple and Sym^2 series at full length, and random
-    # factors of degree 0 to 3 with int or Fraction coefficients, whose
-    # equal shifts are distinct objects
+    # factors of degree 0 to 3 with int or Fraction coefficients, one shift
+    # per series
     recs = records()
     h, f = resolve_label(recs, "26b"), resolve_label(recs, "26a")
-    cases = [(triple_factors(h, f, f, 10390), 10390),
+    cases = [(triple_factors(h, f, f, 10390), 10390, triple_shift(h, f, f)),
              ({p: sym2_factor(h, p) for p in primes_up_to(700)}.__getitem__,
-              700)]
+              700, sym2_shift(h))]
     rng = random.Random(5)
     for count in (1, 2, 3, 4, 8, 9, 30, 49, 250, 1000):
         factors = {}
         for p in primes_up_to(count):
             coeffs = [1] + [rng.randint(-9, 9)
                             for _ in range(rng.randint(0, 3))]
-            fac = EulerFactor(p, coeffs, Fraction(rng.choice((0, 1, 3)), 2))
-            factors[p] = fac.scale_roots(Fraction(1, 3)) \
-                if rng.random() < 0.3 else fac
-        cases.append((factors.__getitem__, count))
-    assert any(fac.degree == 0 for fac in factors.values())
-    for factor, count in cases:
-        assert [x.hex() for x in dirichlet_coefficients(factor, count)[1:]] \
-            == [x.hex() for x in stride_coefficients(factor, count)[1:]]
+            factors[p] = scaled(coeffs, Fraction(1, 3)) \
+                if rng.random() < 0.3 else coeffs
+        cases.append((factors.__getitem__, count,
+                      Fraction(rng.choice((0, 1, 3)), 2)))
+    assert any(len(fac) == 1 for fac in factors.values())
+    for factor, count, shift in cases:
+        assert [x.hex() for x in dirichlet_coefficients(factor, count,
+                                                        shift)[1:]] \
+            == [x.hex() for x in stride_coefficients(factor, count,
+                                                     shift)[1:]]
 
 
 def test_tensor_degrees_and_values():
     rng = random.Random(1)
     for _ in range(20):
         a1, a2 = rng.randint(-3, 3), rng.randint(-3, 3)
-        f1 = EulerFactor(7, [1, a1, rng.randint(1, 9)])
-        f2 = EulerFactor(7, [1, a2, rng.randint(1, 9)])
-        t = f1.tensor(f2)
-        assert t.degree == 4
+        f1 = [1, a1, rng.randint(1, 9)]
+        f2 = [1, a2, rng.randint(1, 9)]
+        t = tensor(f1, f2)
+        assert len(t) == 5
         # linear coefficient: -p1(f1) p1(f2) with p1 = -c1
-        assert t.coeffs[1] == -(f1.coeffs[1] * f2.coeffs[1])
+        assert t[1] == -(f1[1] * f2[1])
 
 
 def test_triple_factor_degree_8():
     recs = records()
     h = resolve_label(recs, "11a")
     t = triple_factor(h, h, h, 2)
-    assert t.degree == 8
-    assert t.shift == Fraction(3, 2)
+    assert len(t) == 9
+    assert triple_shift(h, h, h) == Fraction(3, 2)
     # numeric oracle: multiply out the 8 linear factors at 60 digits
     with mpmath.workprec(240):
         a = mpmath.mpf(h.a(2))
@@ -363,7 +373,7 @@ def test_triple_factor_degree_8():
                 nxt[i] += c
                 nxt[i + 1] -= c * r
             poly = nxt
-        for k, c in enumerate(t.coeffs):
+        for k, c in enumerate(t):
             assert abs(mpmath.mpf(c.numerator) / c.denominator
                        - mpmath.re(poly[k])) < mpmath.mpf(10) ** -40
 
@@ -371,7 +381,7 @@ def test_triple_factor_degree_8():
 def test_triple_factor_even_when_ap_zero():
     rec = NewformRecord("z", 33, 2, {2: 0, 5: 0}, {})
     t = triple_factor(rec, rec, rec, 2)
-    for k, c in enumerate(t.coeffs):
+    for k, c in enumerate(t):
         if k % 2 == 1:
             assert c == 0
 
@@ -387,10 +397,10 @@ def test_triple_factor_steinberg():
     recs = records()
     h = resolve_label(recs, "26a")
     t = triple_factor_steinberg(h, h, h, 2)
-    assert t.degree == 3
+    assert len(t) == 4
     c = h.a(2) ** 3
     # (1 - cX)(1 - 2cX)^2
-    assert t.coeffs[1] == -c - 2 * c - 2 * c
+    assert t[1] == -c - 2 * c - 2 * c
 
 
 def test_self_duality_symmetry():
@@ -400,7 +410,7 @@ def test_self_duality_symmetry():
     t = triple_factor(h, h, h, 3)
     p = 3
     for k in range(9):
-        assert t.coeffs[8 - k] * p ** (3 * k) == t.coeffs[k] * p ** 12
+        assert t[8 - k] * p ** (3 * k) == t[k] * p ** 12
 
 
 def test_spin_and_sym2_identities_random():
@@ -430,10 +440,8 @@ def test_dirichlet_coefficients_multiplicative():
     recs = records()
     h = resolve_label(recs, "11a")
     factors = {p: good_factor(h, p) for p in (2, 3, 5, 7)}
-    factors[11] = EulerFactor(11, [1, -h.a(11)])
-    for p in factors:
-        factors[p] = EulerFactor(p, factors[p].coeffs, Fraction(1, 2))
-    b = dirichlet_coefficients(factors.__getitem__, 12)
+    factors[11] = [1, -h.a(11)]
+    b = dirichlet_coefficients(factors.__getitem__, 12, Fraction(1, 2))
     # b_n = a_n / sqrt(n)
     eta = {1: 1, 2: -2, 3: -1, 4: 2, 5: 1, 6: 2, 7: -2, 8: 0, 9: -2,
            10: -2, 11: 1, 12: -2}
@@ -455,10 +463,10 @@ def test_log_gamma_matches_mpmath():
 
 def test_central_value_zeta_at_2():
     # off-center sanity: the same engine evaluates zeta(2) = pi^2 / 6
-    factors = {p: EulerFactor(p, [1, -1]) for p in
+    factors = {p: [1, -1] for p in
                (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113)}
-    cv = central_value(factors.__getitem__, [Fraction(0)], 1, +1,
+    cv = central_value(factors.__getitem__, 0, [Fraction(0)], 1, +1,
                        s0=Fraction(2), terms=100, kernel_width=6,
                        poles=((1, 1), (0, -1)))
     assert abs(cv.value - math.pi ** 2 / 6) < 1e-8
@@ -467,8 +475,8 @@ def test_central_value_zeta_at_2():
 def test_wide_kernel_doubles_the_chebyshev_sampling():
     # at width 30 the weight needs a degree above 3/4 of the first 64
     # Chebyshev samples, so they are doubled
-    factors = {p: EulerFactor(p, [1, -1]) for p in primes_up_to(100)}
-    cv = central_value(factors.__getitem__, [Fraction(0)], 1, +1,
+    factors = {p: [1, -1] for p in primes_up_to(100)}
+    cv = central_value(factors.__getitem__, 0, [Fraction(0)], 1, +1,
                        s0=Fraction(2), terms=100, kernel_width=30,
                        poles=((1, 1), (0, -1)))
     assert max(cv.details["degree"].values()) > 48
@@ -482,10 +490,9 @@ def test_central_value_sign_minus_one_vanishes():
     factors = {}
     for p in (2, 3, 5, 7, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
               67, 71, 73, 79, 83, 89, 97):
-        f = good_factor(h, p)
-        factors[p] = EulerFactor(p, f.coeffs, Fraction(1, 2))
-    factors[11] = EulerFactor(11, [1, -h.a(11)], Fraction(1, 2))
-    cv = central_value(factors.__getitem__,
+        factors[p] = good_factor(h, p)
+    factors[11] = [1, -h.a(11)]
+    cv = central_value(factors.__getitem__, Fraction(1, 2),
                        [Fraction(1, 2), Fraction(3, 2)], 11, -1)
     assert abs(cv.value) < 1e-10
 
@@ -504,14 +511,12 @@ def test_central_value_level_11_matches_direct_sum():
               359, 367, 373, 379, 383, 389, 397, 401, 409, 419, 421, 431, 433,
               439, 443, 449, 457, 461, 463, 467, 479, 487, 491, 499, 503, 509,
               521, 523, 541, 547, 557, 563, 569, 571, 577, 587, 593, 599):
-        f = good_factor(h, p)
-        factors[p] = EulerFactor(p, f.coeffs, Fraction(1, 2))
-    factors[11] = EulerFactor(11, [1, -h.a(11)], Fraction(1, 2))
-    cv = central_value(factors.__getitem__,
+        factors[p] = good_factor(h, p)
+    factors[11] = [1, -h.a(11)]
+    cv = central_value(factors.__getitem__, Fraction(1, 2),
                        [Fraction(1, 2), Fraction(3, 2)], 11, +1, terms=600)
     # direct smoothed sum with a different kernel
-    an = {1: 1}
-    b = dirichlet_coefficients(factors.__getitem__, 600)
+    b = dirichlet_coefficients(factors.__getitem__, 600, Fraction(1, 2))
     direct = 2 * sum(float(b[n]) * math.sqrt(n) / n
                      * math.exp(-2 * math.pi * n / math.sqrt(11))
                      for n in range(1, 601))
@@ -521,22 +526,22 @@ def test_central_value_level_11_matches_direct_sum():
 
 
 def test_central_value_kernel_independent():
-    zeta = {p: EulerFactor(p, [1, -1]) for p in
+    zeta = {p: [1, -1] for p in
             (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
              59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113)}
-    # (factor, gamma shifts, conductor, s0, terms, poles, kernel widths);
-    # the others are the Sym^2 proxies of 11a, 26a and 26b, which a wrong
-    # gamma factor makes depend on the kernel width
-    cases = [(zeta.__getitem__, [Fraction(0)], 1, Fraction(2), 100,
+    # (factor, shift, gamma shifts, conductor, s0, terms, poles, kernel
+    # widths); the others are the Sym^2 proxies of 11a, 26a and 26b, which a
+    # wrong gamma factor makes depend on the kernel width
+    cases = [(zeta.__getitem__, 0, [Fraction(0)], 1, Fraction(2), 100,
               ((1, 1), (0, -1)), (6, 10))]
     recs = records()
     for label in ("11a", "26a", "26b"):
         h = resolve_label(recs, label)
-        sym2 = {p: sym2_factor(h, p) for p in primes_up_to(200)}
-        cases.append((sym2.__getitem__, sym2_gamma_shifts(), sym2_conductor(h),
-                      Fraction(1), None, (), (4, 8)))
-    for factor, shifts, cond, s0, terms, poles, widths in cases:
-        cv1, cv2 = (central_value(factor, shifts, cond, +1, s0=s0,
+        factors = {p: sym2_factor(h, p) for p in primes_up_to(200)}
+        cases.append((factors.__getitem__, sym2_shift(h), sym2_gamma_shifts(),
+                      sym2_conductor(h), Fraction(1), None, (), (4, 8)))
+    for factor, shift, shifts, cond, s0, terms, poles, widths in cases:
+        cv1, cv2 = (central_value(factor, shift, shifts, cond, +1, s0=s0,
                                   terms=terms, kernel_width=w, poles=poles)
                     for w in widths)
         assert abs(cv1.value - cv2.value) < cv1.error + cv2.error + 1e-10
@@ -546,11 +551,11 @@ def test_insufficient_coefficients_error():
     # a record that lacks a_3: the triple and the Sym^2 series both raise
     # the LSeriesError of NewformRecord.a that names it
     h = NewformRecord("h", 11, 2, {2: -2, 5: 1, 7: -2, 11: 1}, {11: -1})
-    for factor in (triple_factors(h, h, h, 10),
-                   functools.partial(sym2_factor, h)):
+    for factor, shift in ((triple_factors(h, h, h, 10), triple_shift(h, h, h)),
+                          (functools.partial(sym2_factor, h), sym2_shift(h))):
         with pytest.raises(LSeriesError,
                            match="^h: no a_3 in the data file$"):
-            dirichlet_coefficients(factor, 10)
+            dirichlet_coefficients(factor, 10, shift)
 
 
 def test_petersson_proxy_positive():
@@ -561,7 +566,7 @@ def test_petersson_proxy_positive():
     assert cv.error < abs(cv.value) * 0.01
 
 
-def two_sided_central_value(factor, gamma_shifts, conductor, sign, s0,
+def two_sided_central_value(factor, shift, gamma_shifts, conductor, sign, s0,
                             bits, terms, kernel_width=4, poles=()):
     """Oracle for central_value: the grid over every node t_k, k = -K..K,
     one Gamma_R call per shift, and both sums computed even at s0 = 1/2."""
@@ -581,7 +586,7 @@ def two_sided_central_value(factor, gamma_shifts, conductor, sign, s0,
             return out
 
         b = [0.0 if x is None else float(x)
-             for x in dirichlet_coefficients(factor, terms)]
+             for x in dirichlet_coefficients(factor, terms, shift)]
         tol = mpmath.mpf(2) ** (-max(40, bits // 2))
 
         def grid(s):
@@ -637,26 +642,27 @@ def two_sided_central_value(factor, gamma_shifts, conductor, sign, s0,
 
 
 def afe_oracle_cases():
-    """(factor, shifts, conductor, sign, s0, terms, poles) of the triple
-    11a x 11a x 11a, the 11a Sym^2 proxy (s0 = 1, so the sums at s0 and
-    1 - s0 differ) and zeta at s0 = 2 with its poles."""
+    """(factor, shift, gamma shifts, conductor, sign, s0, terms, poles) of
+    the triple 11a x 11a x 11a, the 11a Sym^2 proxy (s0 = 1, so the sums at
+    s0 and 1 - s0 differ) and zeta at s0 = 2 with its poles."""
     h = resolve_label(records(), "11a")
     return {
-        "triple": (triple_factors(h, h, h, 150), triple_gamma_shifts(),
-                   triple_conductor(11), +1, Fraction(1, 2), 150, ()),
+        "triple": (triple_factors(h, h, h, 150), triple_shift(h, h, h),
+                   triple_gamma_shifts(), triple_conductor(11), +1,
+                   Fraction(1, 2), 150, ()),
         "sym2": ({p: sym2_factor(h, p) for p in primes_up_to(83)}.__getitem__,
-                 sym2_gamma_shifts(), sym2_conductor(h), +1, Fraction(1),
-                 83, ()),
-        "zeta": ({p: EulerFactor(p, [1, -1])
-                  for p in primes_up_to(100)}.__getitem__,
+                 sym2_shift(h), sym2_gamma_shifts(), sym2_conductor(h), +1,
+                 Fraction(1), 83, ()),
+        "zeta": ({p: [1, -1] for p in primes_up_to(100)}.__getitem__, 0,
                  [Fraction(0)], 1, +1, Fraction(2), 100, ((1, 1), (0, -1))),
     }
 
 
 @pytest.mark.parametrize("case", ["triple", "sym2", "zeta"])
 def test_lambda_error_is_the_error_times_the_gamma_factor(case):
-    factor, shifts, cond, sign, s0, terms, poles = afe_oracle_cases()[case]
-    cv = central_value(factor, shifts, cond, sign, s0=s0, terms=terms,
+    factor, shift, shifts, cond, sign, s0, terms, poles = \
+        afe_oracle_cases()[case]
+    cv = central_value(factor, shift, shifts, cond, sign, s0=s0, terms=terms,
                        poles=poles)
     d = cv.details
     assert cv.lam_error == d["quad_err"] + d["tail"] + d["interp"]
@@ -672,17 +678,19 @@ def test_lambda_error_is_the_error_times_the_gamma_factor(case):
 
 @pytest.mark.parametrize("case", ["triple", "sym2", "zeta"])
 def test_central_value_matches_two_sided_oracle(case):
-    factor, shifts, cond, sign, s0, terms, poles = afe_oracle_cases()[case]
-    cv = central_value(factor, shifts, cond, sign, s0=s0, terms=terms,
+    factor, shift, shifts, cond, sign, s0, terms, poles = \
+        afe_oracle_cases()[case]
+    cv = central_value(factor, shift, shifts, cond, sign, s0=s0, terms=terms,
                        poles=poles)
     value, error, lam = two_sided_central_value(
-        factor, shifts, cond, sign, s0, 100, terms, poles=poles)
+        factor, shift, shifts, cond, sign, s0, 100, terms, poles=poles)
     assert cv.value == pytest.approx(value, rel=1e-12)
     assert cv.lam == pytest.approx(lam, rel=1e-12)
     assert cv.error == pytest.approx(error, rel=1e-6)
 
 
-def horner_central_value(factor, gamma_shifts, conductor, sign, terms):
+def horner_central_value(factor, shift, gamma_shifts, conductor, sign,
+                         terms):
     """Oracle for central_value at s0 = 1/2 with kernel width 4, in double
     precision: the weight summed afresh for every coefficient by Horner's
     rule, one pass over the series per step, one log Gamma per shift.
@@ -696,7 +704,7 @@ def horner_central_value(factor, gamma_shifts, conductor, sign, terms):
             -(x + mu) / 2 * math.log(math.pi) + _log_gamma((x + mu) / 2)
             for mu in shifts)
 
-    b = dirichlet_coefficients(factor, terms)
+    b = dirichlet_coefficients(factor, terms, shift)
     tmax = math.sqrt(aa * (50 * math.log(2) + c * c / aa + 10))
 
     # the integrand at t_k = k h, k = 0..260
@@ -741,10 +749,10 @@ def test_central_value_matches_horner_oracle_at_full_length():
     cond = triple_conductor(26)
     terms = _afe_terms(cond)
     assert terms == 10390
-    factor = triple_factors(h, f, f, terms)
-    cv = central_value(factor, triple_gamma_shifts(), cond, +1)
+    factor, shift = triple_factors(h, f, f, terms), triple_shift(h, f, f)
+    cv = central_value(factor, shift, triple_gamma_shifts(), cond, +1)
     value, lam, error = horner_central_value(
-        factor, triple_gamma_shifts(), cond, +1, terms)
+        factor, shift, triple_gamma_shifts(), cond, +1, terms)
     assert cv.value == pytest.approx(value, rel=1e-12)
     assert cv.lam == pytest.approx(lam, rel=1e-12)
     assert cv.details["interp"] <= 1e-2 * cv.lam_error
@@ -778,10 +786,11 @@ def test_truncated_triple_factors_give_the_same_series():
     count = 2000
     truncated = triple_factors(h, f, f, count)
     full = functools.partial(triple_factor_at, h, f, f)
-    assert sum(truncated(p).degree == 8 for p in primes_up_to(count)) == \
+    shift = triple_shift(h, f, f)
+    assert sum(len(truncated(p)) == 9 for p in primes_up_to(count)) == \
         len(primes_up_to(math.isqrt(count))) - 2
-    assert dirichlet_coefficients(truncated, count) == \
-        dirichlet_coefficients(full, count)
+    assert dirichlet_coefficients(truncated, count, shift) == \
+        dirichlet_coefficients(full, count, shift)
 
 
 def test_the_series_calls_its_factor_once_per_prime_in_order():
@@ -789,14 +798,14 @@ def test_the_series_calls_its_factor_once_per_prime_in_order():
 
     def factor(p):
         calls.append(p)
-        return EulerFactor(p, [1, -1])
+        return [1, -1]
 
     for count in (0, 1, 2, 3, 4, 49, 100):
         calls.clear()
-        dirichlet_coefficients(factor, count)
+        dirichlet_coefficients(factor, count, 0)
         assert calls == primes_up_to(count)
     calls.clear()
-    central_value(factor, [Fraction(0)], 1, +1, s0=Fraction(2), terms=100,
+    central_value(factor, 0, [Fraction(0)], 1, +1, s0=Fraction(2), terms=100,
                   poles=((1, 1), (0, -1)))
     assert calls == primes_up_to(100)
 
@@ -809,15 +818,14 @@ def test_triple_factors_build_a_new_factor_on_each_call():
     assert factor(3) is not factor(3)
     for p in primes_up_to(100):
         fac = factor(p)
-        assert fac.shift == Fraction(3, 2)
         if p <= 10 or 26 % p == 0:
             # the whole factor: degree 8 at a good prime, the Steinberg
             # factor at 2 and 13
-            assert fac.coeffs == triple_factor_at(h, f, f, p).coeffs
-            assert fac.degree == (3 if 26 % p == 0 else 8)
+            assert fac == triple_factor_at(h, f, f, p)
+            assert len(fac) == (4 if 26 % p == 0 else 9)
         else:
             # above sqrt(100) the series reads only the linear term
-            assert fac.coeffs == [1, -h.a(p) * f.a(p) ** 2]
+            assert fac == [1, -h.a(p) * f.a(p) ** 2]
 
 
 def test_sym2_series_reads_a_map_as_a_dict():
@@ -825,7 +833,7 @@ def test_sym2_series_reads_a_map_as_a_dict():
     h = resolve_label(recs, "26a")
     full = {p: sym2_factor(h, p) for p in primes_up_to(200)}
     cv = petersson_norm_proxy(h, terms=200)
-    want = central_value(full.__getitem__, sym2_gamma_shifts(),
+    want = central_value(full.__getitem__, sym2_shift(h), sym2_gamma_shifts(),
                          sym2_conductor(h), +1, s0=Fraction(1), terms=200)
     assert (cv.value, cv.error) == (want.value, want.error)
 
