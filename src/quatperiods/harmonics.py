@@ -158,12 +158,9 @@ class HarmonicSpace:
             raise HarmonicsError("degenerate kernel normalization")
         return c
 
-    def inner(self, p, q, degree=None):
-        """Invariant inner product normalized so the kernel reproduces."""
-        if degree is None:
-            degree = p.total_degree()
-        if degree == 0:
-            return self.fischer(p, q)
+    def inner(self, p, q, degree):
+        """Invariant inner product of harmonic polynomials of that degree,
+        normalized so the kernel reproduces."""
         return self.fischer(p, q) / self.kernel_normalization(degree)
 
 

@@ -15,13 +15,17 @@ The evaluator (Dokchitser, Exp. Math. 13, 2004) writes each smoothed sum
 as sum_n b_n n^{-s-c} V(log n): the weight V, the inverse Mellin transform
 of the gamma factor times a Gaussian kernel on a quadrature grid, is one
 smooth function of u = log n.  So V is expanded once in Chebyshev
-polynomials of u, and the series is summed once into Chebyshev moments
-sum_n b_n n^{-s-c} T_j(x_n); each smoothed sum is then a short dot product.
-The integrand is evaluated on one trapezoid grid, and the quadrature check
-reads the same values at its even nodes, so one pass over the series serves
-both sums and the tail check.  The reported error has three parts:
-quadrature (the grid against its even nodes), tail (the final block of the
-series) and interpolation (the dropped Chebyshev coefficients).
+polynomials of u on [0, log terms], and that expansion is re-expanded on
+each dyadic block of n and on the final 35% of the series, where a far
+lower degree suffices.  Each block is summed once into Chebyshev moments
+sum_n b_n n^{-s-c} T_j(y_n) in its own variable y, and each smoothed sum
+is then a short dot product per block.  The integrand is evaluated on one
+trapezoid grid, and the quadrature check reads the same values at its even
+nodes, so one pass over the series serves both sums and the tail check.
+The reported error has three parts: quadrature (the grid against its even
+nodes), tail (the final block of the series) and interpolation (the
+Chebyshev coefficients dropped from the expansion and from each block's,
+each times the sum of |b_n n^{-s-c}| over the terms it weights).
 
 The evaluator also does only the work that four exact facts leave over:
 the integrand is conjugate-symmetric on its line, so the grid is one-sided;
@@ -283,7 +287,7 @@ def triple_conductor(n):
     return n ** 5
 
 
-def triple_gamma_shifts(weights=(2, 2, 2)):
+def triple_gamma_shifts(weights):
     """Gamma_R shifts of the triple product of forms of these weights,
     analytic normalization: Gamma_C(s+1/2)^3 Gamma_C(s+3/2) at weight 2."""
     if any(k != 2 for k in weights):
@@ -308,7 +312,7 @@ def sym2_conductor(record):
     return record.level ** 2
 
 
-def sym2_gamma_shifts(weight=2):
+def sym2_gamma_shifts(weight):
     """Gamma_R shifts for Sym^2 of a weight-2 form: Gamma_R(s+1) Gamma_C(s+1),
     and Gamma_C(s+1) = Gamma_R(s+1) Gamma_R(s+2)."""
     if weight != 2:
@@ -440,38 +444,59 @@ _GRID_TOL = 2.0 ** -50
 _CHEB_TOL = 2.0 ** -46
 _CHEB_NODES = 64
 _CHEB_MAX_NODES = 512
+# A block of the series gets its own expansion of the weight, from
+# _BLOCK_NODES samples on, once it holds _BLOCK_MIN_TERMS terms: 4 per
+# sample, so that the re-expansion costs less than the degree it saves.
+_BLOCK_NODES = 16
+_BLOCK_MIN_TERMS = 4 * _BLOCK_NODES
 
 
-def _chebyshev_coefficients(h, g, span, nodes):
-    """c_0..c_{nodes-1} with V(u) = sum_j c_j T_j(2u / span - 1) on
-    [0, span] for the weight V(u) = Re(g_0 + 2 sum_{k >= 1} g_k e^{-ikhu}),
-    interpolated at `nodes` Chebyshev points of the first kind.
+def _chebyshev_nodes(nodes):
+    """The Chebyshev points of the first kind cos(pi (2i + 1) / (2 nodes))
+    for i < nodes, and the rows cos(pi j (2i + 1) / (2 nodes)), j < nodes,
+    of the transform.  cos(pi m / (2 nodes)) is tabulated for m < 4 nodes,
+    so every entry is read off with its argument reduced exactly."""
+    table = [math.cos(math.pi * m / (2 * nodes)) for m in range(4 * nodes)]
+    rows = [[table[j * (2 * i + 1) % (4 * nodes)] for i in range(nodes)]
+            for j in range(nodes)]
+    return table[1:2 * nodes:2], rows
 
-    cos(pi m / (2 nodes)) is tabulated for m < 4 nodes, so every node and
-    every cosine of the transform is read off with its argument reduced
-    exactly.
-    """
-    cos_table = [math.cos(math.pi * m / (2 * nodes)) for m in range(4 * nodes)]
+
+def _weight_samples(h, g, points):
+    """The weight V(u) = Re(g_0 + 2 sum_{k >= 1} g_k e^{-ikhu}) at each u of
+    points, by Horner's rule in e^{-ihu}."""
     upper = g[:0:-1]
     values = []
-    for i in range(nodes):
-        u = span * (cos_table[2 * i + 1] + 1) / 2
+    for u in points:
         z = complex(math.cos(h * u), -math.sin(h * u))
         acc = 0j
         for gk in upper:
             acc = (acc + gk) * z
         values.append(g[0].real + 2 * acc.real)
-    coeffs = [2 / nodes * sum(v * cos_table[j * (2 * i + 1) % (4 * nodes)]
-                              for i, v in enumerate(values))
-              for j in range(nodes)]
+    return values
+
+
+def _chebyshev_transform(values, rows):
+    """c_0..c_{N-1} of the sum_j c_j T_j that takes the N given values at
+    the Chebyshev points, from the rows of _chebyshev_nodes(N)."""
+    coeffs = [2 / len(values) * sum(map(operator.mul, values, row))
+              for row in rows]
     coeffs[0] /= 2
     return coeffs
 
 
-def _kept_degree(coeffs):
+def _clenshaw(coeffs, x):
+    """sum_j coeffs[j] T_j(x), by Clenshaw's recurrence."""
+    b1 = b2 = 0.0
+    x2 = 2 * x
+    for cj in coeffs[:0:-1]:
+        b1, b2 = cj + x2 * b1 - b2, b1
+    return coeffs[0] + x * b1 - b2
+
+
+def _kept_degree(coeffs, floor):
     """Number of leading coefficients kept: all later ones are below
-    _CHEB_TOL times the largest."""
-    floor = _CHEB_TOL * max(map(abs, coeffs))
+    floor in absolute value."""
     return 1 + max((j for j, cj in enumerate(coeffs) if abs(cj) > floor),
                    default=0)
 
@@ -493,26 +518,46 @@ def central_value(factor, shift, gamma_shifts, conductor, sign,
     points of [0, log terms], at a cost of (points x grid nodes), whatever
     the series length; its Chebyshev coefficients c_j in
     x = 2u / log(terms) - 1 are kept up to the degree D beyond which all
-    are below _CHEB_TOL times the largest.  The sum is then
-    h / (2 pi) sum_{j < D} c_j M_j with the moments
-        M_j = sum_n b_n n^{-s-c} T_j(x_n),
-    which one pass over the series accumulates by the three-term recurrence
-    T_{j+1} = 2x T_j - T_{j-1}.
+    are below _CHEB_TOL times the largest.  On a block lo <= n <= hi that
+    polynomial needs a far lower degree: it is evaluated by Clenshaw's
+    recurrence at Chebyshev points of [log lo, log hi], 16 of them, doubled
+    while the kept degree d is above 3/4 of their number, up to D + 1,
+    where the re-expansion is exact.  Its coefficients a_j in
+    y = 2 (u - log lo) / log(hi / lo) - 1 are kept up to the degree d beyond
+    which all are below the same floor, _CHEB_TOL times the largest |c_j|
+    of the fine grid.  The blocks are the final 35% [checkpoint, terms] and
+    the dyadic blocks [t // 2, t - 1] below it, t = checkpoint,
+    checkpoint // 2, ..., while they hold 64 terms or more; the head below
+    them keeps the c_j.  The sum is then
+    h / (2 pi) sum_blocks sum_{j < d} a_j M_j with the moments
+        M_j = sum_{lo <= n <= hi} b_n n^{-s-c} T_j(y_n),
+    which one pass over each block accumulates by the three-term
+    recurrence T_{j+1} = 2y T_j - T_{j-1}, taking log n once per term for
+    both y_n and n^{-s-c}.  For the level-26 triple (10,390 terms) D is 36
+    and d is 10 to 12.
 
     One grid for both sums.  g is evaluated once, at t_k = k h for
     k = 0..260; the coarse sum of the quadrature check takes the same
     values at the even k, with step 2h, so it costs no evaluation of its
     own.  The moments depend on neither h nor the g_k, so the two sums
-    differ only in their c_j and share the pass.  A snapshot of the moments
-    before the final 35% of the series gives that block of the coarse sum.
+    differ only in their coefficients and share the pass, block by block.
+    The coarse sum of the final 35% block is the tail estimate.
 
     Three error sources make lam_error (error = lam_error / |gamma(s0)|),
     each also in details:
     - quad_err: the gap between the sums at step 2h and at step h;
-    - tail: twice the final 35% block, for the terms beyond the series;
-    - interp: the dropped |c_j| of the fine grid times
-      sum_n |b_n n^{-s-c}|, a bound since |T_j| <= 1 on [-1, 1].
-    details["degree"] maps each line s to its D.
+    - tail: twice the coarse sum of the final 35% block, for the terms
+      beyond the series;
+    - interp: the dropped |c_j| of the fine grid times sum_n |b_n n^{-s-c}|
+      over the whole series, plus for each block its dropped |a_j| of the
+      fine grid times its own sum_n |b_n n^{-s-c}|, a bound on the weight's
+      error at every n since |T_j| <= 1 on [-1, 1].
+    details has those three and two maps from each line s (s0, and 1 - s0
+    when it differs):
+    - degree: the kept degree D of the expansion on [0, log terms];
+    - moment_work: the moment pass's work, sum over the head and the blocks
+      of (terms in it) x (its kept degree), a count that does not depend on
+      the machine.
 
     Four exact facts cut the work further; the first three change only
     rounding, the last changes nothing:
@@ -591,56 +636,95 @@ def central_value(factor, shift, gamma_shifts, conductor, sign,
     coarse, fine = (2 * h, {s: g[::2] for s, g in gs.items()}), (h, gs)
     # u = log n runs over [0, span]; x = 2u / span - 1 over [-1, 1]
     span = math.log(max(maxn, 2))
+    # the node tables of this call, one per node count
+    chebyshev_nodes = functools.cache(_chebyshev_nodes)
+
     # per line: the kept degree D and each grid's weight coefficients
     weights = []
     for s in lines:
         nodes = _CHEB_NODES
         while True:
-            coeffs = [_chebyshev_coefficients(step, g[s], span, nodes)
+            xs, rows = chebyshev_nodes(nodes)
+            points = [span * (x + 1) / 2 for x in xs]
+            coeffs = [_chebyshev_transform(_weight_samples(step, g[s], points),
+                                           rows)
                       for step, g in (coarse, fine)]
-            degree = max(map(_kept_degree, coeffs))
+            degree = max(_kept_degree(cf, _CHEB_TOL * max(map(abs, cf)))
+                         for cf in coeffs)
             if 4 * degree <= 3 * nodes or nodes >= _CHEB_MAX_NODES:
                 break
             nodes *= 2
         weights.append((degree, coeffs))
 
-    # one pass over the series: M_j = sum_n b_n n^{-s-c} T_j(x_n) for j < D
-    # on every line, the same moments before the final 35% block, and
-    # sum_n |b_n n^{-s-c}|
-    moments = [[0.0] * degree for degree, _ in weights]
-    exponents = [-float(s) - c for s in lines]
-    absolute = [0.0] * len(lines)
+    def local_weights(lo, hi):
+        """Per line, the kept degree d and the coarse and fine weights of
+        degree below D re-expanded in y = 2 (u - log lo) / log(hi / lo) - 1
+        on the block [lo, hi]."""
+        u0 = math.log(lo)
+        # a block of one term (terms <= 1) has width 0: every sample is the
+        # weight at that term, and _block_moments puts it at y = -1
+        width = math.log(hi / lo) if hi > lo else 0.0
+        out = []
+        for degree, coeffs in weights:
+            kept = [cf[:degree] for cf in coeffs]
+            floor = _CHEB_TOL * max(map(abs, coeffs[1]))
+            nodes = _BLOCK_NODES
+            while True:
+                # degree + 1 samples re-expand a polynomial of degree
+                # below D exactly
+                nodes = min(nodes, degree + 1)
+                ys, rows = chebyshev_nodes(nodes)
+                xs = [2 * (u0 + width * (y + 1) / 2) / span - 1 for y in ys]
+                local = [_chebyshev_transform([_clenshaw(cf, x) for x in xs],
+                                              rows) for cf in kept]
+                d = max(_kept_degree(cf, floor) for cf in local)
+                if nodes > degree or 4 * d <= 3 * nodes:
+                    break
+                nodes *= 2
+            out.append((d, *local))
+        return u0, width, out
+
+    # the series in blocks [lo, hi] of n: the final 35% block, dyadic
+    # blocks below it while they hold _BLOCK_MIN_TERMS terms, each with its
+    # own weights, and the head [1, top - 1] with the weights above
     checkpoint = max(1, int(maxn * 0.65))
-    for n, bn in enumerate(itertools.islice(b, 1, None), 1):
-        if n == checkpoint:
-            at_checkpoint = [m[:] for m in moments]
-        if bn == 0.0:
-            continue
-        x = 2 * math.log(n) / span - 1
-        x2 = 2 * x
-        for i, m in enumerate(moments):
-            t0 = bn * n ** exponents[i]
-            absolute[i] += abs(t0)
-            t1 = t0 * x
-            m[0] += t0
-            # t0, t1 = w T_{j-1}(x), w T_j(x)
-            for j in range(1, len(m)):
-                m[j] += t1
-                t0, t1 = t1, x2 * t1 - t0
+    bounds = [(checkpoint, maxn)]
+    top = checkpoint
+    while top - top // 2 >= _BLOCK_MIN_TERMS:
+        bounds.append((top // 2, top - 1))
+        top //= 2
+    blocks = [(1, top - 1, 0.0, span,
+               [(degree, co[:degree], fi[:degree])
+                for degree, (co, fi) in weights])]
+    blocks += [(lo, hi, *local_weights(lo, hi)) for lo, hi in bounds[::-1]]
 
     def dot(coeffs, m):
         return sum(cj * mj for cj, mj in zip(coeffs, m))
 
+    # per block and line: the coarse and fine sums, sum_n |b_n n^{-s-c}|,
+    # the dropped local fine coefficients times that, and the work
+    exponents = [-float(s) - c for s in lines]
+    parts = []
+    for lo, hi, u0, width, local in blocks:
+        moments, absolute = _block_moments(
+            b, exponents, lo, hi, u0, 2 / width if width else 0.0,
+            [d for d, _, _ in local])
+        parts.append([(dot(co, m), dot(fi, m), a, sum(map(abs, fi[d:])) * a,
+                       (hi - lo + 1) * d)
+                      for (d, co, fi), m, a in zip(local, moments, absolute)])
+
     step_c, step_f = coarse[0] / (2 * math.pi), fine[0] / (2 * math.pi)
-    sums, interp = {}, {}
-    for i, s in enumerate(lines):
-        degree, (co, fi) = weights[i]
-        total = dot(co, moments[i])
-        sums[s] = (total * step_c, dot(fi, moments[i]) * step_f,
-                   abs(total - dot(co, at_checkpoint[i])) * step_c)
-        # |T_j| <= 1 on [-1, 1]: the dropped fine-grid coefficients bound
-        # the weight's error at every x_n
-        interp[s] = sum(map(abs, fi[degree:])) * absolute[i] * step_f
+    sums, interp, work = {}, {}, {}
+    for i, (s, (degree, (_, fi))) in enumerate(zip(lines, weights)):
+        co_sum, fi_sum, absolute, dropped, work[s] = map(
+            sum, zip(*(part[i] for part in parts)))
+        # the last block is the final 35%: its coarse sum is the tail block
+        sums[s] = (co_sum * step_c, fi_sum * step_f,
+                   abs(parts[-1][i][0]) * step_c)
+        # |T_j| <= 1 on [-1, 1]: the dropped fine coefficients, global and
+        # of each block, bound the weight's error at every n
+        interp[s] = (sum(map(abs, fi[degree:])) * absolute + dropped) \
+            * step_f
     val1, val1b, blk1 = sums[s0]
     val2, val2b, blk2 = sums[1 - s0]
     quad_err = abs(val1 - val1b) + abs(val2 - val2b)
@@ -661,7 +745,41 @@ def central_value(factor, shift, gamma_shifts, conductor, sign,
                         maxn, {"quad_err": quad_err, "tail": series_err,
                                "interp": interp_err,
                                "degree": {s: degree for s, (degree, _)
-                                          in zip(lines, weights)}})
+                                          in zip(lines, weights)},
+                               "moment_work": work})
+
+
+def _block_moments(b, exponents, lo, hi, u0, scale, degrees):
+    """One pass over b[lo..hi] per line i: the moments
+    M_j = sum_n b_n n^{exponents[i]} T_j(y_n) for j < degrees[i], with
+    y_n = (log n - u0) scale - 1, and sum_n |b_n n^{exponents[i]}|.
+    log n is taken once per term, into a table that every line reads for
+    both y_n and n^{exponents[i]}."""
+    from array import array     # loaded as in dirichlet_coefficients
+    exp = math.exp
+    logs = array("d", map(math.log, range(lo, hi + 1)))
+    block = b[lo:hi + 1]
+    moments, absolute = [], []
+    for e, d in zip(exponents, degrees):
+        m = [0.0] * d
+        rest = range(1, d)
+        total = 0.0
+        for bn, u in zip(block, logs):
+            if bn == 0.0:
+                continue
+            t0 = bn * exp(e * u)
+            total += abs(t0)
+            y = (u - u0) * scale - 1
+            y2 = 2 * y
+            t1 = t0 * y
+            m[0] += t0
+            # t0, t1 = w T_{j-1}(y), w T_j(y)
+            for j in rest:
+                m[j] += t1
+                t0, t1 = t1, y2 * t1 - t0
+        moments.append(m)
+        absolute.append(total)
+    return moments, absolute
 
 
 def _check_coverage(records, count):

@@ -1,6 +1,7 @@
 import cmath
 import functools
 import math
+import operator
 import random
 import tracemalloc
 from collections import Counter
@@ -538,8 +539,9 @@ def test_central_value_kernel_independent():
     for label in ("11a", "26a", "26b"):
         h = resolve_label(recs, label)
         factors = {p: sym2_factor(h, p) for p in primes_up_to(200)}
-        cases.append((factors.__getitem__, sym2_shift(h), sym2_gamma_shifts(),
-                      sym2_conductor(h), Fraction(1), None, (), (4, 8)))
+        cases.append((factors.__getitem__, sym2_shift(h),
+                      sym2_gamma_shifts(h.weight), sym2_conductor(h),
+                      Fraction(1), None, (), (4, 8)))
     for factor, shift, shifts, cond, s0, terms, poles, widths in cases:
         cv1, cv2 = (central_value(factor, shift, shifts, cond, +1, s0=s0,
                                   terms=terms, kernel_width=w, poles=poles)
@@ -648,11 +650,11 @@ def afe_oracle_cases():
     h = resolve_label(records(), "11a")
     return {
         "triple": (triple_factors(h, h, h, 150), triple_shift(h, h, h),
-                   triple_gamma_shifts(), triple_conductor(11), +1,
-                   Fraction(1, 2), 150, ()),
+                   triple_gamma_shifts((h.weight,) * 3), triple_conductor(11),
+                   +1, Fraction(1, 2), 150, ()),
         "sym2": ({p: sym2_factor(h, p) for p in primes_up_to(83)}.__getitem__,
-                 sym2_shift(h), sym2_gamma_shifts(), sym2_conductor(h), +1,
-                 Fraction(1), 83, ()),
+                 sym2_shift(h), sym2_gamma_shifts(h.weight), sym2_conductor(h),
+                 +1, Fraction(1), 83, ()),
         "zeta": ({p: [1, -1] for p in primes_up_to(100)}.__getitem__, 0,
                  [Fraction(0)], 1, +1, Fraction(2), 100, ((1, 1), (0, -1))),
     }
@@ -689,12 +691,10 @@ def test_central_value_matches_two_sided_oracle(case):
     assert cv.error == pytest.approx(error, rel=1e-6)
 
 
-def horner_central_value(factor, shift, gamma_shifts, conductor, sign,
-                         terms):
-    """Oracle for central_value at s0 = 1/2 with kernel width 4, in double
-    precision: the weight summed afresh for every coefficient by Horner's
-    rule, one pass over the series per step, one log Gamma per shift.
-    Returns (L(1/2), Lambda(1/2), quadrature plus tail error of Lambda)."""
+def half_line_grid(gamma_shifts, conductor):
+    """At s0 = 1/2 with kernel width 4 on the line Re w = 1.75: the function
+    w -> log of the completed gamma factor at 1/2 + w, one log Gamma per
+    shift, the step h and the integrand at t_k = k h, k = 0..260."""
     c, aa = 1.75, 4.0
     shifts = [float(mu) for mu in gamma_shifts]
 
@@ -704,13 +704,22 @@ def horner_central_value(factor, shift, gamma_shifts, conductor, sign,
             -(x + mu) / 2 * math.log(math.pi) + _log_gamma((x + mu) / 2)
             for mu in shifts)
 
-    b = dirichlet_coefficients(factor, terms, shift)
     tmax = math.sqrt(aa * (50 * math.log(2) + c * c / aa + 10))
-
-    # the integrand at t_k = k h, k = 0..260
     h = tmax / 260
     grid = [cmath.exp(log_lam_gamma(w) + w * w / aa - cmath.log(w))
             for w in (complex(c, k * h) for k in range(261))]
+    return log_lam_gamma, h, grid
+
+
+def horner_central_value(factor, shift, gamma_shifts, conductor, sign,
+                         terms):
+    """Oracle for central_value at s0 = 1/2 with kernel width 4, in double
+    precision: the weight summed afresh for every coefficient by Horner's
+    rule, one pass over the series per step, one log Gamma per shift.
+    Returns (L(1/2), Lambda(1/2), quadrature plus tail error of Lambda)."""
+    c = 1.75
+    log_lam_gamma, h, grid = half_line_grid(gamma_shifts, conductor)
+    b = dirichlet_coefficients(factor, terms, shift)
 
     def smoothed_sum(step, gs):
         """The sum at that step over the values gs at t_k, k >= 0, and its
@@ -743,6 +752,45 @@ def horner_central_value(factor, shift, gamma_shifts, conductor, sign,
     return lam / gam, lam, 2 * abs(val - val_b) + 4 * blk
 
 
+def single_expansion_central_value(factor, shift, gamma_shifts, conductor,
+                                   sign, terms):
+    """Oracle for the blocks of central_value at s0 = 1/2 with kernel width
+    4: the same weight, expanded once in Chebyshev polynomials of
+    x = 2 log n / log(terms) - 1 up to the same degree D, and one pass of
+    moments to degree D over the whole series at x_n.  Returns
+    Lambda(1/2)."""
+    _, h, grid = half_line_grid(gamma_shifts, conductor)
+    b = dirichlet_coefficients(factor, terms, shift)
+    span = math.log(max(terms, 2))
+    nodes = lseries._CHEB_NODES
+    while True:
+        xs, rows = lseries._chebyshev_nodes(nodes)
+        points = [span * (x + 1) / 2 for x in xs]
+        coarse, fine = (lseries._chebyshev_transform(
+            lseries._weight_samples(step, gs, points), rows)
+            for step, gs in ((2 * h, grid[::2]), (h, grid)))
+        degree = max(lseries._kept_degree(cf, lseries._CHEB_TOL
+                                          * max(map(abs, cf)))
+                     for cf in (coarse, fine))
+        if 4 * degree <= 3 * nodes or nodes >= lseries._CHEB_MAX_NODES:
+            break
+        nodes *= 2
+    moments = [0.0] * degree
+    for n in range(1, terms + 1):
+        if b[n] == 0.0:
+            continue
+        x = 2 * math.log(n) / span - 1
+        t0 = b[n] * n ** (-0.5 - 1.75)
+        t1 = t0 * x
+        moments[0] += t0
+        for j in range(1, degree):
+            moments[j] += t1
+            t0, t1 = t1, 2 * x * t1 - t0
+    # the sums at s0 and 1 - s0 coincide
+    return (1 + sign) * h / (2 * math.pi) * sum(
+        map(operator.mul, fine, moments))
+
+
 def test_central_value_matches_horner_oracle_at_full_length():
     recs = records()
     h, f = resolve_label(recs, "26b"), resolve_label(recs, "26a")
@@ -750,14 +798,47 @@ def test_central_value_matches_horner_oracle_at_full_length():
     terms = _afe_terms(cond)
     assert terms == 10390
     factor, shift = triple_factors(h, f, f, terms), triple_shift(h, f, f)
-    cv = central_value(factor, shift, triple_gamma_shifts(), cond, +1)
+    shifts = triple_gamma_shifts((h.weight, f.weight, f.weight))
+    cv = central_value(factor, shift, shifts, cond, +1)
     value, lam, error = horner_central_value(
-        factor, shift, triple_gamma_shifts(), cond, +1, terms)
+        factor, shift, shifts, cond, +1, terms)
     assert cv.value == pytest.approx(value, rel=1e-12)
     assert cv.lam == pytest.approx(lam, rel=1e-12)
     assert cv.details["interp"] <= 1e-2 * cv.lam_error
     # quadrature and tail agree up to rounding of Lambda
     assert abs(cv.lam_error - cv.details["interp"] - error) <= 1e-12 * lam
+
+
+def test_blocks_match_the_single_expansion_on_a_long_series():
+    # a synthetic series shaped like a triple product of conductor 10^8,
+    # 30,050 terms long: each block adds to Lambda far more than 1e-12 of it
+    def factor(p):
+        r = math.isqrt(4 * p)
+        a = (p * 2654435761) % (2 * r + 1) - r
+        return [1, -(a or 1) ** 3]
+
+    shift, shifts, cond = Fraction(3, 2), triple_gamma_shifts((2, 2, 2)), 10**8
+    terms = _afe_terms(cond)
+    assert terms >= 30_000
+    cv = central_value(factor, shift, shifts, cond, +1)
+    lam = single_expansion_central_value(factor, shift, shifts, cond, +1,
+                                         terms)
+    assert abs(cv.lam - lam) <= cv.details["interp"]
+    assert cv.lam == pytest.approx(lam, rel=1e-12)
+
+
+def test_blocks_cut_the_moment_work_of_the_level_26_triple():
+    # each term costs the moment pass one step per degree of its block's
+    # weight: at 10,390 terms the blocks keep degree 10 to 12 where the
+    # whole series needs D = 36
+    recs = records()
+    h, f = resolve_label(recs, "26b"), resolve_label(recs, "26a")
+    cv = triple_central_value(h, f, f)
+    half = Fraction(1, 2)
+    assert cv.terms == 10390
+    assert cv.details["moment_work"].keys() == {half}
+    assert cv.details["moment_work"][half] < \
+        0.4 * cv.terms * cv.details["degree"][half]
 
 
 def test_central_value_evaluates_the_integrand_on_one_grid(monkeypatch):
@@ -833,8 +914,9 @@ def test_sym2_series_reads_a_map_as_a_dict():
     h = resolve_label(recs, "26a")
     full = {p: sym2_factor(h, p) for p in primes_up_to(200)}
     cv = petersson_norm_proxy(h, terms=200)
-    want = central_value(full.__getitem__, sym2_shift(h), sym2_gamma_shifts(),
-                         sym2_conductor(h), +1, s0=Fraction(1), terms=200)
+    want = central_value(full.__getitem__, sym2_shift(h),
+                         sym2_gamma_shifts(h.weight), sym2_conductor(h), +1,
+                         s0=Fraction(1), terms=200)
     assert (cv.value, cv.error) == (want.value, want.error)
 
 
