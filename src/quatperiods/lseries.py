@@ -25,7 +25,9 @@ nodes, so one pass over the series serves both sums and the tail check.
 The reported error has three parts: quadrature (the grid against its even
 nodes), tail (the final block of the series) and interpolation (the
 Chebyshev coefficients dropped from the expansion and from each block's,
-each times the sum of |b_n n^{-s-c}| over the terms it weights).
+each times the sum of |b_n n^{-s-c}| over the terms it weights).  All
+three are estimates, not bounds: the interpolation part, for one, does not
+see what sampling at too few points folds into the kept coefficients.
 
 The evaluator also does only the work that four exact facts leave over:
 the integrand is conjugate-symmetric on its line, so the grid is one-sided;
@@ -550,14 +552,19 @@ def central_value(factor, shift, gamma_shifts, conductor, sign,
       beyond the series;
     - interp: the dropped |c_j| of the fine grid times sum_n |b_n n^{-s-c}|
       over the whole series, plus for each block its dropped |a_j| of the
-      fine grid times its own sum_n |b_n n^{-s-c}|, a bound on the weight's
-      error at every n since |T_j| <= 1 on [-1, 1].
+      fine grid times its own sum_n |b_n n^{-s-c}|.  |T_j| <= 1 on [-1, 1],
+      so this would bound the weight's error at every n if the c_j and a_j
+      were exact.  They are interpolated, and a block that stops doubling
+      below D + 1 points folds the part of the polynomial above its point
+      count into its lower a_j; neither fold is counted, so interp is an
+      estimate, as the global stage's always was.
     details has those three and two maps from each line s (s0, and 1 - s0
     when it differs):
     - degree: the kept degree D of the expansion on [0, log terms];
     - moment_work: the moment pass's work, sum over the head and the blocks
       of (terms in it) x (its kept degree), a count that does not depend on
-      the machine.
+      the machine.  No caller reads it; tests pin the saving of the blocks
+      with it.
 
     Four exact facts cut the work further; the first three change only
     rounding, the last changes nothing:
@@ -722,7 +729,7 @@ def central_value(factor, shift, gamma_shifts, conductor, sign,
         sums[s] = (co_sum * step_c, fi_sum * step_f,
                    abs(parts[-1][i][0]) * step_c)
         # |T_j| <= 1 on [-1, 1]: the dropped fine coefficients, global and
-        # of each block, bound the weight's error at every n
+        # of each block, estimate the weight's error at every n
         interp[s] = (sum(map(abs, fi[degree:])) * absolute + dropped) \
             * step_f
     val1, val1b, blk1 = sums[s0]
