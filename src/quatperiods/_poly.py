@@ -187,10 +187,9 @@ class Poly:
                 for m, c in sorted(self.terms.items())}
 
 
-def apply_diff_operator(op, target, coeff_matrix=None):
-    """Apply op(D) to target where x_i in op acts as D_i = sum_j M[i][j] d_j.
-
-    With coeff_matrix None, D_i = d_i.  Returns a Poly.
+def apply_diff_operator(op, target, coeff_matrix):
+    """Apply op(D) to target where x_i in op acts as D_i = sum_j M[i][j] d_j,
+    M = coeff_matrix.  Returns a Poly.
     """
     n = target.nvars
     out = []
@@ -200,17 +199,14 @@ def apply_diff_operator(op, target, coeff_matrix=None):
             for _ in range(e):
                 if cur.is_zero():
                     break
-                if coeff_matrix is None:
-                    cur = cur.diff(i)
-                else:
-                    cur = Poly(n, ((mono, x * g)
-                                   for j, g in enumerate(coeff_matrix[i]) if g
-                                   for mono, x in cur.diff(j).terms.items()))
+                cur = Poly(n, ((mono, x * g)
+                               for j, g in enumerate(coeff_matrix[i]) if g
+                               for mono, x in cur.diff(j).terms.items()))
         out.extend((mono, x * c) for mono, x in cur.terms.items())
     return Poly(n, out)
 
 
-def fischer_pairing(p, q, gram_inv=None):
+def fischer_pairing(p, q, gram_inv):
     """Apolar pairing <p, q> = p(A^{-1} d) q evaluated at 0.
 
     Invariant under linear changes of variable that carry the quadratic form

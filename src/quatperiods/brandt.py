@@ -32,8 +32,7 @@ from ._poly import Poly
 from .harmonics import (linear_combination, random_harmonic, split_iso,
                         tau_action, tau_substitution, trace_zero_space)
 from .lattice import norm_counts, short_vectors, theta_coeffs
-from .orders import (essential_complement, norm_one_element, product_basis,
-                     two_sided_prime_ideal)
+from .orders import essential_complement, product_basis, two_sided_prime_ideal
 from .quatalg import _is_prime, _prime_factors, good_primes
 
 
@@ -193,7 +192,7 @@ def constant_form(class_set, value=1):
                     label="constant")
 
 
-def unit_average_form(class_set, nu, rng, span=5):
+def unit_average_form(class_set, nu, rng):
     """A valid weight-nu form: random values averaged over the unit groups.
 
     Values of a form must be invariant under tau of the left-order units;
@@ -204,7 +203,7 @@ def unit_average_form(class_set, nu, rng, span=5):
     sp = trace_zero_space(alg)
     values = []
     for i in range(class_set.size):
-        raw = random_harmonic(sp, nu, rng, span)
+        raw = random_harmonic(sp, nu, rng)
         lat = class_set.left_orders[i].norm_lattice()
         acc = Poly.zero(3)
         for v, q in short_vectors(lat, 1):
@@ -301,25 +300,22 @@ def brandt_matrices(class_set, primes, nu=0):
 
 @lru_cache(maxsize=None)
 def atkin_lehner(class_set, p, nu=0):
-    """The involution w_p for p | N, via the two-sided ideal of norm p.
-    Memoised like brandt_matrices, so callers pass nu positionally."""
+    """The involution w_p for p | N, via the two-sided ideal P of norm p:
+    ClassSet.locate puts I_i * P in a class j, with a twist q, and w_p
+    maps class i to j through tau(q).  Memoised like brandt_matrices, so
+    callers pass nu positionally."""
     n = class_set.order.level
     if n % p != 0:
         raise BrandtError(f"{p} does not divide the level {n}")
     alg = class_set.order.algebra
     pbasis = two_sided_prime_ideal(class_set.order, p)
     r = class_set.size
-    perm, twists = [], []
-    for i in range(r):
-        moved = product_basis(alg, class_set.reps[i], pbasis)
-        for j in range(r):
-            twist = norm_one_element(alg, moved, class_set.reps[j])
-            if twist is not None:
-                break
-        else:
-            raise BrandtError(f"P * I_{i} at {p} is in no class of the set")
-        perm.append(j)
-        twists.append(twist)
+    found = [class_set.locate(product_basis(alg, rep, pbasis))
+             for rep in class_set.reps]
+    if None in found:
+        raise BrandtError(f"P * I_{found.index(None)} at {p} is in no class "
+                          "of the set")
+    perm, twists = zip(*found)
     dim = len(trace_zero_space(alg).harmonic_basis(nu))
     size = r * dim
     mat = [[Fraction(0) if nu else 0] * size for _ in range(size)]

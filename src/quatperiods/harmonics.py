@@ -321,7 +321,7 @@ class TrilinearForm(namedtuple("TrilinearForm", "space degrees zero reason",
         return None
 
 
-def trilinear_form(nu, beta1p, beta2p, space=None):
+def trilinear_form(nu, beta1p, beta2p, space):
     """Invariant trilinear form on U_nu x U_{beta1p/2} x U_{beta2p/2}.
 
     beta1p, beta2p must be even.  The form is nonzero iff the half-degree
@@ -330,8 +330,6 @@ def trilinear_form(nu, beta1p, beta2p, space=None):
     """
     if beta1p % 2 or beta2p % 2 or beta1p < 0 or beta2p < 0:
         raise HarmonicsError("beta degrees must be even and nonnegative")
-    if space is None:
-        space = standard_space(3)
     a, b, c = nu, beta1p // 2, beta2p // 2
     if not balanced(a, b, c):
         return TrilinearForm(space, (a, b, c), True, reason="unbalanced")
@@ -340,7 +338,7 @@ def trilinear_form(nu, beta1p, beta2p, space=None):
     return TrilinearForm(space, (a, b, c), False)
 
 
-def invariant_coupling(nu, beta1p, beta2p, space=None):
+def invariant_coupling(nu, beta1p, beta2p, space):
     """SO(3)-invariant coupling for every balanced triple (internal).
 
     Unlike trilinear_form this also realizes the pseudo-scalar coupling on
@@ -565,8 +563,9 @@ def _bipoly_coords(q_bipoly, space3, nu1, nu2):
     return out
 
 
-def random_harmonic(space, degree, rng, span=5):
-    """Deterministic pseudo-random harmonic polynomial (for tests)."""
+def random_harmonic(space, degree, rng):
+    """Deterministic pseudo-random harmonic polynomial, with coordinates in
+    -5..5 on the harmonic basis."""
     basis = space.harmonic_basis(degree)
-    coords = [Fraction(rng.randint(-span, span)) for _ in basis]
+    coords = [Fraction(rng.randint(-5, 5)) for _ in basis]
     return linear_combination(space.dim, basis, coords)

@@ -465,17 +465,25 @@ def _chebyshev_nodes(nodes):
 
 
 def _weight_samples(h, g, points):
-    """The weight V(u) = Re(g_0 + 2 sum_{k >= 1} g_k e^{-ikhu}) at each u of
-    points, by Horner's rule in e^{-ihu}."""
+    """The lists (coarse, fine) of the weights
+    V(u) = Re(g_0 + 2 sum_{k >= 1} g_k e^{-ikhu}) at each u of points, of
+    the even nodes of g at step 2h and of all of g (an odd count) at step h.
+    With z = e^{-ihu} and w = e^{-2ihu}, sum_{k >= 1} g_k z^k = E + z O for
+    the coarse sum E = sum_{m >= 1} g_2m w^m and O = sum_{m >= 1} g_{2m-1}
+    w^(m-1), so one Horner pass in w gives both.  w is e^{-2ihu} itself, not
+    z^2, so E is rounded as the even nodes' own sum."""
     upper = g[:0:-1]
-    values = []
+    pairs = list(zip(upper[::2], upper[1::2]))  # (g_2m, g_2m-1), m falling
+    coarse, fine = [], []
     for u in points:
         z = complex(math.cos(h * u), -math.sin(h * u))
-        acc = 0j
-        for gk in upper:
-            acc = (acc + gk) * z
-        values.append(g[0].real + 2 * acc.real)
-    return values
+        w = complex(math.cos(2 * h * u), -math.sin(2 * h * u))
+        even = odd = 0j
+        for ge, go in pairs:
+            even, odd = (even + ge) * w, odd * w + go
+        coarse.append(g[0].real + 2 * even.real)
+        fine.append(g[0].real + 2 * (even + z * odd).real)
+    return coarse, fine
 
 
 def _chebyshev_transform(values, rows):
@@ -541,8 +549,9 @@ def central_value(factor, shift, gamma_shifts, conductor, sign,
     One grid for both sums.  g is evaluated once, at t_k = k h for
     k = 0..260; the coarse sum of the quadrature check takes the same
     values at the even k, with step 2h, so it costs no evaluation of its
-    own.  The moments depend on neither h nor the g_k, so the two sums
-    differ only in their coefficients and share the pass, block by block.
+    own, and one Horner pass samples both weights (_weight_samples).  The
+    moments depend on neither h nor the g_k, so the two sums differ only
+    in their coefficients and share the pass, block by block.
     The coarse sum of the final 35% block is the tail estimate.
 
     Three error sources make lam_error (error = lam_error / |gamma(s0)|),
@@ -640,7 +649,6 @@ def central_value(factor, shift, gamma_shifts, conductor, sign,
         log_kernel = w * w / aa - cmath.log(w)
         for s, lg in on_lines(w).items():
             gs[s].append(cmath.exp(lg + log_kernel))
-    coarse, fine = (2 * h, {s: g[::2] for s, g in gs.items()}), (h, gs)
     # u = log n runs over [0, span]; x = 2u / span - 1 over [-1, 1]
     span = math.log(max(maxn, 2))
     # the node tables of this call, one per node count
@@ -653,9 +661,8 @@ def central_value(factor, shift, gamma_shifts, conductor, sign,
         while True:
             xs, rows = chebyshev_nodes(nodes)
             points = [span * (x + 1) / 2 for x in xs]
-            coeffs = [_chebyshev_transform(_weight_samples(step, g[s], points),
-                                           rows)
-                      for step, g in (coarse, fine)]
+            coeffs = [_chebyshev_transform(values, rows)
+                      for values in _weight_samples(h, gs[s], points)]
             degree = max(_kept_degree(cf, _CHEB_TOL * max(map(abs, cf)))
                          for cf in coeffs)
             if 4 * degree <= 3 * nodes or nodes >= _CHEB_MAX_NODES:
@@ -720,7 +727,7 @@ def central_value(factor, shift, gamma_shifts, conductor, sign,
                        (hi - lo + 1) * d)
                       for (d, co, fi), m, a in zip(local, moments, absolute)])
 
-    step_c, step_f = coarse[0] / (2 * math.pi), fine[0] / (2 * math.pi)
+    step_c, step_f = 2 * h / (2 * math.pi), h / (2 * math.pi)
     sums, interp, work = {}, {}, {}
     for i, (s, (degree, (_, fi))) in enumerate(zip(lines, weights)):
         co_sum, fi_sum, absolute, dropped, work[s] = map(

@@ -10,6 +10,8 @@ back-substitute down the HNF, and an index is a ratio of HNF diagonals.
 Class sets are computed by p-neighbor traversal seeded at the order itself,
 with the Eichler mass formula as the termination certificate (the mass
 formula is imported as a standard fact; it is not proved in this package).
+Every class search, in this module and in brandt, asks ClassSet.locate:
+I ~ J iff I*conj(J), rescaled by its content, has an element of norm 1.
 
 Superorders, two-sided ideals, left orders and the order test all come
 from two primitives: the kernel mod p of an order's trace Gram, and the
@@ -341,19 +343,22 @@ def eichler_mass(n1, n2):
 
 
 class ClassSet:
-    """Right ideal classes of an Eichler order.
+    """Right ideal classes of an Eichler order: the one place that stores
+    them and tells which of them an ideal is in (locate).
 
-    reps[0] is the order itself.  connecting(i, j) is the primitively scaled
-    lattice I_i * conj(I_j); its norm form counts Brandt matrix entries.
-    connecting holds the lattices already built, keyed by (i, j).
+    ClassSet(order) starts empty and add appends a class; reps[0] is the
+    order itself once right_ideal_classes has run.  connecting(i, j) is the
+    primitively scaled lattice I_i * conj(I_j); its norm form counts Brandt
+    matrix entries.  connecting holds the lattices already built, keyed by
+    (i, j).
     """
 
-    def __init__(self, order, reps, left_orders, unit_counts, connecting):
+    def __init__(self, order):
         self.order = order
-        self.reps = reps
-        self.left_orders = left_orders
-        self.unit_counts = unit_counts
-        self._connecting = connecting
+        self.reps = []
+        self.left_orders = []
+        self.unit_counts = []
+        self._connecting = {}
 
     @property
     def size(self):
@@ -361,6 +366,33 @@ class ClassSet:
 
     def mass(self):
         return sum(Fraction(1, e) for e in self.unit_counts)
+
+    def add(self, basis):
+        """Append the class of the right ideal basis, with its left order,
+        read off connecting(i, i), and that order's unit count."""
+        self.reps.append(basis)
+        i = self.size - 1
+        left = EichlerOrder(self.order.algebra, self.connecting(i, i).basis)
+        self.left_orders.append(left)
+        self.unit_counts.append(left.unit_count())
+
+    def locate(self, basis):
+        """(j, q) for the first class I_j that holds the right ideal I of
+        basis, or None.
+
+        I * conj(I_j), its norm form divided by its content n(I) n(I_j), has
+        an element of norm 1 iff I ~ I_j, and then q I_j = n(I_j) I for each
+        such element q.  q is the first one in short_vectors' order, as a
+        tuple of Fraction coordinates.
+        """
+        alg = self.order.algebra
+        for j, rep in enumerate(self.reps):
+            lat = times_conj(alg, basis, rep)
+            scaled = lat.rescaled(1 / lat.content())
+            for v, q in short_vectors(scaled, 1):
+                if q == 1:
+                    return j, tuple(scaled.ambient(v))
+        return None
 
     def connecting(self, i, j):
         """connecting_lattice of I_i and I_j; connecting(i, i) is the left
@@ -401,69 +433,36 @@ def _neighbors(alg, ideal_basis, left_ord, p):
     return _in_rational_order(found)
 
 
-def _unit_scaled_product(alg, basis_a, basis_b):
-    """I * conj(J) with its norm form divided by its content n(I)n(J): it
-    has an element of norm 1 iff I ~ J, and then I = q * J up to units for
-    each such q."""
-    lat = times_conj(alg, basis_a, basis_b)
-    return lat.rescaled(1 / lat.content())
-
-
-def norm_one_element(alg, basis_a, basis_b):
-    """First element of norm 1 in I * conj(J) rescaled by its content, as a
-    tuple of Fraction coordinates, or None."""
-    scaled = _unit_scaled_product(alg, basis_a, basis_b)
-    for v, q in short_vectors(scaled, 1):
-        if q == 1:
-            return tuple(scaled.ambient(v))
-    return None
-
-
-def ideals_equivalent(alg, basis_a, basis_b):
-    """Right ideal equivalence I ~ J: the rescaled I * conj(J) represents 1,
-    counted without listing a vector."""
-    return norm_counts(_unit_scaled_product(alg, basis_a, basis_b), 1)[1] > 0
-
-
 def right_ideal_classes(order):
     """Complete, duplicate-free right ideal class set via p-neighbors.
 
-    Deterministic: BFS from the order, neighbors in canonical order, and the
-    Eichler mass certifies completeness.
+    Deterministic: BFS from the order, neighbors in canonical order, each
+    added when ClassSet.locate finds it in no class yet; the Eichler mass
+    certifies completeness.
     """
     alg = order.algebra
     n = order.level
     n1 = alg.discriminant
-    n2 = n // n1
-    target = eichler_mass(n1, n2)
+    target = eichler_mass(n1, n // n1)
     p = good_primes(n, 1)[0]
 
-    reps = [order.basis]
-    left_orders = [order]
-    unit_counts = [order.unit_count()]
-    connecting = {}
-    acc = Fraction(1, unit_counts[0])
+    class_set = ClassSet(order)
+    class_set.add(order.basis)
+    mass = class_set.mass()
     frontier = 0
-    while acc < target and frontier < len(reps):
-        basis = reps[frontier]
-        lord = left_orders[frontier]
-        for nb in _neighbors(alg, basis, lord, p):
-            if acc >= target:
-                break
-            if any(ideals_equivalent(alg, nb, r) for r in reps):
-                continue
-            i = len(reps)
-            connecting[(i, i)] = connecting_lattice(alg, nb, nb)
-            lo = EichlerOrder(alg, connecting[(i, i)].basis)
-            reps.append(nb)
-            left_orders.append(lo)
-            unit_counts.append(lo.unit_count())
-            acc += Fraction(1, unit_counts[-1])
+    while mass < target and frontier < class_set.size:
+        for nb in _neighbors(alg, class_set.reps[frontier],
+                             class_set.left_orders[frontier], p):
+            if class_set.locate(nb) is None:
+                class_set.add(nb)
+                mass = class_set.mass()
+                if mass >= target:
+                    break
         frontier += 1
-    if acc != target:
-        raise OrderError(
-            f"class set incomplete: mass {acc} != {target} (disc {n1}, level {n})")
-    return ClassSet(order, reps, left_orders, unit_counts, connecting)
+    if mass != target:
+        raise OrderError(f"class set incomplete: mass {mass} != {target} "
+                         f"(disc {n1}, level {n})")
+    return class_set
 
 
 @lru_cache(maxsize=None)
@@ -541,37 +540,32 @@ def superorders_at(order, p):
             _in_rational_order(_superorder_bases(order, p, kernel))]
 
 
-def class_map_to_superorder(class_set, super_cs):
-    """Map on class indices [I] -> [I * R'] into a superorder's class set."""
-    alg = class_set.order.algebra
-    out = []
-    for rep in class_set.reps:
-        ext = product_basis(alg, rep, super_cs.order.basis)
-        j = next(i for i, r in enumerate(super_cs.reps)
-                 if ideals_equivalent(alg, ext, r))
-        out.append(j)
-    return out
-
-
 @lru_cache(maxsize=None)
 def essential_complement(class_set):
     """The pullbacks whose complement is the essential part at weight 0.
 
     Returns integer vectors on the classes: the constant vector, then the
-    indicator of each class of each index-p superorder (p | N2), pulled back
-    by class_map_to_superorder.  The essential part is their orthogonal
-    complement for <u, v> = sum_i u_i v_i / e_i; for a maximal order that is
-    the complement of the constants.  Memoised per class set: callers share
-    the returned vectors and must not mutate them.
+    indicator of each class of each index-p superorder R' (p | N2), pulled
+    back by the class map [I] -> [I * R'], which the superorder's
+    ClassSet.locate reads off; an I * R' in none of its classes raises
+    OrderError.  The essential part is their orthogonal complement for
+    <u, v> = sum_i u_i v_i / e_i; for a maximal order that is the complement
+    of the constants.  Memoised per class set: callers share the returned
+    vectors and must not mutate them.
     """
+    alg = class_set.order.algebra
     r = class_set.size
-    n1 = class_set.order.algebra.discriminant
+    n1 = alg.discriminant
     n2 = class_set.order.level // n1
     vectors = [[1] * r]  # constants always pull back
     for p in _prime_factors(n2):
         for sup in superorders_at(class_set.order, p):
             sup_cs = right_ideal_classes(sup)
-            cmap = class_map_to_superorder(class_set, sup_cs)
-            vectors.extend([int(c == k) for c in cmap]
+            found = [sup_cs.locate(product_basis(alg, rep, sup.basis))
+                     for rep in class_set.reps]
+            if None in found:
+                raise OrderError(f"I_{found.index(None)} * R' at {p} is in "
+                                 "no class of the superorder")
+            vectors.extend([int(j == k) for j, _ in found]
                            for k in range(sup_cs.size))
     return vectors

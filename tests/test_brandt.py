@@ -526,7 +526,10 @@ def test_a_count_that_a_unit_count_does_not_divide_raises():
     # the norm-2 counts at disc 11 are divisible by e = (4, 6), not by 5
     cs = class_set_for(11)
     assert cs.unit_counts == [4, 6]
-    doctored = ClassSet(cs.order, cs.reps, cs.left_orders, [4, 5], {})
+    doctored = ClassSet(cs.order)
+    for rep in cs.reps:
+        doctored.add(rep)
+    doctored.unit_counts[1] = 5
     with pytest.raises(BrandtError, match="weight-0 Brandt matrix not "
                        "integral"):
         brandt_matrices(doctored, (2,))

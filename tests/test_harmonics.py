@@ -342,19 +342,20 @@ def test_tau_preserves_harmonicity():
 # -- trilinear forms ----------------------------------------------------------
 
 def test_trilinear_constants():
-    t = trilinear_form(0, 0, 0)
+    t = trilinear_form(0, 0, 0, standard_space(3))
     assert not t.zero
     one = Poly.const(3, 1)
     assert t.value(one, one, one) == 1
 
 
 def test_trilinear_triangle_violation():
-    t = trilinear_form(1, 0, 0)
+    t = trilinear_form(1, 0, 0, standard_space(3))
     assert t.zero and t.reason == "unbalanced"
 
 
 def test_trilinear_parity_violation():
-    t = trilinear_form(1, 2, 2)  # half degrees (1,1,1): sum odd
+    # half degrees (1,1,1): sum odd
+    t = trilinear_form(1, 2, 2, standard_space(3))
     assert t.zero and t.reason == "parity"
 
 

@@ -829,7 +829,7 @@ def test_integer_setup_and_rescaling_match_fraction_oracles(case):
 
 @pytest.mark.parametrize("n1, n2", [(11, 1), (2, 13), (13, 2), (7, 2)])
 def test_connecting_lattices_match_fraction_oracles(n1, n2):
-    # connecting_lattice and norm_one_element rescale a product lattice
+    # connecting_lattice and ClassSet.locate rescale a product lattice
     # whose integer Gram is already cached
     cs = class_set_for(n1, n2)
     alg = cs.order.algebra

@@ -766,9 +766,8 @@ def single_expansion_central_value(factor, shift, gamma_shifts, conductor,
     while True:
         xs, rows = lseries._chebyshev_nodes(nodes)
         points = [span * (x + 1) / 2 for x in xs]
-        coarse, fine = (lseries._chebyshev_transform(
-            lseries._weight_samples(step, gs, points), rows)
-            for step, gs in ((2 * h, grid[::2]), (h, grid)))
+        coarse, fine = (lseries._chebyshev_transform(values, rows)
+                        for values in lseries._weight_samples(h, grid, points))
         degree = max(lseries._kept_degree(cf, lseries._CHEB_TOL
                                           * max(map(abs, cf)))
                      for cf in (coarse, fine))

@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 from quatperiods._linalg import inverse, mat_mul, rref, transpose, vec_mat
 from quatperiods.brandt import atkin_lehner
 from quatperiods.lattice import IntLattice, short_vectors
-from quatperiods.orders import (EichlerOrder, OrderError, _coords, _covolume,
-                                _dual_kernel_mod_p, _is_order, class_set_for,
-                                eichler_mass, eichler_order,
-                                essential_complement, ideals_equivalent,
-                                maximal_order, product_basis,
-                                right_ideal_classes, superorders_at,
-                                times_conj, two_sided_prime_ideal)
+from quatperiods import orders
+from quatperiods.orders import (ClassSet, EichlerOrder, OrderError, _coords,
+                                _covolume, _dual_kernel_mod_p, _is_order,
+                                class_set_for, eichler_mass, eichler_order,
+                                essential_complement, maximal_order,
+                                product_basis, right_ideal_classes,
+                                superorders_at, times_conj,
+                                two_sided_prime_ideal)
 from quatperiods.quatalg import (_is_squarefree, _prime_factors,
                                  algebra_for_discriminant)
 
@@ -160,9 +161,56 @@ def test_class_set_deterministic():
 
 def test_ideals_equivalent_reflexive():
     cs = class_set_for(11)
+    assert cs.locate(cs.reps[0])[0] == 0
+    assert cs.locate(cs.reps[1])[0] == 1
+    # a set that holds only I_0 places I_1 in no class
+    single = ClassSet(cs.order)
+    single.add(cs.reps[0])
+    assert single.locate(cs.reps[1]) is None
+
+
+def left_multiple(alg, x, basis):
+    """Canonical basis of x * I, for x given by rational coordinates."""
+    d = math.lcm(*(Fraction(c).denominator for c in x))
+    return product_basis(alg, (d, [[int(c * d) for c in x]]), basis)
+
+
+def primitive_rows(basis):
+    """The HNF rows of a canonical basis over the gcd of their entries: two
+    lattices are proportional iff these agree."""
+    g = math.gcd(*(x for row in basis[1] for x in row))
+    return [[x // g for x in row] for row in basis[1]]
+
+
+@pytest.mark.parametrize("n1, n2",
+                         [(11, 1), (13, 2), (2, 13), (37, 1), (2, 105)])
+def test_locate_finds_the_class_of_every_left_multiple(n1, n2):
+    # x * I_j is in the class of I_j, and the q that locate returns has
+    # q * I_j = n(I_j) x * I_j
+    cs = class_set_for(n1, n2)
     alg = cs.order.algebra
-    assert ideals_equivalent(alg, cs.reps[0], cs.reps[0])
-    assert not ideals_equivalent(alg, cs.reps[0], cs.reps[1])
+    for j, rep in enumerate(cs.reps):
+        for x in [(1, 1, 0, 0), (2, 1, 1, 0), (Fraction(1, 2), 0, 1, 3),
+                  (3, 0, 0, 1)]:
+            moved = left_multiple(alg, x, rep)
+            found = cs.locate(moved)
+            assert found is not None and found[0] == j
+            assert primitive_rows(left_multiple(alg, found[1], rep)) == \
+                primitive_rows(moved)
+
+
+def test_a_superorder_class_that_cannot_be_located_raises(monkeypatch):
+    cs = right_ideal_classes(class_set_for(13, 2).order)
+    build = orders.right_ideal_classes
+
+    def unlocatable(order):
+        sup_cs = build(order)
+        sup_cs.locate = lambda basis: None
+        return sup_cs
+
+    monkeypatch.setattr(orders, "right_ideal_classes", unlocatable)
+    with pytest.raises(OrderError, match="is in no class of the superorder"):
+        essential_complement(cs)
 
 
 def test_two_sided_ideal_squares_to_p():

@@ -206,22 +206,26 @@ def test_gate_failure_forces_exact_zero_level_15():
 # floats of the cross-check with their lambda values and errors.  The
 # errors, differences of rounded sums, were recorded again when the AFE
 # series came to be summed on blocks: they moved by up to 1.2e-6 of
-# themselves, the ratio and the lambda values by less than 1e-12.
+# themselves, the ratio and the lambda values by less than 1e-12.  They
+# were recorded again when one Horner pass came to sample the coarse and
+# the fine weight: the lambda errors moved by up to 1.6e-7 of themselves,
+# through their rounding-size quad_err and interp parts, and the relative
+# errors by up to 3.4e-11.
 CROSS_CHECK = {
     ("11a", "11a"): {
         "exact": {"normalized_period_sq": "4/25", "S1": "-19", "S2": "-19",
                   "conventions": {"mass": ["-5/2", "-5/2"],
                                   "unweighted": ["-19", "-19"]}},
         "ratio": 1.206000047052023,
-        "relative_error": 0.0002891700383845428,
-        "lambda": (0.0024048098258204315, 1.2205701102270674e-09)},
+        "relative_error": 0.00028917003837474034,
+        "lambda": (0.0024048098258204315, 1.2205701122751168e-09)},
     ("26a", "26b"): {
         "exact": {"normalized_period_sq": "1/9", "S1": "-2", "S2": "-2",
                   "conventions": {"mass": ["-1", "-1"],
                                   "unweighted": ["-2", "-2"]}},
         "ratio": 3.1376519884754575,
-        "relative_error": 0.0012038687869665974,
-        "lambda": (0.06477479724012745, 4.410869386443362e-09)},
+        "relative_error": 0.0012038687869325901,
+        "lambda": (0.06477479724012745, 4.410868719009884e-09)},
 }
 
 
