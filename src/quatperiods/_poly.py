@@ -4,10 +4,9 @@ Monomials are exponent tuples.  An int coefficient becomes a Fraction, and
 any other exact field element (a Fraction, a brandt.NumberFieldElement) is
 kept as it is.  The constructor
 is the one way to build a polynomial: it adds up repeated monomials and drops
-zero sums.  This is deliberately small: just the operations the
-harmonic-polynomial and differential-operator machinery needs (products,
-derivatives, linear substitution, Laplacians with respect to an arbitrary
-Gram matrix, Fischer pairing).
+zero sums.  This is deliberately small: just the operations the harmonic
+polynomials need (products, derivatives, linear substitution, Laplacians with
+respect to an arbitrary Gram matrix, Fischer pairing).
 """
 
 from __future__ import annotations
@@ -160,17 +159,6 @@ class Poly:
 
     def total_degree(self):
         return max((sum(m) for m in self.terms), default=0)
-
-    def coefficient_of(self, var_indices, exps):
-        """Coefficient of prod(x_i^e) over var_indices; a Poly in all vars."""
-        out = []
-        for m, c in self.terms.items():
-            if all(m[v] == e for v, e in zip(var_indices, exps)):
-                mm = list(m)
-                for v in var_indices:
-                    mm[v] = 0
-                out.append((mm, c))
-        return Poly(self.nvars, out)
 
     def __repr__(self):
         if not self.terms:

@@ -139,9 +139,17 @@ def run_verify(args):
     ok &= check("sign gates", gates)
 
     def diffops():
-        return all(projection_poly(k, a, b, r).z12_test() == math.factorial(r)
-                   for k, a, b, r in ((2, 0, 0, 2), (3, 1, 0, 1),
-                                      (4, 2, 1, 2)))
+        # the exact operators p(u1, u12, u2) of (k, a, b, r), recorded from
+        # an expansion of delta^r that is independent of the closed form;
+        # (i, j, kk) keys u1^i u12^j u2^kk, so (2, 0, 0, 2) is u12^2 - u1 u2
+        want = {(2, 0, 0, 2): {(0, 2, 0): 1, (1, 0, 1): -1},
+                (3, 1, 0, 1): {(0, 1, 0): 1, (1, 0, 0): Fraction(-1, 3)},
+                (4, 2, 1, 2): {(0, 2, 0): 1, (0, 1, 1): Fraction(-6, 5),
+                               (1, 0, 1): Fraction(-2, 15),
+                               (1, 1, 0): Fraction(-2, 3),
+                               (2, 0, 0): Fraction(1, 5)}}
+        return all(projection_poly(*key).poly == poly
+                   for key, poly in want.items())
     ok &= check("differential operators", diffops)
 
     def corollaries():

@@ -1,145 +1,41 @@
-"""Maass operators on Siegel expansions and holomorphic projection.
+"""Holomorphic differential operators on Siegel expansions, in closed form.
 
-Everything runs in an exact symbolic calculus on the 8-variable ring
-Q[t1, t12, t2, r11, r12, r22, X1, X2]: t's are the Fourier frequencies of
-e(tr T Z) (t12 is the z12-frequency, i.e. twice the off-diagonal entry of T),
-and the r's stand for the entries of -(1/4 pi) (Im Z)^{-1}.  In these symbols
-the raising operator delta_w = w N + D is polynomial with rational
-coefficients, restriction to z12 = 0 sets r12 = 0, and holomorphic projection
-replaces r11^j by the exact rational Gamma-quotient times t1^j.
+The operator polynomial p(u1, u12, u2) of weight k and indices (a, b, r)
+takes a Siegel form of weight w = k + a + b to H x H, of weights
+w1 = k + a + r and w2 = k + b + r: apply delta^r, set z12 = 0, project
+holomorphically and read off the X1^(a+r) X2^(b+r) coefficient.  With
+l = j1 + j2 and (x)_n = x(x-1)...(x-n+1) this gives p in closed form:
 
-The operator polynomial p(u1, u12, u2) is constructed by the raise-restrict-
-project route.  The tests keep the pluriharmonicity linear system as an
-independent oracle, which also certifies that the solution space is one
-dimensional.
+    p_(i,j,kk) = sum_{j1<=i, j2<=kk} (w+r-1)_l C(r,l) C(l,j1) (r-l)!
+                     / ((i-j1)! j! (kk-j2)!) * pi(w1, j1) pi(w2, j2),
+    pi(w, j) = (-1)^j / (w-2)_j.
+
+It holds in three steps:
+- on e(tr TZ) X1^alpha X2^beta, delta^r = sum_l (w+r-1)_l C(r,l) N^l D^(r-l),
+  where N multiplies by rho[X], rho = -(Im Z)^-1 / 4 pi with entries r11,
+  r12, r22, and D by T[X] = t1 X1^2 + t12 X1 X2 + t2 X2^2 (the iterates
+  never contain rho for D to differentiate), so the multinomial
+  coefficients of T[X]^(r-l) give the t-exponents;
+- restriction to z12 = 0 sets r12 = 0 and leaves N = r11 X1^2 + r22 X2^2,
+  whose l-th power has the binomial coefficients C(l, j1);
+- holomorphic projection at weight w_i maps r_ii^j e(t_i z_i) to
+  pi(w_i, j) t_i^j e(t_i z_i), which needs w_i - 1 - j > 0; j <= r gives
+  w_i - 1 - j >= k - 1 >= 1, so the bound always holds.
+
+The tests check p against the pluriharmonicity system, an independent oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial, perm
 
 from ._poly import Poly
-
-# variable layout
-T1, T12, T2, R11, R12, R22, X1, X2 = range(8)
-NV = 8
 
 
 class DiffOpError(ValueError):
     pass
 
-
-def _xmono(i, j):
-    m = [0] * NV
-    m[X1] = i
-    m[X2] = j
-    return tuple(m)
-
-
-def _rho_bracket():
-    """rho[X] = r11 X1^2 + 2 r12 X1 X2 + r22 X2^2."""
-    terms = []
-    for (rv, xi, xj, c) in ((R11, 2, 0, 1), (R12, 1, 1, 2), (R22, 0, 2, 1)):
-        m = list(_xmono(xi, xj))
-        m[rv] = 1
-        terms.append((m, c))
-    return Poly(NV, terms)
-
-
-def _rho_derivative(p, which):
-    """(1/2 pi i) d/dz_{ab} of the rho-part of p (product rule on symbols)."""
-    out = Poly.zero(NV)
-    for rv in (R11, R12, R22):
-        dp = p.diff(rv)
-        if dp.is_zero():
-            continue
-        out = out + dp * _rho_image(which, rv)
-    return out
-
-
-def _rho_image(which, rv):
-    """Image of rho_{rv} under (1/2 pi i) d/dz_{which}."""
-    def mono(**exps):
-        m = [0] * NV
-        for k, v in exps.items():
-            m[{"r11": R11, "r12": R12, "r22": R22}[k]] = v
-        return Poly.monomial(m, 1)
-
-    if which == T1:
-        table = {R11: -mono(r11=2), R12: -mono(r11=1) * mono(r12=1),
-                 R22: -mono(r12=2)}
-        return table[rv]
-    if which == T2:
-        table = {R11: -mono(r12=2), R12: -mono(r12=1) * mono(r22=1),
-                 R22: -mono(r22=2)}
-        return table[rv]
-    table = {R11: mono(r11=1) * mono(r12=1) * -2,
-             R12: -(mono(r12=2) + mono(r11=1) * mono(r22=1)),
-             R22: mono(r12=1) * mono(r22=1) * -2}
-    return table[rv]
-
-
-def _d_operator(p):
-    """D = X1^2 (d/dz1) + X1 X2 (d/dz12) + X2^2 (d/dz2), with 1/(2 pi i)."""
-    out = Poly.zero(NV)
-    for (which, xi, xj) in ((T1, 2, 0), (T12, 1, 1), (T2, 0, 2)):
-        xfac = Poly.monomial(_xmono(xi, xj), 1)
-        tfac = Poly.variable(NV, which)
-        out = out + xfac * (tfac * p + _rho_derivative(p, which))
-    return out
-
-
-def delta_iterate_closed(k_plus_l, r, p):
-    """Closed formula sum_i Gamma(w+r)/Gamma(w+r-i) C(r,i) N^i D^{r-i}."""
-    iterates = [p]                      # D^j p for j = 0..r
-    for _ in range(r):
-        iterates.append(_d_operator(iterates[-1]))
-    out = Poly.zero(NV)
-    nf = _rho_bracket()
-    for i in range(r + 1):
-        term = iterates[r - i] * (nf ** i)
-        out = out + term * Fraction(perm(k_plus_l + r - 1, i) * comb(r, i))
-    return out
-
-
-def restrict_z12(p):
-    """Evaluation at z12 = 0: the off-diagonal r symbol vanishes."""
-    return p.eval_partial({R12: 0})
-
-
-def holomorphic_projection(p, w1, w2):
-    """Exact holomorphic projection in both variables.
-
-    r11^j q1^t1 |-> Gamma(w1-1-j)/Gamma(w1-1) (-1)^j t1^j q1^t1 and the same
-    for r22 against t2; requires w_i > 1 + (r-degree) (the weight bound).
-    """
-    terms = []
-    for mono, c in p.terms.items():
-        j1, j12, j2 = mono[R11], mono[R12], mono[R22]
-        if j12:
-            raise DiffOpError("restrict to z12 = 0 before projecting")
-        for (j, w) in ((j1, w1), (j2, w2)):
-            if j and w - 1 - j <= 0:
-                raise DiffOpError(f"weight {w} too small for degree {j}")
-        coef = c * (-1) ** (j1 + j2)
-        for t in range(1, j1 + 1):
-            coef /= (w1 - 1 - t)
-        for t in range(1, j2 + 1):
-            coef /= (w2 - 1 - t)
-        m = list(mono)
-        m[R11] = 0
-        m[R22] = 0
-        m[T1] += j1
-        m[T2] += j2
-        terms.append((m, coef))
-    return Poly(NV, terms)
-
-
-# ---------------------------------------------------------------------------
-# the operator polynomial p(u1, u12, u2)
-# ---------------------------------------------------------------------------
 
 def relevant_monomials(a, b, r):
     """(i, j, kk) with i+j+kk = r contributing to the X-extraction."""
@@ -180,36 +76,29 @@ class DiffOperator:
                         for (i, j, kk), c in self.poly.items()))
 
 
-@lru_cache(maxsize=None)
-def _iterate_restricted(w, r, alpha, beta):
-    start = Poly.monomial(_xmono(alpha, beta), 1)
-    return restrict_z12(delta_iterate_closed(w, r, start))
+def projection_factor(w, j):
+    """Projection at weight w maps r^j e(tz) to pi(w, j) t^j e(tz)."""
+    return Fraction((-1) ** j, perm(w - 2, j))
 
 
 def projection_poly(k, a, b, r):
     """The unique holomorphic-projection operator polynomial, r!-normalized.
 
-    Constructed by applying the delta-iterate to e(tr T Z) X1^alpha X2^beta,
-    restricting to z12 = 0, projecting holomorphically and extracting the
-    X1^{a+r} X2^{b+r} coefficient; the paper's z12^r test value r! comes out
-    without rescaling, and a DiffOpError is raised if it does not.
+    Each coefficient is the closed sum of the module docstring; the paper's
+    z12^r test value r! comes out without rescaling, and a DiffOpError is
+    raised if it does not.
     """
     if k < 2:
         raise DiffOpError("weight k >= 2 required")
-    l = a + b
-    w = k + l
-    rel = relevant_monomials(a, b, r)
+    w, w1, w2 = k + a + b, k + a + r, k + b + r
     coeffs = {}
-    for (i, j, kk) in rel:
-        alpha = a + r - 2 * i - j
-        beta = b + r - j - 2 * kk
-        img = _iterate_restricted(w, r, alpha, beta)
-        img = holomorphic_projection(img, k + a + r, k + b + r)
-        picked = img.coefficient_of((X1, X2), (a + r, b + r))
-        # coefficient of t1^i t12^j t2^kk
-        target = [0] * NV
-        target[T1], target[T12], target[T2] = i, j, kk
-        coeffs[(i, j, kk)] = picked.terms.get(tuple(target), Fraction(0))
+    for (i, j, kk) in relevant_monomials(a, b, r):
+        coeffs[(i, j, kk)] = sum(
+            Fraction(perm(w + r - 1, j1 + j2) * comb(r, j1 + j2)
+                     * comb(j1 + j2, j1) * factorial(r - j1 - j2),
+                     factorial(i - j1) * factorial(j) * factorial(kk - j2))
+            * projection_factor(w1, j1) * projection_factor(w2, j2)
+            for j1 in range(i + 1) for j2 in range(kk + 1))
     op = DiffOperator(k, a, b, r, coeffs)
     test = op.z12_test()
     if test != factorial(r):
@@ -229,8 +118,7 @@ def apply_to_table(op, table, alpha1, alpha2):
         raise DiffOpError("operator indices do not match (alpha1, alpha2)")
     out = {}
     for t, poly in table.coeffs.items():
-        q = op.q_poly(t)
-        prod = q * poly
+        prod = op.q_poly(t) * poly
         val = prod.terms.get((alpha1 + op.r, alpha2 + op.r), Fraction(0))
         key = (t.n1, t.n2)
         out[key] = out.get(key, Fraction(0)) + val

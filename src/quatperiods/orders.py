@@ -42,8 +42,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from ._linalg import (hnf_lattice, hnf_solve, nullspace, reduced_pair,
-                      transpose, vec_mat)
+from ._linalg import hnf_lattice, hnf_solve, nullspace, reduced_pair, vec_mat
 from .lattice import IntLattice, norm_counts, short_vectors
 from .quatalg import (_is_squarefree, _prime_factors, _square_part,
                       algebra_for_discriminant, good_primes,
@@ -260,8 +259,9 @@ def eichler_order(maximal, n2):
     """Eichler order of level disc * n2 inside a maximal order.
 
     n2 must be squarefree and coprime to the discriminant.  At each p | n2
-    the result is the preimage of upper triangular matrices under a splitting
-    order/p ~ M_2(F_p).
+    the result is Z + eO + pO for an idempotent e of O/p ~ M_2(F_p): its
+    image mod p is F_p + e M_2(F_p), the upper triangular matrices when e
+    is diag(1, 0).
     """
     n2 = int(n2)
     alg = maximal.algebra
@@ -274,18 +274,10 @@ def eichler_order(maximal, n2):
     for p in _prime_factors(n2):
         den, rows = order.basis
         e = vec_mat(_find_idempotent(order, p), rows)   # e / den
-        f = [den - e[0]] + [-x for x in e[1:]]          # (1 - e) * den
-        # matrix of z -> (1-e) z e on order coordinates, mod p
-        rows_map = [[v % p for v in _coords(
-            order.basis, den ** 3,
-            quaternion_product(a, b, quaternion_product(a, b, f, row), e))]
-            for row in rows]
-        kernel = nullspace(transpose(rows_map), p)
-        if len(kernel) != 3:
-            raise OrderError(f"unexpected kernel dimension at p={p}")
-        sub = [vec_mat(k, rows) for k in kernel]
-        sub += [[p * x for x in row] for row in rows]
-        new_order = EichlerOrder(alg, (den, sub))
+        sub = [[den * den, 0, 0, 0]]
+        sub += [quaternion_product(a, b, e, row) for row in rows]
+        sub += [[p * den * x for x in row] for row in rows]
+        new_order = EichlerOrder(alg, (den * den, sub))
         if new_order.level != p * order.level:
             raise OrderError(f"suborder at {p} has wrong discriminant")
         order = new_order

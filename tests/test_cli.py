@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import quatperiods
-from quatperiods import brandt, cli, newformdata, periods
+from quatperiods import brandt, cli, diffop, newformdata, periods
 from quatperiods.brandt import constant_form
 from quatperiods.lseries import ingest, resolve_label
 from quatperiods.newformdata import eta_product_coefficients
@@ -654,6 +654,22 @@ def test_verify_passes_and_exits_3_on_a_failed_check(capsys, monkeypatch):
     rows = capsys.readouterr().out.splitlines()
     assert [r.split()[0] for r in rows].count("FAIL") == 1
     assert "  FAIL  paper constant at 11a^4" in rows
+    monkeypatch.undo()
+
+    # the projection factor without its sign (-1)^j: the case j = 0 is
+    # kept, so the z12 test still gives r!, but u12^2 - u1 u2 turns into
+    # u12^2 + 11 u1 u2
+    factor = diffop.projection_factor
+    monkeypatch.setattr(diffop, "projection_factor",
+                        lambda w, j: abs(factor(w, j)))
+    assert diffop.projection_poly(2, 0, 0, 2).poly == {(0, 2, 0): 1,
+                                                       (1, 0, 1): 11}
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify"])
+    assert exc.value.code == 3
+    rows = capsys.readouterr().out.splitlines()
+    assert [r.split()[0] for r in rows].count("FAIL") == 1
+    assert "  FAIL  differential operators" in rows
 
 
 def bench_module(name):

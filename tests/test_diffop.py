@@ -1,4 +1,4 @@
-import random
+import hashlib
 from fractions import Fraction
 from math import comb
 
@@ -8,10 +8,8 @@ from quatperiods import diffop
 from quatperiods._linalg import nullspace
 from quatperiods._poly import Poly
 from quatperiods.brandt import QuatForm
-from quatperiods.diffop import (NV, R11, R12, R22, T1, T12, X1, X2,
-                                DiffOpError, _d_operator, _rho_bracket,
-                                apply_to_table, delta_iterate_closed,
-                                holomorphic_projection, projection_poly,
+from quatperiods.diffop import (DiffOpError, apply_to_table,
+                                projection_factor, projection_poly,
                                 relevant_monomials)
 from quatperiods.yoshida import HalfIntMatrix
 
@@ -21,25 +19,8 @@ def scalar_form(cs, scalars):
     return QuatForm(cs, 0, [Poly.const(3, s) for s in scalars])
 
 
-def degree_in(p, var_indices):
-    return max((sum(m[i] for i in var_indices) for m in p.terms), default=0)
-
-
-# -- oracles: one raising step, its composition, and the pluriharmonicity
-# -- linear system that characterizes projection_poly independently
-
-def maass_delta(k_plus_l, p):
-    """delta_w = w N + D on a symbol polynomial; depends only on w = k+l."""
-    return _rho_bracket() * p * k_plus_l + _d_operator(p)
-
-
-def delta_iterate_composed(k_plus_l, r, p):
-    """delta_{w+2r-2} o ... o delta_{w+2} o delta_w."""
-    out = p
-    for step in range(r):
-        out = maass_delta(k_plus_l + 2 * step, out)
-    return out
-
+# -- oracle: the pluriharmonicity linear system that characterizes
+# -- projection_poly independently
 
 def _complex_power(re, im, n):
     out_re = Poly.const(re.nvars, 1)
@@ -142,86 +123,11 @@ def pluriharmonic_system(k, a, b, r, extra_c_indices=(1, 2)):
     return rel, ker
 
 
-def test_maass_delta_on_constant():
-    # D kills constants; the N part remains: w * rho[X]
-    w = 5
-    img = maass_delta(w, Poly.const(NV, 1))
-    assert img.terms[tuple(m11())] == 5
-    assert degree_in(img, (X1, X2)) == 2
-
-
-def m11():
-    m = [0] * NV
-    m[R11] = 1
-    m[X1] = 2
-    return m
-
-
-def test_maass_delta_leading_structure():
-    # on e(tr TZ): delta = (w N + T[X]) at leading order in the r symbols
-    img = maass_delta(3, Poly.const(NV, 1))
-    # T[X] part: t1 X1^2 + t12 X1 X2 + t2 X2^2
-    m = [0] * NV
-    m[T1], m[X1] = 1, 2
-    assert img.terms[tuple(m)] == 1
-    m = [0] * NV
-    m[T12], m[X1], m[X2] = 1, 1, 1
-    assert img.terms[tuple(m)] == 1
-
-
-def test_maass_delta_linearity():
-    rng = random.Random(1)
-    for _ in range(20):
-        p = Poly.monomial(tuple(rng.randint(0, 1) for _ in range(NV)),
-                          rng.randint(-3, 3))
-        q = Poly.monomial(tuple(rng.randint(0, 1) for _ in range(NV)),
-                          rng.randint(-3, 3))
-        w = rng.randint(2, 6)
-        assert maass_delta(w, p + q) == maass_delta(w, p) + maass_delta(w, q)
-
-
-def test_delta_iterate_r0_and_r1():
-    p = Poly.monomial(tuple([0] * 6 + [1, 1]), 1)
-    assert delta_iterate_closed(4, 0, p) == p
-    assert delta_iterate_closed(4, 1, p) == maass_delta(4, p)
-
-
-def test_delta_iterate_matches_composition():
-    rng = random.Random(2)
-    for w in (2, 3, 5):
-        p = Poly.zero(NV)
-        for _ in range(3):
-            p = p + Poly.monomial(tuple(rng.randint(0, 1) for _ in range(NV)),
-                                  rng.randint(-2, 2))
-        for r in (2, 3):
-            assert delta_iterate_closed(w, r, p) == \
-                delta_iterate_composed(w, r, p)
-
-
-def test_nearly_holomorphic_degree_bound():
-    # iterating r times puts at most r powers of the 1/y symbols
-    p = Poly.const(NV, 1)
-    for r in (1, 2, 3):
-        img = delta_iterate_closed(3, r, p)
-        assert degree_in(img, (R11, R12, R22)) <= r
-
-
-def test_restrict_and_projection_exact():
-    # projection of r11 * e(t1 z1) at weight w: -(1/(w-2)) t1
-    m = [0] * NV
-    m[R11] = 1
-    p = Poly.monomial(m, 1)
-    out = holomorphic_projection(p, 5, 5)
-    expect = [0] * NV
-    expect[T1] = 1
-    assert out.terms == {tuple(expect): Fraction(-1, 3)}
-
-
-def test_projection_requires_weight_bound():
-    m = [0] * NV
-    m[R11] = 2
-    with pytest.raises(DiffOpError):
-        holomorphic_projection(Poly.monomial(m, 1), 3, 3)
+def test_projection_factor_is_exact():
+    # projection of r11 * e(t1 z1) at weight w = 5: -(1/(w-2)) t1
+    assert projection_factor(5, 1) == Fraction(-1, 3)
+    assert projection_factor(5, 0) == 1
+    assert projection_factor(6, 3) == Fraction(-1, 24)
 
 
 def test_projection_poly_examples():
@@ -250,16 +156,19 @@ def test_projection_poly_raises_unless_the_z12_test_is_r_factorial(
         monkeypatch, scale):
     # the construction yields r! itself; a rescaled image is an error, not
     # something to rescale back
-    project = diffop.holomorphic_projection
-    monkeypatch.setattr(diffop, "holomorphic_projection",
-                        lambda p, w1, w2: project(p, w1, w2) * scale)
+    factor = diffop.projection_factor
+    monkeypatch.setattr(diffop, "projection_factor",
+                        lambda w, j: factor(w, j) * scale)
     with pytest.raises(DiffOpError, match=r"z12 test value \d+, not r! = 2"):
         projection_poly(3, 1, 0, 2)
 
 
 def test_uniqueness_via_pluriharmonic_system():
+    # (4, 2, 1, 2) is the operator of the benchmark's diffop job
     for (k, a, b, r) in [(2, 0, 0, 1), (2, 0, 0, 2), (3, 0, 0, 2),
-                         (2, 1, 0, 1), (2, 1, 1, 1), (2, 1, 1, 2)]:
+                         (2, 1, 0, 1), (2, 1, 1, 1), (2, 1, 1, 2),
+                         (2, 0, 0, 3), (2, 0, 0, 4), (3, 2, 1, 3),
+                         (4, 2, 1, 2)]:
         rel, ker = pluriharmonic_system(k, a, b, r)
         assert len(ker) == 1
         op = projection_poly(k, a, b, r)
@@ -273,6 +182,25 @@ def test_uniqueness_via_pluriharmonic_system():
             rr = y / x
             ratio = rr if ratio is None else ratio
             assert rr == ratio
+
+
+# sha256 of every operator with k in 2..8, a, b in 0..5 and r in 0..6,
+# recorded from an expansion of delta^r in the 8-variable symbol ring
+# Q[t1, t12, t2, r11, r12, r22, X1, X2], restricted and projected term by
+# term: a construction independent of the closed form
+GRID_SHA256 = "3b7a1f9a283739ddaae201d5ed2fefe24b582389a8f0d73df9196b3ab49b8c83"
+
+
+def test_operator_grid_matches_the_symbol_calculus():
+    digest = hashlib.sha256()
+    for k in range(2, 9):
+        for a in range(6):
+            for b in range(6):
+                for r in range(7):
+                    op = projection_poly(k, a, b, r)
+                    digest.update(repr(sorted(
+                        (key, str(v)) for key, v in op.poly.items())).encode())
+    assert digest.hexdigest() == GRID_SHA256
 
 
 def test_q_poly_values():

@@ -200,3 +200,29 @@ def test_every_module_level_import_is_read():
                 if name not in read:
                     unread.append(f"{path.name}:{node.lineno} {name}")
     assert not unread, "imported but never read:\n" + "\n".join(unread)
+
+
+def test_every_module_level_name_is_read():
+    # A constant or layout that outlives its last reader is dead code too:
+    # every module-level assignment must be read somewhere in the package,
+    # as a bare name or as an attribute x.name.  Dunders such as
+    # __version__ are read from outside and stay exempt.
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    read = {n.id for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    read |= {name for tree in trees.values() for name in _attributes(tree)}
+    unread = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            unread.extend(f"{path.name}:{node.lineno} {n.id}"
+                          for target in targets for n in ast.walk(target)
+                          if isinstance(n, ast.Name) and n.id not in read
+                          and not n.id.startswith("__"))
+    assert not unread, "assigned but never read:\n" + "\n".join(unread)
