@@ -45,8 +45,8 @@ class Poly:
         return cls(nvars, {tuple(int(k == i) for k in range(nvars)): 1})
 
     @classmethod
-    def monomial(cls, exps, c=1):
-        return cls(len(exps), {tuple(exps): c})
+    def monomial(cls, exps):
+        return cls(len(exps), {tuple(exps): 1})
 
     def embed(self, nvars, offset=0):
         """self in nvars variables, its own at offset, offset + 1, ..."""

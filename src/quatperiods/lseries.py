@@ -40,17 +40,17 @@ last fact, and the others change only rounding.
 
 A local factor is the list of its coefficients [1, c_1, ..., c_d] as a
 polynomial in X = p^{-s}, low to high, as _factor stores its polynomials,
-and a product of factors is _factor._mul.  An L-series' local data is one
-function factor(p) -> that list, which dirichlet_coefficients calls once
-per prime, in increasing order.  The triple and Sym^2 factors are built on
-each call and kept nowhere, and the b_n live in one array('d'): one factor
-is alive at a time, next to count + 1 doubles, however long the series.
-
-Normalization bookkeeping: factors are stored in the arithmetic
-normalization (coefficients in Z[a_p]).  Each series has one shift, the
-same at every prime, that moves its functional-equation center to
-s = 1/2: triple_shift and sym2_shift give it, and dirichlet_coefficients
-and central_value take it next to the factor function.
+and a product of factors is _factor._mul.  An L-series is one LData
+record: its factor function p -> that list, which dirichlet_coefficients
+calls once per prime, in increasing order; its one shift, the same at
+every prime, that moves the functional-equation center from the
+arithmetic normalization (coefficients in Z[a_p]) to s = 1/2; its
+Gamma_R shifts, conductor and root number; the point s0 at which
+central_value evaluates it; and its length.  triple_ldata builds the
+triple product's record and sym2_ldata the symmetric square's.  Their
+factors are built on each call and kept nowhere, and the b_n live in one
+array('d'): one factor is alive at a time, next to terms + 1 doubles,
+however long the series.
 """
 
 from __future__ import annotations
@@ -224,19 +224,14 @@ def good_factor(record, p):
 def triple_factor(h, f1, f2, p):
     """Degree-8 good-prime factor of the triple product L(h, f1, f2; s).
 
-    Arithmetic coefficients in Z[a_p]; the analytic center s = 1/2 is reached
-    with triple_shift(h, f1, f2).
+    Arithmetic coefficients in Z[a_p]; the shift of triple_ldata moves the
+    analytic center to s = 1/2.
     """
     for r in (h, f1, f2):
         if r.level % p == 0:
             raise LSeriesError(f"{p} divides a level; use the bad-prime table")
     return tensor(tensor(good_factor(h, p), good_factor(f1, p)),
                   good_factor(f2, p))
-
-
-def triple_shift(h, f1, f2):
-    """The shift (k1 + k2 + k3 - 3)/2 of every factor of L(h, f1, f2; s)."""
-    return Fraction(h.weight + f1.weight + f2.weight - 3, 2)
 
 
 def triple_factor_steinberg(h, f1, f2, p):
@@ -262,41 +257,6 @@ def triple_factor_at(h, f1, f2, p):
     return triple_factor(h, f1, f2, p)
 
 
-def triple_factors(h, f1, f2, count):
-    """The function p -> Euler factor of L(h, f1, f2; s) at p, as deep as a
-    series of length count reads it; each call builds a new coefficient
-    list.  The series' shift is triple_shift(h, f1, f2).
-
-    dirichlet_coefficients(factor, count, shift) reads the factor at p up to
-    X^floor(log_p count).  For a good p with p^2 > count that is the linear
-    term -b_p, b_p = a_p(h) a_p(f1) a_p(f2), an int, so the degree-8 factor
-    is built only for p <= sqrt(count) and at p | N, and the series is the
-    same term for term; such a p then costs dirichlet_coefficients one
-    stride over its multiples.  A prime missing from the data file raises
-    the LSeriesError of NewformRecord.a when its factor is built.
-    """
-    deep = math.isqrt(count)
-
-    def build(p):
-        if p <= deep or any(r.level % p == 0 for r in (h, f1, f2)):
-            return triple_factor_at(h, f1, f2, p)
-        return [1, -h.a(p) * f1.a(p) * f2.a(p)]
-    return build
-
-
-def triple_conductor(n):
-    """Conductor N^5 for an all-Steinberg squarefree-level weight-2 triple."""
-    return n ** 5
-
-
-def triple_gamma_shifts(weights):
-    """Gamma_R shifts of the triple product of forms of these weights,
-    analytic normalization: Gamma_C(s+1/2)^3 Gamma_C(s+3/2) at weight 2."""
-    if any(k != 2 for k in weights):
-        raise LSeriesError("documented defaults cover weight 2 only")
-    return [Fraction(1, 2), Fraction(3, 2)] * 3 + [Fraction(3, 2), Fraction(5, 2)]
-
-
 def sym2_factor(record, p):
     """Symmetric square local factor (degree 3 good, 1 bad)."""
     if record.level % p == 0:
@@ -305,54 +265,67 @@ def sym2_factor(record, p):
     return sym2(good_factor(record, p))
 
 
-def sym2_shift(record):
-    """The shift k - 1 of every factor of the symmetric square."""
-    return Fraction(record.weight - 1)
+class LData(namedtuple("LData",
+                       "factor shift gamma_shifts conductor sign s0 terms")):
+    """One L-series as central_value evaluates it: Lambda(s) =
+    conductor^{s/2} prod_j Gamma_R(s + mu_j) L(s) = sign Lambda(1 - s),
+    mu_j running over gamma_shifts, at s0, from the first terms Dirichlet
+    coefficients.  factor is a function p -> arithmetic local factor and
+    shift the series' one shift, as dirichlet_coefficients takes them.
+    factor may truncate each factor to what a series of length terms reads,
+    so the length belongs to the record."""
+    __slots__ = ()
 
 
-def sym2_conductor(record):
-    return record.level ** 2
-
-
-def sym2_gamma_shifts(weight):
-    """Gamma_R shifts for Sym^2 of a weight-2 form: Gamma_R(s+1) Gamma_C(s+1),
-    and Gamma_C(s+1) = Gamma_R(s+1) Gamma_R(s+2)."""
-    if weight != 2:
+def _weight_2(*records):
+    if any(r.weight != 2 for r in records):
         raise LSeriesError("documented defaults cover weight 2 only")
-    return [Fraction(1), Fraction(1), Fraction(2)]
 
 
-def spin_split_check(h1, h2, p):
-    """Degree-4 spin factor of the lift equals L_p(h1) * L_p(h2).
+def triple_ldata(h, f1, f2, terms=None):
+    """L(h, f1, f2; s) at s0 = 1/2, for weight-2 newforms of one squarefree
+    level N, all Steinberg at every p | N: shift (k1 + k2 + k3 - 3)/2 =
+    3/2, Gamma_C(s+1/2)^3 Gamma_C(s+3/2), conductor N^5 and root number
+    -prod_{p | N} eps_p, eps_p = -a_p(h) a_p(f1) a_p(f2).  terms defaults
+    to the length the smoothed sums need at that conductor.
 
-    The spin parameters of the lift are defined as the union of the two
-    Satake pairs, so this is an identity by construction; it guards the
-    normalization-shift bookkeeping.
+    The factor at p is triple_factor_at's, as deep as the series reads it,
+    and each call builds a new coefficient list.  dirichlet_coefficients
+    reads the factor at p up to X^floor(log_p terms).  For a good p with
+    p^2 > terms that is the linear term -b_p, b_p = a_p(h) a_p(f1) a_p(f2),
+    an int, so the degree-8 factor is built only for p <= sqrt(terms) and
+    at p | N, and the series is the same term for term; such a p then costs
+    dirichlet_coefficients one stride over its multiples.  A prime missing
+    from the data file raises the LSeriesError of NewformRecord.a when its
+    factor is built.
     """
-    f1 = good_factor(h1, p)
-    f2 = good_factor(h2, p)
-    ps = [a + b for a, b in zip(power_sums(f1, 4), power_sums(f2, 4))]
-    return from_power_sums(ps, 4) == _mul(f1, f2)
+    _weight_2(h, f1, f2)
+    conductor = h.level ** 5
+    terms = _afe_terms(conductor) if terms is None else terms
+
+    def factor(p):
+        if p * p <= terms or any(r.level % p == 0 for r in (h, f1, f2)):
+            return triple_factor_at(h, f1, f2, p)
+        return [1, -h.a(p) * f1.a(p) * f2.a(p)]
+    sign = -math.prod(-h.a(p) * -f1.a(p) * -f2.a(p)
+                      for p in _prime_factors(h.level))
+    return LData(factor, Fraction(3, 2),
+                 [Fraction(1, 2), Fraction(3, 2)] * 3
+                 + [Fraction(3, 2), Fraction(5, 2)],
+                 conductor, sign, Fraction(1, 2), terms)
 
 
-def sym2_identity_check(h1, h2, p):
-    """Exact factorization identities of the symmetric square of the spin.
-
-    Sym^2(spin_4) = Sym^2(h1) * Sym^2(h2) * (h1 x h2)   (degrees 10 = 3+3+4)
-    std_5 = zeta_p * (h1 x h2 scaled by p^{1-k})        (degrees 5 = 1+4)
-    """
-    f1 = good_factor(h1, p)
-    f2 = good_factor(h2, p)
-    ps = [a + b for a, b in zip(power_sums(f1, 20), power_sums(f2, 20))]
-    lhs = sym2(from_power_sums(ps, 4))
-    rhs = _mul(_mul(sym2(f1), sym2(f2)), tensor(f1, f2))
-    ok1 = lhs == rhs and len(lhs) == 11
-    # degree-5 standard: 1 union (tensor roots scaled by p^{1-k})
-    scale = Fraction(1, p ** (h1.weight - 1))
-    tens = [c * scale ** k for k, c in enumerate(tensor(f1, f2))]
-    std5 = _mul([1, -1], tens)
-    ok2 = len(std5) == 6 and std5[1] == -1 - h1.a(p) * h2.a(p) * scale
-    return ok1 and ok2
+def sym2_ldata(record, terms=None):
+    """The symmetric square of a weight-2 newform of level N at the analytic
+    edge s0 = 1: shift k - 1 = 1, Gamma_R(s+1) Gamma_C(s+1) = Gamma_R(s+1)^2
+    Gamma_R(s+2), conductor N^2 and root number +1.  terms defaults as in
+    triple_ldata, and the factors are built one prime at a time too."""
+    _weight_2(record)
+    conductor = record.level ** 2
+    return LData(functools.partial(sym2_factor, record), Fraction(1),
+                 [Fraction(1), Fraction(1), Fraction(2)], conductor, +1,
+                 Fraction(1),
+                 _afe_terms(conductor) if terms is None else terms)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +337,7 @@ def dirichlet_coefficients(factor, count, shift):
     of count + 1 doubles, b[n] = b_n and b[0] = 0.0.
 
     factor: a function p -> arithmetic local factor [1, c_1, ..., c_d],
-    such as the one of triple_factors.  It is called once for each prime
+    such as an LData's.  It is called once for each prime
     p <= count, in increasing order, when p's stride is written, and its
     factor is read only up to X^floor(log_p count).  shift: the series'
     one shift, so the analytic local value at p^v is c p^(-v shift) for
@@ -511,14 +484,12 @@ def _kept_degree(coeffs, floor):
                    default=0)
 
 
-def central_value(factor, shift, gamma_shifts, conductor, sign,
-                  s0=Fraction(1, 2), terms=None, kernel_width=4, poles=()):
-    """Smoothed approximate functional equation at s0.
+def central_value(ldata, kernel_width=4):
+    """Smoothed approximate functional equation of an LData at its s0.
 
     Lambda(s) = Q^{s/2} prod_j Gamma_R(s + mu_j) L(s) with Lambda(s) =
-    sign * Lambda(1-s); poles may be declared as (location, residue) pairs of
-    Lambda.  Returns the finite part L(s0) and Lambda(s0), each with its
-    error.
+    sign * Lambda(1-s), entire.  Returns the finite part L(s0) and
+    Lambda(s0), each with its error.
 
     Weight and moments.  With step h on the line Re w = c, the trapezoidal
     rule makes the smoothed sum at s
@@ -588,16 +559,15 @@ def central_value(factor, shift, gamma_shifts, conductor, sign,
       for arguments two apart;
     - Euler factors only as deep as read: dirichlet_coefficients reads the
       factor at p only up to X^floor(log_p terms), so a factor function may
-      return truncated factors (see triple_factors).
+      return truncated factors (see triple_ldata).
 
-    factor is a function p -> local factor [1, c_1, ..., c_d] and shift
-    the series' one shift, which dirichlet_coefficients takes: it calls
+    dirichlet_coefficients takes the record's factor and shift: it calls
     factor once per prime p <= terms while it fills its array('d'), and the
     moment pass reads that array as it stands.  Whatever factor raises for
     a prime it lacks, central_value raises.
     """
+    factor, shift, gamma_shifts, conductor, sign, s0, terms = ldata
     shifts = Counter(Fraction(m) for m in gamma_shifts)
-    s0 = Fraction(s0)
     lines = sorted({s0, 1 - s0})
     # both expansion lines s0 + c and 1 - s0 + c must clear the
     # absolute-convergence abscissa
@@ -631,12 +601,7 @@ def central_value(factor, shift, gamma_shifts, conductor, sign,
                     for s, sf, part in parts}
         return at
 
-    # choose the truncation from the size of V(n): the integrand decays
-    # like n^{-(sigma+c)}; require bound * tail_zeta < tol
-    if terms is None:
-        terms = _afe_terms(conductor)
-    maxn = terms
-    b = dirichlet_coefficients(factor, maxn, shift)
+    b = dirichlet_coefficients(factor, terms, shift)
     tmax = math.sqrt(aa * (math.log(1 / _GRID_TOL) + c * c / aa + 10))
 
     on_lines = log_lam_gamma(lines)
@@ -650,7 +615,7 @@ def central_value(factor, shift, gamma_shifts, conductor, sign,
         for s, lg in on_lines(w).items():
             gs[s].append(cmath.exp(lg + log_kernel))
     # u = log n runs over [0, span]; x = 2u / span - 1 over [-1, 1]
-    span = math.log(max(maxn, 2))
+    span = math.log(max(terms, 2))
     # the node tables of this call, one per node count
     chebyshev_nodes = functools.cache(_chebyshev_nodes)
 
@@ -701,8 +666,8 @@ def central_value(factor, shift, gamma_shifts, conductor, sign,
     # the series in blocks [lo, hi] of n: the final 35% block, dyadic
     # blocks below it while they hold _BLOCK_MIN_TERMS terms, each with its
     # own weights, and the head [1, top - 1] with the weights above
-    checkpoint = max(1, int(maxn * 0.65))
-    bounds = [(checkpoint, maxn)]
+    checkpoint = max(1, int(terms * 0.65))
+    bounds = [(checkpoint, terms)]
     top = checkpoint
     while top - top // 2 >= _BLOCK_MIN_TERMS:
         bounds.append((top // 2, top - 1))
@@ -742,25 +707,20 @@ def central_value(factor, shift, gamma_shifts, conductor, sign,
     val1, val1b, blk1 = sums[s0]
     val2, val2b, blk2 = sums[1 - s0]
     quad_err = abs(val1 - val1b) + abs(val2 - val2b)
-    # the tail beyond maxn is estimated by the final 35% block (terms
+    # the tail beyond the series is estimated by the final 35% block (terms
     # decay superpolynomially in this range, so the block dominates)
     series_err = 2 * (blk1 + blk2)
     interp_err = interp[s0] + interp[1 - s0]
     lam_error = quad_err + series_err + interp_err
 
     lam = val1b + sign * val2b
-    for (loc, res) in poles:
-        w = float(loc) - float(s0)
-        if abs(w) < c:
-            lam -= float(res) * math.exp(w * w / aa) / w
-
     gam = cmath.exp(log_lam_gamma([s0])(0j)[s0]).real
     return CentralValue(lam / gam, lam_error / abs(gam), lam, lam_error,
-                        maxn, {"quad_err": quad_err, "tail": series_err,
-                               "interp": interp_err,
-                               "degree": {s: degree for s, (degree, _)
-                                          in zip(lines, weights)},
-                               "moment_work": work})
+                        terms, {"quad_err": quad_err, "tail": series_err,
+                                "interp": interp_err,
+                                "degree": {s: degree for s, (degree, _)
+                                           in zip(lines, weights)},
+                                "moment_work": work})
 
 
 def _block_moments(b, exponents, lo, hi, u0, scale, degrees):
@@ -816,18 +776,11 @@ def _afe_terms(conductor):
 
 
 def triple_central_value(h, f1, f2, terms=None):
-    """Completed central value of L(h, f1, f2; s) at s = 1/2, for weight-2
-    newforms of one squarefree level N, all Steinberg at every p | N."""
-    shifts = triple_gamma_shifts((h.weight, f1.weight, f2.weight))
-    conductor = triple_conductor(h.level)
-    count = _afe_terms(conductor) if terms is None else terms
-    # root number -prod_{p | N} eps_p, eps_p = -a_p(h) a_p(f1) a_p(f2)
-    sign = -math.prod(-h.a(p) * -f1.a(p) * -f2.a(p)
-                      for p in _prime_factors(h.level))
-    _check_coverage((h, f1, f2), count)
-    return central_value(triple_factors(h, f1, f2, count),
-                         triple_shift(h, f1, f2), shifts, conductor, sign,
-                         terms=count)
+    """Completed central value of L(h, f1, f2; s) at s = 1/2 (triple_ldata),
+    once the data file is known to cover the series."""
+    ldata = triple_ldata(h, f1, f2, terms)
+    _check_coverage((h, f1, f2), ldata.terms)
+    return central_value(ldata)
 
 
 def petersson_norm_proxy(record, terms=None):
@@ -838,10 +791,6 @@ def petersson_norm_proxy(record, terms=None):
     built one prime at a time, as on the triple path, so a prime missing
     from the data file is named.
     """
-    conductor = sym2_conductor(record)
-    count = _afe_terms(conductor) if terms is None else terms
-    _check_coverage((record,), count)
-    return central_value(functools.partial(sym2_factor, record),
-                         sym2_shift(record), sym2_gamma_shifts(record.weight),
-                         conductor, +1, s0=Fraction(1), terms=count)
-
+    ldata = sym2_ldata(record, terms)
+    _check_coverage((record,), ldata.terms)
+    return central_value(ldata)

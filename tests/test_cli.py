@@ -154,7 +154,7 @@ PARSER_FLAGS = {
               "newforms": "", "p": REQ},
     "lvalue": {"out": "", "h1": "", "f1": "", "f2": "", "sym2": "",
                "newforms": "", "pmax": 0},
-    "verify": {"out": "", "newforms": "", "seed": 0},
+    "verify": {"out": "", "newforms": ""},
 }
 # a valid text for each flag and the value the handler reads; None marks a
 # switch, which takes no text and reads True
@@ -594,18 +594,21 @@ def test_series_far_past_the_data_is_rejected_before_it_is_built(job):
                                     ("--sym2", "D")], ids=["triple", "sym2"])
 def test_a_series_of_weight_12_is_rejected(capsys, tmp_path, series):
     # Delta has level 1, so no Steinberg prime checks its weight; the gamma
-    # factors and conductors of both series are those of weight 2
+    # factors, conductors and shifts of both series are those of weight 2,
+    # so euler, which prints a shift, rejects it too
     tau = eta_product_coefficients([1] * 24, 200)
     path = tmp_path / "delta.txt"
     path.write_text("D|1|12||" + ",".join(f"{p}:{tau[p]}"
                                           for p in primes_up_to(200)) + "\n",
                     encoding="utf-8")
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["lvalue", *series, "--newforms", str(path)])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: documented defaults cover weight 2 only\n"
+    for job in (["lvalue"], ["euler", "--p", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*job, *series, "--newforms", str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "error: documented defaults cover weight 2 only\n"
 
 
 def test_lvalue_sym2_11a(capsys):
@@ -620,7 +623,7 @@ def test_verify_passes_and_exits_3_on_a_failed_check(capsys, monkeypatch):
     assert cli.main(["verify"]) == 0
     assert brandt.atkin_lehner.cache_info().misses == 1
     rows = capsys.readouterr().out.splitlines()
-    assert len(rows) == 11 and all(r.split()[0] == "pass" for r in rows)
+    assert len(rows) == 10 and all(r.split()[0] == "pass" for r in rows)
     monkeypatch.setattr(cli, "eichler_mass", lambda n1, m: Fraction(0))
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify"])

@@ -14,21 +14,17 @@ from hypothesis import strategies as st
 
 from quatperiods import lseries
 from quatperiods._factor import _mul
-from quatperiods.lseries import (LSeriesError, NewformRecord, _afe_terms,
-                                 _log_gamma, central_value,
+from quatperiods.lseries import (LData, LSeriesError, NewformRecord,
+                                 _afe_terms, _log_gamma, central_value,
                                  dirichlet_coefficients, from_power_sums,
                                  good_factor, ingest, local_coefficients,
                                  petersson_norm_proxy, power_sums,
-                                 resolve_label, spin_split_check, sym2,
-                                 sym2_conductor, sym2_factor,
-                                 sym2_gamma_shifts, sym2_identity_check,
-                                 sym2_shift, tensor, triple_central_value,
-                                 triple_conductor, triple_factor,
+                                 resolve_label, sym2, sym2_factor, sym2_ldata,
+                                 tensor, triple_central_value, triple_factor,
                                  triple_factor_at, triple_factor_steinberg,
-                                 triple_factors, triple_gamma_shifts,
-                                 triple_shift)
+                                 triple_ldata)
 from quatperiods.newformdata import default_data_path, write_newform_file
-from quatperiods.quatalg import primes_up_to
+from quatperiods.quatalg import _prime_factors, primes_up_to
 
 
 def records():
@@ -227,7 +223,7 @@ def test_integral_factor_algebra_matches_the_fraction_oracle(pair, count):
 
 
 def test_scale_roots_by_a_non_integer_gives_fractions():
-    # roots scaled by 1/5, as sym2_identity_check scales the tensor: the
+    # roots scaled by 1/5, as sym2_identities scales the tensor: the
     # algebra keeps the Fraction coefficients exact
     f = scaled([1, 2, 5], Fraction(1, 5))
     fa = FractionFactor([1, 2, 5]).scale_roots(Fraction(1, 5))
@@ -314,9 +310,11 @@ def test_dirichlet_coefficients_match_the_stride_loop():
     # per series
     recs = records()
     h, f = resolve_label(recs, "26b"), resolve_label(recs, "26a")
-    cases = [(triple_factors(h, f, f, 10390), 10390, triple_shift(h, f, f)),
+    triple = triple_ldata(h, f, f)
+    assert triple.terms == 10390
+    cases = [(triple.factor, triple.terms, triple.shift),
              ({p: sym2_factor(h, p) for p in primes_up_to(700)}.__getitem__,
-              700, sym2_shift(h))]
+              700, sym2_ldata(h).shift)]
     rng = random.Random(5)
     for count in (1, 2, 3, 4, 8, 9, 30, 49, 250, 1000):
         factors = {}
@@ -352,7 +350,7 @@ def test_triple_factor_degree_8():
     h = resolve_label(recs, "11a")
     t = triple_factor(h, h, h, 2)
     assert len(t) == 9
-    assert triple_shift(h, h, h) == Fraction(3, 2)
+    assert triple_ldata(h, h, h).shift == Fraction(3, 2)
     # numeric oracle: multiply out the 8 linear factors at 60 digits
     with mpmath.workprec(240):
         a = mpmath.mpf(h.a(2))
@@ -414,6 +412,34 @@ def test_self_duality_symmetry():
         assert t[8 - k] * p ** (3 * k) == t[k] * p ** 12
 
 
+def spin_split(h1, h2, p):
+    """Oracle of from_power_sums: the degree-4 spin factor of the lift,
+    whose reciprocal roots are the union of the two Satake pairs, is
+    L_p(h1) * L_p(h2)."""
+    f1 = good_factor(h1, p)
+    f2 = good_factor(h2, p)
+    ps = [a + b for a, b in zip(power_sums(f1, 4), power_sums(f2, 4))]
+    return from_power_sums(ps, 4) == _mul(f1, f2)
+
+
+def sym2_identities(h1, h2, p):
+    """Oracle of sym2 and tensor: the factorizations of the symmetric
+    square of the spin and of the standard factor,
+    Sym^2(spin_4) = Sym^2(h1) * Sym^2(h2) * (h1 x h2)   (degrees 10 = 3+3+4)
+    std_5 = zeta_p * (h1 x h2 scaled by p^{1-k})        (degrees 5 = 1+4)"""
+    f1 = good_factor(h1, p)
+    f2 = good_factor(h2, p)
+    ps = [a + b for a, b in zip(power_sums(f1, 20), power_sums(f2, 20))]
+    lhs = sym2(from_power_sums(ps, 4))
+    rhs = _mul(_mul(sym2(f1), sym2(f2)), tensor(f1, f2))
+    ok1 = lhs == rhs and len(lhs) == 11
+    # degree-5 standard: 1 union (tensor roots scaled by p^{1-k})
+    scale = Fraction(1, p ** (h1.weight - 1))
+    std5 = _mul([1, -1], scaled(tensor(f1, f2), scale))
+    ok2 = len(std5) == 6 and std5[1] == -1 - h1.a(p) * h2.a(p) * scale
+    return ok1 and ok2
+
+
 def test_spin_and_sym2_identities_random():
     rng = random.Random(2)
     for _ in range(100):
@@ -421,8 +447,8 @@ def test_spin_and_sym2_identities_random():
         k = 2
         r1 = NewformRecord("r1", 1, k, {p: rng.randint(-3, 3)}, {})
         r2 = NewformRecord("r2", 1, k, {p: rng.randint(-3, 3)}, {})
-        assert spin_split_check(r1, r2, p)
-        assert sym2_identity_check(r1, r2, p)
+        assert spin_split(r1, r2, p)
+        assert sym2_identities(r1, r2, p)
 
 
 def test_spin_and_sym2_identities_ingested():
@@ -433,8 +459,8 @@ def test_spin_and_sym2_identities_ingested():
         h2 = resolve_label(recs, lb)
         for p in (3, 23):
             if h1.level % p and h2.level % p:
-                assert spin_split_check(h1, h2, p)
-                assert sym2_identity_check(h1, h2, p)
+                assert spin_split(h1, h2, p)
+                assert sym2_identities(h1, h2, p)
 
 
 def test_dirichlet_coefficients_multiplicative():
@@ -462,27 +488,34 @@ def test_log_gamma_matches_mpmath():
                 assert abs(got - complex(want)) <= 1e-13 * abs(want)
 
 
-def test_central_value_zeta_at_2():
-    # off-center sanity: the same engine evaluates zeta(2) = pi^2 / 6
-    factors = {p: [1, -1] for p in
-               (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
-                59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113)}
-    cv = central_value(factors.__getitem__, 0, [Fraction(0)], 1, +1,
-                       s0=Fraction(2), terms=100, kernel_width=6,
-                       poles=((1, 1), (0, -1)))
-    assert abs(cv.value - math.pi ** 2 / 6) < 1e-8
+# L(1, chi_-4) = pi / 4 (Leibniz) and L(2, chi_-4) = Catalan's constant G
+CHI_MINUS_4_AT = {1: math.pi / 4, 2: 0.915965594177219015}
+
+
+def chi_minus_4(s0):
+    """L(s, chi_-4) at s0 from 100 terms: entire, conductor 4,
+    Gamma_R(s + 1), root number +1 and shift 0, with the factor
+    1 - chi_-4(p) X at every prime."""
+    factors = {p: [1, {1: -1, 2: 0, 3: 1}[p % 4]] for p in primes_up_to(100)}
+    return LData(factors.__getitem__, 0, [Fraction(1)], 4, +1, Fraction(s0),
+                 100)
+
+
+@pytest.mark.parametrize("s0", [1, 2])
+def test_central_value_of_chi_minus_4(s0):
+    # at and off the edge of absolute convergence, the same engine
+    # evaluates Leibniz's series and Catalan's constant
+    cv = central_value(chi_minus_4(s0), kernel_width=6)
+    assert abs(cv.value - CHI_MINUS_4_AT[s0]) < 1e-10
 
 
 def test_wide_kernel_doubles_the_chebyshev_sampling():
     # at width 30 the weight needs a degree above 3/4 of the first 64
     # Chebyshev samples, so they are doubled
-    factors = {p: [1, -1] for p in primes_up_to(100)}
-    cv = central_value(factors.__getitem__, 0, [Fraction(0)], 1, +1,
-                       s0=Fraction(2), terms=100, kernel_width=30,
-                       poles=((1, 1), (0, -1)))
+    cv = central_value(chi_minus_4(2), kernel_width=30)
     assert max(cv.details["degree"].values()) > 48
     assert cv.error < 1e-13
-    assert abs(cv.value - math.pi ** 2 / 6) < 1e-13
+    assert abs(cv.value - CHI_MINUS_4_AT[2]) < 1e-13
 
 
 def test_central_value_sign_minus_one_vanishes():
@@ -493,8 +526,9 @@ def test_central_value_sign_minus_one_vanishes():
               67, 71, 73, 79, 83, 89, 97):
         factors[p] = good_factor(h, p)
     factors[11] = [1, -h.a(11)]
-    cv = central_value(factors.__getitem__, Fraction(1, 2),
-                       [Fraction(1, 2), Fraction(3, 2)], 11, -1)
+    cv = central_value(LData(factors.__getitem__, Fraction(1, 2),
+                             [Fraction(1, 2), Fraction(3, 2)], 11, -1,
+                             Fraction(1, 2), _afe_terms(11)))
     assert abs(cv.value) < 1e-10
 
 
@@ -514,8 +548,9 @@ def test_central_value_level_11_matches_direct_sum():
               521, 523, 541, 547, 557, 563, 569, 571, 577, 587, 593, 599):
         factors[p] = good_factor(h, p)
     factors[11] = [1, -h.a(11)]
-    cv = central_value(factors.__getitem__, Fraction(1, 2),
-                       [Fraction(1, 2), Fraction(3, 2)], 11, +1, terms=600)
+    cv = central_value(LData(factors.__getitem__, Fraction(1, 2),
+                             [Fraction(1, 2), Fraction(3, 2)], 11, +1,
+                             Fraction(1, 2), 600))
     # direct smoothed sum with a different kernel
     b = dirichlet_coefficients(factors.__getitem__, 600, Fraction(1, 2))
     direct = 2 * sum(float(b[n]) * math.sqrt(n) / n
@@ -527,25 +562,18 @@ def test_central_value_level_11_matches_direct_sum():
 
 
 def test_central_value_kernel_independent():
-    zeta = {p: [1, -1] for p in
-            (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
-             59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113)}
-    # (factor, shift, gamma shifts, conductor, s0, terms, poles, kernel
-    # widths); the others are the Sym^2 proxies of 11a, 26a and 26b, which a
-    # wrong gamma factor makes depend on the kernel width
-    cases = [(zeta.__getitem__, 0, [Fraction(0)], 1, Fraction(2), 100,
-              ((1, 1), (0, -1)), (6, 10))]
+    # (series, kernel widths): L(s, chi_-4) at s0 = 2, the Sym^2 proxies of
+    # 11a, 26a and 26b and the triples 11a^3 and (26b; 26a, 26a), which a
+    # wrong gamma factor or conductor makes depend on the kernel width
     recs = records()
-    for label in ("11a", "26a", "26b"):
-        h = resolve_label(recs, label)
-        factors = {p: sym2_factor(h, p) for p in primes_up_to(200)}
-        cases.append((factors.__getitem__, sym2_shift(h),
-                      sym2_gamma_shifts(h.weight), sym2_conductor(h),
-                      Fraction(1), None, (), (4, 8)))
-    for factor, shift, shifts, cond, s0, terms, poles, widths in cases:
-        cv1, cv2 = (central_value(factor, shift, shifts, cond, +1, s0=s0,
-                                  terms=terms, kernel_width=w, poles=poles)
-                    for w in widths)
+    h11, h26a, h26b = (resolve_label(recs, label)
+                       for label in ("11a", "26a", "26b"))
+    cases = [(chi_minus_4(2), (6, 10))]
+    cases += [(sym2_ldata(h), (4, 8)) for h in (h11, h26a, h26b)]
+    cases += [(triple_ldata(h11, h11, h11), (4, 8)),
+              (triple_ldata(h26b, h26a, h26a), (4, 8))]
+    for ldata, widths in cases:
+        cv1, cv2 = (central_value(ldata, kernel_width=w) for w in widths)
         assert abs(cv1.value - cv2.value) < cv1.error + cv2.error + 1e-10
 
 
@@ -553,11 +581,10 @@ def test_insufficient_coefficients_error():
     # a record that lacks a_3: the triple and the Sym^2 series both raise
     # the LSeriesError of NewformRecord.a that names it
     h = NewformRecord("h", 11, 2, {2: -2, 5: 1, 7: -2, 11: 1}, {11: -1})
-    for factor, shift in ((triple_factors(h, h, h, 10), triple_shift(h, h, h)),
-                          (functools.partial(sym2_factor, h), sym2_shift(h))):
+    for ldata in (triple_ldata(h, h, h, 10), sym2_ldata(h, 10)):
         with pytest.raises(LSeriesError,
                            match="^h: no a_3 in the data file$"):
-            dirichlet_coefficients(factor, 10, shift)
+            dirichlet_coefficients(ldata.factor, ldata.terms, ldata.shift)
 
 
 def test_petersson_proxy_positive():
@@ -568,17 +595,18 @@ def test_petersson_proxy_positive():
     assert cv.error < abs(cv.value) * 0.01
 
 
-def two_sided_central_value(factor, shift, gamma_shifts, conductor, sign, s0,
-                            bits, terms, kernel_width=4, poles=()):
-    """Oracle for central_value: the grid over every node t_k, k = -K..K,
-    one Gamma_R call per shift, and both sums computed even at s0 = 1/2."""
+def two_sided_central_value(ldata, bits):
+    """Oracle for central_value at kernel width 4: the grid over every node
+    t_k, k = -K..K, one Gamma_R call per shift, and both sums computed even
+    at s0 = 1/2."""
+    factor, shift, gamma_shifts, conductor, sign, s0, terms = ldata
     with mpmath.workprec(bits):
         q = mpmath.mpf(conductor)
         mus = [mpmath.mpf(m.numerator) / m.denominator for m in gamma_shifts]
         s0 = mpmath.mpf(s0.numerator) / s0.denominator
         c = max(mpmath.mpf("1.75"),
                 abs(s0 - mpmath.mpf("0.5")) + mpmath.mpf("1.3"))
-        aa = mpmath.mpf(kernel_width)
+        aa = mpmath.mpf(4)
 
         def lam_gamma(s):
             out = mpmath.power(q, s / 2)
@@ -635,57 +663,40 @@ def two_sided_central_value(factor, shift, gamma_shifts, conductor, sign, s0,
         ((val1, blk1), (val1b, _)), ((val2, blk2), (val2b, _)) = sums
         err = abs(val1 - val1b) + abs(val2 - val2b) + 2 * (blk1 + blk2)
         lam = val1b + sign * val2b
-        for loc, res in poles:
-            w = mpmath.mpf(loc) - s0
-            if abs(w) < c:
-                lam -= mpmath.mpf(res) * mpmath.exp(w * w / aa) / w
         gam = lam_gamma(s0)
         return float(lam / gam), float(err / abs(gam)), float(lam)
 
 
 def afe_oracle_cases():
-    """(factor, shift, gamma shifts, conductor, sign, s0, terms, poles) of
-    the triple 11a x 11a x 11a, the 11a Sym^2 proxy (s0 = 1, so the sums at
-    s0 and 1 - s0 differ) and zeta at s0 = 2 with its poles."""
+    """The triple 11a x 11a x 11a, the 11a Sym^2 proxy (s0 = 1, so the sums
+    at s0 and 1 - s0 differ) and L(s, chi_-4) at s0 = 2."""
     h = resolve_label(records(), "11a")
-    return {
-        "triple": (triple_factors(h, h, h, 150), triple_shift(h, h, h),
-                   triple_gamma_shifts((h.weight,) * 3), triple_conductor(11),
-                   +1, Fraction(1, 2), 150, ()),
-        "sym2": ({p: sym2_factor(h, p) for p in primes_up_to(83)}.__getitem__,
-                 sym2_shift(h), sym2_gamma_shifts(h.weight), sym2_conductor(h),
-                 +1, Fraction(1), 83, ()),
-        "zeta": ({p: [1, -1] for p in primes_up_to(100)}.__getitem__, 0,
-                 [Fraction(0)], 1, +1, Fraction(2), 100, ((1, 1), (0, -1))),
-    }
+    return {"triple": triple_ldata(h, h, h, 150), "sym2": sym2_ldata(h, 83),
+            "chi4": chi_minus_4(2)}
 
 
-@pytest.mark.parametrize("case", ["triple", "sym2", "zeta"])
+@pytest.mark.parametrize("case", ["triple", "sym2", "chi4"])
 def test_lambda_error_is_the_error_times_the_gamma_factor(case):
-    factor, shift, shifts, cond, sign, s0, terms, poles = \
-        afe_oracle_cases()[case]
-    cv = central_value(factor, shift, shifts, cond, sign, s0=s0, terms=terms,
-                       poles=poles)
+    ldata = afe_oracle_cases()[case]
+    cv = central_value(ldata)
     d = cv.details
     assert cv.lam_error == d["quad_err"] + d["tail"] + d["interp"]
     assert d["interp"] > 0
-    gamma = cond ** (s0 / 2) * math.prod(
+    s0 = ldata.s0
+    gamma = ldata.conductor ** (s0 / 2) * math.prod(
         math.pi ** (-(s0 + mu) / 2) * math.gamma((s0 + mu) / 2)
-        for mu in shifts)
+        for mu in ldata.gamma_shifts)
     assert cv.lam_error == pytest.approx(cv.error * abs(gamma), rel=1e-12)
     # one kept Chebyshev degree per line s0, 1 - s0
     assert d["degree"].keys() == {s0, 1 - s0}
     assert all(8 < deg < 64 for deg in d["degree"].values())
 
 
-@pytest.mark.parametrize("case", ["triple", "sym2", "zeta"])
+@pytest.mark.parametrize("case", ["triple", "sym2", "chi4"])
 def test_central_value_matches_two_sided_oracle(case):
-    factor, shift, shifts, cond, sign, s0, terms, poles = \
-        afe_oracle_cases()[case]
-    cv = central_value(factor, shift, shifts, cond, sign, s0=s0, terms=terms,
-                       poles=poles)
-    value, error, lam = two_sided_central_value(
-        factor, shift, shifts, cond, sign, s0, 100, terms, poles=poles)
+    ldata = afe_oracle_cases()[case]
+    cv = central_value(ldata)
+    value, error, lam = two_sided_central_value(ldata, 100)
     assert cv.value == pytest.approx(value, rel=1e-12)
     assert cv.lam == pytest.approx(lam, rel=1e-12)
     assert cv.error == pytest.approx(error, rel=1e-6)
@@ -711,12 +722,12 @@ def half_line_grid(gamma_shifts, conductor):
     return log_lam_gamma, h, grid
 
 
-def horner_central_value(factor, shift, gamma_shifts, conductor, sign,
-                         terms):
+def horner_central_value(ldata):
     """Oracle for central_value at s0 = 1/2 with kernel width 4, in double
     precision: the weight summed afresh for every coefficient by Horner's
     rule, one pass over the series per step, one log Gamma per shift.
     Returns (L(1/2), Lambda(1/2), quadrature plus tail error of Lambda)."""
+    factor, shift, gamma_shifts, conductor, sign, _, terms = ldata
     c = 1.75
     log_lam_gamma, h, grid = half_line_grid(gamma_shifts, conductor)
     b = dirichlet_coefficients(factor, terms, shift)
@@ -752,13 +763,13 @@ def horner_central_value(factor, shift, gamma_shifts, conductor, sign,
     return lam / gam, lam, 2 * abs(val - val_b) + 4 * blk
 
 
-def single_expansion_central_value(factor, shift, gamma_shifts, conductor,
-                                   sign, terms):
+def single_expansion_central_value(ldata):
     """Oracle for the blocks of central_value at s0 = 1/2 with kernel width
     4: the same weight, expanded once in Chebyshev polynomials of
     x = 2 log n / log(terms) - 1 up to the same degree D, and one pass of
     moments to degree D over the whole series at x_n.  Returns
     Lambda(1/2)."""
+    factor, shift, gamma_shifts, conductor, sign, _, terms = ldata
     _, h, grid = half_line_grid(gamma_shifts, conductor)
     b = dirichlet_coefficients(factor, terms, shift)
     span = math.log(max(terms, 2))
@@ -793,14 +804,10 @@ def single_expansion_central_value(factor, shift, gamma_shifts, conductor,
 def test_central_value_matches_horner_oracle_at_full_length():
     recs = records()
     h, f = resolve_label(recs, "26b"), resolve_label(recs, "26a")
-    cond = triple_conductor(26)
-    terms = _afe_terms(cond)
-    assert terms == 10390
-    factor, shift = triple_factors(h, f, f, terms), triple_shift(h, f, f)
-    shifts = triple_gamma_shifts((h.weight, f.weight, f.weight))
-    cv = central_value(factor, shift, shifts, cond, +1)
-    value, lam, error = horner_central_value(
-        factor, shift, shifts, cond, +1, terms)
+    ldata = triple_ldata(h, f, f)
+    assert (ldata.conductor, ldata.sign, ldata.terms) == (26 ** 5, +1, 10390)
+    cv = central_value(ldata)
+    value, lam, error = horner_central_value(ldata)
     assert cv.value == pytest.approx(value, rel=1e-12)
     assert cv.lam == pytest.approx(lam, rel=1e-12)
     assert cv.details["interp"] <= 1e-2 * cv.lam_error
@@ -816,12 +823,12 @@ def test_blocks_match_the_single_expansion_on_a_long_series():
         a = (p * 2654435761) % (2 * r + 1) - r
         return [1, -(a or 1) ** 3]
 
-    shift, shifts, cond = Fraction(3, 2), triple_gamma_shifts((2, 2, 2)), 10**8
-    terms = _afe_terms(cond)
-    assert terms >= 30_000
-    cv = central_value(factor, shift, shifts, cond, +1)
-    lam = single_expansion_central_value(factor, shift, shifts, cond, +1,
-                                         terms)
+    h = resolve_label(records(), "11a")
+    ldata = triple_ldata(h, h, h)._replace(
+        factor=factor, conductor=10**8, sign=+1, terms=_afe_terms(10**8))
+    assert ldata.terms >= 30_000
+    cv = central_value(ldata)
+    lam = single_expansion_central_value(ldata)
     assert abs(cv.lam - lam) <= cv.details["interp"]
     assert cv.lam == pytest.approx(lam, rel=1e-12)
 
@@ -864,9 +871,9 @@ def test_truncated_triple_factors_give_the_same_series():
     recs = records()
     h, f = resolve_label(recs, "26a"), resolve_label(recs, "26b")
     count = 2000
-    truncated = triple_factors(h, f, f, count)
+    ldata = triple_ldata(h, f, f, count)
+    truncated, shift = ldata.factor, ldata.shift
     full = functools.partial(triple_factor_at, h, f, f)
-    shift = triple_shift(h, f, f)
     assert sum(len(truncated(p)) == 9 for p in primes_up_to(count)) == \
         len(primes_up_to(math.isqrt(count))) - 2
     assert dirichlet_coefficients(truncated, count, shift) == \
@@ -875,25 +882,25 @@ def test_truncated_triple_factors_give_the_same_series():
 
 def test_the_series_calls_its_factor_once_per_prime_in_order():
     calls = []
+    chi = chi_minus_4(2)
 
     def factor(p):
         calls.append(p)
-        return [1, -1]
+        return chi.factor(p)
 
     for count in (0, 1, 2, 3, 4, 49, 100):
         calls.clear()
         dirichlet_coefficients(factor, count, 0)
         assert calls == primes_up_to(count)
     calls.clear()
-    central_value(factor, 0, [Fraction(0)], 1, +1, s0=Fraction(2), terms=100,
-                  poles=((1, 1), (0, -1)))
+    central_value(chi._replace(factor=factor))
     assert calls == primes_up_to(100)
 
 
 def test_triple_factors_build_a_new_factor_on_each_call():
     recs = records()
     h, f = resolve_label(recs, "26a"), resolve_label(recs, "26b")
-    factor = triple_factors(h, f, f, 100)
+    factor = triple_ldata(h, f, f, 100).factor
     # nothing is kept between calls
     assert factor(3) is not factor(3)
     for p in primes_up_to(100):
@@ -913,9 +920,7 @@ def test_sym2_series_reads_a_map_as_a_dict():
     h = resolve_label(recs, "26a")
     full = {p: sym2_factor(h, p) for p in primes_up_to(200)}
     cv = petersson_norm_proxy(h, terms=200)
-    want = central_value(full.__getitem__, sym2_shift(h),
-                         sym2_gamma_shifts(h.weight), sym2_conductor(h), +1,
-                         s0=Fraction(1), terms=200)
+    want = central_value(sym2_ldata(h, 200)._replace(factor=full.__getitem__))
     assert (cv.value, cv.error) == (want.value, want.error)
 
 
@@ -935,14 +940,23 @@ def test_central_value_holds_one_factor_at_a_time():
     assert peak < 450_000
 
 
+def steinberg_triple(level):
+    """The triple data of a weight-2 record of that squarefree level with
+    a_p = 1 at each p | level, which fixes its conductor and length."""
+    r = NewformRecord("x", level, 2, dict.fromkeys(_prime_factors(level), 1),
+                      {})
+    return triple_ldata(r, r, r)
+
+
 @pytest.mark.parametrize("level", [11, 14, 15, 26, 37, 38])
 def test_triple_series_length_is_the_afe_default(level):
-    cond = triple_conductor(level)
-    assert _afe_terms(cond) == int(3 * math.sqrt(cond)) + 50
+    ldata = steinberg_triple(level)
+    assert ldata.conductor == level ** 5
+    assert ldata.terms == int(3 * math.sqrt(level ** 5)) + 50
 
 
 def test_afe_length_is_not_capped():
     # from level 86 on the default triple series is longer than 200,000
     # terms; it is streamed, so its length is not cut to a cap
-    cond = triple_conductor(86)
-    assert _afe_terms(cond) == int(3 * math.sqrt(cond)) + 50 > 200_000
+    assert steinberg_triple(86).terms == int(3 * math.sqrt(86 ** 5)) + 50 \
+        > 200_000

@@ -226,3 +226,71 @@ def test_every_module_level_name_is_read():
                           if isinstance(n, ast.Name) and n.id not in read
                           and not n.id.startswith("__"))
     assert not unread, "assigned but never read:\n" + "\n".join(unread)
+
+
+# Defaults that no call in src/ sets, each kept on purpose.
+DEFAULTS_SET_OUTSIDE_SRC = {
+    # the console entry point, which reads sys.argv when called bare
+    ("main", "argv"),
+    # the kernel width, which the kernel-independence tests vary
+    ("central_value", "kernel_width"),
+    # positive weight, which eigenforms rejects until ROADMAP item 4(a)
+    ("eigenforms", "nu"),
+    # the data file's prime bound, which the regeneration test sets
+    ("write_newform_file", "pmax"),
+}
+
+
+def _defaulted_parameters(fn, method):
+    """(position among a call's positional arguments or None, name) of
+    every parameter of fn that has a default; a method's self or cls is
+    not among its call's arguments."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    if method and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                          for d in fn.decorator_list):
+        positional = positional[1:]
+    first = len(positional) - len(args.defaults)
+    yield from ((i, a.arg) for i, a in enumerate(positional) if i >= first)
+    yield from ((None, a.arg) for a, d in zip(args.kwonlyargs,
+                                               args.kw_defaults) if d)
+
+
+def test_every_default_is_set_in_src():
+    # A default that every caller leaves alone is an option with one value
+    # in use: the function should take that value as given.  Each
+    # parameter with a default, on a function or method of src/, must be
+    # passed by position or by keyword at some call in src/ to a function
+    # of that name, or to its class for an __init__, also as cls(...); a
+    # call with *args or **kwargs may pass any.
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    calls = {}
+    for tree in trees.values():
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                name = getattr(call.func, "id", getattr(call.func, "attr", ""))
+                calls.setdefault(name, []).append(call)
+
+    def passed(names, index, param):
+        for call in (c for name in names for c in calls.get(name, ())):
+            if any(isinstance(a, ast.Starred) for a in call.args) or \
+                    index is not None and len(call.args) > index or \
+                    any(k.arg in (None, param) for k in call.keywords):
+                return True
+        return False
+
+    owner = {id(node): cls.name for tree in trees.values()
+             for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+             for node in cls.body}
+    unset = {(fn.name, param): f"{path.name}:{fn.lineno} {fn.name}({param})"
+             for path, tree in trees.items() for fn in ast.walk(tree)
+             if isinstance(fn, ast.FunctionDef)
+             for index, param in _defaulted_parameters(fn, id(fn) in owner)
+             if not passed((owner[id(fn)], "cls") if fn.name == "__init__"
+                           else (fn.name,), index, param)}
+    # an exemption that src/ now sets is stale
+    assert DEFAULTS_SET_OUTSIDE_SRC <= unset.keys()
+    unset = [where for key, where in unset.items()
+             if key not in DEFAULTS_SET_OUTSIDE_SRC]
+    assert not unset, "defaults no call in src/ sets:\n" + "\n".join(unset)

@@ -194,8 +194,8 @@ def test_parity_gate_vector_case():
     # (nu1, nu2) = (3, 1), (alpha1, alpha2) = (1, 1): alpha' = 3 odd,
     # the restriction map is identically zero
     table = FourierTable(3, 1, 2, {HalfIntMatrix(1, 0, 1):
-                                   Poly.monomial((1, 1), 5)})
-    table.coeffs[HalfIntMatrix(0, 0, 1)] = Poly.monomial((2, 0), 1)
+                                   Poly(2, {(1, 1): 5})})
+    table.coeffs[HalfIntMatrix(0, 0, 1)] = Poly.monomial((2, 0))
     out = diagonal_restriction(table, 1, 1)
     assert list(out) == [(0, 1), (1, 1)]
     assert all(v == 0 for v in out.values())
